@@ -24,9 +24,20 @@ from ..trace import Trace
 from .tasks import ChainExecutor
 
 
+def _folds(rule: str, default=0):
+    """A field whose cross-worker fold is not the default plain sum."""
+    return field(default=default, metadata={"merge": rule})
+
+
 @dataclass
 class DriverStats:
-    """Scheduling-side counters common to all drivers."""
+    """Scheduling-side counters common to all drivers.
+
+    Each field declares once how it folds across shard-worker processes
+    (``metadata["merge"]``, read by :mod:`repro.core.parallel`): counters
+    sum, peaks take the ``max``, and the controller times are those of
+    the ``critical``-path worker.
+    """
 
     tasks_completed: int = 0
     clusters_dispatched: int = 0
@@ -34,18 +45,18 @@ class DriverStats:
     blocked_events: int = 0
     unblock_events: int = 0
     #: step spread observed (max step - min step), peak over the run.
-    max_step_spread: int = 0
+    max_step_spread: int = _folds("max")
     #: §3.6 critical-path accounting: wall-clock seconds the controller
     #: spent forming/refreshing clusters, updating the dependency graph
     #: on commits, and enqueueing/dispatching ready clusters. These are
     #: *host* seconds (the scheduler's real overhead), not virtual time.
-    time_clustering: float = 0.0
-    time_graph: float = 0.0
-    time_dispatch: float = 0.0
+    time_clustering: float = _folds("critical", 0.0)
+    time_graph: float = _folds("critical", 0.0)
+    time_dispatch: float = _folds("critical", 0.0)
     #: Controller rounds executed (with ack coalescing, one round can
     #: retire several cluster commits).
     controller_rounds: int = 0
-    extra: dict = field(default_factory=dict)
+    extra: dict = field(default_factory=dict, metadata={"merge": "extra"})
 
     @property
     def mean_cluster_size(self) -> float:

@@ -1,5 +1,4 @@
-"""§3.4 geo-clustering, the spatial index behind it, and the §3.6
-incremental cluster cache.
+"""§3.4 geo-clustering and the spatial index behind it.
 
 ``geo_clustering`` groups same-step agents whose pairwise chains of
 coupling relations connect them — connected components under
@@ -34,13 +33,11 @@ API): a component only changes when one of its members (or an agent
 newly within coupling range of one) moves, steps, or leaves the ready
 set — all transitions the graph itself drives, so memoization and
 invalidation happen in ``mark_running``/``commit`` with no separate
-protocol. The old standalone :class:`ClusterCache` remains importable
-as a deprecation shim only.
+protocol.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Hashable, Iterable, Sequence
 
 from .._util import UnionFind
@@ -221,68 +218,6 @@ class SpatialIndex:
                 if within(pos, positions[key], radius):
                     out.append(key)
         return out
-
-
-class ClusterCache:
-    """Deprecated standalone component cache (pre-PR 5 API).
-
-    Coupling components are graph-native now: the dependency graph
-    memoizes and invalidates them from inside ``mark_running`` and
-    ``commit`` (see :class:`~repro.core.dependency_graph
-    .SpatioTemporalGraph.component_for`), so no driver carries this
-    object anymore. The class stays importable — with the same
-    ``get``/``store``/``invalidate``/``clear`` surface and counters —
-    only so third-party scenario code and old pickles keep working.
-    """
-
-    __slots__ = ("_comp_of", "_members", "_next_id", "hits", "misses")
-
-    def __init__(self) -> None:
-        warnings.warn(
-            "ClusterCache is deprecated: coupling components are "
-            "maintained inside SpatioTemporalGraph (component_for / "
-            "invalidate_components); drivers need no standalone cache",
-            DeprecationWarning, stacklevel=2)
-        self._comp_of: dict[int, int] = {}
-        self._members: dict[int, list[int]] = {}
-        self._next_id = 0
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def get(self, aid: int) -> list[int] | None:
-        """The cached component containing ``aid`` (None = rebuild)."""
-        cid = self._comp_of.get(aid)
-        if cid is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return self._members[cid]
-
-    def store(self, members: list[int]) -> None:
-        """Memoize a freshly-built component (evicts stale overlaps)."""
-        self.invalidate(members)
-        cid = self._next_id
-        self._next_id += 1
-        self._members[cid] = members
-        comp_of = self._comp_of
-        for aid in members:
-            comp_of[aid] = cid
-
-    def invalidate(self, aids: Iterable[int]) -> None:
-        """Drop every component containing any of ``aids``."""
-        comp_of = self._comp_of
-        for aid in aids:
-            cid = comp_of.get(aid)
-            if cid is not None:
-                for member in self._members.pop(cid):
-                    del comp_of[member]
-
-    def clear(self) -> None:
-        self._comp_of.clear()
-        self._members.clear()
 
 
 def geo_clustering(agent_ids: Sequence[int],

@@ -1,0 +1,209 @@
+"""The Algorithm 3 controller step, independent of how work is executed.
+
+The paper's architecture (§3.1) has one controller: dependency graph →
+geo-clusters → ready queue, acks → commit. :class:`ControllerCore` is
+that controller and nothing else. It owns the dependency graph (plain
+or region-sharded), the ``ready`` / ``done`` agent sets and one
+:class:`DriverStats`; a *transport* owns everything about execution —
+the virtual-time kernel and dispatch buckets
+(:class:`~repro.core.metropolis.MetropolisDriver`), or worker threads
+and queues (:class:`~repro.live.engine.LiveSimulation`). A round is::
+
+    clusters = core.ready_clusters(dirty)   # §3.4 clustering
+    core.claim(clusters)                    # members leave the ready pool
+    ... the transport runs them ...
+    dirty = core.retire(members, positions)  # §3.3 graph update
+    dirty = core.abort(cluster)              # or: a failed cluster rolls back
+
+Positions are an argument, so the core never sees a trace, a kernel, a
+queue or a thread.
+"""
+
+from __future__ import annotations
+
+from time import perf_counter
+from typing import Callable, Mapping
+
+import numpy as np
+
+from ..faults import scheduler_diagnostics
+from .baselines import DriverStats
+from .dependency_graph import SpatioTemporalGraph
+from .rules import DependencyRules
+from .sharding import ShardedGraph
+from .space import Position
+
+
+class ControllerCore:
+    """Dependency graph + ready/done sets + stats behind four verbs."""
+
+    def __init__(self, rules: DependencyRules,
+                 positions: "Mapping[int, Position] | np.ndarray",
+                 target_step: int, *, start_step: int = 0,
+                 shard_plan: list[list[int]] | None = None,
+                 stats: DriverStats | None = None,
+                 clock: Callable[[], float] = perf_counter,
+                 validate: bool = False) -> None:
+        #: ``shard_plan`` (provably independent regions, see
+        #: :func:`~repro.core.sharding.plan_regions`) selects the
+        #: region-sharded graph behind the same facade.
+        if shard_plan is not None and len(shard_plan) >= 2:
+            self.graph = ShardedGraph(rules, positions, shard_plan,
+                                      start_step=start_step)
+        else:
+            self.graph = SpatioTemporalGraph(rules, positions,
+                                             start_step=start_step)
+        self.target_step = target_step
+        self.stats = stats if stats is not None else DriverStats()
+        #: Time source of the §3.6 critical-path accounting. Wall clock
+        #: by default; shard-worker processes pass ``time.process_time``
+        #: so a worker's controller seconds measure its own CPU work
+        #: even when workers timeshare cores.
+        self.clock = clock
+        #: Re-derive every blocker after each retire (debug mode).
+        self.validate = validate
+        #: Agents finished with their previous step and not yet claimed.
+        self.ready: set[int] = set(range(self.graph.n_agents))
+        #: Agents that reached ``target_step``.
+        self.done: set[int] = set()
+
+    def finished(self) -> bool:
+        return len(self.done) == self.graph.n_agents
+
+    def ready_clusters(self, dirty: set[int],
+                       exclude: Callable[[int], bool] | None = None
+                       ) -> list[tuple[int, list[int]]]:
+        """Dispatchable ``(step, members)`` clusters around ``dirty``.
+
+        One controller round: every coupling component seeded by a ready
+        dirty agent whose members are all unblocked. ``exclude`` hides
+        agents the transport manages out of band (speculation) from the
+        component search.
+        """
+        t0 = self.clock()
+        graph = self.graph
+        component = graph.component_for
+        blocked_by = graph.blocked_by
+        step = graph.step
+        ready = self.ready
+        visited: set[int] = set()
+        clusters: list[tuple[int, list[int]]] = []
+        # Sorted iteration pins cluster discovery (and so dispatch and
+        # virtual timing) to a deterministic order: sharded and single
+        # controllers replay identically, set-hash layout never matters.
+        for aid in sorted(dirty):
+            if aid in visited or aid not in ready:
+                continue
+            cluster = component(aid, visited, exclude, True)
+            for m in cluster:
+                if blocked_by[m]:
+                    break
+            else:
+                clusters.append((step[aid], cluster))
+        stats = self.stats
+        stats.time_clustering += self.clock() - t0
+        stats.controller_rounds += 1
+        return clusters
+
+    def claim(self, clusters: list[tuple[int, list[int]]]) -> None:
+        """Move the clusters' members from ready to running.
+
+        One batched graph transition for the whole round: clusters are
+        disjoint and the per-agent checks are independent, so this is
+        equivalent to per-cluster calls — minus the per-cluster
+        facade/validation overhead at million-agent scale.
+        """
+        batch: list[int] = []
+        for _, members in clusters:
+            batch += members
+        self.ready.difference_update(batch)
+        self.graph.mark_running(batch)
+        self.stats.clusters_dispatched += len(clusters)
+        self.stats.cluster_size_sum += len(batch)
+
+    def retire(self, members: list[int],
+               positions: "Mapping[int, Position] | np.ndarray"
+               ) -> set[int]:
+        """Commit finished clusters one step; return the dirty frontier.
+
+        ``members`` may span several clusters (ack coalescing);
+        ``positions`` is a mapping by agent id or a ``(k, 2)`` row array
+        aligned with ``members``. The frontier is every ready agent the
+        next round must re-cluster: the members themselves, newly
+        unblocked waiters, and ready agents near the movers.
+        """
+        t0 = self.clock()
+        graph = self.graph
+        result = graph.commit(members, positions)
+        stats = self.stats
+        stats.tasks_completed += len(members)
+        spread = graph.max_step - graph.min_step
+        if spread > stats.max_step_spread:
+            stats.max_step_spread = spread
+        if self.validate:
+            graph.validate()
+        target = self.target_step
+        step = graph.step
+        ready = self.ready
+        done = self.done
+        dirty: set[int] = set()
+        for aid in members:
+            if step[aid] >= target:
+                done.add(aid)
+            else:
+                ready.add(aid)
+                dirty.add(aid)
+        for aid in result.unblocked:
+            if aid in ready:
+                dirty.add(aid)
+        for aid in result.neighbors:
+            if aid in ready:
+                dirty.add(aid)
+        stats.time_graph += self.clock() - t0
+        return dirty
+
+    def abort(self, cluster: list[int]) -> set[int]:
+        """Roll a failed cluster back: the exact inverse of :meth:`claim`.
+
+        Nothing was committed, so steps, positions and blocked edges are
+        untouched; the members return to the ready pool and are the
+        dirty frontier that re-forms them.
+        """
+        self.graph.abort_running(cluster)
+        self.ready.update(cluster)
+        return set(cluster)
+
+    def stalled(self, **transport) -> str:
+        """Why nothing can run: who is blocked on whom, what is running.
+
+        ``transport`` carries the caller's own evidence (queue depths,
+        last-ack age, redispatch count) into the same report.
+        """
+        graph = self.graph
+        blocked = {aid: sorted(graph.blockers_of(aid))
+                   for aid in sorted(self.ready) if graph.blocked_by[aid]}
+        running = [aid for aid, on in enumerate(graph.running) if on]
+        return scheduler_diagnostics(
+            done=len(self.done), total=graph.n_agents, blocked=blocked,
+            running=running, **transport)
+
+    def sync_stats(self) -> None:
+        """Fold the graph's counters into the stats record.
+
+        Called at end-of-run instead of every round: the counters live
+        on the graph, so per-round mirroring was pure hot-loop cost.
+        """
+        graph = self.graph
+        stats = self.stats
+        stats.blocked_events = graph.blocked_events
+        stats.unblock_events = graph.unblock_events
+        extra = stats.extra
+        extra["cluster_cache_hits"] = graph.comp_hits
+        extra["cluster_cache_misses"] = graph.comp_misses
+        extra["graph_scans"] = graph.scans
+        extra["graph_scan_skips"] = graph.scan_skips
+        extra["graph_near_checks"] = graph.near_checks
+        extra["graph_wake_skips"] = graph.wake_skips
+        extra["graph_fallback_scans"] = graph.fallback_scans
+        extra["graph_scanned_slots"] = graph.scanned_slots
+        extra["shards"] = getattr(graph, "n_shards", 1)

@@ -35,8 +35,7 @@ components of the coupling relation among same-step non-running agents
 are memoized in an id-indexed component table, seeded by the per-member
 neighbor lists every commit already returns, and invalidated from
 inside :meth:`mark_running` / :meth:`commit` themselves — the drivers
-no longer run a separate cache-invalidation protocol (the old
-standalone ``ClusterCache`` survives only as a deprecation shim).
+run no separate cache-invalidation protocol.
 
 The blocker work itself is bounded by three mechanisms that make
 steady-state commits (nearly) scan-free:

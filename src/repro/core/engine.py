@@ -77,6 +77,12 @@ def run_replay(trace: Trace,
     built and before the driver starts — the chaos bench uses it to
     schedule mid-run fault injections (e.g. a replica blackout) in
     virtual time.
+
+    ``parallel_workers >= 2`` asks for the multiprocess controller
+    (state-identical to the in-process path; see
+    :mod:`repro.core.parallel`). When that cannot run, the replay stays
+    in-process and says so: ``driver_stats.extra["parallel_fallback"]``
+    carries the reason the ``repro.core.parallel`` logger warned about.
     """
     scheduler = scheduler or SchedulerConfig()
     serving = serving or ServingConfig()
@@ -84,17 +90,33 @@ def run_replay(trace: Trace,
         raise ConfigError(
             f"unknown policy {scheduler.policy!r}; "
             f"available: {sorted(_DRIVERS)}")
-    if scheduler.parallel_workers >= 2 and fault_hook is None:
-        # Multiprocess controller (state-identical to the in-process
-        # path; see repro.core.parallel). Returns None when the
-        # workload cannot be split, which falls through to the
-        # in-process drivers below. fault_hook closures cannot cross a
-        # process boundary, so chaos runs always stay in-process.
-        from .parallel import run_parallel_replay
-        result = run_parallel_replay(trace, scheduler, serving,
-                                     collect_timeline=collect_timeline)
-        if result is not None:
-            return result
+    fallback = None
+    if scheduler.parallel_workers >= 2:
+        from .parallel import try_parallel_replay
+        outcome = try_parallel_replay(trace, scheduler, serving,
+                                      collect_timeline,
+                                      fault_hook=fault_hook)
+        if not isinstance(outcome, str):
+            return outcome
+        fallback = outcome
+    result = replay_in_process(trace, scheduler, serving, collect_timeline,
+                               fault_hook)
+    if fallback is not None:
+        result.driver_stats.extra["parallel_fallback"] = fallback
+    return result
+
+
+def replay_in_process(trace: Trace, scheduler: SchedulerConfig,
+                      serving: ServingConfig,
+                      collect_timeline: bool = False, fault_hook=None,
+                      **controller) -> SimulationResult:
+    """The one replay wiring: kernel, engine, executor, driver, drain.
+
+    Runs in the caller's process — :func:`run_replay`'s, or a shard
+    worker's, which passes ``controller`` keywords for the metropolis
+    drivers: ``shard_plan`` (its slice of the parent's region plan, so
+    nothing is re-planned) and ``clock`` (per-process CPU time).
+    """
     # §3.5: request priority at the serving engine follows the scheduler's
     # priority switch (the Table 1 ablation flips both together).
     serving_cfg = serving if serving.priority_scheduling == scheduler.priority \
@@ -109,7 +131,7 @@ def run_replay(trace: Trace,
         kernel, engine, trace, scheduler.overhead,
         call_observer=timeline.record if timeline else None)
     driver = _DRIVERS[scheduler.policy](kernel, engine, trace, scheduler,
-                                        executor)
+                                        executor, **controller)
     # The driver's structures hold O(agents) container objects, and every
     # controller round churns O(agents) more; the cyclic collector the
     # allocator triggers inside the hot loop re-traverses the survivors

@@ -49,10 +49,9 @@ from ..devent import Kernel
 from ..errors import SchedulingError
 from ..serving import ServingEngine
 from ..trace import Trace
-from .baselines import DriverStats
-from .dependency_graph import SpatioTemporalGraph
-from .sharding import ShardedGraph, plan_regions
+from .controller import ControllerCore
 from .rules import rules_for
+from .sharding import plan_regions
 from .tasks import ChainExecutor
 
 #: Interactive clusters sort before every regular step key (§6 hybrid
@@ -113,27 +112,23 @@ class _DispatchBuckets:
 
 
 class MetropolisDriver:
-    """Out-of-order replay of a trace under the §3.2 rules."""
+    """Out-of-order replay of a trace under the §3.2 rules.
+
+    The virtual-time transport of :class:`ControllerCore`: the core
+    decides *what* may run; this class turns that into kernel events,
+    worker slots and trace position gathers.
+    """
 
     def __init__(self, kernel: Kernel, engine: ServingEngine, trace: Trace,
                  config: SchedulerConfig, executor: ChainExecutor,
-                 shard_plan: list[list[int]] | None = None) -> None:
+                 shard_plan: list[list[int]] | None = None,
+                 clock=perf_counter) -> None:
         self.kernel = kernel
         self.engine = engine
         self.trace = trace
         self.config = config
         self.executor = executor
         self.rules = rules_for(config, trace.meta)
-        self.stats = DriverStats()
-        self.n_steps = trace.meta.n_steps
-        n = trace.meta.n_agents
-        #: Controller time source for the §3.6 critical-path accounting.
-        #: Wall clock by default; the multiprocess workers swap in
-        #: ``time.process_time`` so a worker's controller seconds measure
-        #: its own CPU work even when workers timeshare cores — the max
-        #: over workers is then the parallel critical path, which is what
-        #: wall time converges to on dedicated cores.
-        self._clock = perf_counter
         #: Step-major trace position store: commit batches gather their
         #: (step + 1, agent) rows in one flat fancy index — no per-agent
         #: tuple lists are ever materialized.
@@ -142,14 +137,17 @@ class MetropolisDriver:
         #: ``shard_plan`` overrides region planning outright — the
         #: multiprocess workers pass their slice of the parent's global
         #: plan so per-shard graph state matches the in-process
-        #: ``ShardedGraph`` bit-for-bit instead of being re-planned.
+        #: ``ShardedGraph`` bit-for-bit instead of being re-planned;
+        #: they also pass ``clock=time.process_time`` (see
+        #: :class:`ControllerCore`).
         if shard_plan is None and config.shards >= 2:
             shard_plan = plan_regions(trace, self.rules, config.shards)
-        if shard_plan is not None and len(shard_plan) >= 2:
-            self.graph = ShardedGraph(self.rules, self._pos_sa[0],
-                                      shard_plan)
-        else:
-            self.graph = SpatioTemporalGraph(self.rules, self._pos_sa[0])
+        self.core = ControllerCore(
+            self.rules, self._pos_sa[0], trace.meta.n_steps,
+            shard_plan=shard_plan, clock=clock,
+            validate=config.validate_causality)
+        self.graph = self.core.graph
+        self.stats = self.core.stats
         #: Per agent, the sorted steps whose chains contain LLM calls —
         #: the replay-mode half of the invocation-distance signal (the
         #: trace is known, as with ``ignore_eos`` output lengths).
@@ -158,9 +156,6 @@ class MetropolisDriver:
         #: Scheduler-aware serving: the engine's KV eviction key is the
         #: live invocation-distance prediction per agent.
         engine.set_distance_provider(self.invocation_distance)
-        #: Agents finished with their previous step and not yet dispatched.
-        self.ready: set[int] = set(range(n))
-        self.done: set[int] = set()
         self._running_clusters = 0
         #: Per running cluster: [tasks remaining, members, step].
         self._running_info: dict[int, list] = {}
@@ -173,13 +168,11 @@ class MetropolisDriver:
         #: instant buffer under their shared commit due-time; one kernel
         #: event retires the whole batch through one graph commit and
         #: runs one dispatch round.
-        self._round_pending: dict[float, list[tuple[int, list[int]]]] = {}
-        self._dirty_accum: set[int] = set()
+        self._round_pending: dict[
+            float, list[tuple[int, list[int], np.ndarray | None]]] = {}
         #: Kernel events scheduled by the driver (the §3.6 churn gauge;
         #: amortized well below one per cluster with batched rounds).
         self._kernel_events = 0
-        #: Component-BFS exclusion hook (speculation overrides).
-        self._exclude_hook = None
         #: §6 hybrid deployment: latency-critical agents (see
         #: SchedulerConfig.interactive_agents).
         self._interactive = frozenset(config.interactive_agents)
@@ -224,70 +217,32 @@ class MetropolisDriver:
     # -- controller ------------------------------------------------------
 
     def start(self) -> None:
-        self._controller_round(set(self.ready))
+        self._controller_round(set(self.core.ready))
 
-    def _controller_round(self, dirty: set[int]) -> None:
+    def _controller_round(self, dirty: set[int], exclude=None) -> None:
         """Re-cluster around ``dirty`` agents and dispatch what is ready."""
-        clock = self._clock
-        t0 = clock()
         self._cone_cache = None
-        graph = self.graph
-        visited: set[int] = set()
-        clusters: list[tuple[int, list[int]]] = []
-        component = graph.component_for
-        exclude = self._exclude_hook
-        is_blocked = graph.blocked_by
-        ready = self.ready
-        step = graph.step
-        # Sorted iteration pins cluster discovery (and so dispatch and
-        # virtual timing) to a deterministic order: sharded and single
-        # controllers replay identically, set-hash layout never matters.
-        for aid in sorted(dirty):
-            if aid in visited or aid not in ready:
-                continue
-            cluster = component(aid, visited, exclude, True)
-            for m in cluster:
-                if is_blocked[m]:
-                    break
-            else:
-                clusters.append((step[aid], cluster))
-        t1 = clock()
+        core = self.core
+        clusters = core.ready_clusters(dirty, exclude)
+        t0 = core.clock()
+        core.claim(clusters)
         if self.config.num_workers == 0 and clusters:
             # Uncapped workers: every unblocked cluster dispatches this
             # instant, so the pending buckets are bypassed outright and
             # the whole round launches through one kernel event.
             launches: list[tuple[int, list[int], int, float]] = []
-            batch: list[int] = []
-            for s, cluster in clusters:
-                for m in cluster:
-                    ready.discard(m)
-                batch += cluster
-            # One batched transition for the whole round: clusters are
-            # disjoint and the per-agent checks are independent, so
-            # this is equivalent to per-cluster calls — minus the per-
-            # cluster facade/validation overhead at million-agent scale.
-            graph.mark_running(batch)
             for s, cluster in clusters:
                 self._pending_seq += 1
                 self._admit(s, cluster, launches)
-            self._kernel_events += 1
-            self.kernel.call_in(self.config.overhead.controller_dispatch,
-                                self._launch_batch, launches)
+            self._launch(launches)
         else:
             for s, cluster in clusters:
-                self._enqueue_cluster(s, cluster)
+                self._pending_seq += 1
+                self._pending.push(self._dispatch_key(s, cluster),
+                                   (cluster, s))
             self._fill_workers()
-        t2 = clock()
-        stats = self.stats
-        stats.time_clustering += t1 - t0
-        stats.time_dispatch += t2 - t1
-        stats.controller_rounds += 1
+        self.stats.time_dispatch += core.clock() - t0
         self._check_progress()
-
-    def _collect_cluster(self, seed_aid: int, visited: set[int]) -> list[int]:
-        """Fresh (uncached) coupling component around ``seed_aid``."""
-        return self.graph.build_component(seed_aid, visited,
-                                          self._exclude_hook, True)
 
     def _cluster_priority(self, step: int, cluster: list[int]) -> float:
         """Serving-side request priority for a cluster (lower = sooner).
@@ -335,22 +290,11 @@ class MetropolisDriver:
     def _in_interactive_cone(self, cluster: list[int]) -> bool:
         return not self._cone_agents().isdisjoint(cluster)
 
-    def _enqueue_cluster(self, step: int, cluster: list[int]) -> None:
-        for m in cluster:
-            self.ready.discard(m)
-        self.graph.mark_running(cluster)
-        self._pending_seq += 1
-        self._pending.push(self._dispatch_key(step, cluster),
-                           (cluster, step))
-
     def _admit(self, step: int, cluster: list[int],
                launches: list[tuple[int, list[int], int, float]]) -> None:
         """Claim a worker slot for ``cluster`` and stage its launch."""
         self._busy_workers += 1
         self._running_clusters += 1
-        stats = self.stats
-        stats.clusters_dispatched += 1
-        stats.cluster_size_sum += len(cluster)
         cid = self._cluster_seq = self._cluster_seq + 1
         self._running_info[cid] = [len(cluster), cluster, step]
         priority = self._cluster_priority(step, cluster) \
@@ -359,12 +303,7 @@ class MetropolisDriver:
         launches.append((cid, cluster, step, priority))
 
     def _fill_workers(self) -> None:
-        """Dispatch pending clusters into free worker slots.
-
-        Every cluster dispatched here shares the round's virtual
-        instant, so the whole batch launches through a single kernel
-        event instead of one per cluster.
-        """
+        """Dispatch pending clusters into free worker slots."""
         cap = self.config.num_workers
         pending = self._pending
         launches: list[tuple[int, list[int], int, float]] = []
@@ -372,24 +311,21 @@ class MetropolisDriver:
             cluster, step = pending.pop()
             self._admit(step, cluster, launches)
         if launches:
-            self._kernel_events += 1
-            self.kernel.call_in(self.config.overhead.controller_dispatch,
-                                self._launch_batch, launches)
+            self._launch(launches)
+
+    def _launch(self, launches: list[tuple[int, list[int], int, float]]
+                ) -> None:
+        """Every cluster of a round shares its virtual instant, so the
+        whole batch launches through a single kernel event."""
+        self._kernel_events += 1
+        self.kernel.call_in(self.config.overhead.controller_dispatch,
+                            self._launch_batch, launches)
 
     def _check_progress(self) -> None:
         if (not self._running_clusters and not self._pending
-                and not self._round_pending
-                and len(self.done) < self.graph.n_agents):
-            from ..faults import scheduler_diagnostics
-            blocked = {aid: sorted(self.graph.blockers_of(aid))
-                       for aid in sorted(self.ready)}
-            running = sorted(
-                aid for info in self._running_info.values()
-                for aid in info[1])
+                and not self._round_pending and not self.core.finished()):
             raise SchedulingError(
-                "scheduler stalled\n  " + scheduler_diagnostics(
-                    done=len(self.done), total=self.graph.n_agents,
-                    blocked=blocked, running=running,
+                "scheduler stalled\n  " + self.core.stalled(
                     ready_depth=len(self._pending),
                     ack_depth=len(self._round_pending)))
 
@@ -407,7 +343,6 @@ class MetropolisDriver:
             run_cluster(cluster, step, priority, done)
 
     def _task_done(self, cid: int, aid: int, step: int) -> None:
-        self.stats.tasks_completed += 1
         info = self._running_info[cid]
         info[0] -= 1
         if info[0] == 0:
@@ -438,19 +373,17 @@ class MetropolisDriver:
         batch = self._round_pending.pop(due)
         self._running_clusters -= len(batch)
         self._busy_workers -= len(batch)
-        self._retire_commits(batch)
-        self._flush_controller_round()
+        self._controller_round(self._retire(batch))
 
-    def _retire_commits(self,
-                        batch: list[tuple[int, list[int], np.ndarray | None]]
-                        ) -> None:
-        """Apply every cluster of the batch in one vectorized graph commit."""
-        t0 = self._clock()
+    def _retire(self, batch: list[tuple[int, list[int], np.ndarray | None]]
+                ) -> set[int]:
+        """Retire every cluster of the batch in one vectorized commit."""
+        core = self.core
+        t0 = core.clock()
         n = self.graph.n_agents
         members_all: list[int] = []
         for _, members, _ in batch:
             members_all += members
-        graph = self.graph
         if all(snap is None for _, _, snap in batch):
             # One flat fancy-index gather from the step-major store
             # replaces the per-member position dict of the tuple-list era.
@@ -468,14 +401,9 @@ class MetropolisDriver:
                                      for aid in members]]
                      for step, members, snap in batch]
             pos_rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        result = graph.commit(members_all, pos_rows)
-        spread = graph.max_step - graph.min_step
-        if spread > self.stats.max_step_spread:
-            self.stats.max_step_spread = spread
-        if self.config.validate_causality:
-            graph.validate()
-        dirty = self._dirty_accum
-        n_steps = self.n_steps
+        # The trace gather is graph-update work: same bucket as the commit.
+        self.stats.time_graph += core.clock() - t0
+        dirty = core.retire(members_all, pos_rows)
         if self._interactive:
             now = self.kernel.now
             for aid in members_all:
@@ -483,52 +411,17 @@ class MetropolisDriver:
                     self.interactive_latencies.append(
                         now - self._last_commit_time[aid])
                     self._last_commit_time[aid] = now
-        done = self.done
-        ready = self.ready
-        step = graph.step
-        for aid in members_all:
-            if step[aid] >= n_steps:
-                done.add(aid)
-            else:
-                ready.add(aid)
-                dirty.add(aid)
-        # Newly unblocked waiters plus ready agents near the movers.
-        for aid in result.unblocked:
-            if aid in ready:
-                dirty.add(aid)
-        for aid in result.neighbors:
-            if aid in ready:
-                dirty.add(aid)
-        self.stats.time_graph += self._clock() - t0
-
-    def _flush_controller_round(self) -> None:
-        dirty, self._dirty_accum = self._dirty_accum, set()
-        self._controller_round(dirty)
+        return dirty
 
     def _sync_stats(self) -> None:
-        """Fold the graph's counters into the stats record.
-
-        Called at end-of-run instead of every round: the counters live
-        on the graph, so per-round mirroring was pure hot-loop cost.
-        """
-        graph = self.graph
-        stats = self.stats
-        stats.blocked_events = graph.blocked_events
-        stats.unblock_events = graph.unblock_events
-        stats.extra["cluster_cache_hits"] = graph.comp_hits
-        stats.extra["cluster_cache_misses"] = graph.comp_misses
-        stats.extra["graph_scans"] = graph.scans
-        stats.extra["graph_scan_skips"] = graph.scan_skips
-        stats.extra["graph_near_checks"] = graph.near_checks
-        stats.extra["graph_wake_skips"] = graph.wake_skips
-        stats.extra["graph_fallback_scans"] = graph.fallback_scans
-        stats.extra["graph_scanned_slots"] = graph.scanned_slots
-        stats.extra["shards"] = getattr(graph, "n_shards", 1)
-        stats.extra["kernel_events"] = self._kernel_events
+        """End-of-run fold of graph, kernel and engine counters."""
+        self.core.sync_stats()
+        extra = self.stats.extra
+        extra["kernel_events"] = self._kernel_events
         engine_faults = getattr(self.engine, "fault_stats", None)
         if engine_faults is not None:
-            stats.extra.update(engine_faults())
+            extra.update(engine_faults())
 
     def finished(self) -> bool:
         self._sync_stats()
-        return len(self.done) == self.graph.n_agents
+        return self.core.finished()

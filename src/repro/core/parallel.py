@@ -17,11 +17,13 @@ them in genuinely parallel worker processes:
   dispatch bookkeeping — against its own virtual-time kernel and
   serving engine;
 * **no cross-worker synchronization exists mid-run.** Workers never
-  write the shared segment and never message each other; only compact
-  end-of-task ledgers (counters, virtual completion time, kernel-event
-  counts, optional call records) travel back over a queue, where the
-  parent merges them into one :class:`DriverStats` and aggregates the
-  virtual clocks (completion = max over workers).
+  write the shared segment and never message each other; each runs
+  :func:`~repro.core.engine.replay_in_process` — the same wiring
+  ``run_replay`` uses — and ships the resulting
+  :class:`SimulationResult`, minus per-request records, back over a
+  queue as its ledger. The parent folds the ledgers' ``DriverStats`` by
+  each field's declared merge rule and aggregates the virtual clocks
+  (completion = max over workers).
 
 **Crash handling** reuses the faults-layer budget semantics: a worker
 process that dies mid-task is replaced and its task redispatched (the
@@ -30,7 +32,7 @@ to ``FaultPolicy.max_redispatches`` times; past the budget the run
 raises a diagnostic :class:`SchedulingError` via
 :func:`~repro.faults.scheduler_diagnostics`.
 
-**Controller-time accounting.** Each worker swaps the driver's clock to
+**Controller-time accounting.** Each worker runs its controller core on
 ``time.process_time``, so its ``controller_time`` measures the CPU
 seconds of its own scheduling work regardless of how the OS timeshares
 cores. The merged stats take the *maximum* over workers — the parallel
@@ -47,36 +49,36 @@ one), so every per-shard :class:`SpatioTemporalGraph` evolves through
 the same states. ``tests/test_parallel.py`` fuzz-pins all three modes
 against each other across seeded coordinate and graph worlds.
 
-The mode falls back cleanly (``run_parallel_replay`` returns ``None``
-and the caller keeps the in-process path) when the workload yields
-fewer than two regions, ``parallel_workers < 2``, the policy is not a
-metropolis variant, or the platform lacks POSIX shared memory.
+The mode falls back loudly: when the workload yields fewer than two
+regions, ``parallel_workers < 2``, the policy is not a metropolis
+variant, a ``fault_hook`` is set, or the platform lacks POSIX shared
+memory, :func:`try_parallel_replay` logs one warning and returns the
+reason, which ``run_replay`` records on its in-process result as
+``driver_stats.extra["parallel_fallback"]``.
 """
 
 from __future__ import annotations
 
-import gc
+import logging
 import os
 import time
 import traceback
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
 from ..config import FaultPolicy, SchedulerConfig, ServingConfig
-from ..devent import Kernel
 from ..errors import SchedulingError
 from ..faults import scheduler_diagnostics
-from ..instrument import TimelineRecorder
-from ..serving import EngineMetrics, ServingEngine
+from ..instrument import TimelineEvent, TimelineRecorder
+from ..serving import EngineMetrics
 from ..trace.schema import SharedPositionStore, Trace, TraceMeta
 from .baselines import DriverStats
-from .engine import SimulationResult
-from .metropolis import MetropolisDriver
+from .engine import SimulationResult, replay_in_process
 from .rules import rules_for
 from .sharding import assign_shards, plan_regions
-from .speculative import SpeculativeMetropolisDriver
-from .tasks import ChainExecutor
+
+_log = logging.getLogger(__name__)
 
 #: Seconds between liveness sweeps while waiting on worker ledgers.
 _POLL_S = 0.05
@@ -118,14 +120,15 @@ def merge_extra_counters(extras: list[dict]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _run_worker_task(task: dict) -> dict:
+def _run_worker_task(task: dict) -> SimulationResult:
     """Replay one worker's members in-process; return the compact ledger.
 
-    Mirrors :func:`~repro.core.engine.run_replay`'s wiring, with three
-    deliberate differences: positions come from the shared segment
-    (gathered down to this worker's member columns), the driver is
-    built with the parent's shard plan instead of re-planning, and the
-    controller clock is per-process CPU time (see module docstring).
+    :func:`~repro.core.engine.replay_in_process` over this worker's
+    slice: positions come from the shared segment (gathered down to the
+    member columns), the driver gets the parent's shard plan instead of
+    re-planning, and the controller clock is per-process CPU time (see
+    module docstring). The ledger is the replay's own result, made
+    compact (no per-request records) and global (timeline agent ids).
     """
     members: np.ndarray = task["members"]
     store = SharedPositionStore.open(
@@ -140,72 +143,18 @@ def _run_worker_task(task: dict) -> dict:
     trace = Trace(meta, positions, task["call_step"], task["call_agent"],
                   task["call_func"], task["call_in"], task["call_out"],
                   step_major=True)
-    scheduler: SchedulerConfig = task["scheduler"]
-    serving: ServingConfig = task["serving"]
-    serving_cfg = serving \
-        if serving.priority_scheduling == scheduler.priority \
-        else ServingConfig(**{**serving.__dict__,
-                              "priority_scheduling": scheduler.priority})
-    kernel = Kernel()
-    engine = ServingEngine(kernel, serving_cfg)
-    recorder = TimelineRecorder() if task["collect_calls"] else None
-    executor = ChainExecutor(
-        kernel, engine, trace, scheduler.overhead,
-        call_observer=recorder.record if recorder else None)
-    cls = SpeculativeMetropolisDriver \
-        if scheduler.policy == "metropolis-spec" else MetropolisDriver
-    driver = cls(kernel, engine, trace, scheduler, executor,
-                 shard_plan=task["local_plan"])
-    driver._clock = time.process_time
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        driver.start()
-        kernel.run()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-        gc.collect()
-    if not driver.finished():
-        raise SchedulingError(
-            f"parallel worker: kernel drained before completion "
-            f"({driver.stats.tasks_completed} tasks done)")
-    if not engine.idle():
-        raise SchedulingError(
-            "parallel worker: serving engine still busy at drain")
-    completion = kernel.now
-    stats = driver.stats
-    metrics = engine.metrics
-    calls = None
-    if recorder is not None:
+    result = replay_in_process(
+        trace, task["scheduler"], task["serving"],
+        collect_timeline=task["collect_calls"],
+        shard_plan=task["local_plan"], clock=time.process_time)
+    result.engine_metrics.records = []
+    if result.timeline is not None:
         gids = members.tolist()
-        calls = [(gids[e.agent], e.step, e.func_id,
-                  e.submit_time, e.finish_time)
-                 for e in recorder.events]
-    return {
-        "completion_time": completion,
-        "tasks_completed": stats.tasks_completed,
-        "clusters_dispatched": stats.clusters_dispatched,
-        "cluster_size_sum": stats.cluster_size_sum,
-        "blocked_events": stats.blocked_events,
-        "unblock_events": stats.unblock_events,
-        "max_step_spread": stats.max_step_spread,
-        "time_clustering": stats.time_clustering,
-        "time_graph": stats.time_graph,
-        "time_dispatch": stats.time_dispatch,
-        "controller_rounds": stats.controller_rounds,
-        "extra": stats.extra,
-        "n_calls": metrics.completed,
-        "prompt_tokens": metrics.total_prompt_tokens,
-        "output_tokens": metrics.total_output_tokens,
-        "parallelism_integral": metrics._outstanding_integral,
-        "busy_integral": engine.busy_fraction(completion) * completion,
-        "kv_stats": engine.kv_stats(),
-        # Crash-consistency evidence: the parent verifies every member
-        # actually drained to the final step before merging.
-        "final_steps": list(driver.graph.step),
-        "calls": calls,
-    }
+        result.timeline.events = [
+            TimelineEvent(gids[e.agent], e.step, e.func_id,
+                          e.submit_time, e.finish_time)
+            for e in result.timeline.events]
+    return result
 
 
 def _worker_main(worker_id: int, inbox, outbox) -> None:
@@ -406,65 +355,68 @@ def _build_tasks(trace: Trace, scheduler: SchedulerConfig,
     return tasks
 
 
+#: ``DriverStats`` field merge rules (``metadata["merge"]``) that are
+#: plain folds over the workers' values; ``critical`` is handled apart.
+_FOLDS = {"sum": sum, "max": max, "extra": merge_extra_counters}
+
+
 def _merge_results(trace: Trace, scheduler: SchedulerConfig,
-                   ledgers: list[dict], n_workers: int,
-                   redispatches: int, wall_s: float,
-                   collect_timeline: bool) -> SimulationResult:
+                   ledgers: list[SimulationResult], n_workers: int,
+                   redispatches: int, wall_s: float) -> SimulationResult:
     """Fold the workers' ledgers into one :class:`SimulationResult`."""
-    n_steps = trace.meta.n_steps
-    for led in ledgers:
-        if any(s != n_steps for s in led["final_steps"]):
-            raise SchedulingError(
-                "parallel replay: a worker ledger reports members not "
-                "drained to the final step")
-    stats = DriverStats()
+    # Crash-consistency evidence: every member of every worker drained
+    # to the final step before anything is merged.
+    n_tasks = sum(led.n_tasks_completed for led in ledgers)
+    if n_tasks != trace.meta.n_agents * trace.meta.n_steps:
+        raise SchedulingError(
+            "parallel replay: the worker ledgers report members not "
+            f"drained to the final step ({n_tasks} agent-steps of "
+            f"{trace.meta.n_agents * trace.meta.n_steps})")
+    parts = [led.driver_stats for led in ledgers]
     # Headline controller times come from the critical-path worker: the
     # parallel run is as slow as its slowest worker, and per-worker CPU
     # time is what that worker would cost wall-clock on its own core.
-    critical = max(ledgers, key=lambda led: (
-        led["time_clustering"] + led["time_graph"] + led["time_dispatch"]))
-    stats.time_clustering = critical["time_clustering"]
-    stats.time_graph = critical["time_graph"]
-    stats.time_dispatch = critical["time_dispatch"]
-    for field in ("tasks_completed", "clusters_dispatched",
-                  "cluster_size_sum", "blocked_events", "unblock_events",
-                  "controller_rounds"):
-        setattr(stats, field, sum(led[field] for led in ledgers))
-    stats.max_step_spread = max(led["max_step_spread"] for led in ledgers)
-    stats.extra = merge_extra_counters([led["extra"] for led in ledgers])
+    critical = max(parts, key=lambda part: part.controller_time)
+    stats = DriverStats()
+    for f in fields(DriverStats):
+        rule = f.metadata.get("merge", "sum")
+        setattr(stats, f.name, getattr(critical, f.name)
+                if rule == "critical"
+                else _FOLDS[rule]([getattr(part, f.name) for part in parts]))
     stats.extra["parallel_workers"] = n_workers
     stats.extra["worker_redispatches"] = redispatches
     stats.extra["parallel_wall_s"] = wall_s
     stats.extra["worker_controller_times"] = [
-        led["time_clustering"] + led["time_graph"] + led["time_dispatch"]
-        for led in ledgers]
-    completion = max(led["completion_time"] for led in ledgers)
+        part.controller_time for part in parts]
+    completion = max(led.completion_time for led in ledgers)
     metrics = EngineMetrics()
-    metrics.total_prompt_tokens = sum(led["prompt_tokens"]
-                                      for led in ledgers)
-    metrics.total_output_tokens = sum(led["output_tokens"]
-                                      for led in ledgers)
+    metrics.total_prompt_tokens = sum(
+        led.engine_metrics.total_prompt_tokens for led in ledgers)
+    metrics.total_output_tokens = sum(
+        led.engine_metrics.total_output_tokens for led in ledgers)
     kv_stats: dict = {}
     for led in ledgers:
-        for key, value in led["kv_stats"].items():
+        for key, value in led.kv_stats.items():
             kv_stats[key] = kv_stats.get(key, 0) + value
     timeline = None
-    if collect_timeline:
+    if ledgers[0].timeline is not None:
         timeline = TimelineRecorder()
-        events = [ev for led in ledgers for ev in (led["calls"] or [])]
-        events.sort(key=lambda ev: (ev[3], ev[4], ev[0], ev[1]))
-        for agent, step, func_id, submit, finish in events:
-            timeline.record(agent, step, func_id, submit, finish)
-    parallelism = sum(led["parallelism_integral"] for led in ledgers) \
-        / completion if completion > 0 else 0.0
-    busy = sum(led["busy_integral"] for led in ledgers) \
-        / (n_workers * completion) if completion > 0 else 0.0
+        timeline.events = sorted(
+            (ev for led in ledgers for ev in led.timeline.events),
+            key=lambda ev: (ev.submit_time, ev.finish_time, ev.agent,
+                            ev.step))
+    parallelism = sum(led.engine_metrics._outstanding_integral
+                      for led in ledgers) / completion \
+        if completion > 0 else 0.0
+    busy = sum(led.gpu_busy_fraction * led.completion_time
+               for led in ledgers) / (n_workers * completion) \
+        if completion > 0 else 0.0
     return SimulationResult(
         policy=scheduler.policy,
         scenario=scheduler.scenario or trace.meta.scenario,
         completion_time=completion,
         achieved_parallelism=parallelism,
-        n_calls_completed=sum(led["n_calls"] for led in ledgers),
+        n_calls_completed=sum(led.n_calls_completed for led in ledgers),
         n_tasks_completed=stats.tasks_completed,
         driver_stats=stats,
         engine_metrics=metrics,
@@ -481,43 +433,65 @@ def run_parallel_replay(trace: Trace,
                         pool: ShardWorkerPool | None = None,
                         _crash_plan: dict[int, int] | None = None
                         ) -> SimulationResult | None:
-    """Replay ``trace`` with shard-worker processes; ``None`` = fall back.
+    """Replay ``trace`` with shard-worker processes, or ``None``.
 
-    Returns ``None`` — the caller should keep the in-process path —
-    when ``parallel_workers < 2``, the policy is not a metropolis
-    variant, the workload yields fewer than two independent regions,
-    interactive agents are configured (their ids are global, their
-    latency ledger is cross-region), or the platform lacks POSIX shared
-    memory. ``pool`` optionally reuses persistent workers across runs;
-    ``_crash_plan`` (worker id -> crash count) is the chaos/test hook
-    exercising the redispatch path.
+    ``None`` means multiprocess replay is not possible here (the reason
+    is logged, see :func:`try_parallel_replay`); ``run_replay`` is the
+    entry point that falls back in-process. ``pool`` optionally reuses
+    persistent workers across runs; ``_crash_plan`` (worker id -> crash
+    count) is the chaos/test hook exercising the redispatch path.
     """
-    scheduler = scheduler or SchedulerConfig()
-    serving = serving or ServingConfig()
+    outcome = try_parallel_replay(
+        trace, scheduler or SchedulerConfig(), serving or ServingConfig(),
+        collect_timeline, pool=pool, _crash_plan=_crash_plan)
+    return None if isinstance(outcome, str) else outcome
+
+
+def _fallback(reason: str) -> str:
+    _log.warning("multiprocess replay not possible, staying in-process: %s",
+                 reason)
+    return reason
+
+
+def try_parallel_replay(trace: Trace, scheduler: SchedulerConfig,
+                        serving: ServingConfig,
+                        collect_timeline: bool = False,
+                        pool: ShardWorkerPool | None = None,
+                        fault_hook=None,
+                        _crash_plan: dict[int, int] | None = None
+                        ) -> SimulationResult | str:
+    """The multiprocess replay, or the (logged) reason it cannot run."""
+    if fault_hook is not None:
+        return _fallback(
+            "a fault_hook closure cannot cross a process boundary")
     if scheduler.parallel_workers < 2 and pool is None:
-        return None
+        return _fallback(
+            f"parallel_workers={scheduler.parallel_workers} is below 2")
     if scheduler.policy not in ("metropolis", "metropolis-spec"):
-        return None
+        return _fallback(
+            f"policy {scheduler.policy!r} has no shard-worker controller")
     if scheduler.interactive_agents:
-        return None
+        return _fallback("interactive agent ids are global and their "
+                         "latency ledger is cross-region")
     rules = rules_for(scheduler, trace.meta)
     max_shards = scheduler.shards if scheduler.shards >= 2 \
         else max(2, scheduler.parallel_workers)
     shard_plan = plan_regions(trace, rules, max_shards)
     if shard_plan is None or len(shard_plan) < 2:
-        return None
+        return _fallback(
+            "the workload yields fewer than two independent regions")
     want = scheduler.parallel_workers if scheduler.parallel_workers >= 2 \
         else (pool.n_workers if pool is not None else 0)
     if pool is not None:
         want = min(want, pool.n_workers)
     n_workers = min(want, len(shard_plan))
     if n_workers < 2:
-        return None
+        return _fallback(f"only {n_workers} worker process usable")
     groups = assign_shards([len(m) for m in shard_plan], n_workers)
     try:
         store = trace.share_positions()
-    except Exception:
-        return None  # platform lacks POSIX shared memory
+    except (ImportError, OSError) as exc:
+        return _fallback(f"no POSIX shared memory ({exc!r})")
     wall0 = time.perf_counter()
     own_pool = pool is None
     try:
@@ -536,4 +510,4 @@ def run_parallel_replay(trace: Trace,
     wall_s = time.perf_counter() - wall0
     ledgers = [results[tid] for tid in sorted(results)]
     return _merge_results(trace, scheduler, ledgers, n_workers,
-                          redispatches, wall_s, collect_timeline)
+                          redispatches, wall_s)

@@ -108,8 +108,6 @@ class SpeculativeMetropolisDriver(MetropolisDriver):
         #: cluster id -> speculation record.
         self._spec: dict[int, _SpecRecord] = {}
         self._spec_members: dict[int, int] = {}  # aid -> cluster id
-        #: Component BFS must not absorb speculating agents.
-        self._exclude_hook = self._clustering_exclude
         #: Live concurrent-speculation limit (adaptive depth controller;
         #: capped by ``speculation_budget``, floored at 1 while enabled).
         self._depth = max(0, self.config.speculation_budget)
@@ -133,17 +131,19 @@ class SpeculativeMetropolisDriver(MetropolisDriver):
     # dispatch
     # ------------------------------------------------------------------
 
-    def _controller_round(self, dirty) -> None:
+    def _controller_round(self, dirty, exclude=None) -> None:
         # Squash speculations that newly-ready agents are coupled to: the
         # joint cluster must execute together through the normal path.
         dirty = set(dirty)
         if self._spec_members:
+            ready = self.core.ready
             for aid in list(dirty):
-                if aid in self.ready:
+                if aid in ready:
                     dirty |= self._squash_coupled_to(aid)
         if self._depth:
             self._launch_speculations(dirty)
-        super()._controller_round(dirty)
+        # Component BFS must not absorb speculating agents.
+        super()._controller_round(dirty, self._spec_members.__contains__)
 
     def _squash_coupled_to(self, aid: int) -> set[int]:
         """Squash any speculation coupled (transitively) to ready ``aid``.
@@ -174,9 +174,6 @@ class SpeculativeMetropolisDriver(MetropolisDriver):
                 freed |= self._rollback(cid)
         return freed
 
-    def _clustering_exclude(self, aid: int) -> bool:
-        return aid in self._spec_members
-
     def _launch_speculations(self, dirty: set[int]) -> None:
         slots = self._depth - len(self._spec)
         if slots <= 0:
@@ -189,7 +186,7 @@ class SpeculativeMetropolisDriver(MetropolisDriver):
         if slack <= 0:
             return
         graph = self.graph
-        ready = self.ready
+        ready = self.core.ready
         spec_members = self._spec_members
         blocked_by = graph.blocked_by
         use_priority = self.config.speculation_priority
@@ -198,7 +195,9 @@ class SpeculativeMetropolisDriver(MetropolisDriver):
         for aid in sorted(dirty):
             if aid in visited or aid not in ready or aid in spec_members:
                 continue
-            cluster = self._collect_cluster(aid, visited)
+            # Fresh (uncached) coupling component around the seed.
+            cluster = graph.build_component(
+                aid, visited, spec_members.__contains__, True)
             if any(m in spec_members for m in cluster):
                 continue
             if not any(blocked_by[m] for m in cluster):
@@ -248,7 +247,7 @@ class SpeculativeMetropolisDriver(MetropolisDriver):
             cluster, step, self._lookahead_detects_race(cluster, step), rows)
         for m in cluster:
             self._spec_members[m] = cid
-            self.ready.discard(m)
+        self.core.ready.difference_update(cluster)
         extra = self.stats.extra
         extra["speculations"] += 1
         extra["spec_launched_members"] += len(cluster)
@@ -360,11 +359,7 @@ class SpeculativeMetropolisDriver(MetropolisDriver):
         extra["spec_retired_members"] += len(members)
         self._spec_feedback(members, bad=False)
         self._spec_outcome(bad=False)
-        stats = self.stats
-        stats.tasks_completed += len(members)
-        self.graph.mark_running(members)
-        stats.clusters_dispatched += 1
-        stats.cluster_size_sum += len(members)
+        self.core.claim([(rec.step, members)])
         self._running_clusters += 1
         self._busy_workers += 1
         self._queue_commit(rec.step, members, rec.rows)
@@ -382,7 +377,7 @@ class SpeculativeMetropolisDriver(MetropolisDriver):
         members = rec.members
         for m in members:
             del self._spec_members[m]
-            self.ready.add(m)
+        self.core.ready.update(members)
         self.stats.extra["rollback_rows"] += len(rec.rows)
         graph = self.graph
         graph.invalidate_components(members)
@@ -442,8 +437,8 @@ class SpeculativeMetropolisDriver(MetropolisDriver):
     # plumbing
     # ------------------------------------------------------------------
 
-    def _flush_controller_round(self) -> None:
-        super()._flush_controller_round()
+    def _controller_round_event(self, due: float) -> None:
+        super()._controller_round_event(due)
         # Any commit behind this round can have cleared a speculation's
         # last blocker; squashes (if due) happened during the round.
         for spec_cid in list(self._spec):

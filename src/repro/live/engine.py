@@ -2,29 +2,29 @@
 
 Faithful to the paper's architecture at thread granularity:
 
-* the **controller** (caller's thread) owns the spatiotemporal dependency
-  graph, geo-clusters ready agents, and feeds dispatchable clusters into
-  a priority ``ready_queue`` (ordered by step, §3.5);
+* the **controller** (caller's thread) is the same
+  :class:`~repro.core.controller.ControllerCore` the replay driver
+  runs — it owns the spatiotemporal dependency graph and geo-clusters
+  ready agents — and this module is its *thread transport*: it feeds
+  the core's dispatchable clusters into a priority ``ready_queue``
+  (ordered by step, §3.5);
 * **workers** (a thread pool) pull clusters, run the world program's
   ``execute`` for the members — which issues blocking LLM calls — read
   the members' positions once in bulk, commit the new state to the KV
   store in one optimistic transaction (§3.6 keeps this state in Redis)
   and acknowledge — positions included — through the ``ack_queue``;
 * the controller drains every pending ack, retires the whole batch
-  through one vectorized graph commit (the ack payload already carries
-  the positions, so the controller never re-derives
+  through one ``core.retire`` (the ack payload already carries the
+  positions, so the controller never re-derives
   ``program.position()``), and dispatches whatever became ready,
-  exactly like the virtual-time driver. Coupling components are
-  memoized inside the dependency graph itself (``component_for``),
-  invalidated by its own ``mark_running``/``commit`` transitions — the
-  engine runs no cache-invalidation protocol.
+  exactly like the virtual-time driver.
 
 **Fault tolerance** (see :mod:`repro.faults`): workers call the LLM
 through a :class:`~repro.faults.ResilientClient` (bounded seeded-backoff
 retries, circuit breaker, fallback on open) and never die on an
 exception — they send a structured *failure ack* instead. The controller
-rolls the failed cluster back via ``SpatioTemporalGraph.abort_running``
-(the exact inverse of ``mark_running``) and redispatches it up to the
+rolls the failed cluster back via ``core.abort`` (the exact inverse of
+``core.claim``) and redispatches it up to the
 :class:`~repro.config.FaultPolicy` budget, degrading the final attempt to
 the scenario's fallback client; a no-progress watchdog converts a lost
 ack into a diagnostic :class:`SchedulingError` instead of hanging, and
@@ -45,11 +45,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..config import FaultPolicy, SchedulerConfig
-from ..core.dependency_graph import SpatioTemporalGraph
+from ..core.baselines import DriverStats
+from ..core.controller import ControllerCore
 from ..core.rules import rules_for
 from ..errors import ScenarioError, SchedulingError
-from ..faults import (FallbackLLMClient, FaultStats, ResilientClient,
-                      scheduler_diagnostics)
+from ..faults import FallbackLLMClient, FaultStats, ResilientClient
 from ..kvstore import KVStore
 from .clients import LLMClient
 from .environment import WorldProgram
@@ -58,23 +58,14 @@ _SHUTDOWN = object()
 
 
 @dataclass
-class LiveResult:
-    """Outcome of a live run."""
+class LiveResult(DriverStats):
+    """Outcome of a live run: the controller's stats plus what only a
+    live run has. The §3.6 times are wall-clock seconds of the
+    controller thread; with ack coalescing one round can retire several
+    worker acks."""
 
-    target_step: int
-    wall_time: float
-    clusters_executed: int
-    cluster_size_sum: int
-    max_step_spread: int
-    #: §3.6 critical-path accounting: wall-clock seconds the controller
-    #: thread spent clustering, updating the dependency graph on acks,
-    #: and submitting ready clusters to the worker queue.
-    time_clustering: float = 0.0
-    time_graph: float = 0.0
-    time_dispatch: float = 0.0
-    #: Controller rounds executed; with ack coalescing one round can
-    #: retire several worker acks.
-    controller_rounds: int = 0
+    target_step: int = 0
+    wall_time: float = 0.0
     #: Final per-agent positions, as stored in the KV store.
     final_positions: dict[int, tuple] = field(default_factory=dict)
     #: Fault-handling accounting (retries, redispatches, breaker
@@ -82,15 +73,9 @@ class LiveResult:
     faults: FaultStats = field(default_factory=FaultStats)
 
     @property
-    def mean_cluster_size(self) -> float:
-        if not self.clusters_executed:
-            return 0.0
-        return self.cluster_size_sum / self.clusters_executed
-
-    @property
-    def controller_time(self) -> float:
-        """Total wall-clock seconds on the controller's critical path."""
-        return self.time_clustering + self.time_graph + self.time_dispatch
+    def clusters_executed(self) -> int:
+        """Clusters handed to workers (redispatches included)."""
+        return self.clusters_dispatched
 
 
 class LiveSimulation:
@@ -122,9 +107,7 @@ class LiveSimulation:
         self._attempts: dict[int, int] = {}
         self._degraded: set[int] = set()
         self._last_ack = time.monotonic()
-        self._stats = LiveResult(target_step=0, wall_time=0.0,
-                                 clusters_executed=0, cluster_size_sum=0,
-                                 max_step_spread=0)
+        self._stats = LiveResult()
 
     def _scenario_fallback(self) -> LLMClient:
         if self.scheduler.scenario:
@@ -199,9 +182,7 @@ class LiveSimulation:
         self._attempts = {}
         self._degraded = set()
         self._last_ack = time.monotonic()
-        self._stats = LiveResult(target_step=0, wall_time=0.0,
-                                 clusters_executed=0, cluster_size_sum=0,
-                                 max_step_spread=0)
+        self._stats = LiveResult(target_step=target_step)
         self._resilient = ResilientClient(self.client, self.faults_policy,
                                           fallback=self._fallback)
         fallback_calls0 = getattr(self._fallback, "calls", 0)
@@ -216,8 +197,6 @@ class LiveSimulation:
         for aid in range(n):
             self.store.hset(f"agent:{aid}", "step", start_step)
             self.store.hset(f"agent:{aid}", "pos", pos0[aid])
-        graph = SpatioTemporalGraph(self.rules, pos0,
-                                    start_step=start_step)
         workers = [threading.Thread(target=self._worker_loop, daemon=True)
                    for _ in range(self.num_workers)]
         start = time.monotonic()
@@ -227,7 +206,12 @@ class LiveSimulation:
             if self.scheduler.policy == "parallel-sync":
                 self._run_lockstep(target_step, n, start_step)
             else:
-                self._run_ooo(target_step, n, graph)
+                core = ControllerCore(
+                    self.rules, pos0, target_step, start_step=start_step,
+                    stats=self._stats,
+                    validate=self.scheduler.validate_causality)
+                self._run_ooo(core)
+                core.sync_stats()
         finally:
             # Shutdown must run on *every* exit path — controller raise
             # included — so a failed run never leaks live threads. The
@@ -244,7 +228,6 @@ class LiveSimulation:
             leaked = sum(1 for w in workers if w.is_alive())
             self._collect_faults(fallback_calls0, tx_retries0, injected0,
                                  conflicts0, leaked)
-        self._stats.target_step = target_step
         self._stats.wall_time = time.monotonic() - start
         self._stats.final_positions = {
             aid: self.store.hget(f"agent:{aid}", "pos") for aid in range(n)}
@@ -284,8 +267,6 @@ class LiveSimulation:
         priority = float(step) if self.scheduler.priority else 0.0
         self._ready_queue.put((priority, self._next_seq(), cluster, step,
                                degraded))
-        self._stats.clusters_executed += 1
-        self._stats.cluster_size_sum += len(cluster)
 
     # -- acks + watchdog ----------------------------------------------------
 
@@ -319,42 +300,25 @@ class LiveSimulation:
         self._last_ack = time.monotonic()
         return item
 
-    def _diagnostics(self, graph: SpatioTemporalGraph | None, n: int,
-                     done: int) -> str:
-        blocked: dict[int, list[int]] = {}
-        running: list[int] | None = None
-        if graph is not None:
-            running = [aid for aid in range(n) if graph.running[aid]]
-            for aid in range(n):
-                if not graph.running[aid] and graph.blocked_by[aid]:
-                    blocked[aid] = sorted(graph.blockers_of(aid))
-                    if len(blocked) >= 50:
-                        break
-        return scheduler_diagnostics(
-            done=done, total=n, blocked=blocked or None, running=running,
-            ready_depth=self._ready_queue.qsize(),
-            ack_depth=self._ack_queue.qsize(),
-            last_ack_age=time.monotonic() - self._last_ack,
-            redispatches=self._stats.faults.redispatches)
+    def _queue_state(self) -> dict:
+        """The transport's half of a stall/watchdog report."""
+        return dict(ready_depth=self._ready_queue.qsize(),
+                    ack_depth=self._ack_queue.qsize(),
+                    last_ack_age=time.monotonic() - self._last_ack,
+                    redispatches=self._stats.faults.redispatches)
 
     # -- failure handling ---------------------------------------------------
 
-    def _handle_failure(self, graph: SpatioTemporalGraph | None, step: int,
-                        cluster: list[int], exc: BaseException) -> None:
-        """Roll a failed cluster back and charge its redispatch budget.
+    def _charge_failure(self, step: int, cluster: list[int],
+                        exc: BaseException) -> None:
+        """Charge an aborted cluster's members their redispatch budget.
 
-        ``abort_running`` is the exact inverse of the dispatch-time
-        ``mark_running``: members return to the ready pool with steps,
-        positions, and blocked edges untouched (nothing was committed).
         Attempt counts are per-agent so re-formed clusters with shifted
         membership keep their history; past ``max_redispatches`` the
         member's next dispatch is degraded to the fallback client, and
         one failure beyond that surfaces the original exception.
         """
-        if graph is not None:
-            graph.abort_running(cluster)
-        faults = self._stats.faults
-        faults.aborted_clusters += 1
+        self._stats.faults.aborted_clusters += 1
         policy = self.faults_policy
         worst = 0
         for m in cluster:
@@ -379,53 +343,57 @@ class LiveSimulation:
 
     def _run_lockstep(self, target_step: int, n: int,
                       start_step: int = 0) -> None:
+        """Algorithm 1, the reference loop: one global cluster per step."""
         everyone = list(range(n))
         policy = self.faults_policy
+        stats = self._stats
         for step in range(start_step, target_step):
+            def in_flight() -> str:
+                return (f"lock-step batch of step {step} (target "
+                        f"{target_step}) in flight\n  last ack "
+                        f"{time.monotonic() - self._last_ack:.3f}s ago, "
+                        f"{stats.faults.redispatches} redispatches so far")
+
             attempts = 0
             while True:
                 self._submit(step, everyone,
                              degraded=attempts > policy.max_redispatches)
-                kind, _, _, payload = self._await_ack(
-                    lambda: self._diagnostics(None, n, step - start_step))
+                stats.clusters_dispatched += 1
+                stats.cluster_size_sum += n
+                kind, _, _, payload = self._await_ack(in_flight)
                 if kind == "ok":
                     break
                 attempts += 1
-                faults = self._stats.faults
-                faults.aborted_clusters += 1
-                faults.redispatches += 1
+                stats.faults.aborted_clusters += 1
+                stats.faults.redispatches += 1
                 if attempts > policy.max_redispatches + 1:
                     raise SchedulingError(
                         f"lock-step batch at step {step} failed after "
                         f"{policy.max_redispatches} redispatches and a "
                         f"degraded dispatch: {payload!r}") from payload
+            stats.tasks_completed += n
 
-    def _run_ooo(self, target_step: int, n: int,
-                 graph: SpatioTemporalGraph) -> None:
-        ready = set(range(n))
-        done: set[int] = set()
-        in_flight = 0
-        in_flight += self._dispatch_round(graph, ready, set(ready),
-                                          target_step)
-        while len(done) < n:
+    def _run_ooo(self, core: ControllerCore) -> None:
+        """Algorithm 3 over threads: the core decides, the queues carry."""
+        in_flight = self._dispatch(core, set(core.ready))
+        while not core.finished():
             if in_flight == 0:
                 raise SchedulingError(
-                    f"live scheduler stalled\n  "
-                    f"{self._diagnostics(graph, n, len(done))}")
+                    "live scheduler stalled\n  "
+                    + core.stalled(**self._queue_state()))
             # Ack coalescing: block for one ack, then drain whatever
             # else finished while the controller slept — the whole batch
             # retires through one vectorized graph commit (positions
             # come straight from the ack payloads) and one dispatch
             # round.
             acks = [self._await_ack(
-                lambda: self._diagnostics(graph, n, len(done)))]
+                lambda: core.stalled(**self._queue_state()))]
             while True:
                 ack = self._poll_ack()
                 if ack is None:
                     break
                 acks.append(ack)
             in_flight -= len(acks)
-            t0 = time.perf_counter()
             dirty: set[int] = set()
             members_all: list[int] = []
             new_positions: dict[int, tuple] = {}
@@ -433,72 +401,28 @@ class LiveSimulation:
                 if kind == "fail":
                     # Crash-consistent rollback: nothing was committed,
                     # so aborting restores the exact pre-dispatch graph.
-                    self._handle_failure(graph, step, cluster, payload)
-                    for aid in cluster:
-                        ready.add(aid)
-                        dirty.add(aid)
+                    dirty |= core.abort(cluster)
+                    self._charge_failure(step, cluster, payload)
                     continue
                 members_all += cluster
                 new_positions.update(payload)
             if members_all:
-                result = graph.commit(members_all, new_positions)
+                dirty |= core.retire(members_all, new_positions)
                 self._clear_attempts(members_all)
-                spread = graph.max_step - graph.min_step
-                if spread > self._stats.max_step_spread:
-                    self._stats.max_step_spread = spread
-                for aid in members_all:
-                    if graph.step[aid] >= target_step:
-                        done.add(aid)
-                    else:
-                        ready.add(aid)
-                        dirty.add(aid)
-                for aid in result.unblocked:
-                    if aid in ready:
-                        dirty.add(aid)
-                for aid in result.neighbors:
-                    if aid in ready:
-                        dirty.add(aid)
-            self._stats.time_graph += time.perf_counter() - t0
-            in_flight += self._dispatch_round(graph, ready, dirty,
-                                              target_step)
+            in_flight += self._dispatch(core, dirty)
 
-    def _dispatch_round(self, graph: SpatioTemporalGraph, ready: set[int],
-                        dirty: set[int], target_step: int) -> int:
-        """Cluster the dirty frontier; dispatch unblocked clusters.
-
-        Components come memoized from the graph (``component_for``);
-        its BFS seeds from the just-committed batch's per-member
-        coupling candidates instead of re-querying the index, and
-        dispatching (``mark_running``) invalidates from inside the
-        graph — no cache protocol here.
-        """
+    def _dispatch(self, core: ControllerCore, dirty: set[int]) -> int:
+        """One controller round: submit every cluster the core frees."""
+        clusters = core.ready_clusters(dirty)
         t0 = time.perf_counter()
-        dispatched = 0
-        submit_time = 0.0
-        visited: set[int] = set()
+        core.claim(clusters)
         attempts = self._attempts
         degraded_pool = self._degraded
-        faults = self._stats.faults
-        for seed in sorted(dirty):
-            if seed in visited or seed not in ready:
-                continue
-            step = graph.step[seed]
-            cluster = graph.component_for(seed, visited)
-            if not any(graph.blocked_by[m] for m in cluster):
-                s0 = time.perf_counter()
-                for m in cluster:
-                    ready.discard(m)
-                graph.mark_running(cluster)
-                if attempts:
-                    if any(m in attempts for m in cluster):
-                        faults.redispatches += 1
-                degraded = bool(degraded_pool) and \
-                    any(m in degraded_pool for m in cluster)
-                self._submit(step, cluster, degraded)
-                dispatched += 1
-                submit_time += time.perf_counter() - s0
-        self._stats.time_dispatch += submit_time
-        self._stats.time_clustering += \
-            time.perf_counter() - t0 - submit_time
-        self._stats.controller_rounds += 1
-        return dispatched
+        for step, cluster in clusters:
+            if attempts and any(m in attempts for m in cluster):
+                self._stats.faults.redispatches += 1
+            degraded = bool(degraded_pool) and \
+                any(m in degraded_pool for m in cluster)
+            self._submit(step, cluster, degraded)
+        self._stats.time_dispatch += time.perf_counter() - t0
+        return len(clusters)

@@ -51,6 +51,35 @@ def trajectory_trace(trajectories, chains, *, radius_p: float = 4.0,
                  np.asarray(outs, dtype=np.int32))
 
 
+def collision_course_trace(n_steps=24):
+    """Head-on collision: a heavy laggard walks right to x=8 and
+    retreats while the light agent walks left from 14 toward it.
+
+    The light agent blocks *strictly inside* the laggard's §3.2 sphere
+    (head-on closing speed 2 beats the sphere's max_vel growth), so the
+    launch window provably contains the laggard's dip into the agent's
+    perception radius — the oracle marks the record and its coupling
+    kill is a misspeculation, not a conservative squash.
+    """
+    laggard = [(s if s <= 8 else max(0, 16 - s), 0)
+               for s in range(n_steps + 1)]
+    walker = [(max(6, 14 - s), 0) for s in range(n_steps + 1)]
+    return trajectory_trace([laggard, walker],
+                            [(6, 384, 32), (1, 32, 2)])
+
+
+def disjoint_course_trace(n_steps=24):
+    """Anchored but never racing: a heavy laggard sits at (0, 0), a
+    light agent at (10, 0) — inside blocking range at gap >= 5 but
+    outside the perception radius forever. Every speculation must
+    retire; none may misspeculate or squash.
+    """
+    laggard = [(0, 0)] * (n_steps + 1)
+    agent = [(10, 0)] * (n_steps + 1)
+    return trajectory_trace([laggard, agent],
+                            [(4, 256, 24), (1, 32, 2)])
+
+
 def grid_positions(rng: FastRng, n: int, *, x_lo: int = 40,
                    x_hi: int = 120, y_lo: int = 0,
                    y_hi: int = 60) -> dict:

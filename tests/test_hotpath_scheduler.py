@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro._util import FastRng
 from repro.config import DependencyConfig
 from repro.core import DependencyRules
-from repro.core.clustering import ClusterCache, SpatialIndex
+from repro.core.clustering import SpatialIndex
 from repro.core.dependency_graph import SpatioTemporalGraph
 from repro.core.space import EuclideanSpace
 from repro.errors import CausalityViolation, SchedulingError
@@ -355,48 +355,6 @@ class TestGraphNativeComponents:
         _, graph = self._graph()
         got = graph.build_component(0, set(), lambda aid: aid == 1)
         assert got == [0]
-
-
-class TestClusterCacheShim:
-    """The deprecated standalone cache: warns, still delegates."""
-
-    def _cache(self):
-        with pytest.warns(DeprecationWarning, match="graph-native|"
-                          "SpatioTemporalGraph"):
-            return ClusterCache()
-
-    def test_store_get_roundtrip(self):
-        cache = self._cache()
-        cache.store([1, 2, 3])
-        assert cache.get(2) == [1, 2, 3]
-        assert cache.hits == 1
-
-    def test_miss_counts(self):
-        cache = self._cache()
-        assert cache.get(7) is None
-        assert cache.misses == 1
-
-    def test_invalidate_drops_whole_component(self):
-        cache = self._cache()
-        cache.store([1, 2, 3])
-        cache.store([4, 5])
-        cache.invalidate([2])
-        assert cache.get(1) is None and cache.get(3) is None
-        assert cache.get(4) == [4, 5]
-        assert len(cache) == 1
-
-    def test_store_evicts_stale_overlap(self):
-        cache = self._cache()
-        cache.store([1, 2])
-        cache.store([2, 3])
-        assert cache.get(1) is None
-        assert cache.get(3) == [2, 3]
-
-    def test_clear(self):
-        cache = self._cache()
-        cache.store([1])
-        cache.clear()
-        assert cache.get(1) is None
 
 
 class TestSpatialIndexBuffers:

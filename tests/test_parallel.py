@@ -3,6 +3,7 @@ in-process sharded and single-graph paths, crashed-worker redispatch,
 cross-mode counter-aggregation parity, shared-memory hygiene, and the
 worker-assignment balancer."""
 
+import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -194,16 +195,18 @@ class TestCounterAggregation:
             store.close()
         result = run_parallel_replay(trace, sched)
         assert result is not None
-        expected = merge_extra_counters([led["extra"] for led in ledgers])
+        expected = merge_extra_counters(
+            [led.driver_stats.extra for led in ledgers])
         for key, value in expected.items():
             assert result.driver_stats.extra[key] == value, key
         for field in ("tasks_completed", "clusters_dispatched",
                       "cluster_size_sum", "blocked_events",
                       "unblock_events", "controller_rounds"):
             assert getattr(result.driver_stats, field) == \
-                sum(led[field] for led in ledgers), field
+                sum(getattr(led.driver_stats, field)
+                    for led in ledgers), field
         assert result.completion_time == \
-            max(led["completion_time"] for led in ledgers)
+            max(led.completion_time for led in ledgers)
         # Counters the in-process facade sums over shards must be
         # summed here too — present, numeric, and region-complete.
         assert result.driver_stats.extra["shards"] == len(plan)
@@ -275,6 +278,29 @@ class TestFallbacks:
             trace, SchedulerConfig(shards=4, parallel_workers=2))
         assert result.n_tasks_completed == 24 * 10
         assert "parallel_workers" not in result.driver_stats.extra
+
+    def test_impossible_multiprocess_run_says_why(self, caplog):
+        """Asked for workers, ran in-process: the result carries the
+        reason and the ``repro.core.parallel`` logger warned once."""
+        one_region = generate_scale_trace(total_agents=24, n_steps=10,
+                                          base_seed=2)
+        sched = SchedulerConfig(shards=4, parallel_workers=2)
+        with caplog.at_level(logging.WARNING, logger="repro.core.parallel"):
+            result = run_replay(one_region, sched)
+        reason = result.driver_stats.extra["parallel_fallback"]
+        assert "fewer than two independent regions" in reason
+        assert [r.name for r in caplog.records] == ["repro.core.parallel"]
+        assert reason in caplog.records[0].getMessage()
+        assert result.n_tasks_completed == 24 * 10
+        # A fault_hook closure cannot reach a worker process.
+        hooked = run_replay(_calls_trace(17), sched,
+                            fault_hook=lambda kernel, engine: None)
+        assert "fault_hook" in \
+            hooked.driver_stats.extra["parallel_fallback"]
+        assert "parallel_workers" not in hooked.driver_stats.extra
+        # A run that did go multiprocess reports no fallback.
+        engaged = run_replay(_calls_trace(17), sched)
+        assert "parallel_fallback" not in engaged.driver_stats.extra
 
     def test_workers_below_two_returns_none(self):
         trace = _calls_trace(15)
