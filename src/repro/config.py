@@ -225,10 +225,11 @@ class SchedulerConfig:
     #: controller; with ``>= 2`` the driver plans regions (honoring
     #: ``shards`` when set, else one shard per worker), assigns whole
     #: shards to workers, and merges the workers' ledgers into one
-    #: :class:`~repro.core.baselines.DriverStats`. Falls back cleanly
-    #: to in-process sharding when the workload cannot be split or the
-    #: platform lacks POSIX shared memory. Results are state-identical
-    #: either way (see :mod:`repro.core.parallel`).
+    #: :class:`~repro.core.baselines.DriverStats`. Falls back loudly
+    #: (``extra["parallel_fallback"]`` + a logged warning) to in-process
+    #: sharding when the workload cannot be split or the platform lacks
+    #: POSIX shared memory. Results are state-identical either way (see
+    #: :mod:`repro.core.parallel`).
     parallel_workers: int = 0
     #: Fault-tolerance policy for the live engine. ``None`` runs under
     #: the default :class:`FaultPolicy` (hardening is always on; set an

@@ -10,8 +10,10 @@ This package is the paper's contribution:
 * :mod:`dependency_graph` — the §3.3 spatiotemporal dependency graph with
   incremental blocked-edge maintenance (the OOO "scoreboard");
 * :mod:`clustering` — §3.4 geo-clustering of coupled agents;
-* :mod:`metropolis` — the Algorithm 3 controller/worker scheduling
-  workflow, as a virtual-time driver;
+* :mod:`controller` — the Algorithm 3 controller step
+  (:class:`ControllerCore`) every execution mode runs;
+* :mod:`metropolis` — its virtual-time transport: the Algorithm 3
+  controller/worker workflow as a replay driver;
 * :mod:`sharding` — region-sharded controller state: provably
   independent map regions each own a dependency-graph shard behind a
   single-graph facade (bit-identical results, million-agent scaling);

@@ -2,51 +2,40 @@
 
 The paper's architecture (§3.1) has one controller: dependency graph →
 geo-clusters → ready queue, acks → commit. :class:`ControllerCore` is
-that controller and nothing else. It owns the dependency graph (plain
-or region-sharded), the ``ready`` / ``done`` agent sets and one
-:class:`DriverStats`; a *transport* owns everything about execution —
-the virtual-time kernel and dispatch buckets
-(:class:`~repro.core.metropolis.MetropolisDriver`), or worker threads
-and queues (:class:`~repro.live.engine.LiveSimulation`). A round is::
-
-    clusters = core.ready_clusters(dirty)   # §3.4 clustering
-    core.claim(clusters)                    # members leave the ready pool
-    ... the transport runs them ...
-    dirty = core.retire(members, positions)  # §3.3 graph update
-    dirty = core.abort(cluster)              # or: a failed cluster rolls back
-
-Positions are an argument, so the core never sees a trace, a kernel, a
-queue or a thread.
+that controller and nothing else: it owns the dependency graph (plain or
+region-sharded), the ``ready`` / ``done`` agent sets and one
+:class:`DriverStats`. A *transport* owns execution — the virtual-time
+kernel (:class:`~repro.core.metropolis.MetropolisDriver`) or worker
+threads and queues (:class:`~repro.live.engine.LiveSimulation`) — and
+drives rounds of ``ready_clusters`` → ``claim`` → (run) → ``retire`` or
+``abort``. Positions are an argument, so the core never sees a trace, a
+kernel, a queue or a thread.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Mapping
-
-import numpy as np
+from typing import Callable
 
 from ..faults import scheduler_diagnostics
 from .baselines import DriverStats
 from .dependency_graph import SpatioTemporalGraph
 from .rules import DependencyRules
 from .sharding import ShardedGraph
-from .space import Position
 
 
 class ControllerCore:
     """Dependency graph + ready/done sets + stats behind four verbs."""
 
-    def __init__(self, rules: DependencyRules,
-                 positions: "Mapping[int, Position] | np.ndarray",
+    def __init__(self, rules: DependencyRules, positions,
                  target_step: int, *, start_step: int = 0,
                  shard_plan: list[list[int]] | None = None,
                  stats: DriverStats | None = None,
                  clock: Callable[[], float] = perf_counter,
                  validate: bool = False) -> None:
-        #: ``shard_plan`` (provably independent regions, see
-        #: :func:`~repro.core.sharding.plan_regions`) selects the
-        #: region-sharded graph behind the same facade.
+        # ``positions``: a mapping by agent id or an ``(n, 2)`` array. A
+        # ``shard_plan`` (independent regions, see ``plan_regions``)
+        # selects the region-sharded graph behind the same facade.
         if shard_plan is not None and len(shard_plan) >= 2:
             self.graph = ShardedGraph(rules, positions, shard_plan,
                                       start_step=start_step)
@@ -121,9 +110,7 @@ class ControllerCore:
         self.stats.clusters_dispatched += len(clusters)
         self.stats.cluster_size_sum += len(batch)
 
-    def retire(self, members: list[int],
-               positions: "Mapping[int, Position] | np.ndarray"
-               ) -> set[int]:
+    def retire(self, members: list[int], positions) -> set[int]:
         """Commit finished clusters one step; return the dirty frontier.
 
         ``members`` may span several clusters (ack coalescing);
@@ -153,12 +140,8 @@ class ControllerCore:
             else:
                 ready.add(aid)
                 dirty.add(aid)
-        for aid in result.unblocked:
-            if aid in ready:
-                dirty.add(aid)
-        for aid in result.neighbors:
-            if aid in ready:
-                dirty.add(aid)
+        dirty |= ready.intersection(result.unblocked)
+        dirty |= ready.intersection(result.neighbors)
         stats.time_graph += self.clock() - t0
         return dirty
 

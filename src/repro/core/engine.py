@@ -93,9 +93,8 @@ def run_replay(trace: Trace,
     fallback = None
     if scheduler.parallel_workers >= 2:
         from .parallel import try_parallel_replay
-        outcome = try_parallel_replay(trace, scheduler, serving,
-                                      collect_timeline,
-                                      fault_hook=fault_hook)
+        outcome = try_parallel_replay(
+            trace, scheduler, serving, collect_timeline, fault_hook=fault_hook)
         if not isinstance(outcome, str):
             return outcome
         fallback = outcome

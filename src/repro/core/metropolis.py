@@ -1,39 +1,26 @@
-"""Algorithm 3: the AI Metropolis out-of-order scheduling workflow.
+"""Algorithm 3 in virtual time: the replay transport of the controller.
 
-The driver plays both roles of the paper's architecture in virtual time:
+:class:`~repro.core.controller.ControllerCore` is the paper's
+**controller** — clusters of coupled ready agents (§3.4), dispatch of
+every cluster whose members are unblocked, graph update on acks (§3.3).
+This driver plays the **workers** and everything virtual-time around
+them: it runs each claimed cluster's member chains concurrently against
+the serving engine (priority-ordered by step when a worker cap is set,
+§3.5), gathers the members' next positions from the trace, and hands
+both back to the core. Its share of the light critical path (§3.6):
 
-* the **controller** — forms clusters of coupled ready agents
-  (geo-clustering, §3.4), dispatches every cluster whose members are
-  unblocked (priority-ordered by step when a worker cap is set, §3.5),
-  and reacts to completion acks;
-* the **workers** — run each cluster's member chains concurrently against
-  the serving engine, then commit: advance the members one step, update
-  the dependency graph (§3.3), and hand newly unblocked agents back to
-  the controller.
-
-The controller's critical path is kept light (§3.6) by a flat,
-array-backed round loop:
-
-* **graph-native incremental clustering** — coupling components are
-  memoized *inside* :class:`SpatioTemporalGraph` (``component_for``),
-  invalidated by the graph's own ``mark_running``/``commit``
-  transitions and re-BFS'd from the neighbor lists each commit already
-  returns — the driver runs no cache-invalidation protocol;
 * **single-event rounds** — one kernel event per virtual instant does
   everything: all clusters finishing at that instant retire through one
   batched graph commit, then one dispatch round runs, and every cluster
-  it dispatches launches through one shared dispatch event. The old
-  per-cluster event churn (a dispatch, a commit, and a flush event per
-  cluster) is gone; ``DriverStats.extra["kernel_events"]`` counts the
-  events the driver schedules, amortized well below one per cluster;
+  it dispatches launches through one shared dispatch event;
+  ``DriverStats.extra["kernel_events"]`` counts the events the driver
+  schedules, amortized well below one per cluster;
 * **step-keyed dispatch buckets** — pending clusters queue in numpy-
   backed buckets keyed by integer step priority instead of a heap of
   python tuples;
 * **numpy trace position store** — commit batches gather their members'
   next positions from the trace's step-major array in one fancy index
-  and hand the row array straight to the graph, which returns the
-  batch's coupling neighborhood and newly unblocked agents from the
-  same pass that recomputes blockers.
+  and hand the row array straight to the core.
 """
 
 from __future__ import annotations
@@ -112,12 +99,7 @@ class _DispatchBuckets:
 
 
 class MetropolisDriver:
-    """Out-of-order replay of a trace under the §3.2 rules.
-
-    The virtual-time transport of :class:`ControllerCore`: the core
-    decides *what* may run; this class turns that into kernel events,
-    worker slots and trace position gathers.
-    """
+    """Out-of-order replay of a trace under the §3.2 rules."""
 
     def __init__(self, kernel: Kernel, engine: ServingEngine, trace: Trace,
                  config: SchedulerConfig, executor: ChainExecutor,
@@ -137,9 +119,7 @@ class MetropolisDriver:
         #: ``shard_plan`` overrides region planning outright — the
         #: multiprocess workers pass their slice of the parent's global
         #: plan so per-shard graph state matches the in-process
-        #: ``ShardedGraph`` bit-for-bit instead of being re-planned;
-        #: they also pass ``clock=time.process_time`` (see
-        #: :class:`ControllerCore`).
+        #: ``ShardedGraph`` bit-for-bit instead of being re-planned.
         if shard_plan is None and config.shards >= 2:
             shard_plan = plan_regions(trace, self.rules, config.shards)
         self.core = ControllerCore(
@@ -156,13 +136,10 @@ class MetropolisDriver:
         #: Scheduler-aware serving: the engine's KV eviction key is the
         #: live invocation-distance prediction per agent.
         engine.set_distance_provider(self.invocation_distance)
-        self._running_clusters = 0
-        #: Per running cluster: [tasks remaining, members, step].
-        self._running_info: dict[int, list] = {}
-        self._cluster_seq = 0
         #: Dispatchable clusters awaiting a worker slot (when capped).
         self._pending = _DispatchBuckets()
         self._pending_seq = 0
+        #: Clusters launched (or staged to launch) and not yet retired.
         self._busy_workers = 0
         #: Single-event rounds: clusters finishing at the same virtual
         #: instant buffer under their shared commit due-time; one kernel
@@ -230,11 +207,13 @@ class MetropolisDriver:
             # Uncapped workers: every unblocked cluster dispatches this
             # instant, so the pending buckets are bypassed outright and
             # the whole round launches through one kernel event.
-            launches: list[tuple[int, list[int], int, float]] = []
+            launches: list[tuple[list[int], int, float]] = []
             for s, cluster in clusters:
                 self._pending_seq += 1
                 self._admit(s, cluster, launches)
-            self._launch(launches)
+            self._kernel_events += 1
+            self.kernel.call_in(self.config.overhead.controller_dispatch,
+                                self._launch_batch, launches)
         else:
             for s, cluster in clusters:
                 self._pending_seq += 1
@@ -291,38 +270,34 @@ class MetropolisDriver:
         return not self._cone_agents().isdisjoint(cluster)
 
     def _admit(self, step: int, cluster: list[int],
-               launches: list[tuple[int, list[int], int, float]]) -> None:
+               launches: list[tuple[list[int], int, float]]) -> None:
         """Claim a worker slot for ``cluster`` and stage its launch."""
         self._busy_workers += 1
-        self._running_clusters += 1
-        cid = self._cluster_seq = self._cluster_seq + 1
-        self._running_info[cid] = [len(cluster), cluster, step]
         priority = self._cluster_priority(step, cluster) \
             if (self._interactive and self.config.interactive_boost) \
             else float(step)
-        launches.append((cid, cluster, step, priority))
+        launches.append((cluster, step, priority))
 
     def _fill_workers(self) -> None:
-        """Dispatch pending clusters into free worker slots."""
+        """Dispatch pending clusters into free worker slots.
+
+        Every cluster dispatched here shares the round's virtual
+        instant, so the whole batch launches through a single kernel
+        event instead of one per cluster.
+        """
         cap = self.config.num_workers
         pending = self._pending
-        launches: list[tuple[int, list[int], int, float]] = []
+        launches: list[tuple[list[int], int, float]] = []
         while pending and (cap == 0 or self._busy_workers < cap):
             cluster, step = pending.pop()
             self._admit(step, cluster, launches)
         if launches:
-            self._launch(launches)
-
-    def _launch(self, launches: list[tuple[int, list[int], int, float]]
-                ) -> None:
-        """Every cluster of a round shares its virtual instant, so the
-        whole batch launches through a single kernel event."""
-        self._kernel_events += 1
-        self.kernel.call_in(self.config.overhead.controller_dispatch,
-                            self._launch_batch, launches)
+            self._kernel_events += 1
+            self.kernel.call_in(self.config.overhead.controller_dispatch,
+                                self._launch_batch, launches)
 
     def _check_progress(self) -> None:
-        if (not self._running_clusters and not self._pending
+        if (not self._busy_workers and not self._pending
                 and not self._round_pending and not self.core.finished()):
             raise SchedulingError(
                 "scheduler stalled\n  " + self.core.stalled(
@@ -331,23 +306,19 @@ class MetropolisDriver:
 
     # -- workers -----------------------------------------------------------
 
-    def _launch_batch(self,
-                      launches: list[tuple[int, list[int], int, float]]
+    def _launch_batch(self, launches: list[tuple[list[int], int, float]]
                       ) -> None:
         run_cluster = self.executor.run_cluster
-        task_done = self._task_done
-        for cid, cluster, step, priority in launches:
-            def done(a: int, s: int, cid: int = cid) -> None:
-                task_done(cid, a, s)
+        queue_commit = self._queue_commit
+        for cluster, step, priority in launches:
+            left = [len(cluster)]  # commits when its last chain ends
+
+            def done(a: int, s: int, left=left, cluster=cluster) -> None:
+                left[0] -= 1
+                if not left[0]:
+                    queue_commit(s, cluster)
 
             run_cluster(cluster, step, priority, done)
-
-    def _task_done(self, cid: int, aid: int, step: int) -> None:
-        info = self._running_info[cid]
-        info[0] -= 1
-        if info[0] == 0:
-            del self._running_info[cid]
-            self._queue_commit(info[2], info[1])
 
     def _queue_commit(self, step: int, members: list[int],
                       rows: np.ndarray | None = None) -> None:
@@ -371,7 +342,6 @@ class MetropolisDriver:
 
     def _controller_round_event(self, due: float) -> None:
         batch = self._round_pending.pop(due)
-        self._running_clusters -= len(batch)
         self._busy_workers -= len(batch)
         self._controller_round(self._retire(batch))
 
@@ -413,15 +383,12 @@ class MetropolisDriver:
                     self._last_commit_time[aid] = now
         return dirty
 
-    def _sync_stats(self) -> None:
-        """End-of-run fold of graph, kernel and engine counters."""
+    def finished(self) -> bool:
+        """Drained to the last step? Also the end-of-run stats fold."""
         self.core.sync_stats()
         extra = self.stats.extra
         extra["kernel_events"] = self._kernel_events
         engine_faults = getattr(self.engine, "fault_stats", None)
         if engine_faults is not None:
             extra.update(engine_faults())
-
-    def finished(self) -> bool:
-        self._sync_stats()
         return self.core.finished()

@@ -63,7 +63,7 @@ import logging
 import os
 import time
 import traceback
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -72,7 +72,7 @@ from ..errors import SchedulingError
 from ..faults import scheduler_diagnostics
 from ..instrument import TimelineEvent, TimelineRecorder
 from ..serving import EngineMetrics
-from ..trace.schema import SharedPositionStore, Trace, TraceMeta
+from ..trace.schema import SharedPositionStore, Trace
 from .baselines import DriverStats
 from .engine import SimulationResult, replay_in_process
 from .rules import rules_for
@@ -139,10 +139,8 @@ def _run_worker_task(task: dict) -> SimulationResult:
         positions = store.array[:, members, :].copy()
     finally:
         store.close()
-    meta = TraceMeta(**{**task["meta"], "n_agents": int(len(members))})
-    trace = Trace(meta, positions, task["call_step"], task["call_agent"],
-                  task["call_func"], task["call_in"], task["call_out"],
-                  step_major=True)
+    trace = Trace(replace(task["meta"], n_agents=len(members)), positions,
+                  *task["calls"], step_major=True)
     result = replay_in_process(
         trace, task["scheduler"], task["serving"],
         collect_timeline=task["collect_calls"],
@@ -316,7 +314,6 @@ def _build_tasks(trace: Trace, scheduler: SchedulerConfig,
                  collect_calls: bool,
                  crash_plan: dict[int, int] | None) -> dict[int, dict]:
     """One task per worker: its member slice of the global shard plan."""
-    meta_dict = asdict(trace.meta)
     # Workers run their slice unsharded-or-sharded per the local plan;
     # re-planning or re-parallelizing inside a worker is never right.
     worker_scheduler = replace(scheduler, shards=0, parallel_workers=0)
@@ -338,15 +335,16 @@ def _build_tasks(trace: Trace, scheduler: SchedulerConfig,
             "shm_name": store.name,
             "shm_shape": store.shape,
             "shm_dtype": store.dtype.str,
-            "meta": meta_dict,
+            "meta": trace.meta,
             "members": members,
             "local_plan": local_plan,
-            "call_step": trace.call_step[mask],
-            "call_agent": np.searchsorted(
-                members, call_agent[mask]).astype(call_agent.dtype),
-            "call_func": trace.call_func[mask],
-            "call_in": trace.call_in[mask],
-            "call_out": trace.call_out[mask],
+            # The Trace call columns: step, agent (local id), func,
+            # prompt tokens, output tokens.
+            "calls": (trace.call_step[mask],
+                      np.searchsorted(members, call_agent[mask]
+                                      ).astype(call_agent.dtype),
+                      trace.call_func[mask], trace.call_in[mask],
+                      trace.call_out[mask]),
             "scheduler": worker_scheduler,
             "serving": serving,
             "collect_calls": collect_calls,
@@ -355,8 +353,8 @@ def _build_tasks(trace: Trace, scheduler: SchedulerConfig,
     return tasks
 
 
-#: ``DriverStats`` field merge rules (``metadata["merge"]``) that are
-#: plain folds over the workers' values; ``critical`` is handled apart.
+#: ``DriverStats`` merge rules (``metadata["merge"]``) that are plain
+#: folds over the workers' values; ``critical`` is handled apart.
 _FOLDS = {"sum": sum, "max": max, "extra": merge_extra_counters}
 
 
@@ -394,10 +392,6 @@ def _merge_results(trace: Trace, scheduler: SchedulerConfig,
         led.engine_metrics.total_prompt_tokens for led in ledgers)
     metrics.total_output_tokens = sum(
         led.engine_metrics.total_output_tokens for led in ledgers)
-    kv_stats: dict = {}
-    for led in ledgers:
-        for key, value in led.kv_stats.items():
-            kv_stats[key] = kv_stats.get(key, 0) + value
     timeline = None
     if ledgers[0].timeline is not None:
         timeline = TimelineRecorder()
@@ -422,7 +416,7 @@ def _merge_results(trace: Trace, scheduler: SchedulerConfig,
         engine_metrics=metrics,
         gpu_busy_fraction=busy,
         timeline=timeline,
-        kv_stats=kv_stats,
+        kv_stats=merge_extra_counters([led.kv_stats for led in ledgers]),
     )
 
 
@@ -433,11 +427,10 @@ def run_parallel_replay(trace: Trace,
                         pool: ShardWorkerPool | None = None,
                         _crash_plan: dict[int, int] | None = None
                         ) -> SimulationResult | None:
-    """Replay ``trace`` with shard-worker processes, or ``None``.
+    """Replay ``trace`` with shard-worker processes; ``None`` = cannot.
 
-    ``None`` means multiprocess replay is not possible here (the reason
-    is logged, see :func:`try_parallel_replay`); ``run_replay`` is the
-    entry point that falls back in-process. ``pool`` optionally reuses
+    The reason is logged (:func:`try_parallel_replay`); ``run_replay``
+    is the entry point that then stays in-process. ``pool`` reuses
     persistent workers across runs; ``_crash_plan`` (worker id -> crash
     count) is the chaos/test hook exercising the redispatch path.
     """
@@ -448,25 +441,21 @@ def run_parallel_replay(trace: Trace,
 
 
 def _fallback(reason: str) -> str:
-    _log.warning("multiprocess replay not possible, staying in-process: %s",
-                 reason)
+    _log.warning("multiprocess replay falls back in-process: %s", reason)
     return reason
 
 
 def try_parallel_replay(trace: Trace, scheduler: SchedulerConfig,
                         serving: ServingConfig,
                         collect_timeline: bool = False,
-                        pool: ShardWorkerPool | None = None,
-                        fault_hook=None,
+                        pool: ShardWorkerPool | None = None, fault_hook=None,
                         _crash_plan: dict[int, int] | None = None
                         ) -> SimulationResult | str:
     """The multiprocess replay, or the (logged) reason it cannot run."""
     if fault_hook is not None:
-        return _fallback(
-            "a fault_hook closure cannot cross a process boundary")
+        return _fallback("a fault_hook closure cannot cross processes")
     if scheduler.parallel_workers < 2 and pool is None:
-        return _fallback(
-            f"parallel_workers={scheduler.parallel_workers} is below 2")
+        return _fallback("fewer than two parallel_workers requested")
     if scheduler.policy not in ("metropolis", "metropolis-spec"):
         return _fallback(
             f"policy {scheduler.policy!r} has no shard-worker controller")
@@ -478,10 +467,9 @@ def try_parallel_replay(trace: Trace, scheduler: SchedulerConfig,
         else max(2, scheduler.parallel_workers)
     shard_plan = plan_regions(trace, rules, max_shards)
     if shard_plan is None or len(shard_plan) < 2:
-        return _fallback(
-            "the workload yields fewer than two independent regions")
-    want = scheduler.parallel_workers if scheduler.parallel_workers >= 2 \
-        else (pool.n_workers if pool is not None else 0)
+        return _fallback("fewer than two independent regions in the workload")
+    want = scheduler.parallel_workers \
+        if scheduler.parallel_workers >= 2 else pool.n_workers
     if pool is not None:
         want = min(want, pool.n_workers)
     n_workers = min(want, len(shard_plan))

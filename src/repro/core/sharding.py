@@ -419,46 +419,15 @@ class ShardedGraph:
 
     # -- counters (summed over shards) ---------------------------------------
 
-    @property
-    def blocked_events(self) -> int:
-        return sum(s.blocked_events for s in self._shards)
+    #: :class:`SpatioTemporalGraph` counters the facade reports as the
+    #: plain sum over its shards (read once per run, by
+    #: :meth:`ControllerCore.sync_stats`).
+    _SUMMED = frozenset({
+        "blocked_events", "unblock_events", "scans", "scan_skips",
+        "near_checks", "wake_checks", "wake_skips", "fallback_scans",
+        "scanned_slots", "comp_hits", "comp_misses"})
 
-    @property
-    def unblock_events(self) -> int:
-        return sum(s.unblock_events for s in self._shards)
-
-    @property
-    def scans(self) -> int:
-        return sum(s.scans for s in self._shards)
-
-    @property
-    def scan_skips(self) -> int:
-        return sum(s.scan_skips for s in self._shards)
-
-    @property
-    def near_checks(self) -> int:
-        return sum(s.near_checks for s in self._shards)
-
-    @property
-    def wake_checks(self) -> int:
-        return sum(s.wake_checks for s in self._shards)
-
-    @property
-    def wake_skips(self) -> int:
-        return sum(s.wake_skips for s in self._shards)
-
-    @property
-    def fallback_scans(self) -> int:
-        return sum(s.fallback_scans for s in self._shards)
-
-    @property
-    def scanned_slots(self) -> int:
-        return sum(s.scanned_slots for s in self._shards)
-
-    @property
-    def comp_hits(self) -> int:
-        return sum(s.comp_hits for s in self._shards)
-
-    @property
-    def comp_misses(self) -> int:
-        return sum(s.comp_misses for s in self._shards)
+    def __getattr__(self, name: str) -> int:
+        if name in self._SUMMED:
+            return sum(getattr(s, name) for s in self._shards)
+        raise AttributeError(name)

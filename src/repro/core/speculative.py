@@ -105,8 +105,9 @@ class SpeculativeMetropolisDriver(MetropolisDriver):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        #: cluster id -> speculation record.
+        #: speculation id -> record.
         self._spec: dict[int, _SpecRecord] = {}
+        self._spec_seq = 0
         self._spec_members: dict[int, int] = {}  # aid -> cluster id
         #: Live concurrent-speculation limit (adaptive depth controller;
         #: capped by ``speculation_budget``, floored at 1 while enabled).
@@ -242,7 +243,7 @@ class SpeculativeMetropolisDriver(MetropolisDriver):
         step = graph.step[cluster[0]]
         marr = np.asarray(cluster, dtype=np.int64)
         rows = self._pos_flat[(step + 1) * graph.n_agents + marr]
-        cid = self._cluster_seq = self._cluster_seq + 1
+        cid = self._spec_seq = self._spec_seq + 1
         self._spec[cid] = _SpecRecord(
             cluster, step, self._lookahead_detects_race(cluster, step), rows)
         for m in cluster:
@@ -251,16 +252,11 @@ class SpeculativeMetropolisDriver(MetropolisDriver):
         extra = self.stats.extra
         extra["speculations"] += 1
         extra["spec_launched_members"] += len(cluster)
-        priority = self._SPEC_PRIORITY_OFFSET + step
-        self._launch_spec_chains(cid, cluster, step, priority)
-
-    def _launch_spec_chains(self, cid: int, cluster: list[int], step: int,
-                            priority: float) -> None:
-        """One dispatch event launches the whole cluster's chains."""
+        # One dispatch event launches the whole cluster's chains.
         self._kernel_events += 1
         self.kernel.call_in(
-            self.config.overhead.controller_dispatch,
-            self._run_spec_chains, cid, cluster, step, priority)
+            self.config.overhead.controller_dispatch, self._run_spec_chains,
+            cid, cluster, step, self._SPEC_PRIORITY_OFFSET + step)
 
     def _run_spec_chains(self, cid: int, cluster: list[int], step: int,
                          priority: float) -> None:
@@ -360,7 +356,6 @@ class SpeculativeMetropolisDriver(MetropolisDriver):
         self._spec_feedback(members, bad=False)
         self._spec_outcome(bad=False)
         self.core.claim([(rec.step, members)])
-        self._running_clusters += 1
         self._busy_workers += 1
         self._queue_commit(rec.step, members, rec.rows)
 
@@ -449,9 +444,6 @@ class SpeculativeMetropolisDriver(MetropolisDriver):
             return  # speculative work in flight still makes progress
         super()._check_progress()
 
-    def _sync_stats(self) -> None:
-        super()._sync_stats()
-        self.stats.extra["spec_depth"] = self._depth
-
     def finished(self) -> bool:
+        self.stats.extra["spec_depth"] = self._depth
         return super().finished() and not self._spec

@@ -1,9 +1,9 @@
 """Diagnostic dump for scheduler stalls and watchdog fires.
 
-Shared by the live engine's no-progress watchdog and the replay driver's
-stall check so both hang classes surface the same evidence: who is
-blocked on whom, what is still marked running, how deep the queues are,
-and how stale the last ack is.
+Rendered for :meth:`ControllerCore.stalled` — the live engine's
+no-progress watchdog and both transports' stall checks surface the same
+evidence: who is blocked on whom, what is still marked running, how deep
+the queues are, and how stale the last ack is.
 """
 
 from __future__ import annotations

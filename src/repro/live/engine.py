@@ -59,10 +59,8 @@ _SHUTDOWN = object()
 
 @dataclass
 class LiveResult(DriverStats):
-    """Outcome of a live run: the controller's stats plus what only a
-    live run has. The §3.6 times are wall-clock seconds of the
-    controller thread; with ack coalescing one round can retire several
-    worker acks."""
+    """Outcome of a live run: the controller's stats (the §3.6 times are
+    the controller thread's) plus what only a live run has."""
 
     target_step: int = 0
     wall_time: float = 0.0
@@ -96,18 +94,9 @@ class LiveSimulation:
         # scenario's fallback_client() hook, then canned completions.
         self._fallback = fallback_client if fallback_client is not None \
             else self._scenario_fallback()
-        self._resilient = ResilientClient(client, self.faults_policy,
-                                          fallback=self._fallback)
         # Scenario-aware: SchedulerConfig.scenario routes graph-metric
         # worlds to their GraphSpace; plain configs behave as before.
         self.rules = rules_for(self.scheduler)
-        self._ready_queue: queue.PriorityQueue = queue.PriorityQueue()
-        self._ack_queue: queue.Queue = queue.Queue()
-        self._seq = 0
-        self._attempts: dict[int, int] = {}
-        self._degraded: set[int] = set()
-        self._last_ack = time.monotonic()
-        self._stats = LiveResult()
 
     def _scenario_fallback(self) -> LLMClient:
         if self.scheduler.scenario:
@@ -176,11 +165,11 @@ class LiveSimulation:
         # A LiveSimulation object is reusable: every run starts from
         # fresh queues, counters, and KV state (a second run would
         # otherwise accumulate stale keys and inflated stats).
-        self._ready_queue = queue.PriorityQueue()
-        self._ack_queue = queue.Queue()
+        self._ready_queue: queue.PriorityQueue = queue.PriorityQueue()
+        self._ack_queue: queue.Queue = queue.Queue()
         self._seq = 0
-        self._attempts = {}
-        self._degraded = set()
+        self._attempts: dict[int, int] = {}
+        self._degraded: set[int] = set()
         self._last_ack = time.monotonic()
         self._stats = LiveResult(target_step=target_step)
         self._resilient = ResilientClient(self.client, self.faults_policy,
@@ -300,13 +289,6 @@ class LiveSimulation:
         self._last_ack = time.monotonic()
         return item
 
-    def _queue_state(self) -> dict:
-        """The transport's half of a stall/watchdog report."""
-        return dict(ready_depth=self._ready_queue.qsize(),
-                    ack_depth=self._ack_queue.qsize(),
-                    last_ack_age=time.monotonic() - self._last_ack,
-                    redispatches=self._stats.faults.redispatches)
-
     # -- failure handling ---------------------------------------------------
 
     def _charge_failure(self, step: int, cluster: list[int],
@@ -375,23 +357,25 @@ class LiveSimulation:
 
     def _run_ooo(self, core: ControllerCore) -> None:
         """Algorithm 3 over threads: the core decides, the queues carry."""
+        def diagnostics() -> str:
+            return core.stalled(
+                ready_depth=self._ready_queue.qsize(),
+                ack_depth=self._ack_queue.qsize(),
+                last_ack_age=time.monotonic() - self._last_ack,
+                redispatches=self._stats.faults.redispatches)
+
         in_flight = self._dispatch(core, set(core.ready))
         while not core.finished():
             if in_flight == 0:
                 raise SchedulingError(
-                    "live scheduler stalled\n  "
-                    + core.stalled(**self._queue_state()))
+                    f"live scheduler stalled\n  {diagnostics()}")
             # Ack coalescing: block for one ack, then drain whatever
             # else finished while the controller slept — the whole batch
             # retires through one vectorized graph commit (positions
             # come straight from the ack payloads) and one dispatch
             # round.
-            acks = [self._await_ack(
-                lambda: core.stalled(**self._queue_state()))]
-            while True:
-                ack = self._poll_ack()
-                if ack is None:
-                    break
+            acks = [self._await_ack(diagnostics)]
+            while (ack := self._poll_ack()) is not None:
                 acks.append(ack)
             in_flight -= len(acks)
             dirty: set[int] = set()
@@ -414,7 +398,7 @@ class LiveSimulation:
     def _dispatch(self, core: ControllerCore, dirty: set[int]) -> int:
         """One controller round: submit every cluster the core frees."""
         clusters = core.ready_clusters(dirty)
-        t0 = time.perf_counter()
+        t0 = core.clock()
         core.claim(clusters)
         attempts = self._attempts
         degraded_pool = self._degraded
@@ -424,5 +408,5 @@ class LiveSimulation:
             degraded = bool(degraded_pool) and \
                 any(m in degraded_pool for m in cluster)
             self._submit(step, cluster, degraded)
-        self._stats.time_dispatch += time.perf_counter() - t0
+        self._stats.time_dispatch += core.clock() - t0
         return len(clusters)
