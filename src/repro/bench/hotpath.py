@@ -27,7 +27,10 @@ fast path) must stay at zero and ``kernel_events_per_cluster`` (driver-
 scheduled kernel events per dispatched cluster; the single-event round
 loop amortizes dispatch + commit + round to ``2 * rounds / clusters``,
 strictly below the old chain's two-per-cluster floor) must stay under
-``--max-kernel-events-per-cluster``.
+``--max-kernel-events-per-cluster``. That gauge counts the driver's own
+events only; ``events_total_per_cluster`` beside it is every event the
+kernel scheduled (the executor's start events and the serving engine's
+included) per dispatched cluster.
 
 Baselines travel across machines: every report carries a
 ``calibration_ops_per_sec`` score from a fixed scheduler-shaped
@@ -202,6 +205,8 @@ def bench_one(scenario: str, n_agents: int,
         "mean_cluster_size": stats.mean_cluster_size,
         "kernel_events": kernel_events,
         "kernel_events_per_cluster": kernel_events
+        / max(stats.clusters_dispatched, 1),
+        "events_total_per_cluster": stats.extra.get("kernel_events_total", 0)
         / max(stats.clusters_dispatched, 1),
         "fallback_scans": stats.extra.get("graph_fallback_scans", 0),
         "scanned_slots": stats.extra.get("graph_scanned_slots", 0),
@@ -781,7 +786,7 @@ def format_report(report: dict) -> str:
     header = (f"{'scenario':<14}{'agents':>7}{'steps':>7}"
               f"{'ctrl-steps/s':>14}{'wall-steps/s':>14}"
               f"{'clustering':>11}{'graph':>9}{'dispatch':>9}"
-              f"{'rounds':>8}{'ev/cl':>7}"
+              f"{'rounds':>8}{'ev/cl':>7}{'all-ev/cl':>10}"
               + (f"{'spec':>9}" if with_spec else "")
               + f"{'vs-base':>9}{'vs-pr2':>8}{'vs-pre':>8}")
     lines = [header, "-" * len(header)]
@@ -799,6 +804,7 @@ def format_report(report: dict) -> str:
             f"{e['time_dispatch_s']:>8.3f}s"
             f"{e['controller_rounds']:>8}"
             f"{e.get('kernel_events_per_cluster', 0.0):>7.2f}"
+            f"{e.get('events_total_per_cluster', 0.0):>10.2f}"
             + ("" if not with_spec else
                f"{spec:>8.4f}x" if spec is not None else f"{'-':>9}")
             + (f"{speedup:>8.2f}x" if speedup is not None else

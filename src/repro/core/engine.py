@@ -116,6 +116,32 @@ def replay_in_process(trace: Trace, scheduler: SchedulerConfig,
     drivers: ``shard_plan`` (its slice of the parent's region plan, so
     nothing is re-planned) and ``clock`` (per-process CPU time).
     """
+    # The driver's structures hold O(agents) container objects, and every
+    # controller round churns O(agents) more; the cyclic collector the
+    # allocator triggers inside the hot loop re-traverses the survivors
+    # each time, which grows into the dominant cost at large populations
+    # (it roughly doubled wall time at 20k agents). The loop builds no
+    # reference cycles, so refcounting reclaims its churn and
+    # collection is paused — from before anything is built, so that
+    # everything the replay allocates stays in the youngest generation.
+    # Kernel, engine, driver and graph do reference each other (bound-
+    # method callbacks) and die as one cycle when the wiring returns:
+    # one youngest-generation collection right after reclaims them,
+    # without walking the caller's whole heap on every replay.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _replay(trace, scheduler, serving, collect_timeline,
+                       fault_hook, controller)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+        gc.collect(0)
+
+
+def _replay(trace: Trace, scheduler: SchedulerConfig, serving: ServingConfig,
+            collect_timeline: bool, fault_hook,
+            controller: dict) -> SimulationResult:
     # §3.5: request priority at the serving engine follows the scheduler's
     # priority switch (the Table 1 ablation flips both together).
     serving_cfg = serving if serving.priority_scheduling == scheduler.priority \
@@ -131,23 +157,8 @@ def replay_in_process(trace: Trace, scheduler: SchedulerConfig,
         call_observer=timeline.record if timeline else None)
     driver = _DRIVERS[scheduler.policy](kernel, engine, trace, scheduler,
                                         executor, **controller)
-    # The driver's structures hold O(agents) container objects, and every
-    # controller round churns O(agents) more; the cyclic collector the
-    # allocator triggers inside the hot loop re-traverses the survivors
-    # each time, which grows into the dominant cost at large populations
-    # (it roughly doubled wall time at 20k agents). The run itself builds
-    # no reference cycles, so plain refcounting reclaims everything;
-    # collection is paused for the loop and any stray cycles are swept
-    # once at the end.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        driver.start()
-        kernel.run()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-        gc.collect()
+    driver.start()
+    kernel.run()
     if not driver.finished():
         raise SchedulingError(
             f"{scheduler.policy}: kernel drained before completion "

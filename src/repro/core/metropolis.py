@@ -12,9 +12,12 @@ both back to the core. Its share of the light critical path (§3.6):
 * **single-event rounds** — one kernel event per virtual instant does
   everything: all clusters finishing at that instant retire through one
   batched graph commit, then one dispatch round runs, and every cluster
-  it dispatches launches through one shared dispatch event;
-  ``DriverStats.extra["kernel_events"]`` counts the events the driver
-  schedules, amortized well below one per cluster;
+  it dispatches launches through one shared dispatch event, which
+  hands the whole round to :meth:`ChainExecutor.run_round` (one chain
+  gather, one start event). ``DriverStats.extra["kernel_events"]``
+  counts the events the *driver* schedules (launch + round), amortized
+  well below one per cluster; ``kernel_events_total`` is every event
+  any layer scheduled on the kernel;
 * **step-keyed dispatch buckets** — pending clusters queue in numpy-
   backed buckets keyed by integer step priority instead of a heap of
   python tuples;
@@ -308,17 +311,9 @@ class MetropolisDriver:
 
     def _launch_batch(self, launches: list[tuple[list[int], int, float]]
                       ) -> None:
-        run_cluster = self.executor.run_cluster
-        queue_commit = self._queue_commit
-        for cluster, step, priority in launches:
-            left = [len(cluster)]  # commits when its last chain ends
-
-            def done(a: int, s: int, left=left, cluster=cluster) -> None:
-                left[0] -= 1
-                if not left[0]:
-                    queue_commit(s, cluster)
-
-            run_cluster(cluster, step, priority, done)
+        # One chain gather and one start event for the whole round; each
+        # cluster commits when its last chain ends.
+        self.executor.run_round(launches, self._queue_commit)
 
     def _queue_commit(self, step: int, members: list[int],
                       rows: np.ndarray | None = None) -> None:
@@ -388,6 +383,9 @@ class MetropolisDriver:
         self.core.sync_stats()
         extra = self.stats.extra
         extra["kernel_events"] = self._kernel_events
+        # Every layer's events (executor start events, engine
+        # iterations), not just the driver's own.
+        extra["kernel_events_total"] = self.kernel.events_scheduled
         engine_faults = getattr(self.engine, "fault_stats", None)
         if engine_faults is not None:
             extra.update(engine_faults())

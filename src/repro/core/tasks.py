@@ -7,13 +7,24 @@ because each call's prompt depends on the previous call's response
 (Algorithm 2: perceive -> retrieve -> plan).
 
 All scheduler drivers share this executor; they differ only in *when*
-they start tasks. Dispatch is cluster-granular: a driver hands a whole
-coupled cluster to :meth:`ChainExecutor.run_cluster`, which resolves
-every member's chain with one vectorized CSR lookup
-(:meth:`repro.trace.Trace.chain_bounds`), schedules a single kernel
-event for the round, and submits the members' first calls to the
-serving engine in one batch — no per-task chain materialization, no
-per-call closures.
+they start tasks. Two entry points, one chain-advance implementation
+(:class:`_ClusterRun`):
+
+* :meth:`ChainExecutor.run_round` — a whole dispatch round (every
+  cluster a controller round launches at one virtual instant). One
+  vectorized CSR lookup (:meth:`repro.trace.Trace.chain_bounds` with a
+  per-member step vector) resolves every member's chain, the members'
+  KV is pinned cluster by cluster at the launch instant, and **one**
+  kernel event starts the whole round after the per-step overhead. In
+  that event a cluster whose members carry no LLM call hands straight
+  back to the driver (no per-cluster object at all); any other submits
+  its members' first calls to the serving engine in one batch.
+* :meth:`ChainExecutor.run_cluster` — one cluster, one lookup, one
+  start event, completion reported per member (the lock-step, oracle,
+  single-thread and speculative-background paths) or once per cluster
+  (a round of a single cluster, which has nothing to fold).
+
+Neither materializes per-task chains or allocates per-call closures.
 """
 
 from __future__ import annotations
@@ -27,6 +38,10 @@ from ..trace import Trace
 
 #: Completion callback signature: (agent_id, step).
 TaskDone = Callable[[int, int], None]
+#: Whole-cluster completion callback signature: (step, members).
+ClusterDone = Callable[[int, Sequence[int]], None]
+#: One cluster of a dispatch round: (members, step, priority).
+Launch = tuple[Sequence[int], int, float]
 #: Per-call observer: (agent_id, step, func_id, submit_t, finish_t).
 CallObserver = Callable[[int, int, int, float, float], None]
 
@@ -34,25 +49,30 @@ CallObserver = Callable[[int, int, int, float, float], None]
 class _ClusterRun:
     """In-flight state of one dispatched cluster (one step's round).
 
-    Holds flat cursor/end arrays into the trace's call columns; every
+    Holds flat cursor/end lists into the trace's call columns; every
     request's completion re-enters through the single bound method
     :meth:`_call_done`, so running a cluster allocates O(members) —
-    not O(calls) — bookkeeping objects.
+    not O(calls) — bookkeeping objects. Completion is reported either
+    per member (``on_done``) or once, when the last member's chain ends
+    (``on_cluster_done``) — exactly one of the two is set.
     """
 
     __slots__ = ("ex", "members", "step", "priority", "on_done",
-                 "cur", "end", "index_of")
+                 "on_cluster_done", "left", "cur", "end", "index_of")
 
     def __init__(self, ex: "ChainExecutor", members: Sequence[int],
-                 step: int, priority: float, on_done: TaskDone) -> None:
+                 step: int, priority: float, cur: list[int], end: list[int],
+                 on_done: Optional[TaskDone],
+                 on_cluster_done: Optional[ClusterDone]) -> None:
         self.ex = ex
         self.members = members
         self.step = step
         self.priority = priority
         self.on_done = on_done
-        starts, ends = ex.trace.chain_bounds(members, step)
-        self.cur = starts.tolist()
-        self.end = ends.tolist()
+        self.on_cluster_done = on_cluster_done
+        self.left = len(members)
+        self.cur = cur
+        self.end = end
         self.index_of = {aid: i for i, aid in enumerate(members)}
 
     def start(self) -> None:
@@ -74,7 +94,15 @@ class _ClusterRun:
             ex.calls_issued += len(specs)
             ex.engine.generate_batch(specs)
         for aid in finished:
+            self._chain_done(aid)
+
+    def _chain_done(self, aid: int) -> None:
+        if self.on_done is not None:
             self.on_done(aid, self.step)
+            return
+        self.left -= 1
+        if not self.left:
+            self.on_cluster_done(self.step, self.members)
 
     def _call_done(self, request: LLMRequest) -> None:
         """One member's call finished: observe, then advance its chain."""
@@ -88,7 +116,7 @@ class _ClusterRun:
         idx += 1
         self.cur[i] = idx
         if idx >= self.end[i]:
-            self.on_done(aid, self.step)
+            self._chain_done(aid)
             return
         trace = ex.trace
         ex.calls_issued += 1
@@ -115,16 +143,68 @@ class ChainExecutor:
         #: Total LLM calls issued (for completeness accounting).
         self.calls_issued = 0
 
+    def run_round(self, launches: Sequence[Launch],
+                  on_cluster_done: ClusterDone) -> None:
+        """Start every cluster of one dispatch round.
+
+        ``launches`` is ``(members, step, priority)`` per cluster, in
+        launch order; ``on_cluster_done(step, members)`` fires once per
+        cluster when its last member's chain completes. Equivalent —
+        same engine submission order, same finish times — to one
+        :meth:`run_cluster` per launch issued back to back, at one
+        chain lookup and one kernel event for the whole round: those
+        per-cluster start events would sit at the same instant with
+        consecutive sequence numbers, so nothing can run between them.
+        """
+        if len(launches) == 1:
+            # Nothing to fold: a one-cluster round is a cluster run.
+            members, step, priority = launches[0]
+            self.run_cluster(members, step, priority,
+                             on_cluster_done=on_cluster_done)
+            return
+        agents: list[int] = []
+        steps: list[int] = []
+        prefetch = self.engine.prefetch
+        for members, step, _ in launches:
+            agents += members
+            steps += [step] * len(members)
+            prefetch(members)
+        starts, ends = self.trace.chain_bounds(agents, steps)
+        self.kernel.call_in(self.overhead.agent_step, self._start_round,
+                            launches, starts.tolist(), ends.tolist(),
+                            on_cluster_done)
+
+    def _start_round(self, launches: Sequence[Launch], cur: list[int],
+                     end: list[int], on_cluster_done: ClusterDone) -> None:
+        """The round's one start event: walk its clusters in launch order."""
+        lo = 0
+        for members, step, priority in launches:
+            hi = lo + len(members)
+            c = cur[lo:hi]
+            e = end[lo:hi]
+            lo = hi
+            if c == e:
+                # No member calls the LLM this step (the common case:
+                # agents mostly walk and wait): the cluster is done.
+                on_cluster_done(step, members)
+            else:
+                _ClusterRun(self, members, step, priority, c, e,
+                            None, on_cluster_done).start()
+
     def run_cluster(self, members: Sequence[int], step: int, priority: float,
-                    on_done: TaskDone) -> None:
+                    on_done: Optional[TaskDone] = None,
+                    on_cluster_done: Optional[ClusterDone] = None) -> None:
         """Start every ``(aid, step)`` task of a dispatched cluster.
 
-        ``on_done`` fires once per member as its chain completes. The
-        members' retained KV (if any) is pinned immediately — their
+        ``on_done`` fires once per member as its chain completes — or,
+        given instead, ``on_cluster_done`` once when the last one does.
+        The members' retained KV (if any) is pinned immediately — their
         calls are now imminent, the serving engine must not evict them
         on behalf of further-away agents.
         """
-        run = _ClusterRun(self, members, step, priority, on_done)
+        starts, ends = self.trace.chain_bounds(members, step)
+        run = _ClusterRun(self, members, step, priority, starts.tolist(),
+                          ends.tolist(), on_done, on_cluster_done)
         self.engine.prefetch(members)
         self.kernel.call_in(self.overhead.agent_step, run.start)
 

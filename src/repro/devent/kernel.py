@@ -51,6 +51,11 @@ class Kernel:
         """Current virtual time in seconds."""
         return self._now
 
+    @property
+    def events_scheduled(self) -> int:
+        """Events ever scheduled on this kernel, by every layer."""
+        return self._seq
+
     # -- scheduling ---------------------------------------------------
 
     def call_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:

@@ -365,13 +365,16 @@ class Trace:
         return slice(int(self._row_ptr[row]), int(self._row_ptr[row + 1]))
 
     def chain_bounds(self, agents: Sequence[int] | np.ndarray,
-                     step: int) -> tuple[np.ndarray, np.ndarray]:
+                     step: int | Sequence[int] | np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
         """CSR ``(starts, ends)`` of each agent's call chain at ``step``.
 
-        One fancy index over the row-pointer table for a whole cluster —
-        the executor's per-dispatch-round lookup. ``call_func[starts[i]:
-        ends[i]]`` (and ``call_in`` / ``call_out``) is member ``i``'s
-        chain in order.
+        One fancy index over the row-pointer table: a whole cluster at
+        one ``step``, or — the executor's per-dispatch-round lookup — a
+        whole round's members with a per-member ``step`` vector aligned
+        with ``agents`` (clusters of one round sit at different steps).
+        ``call_func[starts[i]:ends[i]]`` (and ``call_in`` /
+        ``call_out``) is member ``i``'s chain in order.
         """
         rows = np.asarray(agents, dtype=np.int64) * self.meta.n_steps + step
         return self._row_ptr[rows], self._row_ptr[rows + 1]

@@ -18,7 +18,8 @@ from repro.core.dependency_graph import SpatioTemporalGraph
 from repro.core.space import EuclideanSpace
 from repro.errors import CausalityViolation, SchedulingError
 
-from helpers import grid_moves, grid_positions, tree_chord_space
+from helpers import (grid_moves, grid_positions, random_trace,
+                     tree_chord_space)
 
 
 class DictReferenceGraph:
@@ -602,6 +603,24 @@ class TestHotpathBench:
         # one launch event per dispatching round + one round event per
         # finish instant bounds the total
         assert events <= 2 * stats.controller_rounds + 1
+
+    @pytest.mark.parametrize("policy", ["metropolis", "metropolis-spec"])
+    def test_kernel_events_total_three_per_round(self, policy):
+        """With no LLM call anywhere and uncapped workers, a controller
+        round costs at most three kernel events across *all* layers —
+        the driver's launch event, the executor's one start event for
+        the whole round, and the round (commit) event — however many
+        clusters it dispatches. ``kernel_events`` alone cannot see the
+        executor's share."""
+        from repro.config import SchedulerConfig
+        from repro.core import run_replay
+
+        trace = random_trace(seed=11, n_agents=12, p_call=0.0)
+        stats = run_replay(trace, SchedulerConfig(policy=policy)).driver_stats
+        assert stats.clusters_dispatched > 2 * stats.controller_rounds
+        total = stats.extra["kernel_events_total"]
+        assert stats.extra["kernel_events"] < total
+        assert total <= 3 * stats.controller_rounds + 1
 
     def test_report_entry_carries_churn_counters(self, tmp_path):
         from repro.bench.hotpath import check_report, run_hotpath

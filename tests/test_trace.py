@@ -54,6 +54,27 @@ class TestTraceSchema:
         assert synthetic_trace.chain_lengths().sum() == \
             synthetic_trace.n_calls
 
+    @pytest.mark.parametrize("as_steps", [list, np.asarray])
+    def test_chain_bounds_per_member_steps(self, synthetic_trace, as_steps):
+        """A step vector aligned with the agents (a dispatch round's
+        clusters sit at different steps) gives each member the bounds
+        `chain_slice` gives it alone; a scalar step is the whole-cluster
+        form of the same lookup."""
+        t = synthetic_trace
+        agents = [3, 0, 5, 0, 2]
+        steps = [7, 0, t.meta.n_steps - 1, 12, 7]
+        starts, ends = t.chain_bounds(agents, as_steps(steps))
+        slices = [t.chain_slice(a, s) for a, s in zip(agents, steps)]
+        assert starts.tolist() == [sl.start for sl in slices]
+        assert ends.tolist() == [sl.stop for sl in slices]
+        assert any(sl.stop > sl.start for sl in slices)
+        one_step = t.chain_bounds(agents, 7)
+        by_vector = t.chain_bounds(agents, [7] * len(agents))
+        assert np.array_equal(one_step[0], by_vector[0])
+        assert np.array_equal(one_step[1], by_vector[1])
+        with pytest.raises(ValueError):
+            t.chain_bounds(agents, [7, 8])  # not aligned with agents
+
     def test_pos_accessor(self, synthetic_trace):
         x, y = synthetic_trace.pos(0, 0)
         assert isinstance(x, int) and isinstance(y, int)
