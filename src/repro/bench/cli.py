@@ -254,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "hotpath" and args.scale:
         out = args.out if args.out != Path("BENCH_hotpath.json") \
-            else Path("BENCH_hotpath_scale.json")
+            else Path("BENCH_scale.json")
         scenarios = tuple(args.scenarios) if args.scenarios \
             else SCALE_SCENARIOS
         report = run_scale(scenarios=scenarios,

@@ -19,16 +19,15 @@ and their waiters covers every edge that can change.
 
 Storage is flat and array-backed (§3.6 light critical path): agent ids
 are required to be dense ``0..n-1``, per-agent state lives in plain
-lists indexed by id, and a numpy position mirror serves the vectorized
-paths. :meth:`SpatioTemporalGraph.commit` takes a whole batch of
-finished clusters (ack coalescing hands the same-instant batch over at
-once) — either as a mapping or as a ``(k, 2)`` row array sliced
+lists indexed by id. :meth:`SpatioTemporalGraph.commit` takes a whole
+batch of finished clusters (ack coalescing hands the same-instant batch
+over at once) — either as a mapping or as a ``(k, 2)`` row array sliced
 straight out of the trace's step-major position store — and retires it
-in one pass; batches of several agents take a vectorized bookkeeping
-path (coordinate grids by floor division, graph metrics through
-:meth:`GraphSpace.bucket_mat` over dense node ids), and
+in one fused pass per member, whatever the batch size (cells by floor
+division on coordinate grids, by :meth:`Space.bucket` elsewhere);
 :class:`CommitResult` falls out of the same pass that recomputes
-blockers.
+blockers. Only *construction* is vectorized (one numpy pass derives
+every agent's initial cell).
 
 The graph also owns §3.4 **coupling components** natively: connected
 components of the coupling relation among same-step non-running agents
@@ -82,11 +81,10 @@ per-axis difference lower-bounds the true distance. The fast path is
 therefore gated on ``Space.cell_bucketing`` — coordinate grids provide
 it by floor division, :class:`~repro.core.space.GraphSpace` by landmark
 BFS levels — so ``metric="graph"`` worlds take the same zero-rescan
-path. Only the *vectorized* sub-paths (numpy commit bookkeeping, the
-batched neighbor distance matrix) additionally require numeric 2D
-coordinates (``grid_bucketing`` + ``within_mat``); non-coordinate
-spaces fall back to the scalar per-member variants of the same
-algorithm. Spaces with no usable bucketing at all keep the legacy
+path; ``grid_bucketing`` only selects how a cell is derived and how
+the coupling neighborhood is walked (inlined coordinate window vs the
+index's ``bucket_range`` query). Spaces with no usable bucketing at all
+keep the legacy
 :meth:`SpatioTemporalGraph._scan_fallback` linear scan (counted by
 ``fallback_scans`` so tests can assert it stays off the fast path).
 """
@@ -94,7 +92,7 @@ algorithm. Spaces with no usable bucketing at all keep the legacy
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -102,15 +100,6 @@ from ..errors import SchedulingError
 from .clustering import SpatialIndex
 from .rules import DependencyRules
 from .space import EuclideanSpace, Position
-
-#: Batches at least this large take the vectorized bookkeeping path;
-#: smaller ones stay scalar (less fixed numpy overhead than the win).
-_VEC_BATCH = 8
-
-#: Shared empty neighbor list (read-only by contract): whole-shard
-#: commits produce mostly-empty neighborhoods on sparse worlds, and one
-#: shared object keeps that O(1) allocations instead of O(population).
-_EMPTY: list[int] = []
 
 #: Fine cells per coarse band, per axis. A band groups up to
 #: BAND_CELLS^2 cells' slots into one sub-table; scans visit only the
@@ -151,9 +140,7 @@ class CommitResult:
     them. ``member_neighbors`` — the same neighborhood split per
     member: until the next commit these are exactly the member's
     coupling candidates, so the controller's cluster BFS can seed from
-    them instead of re-querying the spatial index. Membership tests and
-    iteration cover the union, so existing ``aid in result`` call sites
-    keep working.
+    them instead of re-querying the spatial index.
     """
 
     __slots__ = ("unblocked", "neighbors", "member_neighbors")
@@ -164,14 +151,6 @@ class CommitResult:
         self.unblocked = unblocked
         self.neighbors = neighbors
         self.member_neighbors = member_neighbors or {}
-
-    def __contains__(self, aid: int) -> bool:
-        return aid in self.unblocked or aid in self.neighbors
-
-    def __iter__(self) -> Iterator[int]:
-        yield from self.unblocked
-        yield from (aid for aid in self.neighbors
-                    if aid not in self.unblocked)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CommitResult(unblocked={sorted(self.unblocked)}, "
@@ -249,10 +228,6 @@ class SpatioTemporalGraph:
         #: swap the last slot down — no free list, no sentinels.
         self._bucket_fast = bool(getattr(rules.space, "cell_bucketing",
                                          False))
-        #: Vectorized sub-paths additionally need numeric 2D coordinates
-        #: (within_mat neighbor masks over the coordinate columns).
-        self._coord_vec = self.index._grid and hasattr(rules.space,
-                                                       "within_mat")
         #: Exact type check: subclasses may override dist/within (e.g.
         #: wrap-around metrics), which the inlined L2 would bypass.
         self._euclid = type(rules.space) is EuclideanSpace
@@ -262,11 +237,6 @@ class SpatioTemporalGraph:
         #: past the cap is exact where it matters and O(ball) instead
         #: of O(component) where it doesn't.
         self._dist_within = getattr(rules.space, "dist_within", None)
-        #: Graph metrics with dense integer node ids vectorize their
-        #: commit bookkeeping through GraphSpace.bucket_mat instead.
-        self._graph_vec = (self._bucket_fast and not self._coord_vec
-                           and getattr(rules.space, "dense_node_cells",
-                                       False))
         #: §3.4/§3.6 graph-native coupling components: component id per
         #: agent (-1 = must rebuild) plus the member lists, invalidated
         #: from inside mark_running/commit — no external protocol.
@@ -286,13 +256,6 @@ class SpatioTemporalGraph:
         #: fuzz harness: band_size=1 stresses the window walk, a huge
         #: value degenerates to the unbanded single-table reference).
         self._band = int(band_size) if band_size else BAND_CELLS
-        #: Contiguous float64/int64 mirrors of ``pos``/``_cellxy``
-        #: (coordinate grids only): the whole-batch neighbor join
-        #: streams these instead of chasing per-agent tuples through
-        #: the heap — the difference between flat and population-
-        #: proportional commit cost at 100k+ agents.
-        self._posarr: np.ndarray | None = None
-        self._cellarr: np.ndarray | None = None
         if self._bucket_fast:
             # Dense ids let the index read positions straight from the
             # graph's own list: commits update one storage, and
@@ -306,27 +269,15 @@ class SpatioTemporalGraph:
             self._bands: dict[tuple[int, int], _Band] = {}
             self._bslot: dict[tuple[int, int, int],
                               tuple[_Band, int]] = {}
-            cell = self.index.cell
             #: Current fine cell per agent: commits read the old cell
-            #: here instead of re-deriving it from the old position (no
-            #: float position mirror to maintain).
+            #: here instead of re-deriving it from the old position.
             self._cellxy: list[tuple[int, int]] = self._init_cells(arr0)
-            if self._coord_vec:
-                self._posarr = (arr0.astype(np.float64)
-                                if arr0 is not None
-                                else np.array(pos_list, dtype=np.float64))
-                self._cellarr = np.array(self._cellxy, dtype=np.int64)
             # Bulk load: group agents by cell once (C-speed lexsort
             # grouping), hand the index its buckets, and seed one slot
             # per occupied cell — instead of n per-agent insertions.
             groups = self.index.bulk_load_cells(self._cellxy)
             for c, ids in groups.items():
                 self._bucket_add((start_step,) + c, ids)
-            #: Reused grouping buffers for batched slot migration.
-            self._mig_removals: dict[tuple[int, int, int],
-                                     list[int]] = {}
-            self._mig_additions: dict[tuple[int, int, int],
-                                      list[int]] = {}
         # instrumentation
         self.blocked_events = 0
         self.unblock_events = 0
@@ -350,10 +301,10 @@ class SpatioTemporalGraph:
         """Initial fine cell per agent, vectorized where the space allows."""
         cell = self.index.cell
         space = self.rules.space
-        if arr0 is not None and self._coord_vec:
+        if arr0 is not None and self.index._grid:
             pairs = np.floor_divide(arr0, cell).astype(np.int64).tolist()
             return [(c[0], c[1]) for c in pairs]
-        if arr0 is not None and self._graph_vec:
+        if arr0 is not None and getattr(space, "dense_node_cells", False):
             b0, b1 = space.bucket_mat(
                 arr0[:, 0].astype(np.int64), cell)
             return list(zip(b0.tolist(), b1.tolist()))
@@ -379,13 +330,10 @@ class SpatioTemporalGraph:
         band.members.append(set(aids))
 
     def _bucket_discard(self, key: tuple[int, int, int],
-                        aids: list[int]) -> None:
+                        aid: int) -> None:
         band, idx = self._bslot[key]
         members = band.members[idx]
-        if len(aids) == 1:
-            members.discard(aids[0])
-        else:
-            members.difference_update(aids)
+        members.discard(aid)
         if members:
             return
         # Swap the band's last slot down so its columns stay dense.
@@ -571,31 +519,6 @@ class SpatioTemporalGraph:
         self.rules.validate_state(self.snapshot())
 
     # -- edge maintenance --------------------------------------------------
-
-    def compute_blockers(self, aid: int) -> set[int]:
-        """Current blockers of ``aid`` (slack/near/scan fast paths).
-
-        A pure query: unlike the commit path it updates neither the
-        slack cache nor pair wake steps.
-        """
-        s = self.step[aid]
-        if s <= self._min_step:
-            return set()
-        if not self._bucket_fast:
-            return self._scan_fallback(aid, s, self.pos[aid])
-        shrink = self._two_mv * (s - self._scan_step[aid])
-        near = self._near[aid]
-        if near is not None:
-            if shrink < self._scan_slack[aid]:
-                return set()
-            if shrink <= self._slack_horizon:
-                blockers, _ = self._check_near(aid, s, near)
-                return blockers
-        pos_a = self.pos[aid]
-        self.scans += 1
-        blockers, _, _, _ = self._scan_rows(
-            [aid], [s], [self._cellxy[aid]], [pos_a])
-        return blockers[0]
 
     def _check_near(self, aid: int, s: int, near: list[int]
                     ) -> tuple[set[int], dict[int, float]]:
@@ -843,13 +766,12 @@ class SpatioTemporalGraph:
         if not members:
             return CommitResult(set(), set())
         if isinstance(new_positions, np.ndarray):
-            arr = new_positions
-            rows: list[Position] = [(r[0], r[1]) for r in arr.tolist()]
+            rows: list[Position] = [(r[0], r[1])
+                                    for r in new_positions.tolist()]
         else:
-            arr = None
             rows = [new_positions[aid] for aid in members]
         if self._bucket_fast:
-            unblocked, per_member = self._commit_fast(members, rows, arr)
+            unblocked, per_member = self._commit_fast(members, rows)
         else:
             unblocked, per_member = self._commit_generic(members, rows)
         self._release_waiters(members, unblocked)
@@ -899,124 +821,39 @@ class SpatioTemporalGraph:
             wake[bid][aid] = self._wake_step(step[bid], s - step[bid],
                                              margins[bid])
 
-    def _migrate_slots(self, members: list[int],
-                       oc_list: list[tuple], nc_list: list[tuple]) -> None:
-        """Grouped step/cell slot migration (shared vectorized tail).
-
-        ``oc_list``/``nc_list`` carry each member's old/new cell,
-        derived in one numpy pass by the caller; shared ``(step, cell)``
-        keys retire through one discard/add each. The grouping dicts
-        persist across calls (cleared, not reallocated): large-batch
-        commits run every round at scale, and rebuilding the dicts per
-        call showed up in the 100k-agent profile.
-        """
-        step = self.step
-        move_bucketed = self.index.move_bucketed
-        removals = self._mig_removals
-        additions = self._mig_additions
-        removals.clear()
-        additions.clear()
-        for i, aid in enumerate(members):
-            old_step = step[aid]
-            oc = oc_list[i]
-            nc = nc_list[i]
-            if nc != oc:
-                move_bucketed(aid, oc, nc)
-            removals.setdefault((old_step,) + oc, []).append(aid)
-            additions.setdefault((old_step + 1,) + nc, []).append(aid)
-        self._advance_steps(members)
-        # Old keys never collide with new ones (the step advanced).
-        for key, ids in removals.items():
-            self._bucket_discard(key, ids)
-        for key, ids in additions.items():
-            self._bucket_add(key, ids)
-
-    def _commit_fast(self, members: list[int], rows: list[Position],
-                     arr: "np.ndarray | None"
+    def _commit_fast(self, members: list[int], rows: list[Position]
                      ) -> tuple[set[int], dict[int, list[int]]]:
-        k = len(members)
         step = self.step
         pos = self.pos
         index = self.index
         cell = index.cell
+        grid = index._grid
+        bucket = self.rules.space.bucket
         move_bucketed = index.move_bucketed
+        bucket_discard = self._bucket_discard
+        bucket_add = self._bucket_add
         cells = self._cellxy
         nc_list: list[tuple[int, int]] = []
-        if k >= _VEC_BATCH and self._coord_vec:
-            # Vectorized cell derivation (coordinate spaces): one numpy
-            # pass for the whole batch serves the fine index and the
-            # step-bucketed index alike (both match Space.bucket
-            # semantics), old cells come from the per-agent cell store,
-            # and grouped slot migration retires shared (step, cell)
-            # keys once.
-            newpos = arr if arr is not None else np.array(
-                rows, dtype=np.float64)
-            nc_arr = np.floor_divide(newpos, cell).astype(np.int64)
-            nc_list = [(c[0], c[1]) for c in nc_arr.tolist()]
-            oc_list = [cells[aid] for aid in members]
-            midx = np.asarray(members, dtype=np.intp)
-            self._posarr[midx] = newpos
-            self._cellarr[midx] = nc_arr
-            for i, aid in enumerate(members):
-                pos[aid] = rows[i]
-                cells[aid] = nc_list[i]
-            self._migrate_slots(members, oc_list, nc_list)
-        elif k >= _VEC_BATCH and self._graph_vec:
-            # Graph metric, dense node ids: the same numpy path with
-            # cells from GraphSpace.bucket_mat over the node-id column
-            # instead of coordinate floor division.
-            bucket_mat = self.rules.space.bucket_mat
-            new_nodes = arr[:, 0].astype(np.int64) if arr is not None \
-                else np.fromiter((r[0] for r in rows), dtype=np.int64,
-                                 count=k)
-            nb0, nb1 = bucket_mat(new_nodes, cell)
-            nc_list = list(zip(nb0.tolist(), nb1.tolist()))
-            oc_list = [cells[aid] for aid in members]
-            for i, aid in enumerate(members):
-                pos[aid] = rows[i]
-                cells[aid] = nc_list[i]
-            self._migrate_slots(members, oc_list, nc_list)
-        elif self._coord_vec:
-            # Small batch (the steady-state norm): one fused pass per
-            # member, no grouping dicts, bucket transfer only on cell
-            # crossings.
-            parr = self._posarr
-            carr = self._cellarr
-            for i, aid in enumerate(members):
-                old_step = step[aid]
-                new_p = rows[i]
-                pos[aid] = new_p
-                parr[aid, 0] = new_p[0]
-                parr[aid, 1] = new_p[1]
+        # One fused pass per member at every batch size: cell by floor
+        # division on coordinate grids (== Space.bucket there) and by
+        # Space.bucket elsewhere, bucket transfer only on cell
+        # crossings, one slot discard/add for the step advance.
+        for i, aid in enumerate(members):
+            old_step = step[aid]
+            new_p = rows[i]
+            pos[aid] = new_p
+            if grid:
                 nc = (int(new_p[0] // cell), int(new_p[1] // cell))
-                oc = cells[aid]
-                if nc != oc:
-                    move_bucketed(aid, oc, nc)
-                    cells[aid] = nc
-                    carr[aid, 0] = nc[0]
-                    carr[aid, 1] = nc[1]
-                nc_list.append(nc)
-                self._bucket_discard((old_step,) + oc, (aid,))
-                self._bucket_add((old_step + 1,) + nc, (aid,))
-            self._advance_steps(members)
-        else:
-            # Non-coordinate spaces without dense node ids: identical
-            # bookkeeping, cells from Space.bucket instead of floor
-            # division.
-            bucket = self.rules.space.bucket
-            for i, aid in enumerate(members):
-                old_step = step[aid]
-                new_p = rows[i]
-                pos[aid] = new_p
+            else:
                 nc = bucket(new_p, cell)
-                oc = cells[aid]
-                if nc != oc:
-                    move_bucketed(aid, oc, nc)
-                    cells[aid] = nc
-                nc_list.append(nc)
-                self._bucket_discard((old_step,) + oc, (aid,))
-                self._bucket_add((old_step + 1,) + nc, (aid,))
-            self._advance_steps(members)
+            oc = cells[aid]
+            if nc != oc:
+                move_bucketed(aid, oc, nc)
+                cells[aid] = nc
+            nc_list.append(nc)
+            bucket_discard((old_step,) + oc, aid)
+            bucket_add((old_step + 1,) + nc, (aid,))
+        self._advance_steps(members)
 
         # Blocker work, slack-gated per member: skip entirely while the
         # recorded slack outlasts the worst-case shrink, re-examine only
@@ -1075,18 +912,14 @@ class SpatioTemporalGraph:
                         ) -> dict[int, list[int]]:
         """Per-member coupling-range neighborhoods, one pass.
 
-        Candidates come from each member's cell window (the coupling
-        radius never exceeds the cell size, so the window spanned by
-        the query box is 2x2 in the common case, up to 3x3 when the
-        box is boundary-aligned). Small batches query the index per
-        member; large ones collect the candidate union and run one
-        vectorized distance matrix (coordinate spaces only — graph
-        spaces always take the per-member query, whose bucket_range
-        window plays the same candidate-pruning role).
+        Two branches, chosen by the space: coordinate grids walk each
+        member's cell window inline (the coupling radius never exceeds
+        the cell size, so the window spanned by the query box is 2x2 in
+        the common case, up to 3x3 when the box is boundary-aligned);
+        other spaces query the index, whose ``bucket_range`` window
+        plays the same candidate-pruning role.
         """
-        buckets = self.index._buckets
         pos = self.pos
-        cell = self.index.cell
         r = self.rules.couple_threshold
         per_member: dict[int, list[int]] = {}
         if not self.index._grid:
@@ -1097,108 +930,29 @@ class SpatioTemporalGraph:
                                    in query_into(pos[aid], r, qbuf)
                                    if bid != aid]
             return per_member
-        if len(members) < _VEC_BATCH or not self._coord_vec:
-            # Inlined grid query: same cell window as query_into, but
-            # the self-check and the buffer copy are fused away, and
-            # the Euclidean membership test runs as a plain squared-
-            # distance expression (no per-candidate call).
-            within = self.index._within
-            euclid = self._euclid
-            r2 = r * r
-            for aid in members:
-                pa = pos[aid]
-                x = pa[0]
-                y = pa[1]
-                cx1 = int((x + r) // cell)
-                cy1 = int((y + r) // cell)
-                found: list[int] = []
-                for bx in range(int((x - r) // cell), cx1 + 1):
-                    for by in range(int((y - r) // cell), cy1 + 1):
-                        b = buckets.get((bx, by))
-                        if not b:
-                            continue
-                        if euclid:
-                            for bid in b:
-                                if bid != aid:
-                                    q = pos[bid]
-                                    dx = x - q[0]
-                                    dy = y - q[1]
-                                    if dx * dx + dy * dy <= r2:
-                                        found.append(bid)
-                        else:
-                            for bid in b:
-                                if bid != aid and within(pa, pos[bid], r):
-                                    found.append(bid)
-                per_member[aid] = found
-            return per_member
-        if 4 * len(members) >= self.n_agents:
-            # The batch covers most of the shard (lock-step worlds):
-            # run the no-python-per-member cell join over the
-            # contiguous mirrors instead of walking buckets.
-            return self._neighbors_vec(members, per_member)
-        # Group members by their own cell: members of one cell share a
-        # 3x3 candidate window (r <= cell), so each group runs a small
-        # *local* distance matrix. One global members x candidate-union
-        # product is quadratic in the population once whole-map batches
-        # commit at the same instant (the tiled 100k workload) — the
-        # grouped form keeps commit work O(local) at any batch size.
-        groups: dict[tuple[int, int], list[int]] = {}
-        for aid in members:
-            pa = pos[aid]
-            k = (int(pa[0] // cell), int(pa[1] // cell))
-            g = groups.get(k)
-            if g is None:
-                groups[k] = g = []
-            g.append(aid)
-        within_mat = self.rules.space.within_mat
+        # Inlined grid query: same cell window as query_into, but the
+        # self-check and the buffer copy are fused away, and the
+        # Euclidean membership test runs as a plain squared-distance
+        # expression (no per-candidate call).
+        buckets = self.index._buckets
+        cell = self.index.cell
         within = self.index._within
         euclid = self._euclid
         r2 = r * r
-        for (cx, cy), gmembers in groups.items():
-            if len(gmembers) < _VEC_BATCH:
-                # Sparse cell: the exact per-member window walk beats
-                # building a 3x3 candidate union for one or two agents.
-                for aid in gmembers:
-                    pa = pos[aid]
-                    x = pa[0]
-                    y = pa[1]
-                    gx1 = int((x + r) // cell)
-                    gy1 = int((y + r) // cell)
-                    found: list[int] = []
-                    for bx in range(int((x - r) // cell), gx1 + 1):
-                        for by in range(int((y - r) // cell), gy1 + 1):
-                            b = buckets.get((bx, by))
-                            if not b:
-                                continue
-                            if euclid:
-                                for bid in b:
-                                    if bid != aid:
-                                        q = pos[bid]
-                                        dx = x - q[0]
-                                        dy = y - q[1]
-                                        if dx * dx + dy * dy <= r2:
-                                            found.append(bid)
-                            else:
-                                for bid in b:
-                                    if bid != aid \
-                                            and within(pa, pos[bid], r):
-                                        found.append(bid)
-                    per_member[aid] = found
-                continue
-            cand: set[int] = set()
-            for bx in range(cx - 1, cx + 2):
-                for by in range(cy - 1, cy + 2):
+        for aid in members:
+            pa = pos[aid]
+            x = pa[0]
+            y = pa[1]
+            cx1 = int((x + r) // cell)
+            cy1 = int((y + r) // cell)
+            found: list[int] = []
+            for bx in range(int((x - r) // cell), cx1 + 1):
+                for by in range(int((y - r) // cell), cy1 + 1):
                     b = buckets.get((bx, by))
-                    if b:
-                        cand.update(b)
-            if len(cand) < _VEC_BATCH:
-                for aid in gmembers:
-                    pa = pos[aid]
-                    x = pa[0]
-                    y = pa[1]
-                    found = []
+                    if not b:
+                        continue
                     if euclid:
-                        for bid in cand:
+                        for bid in b:
                             if bid != aid:
                                 q = pos[bid]
                                 dx = x - q[0]
@@ -1206,95 +960,10 @@ class SpatioTemporalGraph:
                                 if dx * dx + dy * dy <= r2:
                                     found.append(bid)
                     else:
-                        for bid in cand:
+                        for bid in b:
                             if bid != aid and within(pa, pos[bid], r):
                                 found.append(bid)
-                    per_member[aid] = found
-                continue
-            clist = list(cand)
-            mpos = np.array([[pos[a][0], pos[a][1]] for a in gmembers],
-                            dtype=np.float64)
-            cpos = np.array([[pos[c][0], pos[c][1]] for c in clist],
-                            dtype=np.float64)
-            dx = mpos[:, 0][:, None] - cpos[:, 0][None, :]
-            dy = mpos[:, 1][:, None] - cpos[:, 1][None, :]
-            mask = within_mat(dx, dy, r)
-            for aid in gmembers:
-                per_member[aid] = []
-            rows, cols = np.nonzero(mask)
-            for i, c in zip(rows.tolist(), cols.tolist()):
-                bid = clist[c]
-                aid = gmembers[i]
-                if bid != aid:
-                    per_member[aid].append(bid)
-        return per_member
-
-    def _neighbors_vec(self, members: list[int],
-                       per_member: dict[int, list[int]]
-                       ) -> dict[int, list[int]]:
-        """Whole-batch neighborhoods with no per-member python work.
-
-        Cell-sorts the full population once (contiguous mirrors), then
-        joins each member's 3x3 cell window against the sorted runs —
-        searchsorted + one ragged gather per window offset. Candidate
-        windows are supersets of the exact per-member query box
-        (``r <= cell``), and the exact ``within_mat`` filter keeps the
-        result identical to the scalar paths. Members without any
-        neighbor share one immutable empty list: every consumer treats
-        the per-member lists as read-only.
-        """
-        parr = self._posarr
-        carr = self._cellarr
-        n = self.n_agents
-        r = self.rules.couple_threshold
-        cy = carr[:, 1]
-        ylo = int(cy.min())
-        yspan = int(cy.max()) - ylo + 3
-        keys = carr[:, 0] * yspan + (cy - ylo)
-        order = np.argsort(keys, kind="stable")
-        skeys = keys[order]
-        starts = np.nonzero(np.r_[True, skeys[1:] != skeys[:-1]])[0]
-        ukeys = skeys[starts]
-        ends = np.r_[starts[1:], n]
-        marr = np.asarray(members, dtype=np.intp)
-        mkeys = keys[marr]
-        mpos = parr[marr]
-        for aid in members:
-            per_member[aid] = _EMPTY
-        within_mat = self.rules.space.within_mat
-        last = len(ukeys) - 1
-        pair_mi: list[np.ndarray] = []
-        pair_bid: list[np.ndarray] = []
-        for d0 in (-1, 0, 1):
-            for d1 in (-1, 0, 1):
-                tk = mkeys + (d0 * yspan + d1)
-                li = np.minimum(np.searchsorted(ukeys, tk), last)
-                hm = np.nonzero(ukeys[li] == tk)[0]
-                if not len(hm):
-                    continue
-                rs = starts[li[hm]]
-                counts = ends[li[hm]] - rs
-                total = int(counts.sum())
-                offs = np.cumsum(counts) - counts
-                flat = (np.arange(total, dtype=np.intp)
-                        - np.repeat(offs, counts) + np.repeat(rs, counts))
-                cids = order[flat]
-                mrows = np.repeat(hm, counts)
-                dx = mpos[mrows, 0] - parr[cids, 0]
-                dy = mpos[mrows, 1] - parr[cids, 1]
-                mask = within_mat(dx, dy, r) & (cids != marr[mrows])
-                if mask.any():
-                    pair_mi.append(mrows[mask])
-                    pair_bid.append(cids[mask])
-        if pair_mi:
-            for i, b in zip(np.concatenate(pair_mi).tolist(),
-                            np.concatenate(pair_bid).tolist()):
-                aid = members[i]
-                lst = per_member[aid]
-                if lst is _EMPTY:
-                    per_member[aid] = [b]
-                else:
-                    lst.append(b)
+            per_member[aid] = found
         return per_member
 
     def _commit_generic(self, members: list[int], rows: list[Position]

@@ -208,8 +208,8 @@ class ShardedGraph:
 
     ``blocked_by`` holds *references to the shards' local blocker
     sets*: truthiness (all the drivers read from it) is exact, but the
-    contained ids are shard-local — use :meth:`blockers_of` /
-    :meth:`compute_blockers` for translated contents.
+    contained ids are shard-local — use :meth:`blockers_of` for
+    translated contents.
     """
 
     def __init__(self, rules: DependencyRules,
@@ -291,13 +291,6 @@ class ShardedGraph:
         l2g = self._l2g[si]
         return frozenset(
             l2g[b] for b in self._shards[si].blocked_by[self._g2l[aid]])
-
-    def compute_blockers(self, aid: int) -> set[int]:
-        si = self._shard_of[aid]
-        l2g = self._l2g[si]
-        return {l2g[b]
-                for b in self._shards[si].compute_blockers(
-                    self._g2l[aid])}
 
     def invocation_distance(self, aid: int) -> float:
         si = self._shard_of[aid]
@@ -400,10 +393,7 @@ class ShardedGraph:
             for lid in res.neighbors:
                 neighbors.add(l2g[lid])
             for lid, lst in res.member_neighbors.items():
-                # Empty lists pass through unchanged (they are shared,
-                # read-only objects on whole-shard commits).
-                per_member[l2g[lid]] = [l2g[x] for x in lst] if lst \
-                    else lst
+                per_member[l2g[lid]] = [l2g[x] for x in lst]
             sub_step = sub.step
             sub_pos = sub.pos
             sub_bb = sub.blocked_by

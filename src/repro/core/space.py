@@ -8,9 +8,9 @@ propagation — e.g. hop distance in a social network. Everything in
 Two capability flags let the scheduler pick its fast paths per space:
 
 * ``grid_bucketing`` — positions are 2D numeric coordinates and
-  :meth:`Space.bucket` is plain floor division, so the spatial index can
-  walk coordinate windows and the dependency graph can vectorize commit
-  bookkeeping over numpy position arrays;
+  :meth:`Space.bucket` is plain floor division, so the spatial index and
+  the dependency graph's commit can derive cells inline and walk
+  coordinate windows;
 * ``cell_bucketing`` — :meth:`Space.bucket` returns 2D *integer cells
   whose per-axis difference lower-bounds the true distance* (cells ``k``
   and ``k + dc`` on any axis imply ``dist >= (dc - 1) * cell``). This is
@@ -38,18 +38,19 @@ class Space(Protocol):
     """A metric over agent positions.
 
     Spaces may additionally provide optional performance hooks the
-    :class:`~repro.core.clustering.SpatialIndex` and the dependency
-    graph's batched commit path exploit:
+    :class:`~repro.core.clustering.SpatialIndex`, the dependency graph
+    and the speculative driver exploit:
 
     * ``within(a, b, radius) -> bool`` — radius membership without
       computing the distance itself (Euclidean skips the sqrt);
     * ``within_mat(dx, dy, radius) -> bool ndarray`` — the same
-      predicate over numpy coordinate-delta arrays, used to test a
-      whole cluster against its candidate neighborhood in one
-      vectorized pass (coordinate spaces only);
+      predicate over numpy coordinate-delta arrays (coordinate spaces
+      only); its one reader is speculation's race oracle, which tests a
+      blocker's whole launch-window trajectory against a member's tile
+      in one masked reduction;
     * ``grid_bucketing = True`` — declares 2D numeric coordinates with
-      floor-division cells, enabling precomputed neighbor-cell offsets
-      and the vectorized commit paths;
+      floor-division cells, enabling inline cell derivation and
+      coordinate cell-window walks;
     * ``cell_bucketing = True`` — declares that :meth:`bucket` returns
       2D integer cells satisfying the Lipschitz lower bound
       ``dist(a, b) >= (max_axis_cell_diff - 1) * cell``, enabling the

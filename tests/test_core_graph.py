@@ -54,7 +54,7 @@ class TestGraphBasics:
         assert g.is_blocked(0)
         g.mark_running([1])
         candidates = g.commit([1], {1: (8, 0)})
-        assert 0 in candidates
+        assert 0 in candidates.unblocked
         assert not g.is_blocked(0)
 
     def test_dispatch_blocked_rejected(self):

@@ -31,6 +31,34 @@ def test_architecture_doc_pointers_resolve():
         assert (ROOT / "src" / match.group(1)).exists(), match.group(1)
 
 
+def test_cited_identifiers_exist_in_source():
+    """Doc-drift guard: every backticked ``_private_name`` and
+    ``Class.method`` that ARCHITECTURE.md / README.md cite must occur
+    as an identifier somewhere under ``src/repro`` — a deleted or
+    renamed helper breaks the suite instead of misleading readers."""
+    import re
+
+    source = "\n".join(p.read_text(encoding="utf-8")
+                       for p in (ROOT / "src" / "repro").rglob("*.py"))
+    idents = set(re.findall(r"[A-Za-z_]\w*", source))
+    token = re.compile(r"(?<![\w./-])(_[A-Za-z]\w*|[A-Z]\w*\.[A-Za-z_]\w*)"
+                       r"(?![\w/-])")
+    file_exts = {"json", "md", "py", "yml", "yaml", "toml", "txt"}
+    cited = 0
+    for doc in (ROOT / "docs" / "ARCHITECTURE.md", ROOT / "README.md"):
+        for span in re.findall(r"`([^`\n]+)`", doc.read_text("utf-8")):
+            for name in token.findall(span):
+                parts = name.split(".")
+                if parts[-1] in file_exts:
+                    continue  # `BENCHMARK.json` is a file, not Class.attr
+                cited += 1
+                missing = [p for p in parts if p not in idents]
+                assert not missing, (
+                    f"{doc.name} cites `{name}` but {missing} is not an "
+                    f"identifier under src/repro")
+    assert cited > 30  # the extraction itself still finds the names
+
+
 def test_checker_cli_passes_on_repo():
     result = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "check_doc_links.py"),

@@ -176,7 +176,7 @@ def _assert_fastpath_invariants(graph, ref, rules, n):
 
 
 def _run_commit_fuzz(rules, positions, move_candidates, rng, n,
-                     iters=40, band_size=None):
+                     iters=40, band_size=None, whole_first=False):
     """Shared fuzz body: random batched commits vs the dict reference.
 
     ``move_candidates(pos)`` returns the legal next positions of an
@@ -184,31 +184,38 @@ def _run_commit_fuzz(rules, positions, move_candidates, rng, n,
     ``band_size`` stresses the banded slot table: 1 maximizes the
     band-window walk, a huge value degenerates to one global band
     (the unbanded reference layout) — blocked edges must be bit-equal
-    to the dict reference either way.
+    to the dict reference either way. ``whole_first`` makes the first
+    batch the **whole population** (every step-0 agent is free): the
+    lock-step / whole-shard commit shape, far above the 1-3 clusters
+    the random batches reach.
     """
     graph = SpatioTemporalGraph(rules, positions, band_size=band_size)
     ref = DictReferenceGraph(rules, positions)
 
-    for _ in range(iters):
+    batch: list[int] = []
+
+    def launch(members):
+        graph.mark_running(members)
+        for m in members:
+            ref.running[m] = True
+        batch.extend(members)
+
+    for it in range(iters):
         # Batched commits: retire 1-3 disjoint dispatchable clusters
         # through a single graph.commit, like the coalesced flush does.
-        batch: list[int] = []
-        for _attempt in range(rng.integers(1, 4)):
-            members = _random_cluster(graph, rules, rng, n,
-                                      exclude=set(batch))
-            if members is None:
-                continue
-            graph.mark_running(members)
-            for m in members:
-                ref.running[m] = True
-            batch += members
+        batch.clear()
+        if whole_first and it == 0:
+            launch(list(range(n)))
+        else:
+            for _attempt in range(rng.integers(1, 4)):
+                members = _random_cluster(graph, rules, rng, n,
+                                          exclude=set(batch))
+                if members is not None:
+                    launch(members)
         if not batch:
             members = _random_cluster(graph, rules, rng, n)
             assert members is not None, "graph deadlocked"
-            graph.mark_running(members)
-            for m in members:
-                ref.running[m] = True
-            batch = members
+            launch(members)
         new_pos = {}
         for m in batch:
             cands = move_candidates(graph.pos[m])
@@ -225,8 +232,6 @@ def _run_commit_fuzz(rules, positions, move_candidates, rng, n,
         for m, lst in result.member_neighbors.items():
             assert set(lst) == ref_member[m], \
                 f"member {m} neighborhood diverged"
-        for aid in ref_unblocked | ref_neighbors:
-            assert aid in result  # CommitResult membership back-compat
         # 2. identical blocked edges / waiters / min-max step
         _assert_graph_matches_reference(graph, ref, n)
         # 3. the zero-rescan bounds stay conservative
@@ -260,7 +265,7 @@ class TestGraphMatchesReferenceModel:
            v=st.integers(6, 24))
     def test_randomized_commit_order_graph_metric(self, seed, n, v):
         """Same gate on hop-distance worlds: the landmark-bucketed fast
-        path, the vectorized bucket_mat bookkeeping, and graph-native
+        path (cells from ``GraphSpace.bucket``) and graph-native
         components must all match the dict reference exactly."""
         rng = FastRng(seed)
         space, adj = tree_chord_space(rng, v)
@@ -273,6 +278,33 @@ class TestGraphMatchesReferenceModel:
             return [pos, *adj[pos]]  # stay or one hop (max_vel=1)
 
         _run_commit_fuzz(rules, positions, moves, rng, n, iters=30)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "chebyshev",
+                                        "manhattan", "graph"])
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 10**9), n=st.integers(16, 64))
+    def test_whole_population_first_batch(self, metric, seed, n):
+        """Large batches take the same fused per-member path as small
+        ones: a first commit of all ``n`` agents packed into a few
+        cells (dense buckets, many shared ``(step, cell)`` slots), then
+        ordinary random batches on the state it leaves behind."""
+        rng = FastRng(seed)
+        if metric == "graph":
+            space, adj = tree_chord_space(rng, 8)
+            rules = DependencyRules(
+                DependencyConfig(radius_p=1.0, max_vel=1.0,
+                                 metric="graph"), space=space)
+            positions = {i: (rng.integers(0, 8), 0) for i in range(n)}
+
+            def moves(pos):
+                return [pos, *adj[pos]]
+        else:
+            rules = DependencyRules(DependencyConfig(metric=metric))
+            positions = grid_positions(rng, n, x_lo=40, x_hi=64,
+                                       y_lo=0, y_hi=24)
+            moves = grid_moves
+        _run_commit_fuzz(rules, positions, moves, rng, n, iters=4,
+                         whole_first=True)
 
     def test_distant_laggard_pruned_until_it_blocks(self):
         """Wide step spread: the coarse min-step prune must never hide a
