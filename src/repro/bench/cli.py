@@ -26,7 +26,7 @@ from ..scenarios import get_scenario, scenario_names
 from .experiments import EXPERIMENTS, run_experiment
 from .hotpath import (AGENT_COUNTS, BASELINE_PATH,
                       MAX_FALLBACK_SCANS, MAX_KERNEL_EVENTS_PER_CLUSTER,
-                      MIN_PARALLEL_RATIO, MIN_SCALE_RATIO, MIN_SPEC_RATIO,
+                      MAX_SCANS_PER_AGENT_STEP, MIN_PARALLEL_RATIO, MIN_SCALE_RATIO, MIN_SPEC_RATIO,
                       MIN_SPEEDUP, MIN_THROUGHPUT, PARALLEL_WORKERS,
                       SCALE_AGENTS, SCALE_SCENARIOS, TRAJECTORY,
                       check_report, check_scale_report,
@@ -124,7 +124,8 @@ def main(argv: list[str] | None = None) -> int:
     hot.add_argument("--check", action="store_true",
                      help="exit 1 if any entry misses the throughput "
                           "floor, regresses vs. the baseline, exceeds "
-                          "the kernel-event or fallback-scan caps, or "
+                          "the kernel-event, fallback-scan or scans-per-"
+                          "agent-step (smallville) caps, or "
                           "a required matrix cell is absent")
     hot.add_argument("--min-throughput", type=float, default=MIN_THROUGHPUT,
                      help="absolute agent-steps/sec floor for --check")
@@ -311,7 +312,8 @@ def main(argv: list[str] | None = None) -> int:
                     args.max_kernel_events_per_cluster),
                 max_fallback_scans=args.max_fallback_scans,
                 min_spec_ratio=args.min_spec_ratio if args.spec
-                else None)
+                else None,
+                max_scans_per_agent_step=MAX_SCANS_PER_AGENT_STEP)
             if failures:
                 for failure in failures:
                     print(f"FAIL: {failure}", file=sys.stderr)

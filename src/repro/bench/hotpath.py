@@ -30,7 +30,9 @@ strictly below the old chain's two-per-cluster floor) must stay under
 ``--max-kernel-events-per-cluster``. That gauge counts the driver's own
 events only; ``events_total_per_cluster`` beside it is every event the
 kernel scheduled (the executor's start events and the serving engine's
-included) per dispatched cluster.
+included) per dispatched cluster. ``scans_per_agent_step`` (full blocker
+scans per committed agent-step, an exact counter) must stay under
+:data:`MAX_SCANS_PER_AGENT_STEP` on the scenarios that table names.
 
 Baselines travel across machines: every report carries a
 ``calibration_ops_per_sec`` score from a fixed scheduler-shaped
@@ -134,6 +136,16 @@ MAX_KERNEL_EVENTS_PER_CLUSTER = 1.6
 #: scenario's space offers cell bucketing, so any nonzero count means
 #: the fast-path gate broke.
 MAX_FALLBACK_SCANS = 0
+#: Full blocker scans per committed agent-step, per scenario: an exact
+#: counter of the replay (same trace, same count on every machine), so
+#: the ceiling needs no retries and no calibration. The slack bound
+#: charges a commit that did not move the agent ``max_vel``, not
+#: ``2 * max_vel``, and ~96% of smallville's agent-steps stay put:
+#: 0.0667-0.0683 scans per agent-step across the 25-2000 cells (the
+#: 2x-per-commit bound measured 0.1137-0.1167). The ceiling sits 25%
+#: above the worst cell, so a change that silently restores the old
+#: rescan cadence fails ``--check``.
+MAX_SCANS_PER_AGENT_STEP = {"smallville": 0.0853}
 #: Speculation gate: speculative mode's virtual completion time may
 #: never trail plain OOO by more than 2% on any cell (the ratio is a
 #: deterministic virtual-time quantity — no retries, no calibration)
@@ -209,6 +221,8 @@ def bench_one(scenario: str, n_agents: int,
         "events_total_per_cluster": stats.extra.get("kernel_events_total", 0)
         / max(stats.clusters_dispatched, 1),
         "fallback_scans": stats.extra.get("graph_fallback_scans", 0),
+        "scans_per_agent_step": stats.extra.get("graph_scans", 0)
+        / agent_steps,
         "scanned_slots": stats.extra.get("graph_scanned_slots", 0),
         "scanned_slots_per_scan": stats.extra.get("graph_scanned_slots", 0)
         / max(stats.extra.get("graph_scans", 0), 1),
@@ -678,7 +692,9 @@ def check_report(report: dict,
                  required_counts: tuple[int, ...] = (),
                  max_kernel_events_per_cluster: float | None = None,
                  max_fallback_scans: int | None = None,
-                 min_spec_ratio: float | None = None) -> list[str]:
+                 min_spec_ratio: float | None = None,
+                 max_scans_per_agent_step: dict[str, float] | None = None
+                 ) -> list[str]:
     """The CI gate: returns human-readable failures (empty = pass).
 
     ``required_counts`` additionally demands a report entry per
@@ -691,7 +707,10 @@ def check_report(report: dict,
     the ratio (no cell may regress past it) and at least one cell must
     strictly beat 1.0 — speculation has to win somewhere or it is dead
     weight. Both spec checks are pure virtual-time comparisons, so
-    they are exempt from perf retries.
+    they are exempt from perf retries. ``max_scans_per_agent_step``
+    (scenario -> ceiling, see :data:`MAX_SCANS_PER_AGENT_STEP`) caps
+    the full blocker scans per committed agent-step on the scenarios
+    it names — an exact counter, so also exempt.
     """
     failures = []
     spec_wins = 0
@@ -743,6 +762,18 @@ def check_report(report: dict,
                     f"{label}: {fb} linear fallback scans (cap "
                     f"{max_fallback_scans}) — the bucketed fast path "
                     f"gate broke")
+        ceiling = (max_scans_per_agent_step or {}).get(entry["scenario"])
+        if ceiling is not None:
+            rate = entry.get("scans_per_agent_step")
+            if rate is None:
+                failures.append(
+                    f"{label}: scans_per_agent_step missing from the "
+                    f"report entry")
+            elif rate > ceiling:
+                failures.append(
+                    f"{label}: {rate:.4f} full blocker scans per agent-"
+                    f"step, above the {ceiling:.4f} ceiling — stationary "
+                    f"commits are being charged as moves again")
         if min_spec_ratio is not None:
             ratio = entry.get("spec_speedup")
             if ratio is None:

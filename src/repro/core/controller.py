@@ -114,10 +114,12 @@ class ControllerCore:
         """Commit finished clusters one step; return the dirty frontier.
 
         ``members`` may span several clusters (ack coalescing);
-        ``positions`` is a mapping by agent id or a ``(k, 2)`` row array
-        aligned with ``members``. The frontier is every ready agent the
-        next round must re-cluster: the members themselves, newly
-        unblocked waiters, and ready agents near the movers.
+        ``positions`` maps the movers to their new positions — a member
+        absent from it, or mapped to where it already stands, stayed
+        put (see :meth:`SpatioTemporalGraph.commit`). The frontier is
+        every ready agent the next round must re-cluster: the members
+        themselves, newly unblocked waiters, and ready agents near the
+        members.
         """
         t0 = self.clock()
         graph = self.graph

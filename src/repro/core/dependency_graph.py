@@ -21,13 +21,16 @@ Storage is flat and array-backed (§3.6 light critical path): agent ids
 are required to be dense ``0..n-1``, per-agent state lives in plain
 lists indexed by id. :meth:`SpatioTemporalGraph.commit` takes a whole
 batch of finished clusters (ack coalescing hands the same-instant batch
-over at once) — either as a mapping or as a ``(k, 2)`` row array sliced
-straight out of the trace's step-major position store — and retires it
-in one fused pass per member, whatever the batch size (cells by floor
-division on coordinate grids, by :meth:`Space.bucket` elsewhere);
-:class:`CommitResult` falls out of the same pass that recomputes
-blockers. Only *construction* is vectorized (one numpy pass derives
-every agent's initial cell).
+over at once) plus a mapping of the *movers'* new positions — a member
+absent from it, or mapped to where it already stands, stayed put — and
+retires it in one fused pass per member, whatever the batch size. A
+stationary member (most agent-steps of every scenario) skips the
+geometry outright: no position store, no cell derivation, no bucket
+transfer; only its ``(step, cell)`` slot advances. Movers derive their
+cell by floor division on coordinate grids, by :meth:`Space.bucket`
+elsewhere. :class:`CommitResult` falls out of the same pass that
+recomputes blockers. Only *construction* is vectorized (one numpy pass
+derives every agent's initial cell).
 
 The graph also owns §3.4 **coupling components** natively: connected
 components of the coupling relation among same-step non-running agents
@@ -55,20 +58,27 @@ steady-state commits (nearly) scan-free:
   *slack* (the minimum over all other agents of ``dist -
   block_threshold(effective gap)``, clamped at a horizon every
   dismissed slot provably exceeds) and its *near set* (the agents
-  inside the horizon). Per own commit the slack can shrink by at most
-  ``2 * max_vel``: the agent moves up to ``max_vel`` toward a threat
-  whose threshold grows by ``max_vel``, while a threat's own commits
-  never shrink the margin (its gap closes one step per ``max_vel`` of
-  approach). So while ``2 * max_vel * (step - scan_step) < slack`` a
-  commit skips blocker work entirely; while the shrink stays within
-  the horizon only the recorded near set is re-examined (a handful of
-  exact distance checks); only past the horizon does the indexed scan
-  re-run;
+  inside the horizon). Two terms bound how fast the slack can shrink,
+  and both are the agent's own doing: each own commit widens its step
+  gap to every threat by one, so each threshold grows by ``max_vel``;
+  and the distance to a threat closes by at most ``max_vel`` — but
+  only on a commit that actually *moved* the agent. A threat's own
+  commits never shrink the margin (its gap closes one step per
+  ``max_vel`` of approach). So with ``shrink = max_vel * (commits +
+  moves)`` counted since the scan (one per-agent move counter, reset
+  at each scan): while ``shrink < slack`` a commit skips blocker work
+  entirely; while the shrink stays within the horizon only the
+  recorded near set is re-examined (a handful of exact distance
+  checks); only past the horizon does the indexed scan re-run. An
+  agent that stays on its tile is charged half of a walker's rate and
+  re-scans half as often;
 * **blocked-pair wake steps** — symmetrically, a still-blocked check of
   waiter A against blocker B at margin ``M = threshold - dist`` stays
   true for B's next ``min(M // (2 * max_vel), gap - 1)`` commits, so
   the pair carries a wake step and B's commits skip the geometry
-  re-check until B's step reaches it.
+  re-check until B's step reaches it. This bound keeps the full
+  ``2 * max_vel`` per commit: it predicts the blocker's *future*
+  commits, and whether those will move is not known yet.
 
 All three bounds are conservative, so the maintained edge sets stay
 *exactly* equal to a from-scratch recomputation (the dict-reference
@@ -195,13 +205,17 @@ class SpatioTemporalGraph:
         self._scan_step: list[int] = [start_step] * n
         self._scan_slack: list[float] = [0.0] * n
         self._near: list[list[int] | None] = [None] * n
+        #: Commits since that scan which changed the agent's position:
+        #: only those can have closed the distance to a threat.
+        self._scan_moves: list[int] = [0] * n
         self._base_r = rules.radius_p + rules.max_vel
         self._two_mv = 2.0 * rules.max_vel
         #: Members this close to blocking at scan time land in the near
         #: set and are re-examined exactly until the accumulated worst-
         #: case slack shrink exceeds the horizon — only then does the
         #: indexed scan re-run (every ``1 + horizon / (2 * max_vel)``
-        #: commits at worst). Coordinate grids run a 16-velocity horizon
+        #: commits for an agent that moves each step, half as often for
+        #: one that stays put). Coordinate grids run a 16-velocity horizon
         #: and fine cells spanning two coupling radii (swept jointly on
         #: the hotpath matrix: ~2x fewer full scans, <=2x2 neighbor
         #: windows, half the slot table per axis). Graph metrics keep
@@ -355,6 +369,23 @@ class SpatioTemporalGraph:
         band.members.pop()
         if not steps:
             del self._bands[(key[1] // self._band, key[2] // self._band)]
+
+    def _bucket_advance(self, key: tuple[int, int, int], aid: int) -> None:
+        """Move ``aid`` one step up within its cell: the slot is re-keyed
+        in place when ``aid`` is its sole occupant and the next step's
+        slot does not exist yet (no column churn), else discard + add."""
+        new_key = (key[0] + 1, key[1], key[2])
+        bslot = self._bslot
+        ent = bslot[key]
+        band, idx = ent
+        if len(band.members[idx]) == 1 and new_key not in bslot:
+            del bslot[key]
+            bslot[new_key] = ent
+            band.steps[idx] = new_key[0]
+            band.keys[idx] = new_key
+        else:
+            self._bucket_discard(key, aid)
+            self._bucket_add(new_key, (aid,))
 
     def _slot_snapshot(self) -> dict[tuple[int, int, int], set[int]]:
         """Live ``key -> members`` map (tests validate layout through it)."""
@@ -740,16 +771,17 @@ class SpatioTemporalGraph:
             self.running[aid] = False
 
     def commit(self, aids: Iterable[int],
-               new_positions: "Mapping[int, Position] | np.ndarray"
-               ) -> CommitResult:
+               new_positions: Mapping[int, Position]) -> CommitResult:
         """Retire a batch of finished clusters, one step each.
 
         ``aids`` may span several clusters (ack coalescing hands the
         whole same-instant batch over at once); every member advances
-        one step and moves. ``new_positions`` is either a mapping by
-        agent id or a ``(k, 2)`` row array aligned with ``aids`` (the
-        replay driver gathers it straight from the trace's step-major
-        position store). Returns a :class:`CommitResult`: agents whose
+        one step. ``new_positions`` maps the *movers* to where they
+        went: a member absent from it — or mapped to its current
+        position, which is how a transport's full dict arrives —
+        stayed put and skips the geometry (the replay driver reads the
+        trace's ``moved`` mask and gathers positions for movers only).
+        Returns a :class:`CommitResult`: agents whose
         blocker set became empty (newly dispatchable candidates,
         committed members included) plus the agents within coupling
         range of the members' new positions. Memoized coupling
@@ -765,15 +797,12 @@ class SpatioTemporalGraph:
             running[aid] = False
         if not members:
             return CommitResult(set(), set())
-        if isinstance(new_positions, np.ndarray):
-            rows: list[Position] = [(r[0], r[1])
-                                    for r in new_positions.tolist()]
-        else:
-            rows = [new_positions[aid] for aid in members]
         if self._bucket_fast:
-            unblocked, per_member = self._commit_fast(members, rows)
+            unblocked, per_member = self._commit_fast(members,
+                                                      new_positions)
         else:
-            unblocked, per_member = self._commit_generic(members, rows)
+            unblocked, per_member = self._commit_generic(members,
+                                                         new_positions)
         self._release_waiters(members, unblocked)
         neighbors: set[int] = set()
         for lst in per_member.values():
@@ -821,7 +850,8 @@ class SpatioTemporalGraph:
             wake[bid][aid] = self._wake_step(step[bid], s - step[bid],
                                              margins[bid])
 
-    def _commit_fast(self, members: list[int], rows: list[Position]
+    def _commit_fast(self, members: list[int],
+                     moves: Mapping[int, Position]
                      ) -> tuple[set[int], dict[int, list[int]]]:
         step = self.step
         pos = self.pos
@@ -832,49 +862,59 @@ class SpatioTemporalGraph:
         move_bucketed = index.move_bucketed
         bucket_discard = self._bucket_discard
         bucket_add = self._bucket_add
+        bucket_advance = self._bucket_advance
         cells = self._cellxy
-        nc_list: list[tuple[int, int]] = []
-        # One fused pass per member at every batch size: cell by floor
-        # division on coordinate grids (== Space.bucket there) and by
-        # Space.bucket elsewhere, bucket transfer only on cell
-        # crossings, one slot discard/add for the step advance.
-        for i, aid in enumerate(members):
+        scan_moves = self._scan_moves
+        new_pos = moves.get
+        # One fused pass per member at every batch size. A mover stores
+        # its position and derives its cell (floor division on
+        # coordinate grids == Space.bucket there, Space.bucket
+        # elsewhere); only a cell crossing transfers buckets. Everyone
+        # else — stationary, or moved inside its cell — just advances
+        # its (step, cell) slot.
+        for aid in members:
             old_step = step[aid]
-            new_p = rows[i]
-            pos[aid] = new_p
-            if grid:
-                nc = (int(new_p[0] // cell), int(new_p[1] // cell))
-            else:
-                nc = bucket(new_p, cell)
             oc = cells[aid]
-            if nc != oc:
-                move_bucketed(aid, oc, nc)
-                cells[aid] = nc
-            nc_list.append(nc)
-            bucket_discard((old_step,) + oc, aid)
-            bucket_add((old_step + 1,) + nc, (aid,))
+            old_key = (old_step,) + oc
+            new_p = new_pos(aid)
+            if new_p is not None and new_p != pos[aid]:
+                pos[aid] = new_p
+                scan_moves[aid] += 1
+                if grid:
+                    nc = (int(new_p[0] // cell), int(new_p[1] // cell))
+                else:
+                    nc = bucket(new_p, cell)
+                if nc != oc:
+                    move_bucketed(aid, oc, nc)
+                    cells[aid] = nc
+                    bucket_discard(old_key, aid)
+                    bucket_add((old_step + 1,) + nc, (aid,))
+                    continue
+            bucket_advance(old_key, aid)
         self._advance_steps(members)
 
         # Blocker work, slack-gated per member: skip entirely while the
-        # recorded slack outlasts the worst-case shrink, re-examine only
-        # the near set while the shrink stays within the horizon, and
-        # fall back to the indexed scan only past it.
+        # recorded slack outlasts the worst-case shrink (max_vel per own
+        # commit for the threshold growth, max_vel more per commit that
+        # moved), re-examine only the near set while the shrink stays
+        # within the horizon, and fall back to the indexed scan only
+        # past it.
         min_step = self._min_step
-        two_mv = self._two_mv
+        mv = self.rules.max_vel
         horizon = self._slack_horizon
         scan_step = self._scan_step
         scan_slack = self._scan_slack
         near_sets = self._near
         unblocked: set[int] = set()
-        scan_rows: list[int] = []
-        for i, aid in enumerate(members):
+        ids: list[int] = []
+        for aid in members:
             s = step[aid]
             if s <= min_step:
                 unblocked.add(aid)
                 continue
             near = near_sets[aid]
             if near is not None:
-                shrink = two_mv * (s - scan_step[aid])
+                shrink = mv * (s - scan_step[aid] + scan_moves[aid])
                 if shrink < scan_slack[aid]:
                     self.scan_skips += 1
                     unblocked.add(aid)
@@ -887,19 +927,17 @@ class SpatioTemporalGraph:
                     else:
                         unblocked.add(aid)
                     continue
-            scan_rows.append(i)
-        if scan_rows:
-            self.scans += len(scan_rows)
-            ids = [members[i] for i in scan_rows]
+            ids.append(aid)
+        if ids:
+            self.scans += len(ids)
             svs = [step[a] for a in ids]
-            cells = [nc_list[i] for i in scan_rows]
-            ppos = [pos[a] for a in ids]
-            found, slacks, margins, nears = self._scan_rows(ids, svs,
-                                                            cells, ppos)
+            found, slacks, margins, nears = self._scan_rows(
+                ids, svs, [cells[a] for a in ids], [pos[a] for a in ids])
             for r, aid in enumerate(ids):
                 scan_step[aid] = svs[r]
                 scan_slack[aid] = slacks[r]
                 near_sets[aid] = nears[r]
+                scan_moves[aid] = 0
                 new_blockers = found[r]
                 if new_blockers:
                     self._register_blockers(aid, svs[r], new_blockers,
@@ -966,16 +1004,18 @@ class SpatioTemporalGraph:
             per_member[aid] = found
         return per_member
 
-    def _commit_generic(self, members: list[int], rows: list[Position]
+    def _commit_generic(self, members: list[int],
+                        moves: Mapping[int, Position]
                         ) -> tuple[set[int], dict[int, list[int]]]:
         """Non-bucketed spaces: per-member queries (no numpy batch path)."""
         step = self.step
         pos = self.pos
         index = self.index
-        for i, aid in enumerate(members):
-            new_p = rows[i]
-            pos[aid] = new_p
-            index.move(aid, new_p)
+        for aid in members:
+            new_p = moves.get(aid)
+            if new_p is not None and new_p != pos[aid]:
+                pos[aid] = new_p
+                index.move(aid, new_p)
         self._advance_steps(members)
         min_step = self._min_step
         couple_r = self.rules.couple_threshold
@@ -1011,7 +1051,8 @@ class SpatioTemporalGraph:
         Per blocker commit the margin shrinks by at most ``2 * max_vel``
         (it moves up to ``max_vel`` away while the threshold drops by
         ``max_vel``), and the pair dissolves outright once the gap
-        closes — whichever bound is nearer.
+        closes — whichever bound is nearer. Unlike the slack bound this
+        cannot discount stationary commits: they have not happened yet.
         """
         two_mv = self._two_mv
         free = int(margin // two_mv) if two_mv else gap - 1

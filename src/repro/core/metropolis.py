@@ -21,9 +21,10 @@ both back to the core. Its share of the light critical path (§3.6):
 * **step-keyed dispatch buckets** — pending clusters queue in numpy-
   backed buckets keyed by integer step priority instead of a heap of
   python tuples;
-* **numpy trace position store** — commit batches gather their members'
-  next positions from the trace's step-major array in one fancy index
-  and hand the row array straight to the core.
+* **movers-only trace gather** — most agent-steps do not move the
+  agent: a commit batch reads the trace's one-byte ``moved`` mask per
+  member and gathers a next position from the step-major store only
+  for the movers (one fancy index); the rest commit without geometry.
 """
 
 from __future__ import annotations
@@ -114,11 +115,12 @@ class MetropolisDriver:
         self.config = config
         self.executor = executor
         self.rules = rules_for(config, trace.meta)
-        #: Step-major trace position store: commit batches gather their
-        #: (step + 1, agent) rows in one flat fancy index — no per-agent
-        #: tuple lists are ever materialized.
+        #: Step-major trace position store and its did-it-move mask:
+        #: commit batches gather the movers' (step + 1, agent) rows in
+        #: one flat fancy index.
         self._pos_sa = trace.positions_by_step
         self._pos_flat = trace.positions_flat
+        self._moved = trace.moved
         #: ``shard_plan`` overrides region planning outright — the
         #: multiprocess workers pass their slice of the parent's global
         #: plan so per-shard graph state matches the in-process
@@ -148,8 +150,7 @@ class MetropolisDriver:
         #: instant buffer under their shared commit due-time; one kernel
         #: event retires the whole batch through one graph commit and
         #: runs one dispatch round.
-        self._round_pending: dict[
-            float, list[tuple[int, list[int], np.ndarray | None]]] = {}
+        self._round_pending: dict[float, list[tuple[int, list[int]]]] = {}
         #: Kernel events scheduled by the driver (the §3.6 churn gauge;
         #: amortized well below one per cluster with batched rounds).
         self._kernel_events = 0
@@ -315,16 +316,12 @@ class MetropolisDriver:
         # cluster commits when its last chain ends.
         self.executor.run_round(launches, self._queue_commit)
 
-    def _queue_commit(self, step: int, members: list[int],
-                      rows: np.ndarray | None = None) -> None:
+    def _queue_commit(self, step: int, members: list[int]) -> None:
         """Buffer a finished cluster for its instant's controller round.
 
         Clusters finishing at the same virtual instant share one round
         event at ``now + cluster_commit``: the round retires the whole
-        batch through one graph commit, then dispatches. ``rows`` is an
-        optional pre-gathered ``(len(members), 2)`` next-position array
-        (the speculative driver hands over its per-record row snapshot
-        so retirement never re-reads the trace store).
+        batch through one graph commit, then dispatches.
         """
         due = self.kernel.now + self.config.overhead.cluster_commit
         batch = self._round_pending.get(due)
@@ -333,42 +330,37 @@ class MetropolisDriver:
             self._kernel_events += 1
             self.kernel.call_in(self.config.overhead.cluster_commit,
                                 self._controller_round_event, due)
-        batch.append((step, members, rows))
+        batch.append((step, members))
 
     def _controller_round_event(self, due: float) -> None:
         batch = self._round_pending.pop(due)
         self._busy_workers -= len(batch)
         self._controller_round(self._retire(batch))
 
-    def _retire(self, batch: list[tuple[int, list[int], np.ndarray | None]]
-                ) -> set[int]:
-        """Retire every cluster of the batch in one vectorized commit."""
+    def _retire(self, batch: list[tuple[int, list[int]]]) -> set[int]:
+        """Retire every cluster of the batch in one graph commit."""
         core = self.core
         t0 = core.clock()
         n = self.graph.n_agents
+        moved = self._moved
         members_all: list[int] = []
-        for _, members, _ in batch:
+        movers: list[int] = []
+        rows: list[int] = []
+        for step, members in batch:
             members_all += members
-        if all(snap is None for _, _, snap in batch):
-            # One flat fancy-index gather from the step-major store
-            # replaces the per-member position dict of the tuple-list era.
-            rows: list[int] = []
-            for step, members, _ in batch:
-                base = (step + 1) * n
-                for aid in members:
-                    rows.append(base + aid)
-            pos_rows = self._pos_flat[rows]
-        else:
-            # Speculative retirements carry their launch-time row
-            # snapshots; stitch per-cluster arrays in batch order.
-            parts = [snap if snap is not None else
-                     self._pos_flat[[(step + 1) * n + aid
-                                     for aid in members]]
-                     for step, members, snap in batch]
-            pos_rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            base = step * n
+            for aid in members:
+                if moved[base + aid]:
+                    movers.append(aid)
+                    rows.append(base + n + aid)
+        # Only movers read the trace; a member absent from the mapping
+        # stayed put (the common case: the gather is skipped outright).
+        positions = {aid: (r[0], r[1]) for aid, r in
+                     zip(movers, self._pos_flat[rows].tolist())} \
+            if movers else {}
         # The trace gather is graph-update work: same bucket as the commit.
         self.stats.time_graph += core.clock() - t0
-        dirty = core.retire(members_all, pos_rows)
+        dirty = core.retire(members_all, positions)
         if self._interactive:
             now = self.kernel.now
             for aid in members_all:

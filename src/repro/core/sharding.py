@@ -355,22 +355,25 @@ class ShardedGraph:
             running[g] = False
 
     def commit(self, aids: Iterable[int],
-               new_positions: "Mapping[int, Position] | np.ndarray"
-               ) -> CommitResult:
+               new_positions: Mapping[int, Position]) -> CommitResult:
         members = list(aids)
-        arr = new_positions if isinstance(new_positions, np.ndarray) \
-            else None
+        new_pos = new_positions.get
         shard_of = self._shard_of
         g2l = self._g2l
-        groups: dict[int, tuple[list[int], list[int], list[int]]] = {}
-        for i, g in enumerate(members):
+        #: si -> (local ids, global ids, local movers' new positions)
+        groups: dict[int, tuple[list[int], list[int],
+                                dict[int, Position]]] = {}
+        for g in members:
             si = shard_of[g]
             entry = groups.get(si)
             if entry is None:
-                groups[si] = entry = ([], [], [])
-            entry[0].append(g2l[g])
+                groups[si] = entry = ([], [], {})
+            lid = g2l[g]
+            entry[0].append(lid)
             entry[1].append(g)
-            entry[2].append(i)
+            p = new_pos(g)
+            if p is not None:
+                entry[2][lid] = p
         unblocked: set[int] = set()
         neighbors: set[int] = set()
         per_member: dict[int, list[int]] = {}
@@ -378,16 +381,10 @@ class ShardedGraph:
         pos = self.pos
         running = self.running
         blocked_by = self.blocked_by
-        for si, (lids, gids, rowidx) in groups.items():
+        for si, (lids, gids, moves) in groups.items():
             sub = self._shards[si]
             l2g = self._l2g[si]
-            if arr is not None:
-                res = sub.commit(
-                    lids, arr[np.asarray(rowidx, dtype=np.intp)])
-            else:
-                res = sub.commit(
-                    lids, {lid: new_positions[g]
-                           for lid, g in zip(lids, gids)})
+            res = sub.commit(lids, moves)
             for lid in res.unblocked:
                 unblocked.add(l2g[lid])
             for lid in res.neighbors:

@@ -33,15 +33,15 @@ implements it for replay mode:
 
 Three design points make the mode a measured win rather than a sketch:
 
-**O(changed rows) rollback.** Each speculation record carries one
-array-slice snapshot of its members' next-step rows, gathered from the
-trace's step-major position store at launch. That snapshot is the
-entire speculative state delta: retiring hands the rows straight to the
-batched graph commit (no re-gather), and undoing — squash or
-misspeculation — just drops the rows and re-opens the members. Nothing
-is replayed; ``stats.extra["rollback_rows"]`` counts exactly the rows
-ever restored, and the ledger identity ``spec_launched_members ==
-spec_retired_members + rollback_rows`` is fuzz-enforced.
+**O(members) rollback.** A speculation record is its members and
+their step, nothing else: the trace is immutable, so retiring queues
+the cluster on the normal commit path (which reads the members' next
+positions from the trace like any other commit), and undoing — squash
+or misspeculation — just drops the record and re-opens the members.
+Nothing is replayed; ``stats.extra["rollback_rows"]`` counts exactly
+the members ever restored, and the ledger identity
+``spec_launched_members == spec_retired_members + rollback_rows`` is
+fuzz-enforced.
 
 **Priority-driven launch.** The flat first-come budget is replaced by a
 critical-path ranking: among blocked candidate clusters, score =
@@ -70,20 +70,16 @@ from .metropolis import MetropolisDriver
 
 
 class _SpecRecord:
-    """One in-flight speculation: members, step, and the row snapshot."""
+    """One in-flight speculation: members, step, the oracle's verdict."""
 
-    __slots__ = ("members", "step", "chains_left", "will_fail", "rows")
+    __slots__ = ("members", "step", "chains_left", "will_fail")
 
-    def __init__(self, members: list[int], step: int, will_fail: bool,
-                 rows: np.ndarray) -> None:
+    def __init__(self, members: list[int], step: int,
+                 will_fail: bool) -> None:
         self.members = members
         self.step = step
         self.chains_left = len(members)
         self.will_fail = will_fail
-        #: ``(len(members), 2)`` next-step positions gathered from the
-        #: step-major trace store at launch — the record's whole
-        #: speculative state delta (see module docstring).
-        self.rows = rows
 
 
 class SpeculativeMetropolisDriver(MetropolisDriver):
@@ -241,11 +237,9 @@ class SpeculativeMetropolisDriver(MetropolisDriver):
         graph = self.graph
         graph.invalidate_components(cluster)
         step = graph.step[cluster[0]]
-        marr = np.asarray(cluster, dtype=np.int64)
-        rows = self._pos_flat[(step + 1) * graph.n_agents + marr]
         cid = self._spec_seq = self._spec_seq + 1
         self._spec[cid] = _SpecRecord(
-            cluster, step, self._lookahead_detects_race(cluster, step), rows)
+            cluster, step, self._lookahead_detects_race(cluster, step))
         for m in cluster:
             self._spec_members[m] = cid
         self.core.ready.difference_update(cluster)
@@ -344,9 +338,7 @@ class SpeculativeMetropolisDriver(MetropolisDriver):
             self._spec_outcome(bad=True)
             self._controller_round(self._rollback(cid))
             return
-        # Retire in order: hand the cluster to the normal commit path,
-        # feeding the launch-time row snapshot straight to the batched
-        # graph commit.
+        # Retire in order: hand the cluster to the normal commit path.
         self._spec.pop(cid)
         for m in members:
             del self._spec_members[m]
@@ -357,13 +349,13 @@ class SpeculativeMetropolisDriver(MetropolisDriver):
         self._spec_outcome(bad=False)
         self.core.claim([(rec.step, members)])
         self._busy_workers += 1
-        self._queue_commit(rec.step, members, rec.rows)
+        self._queue_commit(rec.step, members)
 
     def _rollback(self, cid: int) -> set[int]:
-        """Undo one speculation record in O(its rows).
+        """Undo one speculation record in O(its members).
 
-        Drops the record's row snapshot (counted in ``rollback_rows``)
-        and returns the members to the ready pool. Memoized coupling
+        Drops the record (its members counted in ``rollback_rows``) and
+        returns the members to the ready pool. Memoized coupling
         components built while the members were hidden from clustering
         are stale — any ready agent within coupling range may now have
         to absorb them — so the members' neighborhoods are invalidated.
@@ -373,7 +365,7 @@ class SpeculativeMetropolisDriver(MetropolisDriver):
         for m in members:
             del self._spec_members[m]
         self.core.ready.update(members)
-        self.stats.extra["rollback_rows"] += len(rec.rows)
+        self.stats.extra["rollback_rows"] += len(members)
         graph = self.graph
         graph.invalidate_components(members)
         threshold = self.rules.couple_threshold

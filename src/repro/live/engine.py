@@ -16,8 +16,10 @@ Faithful to the paper's architecture at thread granularity:
 * the controller drains every pending ack, retires the whole batch
   through one ``core.retire`` (the ack payload already carries the
   positions, so the controller never re-derives
-  ``program.position()``), and dispatches whatever became ready,
-  exactly like the virtual-time driver.
+  ``program.position()``; a member whose payload position equals its
+  current one is committed as "did not move", geometry skipped), and
+  dispatches whatever became ready, exactly like the virtual-time
+  driver.
 
 **Fault tolerance** (see :mod:`repro.faults`): workers call the LLM
 through a :class:`~repro.faults.ResilientClient` (bounded seeded-backoff

@@ -4,8 +4,8 @@ Positions and LLM calls are stored as dense numpy arrays so that thousand-
 agent traces stay compact and slicing an hour window (the paper's busy/
 quiet-hour benchmarks) is a cheap array operation. Positions are held
 **step-major** — one ``(n_steps + 1, n_agents, 2)`` int array — so the
-replay drivers gather a commit batch's rows in one fancy index, a step's
-population slice is contiguous (bulk spatial-index loads, the oracle's
+replay drivers gather a commit batch's movers in one fancy index (a
+lazily built ``moved`` mask says who they are), a step's population slice is contiguous (bulk spatial-index loads, the oracle's
 per-step clustering), and graph-metric traces expose their node-id
 column without re-tupling; the agent-major orientation remains available
 as a transposed view. A CSR-style index maps ``(agent, step)`` to that
@@ -230,6 +230,7 @@ class Trace:
             self._pos_sa = np.ascontiguousarray(
                 positions.transpose(1, 0, 2))
         self._pos_flat: np.ndarray | None = None
+        self._moved: bytes | None = None
         n = len(call_step)
         for name, arr in (("call_agent", call_agent),
                           ("call_func", call_func), ("call_in", call_in),
@@ -334,14 +335,32 @@ class Trace:
         """``int[(n_steps + 1) * n_agents, 2]`` row view of the store.
 
         Row ``step * n_agents + agent`` is that agent's tile at the
-        start of ``step`` — the replay drivers' commit gathers and the
-        speculative driver's per-record row snapshots index this one
-        shared array instead of each rebuilding their own copy.
+        start of ``step`` — the replay driver's commit gather (movers
+        only, see :attr:`moved`) indexes this one shared array.
         """
         flat = self._pos_flat
         if flat is None:
             self._pos_flat = flat = self._pos_sa.reshape(-1, 2)
         return flat
+
+    @property
+    def moved(self) -> bytes:
+        """One byte per agent-step: did the agent change tile over it?
+
+        ``moved[step * n_agents + agent]`` is non-zero iff
+        ``positions_by_step[step + 1, agent] !=
+        positions_by_step[step, agent]``. Most agent-steps of every
+        scenario stay put, so the replay driver reads this mask and
+        gathers a next position only for the movers. Built by one
+        vectorised compare at first use; ``bytes`` because the driver
+        indexes it one member at a time.
+        """
+        moved = self._moved
+        if moved is None:
+            pos = self._pos_sa
+            self._moved = moved = \
+                (pos[1:] != pos[:-1]).any(axis=2).tobytes()
+        return moved
 
     def step_positions(self, step: int) -> np.ndarray:
         """Contiguous ``int[n_agents, 2]`` slice at the start of ``step``."""

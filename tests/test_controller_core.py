@@ -65,7 +65,8 @@ def _core(course, metric, sharded, **kw):
 
 
 def _retire(core, pos_sa, step, members):
-    return core.retire(members, pos_sa[step + 1, members])
+    return core.retire(members, {m: tuple(pos_sa[step + 1, m].tolist())
+                                 for m in members})
 
 
 def _run_walkers_until_blocked(core, pos_sa):

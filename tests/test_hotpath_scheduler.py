@@ -18,7 +18,7 @@ from repro.core.dependency_graph import SpatioTemporalGraph
 from repro.core.space import EuclideanSpace
 from repro.errors import CausalityViolation, SchedulingError
 
-from helpers import (grid_moves, grid_positions, random_trace,
+from helpers import (grid_moves, grid_positions, random_trace, ring_space,
                      tree_chord_space)
 
 
@@ -132,7 +132,9 @@ def _assert_fastpath_invariants(graph, ref, rules, n):
         if graph.running[aid]:
             continue
         s = graph.step[aid]
-        shrink = 2.0 * mv * (s - graph._scan_step[aid])
+        # max_vel of threshold growth per own commit since the scan,
+        # max_vel of approach per commit that moved the agent.
+        shrink = mv * (s - graph._scan_step[aid] + graph._scan_moves[aid])
         near = graph._near[aid]
         # Scan-skip licence: while the recorded slack outlasts the
         # worst-case shrink, the agent provably has no blockers.
@@ -176,7 +178,8 @@ def _assert_fastpath_invariants(graph, ref, rules, n):
 
 
 def _run_commit_fuzz(rules, positions, move_candidates, rng, n,
-                     iters=40, band_size=None, whole_first=False):
+                     iters=40, band_size=None, whole_first=False,
+                     stay_p=None):
     """Shared fuzz body: random batched commits vs the dict reference.
 
     ``move_candidates(pos)`` returns the legal next positions of an
@@ -187,7 +190,18 @@ def _run_commit_fuzz(rules, positions, move_candidates, rng, n,
     to the dict reference either way. ``whole_first`` makes the first
     batch the **whole population** (every step-0 agent is free): the
     lock-step / whole-shard commit shape, far above the 1-3 clusters
-    the random batches reach.
+    the random batches reach. ``stay_p`` makes a member keep its
+    position with that probability (the replay workloads' common case:
+    94-98% of agent-steps) and feeds ``commit`` the movers-only mapping
+    on odd iterations, the full mapping on even ones.
+
+    Mutation check: charging a mover 0 instead of ``max_vel`` (dropping
+    the ``_scan_moves`` increment in ``_commit_fast``) fails this fuzz
+    at its default move rate (``test_randomized_commit_order``, every
+    coordinate metric and band size) — a walker's skip licence then
+    outlives its slack; at ``stay_p >= 0.9`` moves are too rare to
+    reach it, so ``test_walker_is_charged_for_its_moves`` pins it
+    deterministically.
     """
     graph = SpatioTemporalGraph(rules, positions, band_size=band_size)
     ref = DictReferenceGraph(rules, positions)
@@ -218,9 +232,16 @@ def _run_commit_fuzz(rules, positions, move_candidates, rng, n,
             launch(members)
         new_pos = {}
         for m in batch:
+            if stay_p is not None and rng.random() < stay_p:
+                new_pos[m] = graph.pos[m]
+                continue
             cands = move_candidates(graph.pos[m])
             new_pos[m] = cands[rng.integers(0, len(cands))]
-        result = graph.commit(batch, new_pos)
+        if stay_p is not None and it % 2:
+            result = graph.commit(batch, {m: p for m, p in new_pos.items()
+                                          if p != graph.pos[m]})
+        else:
+            result = graph.commit(batch, new_pos)
         ref_unblocked, ref_neighbors, ref_member = ref.commit(batch,
                                                               new_pos)
 
@@ -243,6 +264,21 @@ def _run_commit_fuzz(rules, positions, move_candidates, rng, n,
                 assert graph.component_for(aid, set()) == \
                     _ref_component(ref, rules, aid), \
                     f"agent {aid} component diverged"
+
+
+def _metric_world(metric, rng, n, nodes, **box):
+    """``(rules, positions, move_candidates)`` of a fuzz on ``metric``:
+    a ``nodes``-node tree-with-chords for ``"graph"``, else the grid
+    box ``grid_positions`` takes."""
+    if metric != "graph":
+        return (DependencyRules(DependencyConfig(metric=metric)),
+                grid_positions(rng, n, **box), grid_moves)
+    space, adj = tree_chord_space(rng, nodes)
+    rules = DependencyRules(
+        DependencyConfig(radius_p=1.0, max_vel=1.0, metric="graph"),
+        space=space)
+    positions = {i: (rng.integers(0, nodes), 0) for i in range(n)}
+    return rules, positions, lambda pos: [pos, *adj[pos]]  # stay or hop
 
 
 class TestGraphMatchesReferenceModel:
@@ -289,22 +325,25 @@ class TestGraphMatchesReferenceModel:
         cells (dense buckets, many shared ``(step, cell)`` slots), then
         ordinary random batches on the state it leaves behind."""
         rng = FastRng(seed)
-        if metric == "graph":
-            space, adj = tree_chord_space(rng, 8)
-            rules = DependencyRules(
-                DependencyConfig(radius_p=1.0, max_vel=1.0,
-                                 metric="graph"), space=space)
-            positions = {i: (rng.integers(0, 8), 0) for i in range(n)}
-
-            def moves(pos):
-                return [pos, *adj[pos]]
-        else:
-            rules = DependencyRules(DependencyConfig(metric=metric))
-            positions = grid_positions(rng, n, x_lo=40, x_hi=64,
-                                       y_lo=0, y_hi=24)
-            moves = grid_moves
+        rules, positions, moves = _metric_world(
+            metric, rng, n, 8, x_lo=40, x_hi=64, y_lo=0, y_hi=24)
         _run_commit_fuzz(rules, positions, moves, rng, n, iters=4,
                          whole_first=True)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "chebyshev",
+                                        "manhattan", "graph"])
+    @pytest.mark.parametrize("band_size", [None, 1, 10**9])
+    @pytest.mark.parametrize("stay_p", [0.9, 1.0])
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 10**9), n=st.integers(2, 12))
+    def test_mostly_stationary_commits(self, metric, band_size, stay_p,
+                                       seed, n):
+        """The replay workloads' common case: members that do not move,
+        handed over as a movers-only mapping or as a full one."""
+        rng = FastRng(seed)
+        rules, positions, moves = _metric_world(metric, rng, n, 12)
+        _run_commit_fuzz(rules, positions, moves, rng, n,
+                         band_size=band_size, stay_p=stay_p)
 
     def test_distant_laggard_pruned_until_it_blocks(self):
         """Wide step spread: the coarse min-step prune must never hide a
@@ -676,6 +715,23 @@ class TestHotpathBench:
                                 max_fallback_scans=-1)
         assert any("kernel events per cluster" in f for f in failures)
         assert any("fallback scans" in f for f in failures)
+        # the rescan-cadence ceiling: an exact counter, gated per scenario
+        from repro.bench.hotpath import MAX_SCANS_PER_AGENT_STEP
+        rate = entry["scans_per_agent_step"]
+        assert 0 < rate <= MAX_SCANS_PER_AGENT_STEP["smallville"]
+        assert check_report(
+            report, min_throughput=1.0, min_speedup=0.0,
+            max_scans_per_agent_step=MAX_SCANS_PER_AGENT_STEP) == []
+        failures = check_report(
+            report, min_throughput=1.0, min_speedup=0.0,
+            max_scans_per_agent_step={"smallville": rate / 2})
+        assert any("full blocker scans per agent-step" in f
+                   for f in failures)
+        del entry["scans_per_agent_step"]
+        failures = check_report(
+            report, min_throughput=1.0, min_speedup=0.0,
+            max_scans_per_agent_step=MAX_SCANS_PER_AGENT_STEP)
+        assert any("scans_per_agent_step missing" in f for f in failures)
 
 
 def _observable_state(graph, n):
@@ -694,6 +750,92 @@ def _observable_state(graph, n):
     if graph._bucket_fast:
         state["slots"] = graph._slot_snapshot()
     return state
+
+
+class TestStationaryCommits:
+    """"Did not move" is free: no geometry, and half the rescan rate."""
+
+    @staticmethod
+    def _never_moving(metric):
+        """64 agents that never move, spaced past the gap-1 blocking
+        threshold (round-robin commits never block) but inside each
+        other's slack horizon (near sets are not empty)."""
+        if metric == "graph":
+            space = ring_space(256)
+            rules = DependencyRules(
+                DependencyConfig(radius_p=1.0, max_vel=1.0,
+                                 metric="graph"), space=space)
+            positions = {i: (4 * i, 0) for i in range(64)}
+        else:
+            rules = DependencyRules(DependencyConfig(metric=metric))
+            positions = {i: (10 * (i % 8), 10 * (i // 8))
+                         for i in range(64)}
+        return rules, positions
+
+    @pytest.mark.parametrize("metric,horizon", [
+        ("euclidean", 16), ("chebyshev", 16), ("manhattan", 16),
+        ("graph", 8)])
+    def test_scan_budget_and_no_cell_derivations(self, metric, horizon):
+        """A stationary agent is charged ``max_vel`` per commit, not
+        ``2 * max_vel``: it re-scans once per ``horizon`` commits (the
+        old bound: twice as often), and no commit derives a cell."""
+        rules, positions = self._never_moving(metric)
+        graph = SpatioTemporalGraph(rules, positions)
+        assert graph._slack_horizon == horizon * rules.max_vel
+        cells = list(graph._cellxy)
+        pos_objects = list(graph.pos)
+        bucket_calls = []
+        bucket = rules.space.bucket
+        rules.space.bucket = lambda *a: bucket_calls.append(a) or bucket(*a)
+        scans = [0] * 64
+        steps = 64
+        for _ in range(steps):
+            for aid in range(64):
+                graph.mark_running([aid])
+                before = graph.scans
+                graph.commit([aid], {})
+                scans[aid] += graph.scans - before
+                assert not graph.is_blocked(aid)
+        assert graph.min_step == graph.max_step == steps
+        assert max(scans) <= -(-steps // horizon) + 1
+        assert graph.scan_skips + graph.near_checks > graph.scans
+        assert bucket_calls == []
+        assert all(a is b for a, b in zip(cells, graph._cellxy))
+        assert all(a is b for a, b in zip(pos_objects, graph.pos))
+        assert graph.fallback_scans == 0
+
+    def test_walker_is_charged_for_its_moves(self):
+        """The other half of the bound: a commit that moved the agent
+        costs ``max_vel`` more. A walker closing in on a laggard must
+        block on the exact commit the reference says (mutation check:
+        without the ``_scan_moves`` increment its skip licence covers
+        that commit and this fails)."""
+        rules = DependencyRules(DependencyConfig())
+        positions = {0: (0, 0), 1: (30, 0)}
+        graph = SpatioTemporalGraph(rules, positions)
+        ref = DictReferenceGraph(rules, positions)
+        for k in range(1, 14):
+            assert not graph.is_blocked(1)
+            graph.mark_running([1])
+            ref.running[1] = True
+            graph.commit([1], {1: (30 - k, 0)})
+            ref.commit([1], {1: (30 - k, 0)})
+            assert graph.blocked_by[1] == ref.blockers(1)
+            _assert_fastpath_invariants(graph, ref, rules, 2)
+        # blocked once 30 - k <= radius_p + (k + 1) * max_vel
+        assert graph.blockers_of(1) == frozenset({0})
+        assert graph.scan_skips > 0
+
+    @pytest.mark.parametrize("positions", [{}, {1: (30, 0)}],
+                             ids=["absent", "current"])
+    def test_stationary_member_must_be_running(self, positions):
+        """No check weakened: skipping the geometry does not skip the
+        per-member ``was not running`` error."""
+        rules = DependencyRules(DependencyConfig())
+        graph = SpatioTemporalGraph(rules, {0: (0, 0), 1: (30, 0)})
+        graph.mark_running([0])
+        with pytest.raises(SchedulingError, match="agent 1 was not running"):
+            graph.commit([0, 1], positions)
 
 
 class TestAbortRunning:

@@ -239,7 +239,7 @@ class TestInvocationDistance:
             if graph.blocked_by[1]:
                 break
             graph.mark_running([1])
-            graph.commit([1], np.array([(3, 0)], dtype=np.int32))
+            graph.commit([1], {})  # stays at (3, 0)
         assert graph.blocked_by[1]
         assert graph.invocation_distance(1) >= 1.0
         assert graph.invocation_distance(2) == 0.0

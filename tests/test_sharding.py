@@ -96,31 +96,37 @@ class TestPlanRegions:
         assert plan_regions(_fake_trace(pos4), rules, 0) is None
 
 
-def _mirror_commit_fuzz(rules, groups, moves, rng, iters=30):
-    """Drive identical random commits through the single graph and a
-    ShardedGraph over ``groups``; every observable must match exactly."""
-    n = sum(len(g) for g in groups)
+def _fuzz_world(groups):
+    """``(n, initial position array, shard plan)`` of disjoint groups."""
     positions = {}
     for g in groups:
         positions.update(g)
+    n = len(positions)
     init = np.array([positions[i] for i in range(n)], dtype=np.int64)
+    return n, init, [sorted(g) for g in groups]
+
+
+def _dispatchable_cluster(graph, n, rng):
+    """A random coupling component of ``graph`` that is free to run."""
+    for seed_aid in sorted(range(n), key=lambda _: rng.random()):
+        if graph.running[seed_aid] or graph.is_blocked(seed_aid):
+            continue
+        members = graph.component_for(seed_aid, set())
+        if not any(graph.is_blocked(m) for m in members):
+            return members
+    raise AssertionError("fuzz deadlocked")
+
+
+def _mirror_commit_fuzz(rules, groups, moves, rng, iters=30):
+    """Drive identical random commits through the single graph and a
+    ShardedGraph over ``groups``; every observable must match exactly."""
+    n, init, plan = _fuzz_world(groups)
     single = SpatioTemporalGraph(rules, init)
-    sharded = ShardedGraph(rules, init,
-                           [sorted(g) for g in groups])
+    sharded = ShardedGraph(rules, init, plan)
     assert sharded.n_shards == len(groups)
 
     for _ in range(iters):
-        cluster = None
-        order = sorted(range(n), key=lambda _: rng.random())
-        for seed_aid in order:
-            if single.running[seed_aid] or single.is_blocked(seed_aid):
-                continue
-            members = single.component_for(seed_aid, set())
-            if any(single.is_blocked(m) for m in members):
-                continue
-            cluster = members
-            break
-        assert cluster is not None, "fuzz deadlocked"
+        cluster = _dispatchable_cluster(single, n, rng)
         # The facade's component must be the same members (global ids).
         assert sharded.build_component(cluster[0], set()) == cluster
         single.mark_running(cluster)
@@ -147,6 +153,58 @@ def _mirror_commit_fuzz(rules, groups, moves, rng, iters=30):
                 assert sharded.invocation_distance(aid) == \
                     single.invocation_distance(aid)
         assert sharded.snapshot() == single.snapshot()
+
+
+def _commit_forms_fuzz(rules, groups, moves, rng, iters=40, stay_p=0.7):
+    """One random commit stream, three input forms, two graph classes.
+
+    ``commit`` reads "did not move" off its mapping: a member absent
+    from it, a member mapped to an equal position, and a member mapped
+    to the graph's own position object must all mean the same thing —
+    same :class:`CommitResult`, blocked edges and slot table — on the
+    plain graph and behind the sharded facade.
+    """
+    n, init, plan = _fuzz_world(groups)
+    forms = {
+        "movers-only": lambda g, new: {m: p for m, p in new.items()
+                                       if p != g.pos[m]},
+        "full": lambda g, new: {m: tuple(p) for m, p in new.items()},
+        "current": lambda g, new: {m: g.pos[m] if p == g.pos[m] else p
+                                   for m, p in new.items()},
+    }
+    singles = {f: SpatioTemporalGraph(rules, init) for f in forms}
+    shardeds = {f: ShardedGraph(rules, init, plan) for f in forms}
+    lead = singles["full"]
+
+    def observe(graph, result):
+        slots = [sub._slot_snapshot() for sub in graph._shards] \
+            if isinstance(graph, ShardedGraph) else graph._slot_snapshot()
+        return (result.unblocked, result.neighbors,
+                {m: sorted(v) for m, v in result.member_neighbors.items()},
+                [graph.blockers_of(a) for a in range(n)],
+                graph.snapshot(), slots)
+
+    for _ in range(iters):
+        cluster = _dispatchable_cluster(lead, n, rng)
+        new = {}
+        for m in cluster:
+            cands = moves(lead.pos[m])
+            new[m] = lead.pos[m] if rng.random() < stay_p \
+                else cands[rng.integers(0, len(cands))]
+        seen = {}
+        for family in (singles, shardeds):
+            for form, graph in family.items():
+                graph.mark_running(cluster)
+                seen[form] = observe(
+                    graph, graph.commit(cluster, forms[form](graph, new)))
+            assert seen["movers-only"] == seen["full"] == seen["current"]
+    assert lead.scan_skips + lead.near_checks > 0  # slack gate engaged
+    # The input form changes no work either (shard-local min steps make
+    # the two classes' scan counters legitimately differ, not the forms).
+    for family in (singles, shardeds):
+        for counter in ("scans", "scan_skips", "near_checks",
+                        "scanned_slots", "blocked_events"):
+            assert len({getattr(g, counter) for g in family.values()}) == 1
 
 
 class TestShardedGraphEquivalence:
@@ -198,6 +256,39 @@ class TestShardedGraphEquivalence:
             return [pos, *space._adj[pos]]
 
         _mirror_commit_fuzz(rules, [group_a, group_b], moves, rng)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "graph"])
+    def test_commit_input_forms_are_equivalent(self, metric):
+        rng = FastRng(7)
+        if metric == "graph":
+            base = _ring_space(12, chords=4, seed=7)
+            adj = dict(base._adj)
+            adj.update({(a + 1000, 0): tuple((b + 1000, 0) for b, _ in vs)
+                        for (a, _), vs in base._adj.items()})
+            space = GraphSpace(adj)
+            rules = DependencyRules(
+                DependencyConfig(radius_p=1.0, max_vel=1.0,
+                                 metric="graph"), space=space)
+            groups = [{i: (rng.integers(0, 12), 0) for i in range(5)},
+                      {5 + i: (1000 + rng.integers(0, 12), 0)
+                       for i in range(5)}]
+
+            def moves(pos):
+                return [pos, *space._adj[pos]]
+        else:
+            rules = DependencyRules(DependencyConfig())
+            groups = [{i: (rng.integers(0, 40), rng.integers(0, 40))
+                       for i in range(6)},
+                      {6 + i: (600 + rng.integers(0, 40),
+                               rng.integers(0, 40)) for i in range(6)}]
+
+            def moves(pos):
+                x, y = pos
+                lo = 0 if x < 300 else 600
+                return [(min(max(x + dx, lo), lo + 39), y + dy)
+                        for dx, dy in ((0, 0), (1, 0), (-1, 0), (0, 1),
+                                       (0, -1))]
+        _commit_forms_fuzz(rules, groups, moves, rng)
 
     def test_three_shards_with_blocking_laggard(self):
         """Deterministic deep-gap scenario: a laggard blocks its own

@@ -1,5 +1,7 @@
 """Tests for the trace schema, generation, io and statistics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from repro.errors import TraceError
 from repro.trace import (Trace, compute_stats, export_jsonl,
                          generate_concatenated_trace, generate_trace,
                          import_jsonl, load_trace, save_trace)
-from repro.trace.schema import TraceMeta, concat_traces
+from repro.trace.schema import (SharedPositionStore, TraceMeta,
+                                concat_traces)
 
 from helpers import random_trace
 
@@ -105,6 +108,44 @@ class TestTraceSchema:
         assert np.array_equal(c.positions[3:, :, 0],
                               b.positions[:, :, 0] + 100)
         assert c.n_calls == a.n_calls + b.n_calls
+
+    def test_moved_mask_matches_brute_force(self, synthetic_trace):
+        """``moved[step * n + agent]`` == did the tile change over the
+        step — on a trace, a window of it, a concatenation, and the
+        member-column slice a shard worker builds from shared memory."""
+        def brute(trace):
+            n, steps = trace.meta.n_agents, trace.meta.n_steps
+            return bytes(trace.pos(a, s + 1) != trace.pos(a, s)
+                         for s in range(steps) for a in range(n))
+
+        t = synthetic_trace
+        both = concat_traces([t, random_trace(seed=12)], x_stride=100)
+        members = np.array([1, 4, 7, 10])
+        store = both.share_positions()
+        try:
+            attached = SharedPositionStore.open(store.name, store.shape,
+                                                store.dtype)
+            try:
+                columns = attached.array[:, members, :].copy()
+            finally:
+                attached.close()
+        finally:
+            store.unlink()
+            store.close()
+        worker_slice = Trace(
+            replace(both.meta, n_agents=len(members)), columns,
+            *[np.zeros(0, dtype=np.int32)] * 5, step_major=True)
+        for trace in (t, t.window(10, 30), both, worker_slice):
+            moved = trace.moved
+            assert isinstance(moved, bytes)
+            assert len(moved) == trace.meta.n_agents * trace.meta.n_steps
+            assert moved == brute(trace)
+            assert trace.moved is moved  # built once
+        assert 0 < sum(t.moved) < len(t.moved)
+        n = both.meta.n_agents
+        assert worker_slice.moved == bytes(
+            both.moved[s * n + a] for s in range(both.meta.n_steps)
+            for a in members.tolist())
 
     def test_concat_requires_same_steps(self):
         a = random_trace(seed=1, n_steps=10)
