@@ -25,8 +25,10 @@ from ..errors import ScenarioError
 from ..scenarios import get_scenario, scenario_names
 from .experiments import EXPERIMENTS, run_experiment
 from .hotpath import (AGENT_COUNTS, BASELINE_PATH,
+                      MAX_EVENTS_TOTAL_PER_CLUSTER,
                       MAX_FALLBACK_SCANS, MAX_KERNEL_EVENTS_PER_CLUSTER,
-                      MAX_SCANS_PER_AGENT_STEP, MIN_PARALLEL_RATIO, MIN_SCALE_RATIO, MIN_SPEC_RATIO,
+                      MAX_SCANS_PER_AGENT_STEP, MIN_PARALLEL_RATIO,
+                      MIN_SCALE_RATIO, MIN_SPEC_RATIO,
                       MIN_SPEEDUP, MIN_THROUGHPUT, PARALLEL_WORKERS,
                       SCALE_AGENTS, SCALE_SCENARIOS, TRAJECTORY,
                       check_report, check_scale_report,
@@ -313,7 +315,8 @@ def main(argv: list[str] | None = None) -> int:
                 max_fallback_scans=args.max_fallback_scans,
                 min_spec_ratio=args.min_spec_ratio if args.spec
                 else None,
-                max_scans_per_agent_step=MAX_SCANS_PER_AGENT_STEP)
+                max_scans_per_agent_step=MAX_SCANS_PER_AGENT_STEP,
+                max_events_total_per_cluster=MAX_EVENTS_TOTAL_PER_CLUSTER)
             if failures:
                 for failure in failures:
                     print(f"FAIL: {failure}", file=sys.stderr)

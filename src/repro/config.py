@@ -177,7 +177,8 @@ class SchedulerConfig:
     #: Number of logical worker slots. ``0`` means unbounded (the DES does
     #: not need CPU limits; live mode uses real threads).
     num_workers: int = 0
-    #: Validate the §3.2 condition at every state change (slow; for tests).
+    #: Validate the §3.2 condition, and the commit's coupling candidates
+    #: against a full join, at every state change (slow; for tests).
     validate_causality: bool = False
     #: §6 hybrid/interactive deployment: agents whose tasks (and clusters)
     #: are latency-critical — e.g. the ones a player interacts with. Their

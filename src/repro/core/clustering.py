@@ -26,14 +26,10 @@ path light (§3.6):
   predicate; only a space with no bucketing at all degrades to a
   linear scan.
 
-Incremental coupling components live *inside*
-:class:`~repro.core.dependency_graph.SpatioTemporalGraph` (its
-``component_for`` / ``build_component`` / ``invalidate_components``
-API): a component only changes when one of its members (or an agent
-newly within coupling range of one) moves, steps, or leaves the ready
-set — all transitions the graph itself drives, so memoization and
-invalidation happen in ``mark_running``/``commit`` with no separate
-protocol.
+Coupling components are searched *inside*
+:class:`~repro.core.dependency_graph.SpatioTemporalGraph`
+(``component_for``, one BFS seeded by the candidates its commits derive
+from the blocked edges); this module only answers the spatial queries.
 """
 
 from __future__ import annotations

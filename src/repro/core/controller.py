@@ -17,6 +17,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Callable
 
+from ..errors import SchedulingError
 from ..faults import scheduler_diagnostics
 from .baselines import DriverStats
 from .dependency_graph import SpatioTemporalGraph
@@ -49,12 +50,15 @@ class ControllerCore:
         #: so a worker's controller seconds measure its own CPU work
         #: even when workers timeshare cores.
         self.clock = clock
-        #: Re-derive every blocker after each retire (debug mode).
+        #: Re-derive every blocker and re-run every member's coupling
+        #: join after each retire (debug mode).
         self.validate = validate
         #: Agents finished with their previous step and not yet claimed.
         self.ready: set[int] = set(range(self.graph.n_agents))
         #: Agents that reached ``target_step``.
         self.done: set[int] = set()
+        #: Component searches run by :meth:`ready_clusters`.
+        self._components = 0
 
     def finished(self) -> bool:
         return len(self.done) == self.graph.n_agents
@@ -83,6 +87,7 @@ class ControllerCore:
         for aid in sorted(dirty):
             if aid in visited or aid not in ready:
                 continue
+            self._components += 1
             cluster = component(aid, visited, exclude, True)
             for m in cluster:
                 if blocked_by[m]:
@@ -118,11 +123,17 @@ class ControllerCore:
         absent from it, or mapped to where it already stands, stayed
         put (see :meth:`SpatioTemporalGraph.commit`). The frontier is
         every ready agent the next round must re-cluster: the members
-        themselves, newly unblocked waiters, and ready agents near the
-        members.
+        themselves and the newly unblocked waiters. A ready agent near
+        a member needs no entry of its own: its cluster changes
+        dispatchability only by gaining a member (the search seeded by
+        that member finds it) or by losing a blocked edge (it is in
+        ``unblocked``).
         """
         t0 = self.clock()
         graph = self.graph
+        if self.validate:
+            blockers = [graph.blockers_of(aid)
+                        for aid in range(graph.n_agents)]
         result = graph.commit(members, positions)
         stats = self.stats
         stats.tasks_completed += len(members)
@@ -131,6 +142,7 @@ class ControllerCore:
             stats.max_step_spread = spread
         if self.validate:
             graph.validate()
+            self._validate_coupling(members, blockers)
         target = self.target_step
         step = graph.step
         ready = self.ready
@@ -143,9 +155,32 @@ class ControllerCore:
                 ready.add(aid)
                 dirty.add(aid)
         dirty |= ready.intersection(result.unblocked)
-        dirty |= ready.intersection(result.neighbors)
         stats.time_graph += self.clock() - t0
         return dirty
+
+    def _validate_coupling(self, members: list[int],
+                           blockers: list[frozenset[int]]) -> None:
+        """Debug mode: the full coupling join of every committed member.
+
+        The commit takes coupling candidates from the batch and the
+        blocked edges alone (:mod:`~repro.core.dependency_graph`): a
+        same-step agent in range of a member must be a batch peer or
+        one the member blocked before the commit; none may be running.
+        """
+        graph = self.graph
+        step = graph.step
+        batch = set(members)
+        radius = graph.rules.couple_threshold
+        for m in members:
+            for b in graph.index.query(graph.pos[m], radius):
+                if b == m or step[b] != step[m]:
+                    continue
+                if graph.running[b] or not (b in batch or m in blockers[b]):
+                    raise SchedulingError(
+                        f"coupling invariant violated: agent {b} at step "
+                        f"{step[b]} in coupling range of committed agent "
+                        f"{m} is " + ("running" if graph.running[b] else
+                                      "neither a batch peer nor its waiter"))
 
     def abort(self, cluster: list[int]) -> set[int]:
         """Roll a failed cluster back: the exact inverse of :meth:`claim`.
@@ -183,8 +218,9 @@ class ControllerCore:
         stats.blocked_events = graph.blocked_events
         stats.unblock_events = graph.unblock_events
         extra = stats.extra
-        extra["cluster_cache_hits"] = graph.comp_hits
-        extra["cluster_cache_misses"] = graph.comp_misses
+        # No component memo is left to hit; every search is a BFS.
+        extra["cluster_cache_hits"] = 0
+        extra["cluster_cache_misses"] = self._components
         extra["graph_scans"] = graph.scans
         extra["graph_scan_skips"] = graph.scan_skips
         extra["graph_near_checks"] = graph.near_checks

@@ -17,6 +17,20 @@ larger step (the threshold shrinks faster than the agent can move), and
 only agents at strictly smaller steps can block — so re-examining members
 and their waiters covers every edge that can change.
 
+The same geometry makes **coupling candidates a by-product of the
+blocked edges**. Let a commit take member A to step ``s``. A non-member
+B at step ``s`` within ``couple_threshold`` of A's new position stood
+there before the commit, while A was at ``s - 1`` and at most
+``max_vel`` further away: within ``couple_threshold + max_vel ==
+block_threshold(1)``, so B was blocked by A — ``B in waiters[A]`` before
+the release (B *running* there is the violation ``component_for``'s
+``strict`` mode names). So a member with no same-step peer in its batch
+and no waiter at its new step has nobody to couple to: no spatial query
+runs for it and it is a component of one — most agent-steps of every
+replay workload. This rests on the per-step ``max_vel`` bound
+``Trace._validate`` enforces (the slack bound below rests on it too);
+``ControllerCore(validate=True)`` re-checks it by full join.
+
 Storage is flat and array-backed (§3.6 light critical path): agent ids
 are required to be dense ``0..n-1``, per-agent state lives in plain
 lists indexed by id. :meth:`SpatioTemporalGraph.commit` takes a whole
@@ -32,12 +46,12 @@ elsewhere. :class:`CommitResult` falls out of the same pass that
 recomputes blockers. Only *construction* is vectorized (one numpy pass
 derives every agent's initial cell).
 
-The graph also owns §3.4 **coupling components** natively: connected
-components of the coupling relation among same-step non-running agents
-are memoized in an id-indexed component table, seeded by the per-member
-neighbor lists every commit already returns, and invalidated from
-inside :meth:`mark_running` / :meth:`commit` themselves — the drivers
-run no separate cache-invalidation protocol.
+The graph also owns §3.4 **coupling components**:
+:meth:`SpatioTemporalGraph.component_for` is one BFS over the coupling
+relation among same-step non-running agents, seeded by the latest
+commit's per-member candidates and by the spatial index elsewhere.
+Nothing is memoized: the round that finds a dispatchable component
+dispatches it, which dissolves it.
 
 The blocker work itself is bounded by three mechanisms that make
 steady-state commits (nearly) scan-free:
@@ -102,7 +116,8 @@ keep the legacy
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -139,32 +154,22 @@ class _Band:
         self.members: list[set[int]] = []
 
 
+@dataclass(slots=True)
 class CommitResult:
     """What a cluster commit changed, split by how callers react.
 
     ``unblocked`` — agents whose blocker set became empty (committed
     members included): dispatch candidates whose cluster *membership* is
-    unchanged. ``neighbors`` — agents within coupling range of a
-    member's post-commit position: their cached cluster may need to
-    merge with the mover, so incremental clustering must invalidate
-    them. ``member_neighbors`` — the same neighborhood split per
-    member: until the next commit these are exactly the member's
-    coupling candidates, so the controller's cluster BFS can seed from
-    them instead of re-querying the spatial index.
+    unchanged. ``member_neighbors`` — per member, the ready same-step
+    agents within coupling range of its post-commit position: until
+    the next commit these are exactly the member's coupling
+    candidates, so the controller's cluster BFS seeds from them instead
+    of re-querying the spatial index (empty for most members, see the
+    module docstring: no query ran for them either).
     """
 
-    __slots__ = ("unblocked", "neighbors", "member_neighbors")
-
-    def __init__(self, unblocked: set[int], neighbors: set[int],
-                 member_neighbors: dict[int, list[int]] | None = None
-                 ) -> None:
-        self.unblocked = unblocked
-        self.neighbors = neighbors
-        self.member_neighbors = member_neighbors or {}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"CommitResult(unblocked={sorted(self.unblocked)}, "
-                f"neighbors={sorted(self.neighbors)})")
+    unblocked: set[int]
+    member_neighbors: dict[int, Sequence[int]]
 
 
 class SpatioTemporalGraph:
@@ -251,21 +256,13 @@ class SpatioTemporalGraph:
         #: past the cap is exact where it matters and O(ball) instead
         #: of O(component) where it doesn't.
         self._dist_within = getattr(rules.space, "dist_within", None)
-        #: §3.4/§3.6 graph-native coupling components: component id per
-        #: agent (-1 = must rebuild) plus the member lists, invalidated
-        #: from inside mark_running/commit — no external protocol.
-        self._comp_of: list[int] = [-1] * n
-        self._comp_members: dict[int, list[int]] = {}
-        self._comp_seq = 0
         #: Per-member coupling candidates from the latest commit: exact
         #: until the next commit, so component BFS seeds from them
         #: instead of re-querying the spatial index.
-        self._fresh: dict[int, list[int]] = {}
+        self._fresh: dict[int, Sequence[int]] = {}
         #: Component BFS scratch buffer (distinct from the commit-path
         #: _qbuf: a round may interleave with pure blocker queries).
         self._cbuf: list[int] = []
-        self.comp_hits = 0
-        self.comp_misses = 0
         #: Coarse band width in fine cells (ctor override serves the
         #: fuzz harness: band_size=1 stresses the window walk, a huge
         #: value degenerates to the unbanded single-table reference).
@@ -394,56 +391,39 @@ class SpatioTemporalGraph:
             snap[key] = band.members[idx]
         return snap
 
-    # -- coupling components (§3.4, memoized §3.6) -------------------------
+    # -- coupling components (§3.4) ----------------------------------------
 
     def component_for(self, aid: int, visited: set[int],
                       exclude=None, strict: bool = False) -> list[int]:
-        """The coupling component of ``aid``, memoized between commits.
-
-        Returns the cached component when ``aid`` still belongs to a
-        valid one, else rebuilds it with :meth:`build_component` and
-        memoizes the result (singletons are skipped: they cost one
-        spatial query to rebuild and are invalidated on dispatch
-        anyway). Members are added to the caller's ``visited`` set
-        either way, so a round never re-seeds the same component.
-        """
-        cid = self._comp_of[aid]
-        if cid >= 0:
-            self.comp_hits += 1
-            members = self._comp_members[cid]
-            visited.update(members)
-            return members
-        self.comp_misses += 1
-        members = self.build_component(aid, visited, exclude, strict)
-        if len(members) > 1:
-            self._store_component(members)
-        return members
-
-    def build_component(self, aid: int, visited: set[int],
-                        exclude=None, strict: bool = False) -> list[int]:
-        """Fresh BFS of the coupling component around ``aid``.
+        """BFS of the coupling component around ``aid``, sorted.
 
         Members are non-running agents at ``aid``'s step connected by
         chains of coupling relations; candidates come from the latest
-        commit's per-member neighbor lists where available (exact until
-        the next commit) and from the spatial index otherwise.
-        ``exclude`` skips agents the caller manages out-of-band
-        (speculation); ``strict`` turns a running same-step agent
-        inside coupling range into a :class:`SchedulingError` (the
-        rules guarantee it cannot happen — reaching it means the
-        invariant broke).
+        commit's per-member lists where available (exact until the
+        next commit) and from the spatial index otherwise. Members are
+        added to the caller's ``visited`` set, so a round never
+        re-seeds the same component. ``exclude`` skips agents the
+        caller manages out-of-band (speculation); ``strict`` turns a
+        running same-step agent inside coupling range into a
+        :class:`SchedulingError` (the rules guarantee it cannot happen
+        — reaching it means the invariant broke).
         """
+        visited.add(aid)
+        fresh = self._fresh
+        candidates = fresh.get(aid)
+        if candidates is not None and not candidates:
+            # Committed in the latest batch with nobody to couple to
+            # (most agent-steps): the component is the agent itself.
+            return [aid]
         step = self.step
         step_v = step[aid]
         running = self.running
         pos = self.pos
         threshold = self.rules.couple_threshold
         query_into = self.index.query_into
-        fresh = self._fresh
         qbuf = self._cbuf
         stack = [aid]
         members: list[int] = []
-        visited.add(aid)
         while stack:
             a = stack.pop()
             members.append(a)
@@ -468,31 +448,6 @@ class SpatioTemporalGraph:
                 stack.append(other)
         members.sort()
         return members
-
-    def _store_component(self, members: list[int]) -> None:
-        self.invalidate_components(members)
-        cid = self._comp_seq
-        self._comp_seq += 1
-        self._comp_members[cid] = members
-        comp_of = self._comp_of
-        for aid in members:
-            comp_of[aid] = cid
-
-    def invalidate_components(self, aids: Iterable[int]) -> None:
-        """Drop every memoized component containing any of ``aids``.
-
-        Called from inside :meth:`mark_running` and :meth:`commit`;
-        external callers only need it when they change an agent's
-        dispatchability out-of-band (the speculative driver's squash
-        path).
-        """
-        comp_of = self._comp_of
-        members = self._comp_members
-        for aid in aids:
-            cid = comp_of[aid]
-            if cid >= 0:
-                for member in members.pop(cid):
-                    comp_of[member] = -1
 
     # -- queries ----------------------------------------------------------
 
@@ -742,8 +697,6 @@ class SpatioTemporalGraph:
     # -- lifecycle ----------------------------------------------------------
 
     def mark_running(self, aids: Iterable[int]) -> None:
-        aids = list(aids)
-        self.invalidate_components(aids)
         for aid in aids:
             if self.blocked_by[aid]:
                 raise SchedulingError(
@@ -758,12 +711,8 @@ class SpatioTemporalGraph:
 
         The members return to the dispatchable pool with step, position,
         and blocked edges untouched — nothing was committed, so nothing
-        else in the graph moved. Memoized coupling components are
-        invalidated (the members become BFS-visible again), exactly
-        mirroring the invalidation :meth:`mark_running` performed.
+        else in the graph moved.
         """
-        aids = list(aids)
-        self.invalidate_components(aids)
         for aid in aids:
             if not self.running[aid]:
                 raise SchedulingError(
@@ -783,11 +732,8 @@ class SpatioTemporalGraph:
         trace's ``moved`` mask and gathers positions for movers only).
         Returns a :class:`CommitResult`: agents whose
         blocker set became empty (newly dispatchable candidates,
-        committed members included) plus the agents within coupling
-        range of the members' new positions. Memoized coupling
-        components of the members and that neighborhood are dropped
-        here, and the per-member lists become the BFS seeds for the
-        next round — no caller-side invalidation protocol.
+        committed members included) plus each member's coupling
+        candidates, which seed the component BFS of the next round.
         """
         members = list(aids)
         running = self.running
@@ -796,7 +742,7 @@ class SpatioTemporalGraph:
                 raise SchedulingError(f"agent {aid} was not running")
             running[aid] = False
         if not members:
-            return CommitResult(set(), set())
+            return CommitResult(set(), {})
         if self._bucket_fast:
             unblocked, per_member = self._commit_fast(members,
                                                       new_positions)
@@ -804,13 +750,8 @@ class SpatioTemporalGraph:
             unblocked, per_member = self._commit_generic(members,
                                                          new_positions)
         self._release_waiters(members, unblocked)
-        neighbors: set[int] = set()
-        for lst in per_member.values():
-            neighbors.update(lst)
-        self.invalidate_components(members)
-        self.invalidate_components(neighbors)
         self._fresh = per_member
-        return CommitResult(unblocked, neighbors, per_member)
+        return CommitResult(unblocked, per_member)
 
     def _advance_steps(self, members: list[int]) -> None:
         """Step/min/max bookkeeping shared by both commit paths."""
@@ -852,7 +793,7 @@ class SpatioTemporalGraph:
 
     def _commit_fast(self, members: list[int],
                      moves: Mapping[int, Position]
-                     ) -> tuple[set[int], dict[int, list[int]]]:
+                     ) -> tuple[set[int], dict[int, Sequence[int]]]:
         step = self.step
         pos = self.pos
         index = self.index
@@ -947,26 +888,50 @@ class SpatioTemporalGraph:
         return unblocked, self._neighbors_fast(members)
 
     def _neighbors_fast(self, members: list[int]
-                        ) -> dict[int, list[int]]:
-        """Per-member coupling-range neighborhoods, one pass.
+                        ) -> dict[int, Sequence[int]]:
+        """Per-member same-step coupling neighborhoods, one pass.
 
-        Two branches, chosen by the space: coordinate grids walk each
-        member's cell window inline (the coupling radius never exceeds
-        the cell size, so the window spanned by the query box is 2x2 in
-        the common case, up to 3x3 when the box is boundary-aligned);
-        other spaces query the index, whose ``bucket_range`` window
-        plays the same candidate-pruning role.
+        Runs *before* the waiter release: a member with no same-step
+        peer in the batch and no waiter at its new step couples to
+        nobody (module docstring) and gets the empty tuple, no query.
+        For the rest, two branches chosen by the space: coordinate
+        grids walk the member's cell window inline (the coupling radius
+        never exceeds the cell size, so the window spanned by the query
+        box is 2x2 in the common case, up to 3x3 when the box is
+        boundary-aligned); other spaces query the index, whose
+        ``bucket_range`` window plays the same candidate-pruning role.
         """
+        step = self.step
+        waiters = self.waiters
+        #: Members of this batch per new step.
+        peers: dict[int, int] = {}
+        for aid in members:
+            s = step[aid]
+            peers[s] = peers.get(s, 0) + 1
+        per_member: dict[int, Sequence[int]] = {}
+        join: list[int] = []
+        for aid in members:
+            s = step[aid]
+            if peers[s] == 1:
+                for w in waiters[aid]:
+                    if step[w] == s:
+                        break
+                else:
+                    per_member[aid] = ()
+                    continue
+            join.append(aid)
+        if not join:
+            return per_member
         pos = self.pos
         r = self.rules.couple_threshold
-        per_member: dict[int, list[int]] = {}
         if not self.index._grid:
             query_into = self.index.query_into
             qbuf = self._qbuf
-            for aid in members:
+            for aid in join:
+                s = step[aid]
                 per_member[aid] = [bid for bid
                                    in query_into(pos[aid], r, qbuf)
-                                   if bid != aid]
+                                   if bid != aid and step[bid] == s]
             return per_member
         # Inlined grid query: same cell window as query_into, but the
         # self-check and the buffer copy are fused away, and the
@@ -977,7 +942,8 @@ class SpatioTemporalGraph:
         within = self.index._within
         euclid = self._euclid
         r2 = r * r
-        for aid in members:
+        for aid in join:
+            s = step[aid]
             pa = pos[aid]
             x = pa[0]
             y = pa[1]
@@ -991,7 +957,7 @@ class SpatioTemporalGraph:
                         continue
                     if euclid:
                         for bid in b:
-                            if bid != aid:
+                            if bid != aid and step[bid] == s:
                                 q = pos[bid]
                                 dx = x - q[0]
                                 dy = y - q[1]
@@ -999,14 +965,15 @@ class SpatioTemporalGraph:
                                     found.append(bid)
                     else:
                         for bid in b:
-                            if bid != aid and within(pa, pos[bid], r):
+                            if bid != aid and step[bid] == s \
+                                    and within(pa, pos[bid], r):
                                 found.append(bid)
             per_member[aid] = found
         return per_member
 
     def _commit_generic(self, members: list[int],
                         moves: Mapping[int, Position]
-                        ) -> tuple[set[int], dict[int, list[int]]]:
+                        ) -> tuple[set[int], dict[int, Sequence[int]]]:
         """Non-bucketed spaces: per-member queries (no numpy batch path)."""
         step = self.step
         pos = self.pos
@@ -1021,7 +988,7 @@ class SpatioTemporalGraph:
         couple_r = self.rules.couple_threshold
         qbuf = self._qbuf
         unblocked: set[int] = set()
-        per_member: dict[int, list[int]] = {}
+        per_member: dict[int, Sequence[int]] = {}
         block_threshold = self.rules.block_threshold
         dist = self.rules.space.dist
         for aid in members:
@@ -1034,7 +1001,7 @@ class SpatioTemporalGraph:
                 new_blockers = set()
             per_member[aid] = [bid for bid
                                in index.query_into(pos_a, couple_r, qbuf)
-                               if bid != aid]
+                               if bid != aid and step[bid] == s]
             if new_blockers:
                 margins = {
                     bid: block_threshold(s - step[bid])

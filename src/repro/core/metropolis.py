@@ -12,10 +12,12 @@ both back to the core. Its share of the light critical path (§3.6):
 * **single-event rounds** — one kernel event per virtual instant does
   everything: all clusters finishing at that instant retire through one
   batched graph commit, then one dispatch round runs, and every cluster
-  it dispatches launches through one shared dispatch event, which
-  hands the whole round to :meth:`ChainExecutor.run_round` (one chain
-  gather, one start event). ``DriverStats.extra["kernel_events"]``
-  counts the events the *driver* schedules (launch + round), amortized
+  it dispatches launches through one shared dispatch event. That event
+  buffers the clusters that hold no LLM call (the trace says which:
+  most of them) straight for their round and hands the rest to
+  :meth:`ChainExecutor.run_round` (one chain gather, one start event).
+  ``DriverStats.extra["kernel_events"]`` counts the events the *driver*
+  schedules (launch + round, all a call-free round costs), amortized
   well below one per cluster; ``kernel_events_total`` is every event
   any layer scheduled on the kernel;
 * **step-keyed dispatch buckets** — pending clusters queue in numpy-
@@ -121,6 +123,9 @@ class MetropolisDriver:
         self._pos_sa = trace.positions_by_step
         self._pos_flat = trace.positions_flat
         self._moved = trace.moved
+        #: Its twin, one byte per (step, agent): does the chain hold an
+        #: LLM call? Clusters without one never reach the executor.
+        self._calling = trace.calling
         #: ``shard_plan`` overrides region planning outright — the
         #: multiprocess workers pass their slice of the parent's global
         #: plan so per-shard graph state matches the in-process
@@ -312,25 +317,59 @@ class MetropolisDriver:
 
     def _launch_batch(self, launches: list[tuple[list[int], int, float]]
                       ) -> None:
-        # One chain gather and one start event for the whole round; each
-        # cluster commits when its last chain ends.
-        self.executor.run_round(launches, self._queue_commit)
+        """Launch one dispatch round; call-free clusters skip the executor.
+
+        A cluster none of whose members calls would ride a chain gather
+        and the executor's start event only to be handed straight back.
+        It is pinned here, at the launch instant like every cluster,
+        and buffered for the round the start event would have queued
+        it for: ``(now + agent_step) + cluster_commit``, the same two
+        additions in the same order, so due-times and batch order are
+        bit-identical. The rest go to the executor and commit when
+        their last chain ends.
+        """
+        calling = self._calling
+        n = self.graph.n_agents
+        prefetch = self.engine.prefetch
+        quiet: list[tuple[int, list[int]]] | None = None
+        chains = []
+        for launch in launches:
+            members, step, _ = launch
+            base = step * n
+            for aid in members:
+                if calling[base + aid]:
+                    chains.append(launch)
+                    break
+            else:
+                prefetch(members)
+                if quiet is None:
+                    overhead = self.config.overhead
+                    quiet = self._round_batch(
+                        (self.kernel.now + overhead.agent_step)
+                        + overhead.cluster_commit)
+                quiet.append((step, members))
+        if chains:
+            self.executor.run_round(chains, self._queue_commit)
 
     def _queue_commit(self, step: int, members: list[int]) -> None:
-        """Buffer a finished cluster for its instant's controller round.
+        """Buffer a finished cluster for its instant's controller round."""
+        self._round_batch(
+            self.kernel.now + self.config.overhead.cluster_commit
+        ).append((step, members))
+
+    def _round_batch(self, due: float) -> list[tuple[int, list[int]]]:
+        """The batch of clusters retiring at ``due``, with its one event.
 
         Clusters finishing at the same virtual instant share one round
-        event at ``now + cluster_commit``: the round retires the whole
-        batch through one graph commit, then dispatches.
+        event: the round retires the whole batch through one graph
+        commit, then dispatches.
         """
-        due = self.kernel.now + self.config.overhead.cluster_commit
         batch = self._round_pending.get(due)
         if batch is None:
             self._round_pending[due] = batch = []
             self._kernel_events += 1
-            self.kernel.call_in(self.config.overhead.cluster_commit,
-                                self._controller_round_event, due)
-        batch.append((step, members))
+            self.kernel.call_at(due, self._controller_round_event, due)
+        return batch
 
     def _controller_round_event(self, due: float) -> None:
         batch = self._round_pending.pop(due)

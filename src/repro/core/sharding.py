@@ -2,8 +2,8 @@
 
 The scheduler's per-commit work is already O(local) thanks to the
 banded blocker index, but one controller still owns every agent's
-graph state, component memo, and slot table. At 100k–1M agents the
-flat structures themselves (python lists, per-agent sets) dominate.
+graph state and slot table. At 100k–1M agents the flat structures
+themselves (python lists, per-agent sets) dominate.
 This module partitions the *map* into regions and gives each region
 its own :class:`~repro.core.dependency_graph.SpatioTemporalGraph`
 shard over the shared step-major numpy position store, behind a
@@ -45,7 +45,7 @@ pass the exact per-slot test anyway).
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -320,22 +320,6 @@ class ShardedGraph:
         visited.update(members)
         return members
 
-    def build_component(self, aid: int, visited: set[int],
-                        exclude=None, strict: bool = False) -> list[int]:
-        si = self._shard_of[aid]
-        l2g = self._l2g[si]
-        lexclude = None if exclude is None \
-            else (lambda lid: exclude(l2g[lid]))
-        lmembers = self._shards[si].build_component(
-            self._g2l[aid], set(), lexclude, strict)
-        members = [l2g[m] for m in lmembers]
-        visited.update(members)
-        return members
-
-    def invalidate_components(self, aids: Iterable[int]) -> None:
-        for si, (lids, _) in self._grouped(aids).items():
-            self._shards[si].invalidate_components(lids)
-
     # -- lifecycle ----------------------------------------------------------
 
     def mark_running(self, aids: Iterable[int]) -> None:
@@ -375,8 +359,7 @@ class ShardedGraph:
             if p is not None:
                 entry[2][lid] = p
         unblocked: set[int] = set()
-        neighbors: set[int] = set()
-        per_member: dict[int, list[int]] = {}
+        per_member: dict[int, Sequence[int]] = {}
         step = self.step
         pos = self.pos
         running = self.running
@@ -387,8 +370,6 @@ class ShardedGraph:
             res = sub.commit(lids, moves)
             for lid in res.unblocked:
                 unblocked.add(l2g[lid])
-            for lid in res.neighbors:
-                neighbors.add(l2g[lid])
             for lid, lst in res.member_neighbors.items():
                 per_member[l2g[lid]] = [l2g[x] for x in lst]
             sub_step = sub.step
@@ -402,7 +383,7 @@ class ShardedGraph:
                 # installs a fresh set object) — re-alias so global
                 # truthiness keeps tracking the shard's state.
                 blocked_by[g] = sub_bb[lid]
-        return CommitResult(unblocked, neighbors, per_member)
+        return CommitResult(unblocked, per_member)
 
     # -- counters (summed over shards) ---------------------------------------
 
@@ -412,7 +393,7 @@ class ShardedGraph:
     _SUMMED = frozenset({
         "blocked_events", "unblock_events", "scans", "scan_skips",
         "near_checks", "wake_checks", "wake_skips", "fallback_scans",
-        "scanned_slots", "comp_hits", "comp_misses"})
+        "scanned_slots"})
 
     def __getattr__(self, name: str) -> int:
         if name in self._SUMMED:

@@ -146,12 +146,11 @@ class SpeculativeMetropolisDriver(MetropolisDriver):
         """Squash any speculation coupled (transitively) to ready ``aid``.
 
         The coupled closure is the graph's own component BFS with no
-        exclusion — speculating agents are not running, so the fresh
-        BFS reaches them exactly where the hand-rolled frontier walk
-        used to.
+        exclusion: speculating agents are not running, so it reaches
+        them.
         """
         freed: set[int] = set()
-        for m in self.graph.build_component(aid, set(), None, False):
+        for m in self.graph.component_for(aid, set(), None, False):
             cid = self._spec_members.get(m)
             if cid is not None:
                 # The launch-time oracle verdict classifies the kill: a
@@ -192,8 +191,7 @@ class SpeculativeMetropolisDriver(MetropolisDriver):
         for aid in sorted(dirty):
             if aid in visited or aid not in ready or aid in spec_members:
                 continue
-            # Fresh (uncached) coupling component around the seed.
-            cluster = graph.build_component(
+            cluster = graph.component_for(
                 aid, visited, spec_members.__contains__, True)
             if any(m in spec_members for m in cluster):
                 continue
@@ -232,11 +230,7 @@ class SpeculativeMetropolisDriver(MetropolisDriver):
         return score
 
     def _start_speculation(self, cluster: list[int]) -> None:
-        # Members leave the ready pool; their memoized component (if
-        # any) no longer reflects reality.
-        graph = self.graph
-        graph.invalidate_components(cluster)
-        step = graph.step[cluster[0]]
+        step = self.graph.step[cluster[0]]
         cid = self._spec_seq = self._spec_seq + 1
         self._spec[cid] = _SpecRecord(
             cluster, step, self._lookahead_detects_race(cluster, step))
@@ -355,10 +349,8 @@ class SpeculativeMetropolisDriver(MetropolisDriver):
         """Undo one speculation record in O(its members).
 
         Drops the record (its members counted in ``rollback_rows``) and
-        returns the members to the ready pool. Memoized coupling
-        components built while the members were hidden from clustering
-        are stale — any ready agent within coupling range may now have
-        to absorb them — so the members' neighborhoods are invalidated.
+        returns the members to the ready pool; as the dirty frontier
+        they seed the searches that re-form their clusters.
         """
         rec = self._spec.pop(cid)
         members = rec.members
@@ -366,12 +358,6 @@ class SpeculativeMetropolisDriver(MetropolisDriver):
             del self._spec_members[m]
         self.core.ready.update(members)
         self.stats.extra["rollback_rows"] += len(members)
-        graph = self.graph
-        graph.invalidate_components(members)
-        threshold = self.rules.couple_threshold
-        for m in members:
-            graph.invalidate_components(
-                graph.index.query(graph.pos[m], threshold))
         return set(members)
 
     def _spec_feedback(self, members: list[int], bad: bool) -> None:

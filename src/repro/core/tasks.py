@@ -16,9 +16,11 @@ they start tasks. Two entry points, one chain-advance implementation
   per-member step vector) resolves every member's chain, the members'
   KV is pinned cluster by cluster at the launch instant, and **one**
   kernel event starts the whole round after the per-step overhead. In
-  that event a cluster whose members carry no LLM call hands straight
-  back to the driver (no per-cluster object at all); any other submits
-  its members' first calls to the serving engine in one batch.
+  that event each cluster submits its members' first calls to the
+  serving engine in one batch; a member without a call is finished on
+  the spot. (The replay driver never sends a cluster *none* of whose
+  members calls: it knows the trace and retires those itself, see
+  :meth:`repro.core.metropolis.MetropolisDriver._launch_batch`.)
 * :meth:`ChainExecutor.run_cluster` — one cluster, one lookup, one
   start event, completion reported per member (the lock-step, oracle,
   single-thread and speculative-background paths) or once per cluster
@@ -180,16 +182,9 @@ class ChainExecutor:
         lo = 0
         for members, step, priority in launches:
             hi = lo + len(members)
-            c = cur[lo:hi]
-            e = end[lo:hi]
+            _ClusterRun(self, members, step, priority, cur[lo:hi],
+                        end[lo:hi], None, on_cluster_done).start()
             lo = hi
-            if c == e:
-                # No member calls the LLM this step (the common case:
-                # agents mostly walk and wait): the cluster is done.
-                on_cluster_done(step, members)
-            else:
-                _ClusterRun(self, members, step, priority, c, e,
-                            None, on_cluster_done).start()
 
     def run_cluster(self, members: Sequence[int], step: int, priority: float,
                     on_done: Optional[TaskDone] = None,

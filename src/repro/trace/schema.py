@@ -231,6 +231,7 @@ class Trace:
                 positions.transpose(1, 0, 2))
         self._pos_flat: np.ndarray | None = None
         self._moved: bytes | None = None
+        self._calling: bytes | None = None
         n = len(call_step)
         for name, arr in (("call_agent", call_agent),
                           ("call_func", call_func), ("call_in", call_in),
@@ -361,6 +362,22 @@ class Trace:
             self._moved = moved = \
                 (pos[1:] != pos[:-1]).any(axis=2).tobytes()
         return moved
+
+    @property
+    def calling(self) -> bytes:
+        """One byte per agent-step: does the agent's chain hold a call?
+
+        ``calling[step * n_agents + agent]`` is non-zero iff
+        ``chain_lengths()[agent, step] != 0`` — the twin of
+        :attr:`moved`, same layout, same laziness. Most dispatched
+        clusters hold no call at all; the replay driver reads this mask
+        and sends only the calling ones to the chain executor.
+        """
+        calling = self._calling
+        if calling is None:
+            self._calling = calling = \
+                (self.chain_lengths() != 0).T.tobytes()
+        return calling
 
     def step_positions(self, step: int) -> np.ndarray:
         """Contiguous ``int[n_agents, 2]`` slice at the start of ``step``."""

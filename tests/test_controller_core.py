@@ -17,6 +17,7 @@ from repro.core import DependencyRules
 from repro.core.controller import ControllerCore
 from repro.core.sharding import ShardedGraph
 from repro.core.space import GraphSpace
+from repro.errors import SchedulingError
 from repro.trace.schema import concat_traces
 
 from helpers import collision_course_trace, disjoint_course_trace
@@ -195,3 +196,50 @@ class TestStalled:
         assert "running clusters (0 agents)" in report
         assert f"progress: 0/{core.graph.n_agents} agents done" in report
         assert "queue depths: ready=0 ack=0" in report
+
+
+@pytest.mark.parametrize("validate", [False, True], ids=["fast", "validated"])
+class TestCouplingCandidates:
+    """Commits take coupling candidates from the batch and the blocked
+    edges alone; hand-built states that break what this rests on."""
+
+    @staticmethod
+    def _core(positions, validate):
+        return ControllerCore(DependencyRules(DependencyConfig()),
+                              dict(enumerate(positions)), 8,
+                              validate=validate)
+
+    def test_running_agent_in_coupling_range_raises(self, validate):
+        """A same-step agent running next to a committing one: the
+        validated retire names it at once, the fast path when the next
+        round's strict component search examines its candidates."""
+        # Distance 5: coupled, yet a valid state one step apart.
+        core = self._core([(0, 0), (5, 0)], validate)
+        core.claim([(0, [0]), (0, [1])])
+        core.retire([1], {})
+        assert core.graph.blockers_of(1) == frozenset({0})
+        core.graph.running[1] = True  # dispatched while blocked
+        if validate:
+            with pytest.raises(SchedulingError, match="is running"):
+                core.retire([0], {})
+            return
+        dirty = core.retire([0], {})
+        with pytest.raises(SchedulingError,
+                           match="coupling invariant violated"):
+            core.ready_clusters(dirty)
+
+    def test_jump_beyond_max_vel_is_caught_by_validation(self, validate):
+        """An agent that lands next to a same-step stranger was never
+        its blocker's waiter: only possible by outrunning ``max_vel``
+        (``Trace._validate`` rejects such traces). The fast path cannot
+        see it — the two leave as separate clusters; validation does."""
+        core = self._core([(0, 0), (100, 0)], validate)
+        core.claim([(0, [0]), (0, [1])])
+        core.retire([1], {})
+        if validate:
+            with pytest.raises(SchedulingError,
+                               match="neither a batch peer nor"):
+                core.retire([0], {0: (99, 0)})
+            return
+        dirty = core.retire([0], {0: (99, 0)})
+        assert core.ready_clusters(dirty | {1}) == [(1, [0]), (1, [1])]

@@ -1,14 +1,19 @@
 """Tests for the scheduling drivers (Algorithm 1, Algorithm 3, oracle,
 no-dependency) and the replay engine around them."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.config import (DependencyConfig, OverheadConfig, SchedulerConfig,
                           ServingConfig)
 from repro.core import run_replay
 from repro.core.engine import critical_time_for
+from repro.core.metropolis import MetropolisDriver
 from repro.core.oracle import mean_dependency_count, mine_interaction_groups
 from repro.errors import ConfigError
+
+from helpers import random_trace
 
 POLICIES = ["single-thread", "parallel-sync", "metropolis", "oracle",
             "no-dependency"]
@@ -125,6 +130,57 @@ class TestMetropolisProperties:
         assert loose.driver_stats.mean_cluster_size >= \
             tight.driver_stats.mean_cluster_size
         assert loose.completion_time >= 0.95 * tight.completion_time
+
+
+class TestQuietClusters:
+    """Call-free clusters bypass the executor; nothing simulated moves."""
+
+    @pytest.mark.parametrize("kv_policy", ["none", "distance"])
+    @pytest.mark.parametrize("num_workers", [0, 3])
+    @pytest.mark.parametrize("policy", ["metropolis", "metropolis-spec"])
+    @pytest.mark.parametrize("p_call", [0.0, 0.1, 1.0])
+    def test_bypass_equals_executor_path(self, monkeypatch, p_call, policy,
+                                         num_workers, kv_policy):
+        """Reference: every launch goes through ``run_round`` (the
+        executor completes a call-free cluster in its start event, as
+        it did for every cluster before the bypass). Same completion
+        time, per-call timeline, KV counters (pins land at the launch
+        instant either way) and driver stats — only the kernel's total
+        event count may differ. Overheads are the defaults: with all of
+        them zero every event of a run sits at one instant and their
+        order is the schedule."""
+        trace = random_trace(seed=5, n_agents=10, p_call=p_call)
+        scheduler = SchedulerConfig(policy=policy, num_workers=num_workers)
+        serving = ServingConfig(model="llama3-8b", gpu="l4", dp=2,
+                                kv_policy=kv_policy, kv_memory_fraction=0.02)
+
+        def observe():
+            result = run_replay(trace, scheduler, serving,
+                                collect_timeline=True)
+            stats = asdict(result.driver_stats)
+            for host_seconds in ("time_clustering", "time_graph",
+                                 "time_dispatch"):
+                del stats[host_seconds]
+            events_total = stats["extra"].pop("kernel_events_total")
+            calls = [(e.agent, e.step, e.func_id, e.submit_time,
+                      e.finish_time) for e in result.timeline.events]
+            return (result.completion_time, calls, result.kv_stats,
+                    stats), events_total
+
+        bypass, bypass_events = observe()
+        monkeypatch.setattr(
+            MetropolisDriver, "_launch_batch",
+            lambda self, launches: self.executor.run_round(
+                launches, self._queue_commit))
+        reference, reference_events = observe()
+        assert bypass == reference
+        assert len(bypass[1]) >= trace.n_calls  # squashed work re-runs
+        if kv_policy == "distance" and p_call:
+            assert bypass[2]["prefetch_pins"] > 0
+        if p_call < 1.0:
+            assert bypass_events < reference_events
+        else:
+            assert bypass_events == reference_events
 
 
 class TestParallelSync:

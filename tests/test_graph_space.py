@@ -214,15 +214,13 @@ class TestGraphBlocking:
                     else neighbors[pick]
             fast_result = fast.commit(members, new_pos)
             slow_result = slow.commit(members, new_pos)
-            ref_unblocked, ref_neighbors, ref_member = ref.commit(
-                members, new_pos)
+            ref_unblocked, ref_member = ref.commit(members, new_pos)
 
             assert fast_result.unblocked == slow_result.unblocked \
                 == ref_unblocked
-            assert fast_result.neighbors == slow_result.neighbors \
-                == ref_neighbors
-            for m, lst in fast_result.member_neighbors.items():
-                assert set(lst) == ref_member[m]
+            for result in (fast_result, slow_result):
+                assert {m: set(lst) for m, lst
+                        in result.member_neighbors.items()} == ref_member
             for aid in range(n):
                 assert fast.blocked_by[aid] == slow.blocked_by[aid]
             _assert_graph_matches_reference(fast, ref, n)

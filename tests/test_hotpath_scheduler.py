@@ -53,15 +53,16 @@ class DictReferenceGraph:
         unblocked = {a for a in self.pos
                      if not self.blockers(a)
                      and (a in members or blocked_before[a])}
+        return unblocked, {m: self.coupling_candidates(m) for m in members}
+
+    def coupling_candidates(self, aid):
+        """Same-step, non-running agents within coupling range."""
         couple = self.rules.couple_threshold
         dist = self.rules.space.dist
-        member_neighbors = {
-            m: {b for b in self.pos
-                if b != m and dist(self.pos[m], self.pos[b]) <= couple}
-            for m in members}
-        neighbors = set().union(*member_neighbors.values()) \
-            if member_neighbors else set()
-        return unblocked, neighbors, member_neighbors
+        return {b for b in self.pos
+                if b != aid and self.step[b] == self.step[aid]
+                and not self.running[b]
+                and dist(self.pos[aid], self.pos[b]) <= couple}
 
 
 def _ref_component(ref, rules, aid):
@@ -102,6 +103,27 @@ def _random_cluster(graph, rules, rng, n, exclude=frozenset()):
             continue
         return sorted(cluster)
     return None
+
+
+def _commit_both(graph, ref, batch, new_pos, movers_only=False):
+    """Commit ``batch`` on the graph and the dict reference; compare.
+
+    Also the coupling-candidate theorem as a checked invariant: each
+    member's brute-force same-step ready neighbours are batch peers or
+    were its waiters before the release.
+    """
+    waiters_before = {m: set(graph.waiters[m]) for m in batch}
+    result = graph.commit(batch, {m: p for m, p in new_pos.items()
+                                  if p != graph.pos[m]}
+                          if movers_only else new_pos)
+    ref_unblocked, ref_member = ref.commit(batch, new_pos)
+    assert result.unblocked == ref_unblocked
+    assert set(result.member_neighbors) == set(ref_member)
+    for m, lst in result.member_neighbors.items():
+        assert set(lst) == ref_member[m], \
+            f"member {m} coupling candidates diverged"
+        assert ref_member[m] <= set(batch) | waiters_before[m], \
+            f"member {m} couples to neither a batch peer nor a waiter"
 
 
 def _assert_graph_matches_reference(graph, ref, n):
@@ -195,6 +217,17 @@ def _run_commit_fuzz(rules, positions, move_candidates, rng, n,
     94-98% of agent-steps) and feeds ``commit`` the movers-only mapping
     on odd iterations, the full mapping on even ones.
 
+    The coupling-candidate theorem (``dependency_graph`` docstring) is
+    checked as an invariant in its own right (``_commit_both``), not
+    only through its consequence: after every commit each member's
+    brute-force same-step ready neighbours are batch peers or were its
+    waiters before the release. Mutation checks: a ``_neighbors_fast``
+    that ignores the waiters (skips the join on "no batch peer" alone)
+    fails ``test_randomized_commit_order`` in all nine cells, the
+    graph-metric fuzz and the abort fuzz; one that ignores the peers
+    (skips on "no same-step waiter" alone) fails 39 of the 42 cells of
+    this fuzz and the abort fuzz.
+
     Mutation check: charging a mover 0 instead of ``max_vel`` (dropping
     the ``_scan_moves`` increment in ``_commit_fast``) fails this fuzz
     at its default move rate (``test_randomized_commit_order``, every
@@ -237,28 +270,16 @@ def _run_commit_fuzz(rules, positions, move_candidates, rng, n,
                 continue
             cands = move_candidates(graph.pos[m])
             new_pos[m] = cands[rng.integers(0, len(cands))]
-        if stay_p is not None and it % 2:
-            result = graph.commit(batch, {m: p for m, p in new_pos.items()
-                                          if p != graph.pos[m]})
-        else:
-            result = graph.commit(batch, new_pos)
-        ref_unblocked, ref_neighbors, ref_member = ref.commit(batch,
-                                                              new_pos)
-
         # 1. identical unblock candidates, split exactly as commit
-        #    reports them — per-member neighborhoods included
-        assert result.unblocked == ref_unblocked
-        assert result.neighbors == ref_neighbors
-        assert set(result.member_neighbors) == set(ref_member)
-        for m, lst in result.member_neighbors.items():
-            assert set(lst) == ref_member[m], \
-                f"member {m} neighborhood diverged"
+        #    reports them — per-member coupling candidates included
+        _commit_both(graph, ref, batch, new_pos,
+                     movers_only=stay_p is not None and it % 2)
         # 2. identical blocked edges / waiters / min-max step
         _assert_graph_matches_reference(graph, ref, n)
         # 3. the zero-rescan bounds stay conservative
         _assert_fastpath_invariants(graph, ref, rules, n)
         # 4. graph-native coupling components == fresh reference BFS
-        #    after every commit (memoization + in-graph invalidation)
+        #    after every commit (seeded by the candidates above)
         for aid in range(n):
             if not graph.running[aid]:
                 assert graph.component_for(aid, set()) == \
@@ -373,7 +394,9 @@ class TestGraphMatchesReferenceModel:
 
 
 class TestGraphNativeComponents:
-    """Coupling components memoized inside the graph (PR 5 fold)."""
+    """Coupling components are one BFS inside the graph, seeded by the
+    latest commit's per-member candidates (no memo, nothing to
+    invalidate)."""
 
     def _graph(self):
         rules = DependencyRules(DependencyConfig())
@@ -381,52 +404,72 @@ class TestGraphNativeComponents:
                      4: (200, 0)}
         return rules, SpatioTemporalGraph(rules, positions)
 
-    def test_component_memoized_between_rounds(self):
+    def test_component_same_from_every_seed(self):
         _, graph = self._graph()
         assert graph.component_for(0, set()) == [0, 1]
-        assert graph.comp_misses == 1
         assert graph.component_for(1, set()) == [0, 1]
-        assert graph.comp_hits == 1  # second seed reuses the memo
-
-    def test_singletons_not_memoized(self):
-        _, graph = self._graph()
         assert graph.component_for(4, set()) == [4]
-        assert graph.component_for(4, set()) == [4]
-        assert graph.comp_hits == 0 and graph.comp_misses == 2
 
-    def test_mark_running_invalidates(self):
+    def test_dispatch_and_commit_need_no_invalidation(self):
         _, graph = self._graph()
         graph.component_for(0, set())
+        graph.mark_running([0])
+        assert graph.component_for(1, set()) == [1]  # 0 left the pool
+        graph.abort_running([0])
+        assert graph.component_for(1, set()) == [0, 1]
         graph.mark_running([0, 1])
         graph.commit([0, 1], {0: (0, 0), 1: (2, 0)})
-        # both moved a step: the memo is gone and the BFS re-runs
+        # both moved a step: batch peers, found through the join
         assert graph.component_for(0, set()) == [0, 1]
-        assert graph.comp_misses == 2
 
-    def test_commit_invalidates_neighbors(self):
+    def test_commit_next_to_another_step_couples_nothing(self):
         _, graph = self._graph()
-        assert graph.component_for(2, set()) == [2, 3]
         graph.mark_running([4])
-        # 4 lands within coupling range of 3: the cached {2, 3}
-        # component must merge with it on the next round.
-        graph.commit([4], {4: (53, 0)})
-        visited: set[int] = set()
-        assert graph.component_for(2, visited) == [2, 3]
-        # (4 is one step ahead now, so it joins once 2/3 catch up —
-        # what matters here is that the stale memo was dropped)
-        assert graph.comp_misses == 2
+        # 4 lands within coupling range of 3 but one step ahead of it:
+        # no same-step peer, no same-step waiter, so no spatial query
+        # runs for it and it is a component of one; 2/3 do not see it.
+        result = graph.commit([4], {4: (53, 0)})
+        assert result.member_neighbors == {4: ()}
+        assert graph.component_for(4, set()) == [4]
+        assert graph.component_for(2, set()) == [2, 3]
+        assert graph.blockers_of(4) == frozenset({2, 3})
 
-    def test_visited_updated_on_hit(self):
+    def test_laggard_catching_up_couples_through_its_waiters(self):
         _, graph = self._graph()
-        graph.component_for(0, set())
+        graph.mark_running([2])
+        graph.commit([2], {})
+        assert graph.waiters[3] == {2}  # one step ahead, in range
+        graph.mark_running([3])
+        result = graph.commit([3], {})
+        assert result.member_neighbors == {3: [2]}
+        assert result.unblocked == {2, 3}
+        assert graph.component_for(3, set()) == [2, 3]
+
+    def test_visited_collects_the_component(self):
+        _, graph = self._graph()
         visited: set[int] = set()
         graph.component_for(0, visited)
         assert visited == {0, 1}
 
     def test_exclude_hook_skips_agents(self):
         _, graph = self._graph()
-        got = graph.build_component(0, set(), lambda aid: aid == 1)
+        got = graph.component_for(0, set(), lambda aid: aid == 1)
         assert got == [0]
+
+    @pytest.mark.parametrize("seeded", [False, True],
+                             ids=["index", "commit"])
+    def test_running_neighbour_trips_strict_search(self, seeded):
+        """A running same-step agent in coupling range of a ready one
+        cannot arise under the rules; hand-built, the tripwire names it
+        whether candidates come from the index or from a commit."""
+        _, graph = self._graph()
+        if seeded:
+            graph.mark_running([0, 1])
+            graph.commit([0, 1], {})
+        graph.running[1] = True
+        assert graph.component_for(0, set()) == [0]
+        with pytest.raises(SchedulingError, match="coupling invariant"):
+            graph.component_for(0, set(), None, True)
 
 
 class TestSpatialIndexBuffers:
@@ -653,7 +696,8 @@ class TestHotpathBench:
         assert stats.controller_rounds > 0
         # coalescing: rounds never exceed commits + the initial round
         assert stats.controller_rounds <= stats.clusters_dispatched + 1
-        assert stats.extra["cluster_cache_hits"] >= 0
+        # No component memo is left: every lookup is a BFS.
+        assert stats.extra["cluster_cache_hits"] == 0
         assert stats.extra["cluster_cache_misses"] > 0
 
     @pytest.mark.parametrize("policy", ["metropolis", "metropolis-spec"])
@@ -676,22 +720,26 @@ class TestHotpathBench:
         assert events <= 2 * stats.controller_rounds + 1
 
     @pytest.mark.parametrize("policy", ["metropolis", "metropolis-spec"])
-    def test_kernel_events_total_three_per_round(self, policy):
+    def test_kernel_events_total_two_per_quiet_round(self, policy):
         """With no LLM call anywhere and uncapped workers, a controller
-        round costs at most three kernel events across *all* layers —
-        the driver's launch event, the executor's one start event for
-        the whole round, and the round (commit) event — however many
-        clusters it dispatches. ``kernel_events`` alone cannot see the
-        executor's share."""
+        round costs at most two kernel events across *all* layers — the
+        driver's launch event and the round (commit) event — however
+        many clusters it dispatches: call-free clusters never reach the
+        executor. With calls, the executor's start events and the
+        engine's own show up in ``kernel_events_total`` only."""
         from repro.config import SchedulerConfig
         from repro.core import run_replay
 
         trace = random_trace(seed=11, n_agents=12, p_call=0.0)
         stats = run_replay(trace, SchedulerConfig(policy=policy)).driver_stats
         assert stats.clusters_dispatched > 2 * stats.controller_rounds
-        total = stats.extra["kernel_events_total"]
-        assert stats.extra["kernel_events"] < total
-        assert total <= 3 * stats.controller_rounds + 1
+        assert stats.extra["kernel_events_total"] <= \
+            2 * stats.controller_rounds + 1
+
+        trace = random_trace(seed=11, n_agents=12)
+        stats = run_replay(trace, SchedulerConfig(policy=policy)).driver_stats
+        assert stats.extra["kernel_events"] < \
+            stats.extra["kernel_events_total"]
 
     def test_report_entry_carries_churn_counters(self, tmp_path):
         from repro.bench.hotpath import check_report, run_hotpath
@@ -732,6 +780,17 @@ class TestHotpathBench:
             report, min_throughput=1.0, min_speedup=0.0,
             max_scans_per_agent_step=MAX_SCANS_PER_AGENT_STEP)
         assert any("scans_per_agent_step missing" in f for f in failures)
+        # ... and the all-layers event ceiling beside it (the constant
+        # is set on the 25-2000 agent cells; five agents coalesce less)
+        events = entry["events_total_per_cluster"]
+        assert entry["kernel_events_per_cluster"] <= events
+        assert check_report(
+            report, min_throughput=1.0, min_speedup=0.0,
+            max_events_total_per_cluster={"smallville": events}) == []
+        failures = check_report(
+            report, min_throughput=1.0, min_speedup=0.0,
+            max_events_total_per_cluster={"smallville": events / 2})
+        assert any("riding executor events again" in f for f in failures)
 
 
 def _observable_state(graph, n):
@@ -881,7 +940,7 @@ class TestAbortRunning:
     def test_abort_then_redispatch_fuzz(self, band_size, seed, n):
         """Random interleavings of dispatch/abort/commit must keep the
         array-backed graph bit-equal to the dict reference: blocked
-        edges, waiters, slot tables, component memos, and the §3.2
+        edges, waiters, slot tables, coupling components, and the §3.2
         validity condition all hold through rollbacks."""
         rng = FastRng(seed)
         rules = DependencyRules(DependencyConfig())
@@ -905,11 +964,7 @@ class TestAbortRunning:
                 for m in members:
                     cands = grid_moves(graph.pos[m])
                     new_pos[m] = cands[rng.integers(0, len(cands))]
-                result = graph.commit(members, new_pos)
-                ref_unblocked, ref_neighbors, _ = ref.commit(members,
-                                                             new_pos)
-                assert result.unblocked == ref_unblocked
-                assert result.neighbors == ref_neighbors
+                _commit_both(graph, ref, members, new_pos)
             _assert_graph_matches_reference(graph, ref, n)
             _assert_fastpath_invariants(graph, ref, rules, n)
             for aid in range(n):

@@ -128,7 +128,7 @@ def _mirror_commit_fuzz(rules, groups, moves, rng, iters=30):
     for _ in range(iters):
         cluster = _dispatchable_cluster(single, n, rng)
         # The facade's component must be the same members (global ids).
-        assert sharded.build_component(cluster[0], set()) == cluster
+        assert sharded.component_for(cluster[0], set()) == cluster
         single.mark_running(cluster)
         sharded.mark_running(cluster)
         new_pos = {m: moves(single.pos[m])[
@@ -136,7 +136,6 @@ def _mirror_commit_fuzz(rules, groups, moves, rng, iters=30):
         r1 = single.commit(cluster, new_pos)
         r2 = sharded.commit(cluster, new_pos)
         assert r2.unblocked == r1.unblocked
-        assert r2.neighbors == r1.neighbors
         assert {m: set(v) for m, v in r2.member_neighbors.items()} == \
             {m: set(v) for m, v in r1.member_neighbors.items()}
         assert sharded.min_step == single.min_step
@@ -179,7 +178,7 @@ def _commit_forms_fuzz(rules, groups, moves, rng, iters=40, stay_p=0.7):
     def observe(graph, result):
         slots = [sub._slot_snapshot() for sub in graph._shards] \
             if isinstance(graph, ShardedGraph) else graph._slot_snapshot()
-        return (result.unblocked, result.neighbors,
+        return (result.unblocked,
                 {m: sorted(v) for m, v in result.member_neighbors.items()},
                 [graph.blockers_of(a) for a in range(n)],
                 graph.snapshot(), slots)
@@ -437,7 +436,7 @@ class TestShardedAbort:
         assert not sharded.running[2] and not sharded.running[3]
         # Rolled-back members are redispatchable on their home shard and
         # the still-running cluster is untouched.
-        assert sharded.build_component(2, set()) == [2, 3]
+        assert sharded.component_for(2, set()) == [2, 3]
         assert sharded.running[0] and sharded.running[1]
 
     def test_abort_of_non_running_raises(self):

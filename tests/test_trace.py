@@ -109,19 +109,12 @@ class TestTraceSchema:
                               b.positions[:, :, 0] + 100)
         assert c.n_calls == a.n_calls + b.n_calls
 
-    def test_moved_mask_matches_brute_force(self, synthetic_trace):
-        """``moved[step * n + agent]`` == did the tile change over the
-        step — on a trace, a window of it, a concatenation, and the
-        member-column slice a shard worker builds from shared memory."""
-        def brute(trace):
-            n, steps = trace.meta.n_agents, trace.meta.n_steps
-            return bytes(trace.pos(a, s + 1) != trace.pos(a, s)
-                         for s in range(steps) for a in range(n))
-
-        t = synthetic_trace
-        both = concat_traces([t, random_trace(seed=12)], x_stride=100)
-        members = np.array([1, 4, 7, 10])
-        store = both.share_positions()
+    @staticmethod
+    def _worker_slice(trace, members):
+        """The member-column ``Trace`` a shard worker builds: positions
+        through shared memory, calls remapped to local agent ids (as
+        ``core/parallel.py`` does)."""
+        store = trace.share_positions()
         try:
             attached = SharedPositionStore.open(store.name, store.shape,
                                                 store.dtype)
@@ -132,20 +125,46 @@ class TestTraceSchema:
         finally:
             store.unlink()
             store.close()
-        worker_slice = Trace(
-            replace(both.meta, n_agents=len(members)), columns,
-            *[np.zeros(0, dtype=np.int32)] * 5, step_major=True)
+        mask = np.isin(trace.call_agent, members)
+        return Trace(
+            replace(trace.meta, n_agents=len(members)), columns,
+            trace.call_step[mask],
+            np.searchsorted(members, trace.call_agent[mask]
+                            ).astype(trace.call_agent.dtype),
+            trace.call_func[mask], trace.call_in[mask],
+            trace.call_out[mask], step_major=True)
+
+    @pytest.mark.parametrize("mask", ["moved", "calling"])
+    def test_step_major_masks_match_brute_force(self, synthetic_trace,
+                                                mask):
+        """``moved[step * n + agent]`` == did the tile change over the
+        step, ``calling[step * n + agent]`` == does the chain hold a
+        call — on a trace, a window of it, a concatenation, and the
+        member-column slice a shard worker builds from shared memory."""
+        def brute(trace):
+            n, steps = trace.meta.n_agents, trace.meta.n_steps
+            if mask == "calling":
+                lengths = trace.chain_lengths()
+                return bytes(bool(lengths[a, s] != 0)
+                             for s in range(steps) for a in range(n))
+            return bytes(trace.pos(a, s + 1) != trace.pos(a, s)
+                         for s in range(steps) for a in range(n))
+
+        t = synthetic_trace
+        both = concat_traces([t, random_trace(seed=12)], x_stride=100)
+        members = np.array([1, 4, 7, 10])
+        worker_slice = self._worker_slice(both, members)
         for trace in (t, t.window(10, 30), both, worker_slice):
-            moved = trace.moved
-            assert isinstance(moved, bytes)
-            assert len(moved) == trace.meta.n_agents * trace.meta.n_steps
-            assert moved == brute(trace)
-            assert trace.moved is moved  # built once
-        assert 0 < sum(t.moved) < len(t.moved)
+            got = getattr(trace, mask)
+            assert isinstance(got, bytes)
+            assert len(got) == trace.meta.n_agents * trace.meta.n_steps
+            assert got == brute(trace)
+            assert getattr(trace, mask) is got  # built once
+        assert 0 < sum(getattr(t, mask)) < len(getattr(t, mask))
         n = both.meta.n_agents
-        assert worker_slice.moved == bytes(
-            both.moved[s * n + a] for s in range(both.meta.n_steps)
-            for a in members.tolist())
+        assert getattr(worker_slice, mask) == bytes(
+            getattr(both, mask)[s * n + a]
+            for s in range(both.meta.n_steps) for a in members.tolist())
 
     def test_concat_requires_same_steps(self):
         a = random_trace(seed=1, n_steps=10)
