@@ -4,7 +4,7 @@ Where ``repro-bench hotpath`` measures the controller alone, this matrix
 measures what the paper actually reports (Fig. 4-7): end-to-end
 throughput of the whole stack — OOO scheduler, cluster-granular fluid
 executor, and the simulated serving engine — on each registered world's
-declared deployment (its :class:`~repro.serving.ServingProfile`). Three
+declared deployment (its :class:`~repro.serving.ServingProfile`). Four
 cells per scenario:
 
 * ``fluid`` — the headline run: fluid replicas at the profile's full KV
@@ -18,6 +18,13 @@ cells per scenario:
   stepping is LRU's cyclic worst case (it evicts exactly the
   next-needed agent), while the wake-step signal protects near-wake
   agents.
+* ``iteration`` — the ``kv-distance`` deployment at the reference
+  fidelity (``fidelity="iteration"``). It keeps the fluid model honest
+  (its ``tokens_per_s`` must stay within ``MAX_FIDELITY_GAP`` of the
+  ``kv-distance`` sibling) and the reference replica cheap: every entry
+  reports ``serving_events_per_call``, the kernel events scheduled
+  below the driver per LLM call, and this cell gates it — events follow
+  batch changes, not output tokens.
 
 The headline metric, **end-to-end tokens per virtual second**
 (`tokens_per_s`), is deterministic — virtual completion times do not
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from ..config import SchedulerConfig, ServingConfig
@@ -45,13 +53,20 @@ from .smoke import scenario_window_trace
 SERVING_SEED = 0
 BASELINE_PATH = Path("benchmarks/baselines/serving_pr6.json")
 #: The per-scenario matrix cells (see module docstring).
-CELLS = ("fluid", "kv-distance", "kv-lru")
+CELLS = ("fluid", "kv-distance", "kv-lru", "iteration")
 #: Virtual tokens/s is deterministic; the ratio bar only absorbs float
 #: noise across numpy/python versions, not machine speed.
 MIN_TOKENS_RATIO = 0.95
 #: Wall-clock floor vs. baseline (calibration-normalized): generous —
 #: catches the executor falling off a cliff, not runner jitter.
 MIN_WALL_RATIO = 0.25
+#: Ceiling on an ``iteration`` cell's ``serving_events_per_call``: 25%
+#: above the worst cell measured (social-graph, 4.41). Exact, so never
+#: retried; one event per decode iteration reads 6.2-12.5 on the four.
+MAX_SERVING_EVENTS_PER_CALL = 5.5
+#: How far an ``iteration`` cell's tokens/s may sit from its fluid
+#: ``kv-distance`` sibling's.
+MAX_FIDELITY_GAP = 0.05
 
 
 def _cell_config(profile, cell: str) -> ServingConfig:
@@ -67,6 +82,9 @@ def _cell_config(profile, cell: str) -> ServingConfig:
         return ServingConfig(**{**base.__dict__, "kv_policy": "lru",
                                 "kv_memory_fraction":
                                 profile.kv_pressure_fraction})
+    if cell == "iteration":
+        return replace(_cell_config(profile, "kv-distance"),
+                       fidelity="iteration")
     raise ScenarioError(f"unknown serving bench cell {cell!r}")
 
 
@@ -91,6 +109,7 @@ def bench_cell(scenario: str, cell: str,
     metrics = result.engine_metrics
     total_tokens = (metrics.total_prompt_tokens
                     + metrics.total_output_tokens)
+    extra = result.driver_stats.extra
     return {
         "scenario": scn.name,
         "cell": cell,
@@ -107,6 +126,11 @@ def bench_cell(scenario: str, cell: str,
         "tokens_per_s": metrics.throughput_tokens_per_s(),
         "achieved_parallelism": result.achieved_parallelism,
         "gpu_busy_fraction": result.gpu_busy_fraction,
+        #: Kernel events below the driver (executor + replicas) per
+        #: call: exact, and flat in the output length.
+        "serving_events_per_call":
+            (extra.get("kernel_events_total", 0)
+             - extra.get("kernel_events", 0)) / max(trace.n_calls, 1),
         "wall_time_s": wall,
         "wall_tokens_per_s": total_tokens / wall if wall else float("inf"),
         "kv": result.kv_stats,
@@ -169,7 +193,7 @@ def run_serving(scenarios: list[str] | None = None,
 def check_serving_report(report: dict,
                          min_tokens_ratio: float = MIN_TOKENS_RATIO,
                          min_wall_ratio: float = MIN_WALL_RATIO,
-                         required_cells: tuple[str, ...] = CELLS
+                         required_cells: tuple[str, ...] | None = None
                          ) -> list[str]:
     """The CI gate: returns human-readable failures (empty = pass).
 
@@ -178,15 +202,21 @@ def check_serving_report(report: dict,
     new scenarios force a baseline regeneration); end-to-end tokens/s
     within ``min_tokens_ratio`` of baseline; wall-clock throughput
     above the loose normalized floor; KV-constrained distance cells
-    actually hit their retained segments; and invocation-distance
-    eviction beats LRU on at least one KV-constrained cell overall.
+    actually hit their retained segments; ``iteration`` cells stay
+    under ``MAX_SERVING_EVENTS_PER_CALL`` and within
+    ``MAX_FIDELITY_GAP`` of their fluid ``kv-distance`` sibling; and
+    invocation-distance eviction beats LRU on at least one
+    KV-constrained cell overall. ``required_cells`` defaults to the
+    cells the report says it ran.
     """
     failures = []
     entries = report["entries"]
-    present = {(e["scenario"], e["cell"]) for e in entries}
+    if required_cells is None:
+        required_cells = tuple(report.get("cells", CELLS))
+    by_cell = {(e["scenario"], e["cell"]): e for e in entries}
     for scenario in report.get("scenarios", []):
         for cell in required_cells:
-            if (scenario, cell) not in present:
+            if (scenario, cell) not in by_cell:
                 failures.append(
                     f"{scenario}/{cell}: required matrix cell missing "
                     f"from the report")
@@ -212,9 +242,22 @@ def check_serving_report(report: dict,
             failures.append(
                 f"{label}: zero KV retention hits — the "
                 f"invocation-distance policy is not engaging")
+        if entry["cell"] == "iteration":
+            events = entry["serving_events_per_call"]
+            if events > MAX_SERVING_EVENTS_PER_CALL:
+                failures.append(
+                    f"{label}: {events:.2f} serving events per call, "
+                    f"above the {MAX_SERVING_EVENTS_PER_CALL} ceiling — "
+                    f"decode is paying per token again")
+            fluid = by_cell.get((entry["scenario"], "kv-distance"))
+            if fluid and abs(entry["tokens_per_s"] / fluid["tokens_per_s"]
+                             - 1.0) > MAX_FIDELITY_GAP:
+                failures.append(
+                    f"{label}: {entry['tokens_per_s']:.0f} tokens/s is "
+                    f"more than {MAX_FIDELITY_GAP:.0%} from the fluid "
+                    f"kv-distance cell's {fluid['tokens_per_s']:.0f}")
     # The headline claim: distance-aware eviction must beat LRU on at
     # least one KV-constrained cell.
-    by_cell = {(e["scenario"], e["cell"]): e for e in entries}
     wins = []
     for scenario in report.get("scenarios", []):
         dist = by_cell.get((scenario, "kv-distance"))
@@ -241,7 +284,8 @@ def format_serving_report(report: dict) -> str:
     """Fixed-width table for terminal output."""
     header = (f"{'scenario':<14}{'cell':<13}{'tokens/s':>10}"
               f"{'virt-time':>11}{'par':>6}{'busy':>6}"
-              f"{'hits':>7}{'evict':>7}{'pins':>6}{'vs-base':>9}")
+              f"{'hits':>7}{'evict':>7}{'pins':>6}{'ev/call':>9}"
+              f"{'vs-base':>9}")
     lines = [header, "-" * len(header)]
     for e in report["entries"]:
         kv = e.get("kv", {})
@@ -254,6 +298,7 @@ def format_serving_report(report: dict) -> str:
             f"{e['gpu_busy_fraction']:>6.2f}"
             f"{kv.get('hits', 0):>7}{kv.get('evictions', 0):>7}"
             f"{kv.get('prefetch_pins', 0):>6}"
+            f"{e.get('serving_events_per_call', 0.0):>9.2f}"
             + (f"{ratio:>8.2f}x" if ratio is not None else f"{'-':>9}"))
     return "\n".join(lines)
 

@@ -9,8 +9,19 @@ Both replicas implement the same engine behaviour:
   prefill, as in the SGLang version the paper uses);
 * iteration-level (continuous) batching for decode.
 
-:class:`IterationReplica` simulates each decode iteration as an event —
-exact under the performance model, O(total output tokens) events.
+:class:`IterationReplica` is exact under the performance model: it sums
+every decode iteration's latency in order (arithmetic per iteration) but
+schedules one kernel event per batch *composition change* — a finish, or
+an arrival the queue can admit — because between two changes the batch
+size is constant and the boundaries up to the next finish can be planned
+at once. Its floats are those of a one-event-per-iteration engine
+(``tests/helpers.py::PerIterationReplica``, the oracle). A planned
+boundary gets its kernel sequence number at planning time, so events of
+*different* replicas at the bit-identical instant may swap order; that
+takes exactly symmetric clocks (identical prompts at one instant), which
+generated traces never have. ``busy_time`` is folded when a window ends:
+exact when the replica is idle, at every batch change and after
+:meth:`~_BaseReplica.drain`; in between it lags by the window in flight.
 
 :class:`FluidReplica` exploits that all sequences in a decode batch emit
 exactly one token per iteration: a shared *token clock* ``tau`` counts
@@ -26,15 +37,20 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from typing import Callable, Optional
 
-from ..devent import Kernel
+from ..devent import Event, Kernel
 from ..errors import ServingError
 from .memory import KVCacheManager
 from .perfmodel import PerfModel
 from .request import LLMRequest, RequestState
 
 _EPS = 1e-9
+#: Most decode iterations :class:`IterationReplica` plans ahead; a window
+#: that ends without a finish just plans the next stretch, so planning
+#: stays linear in the iterations executed however often it is cut.
+_PLAN_CAP = 64
 
 
 class _BaseReplica:
@@ -62,10 +78,46 @@ class _BaseReplica:
         #: running + prefilling + waiting, used by the DP router.
         self.outstanding = 0
         self.busy_time = 0.0
+        #: request in its prefill burst; tracked so a blackout recovers it
+        self._prefilling: Optional[LLMRequest] = None
+        #: decode batch as a finish heap: (token clock at the last
+        #: token, admission seq, request)
+        self._running: list[tuple[float, int, LLMRequest]] = []
+        self._run_seq = 0
+        #: total cached context tokens of the running batch
+        self._kv_context = 0.0
+        #: decode iteration time = ``_decode_base(B) + kv_tokens * _kvr``
+        self._kvr = perf.kv_read_time_per_token()
+        self._base_by_batch: dict[int, float] = {}
 
-    def _admit(self, request: LLMRequest) -> None:
-        """Reserve KV for ``request``; record its warm-prefix tokens."""
+    def _decode_base(self, batch: int) -> float:
+        """KV-independent part of a decode iteration at batch ``batch``."""
+        base = self._base_by_batch.get(batch)
+        if base is None:
+            base = self._base_by_batch[batch] = \
+                self.perf.decode_iteration_time(batch, 0.0)
+        return base
+
+    def _start_prefill(self, request: LLMRequest) -> Event:
+        """Admit the queue head ``request``; return its prefill-end event."""
+        heapq.heappop(self._waiting)
         request.cached_prompt_tokens = self.kv.reserve(request)
+        request.state = RequestState.PREFILL
+        request.prefill_start = self.kernel.now
+        self._prefilling = request
+        duration = self._prefill_duration(request)
+        self.busy_time += duration
+        return self.kernel.call_in(duration, self._prefill_done, request)
+
+    def _start_decode(self, request: LLMRequest, clock: float) -> None:
+        """Prefill is over: ``request`` joins the batch at ``clock``."""
+        self._prefilling = None
+        request.state = RequestState.DECODE
+        request.decode_start = self.kernel.now
+        self._run_seq += 1
+        heapq.heappush(self._running, (clock + request.output_tokens,
+                                       self._run_seq, request))
+        self._kv_context += request.prompt_tokens
 
     def _prefill_duration(self, request: LLMRequest) -> float:
         """Prefill latency, discounted by warm KV and the prefix cache.
@@ -95,14 +147,15 @@ class _BaseReplica:
         if not self._waiting:
             return None
         request = self._waiting[0][2]
-        if self._num_running() + 1 > self.max_running_requests:
+        if len(self._running) + 1 > self.max_running_requests:
             return None
         if not self.kv.fits(request):
             return None
         return request
 
-    def _pop_waiting(self) -> LLMRequest:
-        return heapq.heappop(self._waiting)[2]
+    def idle(self) -> bool:
+        return (not self._running and not self._waiting
+                and self._prefilling is None)
 
     def _finish(self, request: LLMRequest) -> None:
         request.state = RequestState.FINISHED
@@ -146,9 +199,6 @@ class _BaseReplica:
 
     # -- hooks ------------------------------------------------------------
 
-    def _num_running(self) -> int:
-        raise NotImplementedError
-
     def _on_state_change(self) -> None:
         raise NotImplementedError
 
@@ -156,75 +206,81 @@ class _BaseReplica:
         """Cancel events; return admitted (prefilling+running) requests."""
         raise NotImplementedError
 
-    def idle(self) -> bool:
-        raise NotImplementedError
-
 
 class IterationReplica(_BaseReplica):
-    """Exact per-iteration simulation (reference fidelity)."""
+    """Exact per-iteration arithmetic, one event per batch change."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        #: request -> remaining output tokens
-        self._running: dict[LLMRequest, int] = {}
-        #: total cached context tokens of the running batch
-        self._kv_context = 0.0
+        #: decode iterations completed so far (the token clock)
+        self._iter = 0
+        #: the one pending event: a prefill end or a planned window's end
         self._event = None
-        self._busy_until = 0.0
-        #: request currently in its prefill burst (``_event`` holds the
-        #: completion event); tracked so a blackout can recover it.
-        self._prefilling: Optional[LLMRequest] = None
-
-    def _num_running(self) -> int:
-        return len(self._running)
-
-    def idle(self) -> bool:
-        return not self._running and not self._waiting
+        #: planned decode window: per iteration its end time and the
+        #: ``busy_time`` once it is charged; both empty outside a window
+        self._ends: list[float] = []
+        self._busy: list[float] = []
 
     def _on_state_change(self) -> None:
         if self._event is None:
             self._schedule_next()
+            return
+        ends = self._ends
+        # Mid-window, admission can only open up through a new queue
+        # head (``fits`` and the running cap move on admit and finish
+        # alone): cut the window at the end of the iteration in flight.
+        # A boundary at this very instant has passed — its event was
+        # scheduled an iteration before anything this instant caused.
+        if ends and self._peek_admissible() is not None:
+            k = bisect_right(ends, self.kernel.now)
+            if k < len(ends) - 1:
+                self._event.cancel()
+                del ends[k + 1:], self._busy[k + 1:]
+                self._event = self.kernel.call_at(ends[k], self._window_done)
 
     def _schedule_next(self) -> None:
         """Pick the next engine action and schedule its completion."""
         request = self._peek_admissible()
         if request is not None:
-            self._pop_waiting()
-            self._admit(request)
-            request.state = RequestState.PREFILL
-            request.prefill_start = self.kernel.now
-            duration = self._prefill_duration(request)
-            self.busy_time += duration
-            self._prefilling = request
-            self._event = self.kernel.call_in(
-                duration, self._prefill_done, request)
+            self._event = self._start_prefill(request)
             return
-        if self._running:
-            batch = len(self._running)
-            duration = self.perf.decode_iteration_time(batch, self._kv_context)
-            self.busy_time += duration
-            self._event = self.kernel.call_in(duration, self._iteration_done)
+        running = self._running
+        if running:
+            # Plan the iterations up to the next finish: the very sums a
+            # per-iteration ``call_in(decode_iteration_time(B, kv))``
+            # chain evaluates, kept per boundary so a cut stays exact.
+            batch = len(running)
+            base, kvr = self._decode_base(batch), self._kvr
+            kv, t, busy = self._kv_context, self.kernel.now, self.busy_time
+            ends, charged = self._ends, self._busy
+            for _ in range(min(running[0][0] - self._iter, _PLAN_CAP)):
+                duration = base + kv * kvr
+                t += duration
+                busy += duration
+                kv += batch
+                ends.append(t)
+                charged.append(busy)
+            self._event = self.kernel.call_at(t, self._window_done)
             return
         self._event = None
 
     def _prefill_done(self, request: LLMRequest) -> None:
-        self._prefilling = None
-        request.state = RequestState.DECODE
-        request.decode_start = self.kernel.now
-        self._running[request] = request.output_tokens
-        self._kv_context += request.prompt_tokens
+        self._start_decode(request, self._iter)
         self._event = None
         self._schedule_next()
 
-    def _iteration_done(self) -> None:
-        finished = []
-        for request in self._running:
-            self._running[request] -= 1
-            if self._running[request] == 0:
-                finished.append(request)
-        self._kv_context += len(self._running)
-        for request in finished:
-            del self._running[request]
+    def _window_done(self) -> None:
+        """Fold the planned window; finish what is due at its end."""
+        running = self._running
+        done = len(self._ends)
+        self.busy_time = self._busy[-1]
+        # Token counts are integers: one ``+= B * n`` is ``n`` of ``+= B``.
+        self._kv_context += len(running) * done
+        self._iter = now_iter = self._iter + done
+        self._ends.clear()
+        self._busy.clear()
+        while running and running[0][0] == now_iter:
+            request = heapq.heappop(running)[2]
             self._kv_context -= request.total_tokens
             self._finish(request)
         self._event = None
@@ -234,7 +290,14 @@ class IterationReplica(_BaseReplica):
         if self._event is not None:
             self._event.cancel()
             self._event = None
-        admitted = list(self._running)
+        if self._ends:
+            # The iteration in flight is charged in full, as it would
+            # have been when it started.
+            k = bisect_right(self._ends, self.kernel.now)
+            self.busy_time = self._busy[min(k, len(self._busy) - 1)]
+            self._ends.clear()
+            self._busy.clear()
+        admitted = [request for _, _, request in self._running]
         self._running.clear()
         self._kv_context = 0.0
         if self._prefilling is not None:
@@ -248,35 +311,20 @@ class FluidReplica(_BaseReplica):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        #: completion heap: (tau_done, seq, request)
-        self._running: list[tuple[float, int, LLMRequest]] = []
-        self._run_seq = 0
+        #: token clock and the instant it (and ``_kv_context``) stood there
         self._tau = 0.0
-        #: sum of context tokens at the last sync point
-        self._kv_context = 0.0
         self._last_sync = 0.0
-        self._prefilling: Optional[LLMRequest] = None
         self._event = None
         #: pending prefill-end event (separate from ``_event`` so
         #: ``_reschedule`` never cancels it); a blackout must.
         self._prefill_event = None
-
-    def _num_running(self) -> int:
-        return len(self._running) + (1 if self._prefilling is not None else 0)
-
-    def idle(self) -> bool:
-        return (not self._running and not self._waiting
-                and self._prefilling is None)
 
     # -- fluid decode dynamics -----------------------------------------
 
     def _iteration_cost_coeffs(self) -> tuple[float, float, float]:
         """Return (a, kvr, B): iteration time = a + kv * kvr, batch B."""
         B = len(self._running)
-        perf = self.perf
-        a = perf._overhead + max(perf.weight_read_time(B),
-                                 B * perf.token_compute_time)
-        return a, perf.kv_read_time_per_token(), B
+        return self._decode_base(B), self._kvr, B
 
     def _time_for_dtau(self, dtau: float) -> float:
         """Real seconds to advance the token clock by ``dtau``."""
@@ -329,15 +377,7 @@ class FluidReplica(_BaseReplica):
             return
         request = self._peek_admissible()
         if request is not None:
-            self._pop_waiting()
-            self._admit(request)
-            request.state = RequestState.PREFILL
-            request.prefill_start = self.kernel.now
-            self._prefilling = request
-            duration = self._prefill_duration(request)
-            self.busy_time += duration
-            self._prefill_event = self.kernel.call_in(
-                duration, self._prefill_done, request)
+            self._prefill_event = self._start_prefill(request)
             return
         if self._running:
             tau_next = self._running[0][0]
@@ -346,16 +386,9 @@ class FluidReplica(_BaseReplica):
         # else: idle
 
     def _prefill_done(self, request: LLMRequest) -> None:
-        self._prefilling = None
         self._prefill_event = None
         self._last_sync = self.kernel.now  # decode resumes now
-        request.state = RequestState.DECODE
-        request.decode_start = self.kernel.now
-        self._run_seq += 1
-        heapq.heappush(self._running,
-                       (self._tau + request.output_tokens, self._run_seq,
-                        request))
-        self._kv_context += request.prompt_tokens
+        self._start_decode(request, self._tau)
         self._reschedule()
 
     def _completions_due(self, tau_target: float) -> None:
@@ -373,6 +406,7 @@ class FluidReplica(_BaseReplica):
         self._reschedule()
 
     def _drain_admitted(self) -> list[LLMRequest]:
+        self._sync()  # charge the decode time since the last sync
         self._cancel_event()
         if self._prefill_event is not None:
             self._prefill_event.cancel()

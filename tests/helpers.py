@@ -3,11 +3,16 @@ shared across the scheduler, sharding, fault, and speculation suites."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from repro._util import FastRng
 from repro.config import FaultPolicy
 from repro.core.space import GraphSpace
+from repro.serving import engine as serving_engine
+from repro.serving.replica import _BaseReplica
+from repro.serving.request import RequestState
 from repro.trace.schema import Trace, TraceMeta
 
 
@@ -179,3 +184,88 @@ def random_trace(seed: int, n_agents: int = 6, n_steps: int = 40,
                  np.asarray(funcs, dtype=np.int16),
                  np.asarray(ins, dtype=np.int32),
                  np.asarray(outs, dtype=np.int32))
+
+
+class PerIterationReplica(_BaseReplica):
+    """Reference engine: one kernel event per decode iteration.
+
+    The body ``IterationReplica`` had before it planned whole windows —
+    a countdown per running request, ``decode_iteration_time`` asked of
+    the perf model every iteration — kept as the differential oracle:
+    whatever ``IterationReplica`` schedules must produce these floats.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        #: request -> remaining output tokens (not the base's finish heap)
+        self._running = {}
+        self._event = None
+
+    def _on_state_change(self) -> None:
+        if self._event is None:
+            self._schedule_next()
+
+    def _schedule_next(self) -> None:
+        request = self._peek_admissible()
+        if request is not None:
+            self._event = self._start_prefill(request)
+            return
+        if self._running:
+            batch = len(self._running)
+            duration = self.perf.decode_iteration_time(batch, self._kv_context)
+            self.busy_time += duration
+            self._event = self.kernel.call_in(duration, self._iteration_done)
+            return
+        self._event = None
+
+    def _prefill_done(self, request) -> None:
+        self._prefilling = None
+        request.state = RequestState.DECODE
+        request.decode_start = self.kernel.now
+        self._running[request] = request.output_tokens
+        self._kv_context += request.prompt_tokens
+        self._event = None
+        self._schedule_next()
+
+    def _iteration_done(self) -> None:
+        finished = []
+        for request in self._running:
+            self._running[request] -= 1
+            if self._running[request] == 0:
+                finished.append(request)
+        self._kv_context += len(self._running)
+        for request in finished:
+            del self._running[request]
+            self._kv_context -= request.total_tokens
+            self._finish(request)
+        self._event = None
+        self._schedule_next()
+
+    def _drain_admitted(self) -> list:
+        if self._event is not None:
+            self._event.cancel()
+            self._event = None
+        admitted = list(self._running)
+        self._running.clear()
+        self._kv_context = 0.0
+        if self._prefilling is not None:
+            admitted.append(self._prefilling)
+            self._prefilling = None
+        return admitted
+
+
+@contextmanager
+def per_iteration_oracle():
+    """Engines built inside serve ``fidelity="iteration"`` from the oracle."""
+    real = serving_engine.make_replica
+
+    def make(fidelity, *args, **kwargs):
+        if fidelity == "iteration":
+            return PerIterationReplica(*args, **kwargs)
+        return real(fidelity, *args, **kwargs)
+
+    serving_engine.make_replica = make
+    try:
+        yield
+    finally:
+        serving_engine.make_replica = real

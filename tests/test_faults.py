@@ -403,6 +403,27 @@ class TestReplicaBlackout:
         stats = engine.fault_stats()
         assert stats["replica_blackouts"] == 1
 
+    def test_busy_time_carried_from_mid_decode(self):
+        """A replica that dies decoding was busy until it died.
+
+        The fluid replica used to cancel without syncing its token
+        clock, dropping everything since the last batch change (0.16 s
+        carried of 5.0 here)."""
+        carried, fractions = {}, {}
+        for fidelity in ("iteration", "fluid"):
+            kernel, engine = self._engine(fidelity)
+            request = engine.generate(prompt_tokens=400, output_tokens=400)
+            kernel.call_at(5.0, engine.blackout_replica, request.replica_id)
+            end = kernel.run()
+            carried[fidelity] = engine._carry_busy_time
+            fractions[fidelity] = engine.busy_fraction(end)
+        # The iteration replica charges the iteration in flight in full.
+        assert 5.0 <= carried["iteration"] < 5.05
+        assert carried["fluid"] == pytest.approx(carried["iteration"],
+                                                 rel=0.02)
+        assert fractions["fluid"] == pytest.approx(fractions["iteration"],
+                                                   rel=0.02)
+
     def test_blackout_of_unknown_replica_raises(self):
         _, engine = self._engine("fluid")
         with pytest.raises(ServingError):

@@ -473,6 +473,55 @@ class TestServingBench:
         assert entry["kv"]["hits"] > 0
         assert entry["n_calls"] > 0
 
+    def _with_iteration(self, tokens=890.0, events=4.0):
+        iteration = self._entry("s1", "iteration", tokens=tokens)
+        iteration["serving_events_per_call"] = events
+        report = self._report([
+            self._entry("s1", "fluid"),
+            self._entry("s1", "kv-distance", tokens=900.0),
+            self._entry("s1", "kv-lru", tokens=880.0), iteration])
+        report["cells"].append("iteration")
+        return report
+
+    def test_iteration_cell_gates(self):
+        from repro.bench.serving import (MAX_SERVING_EVENTS_PER_CALL,
+                                         check_serving_report)
+        assert check_serving_report(self._with_iteration()) == []
+        # Decode paying per token again: exact counter, no tolerance.
+        failures = check_serving_report(self._with_iteration(
+            events=MAX_SERVING_EVENTS_PER_CALL + 0.01))
+        assert any("serving events per call" in f for f in failures)
+        # The reference fidelity and its fluid sibling drifted apart.
+        for tokens in (900.0 * 0.94, 900.0 * 1.06):
+            failures = check_serving_report(
+                self._with_iteration(tokens=tokens))
+            assert any("from the fluid" in f for f in failures)
+
+    def test_iteration_cell_required_once_listed(self):
+        from repro.bench.serving import CELLS, check_serving_report
+        report = self._with_iteration()
+        report["entries"].pop()
+        failures = check_serving_report(report)
+        assert any("iteration" in f and "missing" in f for f in failures)
+        # The CLI names the cells itself: an old report cannot hide one.
+        old = self._report([self._entry("s1", "fluid"),
+                            self._entry("s1", "kv-distance", tokens=900.0),
+                            self._entry("s1", "kv-lru", tokens=880.0)])
+        failures = check_serving_report(old, required_cells=CELLS)
+        assert any("iteration" in f and "missing" in f for f in failures)
+
+    def test_one_real_iteration_cell(self):
+        from repro.bench.serving import (MAX_SERVING_EVENTS_PER_CALL,
+                                         bench_cell)
+        entry = bench_cell("smallville", "iteration")
+        fluid = bench_cell("smallville", "kv-distance")
+        assert entry["kv_policy"] == "distance"
+        assert entry["kv_memory_fraction"] == fluid["kv_memory_fraction"]
+        assert 0 < entry["serving_events_per_call"] \
+            <= MAX_SERVING_EVENTS_PER_CALL
+        assert entry["tokens_per_s"] == pytest.approx(
+            fluid["tokens_per_s"], rel=0.05)
+
     def test_cli_list_profiles(self, capsys):
         from repro.bench.cli import main
         assert main(["serving", "--list-profiles"]) == 0
