@@ -29,20 +29,29 @@ def rng_for(*parts: int | str) -> np.random.Generator:
 class FastRng:
     """SplitMix64-based RNG with the small API the behavior model needs.
 
-    Behavior decisions draw a fresh stream per (agent, step); constructing
+    Behavior decisions key a fresh stream per (agent, step); constructing
     a numpy Generator that often dominates trace generation time, so this
     lightweight equivalent (same ``random()`` / ``integers()`` shape) is
     used on that hot path. SplitMix64 passes BigCrush for this use.
+
+    Lazy contract: a stream from :func:`fast_rng_for` keeps its key parts
+    and hashes them (:func:`stable_seed`) at its **first draw** — most
+    streams are never drawn from, and then cost one allocation.
+    ``FastRng(int_seed)`` is seeded eagerly; both yield the same numbers.
     """
 
-    __slots__ = ("_state",)
+    __slots__ = ("_state", "_parts")
 
     _MASK = (1 << 64) - 1
 
     def __init__(self, seed: int) -> None:
         self._state = seed & self._MASK
+        self._parts: tuple[int | str, ...] | None = None
 
     def _next(self) -> int:
+        if self._parts is not None:
+            self._state = stable_seed(*self._parts)
+            self._parts = None
         self._state = (self._state + 0x9E3779B97F4A7C15) & self._MASK
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
@@ -61,8 +70,10 @@ class FastRng:
 
 
 def fast_rng_for(*parts: int | str) -> FastRng:
-    """A :class:`FastRng` keyed by ``parts``."""
-    return FastRng(stable_seed(*parts))
+    """A :class:`FastRng` keyed by ``parts``, hashed at its first draw."""
+    rng = FastRng(0)
+    rng._parts = parts
+    return rng
 
 
 class UnionFind:

@@ -34,6 +34,9 @@ included) per dispatched cluster. ``scans_per_agent_step`` (full blocker
 scans per committed agent-step, an exact counter) must stay under
 :data:`MAX_SCANS_PER_AGENT_STEP` on the scenarios that table names, and
 ``events_total_per_cluster`` under :data:`MAX_EVENTS_TOTAL_PER_CLUSTER`.
+The report's ``generation`` block times what comes before any replay —
+one cold full-day ``generate_trace`` per scenario, with its fingerprint —
+and ``--check`` holds each row above :data:`MIN_GENERATION_THROUGHPUT`.
 
 Baselines travel across machines: every report carries a
 ``calibration_ops_per_sec`` score from a fixed scheduler-shaped
@@ -69,7 +72,8 @@ from ..config import SchedulerConfig
 from ..core import run_replay
 from ..errors import ScenarioError
 from ..scenarios import get_scenario, scenario_names
-from ..trace import generate_concatenated_trace
+from ..trace import (generate_concatenated_trace, generate_trace,
+                     trace_fingerprint)
 from ..trace.generator import generate_scale_trace
 
 #: Agent scales benchmarked (the paper's §4.3 scaling axis; the
@@ -114,6 +118,13 @@ MIN_SCALE_RATIO = 0.7
 #: flaking. The nominal calibration is the machine that set the floor.
 SCALE_MIN_THROUGHPUT = 2_000.0
 SCALE_NOMINAL_CALIBRATION = 2_000_000.0
+#: Floor of the ``generation`` block (cold full-day ``generate_trace``),
+#: in agent-steps/s at :data:`SCALE_NOMINAL_CALIBRATION`: half the
+#: slowest reading of four runs (smallville, 30.8k-41.2k; PR 19: 23k).
+#: Single-shot on purpose, unlike the matrix cells: a re-run would find
+#: the path planners warm (another quantity), and 2x headroom under the
+#: slowest shared-machine reading is more than a noisy moment takes.
+MIN_GENERATION_THROUGHPUT = 15_000.0
 #: Default CI gates: an absolute floor every entry must clear, and the
 #: minimum (calibration-normalized) throughput ratio vs. the committed
 #: baseline. The flat-round controller measures 40k-47k agent-steps/s
@@ -187,6 +198,24 @@ def hotpath_trace(scenario, n_agents: int, seed: int = HOTPATH_SEED):
     day = generate_concatenated_trace(n_agents, end, base_seed=seed,
                                       scenario=scn)
     return day.window(start, end)
+
+
+def bench_generation(scenarios: list[str], calibration: float) -> list[dict]:
+    """One cold full-day segment per scenario, straight through
+    ``generate_trace`` (no trace cache): what a first run waits for."""
+    rows = []
+    for name in scenarios:
+        t0 = time.perf_counter()
+        trace = generate_trace(seed=HOTPATH_SEED, scenario=name)
+        wall = time.perf_counter() - t0
+        steps = trace.meta.n_agents * trace.meta.n_steps
+        rows.append({
+            "scenario": name, "agent_steps": steps, "wall_s": wall,
+            "agent_steps_per_sec":
+                steps / wall * SCALE_NOMINAL_CALIBRATION / calibration,
+            "n_calls": trace.n_calls,
+            "fingerprint": trace_fingerprint(trace)})
+    return rows
 
 
 def bench_one(scenario: str, n_agents: int,
@@ -573,12 +602,14 @@ def run_hotpath(scenarios: list[str] | None = None,
     skipped) — the CLI passes :data:`TRAJECTORY` so the vs-PR2 and
     vs-preoverhaul columns persist across baselines. ``spec`` attaches
     the speculative-mode win/loss column to every cell (see
-    :func:`bench_one`).
+    :func:`bench_one`). :func:`bench_generation`'s block is measured
+    first, while the shared path planners are cold.
     """
     names = scenarios or scenario_names()
     # Calibrate before the bench loop heats the machine up; best-of-N
     # approximates the unthrottled speed either way.
     calibration = calibration_score()
+    generated = bench_generation(names, calibration)
     entries = [bench_one(name, n, policy=policy, spec=spec)
                for name in names for n in sorted(agent_counts)]
     report = {
@@ -588,6 +619,7 @@ def run_hotpath(scenarios: list[str] | None = None,
         "scenarios": list(names),
         "calibration_ops_per_sec": calibration,
         "spec": spec,
+        "generation": generated,
         "entries": entries,
     }
     baseline_report = load_baseline(baseline)
@@ -723,10 +755,23 @@ def check_report(report: dict,
     the full blocker scans per committed agent-step on the scenarios
     it names, ``max_events_total_per_cluster`` (see
     :data:`MAX_EVENTS_TOTAL_PER_CLUSTER`) every layer's kernel events
-    per dispatched cluster — exact counters, so also exempt.
+    per dispatched cluster — exact counters, so also exempt. Every
+    scenario needs a ``generation`` row at or above
+    :data:`MIN_GENERATION_THROUGHPUT`.
     """
     failures = []
     spec_wins = 0
+    rates = {g["scenario"]: g["agent_steps_per_sec"]
+             for g in report.get("generation", [])}
+    for scenario in report.get("scenarios", []):
+        if scenario not in rates:
+            failures.append(
+                f"{scenario}: generation row missing from the report")
+        elif rates[scenario] < MIN_GENERATION_THROUGHPUT:
+            failures.append(
+                f"{scenario}: cold full-day generation at "
+                f"{rates[scenario]:.0f} normalised agent-steps/s, "
+                f"below the {MIN_GENERATION_THROUGHPUT:.0f} floor")
     present = {(e["scenario"], e["n_agents"]) for e in report["entries"]}
     for scenario in report.get("scenarios", []):
         for count in required_counts:

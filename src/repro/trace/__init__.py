@@ -12,7 +12,7 @@ rationale) and replay them identically.
 
 from .schema import Trace, TraceMeta
 from .generator import (generate_trace, generate_concatenated_trace,
-                        cached_day_trace)
+                        cached_day_trace, trace_fingerprint)
 from .io import save_trace, load_trace, export_jsonl, import_jsonl
 from .stats import TraceStats, compute_stats
 
@@ -22,6 +22,7 @@ __all__ = [
     "generate_trace",
     "generate_concatenated_trace",
     "cached_day_trace",
+    "trace_fingerprint",
     "save_trace",
     "load_trace",
     "export_jsonl",

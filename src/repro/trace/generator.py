@@ -11,6 +11,8 @@ to relocate or ``=0`` to disable.
 
 from __future__ import annotations
 
+import hashlib
+import logging
 import os
 import tempfile
 from pathlib import Path
@@ -26,6 +28,18 @@ from .schema import Trace, TraceMeta, concat_traces
 
 #: Bump to invalidate cached traces when generation logic changes.
 GENERATOR_VERSION = 4
+
+_log = logging.getLogger("repro.trace")
+
+
+def trace_fingerprint(trace: Trace) -> str:
+    """16 hex digits of SHA-256 over the trace's arrays: the golden
+    tests pin it, which is what lets ``GENERATOR_VERSION`` stay put."""
+    digest = hashlib.sha256()
+    for arr in (trace.positions_by_step, trace.call_step, trace.call_agent,
+                trace.call_func, trace.call_in, trace.call_out):
+        digest.update(arr.tobytes())
+    return digest.hexdigest()[:16]
 
 
 def generate_trace(n_agents: int | None = None,
@@ -48,23 +62,29 @@ def generate_trace(n_agents: int | None = None,
     # Step-major from the start: generation appends one population row
     # per step, which is exactly the canonical trace layout.
     positions = np.zeros((n_steps + 1, n_agents, 2), dtype=np.int16)
-    for agent in model.agents:
-        positions[0, agent.agent_id] = agent.pos
-    steps: list[int] = []
-    agents: list[int] = []
-    funcs: list[int] = []
-    ins: list[int] = []
-    outs: list[int] = []
-    for step in range(n_steps):
+    last = [agent.pos for agent in model.agents]
+    positions[0] = last
+    steps, agents, funcs, ins, outs = [], [], [], [], []
+    step = 0
+    while step < n_steps:
+        active = min(model.next_active_step(step), n_steps)
+        if active > step:  # everyone asleep: one broadcast to the wake-up
+            positions[step + 1:active + 1] = positions[step]
+            step = active
+            continue
         calls = model.step_all(step)
-        for aid in range(n_agents):
+        row = positions[step + 1]
+        row[:] = positions[step]
+        for aid, agent in enumerate(model.agents):
+            if agent.pos != last[aid]:
+                row[aid] = last[aid] = agent.pos
             for call in calls[aid]:
                 steps.append(step)
                 agents.append(aid)
                 funcs.append(FUNC_INDEX[call.func])
                 ins.append(call.input_tokens)
                 outs.append(call.output_tokens)
-            positions[step + 1, aid] = model.agents[aid].pos
+        step += 1
 
     dep = scn.dependency_config or DependencyConfig()
     meta = TraceMeta(
@@ -105,8 +125,9 @@ def cached_day_trace(seed: int, n_agents: int | None = None,
     if path.exists():
         try:
             return load_trace(path)
-        except Exception:
-            path.unlink(missing_ok=True)
+        except Exception as err:
+            _log.warning("unreadable cached trace %s (%s: %s), regenerating",
+                         path, type(err).__name__, err)
     trace = generate_trace(n_agents, n_steps, seed, scn)
     save_trace(trace, path)
     return trace

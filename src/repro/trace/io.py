@@ -9,6 +9,7 @@ call event, plus a header object and a movement record per agent.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict
 from pathlib import Path
 
@@ -19,19 +20,22 @@ from .schema import Trace, TraceMeta, _alloc_positions
 
 
 def save_trace(trace: Trace, path: str | Path) -> None:
-    """Write a trace as compressed npz."""
+    """Write a trace as compressed npz — to a temp file beside ``path``,
+    then renamed, so no reader ever finds a truncated file there."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(
-        path,
-        meta=json.dumps(asdict(trace.meta)),
-        positions_sa=trace.positions_by_step,
-        call_step=trace.call_step,
-        call_agent=trace.call_agent,
-        call_func=trace.call_func,
-        call_in=trace.call_in,
-        call_out=trace.call_out,
-    )
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            np.savez_compressed(
+                fh, meta=json.dumps(asdict(trace.meta)),
+                positions_sa=trace.positions_by_step,
+                call_step=trace.call_step, call_agent=trace.call_agent,
+                call_func=trace.call_func, call_in=trace.call_in,
+                call_out=trace.call_out)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_trace(path: str | Path) -> Trace:

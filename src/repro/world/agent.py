@@ -30,7 +30,7 @@ class AgentState:
     memory: MemoryStream = field(default_factory=MemoryStream)
     #: Steps until the agent re-decides what to do at its current venue.
     dwell_until: int = 0
-    #: Step-of-day of the last reflection chain.
+    #: Absolute step (not step-of-day) of the last reflection chain.
     last_reflection: int = 0
 
     @property

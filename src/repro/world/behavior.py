@@ -18,6 +18,10 @@ pairing) are restricted to the perception/chat radius, which the coupling
 threshold dominates, so executing one cluster at a time is equivalent to
 executing the full lock-step world — the property the OOO scheduler relies
 on, and which the integration tests verify end-to-end.
+
+A step visits only the members that are *up* — awake, in a conversation,
+or at their wake step — because a sleeper's step reads and writes nothing.
+Phase 2 pairs only members that are awake and free after phase 1.
 """
 
 from __future__ import annotations
@@ -25,9 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .._util import fast_rng_for, rng_for
+from .._util import FastRng, fast_rng_for, rng_for
 from ..config import STEPS_PER_DAY
 from ..errors import WorldError
 from .agent import AgentState
@@ -109,16 +111,32 @@ class BehaviorModel:
 
     def step_agents(self, step: int,
                     agent_ids: Iterable[int]) -> dict[int, list[LLMCall]]:
-        """Advance a coupling-closed subset of agents one step."""
+        """Advance a coupling-closed subset of agents one step; returns
+        a (possibly empty) call list for every requested agent."""
         members = sorted(agent_ids)
         calls: dict[int, list[LLMCall]] = {aid: [] for aid in members}
+        day_step = step % STEPS_PER_DAY
+        # Read off the agents each step, never a kept roster: tests and
+        # deep copies of a warm model set ``awake`` from outside.
+        up = [agent for agent in map(self.agents.__getitem__, members)
+              if agent.awake or agent.conversation is not None
+              or agent.persona.wake_step == day_step]
         # Phase 1: solo decisions + movement, in agent-id order.
-        for aid in members:
-            self._step_solo(step, aid, calls[aid])
+        for agent in up:
+            self._step_solo(step, agent.agent_id, calls[agent.agent_id])
         # Phase 2: pairwise interactions (conversation starts) — symmetric,
         # keyed by the unordered pair so order cannot matter.
-        self._maybe_start_conversations(step, members, calls)
+        self._maybe_start_conversations(step, up, calls)
         return calls
+
+    def next_active_step(self, step: int) -> int:
+        """The first step >= ``step`` at which anyone is up (see
+        :meth:`step_agents`); until then stepping changes nothing."""
+        if any(a.awake or a.conversation is not None for a in self.agents):
+            return step
+        day_step = step % STEPS_PER_DAY
+        return step + min((a.persona.wake_step - day_step) % STEPS_PER_DAY
+                          for a in self.agents)
 
     # ------------------------------------------------------------------
     # solo behaviour
@@ -183,7 +201,7 @@ class BehaviorModel:
                 keywords=frozenset({"reflection", persona.archetype}),
                 importance=0.4, tokens=44))
 
-    def _wake(self, step: int, agent: AgentState, rng: np.random.Generator,
+    def _wake(self, step: int, agent: AgentState, rng: FastRng,
               out: list[LLMCall]) -> None:
         agent.awake = True
         agent.activity = "morning routine"
@@ -196,7 +214,7 @@ class BehaviorModel:
             importance=0.5, tokens=60))
 
     def _act_in_place(self, step: int, agent: AgentState,
-                      rng: np.random.Generator, out: list[LLMCall]) -> None:
+                      rng: FastRng, out: list[LLMCall]) -> None:
         if step < agent.dwell_until:
             return
         out.append(self._call(rng, "action_decide", agent, step))
@@ -234,8 +252,7 @@ class BehaviorModel:
             return agent.pos == agent.target_tile
         return venue.contains(*agent.pos)
 
-    def _move_toward_target(self, agent: AgentState,
-                            rng: np.random.Generator) -> None:
+    def _move_toward_target(self, agent: AgentState, rng: FastRng) -> None:
         """One movement step.
 
         Outside the target venue, agents follow the shortest path to the
@@ -277,16 +294,18 @@ class BehaviorModel:
                 out.append(other.agent_id)
         return out
 
-    def _chat_adjacent(self, a: AgentState, b: AgentState) -> bool:
-        """May ``a`` and ``b`` strike up a conversation where they stand?
-
-        The world's distance predicate at :attr:`CHAT_RADIUS`; graph
-        worlds override it with hop distance. Must stay within the
-        coupling threshold so conversation pairing remains cluster-safe.
-        """
-        dx = a.pos[0] - b.pos[0]
-        dy = a.pos[1] - b.pos[1]
-        return dx * dx + dy * dy <= self.CHAT_RADIUS ** 2
+    def _chat_pairs(self, free: list[AgentState]
+                    ) -> list[tuple[AgentState, AgentState]]:
+        """The pairs of ``free``, in ``(i, j)`` order, close enough to
+        strike up a conversation: the world's distance predicate at
+        :attr:`CHAT_RADIUS` (graph worlds override it with hop distance).
+        Must stay within the coupling threshold so conversation pairing
+        remains cluster-safe."""
+        reach = self.CHAT_RADIUS ** 2
+        spots = [(agent, *agent.pos) for agent in free]
+        return [(a, b) for i, (a, ax, ay) in enumerate(spots)
+                for b, bx, by in spots[i + 1:]
+                if (dx := ax - bx) * dx + (dy := ay - by) * dy <= reach]
 
     def _observe_surroundings(self, step: int, aid: int) -> None:
         """Write memory events about perceivable agents (radius <= 4)."""
@@ -298,27 +317,26 @@ class BehaviorModel:
                 keywords=frozenset({other.persona.name, other.activity}),
                 importance=0.15, tokens=36))
 
-    def _maybe_start_conversations(self, step: int, members: list[int],
+    def _maybe_start_conversations(self, step: int, up: list[AgentState],
                                    calls: dict[int, list[LLMCall]]) -> None:
-        for i, aid in enumerate(members):
-            a = self.agents[aid]
-            if not a.awake or a.busy_chatting:
+        # Positions and ``awake`` hold still in this phase; only
+        # ``conversation`` changes, so it is re-checked pair by pair.
+        free = [agent for agent in up
+                if agent.awake and agent.conversation is None]
+        if len(free) < 2:
+            return
+        for a, b in self._chat_pairs(free):
+            if a.conversation is not None or b.conversation is not None:
                 continue
-            for bid in members[i + 1:]:
-                b = self.agents[bid]
-                if not b.awake or b.busy_chatting or a.busy_chatting:
-                    continue
-                if not self._chat_adjacent(a, b):
-                    continue
-                rng = fast_rng_for(self.seed, "chat", min(aid, bid),
-                                   max(aid, bid), step)
-                social = (self._current_venue_name(a) in self.social_venues)
-                base = 0.115 if (social and a.activity == "lunch") else \
-                    0.04 if social else 0.008
-                prob = base * a.persona.sociability * b.persona.sociability
-                if rng.random() >= prob:
-                    continue
-                self._generate_conversation(step, aid, bid, rng, calls)
+            aid, bid = a.agent_id, b.agent_id  # aid < bid: id order
+            rng = fast_rng_for(self.seed, "chat", aid, bid, step)
+            social = (self._current_venue_name(a) in self.social_venues)
+            base = 0.115 if (social and a.activity == "lunch") else \
+                0.04 if social else 0.008
+            prob = base * a.persona.sociability * b.persona.sociability
+            if rng.random() >= prob:
+                continue
+            self._generate_conversation(step, aid, bid, rng, calls)
 
     def _generate_conversation(self, step: int, aid: int, bid: int,
                                rng, calls: dict[int, list[LLMCall]]) -> None:
@@ -412,7 +430,7 @@ class BehaviorModel:
             step, frozenset({agent.activity}), top_k=top_k)
         return min(base + retrieved, MAX_INPUT_TOKENS)
 
-    def _call(self, rng: np.random.Generator, func: str, agent: AgentState,
+    def _call(self, rng: FastRng, func: str, agent: AgentState,
               step: int) -> LLMCall:
         try:
             base, top_k, out_lo, out_hi = self._func_shape[func]

@@ -45,6 +45,11 @@ class MemoryStream:
         #: Importance accumulated since the last reflection (GenAgent
         #: triggers reflection when this crosses a threshold).
         self.importance_since_reflection = 0.0
+        #: The last ranking and its ``(now_step, query_keywords)``: the
+        #: calls of one chain all retrieve before the memory is written.
+        #: Only the cluster owning the agent touches it: no lock.
+        self._ranked_for: tuple[int, frozenset[str]] | None = None
+        self._ranked: list[MemoryEvent] = []
 
     def __len__(self) -> int:
         return len(self._events)
@@ -52,42 +57,49 @@ class MemoryStream:
     def add(self, event: MemoryEvent) -> None:
         self._events.append(event)
         self.importance_since_reflection += event.importance
+        self._ranked_for = None
 
-    def _score(self, event: MemoryEvent, now_step: int,
-               query_keywords: frozenset[str]) -> float:
-        age = now_step - event.step
-        recency = self.RECENCY_DECAY ** age if age < 4000 else 0.0
-        if query_keywords:
-            overlap = len(query_keywords & event.keywords)
-            relevance = 0.1 + overlap / len(query_keywords)
-        else:
-            relevance = 1.0
-        return recency * (0.5 + event.importance) * relevance
+    def _ranking(self, now_step: int,
+                 query_keywords: frozenset[str]) -> list[MemoryEvent]:
+        """Events by descending recency * importance * relevance; equal
+        scores keep stream order."""
+        if self._ranked_for != (now_step, query_keywords):
+            events = list(self._events)
+            n_query = len(query_keywords)
+            keys = []
+            for event in events:
+                age = now_step - event.step
+                # (An event stamped after now_step must not index the
+                # table from its end: it decays upward, as the power does.)
+                recency = (_DECAY[age] if 0 <= age < 4000 else
+                           self.RECENCY_DECAY ** age if age < 0 else 0.0)
+                relevance = (0.1 + len(query_keywords & event.keywords)
+                             / n_query) if n_query else 1.0
+                keys.append(-(recency * (0.5 + event.importance) * relevance))
+            self._ranked = [events[i] for i in sorted(
+                range(len(events)), key=keys.__getitem__)]
+            self._ranked_for = (now_step, query_keywords)
+        return self._ranked
 
     def retrieve(self, now_step: int, query_keywords: frozenset[str],
                  top_k: int = 8) -> list[MemoryEvent]:
         """Top-k events by recency * importance * relevance."""
-        scored = sorted(
-            self._events,
-            key=lambda e: -self._score(e, now_step, query_keywords))
-        return scored[:top_k]
+        return self._ranking(now_step, query_keywords)[:top_k]
 
     def retrieved_tokens(self, now_step: int,
                          query_keywords: frozenset[str],
                          top_k: int = 8) -> int:
         """Token volume of a retrieval — the prompt-building cost driver.
 
-        Avoids the full sort: with a bounded window, summing the ``top_k``
-        largest scores via one pass is cheap and exact enough; we sum the
-        token lengths of the top-k scored events.
+        Sums the token lengths of the ``top_k`` best-ranked events; the
+        ranking is computed once per ``(memory state, now_step, query)``.
         """
-        events = self._events
-        if len(events) <= top_k:
-            return sum(e.tokens for e in events)
-        scores = [(self._score(e, now_step, query_keywords), e.tokens)
-                  for e in events]
-        scores.sort(key=lambda pair: -pair[0])
-        return sum(tokens for _, tokens in scores[:top_k])
+        return sum(event.tokens for event in
+                   self._ranking(now_step, query_keywords)[:top_k])
 
     def reset_reflection_counter(self) -> None:
         self.importance_since_reflection = 0.0
+
+
+#: ``RECENCY_DECAY ** age`` for every age the score does not zero.
+_DECAY = [MemoryStream.RECENCY_DECAY ** age for age in range(4000)]

@@ -188,8 +188,10 @@ class SocialGraphBehavior(BehaviorModel):
                 if other.agent_id != aid
                 and dist(pos, other.pos) <= radius]
 
-    def _chat_adjacent(self, a, b) -> bool:
-        return self.space.dist(a.pos, b.pos) <= self.CHAT_RADIUS
+    def _chat_pairs(self, free):
+        dist, reach = self.space.dist, self.CHAT_RADIUS
+        return [(a, b) for i, a in enumerate(free) for b in free[i + 1:]
+                if dist(a.pos, b.pos) <= reach]
 
     def _move_toward_target(self, agent, rng) -> None:
         """One hop along the shortest route to the target venue's node."""

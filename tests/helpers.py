@@ -14,6 +14,7 @@ from repro.serving import engine as serving_engine
 from repro.serving.replica import _BaseReplica
 from repro.serving.request import RequestState
 from repro.trace.schema import Trace, TraceMeta
+from repro.world.memory_stream import MemoryEvent, MemoryStream
 
 
 def trajectory_trace(trajectories, chains, *, radius_p: float = 4.0,
@@ -269,3 +270,32 @@ def per_iteration_oracle():
         yield
     finally:
         serving_engine.make_replica = real
+
+
+def reference_ranking(events, now_step: int,
+                      query_keywords: frozenset[str]) -> list[MemoryEvent]:
+    """The memory ranking as ``MemoryStream`` computed it through PR 19:
+    a ``_score`` call per event and a full sort per retrieval. The
+    memoised, table-driven ranking must equal it element for element."""
+    def score(event: MemoryEvent) -> float:
+        age = now_step - event.step
+        recency = MemoryStream.RECENCY_DECAY ** age if age < 4000 else 0.0
+        if query_keywords:
+            overlap = len(query_keywords & event.keywords)
+            relevance = 0.1 + overlap / len(query_keywords)
+        else:
+            relevance = 1.0
+        return recency * (0.5 + event.importance) * relevance
+
+    return sorted(events, key=lambda e: -score(e))
+
+
+def agent_snapshot(agent) -> tuple:
+    """Every field of an ``AgentState`` a step may change, comparable
+    across deep copies (the memory by its length and reflection sum)."""
+    conv = agent.conv_state
+    return (agent.pos, agent.target_venue, agent.target_tile, agent.awake,
+            agent.activity, agent.conversation,
+            conv and (conv.partner, conv.freeze_left), len(agent.memory),
+            agent.memory.importance_since_reflection, agent.dwell_until,
+            agent.last_reflection)

@@ -508,6 +508,19 @@ class TestSpatialIndexBuffers:
 
 
 class TestHotpathBench:
+    @pytest.fixture(autouse=True)
+    def short_generation_day(self, monkeypatch):
+        """Every report carries a ``generation`` block; here its "day"
+        ends in the wake-up hour (the real one runs 8,640 steps)."""
+        from repro.bench import hotpath as hp
+        from repro.trace import generate_trace
+
+        def short_day(seed, scenario):
+            return generate_trace(None, 2300, seed, scenario)
+
+        monkeypatch.setattr(hp, "generate_trace", short_day)
+        return short_day
+
     def test_report_shape_and_throughput(self, tmp_path):
         from repro.bench.hotpath import run_hotpath
 
@@ -791,6 +804,47 @@ class TestHotpathBench:
             report, min_throughput=1.0, min_speedup=0.0,
             max_events_total_per_cluster={"smallville": events / 2})
         assert any("riding executor events again" in f for f in failures)
+
+    def test_generation_block_and_floor(self, tmp_path, monkeypatch,
+                                        short_generation_day):
+        """The report carries one cold ``generate_trace`` row per
+        scenario; the gate wants every row, at or above the floor."""
+        from repro.bench import hotpath as hp
+        from repro.trace import trace_fingerprint
+
+        short_day = short_generation_day
+        out = tmp_path / "hp.json"
+        names = ["smallville", "social-graph"]
+        report = hp.run_hotpath(scenarios=names, agent_counts=(5,),
+                                out=out)
+        rows = json.loads(out.read_text())["generation"]
+        assert [r["scenario"] for r in rows] == names
+        for row in rows:
+            trace = short_day(hp.HOTPATH_SEED, row["scenario"])
+            assert row["fingerprint"] == trace_fingerprint(trace)
+            assert row["n_calls"] == trace.n_calls > 0
+            assert row["agent_steps"] == trace.meta.n_agents * 2300
+            assert row["agent_steps_per_sec"] == pytest.approx(
+                row["agent_steps"] / row["wall_s"]
+                * hp.SCALE_NOMINAL_CALIBRATION
+                / report["calibration_ops_per_sec"])
+
+        def failures():  # (no baseline here: those lines aside)
+            return [f for f in hp.check_report(
+                report, min_throughput=1.0, min_speedup=0.0)
+                if "generation" in f]
+
+        assert hp.MIN_GENERATION_THROUGHPUT > 0
+        assert failures() == []
+        del report["generation"][1]
+        assert failures() == [
+            "social-graph: generation row missing from the report"]
+        monkeypatch.setattr(hp, "MIN_GENERATION_THROUGHPUT", 1e12)
+        assert failures() == [
+            "smallville: cold full-day generation at "
+            f"{rows[0]['agent_steps_per_sec']:.0f} normalised "
+            "agent-steps/s, below the 1000000000000 floor",
+            "social-graph: generation row missing from the report"]
 
 
 def _observable_state(graph, n):

@@ -1,14 +1,19 @@
 """Tests for the trace schema, generation, io and statistics."""
 
+import logging
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.errors import TraceError
-from repro.trace import (Trace, compute_stats, export_jsonl,
-                         generate_concatenated_trace, generate_trace,
-                         import_jsonl, load_trace, save_trace)
+from repro.scenarios import scenario_names
+from repro.trace import (Trace, cached_day_trace, compute_stats,
+                         export_jsonl, generate_concatenated_trace,
+                         generate_trace, import_jsonl, load_trace,
+                         save_trace, trace_fingerprint)
+from repro.trace import io as trace_io
+from repro.trace.generator import GENERATOR_VERSION
 from repro.trace.schema import (SharedPositionStore, TraceMeta,
                                 concat_traces)
 
@@ -257,6 +262,110 @@ class TestGenerator:
     def test_small_request_single_ville(self):
         t = generate_concatenated_trace(10, n_steps=50)
         assert t.meta.segments == 1
+
+
+#: ``trace_fingerprint`` of ``generate_trace(None, n_steps, seed, name)``
+#: as PR 19 generated it (taken before PR 20 touched the world model):
+#: scenario -> {(seed, n_steps): fingerprint}. Seed 1003 x 2,420 is the
+#: sleeping night and the wake-up, seed 7 x 4,700 adds walks, lunch
+#: conversations and reflections, seed 0 x 8,640 is the full day. A
+#: change that moves one of them must bump ``GENERATOR_VERSION`` (every
+#: cached trace goes stale) and re-pin; a speed-up must not.
+GOLDEN = {
+    "smallville": {(1003, 2420): "0b13b3d323b041d9",
+                   (7, 4700): "129d42bf11a161b1",
+                   (0, 8640): "0b528712776eb93f"},
+    "social-graph": {(1003, 2420): "37b33414ba09b6a8",
+                     (7, 4700): "abe914e19a61d963",
+                     (0, 8640): "1fb4d509c86ae46c"},
+    "metro-grid": {(1003, 2420): "5ac2709956461619",
+                   (7, 4700): "6dc10235e4db2a93",
+                   (0, 8640): "ac31722cc6e610a8"},
+    "market-town": {(1003, 2420): "01904c283e93c283",
+                    (7, 4700): "a1795d54ccb8d9a2",
+                    (0, 8640): "3183baed68c465e9"},
+}
+
+
+class TestGoldenFingerprints:
+    """Generation is byte-identical to the pinned generator version."""
+
+    def _check(self, name, seed, n_steps):
+        trace = generate_trace(None, n_steps, seed, name)
+        assert trace_fingerprint(trace) == GOLDEN[name][seed, n_steps]
+
+    def test_pinned_for_this_generator_version(self):
+        assert GENERATOR_VERSION == 4
+        assert sorted(GOLDEN) == sorted(scenario_names())
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_night_and_wake_up(self, name):
+        self._check(name, 1003, 2420)
+
+    @pytest.mark.parametrize("name", [
+        "smallville", "social-graph",
+        pytest.param("metro-grid", marks=pytest.mark.nightly),
+        pytest.param("market-town", marks=pytest.mark.nightly)])
+    def test_morning_to_lunch(self, name):
+        self._check(name, 7, 4700)
+
+    @pytest.mark.nightly
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_full_day(self, name):
+        self._check(name, 0, 8640)
+
+    def test_fingerprint_reads_every_array(self, synthetic_trace):
+        t = synthetic_trace
+        base = trace_fingerprint(t)
+        assert len(base) == 16 and base == trace_fingerprint(t)
+        bumped = Trace(t.meta, t.positions, t.call_step, t.call_agent,
+                       t.call_func, t.call_in, t.call_out + 1)
+        assert trace_fingerprint(bumped) != base
+
+
+class TestTraceCache:
+    """No half-written cache file is left behind or silently eaten."""
+
+    def test_truncated_entry_is_loud_and_repaired(self, tmp_path,
+                                                  monkeypatch, caplog):
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+        first = cached_day_trace(seed=3, n_agents=3, n_steps=60)
+        (path,) = tmp_path.iterdir()
+        whole = path.read_bytes()
+        path.write_bytes(whole[:len(whole) // 2])
+        with caplog.at_level(logging.WARNING, logger="repro.trace"):
+            again = cached_day_trace(seed=3, n_agents=3, n_steps=60)
+        assert trace_fingerprint(again) == trace_fingerprint(first)
+        (record,) = caplog.records
+        assert record.name == "repro.trace"
+        assert str(path) in record.getMessage()
+        assert list(tmp_path.iterdir()) == [path]
+        assert trace_fingerprint(load_trace(path)) == \
+            trace_fingerprint(first)
+        caplog.clear()
+        cached_day_trace(seed=3, n_agents=3, n_steps=60)  # a plain hit
+        assert caplog.records == []
+
+    def test_failed_save_leaves_no_file(self, synthetic_trace, tmp_path,
+                                        monkeypatch):
+        path = tmp_path / "t.npz"
+
+        def dies_mid_write(fh, **arrays):
+            fh.write(b"PK half an archive")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(trace_io.np, "savez_compressed", dies_mid_write)
+        with pytest.raises(KeyboardInterrupt):
+            save_trace(synthetic_trace, path)
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+        save_trace(synthetic_trace, path)
+        good = path.read_bytes()
+        monkeypatch.setattr(trace_io.np, "savez_compressed", dies_mid_write)
+        with pytest.raises(KeyboardInterrupt):
+            save_trace(synthetic_trace, path)  # the old file survives
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == good
 
 
 class TestTraceIO:

@@ -1,11 +1,16 @@
 """Tests for the SmallVille world substrate: grid, pathfinding, personas,
 memory stream, behavior loop and conversations."""
 
+import copy
+import random
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro._util import rng_for
+from repro import _util
+from repro._util import FastRng, UnionFind, fast_rng_for, rng_for, stable_seed
 from repro.config import STEPS_PER_DAY
 from repro.errors import WorldError
 from repro.world import (BehaviorModel, GridWorld, Venue,
@@ -14,6 +19,8 @@ from repro.world.behavior import FUNC_INDEX, FUNCS
 from repro.world.memory_stream import MemoryEvent, MemoryStream
 from repro.world.pathfind import PathPlanner, astar
 from repro.world.persona import SOCIAL_VENUES
+
+from helpers import agent_snapshot, reference_ranking
 
 
 class TestGridWorld:
@@ -239,6 +246,95 @@ class TestMemoryStream:
         assert m.importance_since_reflection == 0.0
 
 
+class TestMemoryRankingMemo:
+    """The memoised, table-driven ranking against the per-call full sort
+    it replaced (``helpers.reference_ranking``).
+
+    Mutations that must each fail ``test_matches_reference``: dropping
+    the memo reset in ``add``; ``sort(reverse=True)`` on ``(score,
+    tokens)`` pairs without a key (equal scores then order by tokens,
+    not by stream position); ``_DECAY[age]`` without the sign guard (a
+    negative age indexes the table from its end).
+    """
+
+    KEYWORDS = ("lunch", "working", "Ada", "Bo", "conversation")
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_reference(self, seed):
+        rnd = random.Random(seed)
+        window = rnd.choice([8, 64])
+        stream = MemoryStream(window=window)
+        shadow = deque(maxlen=window)
+        now = 5000
+        for _ in range(400):
+            if rnd.random() < 0.4:
+                # Few distinct (step, importance, keywords) triples, so
+                # exact score ties with different token counts abound;
+                # steps reach back past age 4000 and ahead of ``now``.
+                event = MemoryEvent(
+                    step=now - rnd.choice([-30, -1, 0, 1, 2, 700, 3999,
+                                           4000, 4500]),
+                    kind="observation",
+                    keywords=frozenset(rnd.sample(self.KEYWORDS, 2)),
+                    importance=rnd.choice([0.15, 0.6]),
+                    tokens=rnd.randrange(20, 80))
+                stream.add(event)
+                shadow.append(event)
+                continue
+            if rnd.random() < 0.3:  # else: ask again at the same step
+                now += rnd.randrange(1, 40)
+            query = frozenset(rnd.sample(self.KEYWORDS, rnd.randrange(3)))
+            top_k = rnd.choice([1, 2, 4, 6, 8, 10, 100])
+            expect = reference_ranking(shadow, now, query)[:top_k]
+            if rnd.random() < 0.5:
+                got = stream.retrieve(now, query, top_k=top_k)
+                assert len(got) == len(expect)
+                assert all(g is e for g, e in zip(got, expect))
+            else:
+                assert stream.retrieved_tokens(now, query, top_k=top_k) \
+                    == sum(e.tokens for e in expect)
+        assert len(stream) == len(shadow)
+
+    def test_add_between_equal_queries_is_seen(self):
+        m = MemoryStream()
+        m.add(MemoryEvent(10, "plan", frozenset({"a"}), 0.5, tokens=7))
+        assert m.retrieved_tokens(20, frozenset({"a"}), top_k=4) == 7
+        m.add(MemoryEvent(20, "chat", frozenset({"a"}), 0.6, tokens=11))
+        assert m.retrieved_tokens(20, frozenset({"a"}), top_k=4) == 18
+        assert [e.tokens for e in m.retrieve(20, frozenset({"a"}), 1)] == [11]
+
+    def test_future_event_outranks_the_present(self):
+        """Age -5 scores ``0.999 ** -5`` > 1, not the table's far end."""
+        m = MemoryStream()
+        for step in (95, 100, 105):
+            m.add(MemoryEvent(step, "plan", frozenset(), 0.5, tokens=step))
+        assert [e.step for e in m.retrieve(100, frozenset(), 3)] == \
+            [105, 100, 95]
+
+
+class TestLazyStreams:
+    def test_lazy_stream_equals_eager(self):
+        for parts in ((0, "beh", 3, 17), (9, "chat", 1, 2, 4400), ("x",), ()):
+            lazy, eager = fast_rng_for(*parts), FastRng(stable_seed(*parts))
+            assert [lazy.random() for _ in range(3)] == \
+                [eager.random() for _ in range(3)]
+            assert [lazy.integers(2, 90) for _ in range(3)] == \
+                [eager.integers(2, 90) for _ in range(3)]
+
+    def test_sleeping_night_hashes_nothing(self, monkeypatch):
+        from repro.scenarios import get_scenario
+        model = get_scenario("smallville").model(25, 4)
+        hashed = []
+        monkeypatch.setattr(
+            _util, "stable_seed",
+            lambda *parts: hashed.append(parts) or stable_seed(*parts))
+        for step in range(2000):
+            assert not any(model.step_all(step).values())
+        assert hashed == []  # 50,000 when every agent-step built a stream
+        fast_rng_for(1, "beh").random()
+        assert hashed == [(1, "beh")]  # the counter does count
+
+
 def _make_model(n_agents=6, seed=5):
     world, homes = build_smallville()
     personas = make_personas(n_agents, seed=seed, homes=homes)
@@ -346,3 +442,71 @@ class TestBehaviorModel:
             if not a.busy_chatting:
                 break
         assert not a.busy_chatting
+
+
+def _warm_model(upto, n_agents=25, seed=2):
+    model = _make_model(n_agents=n_agents, seed=seed)
+    for step in range(upto):
+        model.step_all(step)
+    return model
+
+
+def _snapshots(model):
+    return [agent_snapshot(a) for a in model.agents]
+
+
+class TestSleepersSkipped:
+    def test_sleepers_only_subset_is_a_no_op(self):
+        model = _warm_model(2300)
+        day_step = 2300
+        asleep = [a.agent_id for a in model.agents
+                  if not a.awake and a.persona.wake_step != day_step]
+        assert asleep and len(asleep) < 25  # some up, some not
+        before = _snapshots(model)
+        assert model.step_agents(day_step, asleep) == \
+            {aid: [] for aid in asleep}
+        assert _snapshots(model) == before
+
+    def test_next_active_step(self):
+        model = _make_model()
+        first_wake = min(a.persona.wake_step for a in model.agents)
+        assert model.next_active_step(0) == first_wake
+        assert model.next_active_step(first_wake) == first_wake
+        model.agents[3].awake = True  # state set from outside is seen
+        assert model.next_active_step(40) == 40
+        model.agents[3].awake = False
+        assert model.next_active_step(STEPS_PER_DAY + 5) == \
+            STEPS_PER_DAY + first_wake
+
+    def test_deepcopy_mid_day_steps_identically(self):
+        model = _warm_model(2350)
+        twin = copy.deepcopy(model)
+        for step in range(2350, 2700):
+            assert twin.step_all(step) == model.step_all(step)
+        assert _snapshots(twin) == _snapshots(model)
+        assert any(a.awake for a in model.agents)
+
+    @pytest.mark.parametrize("order_seed", [0, 1])
+    def test_shuffled_clusters_equal_lock_step(self, order_seed):
+        """Coupling-closed clusters, stepped in any order through the
+        wake-up hour, leave the world ``step_all`` leaves."""
+        lock = _warm_model(2160, seed=8)
+        ooo = copy.deepcopy(lock)
+        rnd = random.Random(order_seed)
+        reach = (4.0 + 1.0) ** 2  # (radius_p + max_vel) ** 2
+        for step in range(2160, 2520):
+            uf = UnionFind(len(ooo.agents))
+            for a in ooo.agents:
+                for b in ooo.agents[a.agent_id + 1:]:
+                    if ((a.pos[0] - b.pos[0]) ** 2
+                            + (a.pos[1] - b.pos[1]) ** 2) <= reach:
+                        uf.union(a.agent_id, b.agent_id)
+            clusters = list(uf.groups(range(len(ooo.agents))))
+            rnd.shuffle(clusters)
+            calls = {}
+            for cluster in clusters:
+                rnd.shuffle(cluster)
+                calls.update(ooo.step_agents(step, cluster))
+            assert calls == lock.step_all(step)
+            assert _snapshots(ooo) == _snapshots(lock)
+        assert sum(a.awake for a in lock.agents) > 5
