@@ -22,6 +22,9 @@ on, and which the integration tests verify end-to-end.
 A step visits only the members that are *up* — awake, in a conversation,
 or at their wake step — because a sleeper's step reads and writes nothing.
 Phase 2 pairs only members that are awake and free after phase 1.
+A *dwelling* step — awake, settled, before ``dwell_until``, inside its
+routine block, no reflection due — decides nothing either: it would draw
+no number and write no field, so it returns before its stream is keyed.
 """
 
 from __future__ import annotations
@@ -144,13 +147,21 @@ class BehaviorModel:
 
     def _step_solo(self, step: int, aid: int, out: list[LLMCall]) -> None:
         agent = self.agents[aid]
-        persona = agent.persona
-        rng = fast_rng_for(self.seed, "beh", aid, step)
-        day_step = step % STEPS_PER_DAY
-
         if agent.busy_chatting:
             self._conversation_turn(step, aid, out)
             return
+        persona = agent.persona
+        day_step = step % STEPS_PER_DAY
+        # A dwelling step (module docstring): the rest would fall
+        # through to the end without a draw or a write.
+        if (agent.awake and agent.target_venue is None
+                and step < agent.dwell_until
+                and day_step < persona.sleep_step
+                and persona.block_at(day_step).activity
+                in (agent.activity, "sleeping")
+                and not self._reflection_due(agent, step)):
+            return
+        rng = fast_rng_for(self.seed, "beh", aid, step)
 
         # Sleep/wake edges.
         if not agent.awake:
@@ -188,9 +199,7 @@ class BehaviorModel:
             agent.target_venue = None
             self._act_in_place(step, agent, rng, out)
 
-        # Reflection when enough importance accumulated (GenAgent-style).
-        if (agent.memory.importance_since_reflection > 12.0
-                and step - agent.last_reflection > 180):
+        if self._reflection_due(agent, step):
             out.append(self._call(rng, "reflect_insight", agent, step))
             for _ in range(int(rng.integers(2, 5))):
                 out.append(self._call(rng, "reflect_memo", agent, step))
@@ -200,6 +209,12 @@ class BehaviorModel:
                 step=step, kind="reflection",
                 keywords=frozenset({"reflection", persona.archetype}),
                 importance=0.4, tokens=44))
+
+    @staticmethod
+    def _reflection_due(agent: AgentState, step: int) -> bool:
+        """Enough importance accumulated since the last one (GenAgent)."""
+        return (agent.memory.importance_since_reflection > 12.0
+                and step - agent.last_reflection > 180)
 
     def _wake(self, step: int, agent: AgentState, rng: FastRng,
               out: list[LLMCall]) -> None:
@@ -284,15 +299,10 @@ class BehaviorModel:
     def _neighbors_within(self, aid: int, radius: float) -> list[int]:
         """Other agents within ``radius`` of agent ``aid`` (any subset)."""
         ax, ay = self.agents[aid].pos
-        out = []
-        for other in self.agents:
-            if other.agent_id == aid:
-                continue
-            dx = other.pos[0] - ax
-            dy = other.pos[1] - ay
-            if dx * dx + dy * dy <= radius * radius:
-                out.append(other.agent_id)
-        return out
+        reach = radius * radius
+        return [i for i, other in enumerate(self.agents)
+                if (dx := other.pos[0] - ax) * dx
+                + (dy := other.pos[1] - ay) * dy <= reach and i != aid]
 
     def _chat_pairs(self, free: list[AgentState]
                     ) -> list[tuple[AgentState, AgentState]]:
@@ -302,10 +312,20 @@ class BehaviorModel:
         Must stay within the coupling threshold so conversation pairing
         remains cluster-safe."""
         reach = self.CHAT_RADIUS ** 2
-        spots = [(agent, *agent.pos) for agent in free]
-        return [(a, b) for i, (a, ax, ay) in enumerate(spots)
-                for b, bx, by in spots[i + 1:]
-                if (dx := ax - bx) * dx + (dy := ay - by) * dy <= reach]
+        # Sweep along x: a partner lies within CHAT_RADIUS columns, so
+        # each agent is tested against its x-neighbours only; sorting
+        # the index pairs restores the all-pairs ``(i, j)`` order.
+        spots = sorted((*agent.pos, i) for i, agent in enumerate(free))
+        pairs = []
+        for k, (ax, ay, i) in enumerate(spots):
+            limit = ax + self.CHAT_RADIUS
+            for bx, by, j in spots[k + 1:]:
+                if bx > limit:
+                    break
+                if (dx := ax - bx) * dx + (dy := ay - by) * dy <= reach:
+                    pairs.append((i, j) if i < j else (j, i))
+        pairs.sort()
+        return [(free[i], free[j]) for i, j in pairs]
 
     def _observe_surroundings(self, step: int, aid: int) -> None:
         """Write memory events about perceivable agents (radius <= 4)."""
@@ -339,7 +359,8 @@ class BehaviorModel:
             self._generate_conversation(step, aid, bid, rng, calls)
 
     def _generate_conversation(self, step: int, aid: int, bid: int,
-                               rng, calls: dict[int, list[LLMCall]]) -> None:
+                               rng: FastRng,
+                               calls: dict[int, list[LLMCall]]) -> None:
         """Generate the full dialogue as one chain on the initiator's side.
 
         Matches GenAgent: the meeting step carries the whole utterance

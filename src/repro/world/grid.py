@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._util import FastRng
 from ..errors import WorldError
 
 
@@ -56,6 +57,9 @@ class GridWorld:
         #: True where an agent may stand.
         self.walkable = np.ones((height, width), dtype=bool)
         self.venues: dict[str, Venue] = {}
+        #: tile -> the first-declared venue covering it; built at the
+        #: first :meth:`venue_at`, dropped by :meth:`add_venue`.
+        self._venue_of_tile: dict[tuple[int, int], Venue] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -78,6 +82,7 @@ class GridWorld:
         self._check_bounds(venue.x0, venue.y0)
         self._check_bounds(venue.x1, venue.y1)
         self.venues[venue.name] = venue
+        self._venue_of_tile = None
         if walled:
             # Perimeter one tile outside the interior, door at bottom center.
             x0, y0 = venue.x0 - 1, venue.y0 - 1
@@ -100,10 +105,13 @@ class GridWorld:
         return self.in_bounds(x, y) and bool(self.walkable[y, x])
 
     def venue_at(self, x: int, y: int) -> Venue | None:
-        for venue in self.venues.values():
-            if venue.contains(x, y):
-                return venue
-        return None
+        table = self._venue_of_tile
+        if table is None:
+            table = self._venue_of_tile = {}
+            for venue in self.venues.values():
+                for tile in venue.tiles():
+                    table.setdefault(tile, venue)
+        return table.get((x, y))
 
     def venue(self, name: str) -> Venue:
         try:
@@ -120,9 +128,10 @@ class GridWorld:
                 out.append((nx, ny))
         return out
 
-    def random_walkable_tile(self, rng: np.random.Generator,
+    def random_walkable_tile(self, rng: np.random.Generator | FastRng,
                              venue: Venue | None = None) -> tuple[int, int]:
-        """A uniformly random walkable tile (within ``venue`` if given)."""
+        """A uniformly random walkable tile (within ``venue`` if given);
+        ``rng`` needs ``integers(lo, hi)`` only."""
         for _ in range(1000):
             if venue is None:
                 x = int(rng.integers(0, self.width))

@@ -66,6 +66,10 @@ class MemoryStream:
         if self._ranked_for != (now_step, query_keywords):
             events = list(self._events)
             n_query = len(query_keywords)
+            # One keyword (every prompt asks for the agent's activity):
+            # the overlap is a membership test, and 0.1 + 1 / 1 and
+            # 0.1 + 0 / 1 are the doubles 1.1 and 0.1.
+            only = next(iter(query_keywords)) if n_query == 1 else None
             keys = []
             for event in events:
                 age = now_step - event.step
@@ -73,8 +77,10 @@ class MemoryStream:
                 # table from its end: it decays upward, as the power does.)
                 recency = (_DECAY[age] if 0 <= age < 4000 else
                            self.RECENCY_DECAY ** age if age < 0 else 0.0)
-                relevance = (0.1 + len(query_keywords & event.keywords)
-                             / n_query) if n_query else 1.0
+                relevance = ((1.1 if only in event.keywords else 0.1)
+                             if n_query == 1 else
+                             0.1 + len(query_keywords & event.keywords)
+                             / n_query if n_query else 1.0)
                 keys.append(-(recency * (0.5 + event.importance) * relevance))
             self._ranked = [events[i] for i in sorted(
                 range(len(events)), key=keys.__getitem__)]

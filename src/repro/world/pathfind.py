@@ -11,7 +11,6 @@ provided for one-off queries and as a cross-check in tests.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 
 import numpy as np
 
@@ -29,26 +28,34 @@ class PathPlanner:
         self._fields: dict[tuple[int, int], np.ndarray] = {}
 
     def distance_field(self, goal: tuple[int, int]) -> np.ndarray:
-        """BFS hop-count array from every tile to ``goal`` (cached)."""
+        """BFS hop-count array from every tile to ``goal`` (cached,
+        read-only: the planner and its callers share one array)."""
         field = self._fields.get(goal)
         if field is not None:
             return field
         gx, gy = goal
         if not self.world.is_walkable(gx, gy):
             raise WorldError(f"goal {goal} is not walkable")
-        h, w = self.world.height, self.world.width
-        field = np.full((h, w), _UNREACHABLE, dtype=np.int32)
-        field[gy, gx] = 0
-        queue = deque([goal])
         walkable = self.world.walkable
-        while queue:
-            x, y = queue.popleft()
-            d = field[y, x] + 1
-            for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-                if (0 <= nx < w and 0 <= ny < h and walkable[ny, nx]
-                        and field[ny, nx] == _UNREACHABLE):
-                    field[ny, nx] = d
-                    queue.append((nx, ny))
+        field = np.full(walkable.shape, _UNREACHABLE, dtype=np.int32)
+        # Level-synchronous flood: BFS levels do not depend on visiting
+        # order, so dilating the whole frontier at once (four shifted
+        # ORs) writes the field a tile queue would.
+        frontier = np.zeros(walkable.shape, dtype=bool)
+        frontier[gy, gx] = True
+        unseen = walkable & ~frontier
+        hops = 0
+        while frontier.any():
+            field[frontier] = hops
+            grown = np.zeros_like(frontier)
+            grown[1:] |= frontier[:-1]
+            grown[:-1] |= frontier[1:]
+            grown[:, 1:] |= frontier[:, :-1]
+            grown[:, :-1] |= frontier[:, 1:]
+            frontier = grown & unseen
+            unseen &= ~frontier
+            hops += 1
+        field.setflags(write=False)  # shared by every walk in the process
         self._fields[goal] = field
         return field
 

@@ -3,12 +3,13 @@ shared across the scheduler, sharding, fault, and speculation suites."""
 
 from __future__ import annotations
 
+from collections import deque
 from contextlib import contextmanager
 
 import numpy as np
 
 from repro._util import FastRng
-from repro.config import FaultPolicy
+from repro.config import STEPS_PER_DAY, FaultPolicy
 from repro.core.space import GraphSpace
 from repro.serving import engine as serving_engine
 from repro.serving.replica import _BaseReplica
@@ -299,3 +300,57 @@ def agent_snapshot(agent) -> tuple:
             conv and (conv.partner, conv.freeze_left), len(agent.memory),
             agent.memory.importance_since_reflection, agent.dwell_until,
             agent.last_reflection)
+
+
+def reference_chat_pairs(free, radius: float = 2.0) -> list[tuple]:
+    """``BehaviorModel._chat_pairs`` as it ran through PR 20: every pair
+    of ``free`` against the distance predicate, in ``(i, j)`` order. The
+    x-sweep must return the same pairs in the same order."""
+    reach = radius ** 2
+    spots = [(agent, *agent.pos) for agent in free]
+    return [(a, b) for i, (a, ax, ay) in enumerate(spots)
+            for b, bx, by in spots[i + 1:]
+            if (dx := ax - bx) * dx + (dy := ay - by) * dy <= reach]
+
+
+def reference_venue_at(world, x: int, y: int):
+    """``GridWorld.venue_at`` as it ran through PR 20: a scan of the
+    venues in declaration order. The tile table must agree everywhere."""
+    for venue in world.venues.values():
+        if venue.contains(x, y):
+            return venue
+    return None
+
+
+def reference_distance_field(world, goal: tuple[int, int]) -> np.ndarray:
+    """``PathPlanner.distance_field``'s flood as it ran through PR 20:
+    a deque of tiles, scalar by scalar. The wavefront must equal it."""
+    unreachable = np.iinfo(np.int32).max
+    h, w = world.height, world.width
+    field = np.full((h, w), unreachable, dtype=np.int32)
+    field[goal[1], goal[0]] = 0
+    queue = deque([goal])
+    walkable = world.walkable
+    while queue:
+        x, y = queue.popleft()
+        d = field[y, x] + 1
+        for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+            if (0 <= nx < w and 0 <= ny < h and walkable[ny, nx]
+                    and field[ny, nx] == unreachable):
+                field[ny, nx] = d
+                queue.append((nx, ny))
+    return field
+
+
+def is_dwelling(agent, step: int) -> bool:
+    """The specification of a dwelling step: awake, settled, before its
+    next decision, inside its routine block, no reflection due. Such a
+    step draws nothing and writes nothing, so it may key no stream."""
+    persona, day_step = agent.persona, step % STEPS_PER_DAY
+    return (agent.conversation is None and agent.awake
+            and agent.target_venue is None and step < agent.dwell_until
+            and day_step < persona.sleep_step
+            and persona.block_at(day_step).activity
+            in (agent.activity, "sleeping")
+            and not (agent.memory.importance_since_reflection > 12.0
+                     and step - agent.last_reflection > 180))

@@ -13,14 +13,20 @@ from repro import _util
 from repro._util import FastRng, UnionFind, fast_rng_for, rng_for, stable_seed
 from repro.config import STEPS_PER_DAY
 from repro.errors import WorldError
-from repro.world import (BehaviorModel, GridWorld, Venue,
+from repro.scenarios import get_scenario, scenario_names
+from repro.world import (BehaviorModel, GridWorld, Venue, behavior,
                          build_smallville, make_personas)
 from repro.world.behavior import FUNC_INDEX, FUNCS
 from repro.world.memory_stream import MemoryEvent, MemoryStream
 from repro.world.pathfind import PathPlanner, astar
 from repro.world.persona import SOCIAL_VENUES
 
-from helpers import agent_snapshot, reference_ranking
+from helpers import (agent_snapshot, is_dwelling, reference_chat_pairs,
+                     reference_distance_field, reference_ranking,
+                     reference_venue_at)
+
+GRID_SCENARIOS = [name for name in scenario_names()
+                  if get_scenario(name).metric != "graph"]
 
 
 class TestGridWorld:
@@ -303,6 +309,23 @@ class TestMemoryRankingMemo:
         assert m.retrieved_tokens(20, frozenset({"a"}), top_k=4) == 18
         assert [e.tokens for e in m.retrieve(20, frozenset({"a"}), 1)] == [11]
 
+    def test_one_keyword_query_matches_reference(self):
+        """The membership shortcut: 0.1 + 1 / 1 and 0.1 + 0 / 1 are the
+        literals it uses, and the order is the reference's."""
+        assert (0.1 + 1 / 1, 0.1 + 0 / 1) == (1.1, 0.1)
+        rnd = random.Random(7)
+        stream = MemoryStream()
+        for i in range(64):
+            stream.add(MemoryEvent(
+                step=4000 + rnd.randrange(400), kind="observation",
+                keywords=frozenset(rnd.sample(self.KEYWORDS, 2)),
+                importance=rnd.choice([0.15, 0.6]), tokens=i))
+        for word in self.KEYWORDS + ("absent",):
+            got = stream.retrieve(4400, frozenset({word}), top_k=64)
+            want = reference_ranking(stream._events, 4400, frozenset({word}))
+            assert all(g is w for g, w in zip(got, want))
+            assert len(got) == 64
+
     def test_future_event_outranks_the_present(self):
         """Age -5 scores ``0.999 ** -5`` > 1, not the table's far end."""
         m = MemoryStream()
@@ -510,3 +533,271 @@ class TestSleepersSkipped:
             assert calls == lock.step_all(step)
             assert _snapshots(ooo) == _snapshots(lock)
         assert sum(a.awake for a in lock.agents) > 5
+
+
+class TestChatPairSweep:
+    """The x-sweep returns the all-pairs list: same pairs, same order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(0, 60), st.integers(3, 40))
+    def test_random_free_sets(self, seed, n_free, span):
+        """Small spans force coincident tiles, equal x with different y
+        and pairs at exactly ``CHAT_RADIUS`` (dx = 2 or dy = 2)."""
+        model = _make_model(n_agents=1)
+        rnd = random.Random(seed)
+        free = [copy.copy(model.agents[0]) for _ in range(n_free)]
+        for agent in free:
+            agent.pos = (rnd.randrange(span), rnd.randrange(span // 3 + 1))
+        want = reference_chat_pairs(free)
+        got = model._chat_pairs(free)
+        assert len(got) == len(want)
+        assert all(a is c and b is d for (a, b), (c, d) in zip(got, want))
+
+    def test_the_radius_is_inclusive_and_x_ties_are_kept(self):
+        model = _make_model(n_agents=1)
+        spots = [(5, 5), (7, 5), (5, 7), (5, 5), (8, 5), (6, 6), (7, 6)]
+        free = [copy.copy(model.agents[0]) for _ in spots]
+        for agent, pos in zip(free, spots):
+            agent.pos = pos
+        index = {id(agent): i for i, agent in enumerate(free)}
+        pairs = [(index[id(a)], index[id(b)])
+                 for a, b in model._chat_pairs(free)]
+        assert pairs == [(index[id(a)], index[id(b)])
+                         for a, b in reference_chat_pairs(free)]
+        assert (0, 1) in pairs and (0, 2) in pairs and (0, 3) in pairs
+        assert (0, 4) not in pairs and (2, 6) not in pairs
+
+    @pytest.mark.parametrize("name", GRID_SCENARIOS)
+    def test_wake_up_hour_of_every_grid_scenario(self, name, monkeypatch):
+        model = get_scenario(name).model(40, 3)  # homes are shared
+        sweep, seen = type(model)._chat_pairs, []
+
+        def checked(self, free):
+            got = sweep(self, free)
+            assert got == reference_chat_pairs(free, self.CHAT_RADIUS)
+            seen.append(len(got))
+            return got
+        monkeypatch.setattr(type(model), "_chat_pairs", checked)
+        first = model.next_active_step(0)
+        for step in range(first, first + 480):
+            model.step_all(step)
+        assert sum(seen) > 0
+
+
+class TestNeighborsWithin:
+    def test_equals_the_scan_in_id_order(self):
+        model = _warm_model(2600)
+        for a in model.agents:
+            for radius in (0.0, 2.0, 4.0, 40.0):
+                want = [b.agent_id for b in model.agents if b is not a
+                        and (a.pos[0] - b.pos[0]) ** 2
+                        + (a.pos[1] - b.pos[1]) ** 2 <= radius ** 2]
+                assert model._neighbors_within(a.agent_id, radius) == want
+        assert any(model._neighbors_within(a.agent_id, 40.0)
+                   for a in model.agents)
+
+
+class TestVenueTable:
+    @pytest.mark.parametrize("name", GRID_SCENARIOS)
+    def test_every_tile_of_every_grid_map(self, name):
+        world, _ = get_scenario(name).world()
+        for y in range(world.height + 1):  # one row and column outside
+            for x in range(-1, world.width + 1):
+                assert world.venue_at(x, y) is reference_venue_at(world, x, y)
+
+    def test_first_declared_venue_wins_an_overlap(self):
+        w = GridWorld(20, 20)
+        w.add_venue(Venue("first", 2, 2, 8, 8), walled=False)
+        w.add_venue(Venue("second", 6, 6, 12, 12), walled=False)
+        for x, y in [(2, 2), (7, 7), (8, 8), (9, 9), (12, 12), (13, 13)]:
+            assert w.venue_at(x, y) is reference_venue_at(w, x, y)
+        assert w.venue_at(7, 7).name == "first"
+        assert w.venue_at(9, 9).name == "second"
+
+    def test_add_venue_after_a_lookup_is_seen(self):
+        w = GridWorld(20, 20)
+        w.add_venue(Venue("A", 2, 2, 4, 4))
+        assert w.venue_at(10, 10) is None  # builds the table
+        w.add_venue(Venue("B", 9, 9, 11, 11))
+        assert w.venue_at(10, 10).name == "B"
+        assert w.venue_at(3, 3).name == "A"
+
+
+def _random_walled_map(seed):
+    """Random walls, a sealed pocket, and a walkable border to aim at."""
+    rnd = random.Random(seed)
+    w = GridWorld(rnd.randrange(8, 30), rnd.randrange(8, 24))
+    w.walkable &= np.array([[rnd.random() > 0.28 for _ in range(w.width)]
+                            for _ in range(w.height)])
+    w.add_wall_rect(2, 2, 5, 5)  # no door: (3..4, 3..4) is a pocket
+    w.walkable[3:5, 3:5] = True
+    w.walkable[0, :] = True
+    return w
+
+
+class TestWavefrontFlood:
+    @pytest.mark.parametrize("name", GRID_SCENARIOS)
+    def test_every_venue_centre_of_every_grid_scenario(self, name):
+        world, _ = get_scenario(name).world()
+        planner = PathPlanner(world)
+        for venue in world.venues.values():
+            field = planner.distance_field(venue.center)
+            assert field.dtype == np.int32
+            assert np.array_equal(
+                field, reference_distance_field(world, venue.center))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_random_walled_maps(self, seed):
+        world = _random_walled_map(seed)
+        rnd, rnd_tiles = random.Random(seed), FastRng(seed)
+        for goal in [(rnd.randrange(world.width), 0), (3, 3)]:
+            want = reference_distance_field(world, goal)
+            planner = PathPlanner(world)
+            field = planner.distance_field(goal)
+            assert np.array_equal(field, want)
+            # Unreachable both ways: the pocket from outside and back.
+            unreachable = np.iinfo(np.int32).max
+            assert (field[3, 3] == unreachable) == (goal != (3, 3))
+            # Descent on the old field walks the same tiles.
+            oracle = PathPlanner(world)
+            oracle._fields[goal] = want
+            for _ in range(5):
+                start = world.random_walkable_tile(rnd_tiles)
+                if want[start[1], start[0]] == unreachable:
+                    continue
+                assert planner.path(start, goal) == oracle.path(start, goal)
+
+    def test_shared_fields_are_read_only(self):
+        """One planner serves every segment and live ville of a process:
+        a caller's in-place write must raise, not re-route later walks."""
+        scn = get_scenario("smallville")
+        world, homes = scn.world()
+        field = scn.planner().distance_field(world.venue(homes[0]).center)
+        with pytest.raises(ValueError):
+            field[0, 0] = 0
+        with pytest.raises(ValueError):
+            field += 1
+        scn.validate()  # its reachability count only reads
+
+
+class TestDwellersReturnFirst:
+    def test_one_stream_per_deciding_step(self, monkeypatch):
+        """Through the wake-up hour and the walk to work: a ``beh``
+        stream is keyed by exactly the up-steps that are neither
+        dwelling nor a conversation turn (one per up-step before), and
+        a dweller's step leaves it as it was, with no call."""
+        model = _warm_model(2300, seed=4)  # a day with a morning chat
+        keyed = []
+        real = behavior.fast_rng_for
+        monkeypatch.setattr(
+            behavior, "fast_rng_for",
+            lambda *parts: keyed.append(parts[1:]) or real(*parts))
+        n_up = n_dwelling = n_turns = 0
+        for step in range(2300, 2700):
+            before = _snapshots(model)
+            up = [a for a in model.agents if a.awake or a.busy_chatting
+                  or a.persona.wake_step == step]
+            turns = [a.agent_id for a in up if a.busy_chatting]
+            dwelling = [a.agent_id for a in up if is_dwelling(a, step)]
+            del keyed[:]
+            calls = model.step_all(step)
+            deciding = sorted({a.agent_id for a in up}
+                              - set(turns) - set(dwelling))
+            assert sorted(k[1:] for k in keyed if k[0] == "beh") == \
+                [(aid, step) for aid in deciding]
+            assert sorted(k[4] for k in keyed if k[0] == "turn") == turns
+            after = _snapshots(model)
+            for aid in dwelling:
+                # (phase 2 may still start a conversation with it)
+                if not model.agents[aid].busy_chatting:
+                    assert after[aid] == before[aid] and calls[aid] == []
+            n_up += len(up)
+            n_dwelling += len(dwelling)
+            n_turns += len(turns)
+        assert n_dwelling > n_up // 2 and n_turns > 0
+        assert n_up - n_dwelling - n_turns > 400
+
+    def _dweller(self, model, step):
+        return next(a for a in model.agents if is_dwelling(a, step)
+                    and a.dwell_until > step + 1)
+
+    def test_fields_set_from_outside_are_honoured_next_step(self):
+        step = 2500
+        base = _warm_model(step)
+        aid = self._dweller(base, step).agent_id
+        assert base.step_agents(step, [aid]) == {aid: []}
+
+        model = copy.deepcopy(base)
+        model.agents[aid].dwell_until = step + 1
+        chain = model.step_agents(step + 1, [aid])[aid]
+        assert chain and chain[0].func == "action_decide"
+
+        model = copy.deepcopy(base)
+        agent = model.agents[aid]
+        far = next(v for v in model.world.venues.values()
+                   if not v.contains(*agent.pos))
+        agent.target_venue, pos = far.name, agent.pos
+        model.step_agents(step + 1, [aid])
+        assert agent.pos != pos
+
+        model = copy.deepcopy(base)
+        agent = model.agents[aid]
+        agent.awake, agent.dwell_until = False, step + 1
+        before = agent_snapshot(agent)
+        assert model.step_agents(step + 1, [aid]) == {aid: []}
+        assert agent_snapshot(agent) == before
+
+        model = copy.deepcopy(base)
+        agent = model.agents[aid]
+        agent.memory.importance_since_reflection = 12.5
+        agent.last_reflection = step - 200
+        chain = model.step_agents(step + 1, [aid])[aid]
+        assert [c.func for c in chain][0] == "reflect_insight"
+        assert agent.last_reflection == step + 1
+
+    def test_awake_is_read_and_a_sleeping_block_retargets_nobody(
+            self, monkeypatch):
+        model = _make_model(n_agents=1)
+        agent = model.agents[0]
+        wake = agent.persona.wake_step
+        # Asleep at its wake step, whatever the other fields say: it wakes.
+        agent.dwell_until = STEPS_PER_DAY
+        agent.activity = agent.persona.block_at(wake).activity
+        assert model.step_agents(wake, [0])[0][0].func == "daily_plan"
+        # Up before its first block ("sleeping" until ``wake``): waits.
+        model = _make_model(n_agents=1)
+        agent = model.agents[0]
+        agent.awake, agent.activity, agent.dwell_until = True, "reading", wake
+        assert is_dwelling(agent, wake - 5)
+        keyed = []
+        monkeypatch.setattr(behavior, "fast_rng_for",
+                            lambda *parts: keyed.append(parts))
+        assert model.step_agents(wake - 5, [0]) == {0: []}
+        assert keyed == [] and agent.activity == "reading"
+
+    def test_a_new_routine_block_ends_the_dwell(self):
+        """The block clause: a dweller whose schedule moved on retargets
+        even though ``dwell_until`` has not come."""
+        step = 2500
+        model = _warm_model(step)
+        agent = self._dweller(model, step)
+        agent.dwell_until = STEPS_PER_DAY
+        block = agent.persona.block_at(step)
+        later = next(e for e in agent.persona.schedule
+                     if e.start_step > step and e.activity != block.activity)
+        assert is_dwelling(agent, later.start_step - 1)
+        assert not is_dwelling(agent, later.start_step)
+        model.step_agents(later.start_step, [agent.agent_id])
+        assert agent.activity == later.activity
+
+    def test_bedtime_ends_the_dwell(self):
+        model = _warm_model(2500)
+        agent = self._dweller(model, 2500)
+        agent.dwell_until = 2 * STEPS_PER_DAY
+        sleep = agent.persona.sleep_step
+        agent.activity = agent.persona.block_at(sleep - 1).activity
+        model.step_agents(sleep - 1, [agent.agent_id])
+        assert agent.activity != "heading home" and agent.awake
+        model.step_agents(sleep, [agent.agent_id])
+        assert agent.activity in ("heading home", "sleeping")
