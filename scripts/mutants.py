@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Re-check that the tests would have caught it.
+
+Each mutant is a one-line patch to ``src/repro`` that a named group of
+tests must turn red. The script copies ``src`` and ``tests`` to a
+temporary directory, applies one patch at a time, runs the tests and
+expects them to fail; a mutant that survives is an error.
+
+Usage: python scripts/mutants.py [name ...]   (no name = all)
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+GRAPH = "src/repro/core/dependency_graph.py"
+SPACE = "src/repro/core/space.py"
+WRITE = "node[aid] = self._node_index(new_p)"
+COMPARE = "row[local[nb]] if comp[nb] == ca else inf"
+
+#: name -> (file, old text, new text, which occurrence, tests). The
+#: hop-row lane of PR 24: every writer of ``pos[aid]`` writes the node
+#: index, and the two sites a cross-component pair can reach (the band
+#: scan and ``dist_within``) compare components before reading a row.
+MUTANTS = {
+    "fast-commit-skips-node-index": (
+        GRAPH, f"if node is not None:\n                    {WRITE}",
+        "if False:\n                    pass", 0,
+        "tests/test_graph_space.py tests/test_hotpath_scheduler.py"),
+    "generic-commit-skips-node-index": (
+        GRAPH, f"self._{WRITE}", "pass", 0, "tests/test_graph_space.py"),
+    "scan-drops-component-compare": (
+        GRAPH, COMPARE, "row[local[nb]]", 0, "tests/test_graph_space.py"),
+    "space-drops-component-compare": (
+        SPACE, "if la[2] != lb[2]:", "if False:", 0,
+        "tests/test_graph_space.py"),
+}
+
+
+def run(name: str, root: Path) -> bool:
+    """True when the tests went red under the mutant."""
+    file, old, new, nth, tests = MUTANTS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        for part in ("src", "tests"):
+            shutil.copytree(root / part, Path(tmp, part),
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(root / "pyproject.toml", tmp)
+        target = Path(tmp, file)
+        pieces = target.read_text().split(old)
+        if len(pieces) <= nth + 1:
+            raise SystemExit(f"{name}: patch site {nth} not found in {file}")
+        target.write_text(old.join(pieces[:nth + 1]) + new
+                          + old.join(pieces[nth + 1:]))
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p",
+             "no:cacheprovider", *tests.split()],
+            cwd=tmp, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(tmp, "src")),
+                 "PYTHONDONTWRITEBYTECODE": "1"})
+    red = done.returncode == 1  # 1 = tests failed; 2+ = pytest broke
+    lines = done.stdout.strip().splitlines() or [done.stderr[-200:]]
+    failed = [line for line in lines if line.startswith("FAILED")]
+    print(f"{'red ' if red else 'SURVIVED'}  {name}: "
+          f"{(failed or lines)[-1][:150]}")
+    return red
+
+
+def main() -> int:
+    root = Path(__file__).resolve().parent.parent
+    names = sys.argv[1:] or list(MUTANTS)
+    survivors = [name for name in names if not run(name, root)]
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

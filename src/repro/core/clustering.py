@@ -21,10 +21,11 @@ path light (§3.6):
   cells (:meth:`SpatialIndex.move_bucketed`) against position storage
   it shares with the graph;
 * non-coordinate spaces with cells (``GraphSpace``: landmark BFS
-  levels, see :mod:`repro.core.space`) are queried through
-  ``bucket_range`` windows over those cells plus the exact ``within``
-  predicate; only a space with no bucketing at all degrades to a
-  linear scan.
+  levels, see :mod:`repro.core.space`) hand over the same kind of
+  window as four integers (``cell_window``) and are walked by the same
+  loop, with the exact ``within`` predicate per candidate; only a space
+  with no bucketing at all degrades to a linear scan of its
+  ``bucket_range``.
 
 Coupling components are searched *inside*
 :class:`~repro.core.dependency_graph.SpatioTemporalGraph`
@@ -52,6 +53,10 @@ class SpatialIndex:
         self._positions: dict[Hashable, Position] = {}
         #: Fast-path hooks (see module docstring).
         self._grid = bool(getattr(space, "grid_bucketing", False))
+        #: ``cell_window`` of a non-grid space with cells (GraphSpace).
+        self._window = getattr(space, "cell_window", None) \
+            if getattr(space, "cell_bucketing", False) and not self._grid \
+            else None
         within = getattr(space, "within", None)
         if within is None:
             dist = space.dist
@@ -172,17 +177,22 @@ class SpatialIndex:
         positions = self._positions
         buckets = self._buckets
         within = self._within
-        if self._grid:
+        window = self._window
+        if self._grid or window is not None:
             # Tight cell window: candidates lie in the cells spanned by
             # the query's bounding box — for the common radius <= cell
-            # case that is a 2x2 window, not a 3x3 center stencil.
+            # case that is a 2x2 window, not a 3x3 center stencil —
+            # or, off the grid, in the space's own ``cell_window``.
             cell = self.cell
-            x = pos[0]
-            y = pos[1]
-            cx0 = int((x - radius) // cell)
-            cx1 = int((x + radius) // cell)
-            cy0 = int((y - radius) // cell)
-            cy1 = int((y + radius) // cell)
+            if window is not None:
+                cx0, cx1, cy0, cy1 = window(pos, radius, cell)
+            else:
+                x = pos[0]
+                y = pos[1]
+                cx0 = int((x - radius) // cell)
+                cx1 = int((x + radius) // cell)
+                cy0 = int((y - radius) // cell)
+                cy1 = int((y + radius) // cell)
             if (cx1 - cx0 + 1) * (cy1 - cy0 + 1) > len(buckets):
                 # Wide query (blocker radius grows with step spread):
                 # scanning the occupied buckets beats probing a mostly

@@ -105,10 +105,15 @@ per-axis difference lower-bounds the true distance. The fast path is
 therefore gated on ``Space.cell_bucketing`` — coordinate grids provide
 it by floor division, :class:`~repro.core.space.GraphSpace` by landmark
 BFS levels — so ``metric="graph"`` worlds take the same zero-rescan
-path; ``grid_bucketing`` only selects how a cell is derived and how
-the coupling neighborhood is walked (inlined coordinate window vs the
-index's ``bucket_range`` query). Spaces with no usable bucketing at all
-keep the legacy
+path; ``grid_bucketing`` only selects how a cell and the coupling
+window are derived (floor division vs ``Space.bucket`` /
+``cell_window``) — both kinds walk the window as four integers and
+filter on step before any distance. What a distance *costs* is the
+space's business: Euclidean checks are inlined, and a hop-metric space
+hands over per-source **hop rows** that the three exact-check sites
+index by the node index the graph keeps per agent (see
+:class:`~repro.core.space.GraphSpace`). Spaces with no usable bucketing
+at all keep the legacy
 :meth:`SpatioTemporalGraph._scan_fallback` linear scan (counted by
 ``fallback_scans`` so tests can assert it stays off the fast path).
 """
@@ -215,6 +220,23 @@ class SpatioTemporalGraph:
         self._scan_moves: list[int] = [0] * n
         self._base_r = rules.radius_p + rules.max_vel
         self._two_mv = 2.0 * rules.max_vel
+        #: Hop-metric spaces (GraphSpace) number their nodes: the graph
+        #: keeps one node index per agent, written wherever ``pos[aid]``
+        #: is — here and on both commit paths, bucketed or not — so the
+        #: exact checks below read ``row[local[node[bid]]]``, with
+        #: ``row`` the source's hop row, instead of calling the space
+        #: per candidate (the band scan, the one site a pair from two
+        #: components can reach, compares components first). All
+        #: ``None`` elsewhere. An unknown node is refused here and at
+        #: commit, by the space, with its name.
+        self._node_index = getattr(rules.space, "node_index", None)
+        self._node: list[int] | None = None
+        self._node_comp = self._node_local = self._hop_row = None
+        if self._node_index is not None:
+            self._node = [self._node_index(p) for p in pos_list]
+            self._node_comp = rules.space.node_comp
+            self._node_local = rules.space.node_local
+            self._hop_row = rules.space.hop_row
         #: Members this close to blocking at scan time land in the near
         #: set and are re-examined exactly until the accumulated worst-
         #: case slack shrink exceeds the horizon — only then does the
@@ -250,11 +272,12 @@ class SpatioTemporalGraph:
         #: Exact type check: subclasses may override dist/within (e.g.
         #: wrap-around metrics), which the inlined L2 would bypass.
         self._euclid = type(rules.space) is EuclideanSpace
-        #: Radius-bounded distance (GraphSpace.dist_within): the exact
-        #: checks below only need the true distance when it is at most
-        #: the compared threshold, so a bounded BFS that returns inf
-        #: past the cap is exact where it matters and O(ball) instead
-        #: of O(component) where it doesn't.
+        #: Radius-bounded distance (GraphSpace.dist_within), for sources
+        #: whose component has no hop rows: the exact checks below only
+        #: need the true distance when it is at most the compared
+        #: threshold, so a bounded BFS that returns inf past the cap is
+        #: exact where it matters and O(ball) instead of O(component)
+        #: where it doesn't.
         self._dist_within = getattr(rules.space, "dist_within", None)
         #: Per-member coupling candidates from the latest commit: exact
         #: until the next commit, so component BFS seeds from them
@@ -422,6 +445,7 @@ class SpatioTemporalGraph:
         threshold = self.rules.couple_threshold
         query_into = self.index.query_into
         qbuf = self._cbuf
+        hop_metric = self.index._window is not None
         stack = [aid]
         members: list[int] = []
         while stack:
@@ -429,11 +453,14 @@ class SpatioTemporalGraph:
             members.append(a)
             candidates = fresh.get(a)
             if candidates is None:
-                candidates = query_into(pos[a], threshold, qbuf)
+                if hop_metric:
+                    # A hop distance costs a call: filter on step
+                    # first, as the commit's join does.
+                    candidates = self._join((a,), {})[a]
+                else:
+                    candidates = query_into(pos[a], threshold, qbuf)
             for other in candidates:
-                if other == a or other in visited:
-                    continue
-                if step[other] != step_v:
+                if other in visited or step[other] != step_v:
                     continue
                 if exclude is not None and exclude(other):
                     continue
@@ -528,6 +555,12 @@ class SpatioTemporalGraph:
         if euclid:
             pax = pa[0]
             pay = pa[1]
+        else:
+            # A near member was within a finite distance at scan time,
+            # and nobody leaves a component: no component compare here.
+            node = self._node
+            local = self._node_local
+            row = None if node is None else self._hop_row(node[aid])
         blockers: set[int] = set()
         margins: dict[int, float] = {}
         for bid in near:
@@ -540,6 +573,8 @@ class SpatioTemporalGraph:
                 dx = pax - q[0]
                 dy = pay - q[1]
                 d = sqrt(dx * dx + dy * dy)
+            elif row is not None:
+                d = row[local[node[bid]]]
             elif dist_within is not None:
                 d = dist_within(pa, pos[bid], thr)
             else:
@@ -640,6 +675,17 @@ class SpatioTemporalGraph:
         dist_within = self._dist_within
         euclid = self._euclid
         sqrt = math.sqrt
+        inf = math.inf
+        node = self._node
+        row = None
+        if node is not None:
+            # One hop row per scanned source; exact beyond near_cut,
+            # which can only dismiss (d > thr + horizon cannot lower a
+            # slack initialised at the horizon).
+            comp = self._node_comp
+            local = self._node_local
+            hop_row = self._hop_row
+            rows = [hop_row(node[a]) for a in ids]
         for r, slot_step, slot_members in pairs:
             aid = ids[r]
             s = svs[r]
@@ -650,6 +696,9 @@ class SpatioTemporalGraph:
             if euclid:
                 pax = pa[0]
                 pay = pa[1]
+            elif node is not None:
+                row = rows[r]
+                ca = comp[node[aid]]
             row_slack = slack[r]
             row_blockers = blockers[r]
             row_margins = margins[r]
@@ -663,6 +712,9 @@ class SpatioTemporalGraph:
                     dx = pax - q[0]
                     dy = pay - q[1]
                     d = sqrt(dx * dx + dy * dy)
+                elif row is not None:
+                    nb = node[bid]
+                    d = row[local[nb]] if comp[nb] == ca else inf
                 elif dist_within is not None:
                     # Bounded BFS: distances beyond near_cut only ever
                     # dismiss, so inf is as good as the true value.
@@ -806,6 +858,7 @@ class SpatioTemporalGraph:
         bucket_advance = self._bucket_advance
         cells = self._cellxy
         scan_moves = self._scan_moves
+        node = self._node
         new_pos = moves.get
         # One fused pass per member at every batch size. A mover stores
         # its position and derives its cell (floor division on
@@ -819,6 +872,8 @@ class SpatioTemporalGraph:
             old_key = (old_step,) + oc
             new_p = new_pos(aid)
             if new_p is not None and new_p != pos[aid]:
+                if node is not None:
+                    node[aid] = self._node_index(new_p)
                 pos[aid] = new_p
                 scan_moves[aid] += 1
                 if grid:
@@ -894,12 +949,7 @@ class SpatioTemporalGraph:
         Runs *before* the waiter release: a member with no same-step
         peer in the batch and no waiter at its new step couples to
         nobody (module docstring) and gets the empty tuple, no query.
-        For the rest, two branches chosen by the space: coordinate
-        grids walk the member's cell window inline (the coupling radius
-        never exceeds the cell size, so the window spanned by the query
-        box is 2x2 in the common case, up to 3x3 when the box is
-        boundary-aligned); other spaces query the index, whose
-        ``bucket_range`` window plays the same candidate-pruning role.
+        The rest are joined (:meth:`_join`).
         """
         step = self.step
         waiters = self.waiters
@@ -920,38 +970,52 @@ class SpatioTemporalGraph:
                     per_member[aid] = ()
                     continue
             join.append(aid)
-        if not join:
-            return per_member
+        return self._join(join, per_member) if join else per_member
+
+    def _join(self, aids: Iterable[int], out: dict[int, Sequence[int]]
+              ) -> dict[int, Sequence[int]]:
+        """Fills (and returns) ``out[aid]``: the agents at ``aid``'s
+        step within coupling range of it, for each of ``aids`` — the
+        spatial join behind the
+        commit's candidates and, on hop metrics, ``component_for``'s
+        index query. Needs ``cell_bucketing``.
+
+        One walk of the agent's cell window, first axis outer (the
+        order ``SpatialIndex.query_into`` walks it), the step filter
+        before any distance: floor-division cells on coordinate grids
+        (the coupling radius never exceeds the cell size, so the window
+        spanned by the query box is 2x2 in the common case, up to 3x3
+        when the box is boundary-aligned), the space's ``cell_window``
+        elsewhere. The Euclidean membership test runs inline; other
+        spaces answer ``within`` for the few candidates the step filter
+        lets through.
+        """
+        step = self.step
         pos = self.pos
         r = self.rules.couple_threshold
-        if not self.index._grid:
-            query_into = self.index.query_into
-            qbuf = self._qbuf
-            for aid in join:
-                s = step[aid]
-                per_member[aid] = [bid for bid
-                                   in query_into(pos[aid], r, qbuf)
-                                   if bid != aid and step[bid] == s]
-            return per_member
-        # Inlined grid query: same cell window as query_into, but the
-        # self-check and the buffer copy are fused away, and the
-        # Euclidean membership test runs as a plain squared-distance
-        # expression (no per-candidate call).
-        buckets = self.index._buckets
-        cell = self.index.cell
-        within = self.index._within
+        index = self.index
+        buckets = index._buckets
+        cell = index.cell
+        within = index._within
+        grid = index._grid
+        window = index._window
         euclid = self._euclid
         r2 = r * r
-        for aid in join:
+        for aid in aids:
             s = step[aid]
             pa = pos[aid]
-            x = pa[0]
-            y = pa[1]
-            cx1 = int((x + r) // cell)
-            cy1 = int((y + r) // cell)
+            if grid:
+                x = pa[0]
+                y = pa[1]
+                cx0 = int((x - r) // cell)
+                cx1 = int((x + r) // cell)
+                cy0 = int((y - r) // cell)
+                cy1 = int((y + r) // cell)
+            else:
+                cx0, cx1, cy0, cy1 = window(pa, r, cell)
             found: list[int] = []
-            for bx in range(int((x - r) // cell), cx1 + 1):
-                for by in range(int((y - r) // cell), cy1 + 1):
+            for bx in range(cx0, cx1 + 1):
+                for by in range(cy0, cy1 + 1):
                     b = buckets.get((bx, by))
                     if not b:
                         continue
@@ -968,8 +1032,8 @@ class SpatioTemporalGraph:
                             if bid != aid and step[bid] == s \
                                     and within(pa, pos[bid], r):
                                 found.append(bid)
-            per_member[aid] = found
-        return per_member
+            out[aid] = found
+        return out
 
     def _commit_generic(self, members: list[int],
                         moves: Mapping[int, Position]
@@ -981,6 +1045,8 @@ class SpatioTemporalGraph:
         for aid in members:
             new_p = moves.get(aid)
             if new_p is not None and new_p != pos[aid]:
+                if self._node is not None:
+                    self._node[aid] = self._node_index(new_p)
                 pos[aid] = new_p
                 index.move(aid, new_p)
         self._advance_steps(members)
@@ -1041,6 +1107,10 @@ class SpatioTemporalGraph:
         sqrt = math.sqrt
         base_r = self._base_r
         mv = self.rules.max_vel
+        node = self._node
+        if node is not None:
+            local = self._node_local
+            hop_row = self._hop_row
         for b in members:
             w = waiters[b]
             if not w:
@@ -1062,6 +1132,12 @@ class SpatioTemporalGraph:
                         dx = q[0] - pos_b[0]
                         dy = q[1] - pos_b[1]
                         d = sqrt(dx * dx + dy * dy)
+                    elif node is not None and (
+                            row := hop_row(node[a])) is not None:
+                        # The waiter is the source, as below, and stands
+                        # where its own last check left its row; a
+                        # blocked pair shares a component.
+                        d = row[local[node[b]]]
                     elif dist_within is not None:
                         d = dist_within(pos[a], pos_b, thr)
                     else:

@@ -24,7 +24,9 @@ Two capability flags let the scheduler pick its fast paths per space:
 from __future__ import annotations
 
 import math
-from collections import OrderedDict, deque
+from array import array
+from collections import deque
+from operator import itemgetter
 from typing import Hashable, Iterable, Protocol
 
 import numpy as np
@@ -144,62 +146,79 @@ class ManhattanSpace(_Grid2D):
 class GraphSpace:
     """Hop distance on an arbitrary graph (the §6 social-network case).
 
-    Positions are node ids (any hashable). Distances are BFS hop counts,
-    cached per source; nodes in different connected components are at
-    infinite distance (they can never couple or block).
+    Positions are node ids (any hashable). Distances are BFS hop counts;
+    nodes in different connected components are at infinite distance
+    (they can never couple or block).
+
+    Nodes are **numbered once**: dense ``(id, 0)`` labels (the trace
+    position convention) use the id, anything else one dict built at
+    construction. Per node index the space records the component
+    (:attr:`node_comp`), the node's place in it (:attr:`node_local`,
+    BFS discovery order) and, in a numpy table, its landmark levels.
+    One resolver (``_level_of``) is where an unknown node is refused, so
+    every door — ``dist``, ``dist_within``, ``within``, ``bucket``, the
+    dependency graph's constructor and commit — fails the same way.
+
+    Distances come from one of two stores, chosen by component size.
+    *Small* components (at most ``SAMPLED_COMPONENT_MIN`` nodes) are
+    served by **hop rows**: one BFS per source, stored as a compact
+    integer array over the component's local indices
+    (:meth:`hop_row`), exact at every cap, so a probe is two list reads
+    and one array read. Rows are built lazily and held under
+    ``ROW_BUDGET_BYTES``; past it they are dropped wholesale and
+    rebuilt on demand — nothing is ordered on the probe path. Larger
+    components keep a store of BFS **balls** truncated at the queried
+    cap (radius ``inf`` is the whole component, which is what
+    :meth:`dist` asks for), under ``BALL_BUDGET_ENTRIES`` with the
+    same wholesale drop. :attr:`bfs_runs` counts every BFS either store
+    or the landmark build ran — a warm replay runs none.
 
     Bucketing comes from **landmark BFS levels**: per connected
     component, each axis gets a deterministic *seed set* and every
     node's pair of levels ``(min-dist to seeds0, min-dist to seeds1)``
-    serves as integer pseudo-coordinates. Small components (at most
-    ``SAMPLED_COMPONENT_MIN`` nodes) use exact two-landmark seeds —
-    the first node in insertion order, then the farthest node from it
-    (a double BFS sweep). Larger components switch to **sampled
-    landmarks**: ``LANDMARK_SAMPLES`` seeds per axis, strided
-    deterministically through the component's BFS discovery order, so
-    the level build stays two multi-source BFS passes (O(edges))
-    regardless of component size. Either way each level function is a
-    min of 1-Lipschitz functions (``|d(L, a) - d(L, b)| <= d(a, b)``
-    by the triangle inequality) and therefore 1-Lipschitz itself, so
-    the cells ``level // cell`` satisfy exactly the lower-bound
-    property (``cell_bucketing``) the step-bucketed blocker index
-    requires — graph worlds ride the same zero-rescan scheduler as
-    coordinate grids, including single million-node components.
-    Components are kept apart by offsetting the first axis per
-    component, which is sound because cross-component distance is
-    infinite. Nodes following the dense ``(id, 0)`` trace convention
-    store their levels only in an id-indexed numpy table (no per-node
-    dict of tuples — the memory that matters at 1M nodes). Construct
-    with ``bucketing=False`` to force the legacy single-bucket linear
-    scans (the conservative reference path the fuzz tests compare
-    against).
+    serves as integer pseudo-coordinates. Small components use exact
+    two-landmark seeds — the first node in insertion order, then the
+    farthest node from it (a double BFS sweep). Larger components
+    switch to **sampled landmarks**: ``LANDMARK_SAMPLES`` seeds per
+    axis, strided deterministically through the component's BFS
+    discovery order, so the level build stays two multi-source BFS
+    passes (O(edges)) regardless of component size. Either way each
+    level function is a min of 1-Lipschitz functions
+    (``|d(L, a) - d(L, b)| <= d(a, b)`` by the triangle inequality)
+    and therefore 1-Lipschitz itself, so the cells ``level // cell``
+    satisfy exactly the lower-bound property (``cell_bucketing``) the
+    step-bucketed blocker index requires — graph worlds ride the same
+    zero-rescan scheduler as coordinate grids, including single
+    million-node components. Components are kept apart by offsetting
+    the first axis per component, which is sound because
+    cross-component distance is infinite. Construct with
+    ``bucketing=False`` to withhold the cells and force the legacy
+    single-bucket linear scans (the conservative reference path the
+    fuzz tests compare against); numbering, rows and balls are the
+    same either way.
     """
 
     grid_bucketing = False
 
-    #: Default bound on the per-source BFS distance cache (sources kept
-    #: live at once; an LRU so million-node graphs cannot accumulate one
-    #: full distance field per node ever queried).
-    DIST_CACHE_SIZE = 4096
-
-    #: Total cached distance *entries* across sources: the effective
-    #: source cap is ``min(DIST_CACHE_SIZE, DIST_CACHE_ENTRIES // n)``,
-    #: so a 240-node world keeps thousands of fields while a
-    #: million-node one keeps a handful — memory stays bounded either
-    #: way. Hot-path distance checks use :meth:`dist_within` (bounded
-    #: BFS) and rarely touch full fields on large graphs.
-    DIST_CACHE_ENTRIES = 4_000_000
-
     #: Components larger than this use sampled multi-source landmark
-    #: seeds; smaller ones keep the exact first/farthest pair.
+    #: seeds and truncated balls; smaller ones keep the exact
+    #: first/farthest pair and hop rows.
     SAMPLED_COMPONENT_MIN = 4096
 
     #: Seeds per axis for sampled components.
     LANDMARK_SAMPLES = 16
 
+    #: Payload bytes of hop rows held at once (a 240-node component's
+    #: all-pairs table is 57.6 kB); the store is emptied when the next
+    #: row would exceed it.
+    ROW_BUDGET_BYTES = 32 << 20
+
+    #: Distance entries held at once by the ball store of large
+    #: components, emptied the same way.
+    BALL_BUDGET_ENTRIES = 4_000_000
+
     def __init__(self, adjacency: dict[Hashable, Iterable[Hashable]],
                  bucketing: bool = True,
-                 dist_cache_size: int | None = None,
                  sampled_component_min: int | None = None) -> None:
         self._adj = {node: tuple(neigh) for node, neigh in adjacency.items()}
         for node, neigh in self._adj.items():
@@ -209,110 +228,43 @@ class GraphSpace:
                         f"edge {node!r} -> {other!r} references a node "
                         f"missing from the adjacency")
         self._n = len(self._adj)
-        #: LRU of per-source BFS distance fields, bounded so memory
-        #: stays O(cache_size * n) regardless of how many distinct
-        #: sources the scheduler touches over a long run.
-        self._cache: "OrderedDict[Hashable, dict[Hashable, int]]" = \
-            OrderedDict()
-        if dist_cache_size is not None:
-            self._cache_cap = max(1, int(dist_cache_size))
-        else:
-            # Refined after landmark construction: a full BFS field is
-            # component-local, so the entry budget divides by the
-            # largest field actually cached — not by n (a 20k-node
-            # world of 240-node components keeps thousands of fields
-            # in the same memory one 20k-node field would take).
-            self._cache_cap = self.DIST_CACHE_SIZE
         self._sampled_min = int(self.SAMPLED_COMPONENT_MIN
                                 if sampled_component_min is None
                                 else sampled_component_min)
-        #: One-slot memo for consecutive same-source distance lookups.
-        self._last_src: Hashable = object()
-        self._last_field: dict[Hashable, int] = {}
-        #: LRU of radius-bounded BFS balls for :meth:`dist_within`,
-        #: source -> (radius, field). Balls are O(local neighborhood)
-        #: — independent of component size — so the cache holds
-        #: thousands of live sources where full fields would thrash;
-        #: eviction is by total stored entries, not source count, so
-        #: memory stays bounded whatever the ball sizes are.
-        self._balls: \
-            "OrderedDict[Hashable, tuple[float, dict[Hashable, int]]]" \
-            = OrderedDict()
+        #: Largest component served by hop rows (two-byte entries).
+        self._row_max = min(self._sampled_min, 1 << 16)
+        #: BFS runs so far: landmark sweeps, hop rows and balls.
+        self.bfs_runs = 0
+        #: source node index -> hop row (small components).
+        self._rows: dict[int, array] = {}
+        self._row_bytes = 0
+        #: source node -> (radius, field) (large components).
+        self._balls: dict[Hashable, tuple[float, dict[Hashable, int]]] = {}
         self._ball_entries = 0
-        #: Adaptive full-field mode for the ball cache. Small
-        #: components start with whole-component fields (one BFS serves
-        #: every later cap). If the *live* source population outruns
-        #: the entry budget the LRU would cycle — every probe a fresh
-        #: BFS — which is detected by counting evictions of full
-        #: fields: once more full fields were evicted than the cache
-        #: holds, demote to radius-capped balls for good.
-        self._ball_full_ok = True
-        self._full_evicts = 0
-        #: One-slot alias of the most recently used ball: scan loops
-        #: probe many targets from one source at one cap back-to-back.
-        self._bnd_src: Hashable = object()
-        self._bnd_cap: float = -1.0
-        self._bnd_field: dict[Hashable, int] = {}
-        #: node -> (level to seeds0, level to seeds1, component index)
-        #: for non-dense node labels; dense ``(id, 0)`` nodes live only
-        #: in ``_larr`` (row ``id`` holds (l0, l1, comp), -1 = unknown),
-        #: which also serves the vectorized :meth:`bucket_mat`.
+        #: Memo of :meth:`_level_of` over the per-node tables.
         self._levels: dict[Hashable, tuple[int, int, int]] = {}
-        self._larr: np.ndarray | None = None
-        #: Node count per component (landmark construction order) —
-        #: :meth:`dist_within` sizes its ball-vs-full-field choice off
-        #: this.
-        self._comp_sizes: list[int] = []
-        #: Size of the largest small component (exact-landmark regime)
-        #: — the largest full BFS field :meth:`dist` will cache, which
-        #: sizes the full-field LRU. Defaults to n when components are
-        #: unknown.
-        self._max_field = self._n
-        self._has_levels = False
-        self.cell_bucketing = False
-        #: True when :meth:`bucket_mat` is usable (dense int node ids).
-        self.dense_node_cells = False
-        if bucketing and self._adj:
-            self._build_landmarks()
-            self.cell_bucketing = True
-        if dist_cache_size is None:
-            self._cache_cap = max(1, min(
-                self.DIST_CACHE_SIZE,
-                self.DIST_CACHE_ENTRIES // max(1, self._max_field)))
+        self._build_landmarks()
+        self.cell_bucketing = bool(bucketing and self._adj)
 
     # -- construction -------------------------------------------------------
 
-    def _bfs_levels(self, source: Hashable) -> dict[Hashable, int]:
-        dist = {source: 0}
-        queue = deque([source])
-        adj = self._adj
-        while queue:
-            node = queue.popleft()
-            base = dist[node] + 1
-            for neigh in adj[node]:
-                if neigh not in dist:
-                    dist[neigh] = base
-                    queue.append(neigh)
-        return dist
-
-    def _multi_bfs_levels(self, seeds: list[Hashable]
-                          ) -> dict[Hashable, int]:
-        """Min-over-seeds BFS levels, one multi-source pass.
+    def _bfs_levels(self, *seeds: Hashable,
+                    cap: float = math.inf) -> dict[Hashable, int]:
+        """Min-over-seeds BFS levels up to ``cap`` hops, one pass.
 
         The min of 1-Lipschitz functions is 1-Lipschitz, so sampled
         multi-seed levels satisfy the same ``(dc - 1) * cell`` lower
         bound as exact single-landmark levels.
         """
-        dist: dict[Hashable, int] = {}
-        queue: deque = deque()
-        for seed in seeds:
-            if seed not in dist:
-                dist[seed] = 0
-                queue.append(seed)
+        self.bfs_runs += 1
+        dist = dict.fromkeys(seeds, 0)
+        queue = deque(dist)
         adj = self._adj
         while queue:
             node = queue.popleft()
             base = dist[node] + 1
+            if base > cap:
+                break  # BFS order: nothing left in the queue is nearer
             for neigh in adj[node]:
                 if neigh not in dist:
                     dist[neigh] = base
@@ -320,9 +272,9 @@ class GraphSpace:
         return dist
 
     def _dense_id_rows(self) -> int:
-        """Rows for the id-indexed level table (0 = not dense-eligible).
+        """Rows for an id-indexed node table (0 = not dense-eligible).
 
-        Dense storage requires every node to follow the trace position
+        Dense numbering requires every node to follow the trace position
         convention — a ``(id, 0)`` pair with a reasonably dense
         non-negative int id.
         """
@@ -339,7 +291,7 @@ class GraphSpace:
         return hi + 1
 
     def _build_landmarks(self) -> None:
-        """Landmark levels per connected component.
+        """Node numbering, components and landmark levels.
 
         Deterministic: components follow the adjacency's insertion
         order. Small components take the exact double BFS sweep (first
@@ -347,57 +299,71 @@ class GraphSpace:
         it); components above ``sampled_component_min`` switch to
         strided samples of the BFS discovery order (axis 1 keeps the
         farthest node as its lead seed so the two axes stay
-        de-correlated). Dense ``(id, 0)`` graphs write levels straight
-        into the numpy table — no per-node dict — which is what keeps
-        a single million-node component within memory budget.
+        de-correlated). Levels go straight into the numpy table — no
+        per-node tuple — which is what keeps a single million-node
+        component within memory budget.
         """
-        dense_rows = self._dense_id_rows()
-        larr = np.full((dense_rows, 3), -1, dtype=np.int64) \
-            if dense_rows else None
+        rows = self._dense_id_rows()
+        #: True when node ids index the tables directly, which is what
+        #: :meth:`bucket_mat` and :meth:`components_of` need.
+        self.dense_node_cells = rows > 0
+        #: node -> index and its inverse; ``None`` under dense ids,
+        #: where ``_index_of`` just reads the id.
+        self._index: dict[Hashable, int] | None = None
+        self._index_of = itemgetter(0)
+        if not rows:
+            self._nodes = list(self._adj)
+            self._index = {node: i for i, node in enumerate(self._nodes)}
+            self._index_of = self._index.__getitem__
+            rows = self._n
+        #: (level to seeds0, level to seeds1, component) per node index;
+        #: -1 = id not in the graph.
+        self._larr = larr = np.full((rows, 3), -1, dtype=np.int64)
+        #: Component per node index (-1 = id not in the graph), and the
+        #: node's index within a small component's hop rows.
+        self.node_comp: list[int] = [-1] * rows
+        self.node_local: list[int] = [0] * rows
+        node_comp, node_local = self.node_comp, self.node_local
+        #: Node count per component (landmark construction order).
+        self._comp_sizes: list[int] = []
         comp = 0
-        small_sizes: list[int] = []
-        comp_sizes = self._comp_sizes
         seen: set[Hashable] = set()
         for node in self._adj:
             if node in seen:
                 continue
-            l0 = self._bfs_levels(node)
-            members = list(l0)  # BFS discovery order (insertion order)
-            far = max(l0, key=l0.get)  # first max in discovery order
-            comp_sizes.append(len(members))
-            if len(members) <= self._sampled_min:
-                small_sizes.append(len(members))
-                levels0 = l0
+            levels0 = self._bfs_levels(node)
+            members = list(levels0)  # BFS discovery order
+            far = max(levels0, key=levels0.get)  # first max in that order
+            count = len(members)
+            self._comp_sizes.append(count)
+            ids = list(map(self._index_of, members))
+            if count <= self._sampled_min:
                 levels1 = self._bfs_levels(far)
+                for k, i in enumerate(ids):
+                    node_local[i] = k
             else:
                 k = self.LANDMARK_SAMPLES
-                stride = max(1, len(members) // k)
-                seeds0 = members[::stride][:k]
-                seeds1 = [far, *members[stride // 2::stride][:k - 1]]
-                levels0 = self._multi_bfs_levels(seeds0)
-                levels1 = self._multi_bfs_levels(seeds1)
-            if larr is not None:
-                count = len(levels0)
-                ids0 = np.fromiter((m[0] for m in levels0),
-                                   dtype=np.int64, count=count)
-                larr[ids0, 0] = np.fromiter(levels0.values(),
-                                            dtype=np.int64, count=count)
-                larr[ids0, 2] = comp
-                ids1 = np.fromiter((m[0] for m in levels1),
-                                   dtype=np.int64, count=count)
-                larr[ids1, 1] = np.fromiter(levels1.values(),
-                                            dtype=np.int64, count=count)
-            else:
-                levels = self._levels
-                for member, level in levels0.items():
-                    levels[member] = (level, levels1[member], comp)
-            seen.update(l0)
+                stride = max(1, count // k)
+                levels0 = self._bfs_levels(*members[::stride][:k])
+                levels1 = self._bfs_levels(
+                    far, *members[stride // 2::stride][:k - 1])
+            for i in ids:
+                node_comp[i] = comp
+            larr[ids, 0] = np.fromiter(map(levels0.__getitem__, members),
+                                       dtype=np.int64, count=count)
+            larr[ids, 1] = np.fromiter(map(levels1.__getitem__, members),
+                                       dtype=np.int64, count=count)
+            larr[ids, 2] = comp
+            seen.update(members)
             comp += 1
-        self._max_field = max(small_sizes) if small_sizes else self._n
-        self._ncomp = comp
-        self._larr = larr
-        self.dense_node_cells = larr is not None
-        self._has_levels = True
+
+    def node_index(self, pos: Hashable) -> int:
+        """The node's index into :attr:`node_comp` / :attr:`node_local`.
+
+        Raises :class:`ConfigError` naming the node when it is not in
+        the adjacency.
+        """
+        return self._level_of(pos)[3]
 
     def bucket_mat(self, node_ids: np.ndarray, cell: float
                    ) -> tuple[np.ndarray, np.ndarray]:
@@ -408,42 +374,36 @@ class GraphSpace:
         :meth:`bucket`. Only available when ``dense_node_cells``.
         """
         nodes = np.asarray(node_ids)
-        n_rows = len(self._larr)
-        if nodes.size and (nodes.min() < 0 or nodes.max() >= n_rows):
-            bad = nodes[(nodes < 0) | (nodes >= n_rows)][0]
-            raise ConfigError(f"unknown node {(int(bad), 0)!r}")
+        comp = self.components_of(nodes)  # refuses unknown ids
         la = self._larr[nodes]
-        comp = la[:, 2]
-        if comp.min() < 0:
-            bad = nodes[comp < 0][0]
-            raise ConfigError(f"unknown node {(int(bad), 0)!r}")
         span = self._span(cell)
         b0 = comp * span + np.floor_divide(la[:, 0], cell).astype(np.int64)
         b1 = np.floor_divide(la[:, 1], cell).astype(np.int64)
         return b0, b1
 
-    def _level_of(self, pos: Hashable) -> tuple[int, int, int]:
+    def _level_of(self, pos: Hashable) -> tuple[int, int, int, int, int]:
+        """``(level0, level1, component, node index, local index)``.
+
+        The one place a position is resolved — and an unknown node
+        refused — memoised per position: scan loops and the world
+        model's perception re-query the same occupied nodes constantly.
+        """
         level = self._levels.get(pos)
-        if level is not None:
-            return level
-        larr = self._larr
-        if (larr is not None and isinstance(pos, tuple) and len(pos) == 2
-                and pos[1] == 0 and isinstance(pos[0], int)
-                and 0 <= pos[0] < len(larr)):
-            row = larr[pos[0]]
-            comp = int(row[2])
-            if comp >= 0:
-                level = (int(row[0]), int(row[1]), comp)
-                # Dense graphs keep ``_levels`` as a pure memo over the
-                # numpy table (scan loops re-query the same occupied
-                # nodes constantly); bound it so a million-node sweep
-                # cannot grow it without limit.
-                levels = self._levels
-                if len(levels) >= 1_000_000:
-                    levels.clear()
-                levels[pos] = level
-                return level
-        raise ConfigError(f"unknown node {pos!r}")
+        if level is None:
+            if self._index is not None:
+                i = self._index.get(pos)
+            else:
+                i = int(pos[0]) if pos in self._adj else None
+            if i is None:
+                raise ConfigError(f"unknown node {pos!r}")
+            level = (*self._larr[i].tolist(), i, self.node_local[i])
+            # Bounded, so a million-node sweep cannot grow it without
+            # limit.
+            levels = self._levels
+            if len(levels) >= 1_000_000:
+                levels.clear()
+            levels[pos] = level
+        return level
 
     def component_of(self, pos: Hashable) -> int:
         """Connected-component index of a node (shard planning hook).
@@ -473,129 +433,83 @@ class GraphSpace:
 
     # -- metric -------------------------------------------------------------
 
-    def _distances_from(self, source: Hashable) -> dict[Hashable, int]:
-        # Scan loops query many targets from one source back-to-back:
-        # the one-slot memo skips the LRU bookkeeping entirely there.
-        if source == self._last_src:
-            return self._last_field
-        cache = self._cache
-        cached = cache.get(source)
-        if cached is not None:
-            cache.move_to_end(source)
-            self._last_src = source
-            self._last_field = cached
-            return cached
-        if source not in self._adj:
-            raise ConfigError(f"unknown node {source!r}")
-        ball = self._balls.get(source)
-        if ball is not None and ball[0] == math.inf:
-            dist = ball[1]  # dist_within already paid for the full field
-        else:
-            dist = self._bfs_levels(source)
-        cache[source] = dist
-        if len(cache) > self._cache_cap:
-            cache.popitem(last=False)
-        self._last_src = source
-        self._last_field = dist
-        return dist
+    def hop_row(self, i: int) -> "array | None":
+        """Hop counts from node index ``i`` to its whole component.
 
-    def dist(self, a, b) -> float:
-        if b not in self._adj:
-            raise ConfigError(f"unknown node {b!r}")
-        return float(self._distances_from(a).get(b, math.inf))
-
-    def dist_within(self, a, b, cap: float) -> float:
-        """``dist(a, b)`` when it is at most ``cap``, else ``inf``.
-
-        Runs a BFS truncated at ``cap`` hops — O(ball(cap)) instead of
-        O(component) — backed by a per-source LRU of balls (each stored
-        with the radius it was computed at; a larger cap recomputes and
-        widens the stored ball). Scan loops alternate among the whole
-        live population as sources, so a one-slot memo is not enough:
-        the ball cache is what keeps steady-state blocker checks from
-        re-running a BFS per probe. Full cached fields are consulted
-        first (and may return an exact distance beyond the cap, which
-        callers treat the same as ``inf``).
+        Indexed by :attr:`node_local`, so only meaningful for a node of
+        the same :attr:`node_comp`. ``None`` when the component is above
+        the size constant (ask :meth:`dist_within`). Callers may hold a
+        row across later calls: rows are never mutated, only dropped.
         """
-        if b not in self._adj:
-            raise ConfigError(f"unknown node {b!r}")
-        if a == self._last_src:
-            return float(self._last_field.get(b, math.inf))
-        cached = self._cache.get(a)
-        if cached is not None:
-            return float(cached.get(b, math.inf))
-        if a == self._bnd_src and cap <= self._bnd_cap:
-            return float(self._bnd_field.get(b, math.inf))
-        balls = self._balls
-        ent = balls.get(a)
-        if ent is not None and cap <= ent[0]:
-            balls.move_to_end(a)
-            self._bnd_src = a
-            self._bnd_cap, self._bnd_field = ent
-            return float(ent[1].get(b, math.inf))
-        if a not in self._adj:
-            raise ConfigError(f"unknown node {a!r}")
-        if self._has_levels:
-            size = self._comp_sizes[self._level_of(a)[2]]
-        else:
-            size = self._n
-        radius = cap
-        adj = self._adj
-        if self._ball_full_ok and size * size <= self.DIST_CACHE_ENTRIES:
-            # A small component's full field serves every later cap from
-            # one BFS — growing caps would otherwise force a recompute
-            # per growth step. Whether all the *live* sources' fields fit
-            # the entry budget together depends on the population, which
-            # the space cannot know statically; the eviction counter
-            # below demotes to truncated balls when they do not.
-            field = self._bfs_levels(a)
-            radius = math.inf
-        else:
-            field = {a: 0}
-            queue: deque = deque([a])
-            truncated = False
-            while queue:
-                node = queue.popleft()
-                base = field[node] + 1
-                if base > cap:
-                    truncated = True
-                    continue
-                for neigh in adj[node]:
-                    if neigh not in field:
-                        field[neigh] = base
-                        queue.append(neigh)
-            if not truncated:
-                radius = math.inf  # ball covered the whole component
+        row = self._rows.get(i)
+        if row is None:
+            size = self._comp_sizes[self.node_comp[i]]
+            if size > self._row_max:
+                return None
+            # Hops within a component are below its size: a byte holds
+            # them up to 256 nodes, two bytes up to ``_row_max`` (an
+            # entry that did not fit would raise, never clamp).
+            row = array("B" if size <= 256 else "H", [0]) * size
+            held = size * row.itemsize
+            local = self.node_local
+            field = self._bfs_levels(
+                (i, 0) if self._index is None else self._nodes[i])
+            for k, hops in zip(map(self._index_of, field), field.values()):
+                row[local[k]] = hops
+            if self._row_bytes + held > self.ROW_BUDGET_BYTES:
+                self._rows.clear()
+                self._row_bytes = 0
+            self._rows[i] = row
+            self._row_bytes += held
+        return row
+
+    def _ball(self, a: Hashable, cap: float) -> dict[Hashable, int]:
+        """BFS field around ``a``, complete to at least ``cap`` hops."""
+        ent = self._balls.get(a)
         if ent is not None:
-            self._ball_entries -= len(ent[1])
-        balls[a] = (radius, field)
-        balls.move_to_end(a)
+            if cap <= ent[0]:
+                return ent[1]
+            self._ball_entries -= len(ent[1])  # widened below
+        field = self._bfs_levels(a, cap=cap)
+        # The deepest node comes last; if its neighbours would still be
+        # within the cap the BFS ran the component dry.
+        radius = math.inf if field[next(reversed(field))] + 1 <= cap else cap
+        if self._ball_entries + len(field) > self.BALL_BUDGET_ENTRIES:
+            self._balls.clear()
+            self._ball_entries = 0
+        self._balls[a] = (radius, field)
         self._ball_entries += len(field)
-        while self._ball_entries > self.DIST_CACHE_ENTRIES and balls:
-            _, (old_radius, old) = balls.popitem(last=False)
-            self._ball_entries -= len(old)
-            if old_radius == math.inf and self._ball_full_ok:
-                self._full_evicts += 1
-                if self._full_evicts > len(balls):
-                    # More full fields evicted than the cache can hold:
-                    # the live source set is cycling through the LRU and
-                    # each probe pays a whole-component BFS. Radius-capped
-                    # balls are cheaper from here on.
-                    self._ball_full_ok = False
-        self._bnd_src = a
-        self._bnd_cap = radius
-        self._bnd_field = field
-        return float(field.get(b, math.inf))
+        return field
+
+    def dist_within(self, a, b, cap: float = math.inf) -> float:
+        """``dist(a, b)`` when it is at most ``cap``, else anything
+        above ``cap``.
+
+        A hop row answers exactly at every cap, so the value beyond
+        ``cap`` may be the true distance rather than ``inf``; a
+        truncated ball answers ``inf`` there. Callers compare against
+        thresholds of at most ``cap`` and treat the two alike.
+        """
+        levels = self._levels  # memo hits skip the call
+        la = levels.get(a) or self._level_of(a)
+        lb = levels.get(b) or self._level_of(b)
+        if la[2] != lb[2]:
+            return math.inf
+        row = self._rows.get(la[3]) or self.hop_row(la[3])
+        if row is not None:
+            return float(row[lb[4]])
+        return float(self._ball(a, cap).get(b, math.inf))
+
+    #: The hop distance itself is the uncapped read (the world model
+    #: calls it per perceived pair: no forwarding call).
+    dist = dist_within
 
     def within(self, a, b, radius: float) -> bool:
-        if self._has_levels:
-            la = self._level_of(a)
-            lb = self._level_of(b)
-            if la[2] != lb[2]:
-                return False  # different components: infinite distance
-            if (abs(la[0] - lb[0]) > radius
-                    or abs(la[1] - lb[1]) > radius):
-                return False  # landmark levels already certify dist > r
+        la = self._level_of(a)
+        lb = self._level_of(b)
+        if (la[2] != lb[2] or abs(la[0] - lb[0]) > radius
+                or abs(la[1] - lb[1]) > radius):
+            return False  # other component, or the levels certify dist > r
         return self.dist_within(a, b, radius) <= radius
 
     # -- bucketing ----------------------------------------------------------
@@ -605,27 +519,34 @@ class GraphSpace:
         return int(self._n / cell) + 2
 
     def bucket(self, pos, cell: float) -> tuple:
-        if not self._has_levels:
+        if not self.cell_bucketing:
             return ()
-        l0, l1, comp = self._level_of(pos)
+        l0, l1, comp = self._level_of(pos)[:3]
         return (comp * self._span(cell) + int(l0 // cell), int(l1 // cell))
 
-    def bucket_range(self, pos, radius: float, cell: float):
-        if not self._has_levels:
-            yield ()
-            return
-        l0, l1, comp = self._level_of(pos)
+    def cell_window(self, pos, radius: float,
+                    cell: float) -> tuple[int, int, int, int]:
+        """Inclusive cell ranges ``(x0, x1, y0, y1)`` that may hold
+        positions within ``radius`` — :meth:`bucket_range` without the
+        generator, first axis outer. Needs ``cell_bucketing``."""
+        l0, l1, comp = self._level_of(pos)[:3]
         span = self._span(cell)
         base = comp * span
         # Anything within `radius` shares the component, so only this
-        # component's band is yielded; level windows clamp to the band.
-        b0_lo = max(0, int((l0 - radius) // cell))
-        b0_hi = min(span - 2, int((l0 + radius) // cell))
-        b1_lo = max(0, int((l1 - radius) // cell))
-        b1_hi = min(span - 2, int((l1 + radius) // cell))
-        for b0 in range(b0_lo, b0_hi + 1):
-            for b1 in range(b1_lo, b1_hi + 1):
-                yield (base + b0, b1)
+        # component's band is covered; level windows clamp to the band.
+        return (base + max(0, int((l0 - radius) // cell)),
+                base + min(span - 2, int((l0 + radius) // cell)),
+                max(0, int((l1 - radius) // cell)),
+                min(span - 2, int((l1 + radius) // cell)))
+
+    def bucket_range(self, pos, radius: float, cell: float):
+        if not self.cell_bucketing:
+            yield ()
+            return
+        x0, x1, y0, y1 = self.cell_window(pos, radius, cell)
+        for b0 in range(x0, x1 + 1):
+            for b1 in range(y0, y1 + 1):
+                yield (b0, b1)
 
 
 def space_for(metric: str, **kwargs) -> Space:

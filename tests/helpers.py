@@ -354,3 +354,19 @@ def is_dwelling(agent, step: int) -> bool:
             in (agent.activity, "sleeping")
             and not (agent.memory.importance_since_reflection > 12.0
                      and step - agent.last_reflection > 180))
+
+
+def reference_bucket_range(space: GraphSpace, pos, radius: float,
+                           cell: float):
+    """``GraphSpace.bucket_range`` as the generator it was before the
+    integer ``cell_window``: the oracle for the window's four bounds."""
+    l0, l1, comp = space._level_of(pos)[:3]
+    span = space._span(cell)
+    base = comp * span
+    b0_lo = max(0, int((l0 - radius) // cell))
+    b0_hi = min(span - 2, int((l0 + radius) // cell))
+    b1_lo = max(0, int((l1 - radius) // cell))
+    b1_hi = min(span - 2, int((l1 + radius) // cell))
+    for b0 in range(b0_lo, b0_hi + 1):
+        for b1 in range(b1_lo, b1_hi + 1):
+            yield (base + b0, b1)

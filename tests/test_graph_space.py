@@ -10,7 +10,9 @@ the fallback scan.
 """
 
 import math
+from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +24,7 @@ from repro.core.dependency_graph import SpatioTemporalGraph
 from repro.core.space import GraphSpace, space_for
 from repro.errors import ConfigError
 
+from helpers import reference_bucket_range
 from test_hotpath_scheduler import (DictReferenceGraph,
                                     _assert_fastpath_invariants,
                                     _assert_graph_matches_reference,
@@ -41,6 +44,41 @@ def small_world(rng, n, k=2, ties=2) -> dict[int, list[int]]:
         if a != b and b not in adj[a]:
             adj[a].append(b)
             adj[b].append(a)
+    return adj
+
+
+def bfs_reference(adj, source) -> dict:
+    """Hop counts from ``source``, written without the space."""
+    hops = {source: 0}
+    queue = deque([source])
+    while queue:
+        node = queue.popleft()
+        for other in adj[node]:
+            if other not in hops:
+                hops[other] = hops[node] + 1
+                queue.append(other)
+    return hops
+
+
+def path_graph(n) -> dict[int, tuple[int, ...]]:
+    return {i: tuple(j for j in (i - 1, i + 1) if 0 <= j < n)
+            for i in range(n)}
+
+
+#: How a test world names node ``i``: bare ints and strings take the
+#: dict numbering, ``(id, 0)`` pairs the dense one.
+LABELS = {"int": lambda i: i, "str": lambda i: f"n{i}",
+          "dense": lambda i: (i, 0)}
+
+
+def labelled_world(rng, sizes, label) -> dict:
+    """Disjoint rings-with-a-chord of the given sizes (diameters near
+    ``size / 2``) under one labelling."""
+    adj, base = {}, 0
+    for size in sizes:
+        for node, neigh in small_world(rng, size, k=1, ties=1).items():
+            adj[label(base + node)] = [label(base + o) for o in neigh]
+        base += size
     return adj
 
 
@@ -108,38 +146,196 @@ class TestGraphSpaceBasics:
                             assert space.bucket(node, cell) in cells
 
 
-class TestDistanceCacheLRU:
-    """The per-source BFS cache is bounded (ROADMAP memory item)."""
+    @pytest.mark.parametrize("sampled", [None, 2])
+    def test_cell_window_is_bucket_range_as_four_integers(self, sampled):
+        """Same cells in the same order (first axis outer), for every
+        node, radius and cell size the cover test above uses."""
+        rng = FastRng(5)
+        space = GraphSpace(small_world(rng, 30),
+                           sampled_component_min=sampled)
+        for cell in (1.0, 2.0):
+            for source in range(30):
+                for radius in (1.0, 2.0, 5.0):
+                    x0, x1, y0, y1 = space.cell_window(source, radius, cell)
+                    walked = [(bx, by) for bx in range(x0, x1 + 1)
+                              for by in range(y0, y1 + 1)]
+                    assert walked == list(reference_bucket_range(
+                        space, source, radius, cell))
+                    assert walked == list(
+                        space.bucket_range(source, radius, cell))
 
-    def test_cache_never_exceeds_cap(self):
+
+class TestUnknownNode:
+    """One typed failure, naming the node, at every door — whether or
+    not the graph asks the space for cells at construction."""
+
+    DOORS = ("construct", "commit", "dist", "dist_within", "within")
+
+    @pytest.mark.parametrize("labels", ["int", "dense"])
+    @pytest.mark.parametrize("bucketing", [True, False])
+    @pytest.mark.parametrize("door", DOORS)
+    def test_refused_by_name(self, door, bucketing, labels):
+        label = LABELS[labels]
+        # Node 3 is left out: a gap in the dense ids, a stranger else.
+        adj = {label(0): [label(1)], label(1): [label(0), label(2)],
+               label(2): [label(1), label(4)], label(4): [label(2)]}
+        ghost = label(3)
+        space = GraphSpace(adj, bucketing=bucketing)
+        rules = DependencyRules(
+            DependencyConfig(radius_p=1.0, max_vel=1.0), space=space)
+        with pytest.raises(ConfigError) as err:
+            if door == "construct":
+                SpatioTemporalGraph(rules, {0: label(0), 1: ghost})
+            elif door == "commit":
+                graph = SpatioTemporalGraph(rules, {0: label(0),
+                                                    1: label(4)})
+                graph.mark_running([0])
+                graph.commit([0], {0: ghost})
+            else:
+                probe = getattr(space, door)
+                extra = () if door == "dist" else (2.0,)
+                with pytest.raises(ConfigError, match="unknown node"):
+                    probe(label(0), ghost, *extra)
+                probe(ghost, label(0), *extra)
+        assert f"unknown node {ghost!r}" in str(err.value)
+
+
+class TestHopRowExactness:
+    """Rows, balls and the numbering under them against a BFS written
+    without the space."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10**9),
+           sizes=st.lists(st.integers(3, 14), min_size=1, max_size=4),
+           labels=st.sampled_from(sorted(LABELS)),
+           sampled=st.sampled_from([None, 6]))
+    def test_every_pair_at_every_cap(self, seed, sizes, labels, sampled):
+        """``sampled=6`` pushes the larger components onto the ball
+        store, so one world can mix both stores."""
+        adj = labelled_world(FastRng(seed), sizes, LABELS[labels])
+        space = GraphSpace(adj, sampled_component_min=sampled)
+        assert space.dense_node_cells == (labels == "dense")
+        refs = {node: bfs_reference(adj, node) for node in adj}
+        diameter = max(max(ref.values()) for ref in refs.values())
+        for a, ref in refs.items():
+            for b in adj:
+                d = ref.get(b, math.inf)
+                assert space.dist(a, b) == d
+                for cap in range(diameter + 2):
+                    got = space.dist_within(a, b, float(cap))
+                    assert got == d if d <= cap else got > cap
+                    assert space.within(a, b, float(cap)) == (d <= cap)
+        if sampled is None:
+            assert not space._balls and len(space._rows) == len(adj)
+
+    @pytest.mark.parametrize("n", [256, 257, 300])
+    def test_long_path_stays_exact_end_to_end(self, n):
+        """A hop count may not fit a byte: a 300-node path has diameter
+        299, so rows widen with the component — never clamp."""
+        space = GraphSpace(path_graph(n))
+        assert space.dist(0, n - 1) == n - 1
+        assert space.dist(n - 1, 0) == n - 1
+        row = space.hop_row(space.node_index(0))
+        assert row.typecode == ("B" if n <= 256 else "H")
+        assert list(row) == list(range(n))
+        assert space.dist_within(0, n - 1, 5.0) == n - 1  # exact past cap
+
+    def test_rows_stop_where_two_bytes_stop(self):
+        """Above ``_row_max`` a component is served by balls whatever
+        ``sampled_component_min`` says."""
+        space = GraphSpace(path_graph(12), sampled_component_min=10**9)
+        assert space._row_max == 1 << 16
+        space._row_max = 8
+        assert space.hop_row(space.node_index(0)) is None
+        assert space.dist(0, 11) == 11.0 and not space._rows
+
+    def test_row_memory_is_bounded_on_a_twenty_thousand_node_world(self):
+        """84 components of 240 nodes, every node probed as a source:
+        the store stays under its byte budget (dropping wholesale on
+        the way) and a component above the size constant never
+        materialises a row."""
+        rng = FastRng(2)
+        ring = small_world(rng, 240, ties=6)
+        adj = {(k * 240 + node, 0): [(k * 240 + o, 0) for o in neigh]
+               for k in range(84) for node, neigh in ring.items()}
+        space = GraphSpace(adj)
+        space.ROW_BUDGET_BYTES = 1 << 20
+        ref = bfs_reference(ring, 7)
+        for k in range(84):
+            for node in range(240):
+                d = space.dist_within((k * 240 + node, 0),
+                                      (k * 240 + 7, 0), 3.0)
+                assert d == ref[node]  # symmetric graph
+                assert space._row_bytes <= 1 << 20
+        assert space._row_bytes == 240 * len(space._rows)
+        assert 0 < len(space._rows) < 84 * 240
+        assert space.bfs_runs == 2 * 84 + 84 * 240
+
+        big = GraphSpace(ring, sampled_component_min=100)
+        for node in range(240):
+            big.dist_within(node, (node + 3) % 240, 2.0)
+        assert not big._rows
+        assert max(len(f) for _, f in big._balls.values()) < 240
+
+
+class TestDistanceStores:
+    """Hop rows for small components, truncated balls above the size
+    constant: both bounded, both dropped wholesale, neither ordered."""
+
+    def test_row_budget_never_exceeded(self):
         rng = FastRng(7)
-        space = GraphSpace(small_world(rng, 64), dist_cache_size=8)
+        adj = small_world(rng, 64)
+        space = GraphSpace(adj)
+        space.ROW_BUDGET_BYTES = 1000  # fifteen 64-byte rows
         for source in range(64):
-            assert space.dist(source, (source + 5) % 64) >= 1.0
-        assert len(space._cache) <= 8
+            ref = bfs_reference(adj, source)
+            target = (source + 5) % 64
+            assert space.dist(source, target) == ref[target]
+            assert 0 < space._row_bytes <= 1000
+            assert space._row_bytes == 64 * len(space._rows)
+        assert not space._balls
 
-    def test_eviction_preserves_correctness(self):
-        space = GraphSpace({0: [1], 1: [0, 2], 2: [1, 3], 3: [2]},
-                           dist_cache_size=1)
+    def test_wholesale_drop_preserves_correctness(self):
+        space = GraphSpace(path_graph(4))
+        space.ROW_BUDGET_BYTES = 4  # one row
         assert space.dist(0, 3) == 3.0
-        assert space.dist(3, 0) == 3.0  # evicts source 0
-        assert space.dist(0, 2) == 2.0  # re-BFS after eviction
-        assert len(space._cache) == 1
+        held = space.hop_row(space.node_index(0))
+        assert space.dist(3, 0) == 3.0  # drops source 0's row
+        assert list(space._rows) == [space.node_index(3)]
+        assert space.dist(0, 2) == 2.0  # re-BFS after the drop
+        assert len(space._rows) == 1
+        assert list(held) == [0, 1, 2, 3]  # a held row is never mutated
 
-    def test_lru_keeps_hot_sources(self):
+    def test_repeated_probes_run_one_bfs_per_source(self):
         rng = FastRng(11)
-        space = GraphSpace(small_world(rng, 32), dist_cache_size=4)
-        space.dist(0, 1)
-        for source in range(1, 4):
-            space.dist(source, 0)
-        space.dist(0, 2)          # touch source 0 again: most recent
-        space.dist(9, 0)          # evicts the least recent (source 1)
-        assert 0 in space._cache
-        assert 1 not in space._cache
+        space = GraphSpace(small_world(rng, 32))
+        built = space.bfs_runs  # the landmark sweeps
+        for _ in range(3):
+            for source in (0, 9, 17):
+                for target in range(32):
+                    space.dist_within(source, target, 2.0)
+                    space.within(source, target, 3.0)
+        assert space.bfs_runs == built + 3
 
-    def test_default_cap_applies(self):
-        space = GraphSpace({0: [1], 1: [0]})
-        assert space._cache_cap == GraphSpace.DIST_CACHE_SIZE
+    def test_large_component_runs_truncated_balls_and_evicts(self):
+        adj = path_graph(40)
+        space = GraphSpace(adj, sampled_component_min=8)
+        space.BALL_BUDGET_ENTRIES = 30
+        for source in range(40):
+            assert space.hop_row(space.node_index(source)) is None
+            for target in (source, (source + 3) % 40, (source + 9) % 40):
+                d = abs(source - target)
+                got = space.dist_within(source, target, 4.0)
+                assert got == d if d <= 4 else got > 4.0
+            radius, field = space._balls[source]
+            assert radius == 4.0 and len(field) <= 9  # never the full path
+            assert space._ball_entries <= 30
+            assert space._ball_entries == sum(
+                len(f) for _, f in space._balls.values())
+        assert len(space._balls) < 40  # dropped along the way
+        assert not space._rows
+        assert space.dist(0, 39) == 39.0  # radius inf: what dist asks for
+        assert space._balls[0][0] == math.inf
 
 
 class TestGraphBlocking:
@@ -245,6 +441,26 @@ class TestGraphSteadyState:
         assert extra["graph_scan_skips"] > 0  # slack licences fire
         assert extra["graph_near_checks"] > 0  # near sets fire
         assert result.n_calls_completed == trace.n_calls
+
+    def test_bfs_runs_cold_one_per_source_warm_none(self, monkeypatch):
+        """The count an LRU-cycling or budget-thrashing store would
+        move: a cold replay runs at most one BFS per node some agent
+        stands on, a warm one runs none."""
+        from repro.scenarios import get_scenario
+        trace = scenario_window_trace("social-graph")
+        scn = get_scenario("social-graph")
+        monkeypatch.setattr(scn, "_spaces", {})  # a space nobody probed
+        space = scn.space()
+        built = space.bfs_runs  # the landmark sweeps
+        assert built == 2 * len(space._comp_sizes)
+        config = SchedulerConfig(policy="metropolis",
+                                 scenario="social-graph")
+        run_replay(trace, config)
+        cold = space.bfs_runs - built
+        occupied = len(np.unique(trace.positions_by_step[:, :, 0]))
+        assert 0 < cold <= occupied
+        run_replay(trace, config)
+        assert space.bfs_runs == built + cold
 
     def test_social_graph_scenario_rules_are_graph_metric(self):
         from repro.core.rules import rules_for
