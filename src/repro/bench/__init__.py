@@ -9,8 +9,8 @@ comparison's shape at CI-friendly cost.
 """
 
 from .experiments import (EXPERIMENTS, ExperimentResult, run_experiment)
-from .hotpath import (bench_one, check_report, format_report, gate_hotpath,
-                      hotpath_trace, run_hotpath)
+from .hotpath import (bench_one, check_report, format_report, hotpath_trace,
+                      run_hotpath)
 from .runner import PolicyOutcome, bounds_for, hour_window, run_policies
 from .report import format_table, format_ratio
 from .serving import (bench_cell, check_serving_report, format_profiles,
@@ -34,7 +34,6 @@ __all__ = [
     "bench_one",
     "hotpath_trace",
     "check_report",
-    "gate_hotpath",
     "format_report",
     "run_serving",
     "bench_cell",

@@ -1,4 +1,4 @@
-"""Controller hot-path throughput benchmark (§3.6 light critical path).
+"""Controller hot-path benchmark (§3.6 light critical path).
 
 OOO scheduling only pays off while the controller's per-decision cost
 stays far below LLM latency, so this benchmark measures the controller
@@ -10,40 +10,23 @@ and dispatching (the :attr:`DriverStats.controller_time` accounting).
 LLM/serving time is virtual and therefore excluded; the number tracks
 pure scheduler overhead.
 
-``repro-bench hotpath`` writes the report to ``BENCH_hotpath.json`` and
-— given the committed baseline (``benchmarks/baselines/
-hotpath_pr6.json``, the PR 6 scheduler's numbers over the full matrix)
-— a ``speedup_vs_baseline`` per entry. The older records ride along as
-perf-trajectory columns where their cells exist: ``speedup_vs_pr4``
-(``hotpath_pr4.json``), ``speedup_vs_pr2`` (``hotpath_pr2.json``) and
-``speedup_vs_preoverhaul``
-(``hotpath_baseline.json``). ``--check`` turns the report into a CI
-gate: every matrix cell (including the 2000-agent column) must be
-present, must clear an absolute throughput floor, must have a baseline
-counterpart (a baseline missing a cell fails loudly), must not regress
-below ``min_speedup`` x its baseline — and the controller's event churn
-must stay flat: ``fallback_scans`` (linear scans outside the bucketed
-fast path) must stay at zero and ``kernel_events_per_cluster`` (driver-
-scheduled kernel events per dispatched cluster; the single-event round
-loop amortizes dispatch + commit + round to ``2 * rounds / clusters``,
-strictly below the old chain's two-per-cluster floor) must stay under
-``--max-kernel-events-per-cluster``. That gauge counts the driver's own
-events only; ``events_total_per_cluster`` beside it is every event the
-kernel scheduled (the executor's start events and the serving engine's
-included) per dispatched cluster. ``scans_per_agent_step`` (full blocker
-scans per committed agent-step, an exact counter) must stay under
-:data:`MAX_SCANS_PER_AGENT_STEP` on the scenarios that table names, and
-``events_total_per_cluster`` under :data:`MAX_EVENTS_TOTAL_PER_CLUSTER`.
-The report's ``generation`` block times what comes before any replay —
-one cold full-day ``generate_trace`` per scenario, with its fingerprint —
-and ``--check`` holds each row above :data:`MIN_GENERATION_THROUGHPUT`.
-
-Baselines travel across machines: every report carries a
-``calibration_ops_per_sec`` score from a fixed scheduler-shaped
-workload (dict/set churn + small numpy ops), and the speedup columns
-are normalized by the calibration ratio, so a CI runner slower than
-the machine that recorded the baseline is not misread as a code
-regression (``raw_speedup_vs_baseline`` keeps the unnormalized ratio).
+``repro-bench hotpath`` writes the report to ``BENCH_hotpath.json``;
+``--check`` gates it **on counts** and only reports the seconds. Each
+cell's exact counters — the same trace gives the same count on every
+machine — must stay under its scenario's row of :data:`COUNT_CEILINGS`
+(full blocker scans per agent-step, slots per scan, kernel events per
+cluster, linear fallback scans); every (scenario, agent-count) cell the
+report ran must be present; and with ``--spec`` the speculative mode's
+virtual-time ratio over plain OOO must hold :data:`MIN_SPEC_RATIO` on
+every cell and win on one. The timings — controller agent-steps/s per
+cell, and the ``generation`` block's one cold full-day
+``generate_trace`` per scenario — only have to clear raw sanity floors
+(:data:`MIN_THROUGHPUT`, :data:`MIN_GENERATION_THROUGHPUT`) set far
+below every recorded reading: they catch a path that fell off a cliff,
+not machine weather. Every report records ``calibration_ops_per_sec``
+before its matrix and ``calibration_after_ops_per_sec`` after it, so a
+report taken across a machine speed change says so; nothing is
+normalised by it.
 
 ``repro-bench hotpath --scale`` runs the separate **scale matrix**
 instead: for each of :data:`SCALE_SCENARIOS`, a 2000-agent reference
@@ -54,9 +37,9 @@ inter-segment gutters so the region planner can actually shard) and
 replayed with a region-sharded controller. The gate is *relative*:
 per-agent-step controller throughput at scale must stay within
 :data:`MIN_SCALE_RATIO` of the same scenario's 2000-agent cell — a
-flat curve is precisely the banded-scan + sharding claim — plus a
-calibration-normalized absolute floor, and every entry reports
-``peak_rss_mb`` so memory blowups surface in the report.
+flat curve is precisely the banded-scan + sharding claim — plus a raw
+sanity floor, and every entry reports its own ``peak_rss_mb`` so
+memory blowups surface in the report.
 """
 
 from __future__ import annotations
@@ -70,7 +53,6 @@ import numpy as np
 
 from ..config import SchedulerConfig
 from ..core import run_replay
-from ..errors import ScenarioError
 from ..scenarios import get_scenario, scenario_names
 from ..trace import (generate_concatenated_trace, generate_trace,
                      trace_fingerprint)
@@ -81,19 +63,6 @@ from ..trace.generator import generate_scale_trace
 #: scheduler).
 AGENT_COUNTS = (25, 100, 500, 1000, 2000)
 HOTPATH_SEED = 0
-#: Committed baselines: the PR 6 scheduler over the full matrix (the
-#: regression reference) plus the PR 4, PR 2 and pre-overhaul records
-#: kept as trajectory columns.
-BASELINE_PATH = Path("benchmarks/baselines/hotpath_pr6.json")
-PR4_PATH = Path("benchmarks/baselines/hotpath_pr4.json")
-PR2_PATH = Path("benchmarks/baselines/hotpath_pr2.json")
-PREOVERHAUL_PATH = Path("benchmarks/baselines/hotpath_baseline.json")
-#: Default trajectory annotations: suffix -> committed report.
-TRAJECTORY: tuple[tuple[str, Path], ...] = (
-    ("pr4", PR4_PATH),
-    ("pr2", PR2_PATH),
-    ("preoverhaul", PREOVERHAUL_PATH),
-)
 #: The scale matrix (``--scale``): one coordinate-metric and one
 #: graph-metric scenario, a shared small-scale reference cell, and the
 #: CI-gated large cell. 1M is the documented best-effort local run.
@@ -112,61 +81,47 @@ SCALE_AGENTS_PER_SHARD = 250
 #: scans or controller structures that grow with the population would
 #: collapse the ratio; O(local) work keeps the curve flat.
 MIN_SCALE_RATIO = 0.7
-#: Absolute floor for scale cells, calibration-normalized: the floor is
-#: scaled by (runner calibration / SCALE_NOMINAL_CALIBRATION), capped
-#: at 1x, so a slow CI runner lowers the bar proportionally instead of
-#: flaking. The nominal calibration is the machine that set the floor.
+#: Raw sanity floors, in agent-steps/s, on timings the reports carry.
+#: Each sits several times below the slowest committed reading (a
+#: 2-core container at ~2M calibration ops/s): scale cells 59.8k
+#: (social-graph@100k, serial), matrix cells 25.9k (social-graph@2000),
+#: the ``generation`` block's cold full day 55.5k (social-graph;
+#: measured once per scenario on purpose — a re-run would find the path
+#: planners warm, another quantity).
 SCALE_MIN_THROUGHPUT = 2_000.0
-SCALE_NOMINAL_CALIBRATION = 2_000_000.0
-#: Floor of the ``generation`` block (cold full-day ``generate_trace``),
-#: in agent-steps/s at :data:`SCALE_NOMINAL_CALIBRATION`: half the
-#: slowest reading of four runs (smallville, 30.8k-41.2k; PR 19: 23k).
-#: Single-shot on purpose, unlike the matrix cells: a re-run would find
-#: the path planners warm (another quantity), and 2x headroom under the
-#: slowest shared-machine reading is more than a noisy moment takes.
-MIN_GENERATION_THROUGHPUT = 15_000.0
-#: Default CI gates: an absolute floor every entry must clear, and the
-#: minimum (calibration-normalized) throughput ratio vs. the committed
-#: baseline. The flat-round controller measures 40k-47k agent-steps/s
-#: on coordinate worlds (1.2x-2x the committed PR 4 baseline at the
-#: 500+ cells); the floor sits far below the slowest cell and the
-#: ratio bar of 0.9 means "never slower than the PR 4 scheduler"
-#: modulo calibration noise across runners — the worst committed cell
-#: sits at 0.98x (metro-grid@25), so the bar keeps ~8% headroom while
-#: any real regression fails.
 MIN_THROUGHPUT = 5_000.0
-MIN_SPEEDUP = 0.9
-#: Kernel-event churn cap: the single-event round loop schedules one
-#: dispatch event per round and one commit/round event per finish
-#: instant — 0.3-1.5 events per dispatched cluster across the matrix
-#: (exactly 2x rounds / clusters, deterministic in virtual time; low
-#: coalescing pushes it up), versus a strict >=2 per cluster for the
-#: pre-PR 5 per-cluster event chain. The 1.6 bar sits above today's
-#: worst cell (1.47) and fails any return of per-cluster scheduling.
-MAX_KERNEL_EVENTS_PER_CLUSTER = 1.6
-#: Linear scans outside the step-bucketed fast path: every built-in
-#: scenario's space offers cell bucketing, so any nonzero count means
+MIN_GENERATION_THROUGHPUT = 15_000.0
+
+
+def _ceilings(scans: float, events_total: float,
+              slots_per_scan: float) -> dict[str, float]:
+    return {"scans_per_agent_step": scans,
+            "events_total_per_cluster": events_total,
+            "scanned_slots_per_scan": slots_per_scan,
+            "kernel_events_per_cluster": 1.6,
+            "fallback_scans": 0}
+
+
+#: The hot-path gate: per scenario, a ceiling on each exact counter of a
+#: cell's replay (same trace, same count on any machine — nothing to
+#: retry or calibrate). ``scans_per_agent_step`` (full blocker scans per
+#: committed agent-step), ``events_total_per_cluster`` (kernel events of
+#: every layer per dispatched cluster) and ``scanned_slots_per_scan``
+#: sit 1.25x above the worst committed 25-2000 cell (trailing comments),
+#: except smallville's first two, which keep their tighter bars:
+#: charging stationary commits as moves again reads 0.114-0.117 scans,
+#: call-free clusters riding the executor's start events again read up
+#: to 1.56 events. ``kernel_events_per_cluster`` (the driver's own
+#: events: 2 x rounds / clusters under the single-event round loop) stays
+#: under 1.6, below the old per-cluster chain's two; any
+#: ``fallback_scans`` (linear scans outside the bucketed fast path) means
 #: the fast-path gate broke.
-MAX_FALLBACK_SCANS = 0
-#: Full blocker scans per committed agent-step, per scenario: an exact
-#: counter of the replay (same trace, same count on every machine), so
-#: the ceiling needs no retries and no calibration. The slack bound
-#: charges a commit that did not move the agent ``max_vel``, not
-#: ``2 * max_vel``, and ~96% of smallville's agent-steps stay put:
-#: 0.0667-0.0683 scans per agent-step across the 25-2000 cells (the
-#: 2x-per-commit bound measured 0.1137-0.1167). The ceiling sits 25%
-#: above the worst cell, so a change that silently restores the old
-#: rescan cadence fails ``--check``.
-MAX_SCANS_PER_AGENT_STEP = {"smallville": 0.0853}
-#: Kernel events of *all* layers per dispatched cluster, per scenario:
-#: exact like the counter above. ~96% of smallville's clusters hold no
-#: LLM call and never reach the executor, so a call-free round costs a
-#: launch and a round event: 1.253 / 0.943 / 0.706 / 0.621 / 0.639
-#: across the 25-2000 cells (through the executor's start events:
-#: 1.562 / 1.185 / 0.884 / 0.776 / 0.802). The ceiling sits 12% above
-#: the worst cell — 25% would clear the 1.562 a return of the executor
-#: detour reads on that very cell.
-MAX_EVENTS_TOTAL_PER_CLUSTER = {"smallville": 1.40}
+COUNT_CEILINGS: dict[str, dict[str, float]] = {
+    "market-town": _ceilings(0.095, 2.62, 21.5),   # 0.0760 / 2.094 / 17.17
+    "metro-grid": _ceilings(0.088, 3.90, 33.5),    # 0.0704 / 3.118 / 26.74
+    "smallville": _ceilings(0.0853, 1.40, 40.1),   # 0.0683 / 1.253 / 32.05
+    "social-graph": _ceilings(0.148, 1.29, 28.5),  # 0.1184 / 1.027 / 22.75
+}
 #: Speculation gate: speculative mode's virtual completion time may
 #: never trail plain OOO by more than 2% on any cell (the ratio is a
 #: deterministic virtual-time quantity — no retries, no calibration)
@@ -200,7 +155,7 @@ def hotpath_trace(scenario, n_agents: int, seed: int = HOTPATH_SEED):
     return day.window(start, end)
 
 
-def bench_generation(scenarios: list[str], calibration: float) -> list[dict]:
+def bench_generation(scenarios: list[str]) -> list[dict]:
     """One cold full-day segment per scenario, straight through
     ``generate_trace`` (no trace cache): what a first run waits for."""
     rows = []
@@ -211,8 +166,7 @@ def bench_generation(scenarios: list[str], calibration: float) -> list[dict]:
         steps = trace.meta.n_agents * trace.meta.n_steps
         rows.append({
             "scenario": name, "agent_steps": steps, "wall_s": wall,
-            "agent_steps_per_sec":
-                steps / wall * SCALE_NOMINAL_CALIBRATION / calibration,
+            "agent_steps_per_sec": steps / wall,
             "n_calls": trace.n_calls,
             "fingerprint": trace_fingerprint(trace)})
     return rows
@@ -292,9 +246,30 @@ def bench_one(scenario: str, n_agents: int,
     return entry
 
 
+def _reset_peak_rss() -> None:
+    """Start a new RSS high-water mark at the current RSS (Linux: ``5``
+    written to ``/proc/self/clear_refs``); where that file is absent or
+    not writable the mark stays the process's."""
+    try:
+        with open("/proc/self/clear_refs", "w") as f:
+            f.write("5")
+    except OSError:
+        pass
+
+
 def _peak_rss_mb() -> float:
-    """Process high-water RSS in MiB (``ru_maxrss`` is KiB on Linux)."""
+    """High-water RSS in MiB since the last reset (``ru_maxrss`` is KiB
+    on Linux)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def write_report(report: dict, out: Path | str | None) -> None:
+    """Write ``report`` as indented JSON to ``out`` (None: don't)."""
+    if out is None:
+        return
+    out = Path(out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(report, indent=2) + "\n")
 
 
 def bench_scale_one(scenario: str, n_agents: int,
@@ -308,7 +283,14 @@ def bench_scale_one(scenario: str, n_agents: int,
     critical-path (slowest-worker CPU) time, so the derived
     ``agent_steps_per_sec`` reflects throughput on dedicated cores
     even when the bench host timeshares one.
+
+    ``peak_rss_mb`` is this cell's own high-water RSS, trace generation
+    included: the mark is reset before the cell where the platform
+    allows (:func:`_reset_peak_rss`), so it starts from what the process
+    still holds (earlier cells' caches included). It counts this
+    process only — a parallel cell's worker processes are not in it.
     """
+    _reset_peak_rss()
     if shards is None:
         shards = max(2, n_agents // SCALE_AGENTS_PER_SHARD)
     scn = get_scenario(scenario)
@@ -407,37 +389,27 @@ def run_scale(scenarios: tuple[str, ...] = SCALE_SCENARIOS,
         "agents_per_shard": SCALE_AGENTS_PER_SHARD,
         "parallel_workers": parallel_workers,
         "calibration_ops_per_sec": calibration,
+        "calibration_after_ops_per_sec": calibration_score(),
         "entries": entries,
     }
-    if out is not None:
-        out = Path(out)
-        if out.parent != Path(""):
-            out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(report, indent=2) + "\n")
+    write_report(report, out)
     return report
 
 
-def check_scale_report(report: dict,
-                       min_ratio: float = MIN_SCALE_RATIO,
-                       min_throughput: float = SCALE_MIN_THROUGHPUT,
-                       min_parallel_ratio: float = MIN_PARALLEL_RATIO
-                       ) -> list[str]:
+def check_scale_report(report: dict) -> list[str]:
     """CI gate for the scale matrix (empty = pass).
 
     Every scenario must have its reference, serial-scale, and
     parallel-scale cells (plus the large cell when the report was run
-    above the 100k tier); each gated cell must hold ``scale_ratio >=
-    min_ratio`` against its baseline and clear the
-    calibration-normalized absolute floor; sharding must have engaged
-    (a planner fallback at scale means the widened-gutter workload
-    broke). Parallel cells must additionally have actually routed
-    through the worker pool and beat the serial cell by
-    ``min_parallel_ratio`` on ctrl-steps/s.
+    above the 100k tier); each gated cell must hold ``scale_ratio >=``
+    :data:`MIN_SCALE_RATIO` against its baseline and clear the raw
+    :data:`SCALE_MIN_THROUGHPUT` floor; sharding must have engaged (a
+    planner fallback at scale means the widened-gutter workload broke).
+    Parallel cells must additionally have actually routed through the
+    worker pool and beat the serial cell by :data:`MIN_PARALLEL_RATIO`
+    on ctrl-steps/s.
     """
     failures = []
-    cal = report.get("calibration_ops_per_sec") or 0.0
-    floor = min_throughput * min(1.0, cal / SCALE_NOMINAL_CALIBRATION) \
-        if cal else min_throughput
     required = ["reference", "scale", "scale-parallel"]
     if report.get("scale_agents", SCALE_AGENTS) > SCALE_AGENTS:
         required.append("scale-large")
@@ -457,15 +429,15 @@ def check_scale_report(report: dict,
         ratio = entry.get("scale_ratio")
         if ratio is None:
             failures.append(f"{label}: scale_ratio missing")
-        elif ratio < min_ratio:
+        elif ratio < MIN_SCALE_RATIO:
             failures.append(
                 f"{label}: {ratio:.2f}x of {baseline}'s "
-                f"throughput, below the {min_ratio:.2f}x scale gate")
-        if entry["agent_steps_per_sec"] < floor:
+                f"throughput, below the {MIN_SCALE_RATIO:.2f}x scale gate")
+        if entry["agent_steps_per_sec"] < SCALE_MIN_THROUGHPUT:
             failures.append(
                 f"{label}: {entry['agent_steps_per_sec']:.0f} "
-                f"agent-steps/s below the calibration-normalized "
-                f"{floor:.0f} floor")
+                f"agent-steps/s below the {SCALE_MIN_THROUGHPUT:.0f} "
+                f"sanity floor")
         if entry.get("shards", 1) < 2:
             failures.append(
                 f"{label}: region sharding did not engage "
@@ -484,11 +456,11 @@ def check_scale_report(report: dict,
             pratio = entry.get("parallel_ratio")
             if pratio is None:
                 failures.append(f"{label}: parallel_ratio missing")
-            elif pratio < min_parallel_ratio:
+            elif pratio < MIN_PARALLEL_RATIO:
                 failures.append(
                     f"{label}: parallel/serial ctrl-steps/s ratio "
                     f"{pratio:.2f}x below the "
-                    f"{min_parallel_ratio:.2f}x gate")
+                    f"{MIN_PARALLEL_RATIO:.2f}x gate")
     return failures
 
 
@@ -534,16 +506,12 @@ def format_scale_report(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _entry_key(entry: dict) -> tuple:
-    return (entry["scenario"], entry["n_agents"], entry["policy"])
-
-
 def calibration_score(rounds: int = 5, iters: int = 100_000) -> float:
-    """Machine-speed proxy (ops/sec, higher = faster hardware).
+    """Machine-speed reading (ops/sec, higher = faster hardware).
 
     A fixed, deterministic workload with the controller's op mix —
-    dict/set churn plus small numpy reductions — timed best-of-N so a
-    baseline recorded on one machine can be compared on another.
+    dict/set churn plus small numpy reductions — timed best-of-N.
+    Reports record it beside their timings; no gate reads it.
     """
     best = 0.0
     arr = np.arange(256, dtype=np.int64)
@@ -565,51 +533,20 @@ def calibration_score(rounds: int = 5, iters: int = 100_000) -> float:
     return best
 
 
-def _annotate_speedups(entries: list[dict], cal: float,
-                       reference: dict, suffix: str) -> None:
-    """Attach ``speedup_vs_<suffix>`` columns against ``reference``.
-
-    Normalized for hardware speed: the reference throughput is scaled
-    by (this machine's calibration / the reference machine's).
-    """
-    ref_cal = reference.get("calibration_ops_per_sec")
-    scale = (ref_cal / cal) if (ref_cal and cal) else 1.0
-    by_key = {_entry_key(e): e for e in reference["entries"]}
-    for entry in entries:
-        ref = by_key.get(_entry_key(entry))
-        if ref and ref["agent_steps_per_sec"] > 0:
-            entry[f"{suffix}_agent_steps_per_sec"] = \
-                ref["agent_steps_per_sec"]
-            raw = entry["agent_steps_per_sec"] / ref["agent_steps_per_sec"]
-            entry[f"raw_speedup_vs_{suffix}"] = raw
-            entry[f"speedup_vs_{suffix}"] = raw * scale
-
-
 def run_hotpath(scenarios: list[str] | None = None,
                 agent_counts: tuple[int, ...] = AGENT_COUNTS,
                 policy: str = "metropolis",
-                baseline: Path | str | None = None,
-                history: Path | str | None = None,
-                trajectory: tuple[tuple[str, Path], ...] = (),
                 out: Path | str | None = None,
                 spec: bool = False) -> dict:
     """Benchmark every (scenario, scale) cell; write/return the report.
 
-    ``baseline`` is the committed regression reference (the PR 4
-    scheduler); ``history`` optionally adds ``speedup_vs_preoverhaul``
-    against the pre-overhaul record, and ``trajectory`` attaches any
-    further ``(suffix, path)`` history columns (missing files are
-    skipped) — the CLI passes :data:`TRAJECTORY` so the vs-PR2 and
-    vs-preoverhaul columns persist across baselines. ``spec`` attaches
-    the speculative-mode win/loss column to every cell (see
-    :func:`bench_one`). :func:`bench_generation`'s block is measured
-    first, while the shared path planners are cold.
+    ``spec`` attaches the speculative-mode win/loss column to every
+    cell (see :func:`bench_one`). :func:`bench_generation`'s block is
+    measured first, while the shared path planners are cold.
     """
     names = scenarios or scenario_names()
-    # Calibrate before the bench loop heats the machine up; best-of-N
-    # approximates the unthrottled speed either way.
     calibration = calibration_score()
-    generated = bench_generation(names, calibration)
+    generated = bench_generation(names)
     entries = [bench_one(name, n, policy=policy, spec=spec)
                for name in names for n in sorted(agent_counts)]
     report = {
@@ -618,151 +555,32 @@ def run_hotpath(scenarios: list[str] | None = None,
         "agent_counts": sorted(agent_counts),
         "scenarios": list(names),
         "calibration_ops_per_sec": calibration,
+        "calibration_after_ops_per_sec": calibration_score(),
         "spec": spec,
         "generation": generated,
         "entries": entries,
     }
-    baseline_report = load_baseline(baseline)
-    if baseline_report is not None:
-        _annotate_speedups(entries, calibration, baseline_report,
-                           "baseline")
-    # A caller-supplied history overrides the committed preoverhaul
-    # record outright — one suffix must never mix two references.
-    histories = dict(trajectory)
-    if history is not None:
-        histories["preoverhaul"] = Path(history)
-    for suffix, path in histories.items():
-        history_report = load_baseline(path)
-        if history_report is not None:
-            _annotate_speedups(entries, calibration, history_report,
-                               suffix)
-    if out is not None:
-        out = Path(out)
-        if out.parent != Path(""):
-            out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(report, indent=2) + "\n")
+    write_report(report, out)
     return report
 
 
-def load_baseline(path: Path | str | None) -> dict | None:
-    """Load a committed baseline report; None if absent/not given."""
-    if path is None:
-        return None
-    path = Path(path)
-    if not path.exists():
-        return None
-    return json.loads(path.read_text())
-
-
-#: How many times ``--check`` re-measures a cell that failed a perf bar
-#: before believing the regression. A 30-cell matrix at a 0.9x bar
-#: flakes when single short cells can swing 20% on a noisy runner; a
-#: genuine regression fails every attempt, noise does not.
-PERF_RETRIES = 2
-
-
-def _perf_failing(report: dict, min_throughput: float,
-                  min_speedup: float) -> list[dict]:
-    """Entries failing the throughput floor or the baseline ratio."""
-    bad = []
-    for entry in report["entries"]:
-        speedup = entry.get("speedup_vs_baseline")
-        if (entry["agent_steps_per_sec"] < min_throughput
-                or (speedup is not None and speedup < min_speedup)):
-            bad.append(entry)
-    return bad
-
-
-def retry_perf_cells(report: dict,
-                     baseline: Path | str | None = None,
-                     history: Path | str | None = None,
-                     trajectory: tuple[tuple[str, Path], ...] = (),
-                     min_throughput: float = MIN_THROUGHPUT,
-                     min_speedup: float = MIN_SPEEDUP,
-                     retries: int = PERF_RETRIES,
-                     out: Path | str | None = None) -> list[str]:
-    """Re-measure entries failing the perf bars; the best run stands.
-
-    Only the *timing* bars are retryable — fallback scans, event churn,
-    and matrix-cell presence are deterministic, so re-running them
-    would only mask a real break. Mutates ``report`` in place (keeping
-    the original measurement when the re-run is slower), re-annotates
-    the touched entries against the same references ``run_hotpath``
-    used, rewrites ``out`` when given so the artifact matches the gate
-    decision, and returns the labels of the cells it re-measured.
-    """
-    references = []
-    baseline_report = load_baseline(baseline)
-    if baseline_report is not None:
-        references.append(("baseline", baseline_report))
-    histories = dict(trajectory)
-    if history is not None:
-        histories["preoverhaul"] = Path(history)
-    for suffix, path in histories.items():
-        history_report = load_baseline(path)
-        if history_report is not None:
-            references.append((suffix, history_report))
-    calibration = report.get("calibration_ops_per_sec") or 0.0
-    retried: list[str] = []
-    for attempt in range(retries):
-        failing = _perf_failing(report, min_throughput, min_speedup)
-        if not failing:
-            break
-        for entry in failing:
-            label = f"{entry['scenario']}@{entry['n_agents']}"
-            print(f"[retry {attempt + 1}/{retries}] {label}: "
-                  f"re-measuring (was "
-                  f"{entry['agent_steps_per_sec']:.0f} agent-steps/s)")
-            if label not in retried:
-                retried.append(label)
-            fresh = bench_one(entry["scenario"], entry["n_agents"],
-                              policy=entry["policy"],
-                              spec="spec_speedup" in entry)
-            if fresh["agent_steps_per_sec"] > entry["agent_steps_per_sec"]:
-                entry.clear()
-                entry.update(fresh)
-        for suffix, reference in references:
-            _annotate_speedups(failing, calibration, reference, suffix)
-    if retried and out is not None:
-        Path(out).write_text(json.dumps(report, indent=2) + "\n")
-    return retried
-
-
-def check_report(report: dict,
-                 min_throughput: float = MIN_THROUGHPUT,
-                 min_speedup: float = MIN_SPEEDUP,
-                 required_counts: tuple[int, ...] = (),
-                 max_kernel_events_per_cluster: float | None = None,
-                 max_fallback_scans: int | None = None,
-                 min_spec_ratio: float | None = None,
-                 max_scans_per_agent_step: dict[str, float] | None = None,
-                 max_events_total_per_cluster: dict[str, float] | None = None
-                 ) -> list[str]:
+def check_report(report: dict) -> list[str]:
     """The CI gate: returns human-readable failures (empty = pass).
 
-    ``required_counts`` additionally demands a report entry per
-    (scenario, count) — the 2000-agent scaling cell cannot silently
-    drop out of the matrix. ``max_kernel_events_per_cluster`` and
-    ``max_fallback_scans`` (both optional) pin the controller's event
-    churn and the bucketed fast path: entries missing the counters fail
-    loudly rather than passing silently. ``min_spec_ratio`` gates the
-    speculative-mode column: every cell's ``spec_speedup`` must clear
-    the ratio (no cell may regress past it) and at least one cell must
-    strictly beat 1.0 — speculation has to win somewhere or it is dead
-    weight. Both spec checks are pure virtual-time comparisons, so
-    they are exempt from perf retries. ``max_scans_per_agent_step``
-    (scenario -> ceiling, see :data:`MAX_SCANS_PER_AGENT_STEP`) caps
-    the full blocker scans per committed agent-step on the scenarios
-    it names, ``max_events_total_per_cluster`` (see
-    :data:`MAX_EVENTS_TOTAL_PER_CLUSTER`) every layer's kernel events
-    per dispatched cluster — exact counters, so also exempt. Every
-    scenario needs a ``generation`` row at or above
-    :data:`MIN_GENERATION_THROUGHPUT`.
+    Per scenario: a ``generation`` row at or above
+    :data:`MIN_GENERATION_THROUGHPUT`, a cell per entry of the report's
+    ``agent_counts``, and a :data:`COUNT_CEILINGS` row. Per cell: every
+    counter of that row at or under its ceiling (a cell missing one
+    fails loudly) and controller throughput above
+    :data:`MIN_THROUGHPUT`. A ``spec`` report additionally needs every
+    cell's ``spec_speedup`` at or above :data:`MIN_SPEC_RATIO` and one
+    cell strictly above 1.0 — speculation has to win somewhere or it is
+    dead weight.
     """
     failures = []
-    spec_wins = 0
     rates = {g["scenario"]: g["agent_steps_per_sec"]
              for g in report.get("generation", [])}
+    present = {(e["scenario"], e["n_agents"]) for e in report["entries"]}
     for scenario in report.get("scenarios", []):
         if scenario not in rates:
             failures.append(
@@ -770,104 +588,54 @@ def check_report(report: dict,
         elif rates[scenario] < MIN_GENERATION_THROUGHPUT:
             failures.append(
                 f"{scenario}: cold full-day generation at "
-                f"{rates[scenario]:.0f} normalised agent-steps/s, "
-                f"below the {MIN_GENERATION_THROUGHPUT:.0f} floor")
-    present = {(e["scenario"], e["n_agents"]) for e in report["entries"]}
-    for scenario in report.get("scenarios", []):
-        for count in required_counts:
+                f"{rates[scenario]:.0f} agent-steps/s, below the "
+                f"{MIN_GENERATION_THROUGHPUT:.0f} floor")
+        if scenario not in COUNT_CEILINGS:
+            failures.append(f"{scenario}: no COUNT_CEILINGS row")
+        for count in report.get("agent_counts", ()):
             if (scenario, count) not in present:
                 failures.append(
                     f"{scenario}@{count}: required matrix cell missing "
                     f"from the report")
+    spec = report.get("spec", False)
+    spec_wins = 0
     for entry in report["entries"]:
         label = (f"{entry['scenario']}@{entry['n_agents']} "
                  f"({entry['policy']})")
         tput = entry["agent_steps_per_sec"]
-        if tput < min_throughput:
+        if tput < MIN_THROUGHPUT:
             failures.append(
                 f"{label}: {tput:.0f} agent-steps/s below the "
-                f"{min_throughput:.0f} floor")
-        speedup = entry.get("speedup_vs_baseline")
-        if speedup is None:
-            # A cell with no baseline counterpart must not silently
-            # degrade to floor-only (e.g. a new scenario or agent count
-            # added without regenerating the committed baseline).
-            failures.append(
-                f"{label}: no baseline entry — regenerate the report "
-                f"passed via --baseline (default {BASELINE_PATH})")
-        elif speedup < min_speedup:
-            failures.append(
-                f"{label}: {speedup:.2f}x vs baseline, below the "
-                f"required {min_speedup:.2f}x")
-        if max_kernel_events_per_cluster is not None:
-            kepc = entry.get("kernel_events_per_cluster")
-            if kepc is None:
+                f"{MIN_THROUGHPUT:.0f} floor")
+        for counter, ceiling in COUNT_CEILINGS.get(
+                entry["scenario"], {}).items():
+            value = entry.get(counter)
+            if value is None:
                 failures.append(
-                    f"{label}: kernel_events_per_cluster missing from "
-                    f"the report entry")
-            elif kepc > max_kernel_events_per_cluster:
+                    f"{label}: {counter} missing from the report entry")
+            elif value > ceiling:
                 failures.append(
-                    f"{label}: {kepc:.2f} kernel events per cluster, "
-                    f"above the {max_kernel_events_per_cluster:.2f} cap")
-        if max_fallback_scans is not None:
-            fb = entry.get("fallback_scans")
-            if fb is None:
-                failures.append(
-                    f"{label}: fallback_scans missing from the report "
-                    f"entry")
-            elif fb > max_fallback_scans:
-                failures.append(
-                    f"{label}: {fb} linear fallback scans (cap "
-                    f"{max_fallback_scans}) — the bucketed fast path "
-                    f"gate broke")
-        for field, ceilings, what in (
-                ("scans_per_agent_step", max_scans_per_agent_step,
-                 "full blocker scans per agent-step: stationary commits "
-                 "are being charged as moves again"),
-                ("events_total_per_cluster", max_events_total_per_cluster,
-                 "kernel events of all layers per cluster: call-free "
-                 "clusters are riding executor events again")):
-            ceiling = (ceilings or {}).get(entry["scenario"])
-            if ceiling is None:
-                continue
-            rate = entry.get(field)
-            if rate is None:
-                failures.append(
-                    f"{label}: {field} missing from the report entry")
-            elif rate > ceiling:
-                failures.append(
-                    f"{label}: {rate:.4f} above the {ceiling:.4f} "
-                    f"ceiling of {what}")
-        if min_spec_ratio is not None:
+                    f"{label}: {counter} {value:.4g} above its "
+                    f"{ceiling:.4g} ceiling")
+        if spec:
             ratio = entry.get("spec_speedup")
             if ratio is None:
                 failures.append(
                     f"{label}: spec_speedup missing from the report "
-                    f"entry — run the bench with speculation cells "
-                    f"enabled (--spec)")
-            elif ratio < min_spec_ratio:
+                    f"entry")
+            elif ratio < MIN_SPEC_RATIO:
                 failures.append(
                     f"{label}: speculative mode at {ratio:.4f}x of "
-                    f"plain OOO, below the {min_spec_ratio:.2f}x "
+                    f"plain OOO, below the {MIN_SPEC_RATIO:.2f}x "
                     f"no-regression bar")
             elif ratio > 1.0:
                 spec_wins += 1
-    if min_spec_ratio is not None and report["entries"] and not spec_wins:
+    if spec and report["entries"] and not spec_wins:
         failures.append(
             "speculative mode wins on no cell of the report "
             "(spec_speedup <= 1.0 everywhere) — the mode regressed "
             "into dead weight")
     return failures
-
-
-def gate_hotpath(report: dict,
-                 min_throughput: float = MIN_THROUGHPUT,
-                 min_speedup: float = MIN_SPEEDUP) -> None:
-    """Raise :class:`ScenarioError` when the gate fails."""
-    failures = check_report(report, min_throughput, min_speedup)
-    if failures:
-        raise ScenarioError(
-            "hotpath gate failed:\n  " + "\n  ".join(failures))
 
 
 def format_report(report: dict) -> str:
@@ -882,13 +650,9 @@ def format_report(report: dict) -> str:
               f"{'ctrl-steps/s':>14}{'wall-steps/s':>14}"
               f"{'clustering':>11}{'graph':>9}{'dispatch':>9}"
               f"{'rounds':>8}{'ev/cl':>7}{'all-ev/cl':>10}"
-              + (f"{'spec':>9}" if with_spec else "")
-              + f"{'vs-base':>9}{'vs-pr2':>8}{'vs-pre':>8}")
+              + (f"{'spec':>9}" if with_spec else ""))
     lines = [header, "-" * len(header)]
     for e in report["entries"]:
-        speedup = e.get("speedup_vs_baseline")
-        pr2 = e.get("speedup_vs_pr2")
-        pre = e.get("speedup_vs_preoverhaul")
         spec = e.get("spec_speedup")
         lines.append(
             f"{e['scenario']:<14}{e['n_agents']:>7}{e['n_steps']:>7}"
@@ -901,9 +665,5 @@ def format_report(report: dict) -> str:
             f"{e.get('kernel_events_per_cluster', 0.0):>7.2f}"
             f"{e.get('events_total_per_cluster', 0.0):>10.2f}"
             + ("" if not with_spec else
-               f"{spec:>8.4f}x" if spec is not None else f"{'-':>9}")
-            + (f"{speedup:>8.2f}x" if speedup is not None else
-               f"{'-':>9}")
-            + (f"{pr2:>7.2f}x" if pr2 is not None else f"{'-':>8}")
-            + (f"{pre:>7.2f}x" if pre is not None else f"{'-':>8}"))
+               f"{spec:>8.4f}x" if spec is not None else f"{'-':>9}"))
     return "\n".join(lines)

@@ -30,9 +30,9 @@ The headline metric, **end-to-end tokens per virtual second**
 (`tokens_per_s`), is deterministic — virtual completion times do not
 depend on the machine — so the CI gate compares it tightly against the
 committed ``benchmarks/baselines/serving_pr6.json``. Wall-clock replay
-throughput rides along calibration-normalized (same scheme as the
-hotpath gate) with a deliberately loose floor: it only catches
-order-of-magnitude regressions in the executor's real cost.
+throughput is reported beside it, never gated; the report records the
+machine's ``calibration_ops_per_sec`` before the matrix and
+``calibration_after_ops_per_sec`` after it.
 """
 
 from __future__ import annotations
@@ -46,20 +46,19 @@ from ..config import SchedulerConfig, ServingConfig
 from ..core import run_replay
 from ..errors import ScenarioError
 from ..scenarios import get_scenario, scenario_names
-from .hotpath import calibration_score, load_baseline
+from .hotpath import calibration_score, write_report
 from .runner import PLATFORMS, serving_for
 from .smoke import scenario_window_trace
 
 SERVING_SEED = 0
-BASELINE_PATH = Path("benchmarks/baselines/serving_pr6.json")
+#: The committed reference run, found from the source tree (not the cwd).
+BASELINE_PATH = (Path(__file__).resolve().parents[3] / "benchmarks"
+                 / "baselines" / "serving_pr6.json")
 #: The per-scenario matrix cells (see module docstring).
 CELLS = ("fluid", "kv-distance", "kv-lru", "iteration")
 #: Virtual tokens/s is deterministic; the ratio bar only absorbs float
 #: noise across numpy/python versions, not machine speed.
 MIN_TOKENS_RATIO = 0.95
-#: Wall-clock floor vs. baseline (calibration-normalized): generous —
-#: catches the executor falling off a cliff, not runner jitter.
-MIN_WALL_RATIO = 0.25
 #: Ceiling on an ``iteration`` cell's ``serving_events_per_call``: 25%
 #: above the worst cell measured (social-graph, 4.41). Exact, so never
 #: retried; one event per decode iteration reads 6.2-12.5 on the four.
@@ -141,32 +140,27 @@ def _entry_key(entry: dict) -> tuple:
     return (entry["scenario"], entry["cell"], entry["policy"])
 
 
-def _annotate_vs_baseline(entries: list[dict], cal: float,
-                          reference: dict) -> None:
-    """Attach per-entry ratios against the committed baseline report."""
-    ref_cal = reference.get("calibration_ops_per_sec")
-    scale = (ref_cal / cal) if (ref_cal and cal) else 1.0
+def _annotate_vs_baseline(entries: list[dict], reference: dict) -> None:
+    """Attach per-entry tokens/s ratios against the baseline report."""
     by_key = {_entry_key(e): e for e in reference["entries"]}
     for entry in entries:
         ref = by_key.get(_entry_key(entry))
-        if ref is None:
-            continue
-        if ref["tokens_per_s"] > 0:
+        if ref is not None and ref["tokens_per_s"] > 0:
             entry["baseline_tokens_per_s"] = ref["tokens_per_s"]
             entry["tokens_ratio_vs_baseline"] = (
                 entry["tokens_per_s"] / ref["tokens_per_s"])
-        if ref.get("wall_tokens_per_s", 0) > 0:
-            raw = entry["wall_tokens_per_s"] / ref["wall_tokens_per_s"]
-            entry["raw_wall_ratio_vs_baseline"] = raw
-            entry["wall_ratio_vs_baseline"] = raw * scale
 
 
 def run_serving(scenarios: list[str] | None = None,
                 cells: tuple[str, ...] = CELLS,
                 policy: str = "metropolis",
-                baseline: Path | str | None = None,
                 out: Path | str | None = None) -> dict:
-    """Benchmark every (scenario, cell); write/return the report."""
+    """Benchmark every (scenario, cell); write/return the report.
+
+    Entries are annotated against :data:`BASELINE_PATH`; a missing file
+    leaves them unannotated, which :func:`check_serving_report` fails
+    loudly.
+    """
     names = scenarios or scenario_names()
     calibration = calibration_score()
     entries = [bench_cell(name, cell, policy=policy)
@@ -177,22 +171,18 @@ def run_serving(scenarios: list[str] | None = None,
         "cells": list(cells),
         "scenarios": list(names),
         "calibration_ops_per_sec": calibration,
+        "calibration_after_ops_per_sec": calibration_score(),
         "entries": entries,
     }
-    baseline_report = load_baseline(baseline)
-    if baseline_report is not None:
-        _annotate_vs_baseline(entries, calibration, baseline_report)
-    if out is not None:
-        out = Path(out)
-        if out.parent != Path(""):
-            out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(report, indent=2) + "\n")
+    if BASELINE_PATH.exists():
+        _annotate_vs_baseline(entries,
+                              json.loads(BASELINE_PATH.read_text()))
+    write_report(report, out)
     return report
 
 
 def check_serving_report(report: dict,
                          min_tokens_ratio: float = MIN_TOKENS_RATIO,
-                         min_wall_ratio: float = MIN_WALL_RATIO,
                          required_cells: tuple[str, ...] | None = None
                          ) -> list[str]:
     """The CI gate: returns human-readable failures (empty = pass).
@@ -200,8 +190,7 @@ def check_serving_report(report: dict,
     Checks, per scenario: every matrix cell present; every entry has a
     baseline counterpart (a baseline missing a cell fails loudly, so
     new scenarios force a baseline regeneration); end-to-end tokens/s
-    within ``min_tokens_ratio`` of baseline; wall-clock throughput
-    above the loose normalized floor; KV-constrained distance cells
+    within ``min_tokens_ratio`` of baseline; KV-constrained distance cells
     actually hit their retained segments; ``iteration`` cells stay
     under ``MAX_SERVING_EVENTS_PER_CALL`` and within
     ``MAX_FIDELITY_GAP`` of their fluid ``kv-distance`` sibling; and
@@ -225,18 +214,13 @@ def check_serving_report(report: dict,
         ratio = entry.get("tokens_ratio_vs_baseline")
         if ratio is None:
             failures.append(
-                f"{label}: no baseline entry — regenerate the report "
-                f"passed via --baseline (default {BASELINE_PATH})")
+                f"{label}: no baseline entry — regenerate "
+                f"{BASELINE_PATH}")
         elif ratio < min_tokens_ratio:
             failures.append(
                 f"{label}: {entry['tokens_per_s']:.0f} tokens/s is "
                 f"{ratio:.3f}x baseline, below the required "
                 f"{min_tokens_ratio:.2f}x")
-        wall = entry.get("wall_ratio_vs_baseline")
-        if wall is not None and wall < min_wall_ratio:
-            failures.append(
-                f"{label}: wall-clock replay at {wall:.2f}x baseline "
-                f"(normalized), below the {min_wall_ratio:.2f}x floor")
         if entry["cell"] == "kv-distance" and \
                 entry.get("kv", {}).get("hits", 0) <= 0:
             failures.append(

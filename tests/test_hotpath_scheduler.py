@@ -6,6 +6,8 @@ queries, and the hotpath benchmark harness.
 """
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from repro.core.clustering import SpatialIndex
 from repro.core.dependency_graph import SpatioTemporalGraph
 from repro.core.space import EuclideanSpace
 from repro.errors import CausalityViolation, SchedulingError
+from repro.scenarios import scenario_names
 
 from helpers import (grid_moves, grid_positions, random_trace, ring_space,
                      tree_chord_space)
@@ -528,6 +531,8 @@ class TestHotpathBench:
         report = run_hotpath(scenarios=["smallville"], agent_counts=(5,),
                              out=out)
         assert out.exists()
+        assert report["calibration_ops_per_sec"] > 0
+        assert report["calibration_after_ops_per_sec"] > 0
         entry = report["entries"][0]
         assert entry["scenario"] == "smallville"
         assert entry["agent_steps"] == entry["n_agents"] * entry["n_steps"]
@@ -536,118 +541,54 @@ class TestHotpathBench:
             entry["time_clustering_s"] + entry["time_graph_s"]
             + entry["time_dispatch_s"])
         assert entry["controller_rounds"] > 0
+        assert not any("speedup_vs_" in key for key in entry)
 
-    def test_baseline_comparison_and_gate(self, tmp_path):
-        from repro.bench.hotpath import check_report, run_hotpath
-
-        base = tmp_path / "base.json"
-        baseline = run_hotpath(scenarios=["smallville"], agent_counts=(5,),
-                               out=base)
-        # Halve the recorded baseline so the fresh run must show >= 2x.
-        for e in baseline["entries"]:
-            e["agent_steps_per_sec"] /= 2.0
-        base.write_text(json.dumps(baseline))
-        report = run_hotpath(scenarios=["smallville"], agent_counts=(5,),
-                             baseline=base)
-        entry = report["entries"][0]
-        assert entry["speedup_vs_baseline"] > 1.0
-        # gate passes at a trivial floor, fails at an absurd one
-        assert check_report(report, min_throughput=1.0,
-                            min_speedup=0.1) == []
-        failures = check_report(report, min_throughput=1e12,
-                                min_speedup=1e12)
-        assert len(failures) == 2
-
-    def test_retry_perf_cells_rescues_noise(self, tmp_path, monkeypatch):
-        """A cell failing the ratio bar is re-measured; best run wins."""
+    def test_throughput_floor_is_a_raw_sanity_bound(self, monkeypatch):
         from repro.bench import hotpath as hp
 
-        base = tmp_path / "base.json"
-        baseline = hp.run_hotpath(scenarios=["smallville"],
-                                  agent_counts=(5,), out=base)
-        # Inflate the baseline so the fresh run fails the 0.9x bar.
-        for e in baseline["entries"]:
-            e["agent_steps_per_sec"] *= 100.0
-        base.write_text(json.dumps(baseline))
-        out = tmp_path / "hp.json"
-        report = hp.run_hotpath(scenarios=["smallville"], agent_counts=(5,),
-                                baseline=base, out=out)
-        entry = report["entries"][0]
-        assert entry["speedup_vs_baseline"] < 0.9
+        report = hp.run_hotpath(scenarios=["smallville"], agent_counts=(5,))
+        monkeypatch.setattr(hp, "MIN_THROUGHPUT", 1.0)
+        assert hp.check_report(report) == []
+        monkeypatch.setattr(hp, "MIN_THROUGHPUT", 1e12)
+        failures = hp.check_report(report)
+        assert len(failures) == 1
+        assert "agent-steps/s below the" in failures[0]
 
-        fast = dict(entry)
-        fast["agent_steps_per_sec"] = \
-            baseline["entries"][0]["agent_steps_per_sec"] * 2
-        monkeypatch.setattr(hp, "bench_one", lambda *a, **k: dict(fast))
-        retried = hp.retry_perf_cells(report, baseline=base,
-                                      min_throughput=1.0, min_speedup=0.9,
-                                      out=out)
-        assert retried == ["smallville@5"]
-        assert report["entries"][0]["speedup_vs_baseline"] > 0.9
-        assert hp.check_report(report, min_throughput=1.0,
-                               min_speedup=0.9) == []
-        # The written artifact matches the gate decision.
-        rewritten = json.loads(out.read_text())
-        assert rewritten["entries"][0]["speedup_vs_baseline"] > 0.9
-
-    def test_retry_perf_cells_keeps_real_regressions(self, tmp_path,
-                                                     monkeypatch):
-        """A cell that is slow every attempt still fails, best kept."""
-        from repro.bench import hotpath as hp
-
-        base = tmp_path / "base.json"
-        baseline = hp.run_hotpath(scenarios=["smallville"],
-                                  agent_counts=(5,), out=base)
-        for e in baseline["entries"]:
-            e["agent_steps_per_sec"] *= 100.0
-        base.write_text(json.dumps(baseline))
-        report = hp.run_hotpath(scenarios=["smallville"], agent_counts=(5,),
-                                baseline=base)
-        entry = dict(report["entries"][0])
-
-        calls = []
-        slower = dict(entry)
-        slower["agent_steps_per_sec"] = entry["agent_steps_per_sec"] / 2
-
-        def fake_bench(*a, **k):
-            calls.append(a)
-            return dict(slower)
-
-        monkeypatch.setattr(hp, "bench_one", fake_bench)
-        hp.retry_perf_cells(report, baseline=base, min_throughput=1.0,
-                            min_speedup=0.9, retries=2)
-        assert len(calls) == 2  # retried, but never masked the failure
-        # The slower re-run did not replace the original measurement.
-        assert report["entries"][0]["agent_steps_per_sec"] == \
-            entry["agent_steps_per_sec"]
-        assert hp.check_report(report, min_throughput=1.0,
-                               min_speedup=0.9) != []
-
-    def test_cli_check_requires_baseline(self, tmp_path, capsys):
+    def test_cli_check_outside_the_repo(self, tmp_path, monkeypatch, capsys):
+        """``--check`` reads no file: it passes from any cwd and writes
+        its report there."""
         from repro.bench.cli import main as cli_main
 
+        monkeypatch.chdir(tmp_path)
         rc = cli_main(["hotpath", "--scenario", "smallville",
-                       "--agents", "5", "--out", str(tmp_path / "hp.json"),
-                       "--baseline", str(tmp_path / "missing.json"),
-                       "--check"])
-        assert rc == 1  # a missing baseline must not pass the gate
-        assert "baseline" in capsys.readouterr().err
-
-    def test_cli_check_flags(self, tmp_path, capsys):
-        from repro.bench.cli import main as cli_main
-        from repro.bench.hotpath import run_hotpath
-
-        base = tmp_path / "base.json"
-        run_hotpath(scenarios=["smallville"], agent_counts=(5,), out=base)
-        out = tmp_path / "hp.json"
-        rc = cli_main(["hotpath", "--scenario", "smallville",
-                       "--agents", "5", "--out", str(out),
-                       "--baseline", str(base),
-                       "--check", "--min-throughput", "1",
-                       "--min-speedup", "0.1"])
+                       "--agents", "25", "--check"])
         assert rc == 0
-        assert out.exists()
+        assert (tmp_path / "BENCH_hotpath.json").exists()
         assert "hotpath gate: ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,default", [
+        (["hotpath"], "BENCH_hotpath.json"),
+        (["hotpath", "--scale"], "BENCH_scale.json")])
+    def test_cli_out_is_honoured_in_both_modes(self, tmp_path, monkeypatch,
+                                               argv, default):
+        """Each mode has its own default file, and ``--out`` wins in
+        both (``--scale --out BENCH_hotpath.json`` used to be taken for
+        the default and silently redirected)."""
+        from repro.bench import cli
+
+        written = []
+
+        def fake_run(*args, out, **kwargs):
+            written.append(out)
+            return {"entries": []}
+
+        monkeypatch.setattr(cli, "run_hotpath", fake_run)
+        monkeypatch.setattr(cli, "run_scale", fake_run)
+        assert cli.main(argv) == 0
+        assert cli.main(argv + ["--out", "BENCH_hotpath.json"]) == 0
+        assert cli.main(argv + ["--out", str(tmp_path / "r.json")]) == 0
+        assert written == [Path(default), Path("BENCH_hotpath.json"),
+                           tmp_path / "r.json"]
 
     def test_cli_agents_comma_list(self, tmp_path):
         """``--agents 3,5`` overrides the matrix without code edits."""
@@ -668,35 +609,17 @@ class TestHotpathBench:
             cli_main(["hotpath", "--agents", "25,banana"])
         assert "invalid agent count list" in capsys.readouterr().err
 
-    def test_check_requires_matrix_cells(self, tmp_path):
-        """--check fails loudly when a required matrix cell is absent."""
-        from repro.bench.hotpath import check_report, run_hotpath
+    def test_check_requires_matrix_cells(self, monkeypatch):
+        """--check fails loudly when a cell the report ran is absent."""
+        from repro.bench import hotpath as hp
 
-        base = tmp_path / "base.json"
-        run_hotpath(scenarios=["smallville"], agent_counts=(5,), out=base)
-        report = run_hotpath(scenarios=["smallville"], agent_counts=(5,),
-                             baseline=base)
-        failures = check_report(report, min_throughput=1.0,
-                                min_speedup=0.1, required_counts=(5, 2000))
-        assert any("2000" in f and "missing" in f for f in failures)
-        assert check_report(report, min_throughput=1.0, min_speedup=0.1,
-                            required_counts=(5,)) == []
-
-    def test_cli_require_agents_gate(self, tmp_path, capsys):
-        """The CLI matrix gate: passing and failing --require-agents."""
-        from repro.bench.cli import main as cli_main
-        from repro.bench.hotpath import run_hotpath
-
-        base = tmp_path / "base.json"
-        run_hotpath(scenarios=["smallville"], agent_counts=(5,), out=base)
-        common = ["hotpath", "--scenario", "smallville", "--agents", "5",
-                  "--out", str(tmp_path / "hp.json"),
-                  "--baseline", str(base), "--check",
-                  "--min-throughput", "1", "--min-speedup", "0.1"]
-        assert cli_main(common + ["--require-agents", "5"]) == 0
-        rc = cli_main(common + ["--require-agents", "5,2000"])
-        assert rc == 1
-        assert "required matrix cell missing" in capsys.readouterr().err
+        monkeypatch.setattr(hp, "MIN_THROUGHPUT", 1.0)
+        report = hp.run_hotpath(scenarios=["smallville"], agent_counts=(5,))
+        assert hp.check_report(report) == []
+        report["agent_counts"] = [5, 2000]
+        failures = hp.check_report(report)
+        assert failures == ["smallville@2000: required matrix cell "
+                            "missing from the report"]
 
     def test_driver_reports_cache_counters(self, synthetic_trace):
         from repro.config import SchedulerConfig
@@ -754,56 +677,34 @@ class TestHotpathBench:
         assert stats.extra["kernel_events"] < \
             stats.extra["kernel_events_total"]
 
-    def test_report_entry_carries_churn_counters(self, tmp_path):
-        from repro.bench.hotpath import check_report, run_hotpath
+    def test_report_entry_carries_churn_counters(self, monkeypatch):
+        from repro.bench import hotpath as hp
 
-        base = tmp_path / "base.json"
-        run_hotpath(scenarios=["smallville"], agent_counts=(5,), out=base)
-        report = run_hotpath(scenarios=["smallville"], agent_counts=(5,),
-                             baseline=base, out=tmp_path / "hp.json")
+        monkeypatch.setattr(hp, "MIN_THROUGHPUT", 1.0)
+        report = hp.run_hotpath(scenarios=["smallville"], agent_counts=(5,))
         entry = report["entries"][0]
         assert entry["fallback_scans"] == 0
         assert entry["kernel_events"] > 0
         assert entry["kernel_events_per_cluster"] < 2.0
-        # the churn gates: pass at the recorded values, fail when a
-        # regression pushes either counter over its cap
-        assert check_report(report, min_throughput=1.0, min_speedup=0.0,
-                            max_kernel_events_per_cluster=2.0,
-                            max_fallback_scans=0) == []
-        failures = check_report(report, min_throughput=1.0,
-                                min_speedup=0.0,
-                                max_kernel_events_per_cluster=1e-9,
-                                max_fallback_scans=-1)
-        assert any("kernel events per cluster" in f for f in failures)
-        assert any("fallback scans" in f for f in failures)
-        # the rescan-cadence ceiling: an exact counter, gated per scenario
-        from repro.bench.hotpath import MAX_SCANS_PER_AGENT_STEP
-        rate = entry["scans_per_agent_step"]
-        assert 0 < rate <= MAX_SCANS_PER_AGENT_STEP["smallville"]
-        assert check_report(
-            report, min_throughput=1.0, min_speedup=0.0,
-            max_scans_per_agent_step=MAX_SCANS_PER_AGENT_STEP) == []
-        failures = check_report(
-            report, min_throughput=1.0, min_speedup=0.0,
-            max_scans_per_agent_step={"smallville": rate / 2})
-        assert any("full blocker scans per agent-step" in f
-                   for f in failures)
+        assert entry["kernel_events_per_cluster"] <= \
+            entry["events_total_per_cluster"]
+        assert 0 < entry["scans_per_agent_step"]
+        # The gate reads every counter of the scenario's row; a five-agent
+        # cell clears the rows set on the 25-2000 cells.
+        ceilings = hp.COUNT_CEILINGS["smallville"]
+        assert set(ceilings) <= set(entry)
+        assert hp.check_report(report) == []
+        for counter, ceiling in list(ceilings.items()):
+            monkeypatch.setitem(ceilings, counter, entry[counter] - 1e-9)
+            assert hp.check_report(report) == [
+                f"smallville@5 (metropolis): {counter} "
+                f"{entry[counter]:.4g} above its "
+                f"{entry[counter] - 1e-9:.4g} ceiling"]
+            ceilings[counter] = ceiling
         del entry["scans_per_agent_step"]
-        failures = check_report(
-            report, min_throughput=1.0, min_speedup=0.0,
-            max_scans_per_agent_step=MAX_SCANS_PER_AGENT_STEP)
-        assert any("scans_per_agent_step missing" in f for f in failures)
-        # ... and the all-layers event ceiling beside it (the constant
-        # is set on the 25-2000 agent cells; five agents coalesce less)
-        events = entry["events_total_per_cluster"]
-        assert entry["kernel_events_per_cluster"] <= events
-        assert check_report(
-            report, min_throughput=1.0, min_speedup=0.0,
-            max_events_total_per_cluster={"smallville": events}) == []
-        failures = check_report(
-            report, min_throughput=1.0, min_speedup=0.0,
-            max_events_total_per_cluster={"smallville": events / 2})
-        assert any("riding executor events again" in f for f in failures)
+        assert hp.check_report(report) == [
+            "smallville@5 (metropolis): scans_per_agent_step missing "
+            "from the report entry"]
 
     def test_generation_block_and_floor(self, tmp_path, monkeypatch,
                                         short_generation_day):
@@ -825,14 +726,11 @@ class TestHotpathBench:
             assert row["n_calls"] == trace.n_calls > 0
             assert row["agent_steps"] == trace.meta.n_agents * 2300
             assert row["agent_steps_per_sec"] == pytest.approx(
-                row["agent_steps"] / row["wall_s"]
-                * hp.SCALE_NOMINAL_CALIBRATION
-                / report["calibration_ops_per_sec"])
+                row["agent_steps"] / row["wall_s"])
 
-        def failures():  # (no baseline here: those lines aside)
-            return [f for f in hp.check_report(
-                report, min_throughput=1.0, min_speedup=0.0)
-                if "generation" in f]
+        def failures():
+            return [f for f in hp.check_report(report)
+                    if "generation" in f]
 
         assert hp.MIN_GENERATION_THROUGHPUT > 0
         assert failures() == []
@@ -842,9 +740,71 @@ class TestHotpathBench:
         monkeypatch.setattr(hp, "MIN_GENERATION_THROUGHPUT", 1e12)
         assert failures() == [
             "smallville: cold full-day generation at "
-            f"{rows[0]['agent_steps_per_sec']:.0f} normalised "
-            "agent-steps/s, below the 1000000000000 floor",
+            f"{rows[0]['agent_steps_per_sec']:.0f} agent-steps/s, below "
+            "the 1000000000000 floor",
             "social-graph: generation row missing from the report"]
+
+    @pytest.mark.skipif(not os.access("/proc/self/clear_refs", os.W_OK),
+                        reason="no writable /proc/self/clear_refs")
+    def test_peak_rss_resets_per_cell(self):
+        """A scale cell's ``peak_rss_mb`` is its own: the high-water
+        mark left by an earlier, larger allocation is cleared."""
+        import numpy as np
+
+        from repro.bench import hotpath as hp
+
+        hp._reset_peak_rss()
+        before = hp._peak_rss_mb()
+        block = np.ones(25_000_000)  # 200 MB, touched
+        high = hp._peak_rss_mb()
+        assert high > before + 150
+        del block
+        assert hp._peak_rss_mb() == high  # a high-water mark, until ...
+        hp._reset_peak_rss()
+        assert hp._peak_rss_mb() < high - 150
+
+
+#: The committed hot-path report: the ledger the ceilings are set on.
+COMMITTED_HOTPATH = Path(__file__).resolve().parents[1] / "BENCH_hotpath.json"
+
+
+class TestCountCeilings:
+    """The gate table and the committed ledger cannot drift apart."""
+
+    @pytest.fixture(scope="class")
+    def committed(self):
+        return json.loads(COMMITTED_HOTPATH.read_text())
+
+    def test_committed_report_passes(self, committed):
+        from repro.bench.hotpath import check_report
+
+        assert committed["spec"]
+        assert check_report(committed) == []
+
+    def test_every_scenario_has_a_row(self):
+        from repro.bench.hotpath import COUNT_CEILINGS
+
+        counters = set(COUNT_CEILINGS["smallville"])
+        for name in scenario_names():
+            assert set(COUNT_CEILINGS[name]) == counters, name
+
+    @pytest.mark.parametrize("scenario", scenario_names())
+    @pytest.mark.parametrize("counter", [
+        "scans_per_agent_step", "events_total_per_cluster",
+        "scanned_slots_per_scan", "kernel_events_per_cluster",
+        "fallback_scans"])
+    def test_lowered_ceiling_turns_the_gate_red(self, committed, monkeypatch,
+                                                 scenario, counter):
+        from repro.bench import hotpath as hp
+
+        worst = max(e[counter] for e in committed["entries"]
+                    if e["scenario"] == scenario)
+        monkeypatch.setitem(hp.COUNT_CEILINGS[scenario], counter,
+                            worst - 1e-9)
+        failures = hp.check_report(committed)
+        assert failures
+        assert all(f.startswith(f"{scenario}@") and f": {counter} " in f
+                   for f in failures)
 
 
 def _observable_state(graph, n):
