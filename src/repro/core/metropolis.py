@@ -321,16 +321,15 @@ class MetropolisDriver:
 
         A cluster none of whose members calls would ride a chain gather
         and the executor's start event only to be handed straight back.
-        It is pinned here, at the launch instant like every cluster,
-        and buffered for the round the start event would have queued
-        it for: ``(now + agent_step) + cluster_commit``, the same two
+        It pins nothing (the executor pins callers only) and is
+        buffered for the round the start event would have queued it
+        for: ``(now + agent_step) + cluster_commit``, the same two
         additions in the same order, so due-times and batch order are
         bit-identical. The rest go to the executor and commit when
         their last chain ends.
         """
         calling = self._calling
         n = self.graph.n_agents
-        prefetch = self.engine.prefetch
         quiet: list[tuple[int, list[int]]] | None = None
         chains = []
         for launch in launches:
@@ -341,7 +340,6 @@ class MetropolisDriver:
                     chains.append(launch)
                     break
             else:
-                prefetch(members)
                 if quiet is None:
                     overhead = self.config.overhead
                     quiet = self._round_batch(

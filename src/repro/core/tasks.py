@@ -13,8 +13,8 @@ they start tasks. Two entry points, one chain-advance implementation
 * :meth:`ChainExecutor.run_round` — a whole dispatch round (every
   cluster a controller round launches at one virtual instant). One
   vectorized CSR lookup (:meth:`repro.trace.Trace.chain_bounds` with a
-  per-member step vector) resolves every member's chain, the members'
-  KV is pinned cluster by cluster at the launch instant, and **one**
+  per-member step vector) resolves every member's chain, the KV of the
+  members that call is pinned at the launch instant, and **one**
   kernel event starts the whole round after the per-step overhead. In
   that event each cluster submits its members' first calls to the
   serving engine in one batch; a member without a call is finished on
@@ -166,15 +166,15 @@ class ChainExecutor:
             return
         agents: list[int] = []
         steps: list[int] = []
-        prefetch = self.engine.prefetch
         for members, step, _ in launches:
             agents += members
             steps += [step] * len(members)
-            prefetch(members)
         starts, ends = self.trace.chain_bounds(agents, steps)
+        cur = starts.tolist()
+        end = ends.tolist()
+        self._pin_callers(agents, cur, end)
         self.kernel.call_in(self.overhead.agent_step, self._start_round,
-                            launches, starts.tolist(), ends.tolist(),
-                            on_cluster_done)
+                            launches, cur, end, on_cluster_done)
 
     def _start_round(self, launches: Sequence[Launch], cur: list[int],
                      end: list[int], on_cluster_done: ClusterDone) -> None:
@@ -193,15 +193,29 @@ class ChainExecutor:
 
         ``on_done`` fires once per member as its chain completes — or,
         given instead, ``on_cluster_done`` once when the last one does.
-        The members' retained KV (if any) is pinned immediately — their
-        calls are now imminent, the serving engine must not evict them
-        on behalf of further-away agents.
+        The calling members' retained KV is pinned immediately (see
+        :meth:`_pin_callers`).
         """
         starts, ends = self.trace.chain_bounds(members, step)
-        run = _ClusterRun(self, members, step, priority, starts.tolist(),
-                          ends.tolist(), on_done, on_cluster_done)
-        self.engine.prefetch(members)
+        cur = starts.tolist()
+        end = ends.tolist()
+        run = _ClusterRun(self, members, step, priority, cur, end, on_done,
+                          on_cluster_done)
+        self._pin_callers(members, cur, end)
         self.kernel.call_in(self.overhead.agent_step, run.start)
+
+    def _pin_callers(self, members: Sequence[int], cur: list[int],
+                     end: list[int]) -> None:
+        """Pin the retained KV of the members whose chain holds a call.
+
+        Their calls are now imminent, so the serving engine must not
+        evict them on behalf of further-away agents. A call-free member
+        is not pinned: its segment stays an eviction candidate, ranked
+        by its invocation distance, instead of sitting pinned until a
+        hit or a forced eviction clears it.
+        """
+        self.engine.prefetch([aid for aid, lo, hi in zip(members, cur, end)
+                              if lo < hi])
 
     def run_task(self, aid: int, step: int, priority: float,
                  on_done: TaskDone) -> None:

@@ -123,7 +123,7 @@ SERVING = {
 
 @pytest.mark.parametrize("serving", sorted(SERVING))
 @pytest.mark.parametrize("launches, first_calls, pins", [
-    (ROUND, [(1, 1), (2, 1), (3, 1), (4, 3), (5, 2)], 7),
+    (ROUND, [(1, 1), (2, 1), (3, 1), (4, 3), (5, 2)], 5),
     (SOLO, [(1, 1), (2, 1), (3, 1)], 3),
 ], ids=["mixed", "solo"])
 def test_round_equals_clusters_back_to_back(serving, launches, first_calls,
@@ -151,8 +151,34 @@ def test_round_equals_clusters_back_to_back(serving, launches, first_calls,
     after_warmup = [ctx[:2] for _, ctx in seen["submitted"][len(WARMUP):]]
     assert after_warmup[:len(first_calls)] == first_calls
     if serving == "distance":
-        # every launched agent that retained warm-up KV is pinned once
+        # every launched agent that retained warm-up KV and calls at
+        # its step is pinned once (0 and 6 retained but do not call)
         assert by_round.pins_at_launch == pins
+
+
+@pytest.mark.parametrize("launch", ["launch_round", "launch_clusters"])
+def test_call_free_member_stays_unpinned_through_its_step(launch):
+    """Agents 0 and 6 retained warm-up KV and are launched at a step
+    without a call (0 alone, 6 beside caller 5): their segments stay
+    retained and unpinned from the launch to the end of the step; the
+    callers' segments are pinned at the launch."""
+    play = Play(SERVING["distance"])
+    play.launch_round(WARMUP)
+    play.kernel.run()
+    kv = play.engine.replicas[0].kv
+    assert all(kv.has_retained(aid) for aid in range(7))
+
+    def pinned(aid):
+        return kv._retained[aid].pinned
+
+    getattr(play, launch)(ROUND)
+    assert not pinned(0) and not pinned(6)
+    assert pinned(1) and pinned(4) and pinned(5)
+    # Through the round's start event, where call-free members finish.
+    play.kernel.run(until=OverheadConfig().agent_step)
+    assert (0,) in [m for _, _, m in play.clusters_done]
+    assert kv.has_retained(0) and not pinned(0)
+    assert kv.has_retained(6) and not pinned(6)
 
 
 def test_cluster_done_fires_once_per_cluster():

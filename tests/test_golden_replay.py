@@ -60,9 +60,9 @@ GOLDEN: dict[tuple[str, str, int, int], tuple[float, str]] = {
     ("metropolis", "fluid-w3", 2, 2):
         (62.445463402111145, "243d9815c3a67ecd"),
     ("metropolis", "kv", 0, 0):
-        (61.13304023317682, "d45c6a6d9c8f24bc"),
+        (61.03216750590409, "cb6518968b2a8c3e"),
     ("metropolis", "kv", 2, 0):
-        (61.13304023317682, "d45c6a6d9c8f24bc"),
+        (61.03216750590409, "cb6518968b2a8c3e"),
     ("metropolis", "kv", 2, 2):
         (39.02510264740499, "272b14032b3ed1f6"),
     ("metropolis-spec", "fluid", 0, 0):
@@ -78,11 +78,11 @@ GOLDEN: dict[tuple[str, str, int, int], tuple[float, str]] = {
     ("metropolis-spec", "fluid-w3", 2, 2):
         (58.09741494615966, "db815f026f202841"),
     ("metropolis-spec", "kv", 0, 0):
-        (58.916901252460555, "5daafb731b56d951"),
+        (58.52209794667544, "3f791aa4aab92baf"),
     ("metropolis-spec", "kv", 2, 0):
-        (58.916901252460555, "5daafb731b56d951"),
+        (58.52209794667544, "3f791aa4aab92baf"),
     ("metropolis-spec", "kv", 2, 2):
-        (36.44464171800338, "d9ee49859eaa12ad"),
+        (36.44464171800338, "789ad96b6bcf6067"),
     ("parallel-sync", "fluid", 0, 0):
         (215.14768788905778, "3eca0238df272dfb"),
     ("parallel-sync", "fluid", 2, 0):
@@ -92,9 +92,9 @@ GOLDEN: dict[tuple[str, str, int, int], tuple[float, str]] = {
     ("parallel-sync", "fluid-w3", 2, 0):
         (215.14768788905778, "3eca0238df272dfb"),
     ("parallel-sync", "kv", 0, 0):
-        (212.49664326347963, "a3a18f68fc1c707b"),
+        (212.27969450314905, "4ab439fdf3b7ffec"),
     ("parallel-sync", "kv", 2, 0):
-        (212.49664326347963, "a3a18f68fc1c707b"),
+        (212.27969450314905, "4ab439fdf3b7ffec"),
 }
 
 
