@@ -20,13 +20,20 @@ from pathlib import Path
 
 GRAPH = "src/repro/core/dependency_graph.py"
 SPACE = "src/repro/core/space.py"
+CORE = "src/repro/core/controller.py"
+DRIVER = "src/repro/core/metropolis.py"
+TASKS = "src/repro/core/tasks.py"
+GOLDEN = "tests/test_golden_replay.py"
 WRITE = "node[aid] = self._node_index(new_p)"
 COMPARE = "row[local[nb]] if comp[nb] == ca else inf"
 
 #: name -> (file, old text, new text, which occurrence, tests). The
-#: hop-row lane of PR 24: every writer of ``pos[aid]`` writes the node
-#: index, and the two sites a cross-component pair can reach (the band
-#: scan and ``dist_within``) compare components before reading a row.
+#: hop-row lane: every writer of ``pos[aid]`` writes the node index,
+#: and the two sites a cross-component pair can reach (the band scan
+#: and ``dist_within``) compare components before reading a row. The
+#: one-call round: ``ControllerCore.step``'s singleton lane and sorted
+#: seeds, the fused commit's peer count, the call-free cluster's due
+#: time and call test, and pins for callers only.
 MUTANTS = {
     "fast-commit-skips-node-index": (
         GRAPH, f"if node is not None:\n                    {WRITE}",
@@ -39,6 +46,24 @@ MUTANTS = {
     "space-drops-component-compare": (
         SPACE, "if la[2] != lb[2]:", "if False:", 0,
         "tests/test_graph_space.py"),
+    "singleton-lane-skips-blocked-check": (
+        CORE, "if not blocked_by[aid]:", "if True:", 0, GOLDEN),
+    "clusters-in-set-order": (
+        CORE, "for aid in sorted(dirty):", "for aid in dirty:", 0, GOLDEN),
+    "peer-count-keyed-by-old-step": (
+        GRAPH, "peers[s] = peers.get(s, 0) + 1",
+        "peers[old_step] = peers.get(old_step, 0) + 1", 0, GOLDEN),
+    "call-free-due-regrouped": (
+        DRIVER, "((self.kernel.now + overhead.controller_dispatch)\n"
+        "                         + overhead.agent_step) + overhead.cluster_commit",
+        "self.kernel.now + (overhead.controller_dispatch\n"
+        "                         + overhead.agent_step + overhead.cluster_commit)",
+        0, GOLDEN),
+    "call-test-reads-next-step": (
+        DRIVER, "base = s * n", "base = (s + 1) * n", 0, GOLDEN),
+    "prefetch-pins-call-free-members": (
+        TASKS, "if lo < hi])", "if lo <= hi])", 0,
+        f"tests/test_core_tasks.py {GOLDEN}"),
 }
 
 

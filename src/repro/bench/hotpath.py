@@ -93,34 +93,36 @@ MIN_THROUGHPUT = 5_000.0
 MIN_GENERATION_THROUGHPUT = 15_000.0
 
 
-def _ceilings(scans: float, events_total: float,
-              slots_per_scan: float) -> dict[str, float]:
+def _ceilings(scans: float, events_total: float, slots_per_scan: float,
+              kernel_events: float) -> dict[str, float]:
     return {"scans_per_agent_step": scans,
             "events_total_per_cluster": events_total,
             "scanned_slots_per_scan": slots_per_scan,
-            "kernel_events_per_cluster": 1.6,
+            "kernel_events_per_cluster": kernel_events,
             "fallback_scans": 0}
 
 
 #: The hot-path gate: per scenario, a ceiling on each exact counter of a
 #: cell's replay (same trace, same count on any machine — nothing to
-#: retry or calibrate). ``scans_per_agent_step`` (full blocker scans per
+#: retry or calibrate): ``scans_per_agent_step`` (full blocker scans per
 #: committed agent-step), ``events_total_per_cluster`` (kernel events of
-#: every layer per dispatched cluster) and ``scanned_slots_per_scan``
-#: sit 1.25x above the worst committed 25-2000 cell (trailing comments),
-#: except smallville's first two, which keep their tighter bars:
-#: charging stationary commits as moves again reads 0.114-0.117 scans,
-#: call-free clusters riding the executor's start events again read up
-#: to 1.56 events. ``kernel_events_per_cluster`` (the driver's own
-#: events: 2 x rounds / clusters under the single-event round loop) stays
-#: under 1.6, below the old per-cluster chain's two; any
-#: ``fallback_scans`` (linear scans outside the bucketed fast path) means
-#: the fast-path gate broke.
+#: every layer per dispatched cluster), ``scanned_slots_per_scan`` and
+#: ``kernel_events_per_cluster`` (the driver's own events: one per round
+#: plus one launch per round that launches a call). Each sits 1.25x
+#: above the worst committed 25-2000 cell (trailing comments, same
+#: order). A call-free cluster taking a launch event again reads 1.13 /
+#: 1.47 / 0.74 / 0.52 driver events (each row's worst cell before that
+#: launch went), past every row; any ``fallback_scans`` (linear scans
+#: outside the bucketed fast path) means the fast-path gate broke.
 COUNT_CEILINGS: dict[str, dict[str, float]] = {
-    "market-town": _ceilings(0.095, 2.62, 21.5),   # 0.0760 / 2.094 / 17.17
-    "metro-grid": _ceilings(0.088, 3.90, 33.5),    # 0.0704 / 3.118 / 26.74
-    "smallville": _ceilings(0.0853, 1.40, 40.1),   # 0.0683 / 1.253 / 32.05
-    "social-graph": _ceilings(0.148, 1.29, 28.5),  # 0.1184 / 1.027 / 22.75
+    # 0.0760 / 1.652 / 17.17 / 0.686
+    "market-town": _ceilings(0.095, 2.07, 21.5, 0.857),
+    # 0.0704 / 2.561 / 26.74 / 0.903
+    "metro-grid": _ceilings(0.088, 3.21, 33.5, 1.129),
+    # 0.0683 / 0.944 / 32.05 / 0.430
+    "smallville": _ceilings(0.0853, 1.19, 40.1, 0.537),
+    # 0.1184 / 0.825 / 22.75 / 0.314
+    "social-graph": _ceilings(0.148, 1.04, 28.5, 0.392),
 }
 #: Speculation gate: speculative mode's virtual completion time may
 #: never trail plain OOO by more than 2% on any cell (the ratio is a

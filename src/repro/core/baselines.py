@@ -95,7 +95,7 @@ class SingleThreadDriver:
         extra = (self.config.overhead.single_thread_step
                  if aid == 0 else 0.0)
         self.kernel.call_in(
-            extra, self.executor.run_task, aid, step, float(step),
+            extra, self.executor.run_cluster, (aid,), step, float(step),
             self._task_done)
 
     def _task_done(self, aid: int, step: int) -> None:

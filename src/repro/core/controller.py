@@ -7,15 +7,25 @@ region-sharded), the ``ready`` / ``done`` agent sets and one
 :class:`DriverStats`. A *transport* owns execution — the virtual-time
 kernel (:class:`~repro.core.metropolis.MetropolisDriver`) or worker
 threads and queues (:class:`~repro.live.engine.LiveSimulation`) — and
-drives rounds of ``ready_clusters`` → ``claim`` → (run) → ``retire`` or
-``abort``. Positions are an argument, so the core never sees a trace, a
-kernel, a queue or a thread.
+makes one call per round:
+
+    clusters = core.step(finished, positions, aborted=failed)
+
+which commits the finished members one step (one graph commit for the
+whole ack batch), releases their waiters, rolls the failed clusters
+back, forms the coupling components around that dirty frontier and
+claims the dispatchable ones. The transport runs what it gets and
+comes back with the acks; the first call (nothing finished yet) forms
+every agent's component. Besides ``step`` the core answers
+``finished()``, ``stalled()`` and ``sync_stats()``. Positions are an
+argument, so the core never sees a trace, a kernel, a queue or a
+thread.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ..errors import SchedulingError
 from ..faults import scheduler_diagnostics
@@ -23,10 +33,11 @@ from .baselines import DriverStats
 from .dependency_graph import SpatioTemporalGraph
 from .rules import DependencyRules
 from .sharding import ShardedGraph
+from .space import Position
 
 
 class ControllerCore:
-    """Dependency graph + ready/done sets + stats behind four verbs."""
+    """Dependency graph + ready/done sets + stats behind one round verb."""
 
     def __init__(self, rules: DependencyRules, positions,
                  target_step: int, *, start_step: int = 0,
@@ -51,112 +62,133 @@ class ControllerCore:
         #: even when workers timeshare cores.
         self.clock = clock
         #: Re-derive every blocker and re-run every member's coupling
-        #: join after each retire (debug mode).
+        #: join after each commit (debug mode).
         self.validate = validate
         #: Agents finished with their previous step and not yet claimed.
         self.ready: set[int] = set(range(self.graph.n_agents))
         #: Agents that reached ``target_step``.
         self.done: set[int] = set()
-        #: Component searches run by :meth:`ready_clusters`.
+        #: The latest commit's per-member coupling candidates (exact
+        #: until the next commit): an empty list is a component of one.
+        self._fresh: Mapping[int, Sequence[int]] = {}
+        #: Component searches run by :meth:`_claim`.
         self._components = 0
 
     def finished(self) -> bool:
         return len(self.done) == self.graph.n_agents
 
-    def ready_clusters(self, dirty: set[int],
-                       exclude: Callable[[int], bool] | None = None
-                       ) -> list[tuple[int, list[int]]]:
-        """Dispatchable ``(step, members)`` clusters around ``dirty``.
+    def step(self, finished: list[int], positions: Mapping[int, Position],
+             *, aborted: Iterable[list[int]] = ()
+             ) -> list[tuple[int, list[int]]]:
+        """One controller round; returns the claimed ``(step, members)``.
 
-        One controller round: every coupling component seeded by a ready
-        dirty agent whose members are all unblocked. ``exclude`` hides
-        agents the transport manages out of band (speculation) from the
-        component search.
+        ``finished`` may span several clusters (ack coalescing) and is
+        committed in one graph commit; ``positions`` maps the movers to
+        their new positions (see :meth:`SpatioTemporalGraph.commit`).
+        Each ``aborted`` cluster is rolled back — nothing of it was
+        committed — and its members are ready again. Every coupling
+        component around that dirty frontier (everyone, on the first
+        round) whose members are all unblocked is claimed, in sorted
+        seed order.
         """
-        t0 = self.clock()
-        graph = self.graph
-        component = graph.component_for
-        blocked_by = graph.blocked_by
-        step = graph.step
-        ready = self.ready
-        visited: set[int] = set()
-        clusters: list[tuple[int, list[int]]] = []
-        # Sorted iteration pins cluster discovery (and so dispatch and
-        # virtual timing) to a deterministic order: sharded and single
-        # controllers replay identically, set-hash layout never matters.
-        for aid in sorted(dirty):
-            if aid in visited or aid not in ready:
-                continue
-            self._components += 1
-            cluster = component(aid, visited, exclude, True)
-            for m in cluster:
-                if blocked_by[m]:
-                    break
-            else:
-                clusters.append((step[aid], cluster))
-        stats = self.stats
-        stats.time_clustering += self.clock() - t0
-        stats.controller_rounds += 1
-        return clusters
+        dirty = self._commit(finished, positions)
+        for cluster in aborted:
+            self.graph.abort_running(cluster)
+            self.ready.update(cluster)
+            dirty.update(cluster)
+        return self._claim(dirty)
 
-    def claim(self, clusters: list[tuple[int, list[int]]]) -> None:
-        """Move the clusters' members from ready to running.
+    def _commit(self, members: list[int],
+                positions: Mapping[int, Position]) -> set[int]:
+        """:meth:`step`'s first half: commit; return the dirty frontier.
 
-        One batched graph transition for the whole round: clusters are
-        disjoint and the per-agent checks are independent, so this is
-        equivalent to per-cluster calls — minus the per-cluster
-        facade/validation overhead at million-agent scale.
+        The frontier is the members and the newly unblocked waiters. A
+        ready agent near a member needs no entry of its own: its cluster
+        changes dispatchability only by gaining a member (the search
+        seeded by that member finds it) or by losing a blocked edge (it
+        is in ``unblocked``). With nothing to commit (the first round) it
+        is every ready agent.
         """
-        batch: list[int] = []
-        for _, members in clusters:
-            batch += members
-        self.ready.difference_update(batch)
-        self.graph.mark_running(batch)
-        self.stats.clusters_dispatched += len(clusters)
-        self.stats.cluster_size_sum += len(batch)
-
-    def retire(self, members: list[int], positions) -> set[int]:
-        """Commit finished clusters one step; return the dirty frontier.
-
-        ``members`` may span several clusters (ack coalescing);
-        ``positions`` maps the movers to their new positions — a member
-        absent from it, or mapped to where it already stands, stayed
-        put (see :meth:`SpatioTemporalGraph.commit`). The frontier is
-        every ready agent the next round must re-cluster: the members
-        themselves and the newly unblocked waiters. A ready agent near
-        a member needs no entry of its own: its cluster changes
-        dispatchability only by gaining a member (the search seeded by
-        that member finds it) or by losing a blocked edge (it is in
-        ``unblocked``).
-        """
+        if not members:
+            return set(self.ready)
         t0 = self.clock()
         graph = self.graph
         if self.validate:
             blockers = [graph.blockers_of(aid)
                         for aid in range(graph.n_agents)]
         result = graph.commit(members, positions)
+        self._fresh = result.member_neighbors
         stats = self.stats
         stats.tasks_completed += len(members)
-        spread = graph.max_step - graph.min_step
+        max_step = graph.max_step
+        spread = max_step - graph.min_step
         if spread > stats.max_step_spread:
             stats.max_step_spread = spread
         if self.validate:
             graph.validate()
             self._validate_coupling(members, blockers)
-        target = self.target_step
-        step = graph.step
+        dirty = set(members)
+        if max_step >= self.target_step:
+            done = {aid for aid in members
+                    if graph.step[aid] >= self.target_step}
+            self.done |= done
+            dirty -= done
         ready = self.ready
-        done = self.done
-        dirty: set[int] = set()
-        for aid in members:
-            if step[aid] >= target:
-                done.add(aid)
-            else:
-                ready.add(aid)
-                dirty.add(aid)
-        dirty |= ready.intersection(result.unblocked)
+        ready |= dirty
+        dirty |= ready & result.unblocked
         stats.time_graph += self.clock() - t0
         return dirty
+
+    def _claim(self, dirty: set[int],
+               exclude: Callable[[int], bool] | None = None
+               ) -> list[tuple[int, list[int]]]:
+        """:meth:`step`'s second half: cluster the frontier and claim
+        what is dispatchable, in one batched graph transition. ``exclude``
+        hides agents the transport manages out of band (speculation)
+        from the component search."""
+        t0 = self.clock()
+        graph = self.graph
+        component = graph.component_for
+        blocked_by = graph.blocked_by
+        step = graph.step
+        ready = self.ready
+        fresh = self._fresh
+        visited: set[int] = set()
+        clusters: list[tuple[int, list[int]]] = []
+        batch: list[int] = []
+        searches = 0
+        # Sorted iteration pins cluster discovery (and so dispatch and
+        # virtual timing) to a deterministic order: sharded and single
+        # controllers replay identically, set-hash layout never matters.
+        for aid in sorted(dirty):
+            if aid in visited or aid not in ready:
+                continue
+            searches += 1
+            candidates = fresh.get(aid)
+            if candidates is not None and not candidates:
+                # Committed with nobody to couple to (most agent-steps):
+                # the component is the agent itself, no search runs.
+                visited.add(aid)
+                if not blocked_by[aid]:
+                    clusters.append((step[aid], [aid]))
+                    batch.append(aid)
+                continue
+            cluster = component(aid, visited, exclude, True)
+            for m in cluster:
+                if blocked_by[m]:
+                    break
+            else:
+                clusters.append((step[aid], cluster))
+                batch += cluster
+        ready.difference_update(batch)
+        graph.mark_running(batch)
+        stats = self.stats
+        stats.clusters_dispatched += len(clusters)
+        stats.cluster_size_sum += len(batch)
+        stats.controller_rounds += 1
+        self._components += searches
+        stats.time_clustering += self.clock() - t0
+        return clusters
 
     def _validate_coupling(self, members: list[int],
                            blockers: list[frozenset[int]]) -> None:
@@ -181,17 +213,6 @@ class ControllerCore:
                         f"{step[b]} in coupling range of committed agent "
                         f"{m} is " + ("running" if graph.running[b] else
                                       "neither a batch peer nor its waiter"))
-
-    def abort(self, cluster: list[int]) -> set[int]:
-        """Roll a failed cluster back: the exact inverse of :meth:`claim`.
-
-        Nothing was committed, so steps, positions and blocked edges are
-        untouched; the members return to the ready pool and are the
-        dirty frontier that re-forms them.
-        """
-        self.graph.abort_running(cluster)
-        self.ready.update(cluster)
-        return set(cluster)
 
     def stalled(self, **transport) -> str:
         """Why nothing can run: who is blocked on whom, what is running.

@@ -37,14 +37,16 @@ lists indexed by id. :meth:`SpatioTemporalGraph.commit` takes a whole
 batch of finished clusters (ack coalescing hands the same-instant batch
 over at once) plus a mapping of the *movers'* new positions — a member
 absent from it, or mapped to where it already stands, stayed put — and
-retires it in one fused pass per member, whatever the batch size. A
-stationary member (most agent-steps of every scenario) skips the
-geometry outright: no position store, no cell derivation, no bucket
-transfer; only its ``(step, cell)`` slot advances. Movers derive their
-cell by floor division on coordinate grids, by :meth:`Space.bucket`
-elsewhere. :class:`CommitResult` falls out of the same pass that
-recomputes blockers. Only *construction* is vectorized (one numpy pass
-derives every agent's initial cell).
+retires it in two passes over the members, whatever the batch size:
+the first advances each one (running flag, step, position, slot, batch
+peer count), the second runs the tests that need the whole batch
+settled (slack and neighbour tests). A stationary member (most
+agent-steps of every scenario) skips the geometry outright: no position
+store, no cell derivation, no bucket transfer; only its ``(step,
+cell)`` slot advances. Movers derive their cell by floor division on
+coordinate grids, by :meth:`Space.bucket` elsewhere. The waiter release
+runs only when some member holds a waiter. Only *construction* is
+vectorized (one numpy pass derives every agent's initial cell).
 
 The graph also owns §3.4 **coupling components**:
 :meth:`SpatioTemporalGraph.component_for` is one BFS over the coupling
@@ -390,23 +392,6 @@ class SpatioTemporalGraph:
         if not steps:
             del self._bands[(key[1] // self._band, key[2] // self._band)]
 
-    def _bucket_advance(self, key: tuple[int, int, int], aid: int) -> None:
-        """Move ``aid`` one step up within its cell: the slot is re-keyed
-        in place when ``aid`` is its sole occupant and the next step's
-        slot does not exist yet (no column churn), else discard + add."""
-        new_key = (key[0] + 1, key[1], key[2])
-        bslot = self._bslot
-        ent = bslot[key]
-        band, idx = ent
-        if len(band.members[idx]) == 1 and new_key not in bslot:
-            del bslot[key]
-            bslot[new_key] = ent
-            band.steps[idx] = new_key[0]
-            band.keys[idx] = new_key
-        else:
-            self._bucket_discard(key, aid)
-            self._bucket_add(new_key, (aid,))
-
     def _slot_snapshot(self) -> dict[tuple[int, int, int], set[int]]:
         """Live ``key -> members`` map (tests validate layout through it)."""
         snap: dict[tuple[int, int, int], set[int]] = {}
@@ -533,61 +518,65 @@ class SpatioTemporalGraph:
 
     # -- edge maintenance --------------------------------------------------
 
-    def _check_near(self, aid: int, s: int, near: list[int]
-                    ) -> tuple[set[int], dict[int, float]]:
-        """Exact blocker check against the recorded near set only.
+    def _check_near(self, ids: list[int], unblocked: set[int]) -> None:
+        """Exact blocker checks against each row's recorded near set.
 
         Sound while the accumulated worst-case slack shrink since the
         recording scan stays within the horizon: every agent outside
         the near set still holds positive slack, so only near members
-        can block.
+        can block. A row registers its blockers or joins ``unblocked``.
         """
-        self.near_checks += 1
+        self.near_checks += len(ids)
         step = self.step
         pos = self.pos
+        near_sets = self._near
         dist = self.rules.space.dist
         dist_within = self._dist_within
         euclid = self._euclid
         sqrt = math.sqrt
         base_r = self._base_r
         mv = self.rules.max_vel
-        pa = pos[aid]
-        if euclid:
-            pax = pa[0]
-            pay = pa[1]
-        else:
-            # A near member was within a finite distance at scan time,
-            # and nobody leaves a component: no component compare here.
-            node = self._node
-            local = self._node_local
-            row = None if node is None else self._hop_row(node[aid])
-        blockers: set[int] = set()
-        margins: dict[int, float] = {}
-        for bid in near:
-            g = s - step[bid]
-            if g <= 0:
-                continue
-            thr = base_r + g * mv
+        # A near member was within a finite distance at scan time, and
+        # nobody leaves a component: no component compare here.
+        node = self._node
+        local = self._node_local
+        row = None
+        for aid in ids:
+            s = step[aid]
+            pa = pos[aid]
             if euclid:
-                q = pos[bid]
-                dx = pax - q[0]
-                dy = pay - q[1]
-                d = sqrt(dx * dx + dy * dy)
-            elif row is not None:
-                d = row[local[node[bid]]]
-            elif dist_within is not None:
-                d = dist_within(pa, pos[bid], thr)
+                pax = pa[0]
+                pay = pa[1]
+            elif node is not None:
+                row = self._hop_row(node[aid])
+            margins: dict[int, float] = {}
+            for bid in near_sets[aid]:
+                g = s - step[bid]
+                if g <= 0:
+                    continue
+                thr = base_r + g * mv
+                if euclid:
+                    q = pos[bid]
+                    dx = pax - q[0]
+                    dy = pay - q[1]
+                    d = sqrt(dx * dx + dy * dy)
+                elif row is not None:
+                    d = row[local[node[bid]]]
+                elif dist_within is not None:
+                    d = dist_within(pa, pos[bid], thr)
+                else:
+                    d = dist(pa, pos[bid])
+                if d <= thr:
+                    margins[bid] = thr - d
+            if margins:
+                self._register_blockers(aid, s, margins)
             else:
-                d = dist(pa, pos[bid])
-            if d <= thr:
-                blockers.add(bid)
-                margins[bid] = thr - d
-        return blockers, margins
+                unblocked.add(aid)
 
     def _scan_rows(self, ids: list[int], svs: list[int],
                    cells: list[tuple[int, int]], ppos: list[Position]
-                   ) -> tuple[list[set[int]], list[float],
-                              list[dict[int, float]], list[list[int]]]:
+                   ) -> tuple[list[float], list[dict[int, float]],
+                              list[list[int]]]:
         """Full blocker scans via the step-bucketed index, one batch.
 
         Scans are banded: a row's worst-case reach (``(step gap to the
@@ -598,12 +587,12 @@ class SpatioTemporalGraph:
         distance lower bound vs ``block_threshold(its own gap)`` plus
         the slack horizon); the window dismisses the rest a fortiori,
         since every out-of-window slot exceeds even the worst-case-gap
-        threshold. Returns per row the blocker set, the measured slack
-        (exact distances for examined members, clamped at the horizon
-        every dismissed slot provably exceeds), the blocking margin per
-        blocker (for wake steps), and the near set (members within the
-        horizon) that licenses scan-free re-checks until the horizon is
-        consumed.
+        threshold. Returns per row the measured slack (exact distances
+        for examined members, clamped at the horizon every dismissed
+        slot provably exceeds), the blocking margin per blocker (its
+        keys are the blockers; the margins feed wake steps), and the
+        near set (members within the horizon) that licenses scan-free
+        re-checks until the horizon is consumed.
         """
         mv = self.rules.max_vel
         base_r = self._base_r
@@ -666,7 +655,6 @@ class SpatioTemporalGraph:
                         pairs.append((r, steps_l[i], membs[i]))
         self.scanned_slots += scanned
 
-        blockers: list[set[int]] = [set() for _ in ids]
         margins: list[dict[int, float]] = [{} for _ in ids]
         nears: list[list[int]] = [[] for _ in ids]
         slack = [horizon] * len(ids)
@@ -700,7 +688,6 @@ class SpatioTemporalGraph:
                 row = rows[r]
                 ca = comp[node[aid]]
             row_slack = slack[r]
-            row_blockers = blockers[r]
             row_margins = margins[r]
             row_near = nears[r]
             blocking = g > 0
@@ -727,10 +714,9 @@ class SpatioTemporalGraph:
                 if d <= near_cut:
                     row_near.append(bid)
                     if blocking and d <= thr:
-                        row_blockers.add(bid)
                         row_margins[bid] = thr - d
             slack[r] = row_slack
-        return blockers, slack, margins, nears
+        return slack, margins, nears
 
     def _scan_fallback(self, aid: int, s: int, pos_a: Position) -> set[int]:
         """Non-bucketed spaces: one index query at the worst-case radius."""
@@ -788,11 +774,6 @@ class SpatioTemporalGraph:
         candidates, which seed the component BFS of the next round.
         """
         members = list(aids)
-        running = self.running
-        for aid in members:
-            if not running[aid]:
-                raise SchedulingError(f"agent {aid} was not running")
-            running[aid] = False
         if not members:
             return CommitResult(set(), {})
         if self._bucket_fast:
@@ -801,44 +782,39 @@ class SpatioTemporalGraph:
         else:
             unblocked, per_member = self._commit_generic(members,
                                                          new_positions)
-        self._release_waiters(members, unblocked)
         self._fresh = per_member
         return CommitResult(unblocked, per_member)
 
-    def _advance_steps(self, members: list[int]) -> None:
-        """Step/min/max bookkeeping shared by both commit paths."""
-        step = self.step
+    def _recount(self, peers: dict[int, int]) -> None:
+        """Step counts and min/max step: ``peers[s]`` members of the
+        batch moved from ``s - 1`` to ``s``. Steps only grow, so
+        min_step walks up only when the batch drained its bucket."""
         counts = self._step_counts
-        max_step = self._max_step
-        for aid in members:
-            old = step[aid]
-            c = counts[old] - 1
+        for s, k in peers.items():
+            c = counts[s - 1] - k
             if c:
-                counts[old] = c
+                counts[s - 1] = c
             else:
-                del counts[old]
-            new = old + 1
-            step[aid] = new
-            counts[new] = counts.get(new, 0) + 1
-            if new > max_step:
-                max_step = new
-        self._max_step = max_step
-        # Steps only grow, so min_step is non-decreasing: walk it up
-        # only when the committed members drained its bucket.
-        if counts and self._min_step not in counts:
+                del counts[s - 1]
+            counts[s] = counts.get(s, 0) + k
+        top = max(peers)
+        if top > self._max_step:
+            self._max_step = top
+        if self._min_step not in counts:
             ms = self._min_step
             while ms not in counts:
                 ms += 1
             self._min_step = ms
 
-    def _register_blockers(self, aid: int, s: int, new_blockers: set[int],
+    def _register_blockers(self, aid: int, s: int,
                            margins: dict[int, float]) -> None:
+        """``aid`` at step ``s`` waits on every key of ``margins``."""
         self.blocked_events += 1
-        self.blocked_by[aid] = new_blockers
+        self.blocked_by[aid] = set(margins)
         waiters = self.waiters
         wake = self._wake
         step = self.step
-        for bid in new_blockers:
+        for bid in margins:
             waiters[bid].add(aid)
             wake[bid][aid] = self._wake_step(step[bid], s - step[bid],
                                              margins[bid])
@@ -846,8 +822,13 @@ class SpatioTemporalGraph:
     def _commit_fast(self, members: list[int],
                      moves: Mapping[int, Position]
                      ) -> tuple[set[int], dict[int, Sequence[int]]]:
+        """Two passes over the batch: the first advances each member
+        (running flag, step, position, cell, slot, batch peers per new
+        step), the second needs the settled ``min_step`` and peer counts
+        (slack and neighbour tests); scans and the join run batched."""
         step = self.step
         pos = self.pos
+        running = self.running
         index = self.index
         cell = index.cell
         grid = index._grid
@@ -855,21 +836,23 @@ class SpatioTemporalGraph:
         move_bucketed = index.move_bucketed
         bucket_discard = self._bucket_discard
         bucket_add = self._bucket_add
-        bucket_advance = self._bucket_advance
+        bslot = self._bslot
         cells = self._cellxy
         scan_moves = self._scan_moves
         node = self._node
         new_pos = moves.get
-        # One fused pass per member at every batch size. A mover stores
-        # its position and derives its cell (floor division on
-        # coordinate grids == Space.bucket there, Space.bucket
-        # elsewhere); only a cell crossing transfers buckets. Everyone
-        # else — stationary, or moved inside its cell — just advances
-        # its (step, cell) slot.
+        #: Members of this batch per new step.
+        peers: dict[int, int] = {}
+        # A mover derives its cell (floor division on coordinate grids,
+        # Space.bucket elsewhere); only a cell crossing moves buckets.
         for aid in members:
+            if not running[aid]:
+                raise SchedulingError(f"agent {aid} was not running")
+            running[aid] = False
             old_step = step[aid]
-            oc = cells[aid]
-            old_key = (old_step,) + oc
+            s = step[aid] = old_step + 1
+            peers[s] = peers.get(s, 0) + 1
+            oc = nc = cells[aid]
             new_p = new_pos(aid)
             if new_p is not None and new_p != pos[aid]:
                 if node is not None:
@@ -883,28 +866,59 @@ class SpatioTemporalGraph:
                 if nc != oc:
                     move_bucketed(aid, oc, nc)
                     cells[aid] = nc
-                    bucket_discard(old_key, aid)
-                    bucket_add((old_step + 1,) + nc, (aid,))
-                    continue
-            bucket_advance(old_key, aid)
-        self._advance_steps(members)
+            old_key = (old_step,) + oc
+            new_key = (s,) + nc
+            ent = bslot[old_key]
+            band, idx = ent
+            if nc == oc and len(band.members[idx]) == 1 \
+                    and new_key not in bslot:
+                # Sole occupant, next step's slot free: re-key in place.
+                del bslot[old_key]
+                bslot[new_key] = ent
+                band.steps[idx] = s
+                band.keys[idx] = new_key
+            else:
+                bucket_discard(old_key, aid)
+                bucket_add(new_key, (aid,))
+        self._recount(peers)
 
-        # Blocker work, slack-gated per member: skip entirely while the
-        # recorded slack outlasts the worst-case shrink (max_vel per own
-        # commit for the threshold growth, max_vel more per commit that
-        # moved), re-examine only the near set while the shrink stays
-        # within the horizon, and fall back to the indexed scan only
-        # past it.
+        # Neighbour test (before any release): a member with no batch
+        # peer and no waiter at its new step couples to nobody (module
+        # docstring); the rest are joined. Blocker work, slack-gated:
+        # skip while the recorded slack outlasts the worst-case shrink
+        # (max_vel per own commit, max_vel more per move), re-check the
+        # near set while the shrink stays within the horizon, scan past
+        # it. A blocker registered later is at a smaller step than its
+        # waiter, so it never changes a neighbour test.
         min_step = self._min_step
         mv = self.rules.max_vel
         horizon = self._slack_horizon
         scan_step = self._scan_step
         scan_slack = self._scan_slack
         near_sets = self._near
+        waiters = self.waiters
         unblocked: set[int] = set()
         ids: list[int] = []
+        checks: list[int] = []
+        per_member: dict[int, Sequence[int]] = {}
+        join: list[int] = []
+        skips = 0
+        held = False  # does a member hold waiters to release?
+        events = self.blocked_events
         for aid in members:
             s = step[aid]
+            held_by = waiters[aid]
+            if held_by:
+                held = True
+            if peers[s] == 1:
+                for w in held_by:
+                    if step[w] == s:
+                        join.append(aid)
+                        break
+                else:
+                    per_member[aid] = ()
+            else:
+                join.append(aid)
             if s <= min_step:
                 unblocked.add(aid)
                 continue
@@ -912,65 +926,36 @@ class SpatioTemporalGraph:
             if near is not None:
                 shrink = mv * (s - scan_step[aid] + scan_moves[aid])
                 if shrink < scan_slack[aid]:
-                    self.scan_skips += 1
+                    skips += 1
                     unblocked.add(aid)
                     continue
                 if shrink <= horizon:
-                    new_blockers, margins = self._check_near(aid, s, near)
-                    if new_blockers:
-                        self._register_blockers(aid, s, new_blockers,
-                                                margins)
-                    else:
-                        unblocked.add(aid)
+                    checks.append(aid)
                     continue
             ids.append(aid)
+        self.scan_skips += skips
+        if checks:
+            self._check_near(checks, unblocked)
         if ids:
             self.scans += len(ids)
             svs = [step[a] for a in ids]
-            found, slacks, margins, nears = self._scan_rows(
+            slacks, margins, nears = self._scan_rows(
                 ids, svs, [cells[a] for a in ids], [pos[a] for a in ids])
             for r, aid in enumerate(ids):
                 scan_step[aid] = svs[r]
                 scan_slack[aid] = slacks[r]
                 near_sets[aid] = nears[r]
                 scan_moves[aid] = 0
-                new_blockers = found[r]
-                if new_blockers:
-                    self._register_blockers(aid, svs[r], new_blockers,
-                                            margins[r])
+                if margins[r]:
+                    self._register_blockers(aid, svs[r], margins[r])
                 else:
                     unblocked.add(aid)
-        return unblocked, self._neighbors_fast(members)
-
-    def _neighbors_fast(self, members: list[int]
-                        ) -> dict[int, Sequence[int]]:
-        """Per-member same-step coupling neighborhoods, one pass.
-
-        Runs *before* the waiter release: a member with no same-step
-        peer in the batch and no waiter at its new step couples to
-        nobody (module docstring) and gets the empty tuple, no query.
-        The rest are joined (:meth:`_join`).
-        """
-        step = self.step
-        waiters = self.waiters
-        #: Members of this batch per new step.
-        peers: dict[int, int] = {}
-        for aid in members:
-            s = step[aid]
-            peers[s] = peers.get(s, 0) + 1
-        per_member: dict[int, Sequence[int]] = {}
-        join: list[int] = []
-        for aid in members:
-            s = step[aid]
-            if peers[s] == 1:
-                for w in waiters[aid]:
-                    if step[w] == s:
-                        break
-                else:
-                    per_member[aid] = ()
-                    continue
-            join.append(aid)
-        return self._join(join, per_member) if join else per_member
+        if join:
+            self._join(join, per_member)
+        # Only a registration above can have given a member a waiter.
+        if held or self.blocked_events != events:
+            self._release_waiters(members, unblocked)
+        return unblocked, per_member
 
     def _join(self, aids: Iterable[int], out: dict[int, Sequence[int]]
               ) -> dict[int, Sequence[int]]:
@@ -1041,15 +1026,22 @@ class SpatioTemporalGraph:
         """Non-bucketed spaces: per-member queries (no numpy batch path)."""
         step = self.step
         pos = self.pos
+        running = self.running
         index = self.index
+        peers: dict[int, int] = {}
         for aid in members:
+            if not running[aid]:
+                raise SchedulingError(f"agent {aid} was not running")
+            running[aid] = False
+            s = step[aid] = step[aid] + 1
+            peers[s] = peers.get(s, 0) + 1
             new_p = moves.get(aid)
             if new_p is not None and new_p != pos[aid]:
                 if self._node is not None:
                     self._node[aid] = self._node_index(new_p)
                 pos[aid] = new_p
                 index.move(aid, new_p)
-        self._advance_steps(members)
+        self._recount(peers)
         min_step = self._min_step
         couple_r = self.rules.couple_threshold
         qbuf = self._qbuf
@@ -1069,13 +1061,13 @@ class SpatioTemporalGraph:
                                in index.query_into(pos_a, couple_r, qbuf)
                                if bid != aid and step[bid] == s]
             if new_blockers:
-                margins = {
+                self._register_blockers(aid, s, {
                     bid: block_threshold(s - step[bid])
                     - dist(pos_a, pos[bid])
-                    for bid in new_blockers}
-                self._register_blockers(aid, s, new_blockers, margins)
+                    for bid in new_blockers})
             else:
                 unblocked.add(aid)
+        self._release_waiters(members, unblocked)
         return unblocked, per_member
 
     def _wake_step(self, blocker_step: int, gap: int, margin: float) -> int:
@@ -1096,9 +1088,9 @@ class SpatioTemporalGraph:
     def _release_waiters(self, members: list[int],
                          unblocked: set[int]) -> None:
         """Re-examine (or wake-skip) every waiter of the committed batch."""
+        waiters = self.waiters
         step = self.step
         pos = self.pos
-        waiters = self.waiters
         blocked_by = self.blocked_by
         wake = self._wake
         dist = self.rules.space.dist

@@ -7,26 +7,27 @@ This driver plays the **workers** and everything virtual-time around
 them: it runs each claimed cluster's member chains concurrently against
 the serving engine (priority-ordered by step when a worker cap is set,
 §3.5), gathers the members' next positions from the trace, and hands
-both back to the core. Its share of the light critical path (§3.6):
+both back to the core. A round runs as one kernel event per virtual
+instant (§3.6 light critical path):
 
-* **single-event rounds** — one kernel event per virtual instant does
-  everything: all clusters finishing at that instant retire through one
-  batched graph commit, then one dispatch round runs, and every cluster
-  it dispatches launches through one shared dispatch event. That event
-  buffers the clusters that hold no LLM call (the trace says which:
-  most of them) straight for their round and hands the rest to
-  :meth:`ChainExecutor.run_round` (one chain gather, one start event).
-  ``DriverStats.extra["kernel_events"]`` counts the events the *driver*
-  schedules (launch + round, all a call-free round costs), amortized
-  well below one per cluster; ``kernel_events_total`` is every event
-  any layer scheduled on the kernel;
-* **step-keyed dispatch buckets** — pending clusters queue in numpy-
-  backed buckets keyed by integer step priority instead of a heap of
-  python tuples;
-* **movers-only trace gather** — most agent-steps do not move the
-  agent: a commit batch reads the trace's one-byte ``moved`` mask per
-  member and gathers a next position from the step-major store only
-  for the movers (one fancy index); the rest commit without geometry.
+1. every cluster finishing at that instant is in one round batch; the
+   **movers-only gather** reads the trace's one-byte ``moved`` mask per
+   member and fetches a next position only for the movers (one fancy
+   index into the step-major store), the rest commit without geometry;
+2. **one** ``core.step`` commits the batch, releases waiters, forms the
+   dirty components and claims the dispatchable ones;
+3. each claimed cluster takes a worker slot (uncapped, or from the
+   **step-keyed dispatch buckets**: numpy-backed, keyed by integer step
+   priority instead of a heap of python tuples). The trace's ``calling``
+   mask splits them: a cluster none of whose members calls — most of
+   them — skips the launch event and goes straight into the round batch
+   due when its chains would have ended; the rest launch together
+   through one event into :meth:`ChainExecutor.run_round` and join
+   their round batch when their last chain ends.
+
+``DriverStats.extra["kernel_events"]`` counts the events the *driver*
+schedules (launches with a call, rounds), well below one per cluster;
+``kernel_events_total`` is every event any layer scheduled.
 """
 
 from __future__ import annotations
@@ -123,8 +124,7 @@ class MetropolisDriver:
         self._pos_sa = trace.positions_by_step
         self._pos_flat = trace.positions_flat
         self._moved = trace.moved
-        #: Its twin, one byte per (step, agent): does the chain hold an
-        #: LLM call? Clusters without one never reach the executor.
+        #: Its twin: does the (step, agent) chain hold an LLM call?
         self._calling = trace.calling
         #: ``shard_plan`` overrides region planning outright — the
         #: multiprocess workers pass their slice of the parent's global
@@ -138,6 +138,9 @@ class MetropolisDriver:
             validate=config.validate_causality)
         self.graph = self.core.graph
         self.stats = self.core.stats
+        #: The round's one controller call (speculation composes its
+        #: own from the core's two halves).
+        self._step = self.core.step
         #: Per agent, the sorted steps whose chains contain LLM calls —
         #: the replay-mode half of the invocation-distance signal (the
         #: trace is known, as with ``ignore_eos`` output lengths).
@@ -152,16 +155,15 @@ class MetropolisDriver:
         #: Clusters launched (or staged to launch) and not yet retired.
         self._busy_workers = 0
         #: Single-event rounds: clusters finishing at the same virtual
-        #: instant buffer under their shared commit due-time; one kernel
-        #: event retires the whole batch through one graph commit and
-        #: runs one dispatch round.
+        #: instant buffer under their shared commit due-time.
         self._round_pending: dict[float, list[tuple[int, list[int]]]] = {}
         #: Kernel events scheduled by the driver (the §3.6 churn gauge;
         #: amortized well below one per cluster with batched rounds).
         self._kernel_events = 0
         #: §6 hybrid deployment: latency-critical agents (see
-        #: SchedulerConfig.interactive_agents).
+        #: SchedulerConfig.interactive_agents), and whether they preempt.
         self._interactive = frozenset(config.interactive_agents)
+        self._boost = bool(self._interactive and config.interactive_boost)
         #: Agents inside any interactive agent's dependency cone,
         #: refreshed at most once per controller round via the spatial
         #: index (None = recompute on next use).
@@ -203,34 +205,63 @@ class MetropolisDriver:
     # -- controller ------------------------------------------------------
 
     def start(self) -> None:
-        self._controller_round(set(self.core.ready))
+        self._dispatch(self._step((), {}))
 
-    def _controller_round(self, dirty: set[int], exclude=None) -> None:
-        """Re-cluster around ``dirty`` agents and dispatch what is ready."""
-        self._cone_cache = None
-        core = self.core
-        clusters = core.ready_clusters(dirty, exclude)
-        t0 = core.clock()
-        core.claim(clusters)
-        if self.config.num_workers == 0 and clusters:
-            # Uncapped workers: every unblocked cluster dispatches this
-            # instant, so the pending buckets are bypassed outright and
-            # the whole round launches through one kernel event.
-            launches: list[tuple[list[int], int, float]] = []
+    def _dispatch(self, clusters: list[tuple[int, list[int]]]) -> None:
+        """Give the round's claimed clusters worker slots and stage them.
+
+        Uncapped, every cluster dispatches this instant; under a cap
+        they queue in the step-keyed buckets and the free slots take
+        the front of the queue. A cluster none of whose members calls
+        at its step has nothing to launch: it goes straight into the
+        round batch due at ``((now + controller_dispatch) + agent_step)
+        + cluster_commit``, where the launch event and the executor's
+        start event would have queued it — the same float additions in
+        the same order. The rest launch together through one event
+        (:meth:`_launch_batch`).
+        """
+        clock = self.core.clock
+        t0 = clock()
+        cap = self.config.num_workers
+        boost = self._boost
+        if boost:
+            self._cone_cache = None
+        if cap:
+            pending = self._pending
             for s, cluster in clusters:
                 self._pending_seq += 1
-                self._admit(s, cluster, launches)
+                pending.push(self._dispatch_key(s, cluster), (s, cluster))
+            clusters = []
+            while pending and self._busy_workers + len(clusters) < cap:
+                clusters.append(pending.pop())
+        self._busy_workers += len(clusters)
+        calling = self._calling
+        n = self.graph.n_agents
+        launches: list[tuple[list[int], int, float]] = []
+        quiet: list[tuple[int, list[int]]] | None = None
+        for s, cluster in clusters:
+            if boost and not cap:
+                self._pending_seq += 1  # only a boosted priority reads it
+            base = s * n
+            for aid in cluster:
+                if calling[base + aid]:
+                    launches.append((cluster, s, self._cluster_priority(
+                        s, cluster) if boost else float(s)))
+                    break
+            else:
+                if quiet is None:
+                    overhead = self.config.overhead
+                    quiet = self._round_batch(
+                        ((self.kernel.now + overhead.controller_dispatch)
+                         + overhead.agent_step) + overhead.cluster_commit)
+                quiet.append((s, cluster))
+        if launches:
             self._kernel_events += 1
             self.kernel.call_in(self.config.overhead.controller_dispatch,
                                 self._launch_batch, launches)
-        else:
-            for s, cluster in clusters:
-                self._pending_seq += 1
-                self._pending.push(self._dispatch_key(s, cluster),
-                                   (cluster, s))
-            self._fill_workers()
-        self.stats.time_dispatch += core.clock() - t0
-        self._check_progress()
+        self.stats.time_dispatch += clock() - t0
+        if not self._busy_workers:
+            self._check_progress()
 
     def _cluster_priority(self, step: int, cluster: list[int]) -> float:
         """Serving-side request priority for a cluster (lower = sooner).
@@ -241,8 +272,7 @@ class MetropolisDriver:
         otherwise step order under priority scheduling, arrival order
         without.
         """
-        if self._interactive and self.config.interactive_boost \
-                and self._in_interactive_cone(cluster):
+        if self._boost and self._in_interactive_cone(cluster):
             return -1e9 + step
         if self.config.priority:
             return float(step)
@@ -250,8 +280,7 @@ class MetropolisDriver:
 
     def _dispatch_key(self, step: int, cluster: list[int]) -> int:
         """Integer dispatch-bucket key mirroring ``_cluster_priority``."""
-        if self._interactive and self.config.interactive_boost \
-                and self._in_interactive_cone(cluster):
+        if self._boost and self._in_interactive_cone(cluster):
             return step - _INTERACTIVE_BOOST
         if self.config.priority:
             return step
@@ -278,34 +307,8 @@ class MetropolisDriver:
     def _in_interactive_cone(self, cluster: list[int]) -> bool:
         return not self._cone_agents().isdisjoint(cluster)
 
-    def _admit(self, step: int, cluster: list[int],
-               launches: list[tuple[list[int], int, float]]) -> None:
-        """Claim a worker slot for ``cluster`` and stage its launch."""
-        self._busy_workers += 1
-        priority = self._cluster_priority(step, cluster) \
-            if (self._interactive and self.config.interactive_boost) \
-            else float(step)
-        launches.append((cluster, step, priority))
-
-    def _fill_workers(self) -> None:
-        """Dispatch pending clusters into free worker slots.
-
-        Every cluster dispatched here shares the round's virtual
-        instant, so the whole batch launches through a single kernel
-        event instead of one per cluster.
-        """
-        cap = self.config.num_workers
-        pending = self._pending
-        launches: list[tuple[list[int], int, float]] = []
-        while pending and (cap == 0 or self._busy_workers < cap):
-            cluster, step = pending.pop()
-            self._admit(step, cluster, launches)
-        if launches:
-            self._kernel_events += 1
-            self.kernel.call_in(self.config.overhead.controller_dispatch,
-                                self._launch_batch, launches)
-
     def _check_progress(self) -> None:
+        """Raise when nothing is in flight and the run is not done."""
         if (not self._busy_workers and not self._pending
                 and not self._round_pending and not self.core.finished()):
             raise SchedulingError(
@@ -317,37 +320,8 @@ class MetropolisDriver:
 
     def _launch_batch(self, launches: list[tuple[list[int], int, float]]
                       ) -> None:
-        """Launch one dispatch round; call-free clusters skip the executor.
-
-        A cluster none of whose members calls would ride a chain gather
-        and the executor's start event only to be handed straight back.
-        It pins nothing (the executor pins callers only) and is
-        buffered for the round the start event would have queued it
-        for: ``(now + agent_step) + cluster_commit``, the same two
-        additions in the same order, so due-times and batch order are
-        bit-identical. The rest go to the executor and commit when
-        their last chain ends.
-        """
-        calling = self._calling
-        n = self.graph.n_agents
-        quiet: list[tuple[int, list[int]]] | None = None
-        chains = []
-        for launch in launches:
-            members, step, _ = launch
-            base = step * n
-            for aid in members:
-                if calling[base + aid]:
-                    chains.append(launch)
-                    break
-            else:
-                if quiet is None:
-                    overhead = self.config.overhead
-                    quiet = self._round_batch(
-                        (self.kernel.now + overhead.agent_step)
-                        + overhead.cluster_commit)
-                quiet.append((step, members))
-        if chains:
-            self.executor.run_round(chains, self._queue_commit)
+        """The launch event: every cluster of the round that calls."""
+        self.executor.run_round(launches, self._queue_commit)
 
     def _queue_commit(self, step: int, members: list[int]) -> None:
         """Buffer a finished cluster for its instant's controller round."""
@@ -356,12 +330,7 @@ class MetropolisDriver:
         ).append((step, members))
 
     def _round_batch(self, due: float) -> list[tuple[int, list[int]]]:
-        """The batch of clusters retiring at ``due``, with its one event.
-
-        Clusters finishing at the same virtual instant share one round
-        event: the round retires the whole batch through one graph
-        commit, then dispatches.
-        """
+        """The clusters retiring at ``due``: one round event for all."""
         batch = self._round_pending.get(due)
         if batch is None:
             self._round_pending[due] = batch = []
@@ -370,14 +339,15 @@ class MetropolisDriver:
         return batch
 
     def _controller_round_event(self, due: float) -> None:
+        """One controller round over the batch due now (module docstring).
+
+        A member whose ``moved`` byte is clear is absent from the
+        positions mapping: it stayed put.
+        """
         batch = self._round_pending.pop(due)
         self._busy_workers -= len(batch)
-        self._controller_round(self._retire(batch))
-
-    def _retire(self, batch: list[tuple[int, list[int]]]) -> set[int]:
-        """Retire every cluster of the batch in one graph commit."""
-        core = self.core
-        t0 = core.clock()
+        clock = self.core.clock
+        t0 = clock()
         n = self.graph.n_agents
         moved = self._moved
         members_all: list[int] = []
@@ -390,14 +360,11 @@ class MetropolisDriver:
                 if moved[base + aid]:
                     movers.append(aid)
                     rows.append(base + n + aid)
-        # Only movers read the trace; a member absent from the mapping
-        # stayed put (the common case: the gather is skipped outright).
         positions = {aid: (r[0], r[1]) for aid, r in
                      zip(movers, self._pos_flat[rows].tolist())} \
             if movers else {}
         # The trace gather is graph-update work: same bucket as the commit.
-        self.stats.time_graph += core.clock() - t0
-        dirty = core.retire(members_all, positions)
+        self.stats.time_graph += clock() - t0
         if self._interactive:
             now = self.kernel.now
             for aid in members_all:
@@ -405,7 +372,7 @@ class MetropolisDriver:
                     self.interactive_latencies.append(
                         now - self._last_commit_time[aid])
                     self._last_commit_time[aid] = now
-        return dirty
+        self._dispatch(self._step(members_all, positions))
 
     def finished(self) -> bool:
         """Drained to the last step? Also the end-of-run stats fold."""

@@ -101,6 +101,7 @@ class SpeculativeMetropolisDriver(MetropolisDriver):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        self._step = self._spec_step
         #: speculation id -> record.
         self._spec: dict[int, _SpecRecord] = {}
         self._spec_seq = 0
@@ -128,10 +129,16 @@ class SpeculativeMetropolisDriver(MetropolisDriver):
     # dispatch
     # ------------------------------------------------------------------
 
-    def _controller_round(self, dirty, exclude=None) -> None:
+    def _spec_step(self, members: list[int], positions: dict
+                   ) -> list[tuple[int, list[int]]]:
+        """The round's controller call: the core step's two halves, with
+        speculation acting between the commit and the component search."""
+        return self._spec_claim(self.core._commit(members, positions))
+
+    def _spec_claim(self, dirty: set[int]) -> list[tuple[int, list[int]]]:
+        """Squash, launch speculations, then cluster and claim."""
         # Squash speculations that newly-ready agents are coupled to: the
         # joint cluster must execute together through the normal path.
-        dirty = set(dirty)
         if self._spec_members:
             ready = self.core.ready
             for aid in list(dirty):
@@ -140,7 +147,7 @@ class SpeculativeMetropolisDriver(MetropolisDriver):
         if self._depth:
             self._launch_speculations(dirty)
         # Component BFS must not absorb speculating agents.
-        super()._controller_round(dirty, self._spec_members.__contains__)
+        return self.core._claim(dirty, self._spec_members.__contains__)
 
     def _squash_coupled_to(self, aid: int) -> set[int]:
         """Squash any speculation coupled (transitively) to ready ``aid``.
@@ -330,7 +337,7 @@ class SpeculativeMetropolisDriver(MetropolisDriver):
             self.stats.extra["misspeculations"] += 1
             self._spec_feedback(members, bad=True)
             self._spec_outcome(bad=True)
-            self._controller_round(self._rollback(cid))
+            self._dispatch(self._spec_claim(self._rollback(cid)))
             return
         # Retire in order: hand the cluster to the normal commit path.
         self._spec.pop(cid)
@@ -341,7 +348,11 @@ class SpeculativeMetropolisDriver(MetropolisDriver):
         extra["spec_retired_members"] += len(members)
         self._spec_feedback(members, bad=False)
         self._spec_outcome(bad=False)
-        self.core.claim([(rec.step, members)])
+        # Claimed straight from speculation: the members left the ready
+        # pool at launch and nothing blocks them now.
+        self.graph.mark_running(members)
+        self.stats.clusters_dispatched += 1
+        self.stats.cluster_size_sum += len(members)
         self._busy_workers += 1
         self._queue_commit(rec.step, members)
 

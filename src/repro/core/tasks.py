@@ -19,8 +19,8 @@ they start tasks. Two entry points, one chain-advance implementation
   that event each cluster submits its members' first calls to the
   serving engine in one batch; a member without a call is finished on
   the spot. (The replay driver never sends a cluster *none* of whose
-  members calls: it knows the trace and retires those itself, see
-  :meth:`repro.core.metropolis.MetropolisDriver._launch_batch`.)
+  members calls: it knows the trace and buffers those for their commit
+  round itself, see :meth:`repro.core.metropolis.MetropolisDriver._dispatch`.)
 * :meth:`ChainExecutor.run_cluster` — one cluster, one lookup, one
   start event, completion reported per member (the lock-step, oracle,
   single-thread and speculative-background paths) or once per cluster
@@ -206,18 +206,9 @@ class ChainExecutor:
 
     def _pin_callers(self, members: Sequence[int], cur: list[int],
                      end: list[int]) -> None:
-        """Pin the retained KV of the members whose chain holds a call.
-
-        Their calls are now imminent, so the serving engine must not
-        evict them on behalf of further-away agents. A call-free member
-        is not pinned: its segment stays an eviction candidate, ranked
-        by its invocation distance, instead of sitting pinned until a
-        hit or a forced eviction clears it.
-        """
+        """Pin the retained KV of the members whose chain holds a call:
+        those calls are imminent. A call-free member's segment stays an
+        eviction candidate (a pin clears only on a hit or a forced
+        eviction)."""
         self.engine.prefetch([aid for aid, lo, hi in zip(members, cur, end)
                               if lo < hi])
-
-    def run_task(self, aid: int, step: int, priority: float,
-                 on_done: TaskDone) -> None:
-        """Start the (aid, step) task; ``on_done`` fires at completion."""
-        self.run_cluster((aid,), step, priority, on_done)

@@ -13,20 +13,19 @@ Faithful to the paper's architecture at thread granularity:
   the members' positions once in bulk, commit the new state to the KV
   store in one optimistic transaction (§3.6 keeps this state in Redis)
   and acknowledge — positions included — through the ``ack_queue``;
-* the controller drains every pending ack, retires the whole batch
-  through one ``core.retire`` (the ack payload already carries the
-  positions, so the controller never re-derives
-  ``program.position()``; a member whose payload position equals its
-  current one is committed as "did not move", geometry skipped), and
-  dispatches whatever became ready, exactly like the virtual-time
-  driver.
+* the controller drains every pending ack and makes one ``core.step``
+  per batch, exactly like the virtual-time driver: it commits the
+  finished clusters (the ack payload carries the positions, so the
+  controller never re-derives ``program.position()``; a member whose
+  payload position equals its current one did not move), rolls the
+  failed ones back, and submits whatever the step claimed.
 
 **Fault tolerance** (see :mod:`repro.faults`): workers call the LLM
 through a :class:`~repro.faults.ResilientClient` (bounded seeded-backoff
 retries, circuit breaker, fallback on open) and never die on an
 exception — they send a structured *failure ack* instead. The controller
-rolls the failed cluster back via ``core.abort`` (the exact inverse of
-``core.claim``) and redispatches it up to the
+rolls the failed cluster back (``core.step(..., aborted=...)``, the
+exact inverse of its dispatch) and redispatches it up to the
 :class:`~repro.config.FaultPolicy` budget, degrading the final attempt to
 the scenario's fallback client; a no-progress watchdog converts a lost
 ack into a diagnostic :class:`SchedulingError` instead of hanging, and
@@ -366,49 +365,43 @@ class LiveSimulation:
                 last_ack_age=time.monotonic() - self._last_ack,
                 redispatches=self._stats.faults.redispatches)
 
-        in_flight = self._dispatch(core, set(core.ready))
-        while not core.finished():
-            if in_flight == 0:
-                raise SchedulingError(
-                    f"live scheduler stalled\n  {diagnostics()}")
-            # Ack coalescing: block for one ack, then drain whatever
-            # else finished while the controller slept — the whole batch
-            # retires through one vectorized graph commit (positions
-            # come straight from the ack payloads) and one dispatch
-            # round.
-            acks = [self._await_ack(diagnostics)]
-            while (ack := self._poll_ack()) is not None:
-                acks.append(ack)
-            in_flight -= len(acks)
-            dirty: set[int] = set()
+        acks: list[tuple] = []
+        in_flight = 0
+        while True:
+            # One core step per ack batch (ack coalescing: the controller
+            # drains whatever finished while it slept), positions
+            # straight from the ack payloads.
             members_all: list[int] = []
             new_positions: dict[int, tuple] = {}
+            aborted: list[list[int]] = []
             for kind, step, cluster, payload in acks:
                 if kind == "fail":
                     # Crash-consistent rollback: nothing was committed,
                     # so aborting restores the exact pre-dispatch graph.
-                    dirty |= core.abort(cluster)
+                    aborted.append(cluster)
                     self._charge_failure(step, cluster, payload)
                     continue
                 members_all += cluster
                 new_positions.update(payload)
-            if members_all:
-                dirty |= core.retire(members_all, new_positions)
-                self._clear_attempts(members_all)
-            in_flight += self._dispatch(core, dirty)
-
-    def _dispatch(self, core: ControllerCore, dirty: set[int]) -> int:
-        """One controller round: submit every cluster the core frees."""
-        clusters = core.ready_clusters(dirty)
-        t0 = core.clock()
-        core.claim(clusters)
-        attempts = self._attempts
-        degraded_pool = self._degraded
-        for step, cluster in clusters:
-            if attempts and any(m in attempts for m in cluster):
-                self._stats.faults.redispatches += 1
-            degraded = bool(degraded_pool) and \
-                any(m in degraded_pool for m in cluster)
-            self._submit(step, cluster, degraded)
-        self._stats.time_dispatch += core.clock() - t0
-        return len(clusters)
+            clusters = core.step(members_all, new_positions,
+                                 aborted=aborted)
+            self._clear_attempts(members_all)
+            t0 = core.clock()
+            for step, cluster in clusters:
+                if self._attempts and any(m in self._attempts
+                                          for m in cluster):
+                    self._stats.faults.redispatches += 1
+                degraded = bool(self._degraded) and \
+                    any(m in self._degraded for m in cluster)
+                self._submit(step, cluster, degraded)
+            self._stats.time_dispatch += core.clock() - t0
+            in_flight += len(clusters)
+            if core.finished():
+                return
+            if in_flight == 0:
+                raise SchedulingError(
+                    f"live scheduler stalled\n  {diagnostics()}")
+            acks = [self._await_ack(diagnostics)]
+            while (ack := self._poll_ack()) is not None:
+                acks.append(ack)
+            in_flight -= len(acks)

@@ -1,7 +1,8 @@
 """ControllerCore driven by hand — no kernel, no threads, no queues.
 
-The test *is* a transport: it asks the core what may run, claims it,
-and retires clusters with rows of a trace, in a seeded order.
+The test *is* a transport: each round it hands the core the clusters
+that finished (with rows of a trace) through ``step`` and gets back the
+clusters the core claimed, finishing them in a seeded order.
 Worlds: the collision-course and anchored-disjoint pairs of
 ``helpers.py`` (a light walker that runs ahead of a heavy laggard until
 the §3.2 rules block it), measured by coordinates or by hops on a ring,
@@ -65,26 +66,27 @@ def _core(course, metric, sharded, **kw):
     return core, pos_sa
 
 
-def _retire(core, pos_sa, step, members):
-    return core.retire(members, {m: tuple(pos_sa[step + 1, m].tolist())
-                                 for m in members})
+def _moves(pos_sa, step, members):
+    return {m: tuple(pos_sa[step + 1, m].tolist()) for m in members}
 
 
 def _run_walkers_until_blocked(core, pos_sa):
-    """Advance only the odd-id walkers; the laggards are never claimed."""
+    """Advance only the odd-id walkers; the laggards' clusters are
+    claimed on the first round and never finish (returned: in flight)."""
     walkers = set(range(1, core.graph.n_agents, 2))
-    dirty = set(walkers)
+    held = []
+    clusters = core.step([], {})
     while True:
-        clusters = [c for c in core.ready_clusters(dirty)
-                    if walkers.issuperset(c[1])]
-        if not clusters:
+        mine = [c for c in clusters if walkers.issuperset(c[1])]
+        held += [c for c in clusters if c not in mine]
+        if not mine:
             break
-        core.claim(clusters)
-        dirty = set()
-        for step, members in clusters:
-            dirty |= _retire(core, pos_sa, step, members)
+        members = [m for _, ms in mine for m in ms]
+        clusters = core.step(
+            members, {m: tuple(pos_sa[s + 1, m].tolist())
+                      for s, ms in mine for m in ms})
     assert all(core.graph.blocked_by[w] for w in walkers)
-    return walkers
+    return walkers, held
 
 
 WORLDS = pytest.mark.parametrize("sharded", [False, True],
@@ -105,12 +107,8 @@ class TestRoundLoop:
         core, pos_sa = _core(course, metric, sharded)
         rng = random.Random(order_seed)
         n, n_steps = core.graph.n_agents, core.target_step
-        in_flight: list[tuple[int, list[int]]] = []
-        dirty = set(core.ready)
+        in_flight = core.step([], {})
         while not core.finished():
-            clusters = core.ready_clusters(dirty)
-            core.claim(clusters)
-            in_flight += clusters
             assert in_flight, core.stalled()
             # Mostly the light walkers (odd ids) finish first, so they
             # run ahead until the rules block them on their laggard.
@@ -120,7 +118,7 @@ class TestRoundLoop:
             in_flight.remove(pick)
             step, members = pick
             assert all(core.graph.step[m] == step for m in members)
-            dirty = _retire(core, pos_sa, step, members)
+            in_flight += core.step(members, _moves(pos_sa, step, members))
             core.graph.validate()
         assert not in_flight and not core.ready
         assert core.graph.step == [n_steps] * n
@@ -140,44 +138,50 @@ class TestRoundLoop:
         calls = []
         monkeypatch.setattr(type(core.graph), "validate",
                             lambda self: calls.append(1))
-        clusters = core.ready_clusters(set(core.ready))
-        core.claim(clusters)
+        clusters = core.step([], {})
         for step, members in clusters:
-            _retire(core, pos_sa, step, members)
+            core.step(members, _moves(pos_sa, step, members))
         assert len(calls) == len(clusters)
 
 
 @METRICS
 @WORLDS
 class TestAbort:
-    def test_claim_then_abort_restores_the_graph_exactly(self, metric,
-                                                         sharded):
+    def test_abort_then_redispatch_restores_the_graph_exactly(
+            self, metric, sharded):
         core, pos_sa = _core(collision_course_trace, metric, sharded)
         graph = core.graph
-        _run_walkers_until_blocked(core, pos_sa)
+        _, held = _run_walkers_until_blocked(core, pos_sa)
+        assert held  # the laggards; the blocked walkers are not in it
+        claimed = [m for _, members in held for m in members]
 
         def state():
             return (set(core.ready), list(graph.running), list(graph.step),
                     [graph.blockers_of(a) for a in range(graph.n_agents)])
 
         before = state()
-        clusters = core.ready_clusters(set(core.ready))
-        assert clusters  # the laggards; the blocked walkers are not in it
-        core.claim(clusters)
-        claimed = [m for _, members in clusters for m in members]
         assert core.ready.isdisjoint(claimed)
         assert all(graph.running[m] for m in claimed)
-        dirty = set()
-        for _, members in clusters:
-            dirty |= core.abort(members)
-        assert dirty == set(claimed)
+        # Rolled back, the members are the round's frontier: it re-forms
+        # and claims the very same clusters, and nothing else moved.
+        assert core.step([], {}, aborted=[m for _, m in held]) == held
         assert state() == before
-        assert core.ready_clusters(dirty) == clusters
         # ... and the redispatched clusters still retire normally.
-        core.claim(clusters)
-        for step, members in clusters:
-            _retire(core, pos_sa, step, members)
+        for step, members in held:
+            core.step(members, _moves(pos_sa, step, members))
         graph.validate()
+
+    def test_commit_and_abort_in_one_round(self, metric, sharded):
+        """Failed and finished clusters of one ack batch: one step."""
+        core, pos_sa = _core(collision_course_trace, metric, sharded)
+        first = core.step([], {})
+        assert len(first) >= 2
+        (s0, done), (_, failed) = first[0], first[1]
+        again = core.step(done, _moves(pos_sa, s0, done), aborted=[failed])
+        assert (s0, failed) in again
+        assert all(core.graph.step[m] == s0 + 1 for m in done)
+        assert all(core.graph.step[m] == s0 for m in failed)
+        assert core.stats.tasks_completed == len(done)
 
 
 @METRICS
@@ -185,15 +189,15 @@ class TestAbort:
 class TestStalled:
     def test_wedged_state_names_the_blocked_agents(self, metric, sharded):
         core, pos_sa = _core(disjoint_course_trace, metric, sharded)
-        walkers = _run_walkers_until_blocked(core, pos_sa)
-        # Wedge: the laggards vanish from the ready pool without ever
-        # having been claimed (a transport that lost them).
-        core.ready -= set(range(core.graph.n_agents)) - walkers
-        assert core.ready_clusters(set(core.ready)) == []
+        # Wedge: the laggards' clusters never finish (a transport that
+        # lost their acks).
+        walkers, held = _run_walkers_until_blocked(core, pos_sa)
+        assert core.step([], {}) == []
         report = core.stalled(ready_depth=0, ack_depth=0)
         pairs = {w: [w - 1] for w in sorted(walkers)}
+        lost = sum(len(m) for _, m in held)
         assert f"blocked pairs ({len(walkers)} agents): {pairs}" in report
-        assert "running clusters (0 agents)" in report
+        assert f"running clusters ({lost} agents)" in report
         assert f"progress: 0/{core.graph.n_agents} agents done" in report
         assert "queue depths: ready=0 ack=0" in report
 
@@ -204,29 +208,26 @@ class TestCouplingCandidates:
     edges alone; hand-built states that break what this rests on."""
 
     @staticmethod
-    def _core(positions, validate):
+    def _core(positions, validate, target_step=8):
         return ControllerCore(DependencyRules(DependencyConfig()),
-                              dict(enumerate(positions)), 8,
+                              dict(enumerate(positions)), target_step,
                               validate=validate)
 
     def test_running_agent_in_coupling_range_raises(self, validate):
         """A same-step agent running next to a committing one: the
-        validated retire names it at once, the fast path when the next
+        validated commit names it at once, the fast path when the same
         round's strict component search examines its candidates."""
-        # Distance 5: coupled, yet a valid state one step apart.
+        # Distance 5: coupled, yet a valid state one step apart. A
+        # broken transport runs the pair as two clusters.
         core = self._core([(0, 0), (5, 0)], validate)
-        core.claim([(0, [0]), (0, [1])])
-        core.retire([1], {})
+        core.ready.clear()
+        core.graph.mark_running([0, 1])
+        assert core.step([1], {}) == []  # 1 waits on 0
         assert core.graph.blockers_of(1) == frozenset({0})
         core.graph.running[1] = True  # dispatched while blocked
-        if validate:
-            with pytest.raises(SchedulingError, match="is running"):
-                core.retire([0], {})
-            return
-        dirty = core.retire([0], {})
-        with pytest.raises(SchedulingError,
-                           match="coupling invariant violated"):
-            core.ready_clusters(dirty)
+        match = "is running" if validate else "coupling invariant violated"
+        with pytest.raises(SchedulingError, match=match):
+            core.step([0], {})
 
     def test_jump_beyond_max_vel_is_caught_by_validation(self, validate):
         """An agent that lands next to a same-step stranger was never
@@ -234,12 +235,18 @@ class TestCouplingCandidates:
         (``Trace._validate`` rejects such traces). The fast path cannot
         see it — the two leave as separate clusters; validation does."""
         core = self._core([(0, 0), (100, 0)], validate)
-        core.claim([(0, [0]), (0, [1])])
-        core.retire([1], {})
+        assert core.step([], {}) == [(0, [0]), (0, [1])]
+        assert core.step([1], {}) == [(1, [1])]
         if validate:
+            with pytest.raises(SchedulingError, match="is running"):
+                core.step([0], {0: (99, 0)})
+            # The stranger idle at its last step instead of running.
+            core = self._core([(0, 0), (100, 0)], validate, target_step=1)
+            core.step([], {})
+            assert core.step([1], {}) == []
             with pytest.raises(SchedulingError,
                                match="neither a batch peer nor"):
-                core.retire([0], {0: (99, 0)})
+                core.step([0], {0: (99, 0)})
             return
-        dirty = core.retire([0], {0: (99, 0)})
-        assert core.ready_clusters(dirty | {1}) == [(1, [0]), (1, [1])]
+        assert core.step([0], {0: (99, 0)}) == [(1, [0])]
+        assert core.graph.running[1]  # in range, at its step, apart

@@ -9,9 +9,9 @@ from repro.config import (DependencyConfig, OverheadConfig, SchedulerConfig,
                           ServingConfig)
 from repro.core import run_replay
 from repro.core.engine import critical_time_for
-from repro.core.metropolis import MetropolisDriver
 from repro.core.oracle import mean_dependency_count, mine_interaction_groups
 from repro.errors import ConfigError
+from repro.trace import Trace
 
 from helpers import random_trace
 
@@ -141,14 +141,15 @@ class TestQuietClusters:
     @pytest.mark.parametrize("p_call", [0.0, 0.1, 1.0])
     def test_bypass_equals_executor_path(self, monkeypatch, p_call, policy,
                                          num_workers, kv_policy):
-        """Reference: every launch goes through ``run_round`` (the
-        executor completes a call-free cluster in its start event, as
-        it did for every cluster before the bypass). Same completion
-        time, per-call timeline, KV counters (pins land at the launch
-        instant either way) and driver stats — only the kernel's total
-        event count may differ. Overheads are the defaults: with all of
-        them zero every event of a run sits at one instant and their
-        order is the schedule."""
+        """Reference: the driver reads every agent-step as calling, so
+        every cluster takes a launch event and ``run_round`` (the
+        executor completes a call-free member in its start event, as it
+        did for every cluster before the bypass; it pins callers only,
+        from the chains themselves). Same completion time, per-call
+        timeline, KV counters and driver stats — only the kernel event
+        counts may differ. Overheads are the defaults: with all of them
+        zero every event of a run sits at one instant and their order
+        is the schedule."""
         trace = random_trace(seed=5, n_agents=10, p_call=p_call)
         scheduler = SchedulerConfig(policy=policy, num_workers=num_workers)
         serving = ServingConfig(model="llama3-8b", gpu="l4", dp=2,
@@ -161,24 +162,26 @@ class TestQuietClusters:
             for host_seconds in ("time_clustering", "time_graph",
                                  "time_dispatch"):
                 del stats[host_seconds]
-            events_total = stats["extra"].pop("kernel_events_total")
+            events = (stats["extra"].pop("kernel_events"),
+                      stats["extra"].pop("kernel_events_total"))
             calls = [(e.agent, e.step, e.func_id, e.submit_time,
                       e.finish_time) for e in result.timeline.events]
             return (result.completion_time, calls, result.kv_stats,
-                    stats), events_total
+                    stats), events
 
         bypass, bypass_events = observe()
-        monkeypatch.setattr(
-            MetropolisDriver, "_launch_batch",
-            lambda self, launches: self.executor.run_round(
-                launches, self._queue_commit))
+        every_step = b"\1" * (trace.meta.n_agents * trace.meta.n_steps)
+        monkeypatch.setattr(Trace, "calling", property(lambda _: every_step))
         reference, reference_events = observe()
         assert bypass == reference
         assert len(bypass[1]) >= trace.n_calls  # squashed work re-runs
         if kv_policy == "distance" and p_call:
             assert bypass[2]["prefetch_pins"] > 0
         if p_call < 1.0:
-            assert bypass_events < reference_events
+            # Fewer driver events (no launch for a call-free cluster)
+            # and fewer in total (nor an executor start event).
+            assert bypass_events[0] < reference_events[0]
+            assert bypass_events[1] < reference_events[1]
         else:
             assert bypass_events == reference_events
 

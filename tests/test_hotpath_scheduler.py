@@ -651,26 +651,33 @@ class TestHotpathBench:
         events = stats.extra["kernel_events"]
         assert events > 0
         assert events / stats.clusters_dispatched < 2.0
-        # one launch event per dispatching round + one round event per
-        # finish instant bounds the total
+        # one launch event per round that launches a call + one round
+        # event per finish instant bounds the total
         assert events <= 2 * stats.controller_rounds + 1
 
     @pytest.mark.parametrize("policy", ["metropolis", "metropolis-spec"])
-    def test_kernel_events_total_two_per_quiet_round(self, policy):
-        """With no LLM call anywhere and uncapped workers, a controller
-        round costs at most two kernel events across *all* layers — the
-        driver's launch event and the round (commit) event — however
-        many clusters it dispatches: call-free clusters never reach the
-        executor. With calls, the executor's start events and the
+    @pytest.mark.parametrize("num_workers", [0, 3])
+    def test_kernel_events_total_one_per_quiet_round(self, policy,
+                                                     num_workers):
+        """With no LLM call anywhere, a controller round costs one kernel
+        event across *all* layers — its own round (commit) event —
+        however many clusters it dispatches, with or without a worker
+        cap: a call-free cluster takes no launch event and never reaches
+        the executor. With calls, the executor's start events and the
         engine's own show up in ``kernel_events_total`` only."""
         from repro.config import SchedulerConfig
         from repro.core import run_replay
 
         trace = random_trace(seed=11, n_agents=12, p_call=0.0)
-        stats = run_replay(trace, SchedulerConfig(policy=policy)).driver_stats
+        stats = run_replay(trace, SchedulerConfig(
+            policy=policy, num_workers=num_workers)).driver_stats
         assert stats.clusters_dispatched > 2 * stats.controller_rounds
-        assert stats.extra["kernel_events_total"] <= \
-            2 * stats.controller_rounds + 1
+        # The first round runs at start, every later one is an event; a
+        # speculation adds its own launch and the executor's start.
+        spec = stats.extra.get("speculations", 0)
+        rounds = stats.controller_rounds - 1
+        assert stats.extra["kernel_events"] == rounds + spec
+        assert stats.extra["kernel_events_total"] == rounds + 2 * spec
 
         trace = random_trace(seed=11, n_agents=12)
         stats = run_replay(trace, SchedulerConfig(policy=policy)).driver_stats
@@ -805,6 +812,38 @@ class TestCountCeilings:
         assert failures
         assert all(f.startswith(f"{scenario}@") and f": {counter} " in f
                    for f in failures)
+
+    @pytest.mark.parametrize("scenario", scenario_names())
+    @pytest.mark.parametrize("counter", ["kernel_events_per_cluster",
+                                         "events_total_per_cluster"])
+    def test_event_ceilings_follow_the_rule(self, committed, scenario,
+                                            counter):
+        """1.25x the scenario's worst committed cell, no looser."""
+        from repro.bench.hotpath import COUNT_CEILINGS
+
+        worst = max(e[counter] for e in committed["entries"]
+                    if e["scenario"] == scenario)
+        assert worst < COUNT_CEILINGS[scenario][counter] \
+            <= round(1.25 * worst, 2) + 0.01
+
+    def test_launching_call_free_clusters_turns_the_gate_red(
+            self, monkeypatch):
+        """A call-free cluster that took a launch event again (every
+        agent-step read as calling) breaks the driver-event ceiling."""
+        from repro.bench import hotpath as hp
+        from repro.trace import Trace
+
+        monkeypatch.setattr(hp, "MIN_THROUGHPUT", 1.0)
+        clean = hp.run_hotpath(scenarios=["smallville"], agent_counts=(25,))
+        assert hp.check_report(clean) == []
+        monkeypatch.setattr(Trace, "calling", property(
+            lambda t: b"\1" * (t.meta.n_agents * t.meta.n_steps)))
+        noisy = hp.run_hotpath(scenarios=["smallville"], agent_counts=(25,))
+        (entry,), (before,) = noisy["entries"], clean["entries"]
+        assert entry["completion_time_s"] == before["completion_time_s"]
+        assert entry["controller_rounds"] == before["controller_rounds"]
+        assert any(": kernel_events_per_cluster " in f
+                   for f in hp.check_report(noisy))
 
 
 def _observable_state(graph, n):
