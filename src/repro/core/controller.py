@@ -106,8 +106,10 @@ class ControllerCore:
         ready agent near a member needs no entry of its own: its cluster
         changes dispatchability only by gaining a member (the search
         seeded by that member finds it) or by losing a blocked edge (it
-        is in ``unblocked``). With nothing to commit (the first round) it
-        is every ready agent.
+        is in ``unblocked``). With nothing to commit (the first round, or
+        a live ack batch of failures only) it is every ready agent, which
+        re-forms the same clusters: every other dispatchable one already
+        runs.
         """
         if not members:
             return set(self.ready)
