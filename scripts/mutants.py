@@ -23,7 +23,10 @@ SPACE = "src/repro/core/space.py"
 CORE = "src/repro/core/controller.py"
 DRIVER = "src/repro/core/metropolis.py"
 TASKS = "src/repro/core/tasks.py"
+POOL = "src/repro/core/parallel.py"
+PLANNER = "src/repro/core/sharding.py"
 GOLDEN = "tests/test_golden_replay.py"
+PARALLEL = "tests/test_parallel.py"
 WRITE = "node[aid] = self._node_index(new_p)"
 COMPARE = "row[local[nb]] if comp[nb] == ca else inf"
 
@@ -33,7 +36,10 @@ COMPARE = "row[local[nb]] if comp[nb] == ca else inf"
 #: and ``dist_within``) compare components before reading a row. The
 #: one-call round: ``ControllerCore.step``'s singleton lane and sorted
 #: seeds, the fused commit's peer count, the call-free cluster's due
-#: time and call test, and pins for callers only.
+#: time and call test, and pins for callers only. The worker path: a
+#: task's members sorted (local ids monotone in global ids), its calls
+#: from every shard it got, global ids back on its timeline, the plan's
+#: shard count in the merge, and the planner's whole-trace margin.
 MUTANTS = {
     "fast-commit-skips-node-index": (
         GRAPH, f"if node is not None:\n                    {WRITE}",
@@ -64,6 +70,23 @@ MUTANTS = {
     "prefetch-pins-call-free-members": (
         TASKS, "if lo < hi])", "if lo <= hi])", 0,
         f"tests/test_core_tasks.py {GOLDEN}"),
+    "task-members-unsorted": (
+        POOL, "members = np.unique(np.concatenate(",
+        "members = (np.concatenate(", 0, f"{GOLDEN} {PARALLEL}"),
+    "task-calls-of-first-shard-only": (
+        POOL, "mask = np.isin(call_agent, members)",
+        "mask = np.isin(call_agent, shards[shard_idxs[0]])", 0,
+        f"{GOLDEN} {PARALLEL}"),
+    "worker-timeline-keeps-local-ids": (
+        POOL, "TimelineEvent(gids[e.agent], e.step",
+        "TimelineEvent(e.agent, e.step", 0, GOLDEN),
+    "merge-sums-worker-shard-counts": (
+        POOL, 'stats.extra["shards"] = n_shards', "pass", 0,
+        f"{GOLDEN} {PARALLEL}"),
+    "planner-margin-of-four-steps": (
+        PLANNER, "margin = rules.radius_p + (n_steps + 1) * rules.max_vel",
+        "margin = rules.radius_p + 4 * rules.max_vel", 0,
+        "tests/test_sharding.py -k Boundary"),
 }
 
 

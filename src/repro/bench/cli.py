@@ -125,8 +125,7 @@ def main(argv: list[str] | None = None) -> int:
                      help="run the scale matrix instead: a 2000-agent "
                           "reference cell plus serial and multiprocess "
                           "large tiled cells per scenario (default "
-                          f"{list(SCALE_SCENARIOS)}) with the region-"
-                          "sharded controller; --check gates each "
+                          f"{list(SCALE_SCENARIOS)}); --check gates each "
                           "cell's throughput ratio and the parallel/"
                           "serial ctrl-steps/s ratio")
     hot.add_argument("--scale-agents", type=int, default=SCALE_AGENTS,

@@ -34,12 +34,12 @@ cell and a 100k-agent cell (1M best-effort locally via
 ``--scale-agents``), both built by the tiled
 :func:`~repro.trace.generator.generate_scale_trace` workload (widened
 inter-segment gutters so the region planner can actually shard) and
-replayed with a region-sharded controller. The gate is *relative*:
-per-agent-step controller throughput at scale must stay within
-:data:`MIN_SCALE_RATIO` of the same scenario's 2000-agent cell — a
-flat curve is precisely the banded-scan + sharding claim — plus a raw
-sanity floor, and every entry reports its own ``peak_rss_mb`` so
-memory blowups surface in the report.
+replayed on one dependency graph in process, then through the worker
+pool. The gate is *relative*: per-agent-step controller throughput at
+scale must stay within :data:`MIN_SCALE_RATIO` of the same scenario's
+2000-agent cell — a flat curve is precisely the banded-scan claim —
+plus a raw sanity floor, and every entry reports its own
+``peak_rss_mb`` so memory blowups surface in the report.
 """
 
 from __future__ import annotations
@@ -70,11 +70,10 @@ SCALE_SCENARIOS = ("smallville", "social-graph")
 SCALE_REFERENCE_AGENTS = 2_000
 SCALE_AGENTS = 100_000
 SCALE_STEPS = 30
-#: Shard sizing rule for scale cells: one controller shard per this
-#: many agents (both cells of a scenario use the same rule, so the
-#: per-shard working set — and with it the cache behavior of the
-#: per-shard dependency graphs — is identical at 2k and 1M agents;
-#: only global-structure effects remain in the ratio).
+#: Shard sizing rule for the parallel scale cells: one planner shard
+#: per this many agents, so LPT packs hundreds of small shards onto the
+#: workers and their loads stay balanced. A serial cell runs one graph
+#: whatever the rule says.
 SCALE_AGENTS_PER_SHARD = 250
 #: Scale gate: the large cell's controller agent-steps/s must stay
 #: within this ratio of the same scenario's reference cell. O(live)
@@ -135,7 +134,7 @@ PARALLEL_WORKERS = 4
 #: Parallel gate: the multiprocess 100k cell's controller agent-steps/s
 #: (critical-path accounting — the merged controller time is the
 #: slowest worker's CPU time, i.e. the wall time on dedicated cores)
-#: must beat the same run's in-process sharded cell by this factor.
+#: must beat the same run's in-process cell by this factor.
 #: With 4 workers over ~400 balanced shards the critical path is ~1/4
 #: of the serial walk; 1.5x keeps >2x headroom for skew and merge
 #: overhead while still failing any serialization regression. A
@@ -278,11 +277,12 @@ def bench_scale_one(scenario: str, n_agents: int,
                     n_steps: int = SCALE_STEPS,
                     shards: int | None = None,
                     parallel_workers: int = 0) -> dict:
-    """One tiled scale cell with the region-sharded controller.
+    """One tiled scale cell: one graph in process, or the worker pool.
 
     With ``parallel_workers >= 2`` the replay routes through the
-    multiprocess pool; ``controller_time_s`` is then the merged
-    critical-path (slowest-worker CPU) time, so the derived
+    multiprocess pool over ``shards`` planner shards (default: one per
+    :data:`SCALE_AGENTS_PER_SHARD` agents); ``controller_time_s`` is
+    then the merged critical-path (slowest-worker CPU) time, so the derived
     ``agent_steps_per_sec`` reflects throughput on dedicated cores
     even when the bench host timeshares one.
 
@@ -339,8 +339,8 @@ def run_scale(scenarios: tuple[str, ...] = SCALE_SCENARIOS,
               parallel_workers: int = PARALLEL_WORKERS) -> dict:
     """The scale matrix: reference, serial, and parallel cells.
 
-    Per scenario: a small reference cell, the 100k serial sharded
-    cell, and the same 100k workload through the multiprocess pool.
+    Per scenario: a small reference cell, the 100k serial cell, and
+    the same 100k workload through the multiprocess pool.
     When ``scale_agents`` exceeds the 100k tier (the 1M nightly), one
     extra ``scale-large`` parallel cell runs at ``scale_agents`` and
     is gated against the 100k parallel cell.
@@ -405,11 +405,11 @@ def check_scale_report(report: dict) -> list[str]:
     parallel-scale cells (plus the large cell when the report was run
     above the 100k tier); each gated cell must hold ``scale_ratio >=``
     :data:`MIN_SCALE_RATIO` against its baseline and clear the raw
-    :data:`SCALE_MIN_THROUGHPUT` floor; sharding must have engaged (a
-    planner fallback at scale means the widened-gutter workload broke).
-    Parallel cells must additionally have actually routed through the
-    worker pool and beat the serial cell by :data:`MIN_PARALLEL_RATIO`
-    on ctrl-steps/s.
+    :data:`SCALE_MIN_THROUGHPUT` floor. Parallel cells must
+    additionally have split into shards (a planner fallback at scale
+    means the widened-gutter workload broke), actually routed through
+    the worker pool, and beaten the serial cell by
+    :data:`MIN_PARALLEL_RATIO` on ctrl-steps/s.
     """
     failures = []
     required = ["reference", "scale", "scale-parallel"]
@@ -440,15 +440,15 @@ def check_scale_report(report: dict) -> list[str]:
                 f"{label}: {entry['agent_steps_per_sec']:.0f} "
                 f"agent-steps/s below the {SCALE_MIN_THROUGHPUT:.0f} "
                 f"sanity floor")
-        if entry.get("shards", 1) < 2:
-            failures.append(
-                f"{label}: region sharding did not engage "
-                f"(shards={entry.get('shards')})")
         if entry.get("fallback_scans", 0) > 0:
             failures.append(
                 f"{label}: {entry['fallback_scans']} linear fallback "
                 f"scans at scale")
         if role in ("scale-parallel", "scale-large"):
+            if entry.get("shards", 1) < 2:
+                failures.append(
+                    f"{label}: region sharding did not engage "
+                    f"(shards={entry.get('shards')})")
             if entry.get("parallel_workers", 0) < 2:
                 failures.append(
                     f"{label}: multiprocess path did not engage "

@@ -213,24 +213,24 @@ class SchedulerConfig:
     #: ranking, so the budget drains toward provably-safe candidates.
     #: Set False for the ablation baseline (ranking ignores outcomes).
     speculation_feedback: bool = True
-    #: Region-sharded controller state (million-agent scaling): split the
-    #: map into at most this many provably-independent regions, each with
-    #: its own dependency-graph shard. ``0``/``1`` keeps the single
-    #: graph; sharding also falls back to it when the workload cannot be
-    #: split. Results are bit-identical either way (see
-    #: :mod:`repro.core.sharding`).
+    #: Region count for the worker pool (``parallel_workers >= 2``): the
+    #: planner splits the map into at most this many provably-independent
+    #: shards and packs them onto the workers (see
+    #: :mod:`repro.core.sharding`). ``0``/``1`` means one shard per
+    #: worker. An in-process replay ignores it: it always runs one
+    #: dependency graph.
     shards: int = 0
-    #: Multiprocess controller (replay mode): run the region shards in
-    #: this many persistent worker processes over a shared-memory copy
-    #: of the trace position store. ``0``/``1`` keeps the in-process
-    #: controller; with ``>= 2`` the driver plans regions (honoring
-    #: ``shards`` when set, else one shard per worker), assigns whole
-    #: shards to workers, and merges the workers' ledgers into one
+    #: Multiprocess controller (replay mode): run this many persistent
+    #: worker processes over a shared-memory copy of the trace position
+    #: store. ``0``/``1`` keeps the in-process controller; with ``>= 2``
+    #: the driver plans ``shards`` regions, assigns whole shards to
+    #: workers, lets each worker run one dependency graph over its
+    #: shards' agents, and merges the workers' ledgers into one
     #: :class:`~repro.core.baselines.DriverStats`. Falls back loudly
-    #: (``extra["parallel_fallback"]`` + a logged warning) to in-process
-    #: sharding when the workload cannot be split or the platform lacks
-    #: POSIX shared memory. Results are state-identical either way (see
-    #: :mod:`repro.core.parallel`).
+    #: (``extra["parallel_fallback"]`` + a logged warning) to the
+    #: in-process replay when the workload cannot be split or the
+    #: platform lacks POSIX shared memory. Results are state-identical
+    #: either way (see :mod:`repro.core.parallel`).
     parallel_workers: int = 0
     #: Fault-tolerance policy for the live engine. ``None`` runs under
     #: the default :class:`FaultPolicy` (hardening is always on; set an

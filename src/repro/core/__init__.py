@@ -14,11 +14,10 @@ This package is the paper's contribution:
   (:class:`ControllerCore`) every execution mode runs;
 * :mod:`metropolis` — its virtual-time transport: the Algorithm 3
   controller/worker workflow as a replay driver;
-* :mod:`sharding` — region-sharded controller state: provably
-  independent map regions each own a dependency-graph shard behind a
-  single-graph facade (bit-identical results, million-agent scaling);
-* :mod:`parallel` — the multiprocess controller: region shards run
-  their full controller loops in persistent worker processes over a
+* :mod:`sharding` — the region planner: provably independent map
+  regions, packed into shards and the shards onto worker processes;
+* :mod:`parallel` — the multiprocess controller: each worker process
+  runs one controller loop over its shards' agents against a
   shared-memory position store, ledgers merged into one result;
 * :mod:`baselines` — Algorithm 1 baselines (``single-thread`` and
   ``parallel-sync``);
@@ -30,7 +29,7 @@ This package is the paper's contribution:
 from .engine import SimulationResult, run_replay, critical_path_time
 from .parallel import ShardWorkerPool, run_parallel_replay
 from .rules import DependencyRules, rules_for
-from .sharding import ShardedGraph, plan_regions
+from .sharding import plan_regions
 from .space import (ChebyshevSpace, EuclideanSpace, GraphSpace,
                     ManhattanSpace, Space, space_for)
 
@@ -40,7 +39,6 @@ __all__ = [
     "critical_path_time",
     "DependencyRules",
     "rules_for",
-    "ShardedGraph",
     "plan_regions",
     "ShardWorkerPool",
     "run_parallel_replay",

@@ -2,8 +2,8 @@
 
 The paper's architecture (§3.1) has one controller: dependency graph →
 geo-clusters → ready queue, acks → commit. :class:`ControllerCore` is
-that controller and nothing else: it owns the dependency graph (plain or
-region-sharded), the ``ready`` / ``done`` agent sets and one
+that controller and nothing else: it owns the one dependency graph,
+the ``ready`` / ``done`` agent sets and one
 :class:`DriverStats`. A *transport* owns execution — the virtual-time
 kernel (:class:`~repro.core.metropolis.MetropolisDriver`) or worker
 threads and queues (:class:`~repro.live.engine.LiveSimulation`) — and
@@ -32,7 +32,6 @@ from ..faults import scheduler_diagnostics
 from .baselines import DriverStats
 from .dependency_graph import SpatioTemporalGraph
 from .rules import DependencyRules
-from .sharding import ShardedGraph
 from .space import Position
 
 
@@ -41,19 +40,12 @@ class ControllerCore:
 
     def __init__(self, rules: DependencyRules, positions,
                  target_step: int, *, start_step: int = 0,
-                 shard_plan: list[list[int]] | None = None,
                  stats: DriverStats | None = None,
                  clock: Callable[[], float] = perf_counter,
                  validate: bool = False) -> None:
-        # ``positions``: a mapping by agent id or an ``(n, 2)`` array. A
-        # ``shard_plan`` (independent regions, see ``plan_regions``)
-        # selects the region-sharded graph behind the same facade.
-        if shard_plan is not None and len(shard_plan) >= 2:
-            self.graph = ShardedGraph(rules, positions, shard_plan,
-                                      start_step=start_step)
-        else:
-            self.graph = SpatioTemporalGraph(rules, positions,
-                                             start_step=start_step)
+        # ``positions``: a mapping by agent id or an ``(n, 2)`` array.
+        self.graph = SpatioTemporalGraph(rules, positions,
+                                         start_step=start_step)
         self.target_step = target_step
         self.stats = stats if stats is not None else DriverStats()
         #: Time source of the §3.6 critical-path accounting. Wall clock
@@ -160,8 +152,8 @@ class ControllerCore:
         batch: list[int] = []
         searches = 0
         # Sorted iteration pins cluster discovery (and so dispatch and
-        # virtual timing) to a deterministic order: sharded and single
-        # controllers replay identically, set-hash layout never matters.
+        # virtual timing) to a deterministic order: set-hash layout
+        # never matters.
         for aid in sorted(dirty):
             if aid in visited or aid not in ready:
                 continue
@@ -250,4 +242,4 @@ class ControllerCore:
         extra["graph_wake_skips"] = graph.wake_skips
         extra["graph_fallback_scans"] = graph.fallback_scans
         extra["graph_scanned_slots"] = graph.scanned_slots
-        extra["shards"] = getattr(graph, "n_shards", 1)
+        extra["shards"] = 1  # the worker-pool merge reports its plan's

@@ -112,9 +112,8 @@ def replay_in_process(trace: Trace, scheduler: SchedulerConfig,
     """The one replay wiring: kernel, engine, executor, driver, drain.
 
     Runs in the caller's process — :func:`run_replay`'s, or a shard
-    worker's, which passes ``controller`` keywords for the metropolis
-    drivers: ``shard_plan`` (its slice of the parent's region plan, so
-    nothing is re-planned) and ``clock`` (per-process CPU time).
+    worker's, which passes a ``clock`` keyword (per-process CPU time)
+    for the metropolis drivers.
     """
     # The driver's structures hold O(agents) container objects, and every
     # controller round churns O(agents) more; the cyclic collector the

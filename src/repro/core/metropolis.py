@@ -45,7 +45,6 @@ from ..serving import ServingEngine
 from ..trace import Trace
 from .controller import ControllerCore
 from .rules import rules_for
-from .sharding import plan_regions
 from .tasks import ChainExecutor
 
 #: Interactive clusters sort before every regular step key (§6 hybrid
@@ -110,7 +109,6 @@ class MetropolisDriver:
 
     def __init__(self, kernel: Kernel, engine: ServingEngine, trace: Trace,
                  config: SchedulerConfig, executor: ChainExecutor,
-                 shard_plan: list[list[int]] | None = None,
                  clock=perf_counter) -> None:
         self.kernel = kernel
         self.engine = engine
@@ -126,15 +124,8 @@ class MetropolisDriver:
         self._moved = trace.moved
         #: Its twin: does the (step, agent) chain hold an LLM call?
         self._calling = trace.calling
-        #: ``shard_plan`` overrides region planning outright — the
-        #: multiprocess workers pass their slice of the parent's global
-        #: plan so per-shard graph state matches the in-process
-        #: ``ShardedGraph`` bit-for-bit instead of being re-planned.
-        if shard_plan is None and config.shards >= 2:
-            shard_plan = plan_regions(trace, self.rules, config.shards)
         self.core = ControllerCore(
-            self.rules, self._pos_sa[0], trace.meta.n_steps,
-            shard_plan=shard_plan, clock=clock,
+            self.rules, self._pos_sa[0], trace.meta.n_steps, clock=clock,
             validate=config.validate_causality)
         self.graph = self.core.graph
         self.stats = self.core.stats

@@ -3,19 +3,21 @@
 The region planner (:func:`~repro.core.sharding.plan_regions`) proves
 its regions share **no** dependency edge — no coupling, no blocking, at
 any reachable step gap — so the controller loop over one region never
-reads or writes another region's state. PR 7 exploited that for memory
-locality but still walked the shards in one process; this module runs
-them in genuinely parallel worker processes:
+reads or writes another region's state. This module runs the regions
+in parallel worker processes:
 
 * the parent publishes the trace's step-major position store as one
   named shared-memory segment (:meth:`Trace.share_positions`); workers
   attach **zero-copy** by name and gather only their members' columns;
 * whole shards are assigned to a pool of persistent worker processes
   (:func:`~repro.core.sharding.assign_shards` — the same deterministic
-  LPT rule that balances regions into shards), and each worker runs its
-  shards' full controller loop — blocker scans, clustering, commits,
-  dispatch bookkeeping — against its own virtual-time kernel and
-  serving engine;
+  LPT rule that balances regions into shards). A worker's task is its
+  member slice: the sorted union of its shards' agents, renumbered
+  ``0..m-1`` in that order, and nothing else about the plan. The worker
+  runs one controller loop over one
+  :class:`~repro.core.dependency_graph.SpatioTemporalGraph` — blocker
+  scans, clustering, commits, dispatch bookkeeping — against its own
+  virtual-time kernel and serving engine;
 * **no cross-worker synchronization exists mid-run.** Workers never
   write the shared segment and never message each other; each runs
   :func:`~repro.core.engine.replay_in_process` — the same wiring
@@ -41,13 +43,13 @@ dedicated core per worker — while per-worker times and the true
 parent-side wall time ride along in ``extra`` for transparency.
 
 **Equivalence.** Dependency-disjointness makes the mode state-identical
-to the in-process ``ShardedGraph`` path (which is itself fuzz-pinned to
-the single graph): same final positions, same per-agent call sequences,
-and the same per-shard blocked-edge structure — each worker receives
-its exact slice of the parent's global shard plan (not a re-planned
-one), so every per-shard :class:`SpatioTemporalGraph` evolves through
-the same states. ``tests/test_parallel.py`` fuzz-pins all three modes
-against each other across seeded coordinate and graph worlds.
+to the in-process single graph: same final positions, same per-agent
+call sequences, and the same blocked edges, since no edge of the single
+graph joins two workers' members. Virtual timing differs only where
+the serving deployments do: each worker serves its members on a whole
+deployment of its own. ``tests/test_parallel.py`` fuzz-pins the modes
+against each other across seeded coordinate and graph worlds, and
+``tests/test_golden_replay.py`` pins the worker cells' exact values.
 
 The mode falls back loudly: when the workload yields fewer than two
 regions, ``parallel_workers < 2``, the policy is not a metropolis
@@ -84,7 +86,7 @@ _log = logging.getLogger(__name__)
 _POLL_S = 0.05
 
 #: ``DriverStats.extra`` keys that are *levels*, not counters: summing
-#: them across shards or workers is meaningless, so the canonical merge
+#: them across workers is meaningless, so the canonical merge
 #: reports the minimum live value instead.
 _LEVEL_KEYS = frozenset({"spec_depth"})
 
@@ -92,12 +94,11 @@ _LEVEL_KEYS = frozenset({"spec_depth"})
 def merge_extra_counters(extras: list[dict]) -> dict:
     """The canonical ``DriverStats.extra`` aggregation.
 
-    Numeric counters sum — the same plain integer addition
-    ``ShardedGraph`` applies across its in-process shards — so
-    ``scanned_slots`` / ``kernel_events`` / ``fallback_scans`` mean the
-    same thing whether the shards ran in one process or many. Non-
-    numeric values (per-run lists, diagnostics) do not aggregate and
-    are dropped; level keys (:data:`_LEVEL_KEYS`) take the minimum.
+    Numeric counters sum, so ``scanned_slots`` / ``kernel_events`` /
+    ``fallback_scans`` count the whole population's work whether it ran
+    in one process or many. Non-numeric values (per-run lists,
+    diagnostics) do not aggregate and are dropped; level keys
+    (:data:`_LEVEL_KEYS`) take the minimum.
     """
     out: dict = {}
     for extra in extras:
@@ -125,10 +126,10 @@ def _run_worker_task(task: dict) -> SimulationResult:
 
     :func:`~repro.core.engine.replay_in_process` over this worker's
     slice: positions come from the shared segment (gathered down to the
-    member columns), the driver gets the parent's shard plan instead of
-    re-planning, and the controller clock is per-process CPU time (see
-    module docstring). The ledger is the replay's own result, made
-    compact (no per-request records) and global (timeline agent ids).
+    member columns), one graph covers every member, and the controller
+    clock is per-process CPU time (see module docstring). The ledger is
+    the replay's own result, made compact (no per-request records) and
+    global (timeline agent ids).
     """
     members: np.ndarray = task["members"]
     store = SharedPositionStore.open(
@@ -143,8 +144,7 @@ def _run_worker_task(task: dict) -> SimulationResult:
                   *task["calls"], step_major=True)
     result = replay_in_process(
         trace, task["scheduler"], task["serving"],
-        collect_timeline=task["collect_calls"],
-        shard_plan=task["local_plan"], clock=time.process_time)
+        collect_timeline=task["collect_calls"], clock=time.process_time)
     result.engine_metrics.records = []
     if result.timeline is not None:
         gids = members.tolist()
@@ -183,9 +183,17 @@ def _mp_context():
     try:
         # Fork shares the imported interpreter state, so worker startup
         # is milliseconds; spawn is the portable fallback.
-        return mp.get_context("fork")
+        ctx = mp.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platform
         return mp.get_context("spawn")
+    # Forked workers inherit the parent's resource tracker only if it
+    # runs before the fork. Otherwise each starts its own on its first
+    # attach, which registers the segment there (and before 3.12
+    # nothing unregisters it), so when the worker exits that tracker
+    # "cleans up" the parent's unlinked segments, warning per segment.
+    from multiprocessing import resource_tracker
+    resource_tracker.ensure_running()
+    return ctx
 
 
 class ShardWorkerPool:
@@ -309,26 +317,22 @@ class ShardWorkerPool:
 
 
 def _build_tasks(trace: Trace, scheduler: SchedulerConfig,
-                 serving: ServingConfig, shard_plan: list[list[int]],
+                 serving: ServingConfig, shards: list[list[int]],
                  groups: list[list[int]], store: SharedPositionStore,
                  collect_calls: bool,
                  crash_plan: dict[int, int] | None) -> dict[int, dict]:
-    """One task per worker: its member slice of the global shard plan."""
-    # Workers run their slice unsharded-or-sharded per the local plan;
-    # re-planning or re-parallelizing inside a worker is never right.
+    """One task per worker: the members of the shards LPT gave it."""
+    # A worker runs one graph over its slice; re-planning or
+    # re-parallelizing inside a worker is never right.
     worker_scheduler = replace(scheduler, shards=0, parallel_workers=0)
     call_agent = trace.call_agent
     tasks: dict[int, dict] = {}
     for wid, shard_idxs in enumerate(groups):
+        # Sorted global ids: local id i is the i-th smallest member, so
+        # searchsorted translates the call agents exactly.
         members = np.unique(np.concatenate(
-            [np.asarray(shard_plan[si], dtype=np.int64)
+            [np.asarray(shards[si], dtype=np.int64)
              for si in shard_idxs]))
-        # Shard member lists are sorted global ids, so searchsorted is
-        # an exact global->local translation on both plan and calls.
-        local_plan = [
-            np.searchsorted(members, np.asarray(shard_plan[si],
-                                                dtype=np.int64)).tolist()
-            for si in shard_idxs]
         mask = np.isin(call_agent, members)
         tasks[wid] = {
             "task_id": wid,
@@ -337,7 +341,6 @@ def _build_tasks(trace: Trace, scheduler: SchedulerConfig,
             "shm_dtype": store.dtype.str,
             "meta": trace.meta,
             "members": members,
-            "local_plan": local_plan,
             # The Trace call columns: step, agent (local id), func,
             # prompt tokens, output tokens.
             "calls": (trace.call_step[mask],
@@ -359,8 +362,9 @@ _FOLDS = {"sum": sum, "max": max, "extra": merge_extra_counters}
 
 
 def _merge_results(trace: Trace, scheduler: SchedulerConfig,
-                   ledgers: list[SimulationResult], n_workers: int,
-                   redispatches: int, wall_s: float) -> SimulationResult:
+                   ledgers: list[SimulationResult], n_shards: int,
+                   n_workers: int, redispatches: int,
+                   wall_s: float) -> SimulationResult:
     """Fold the workers' ledgers into one :class:`SimulationResult`."""
     # Crash-consistency evidence: every member of every worker drained
     # to the final step before anything is merged.
@@ -381,6 +385,9 @@ def _merge_results(trace: Trace, scheduler: SchedulerConfig,
         setattr(stats, f.name, getattr(critical, f.name)
                 if rule == "critical"
                 else _FOLDS[rule]([getattr(part, f.name) for part in parts]))
+    # Each worker ran one graph over its shards; the plan's count is
+    # what the pool split the population into.
+    stats.extra["shards"] = n_shards
     stats.extra["parallel_workers"] = n_workers
     stats.extra["worker_redispatches"] = redispatches
     stats.extra["parallel_wall_s"] = wall_s
@@ -465,17 +472,17 @@ def try_parallel_replay(trace: Trace, scheduler: SchedulerConfig,
     rules = rules_for(scheduler, trace.meta)
     max_shards = scheduler.shards if scheduler.shards >= 2 \
         else max(2, scheduler.parallel_workers)
-    shard_plan = plan_regions(trace, rules, max_shards)
-    if shard_plan is None or len(shard_plan) < 2:
+    shards = plan_regions(trace, rules, max_shards)
+    if shards is None:
         return _fallback("fewer than two independent regions in the workload")
     want = scheduler.parallel_workers \
         if scheduler.parallel_workers >= 2 else pool.n_workers
     if pool is not None:
         want = min(want, pool.n_workers)
-    n_workers = min(want, len(shard_plan))
+    n_workers = min(want, len(shards))
     if n_workers < 2:
         return _fallback(f"only {n_workers} worker process usable")
-    groups = assign_shards([len(m) for m in shard_plan], n_workers)
+    groups = assign_shards([len(m) for m in shards], n_workers)
     try:
         store = trace.share_positions()
     except (ImportError, OSError) as exc:
@@ -483,8 +490,8 @@ def try_parallel_replay(trace: Trace, scheduler: SchedulerConfig,
     wall0 = time.perf_counter()
     own_pool = pool is None
     try:
-        tasks = _build_tasks(trace, scheduler, serving, shard_plan,
-                             groups, store, collect_timeline, _crash_plan)
+        tasks = _build_tasks(trace, scheduler, serving, shards, groups,
+                             store, collect_timeline, _crash_plan)
         if own_pool:
             pool = ShardWorkerPool(n_workers, faults=scheduler.faults)
         try:
@@ -497,5 +504,5 @@ def try_parallel_replay(trace: Trace, scheduler: SchedulerConfig,
         store.close()
     wall_s = time.perf_counter() - wall0
     ledgers = [results[tid] for tid in sorted(results)]
-    return _merge_results(trace, scheduler, ledgers, n_workers,
-                          redispatches, wall_s)
+    return _merge_results(trace, scheduler, ledgers, len(shards),
+                          n_workers, redispatches, wall_s)

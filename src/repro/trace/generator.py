@@ -182,9 +182,9 @@ def generate_scale_trace(
     * coordinate scenarios get a **widened gutter**: segments are
       strided ``2 * (radius_p + (n_steps + 1) * max_vel)`` tiles apart
       beyond the map width, putting them outside the worst-case
-      blocking threshold for the whole window. The region-sharded
-      controller (:mod:`repro.core.sharding`) can then prove the
-      segments independent and actually shard; the default one-tile
+      blocking threshold for the whole window. The region planner
+      (:mod:`repro.core.sharding`) can then prove the segments
+      independent and split them across worker processes; the default one-tile
       gutter is disjoint for *simulation* but within pessimistic
       blocking range, which forces the planner's single-region
       fallback. Graph scenarios keep the node-id stride convention —

@@ -6,7 +6,8 @@ clusters the core claimed, finishing them in a seeded order.
 Worlds: the collision-course and anchored-disjoint pairs of
 ``helpers.py`` (a light walker that runs ahead of a heavy laggard until
 the §3.2 rules block it), measured by coordinates or by hops on a ring,
-on the plain graph or as two far copies behind a ``ShardedGraph``.
+alone or as two far copies on one graph (a shard worker's world: regions
+no edge crosses).
 """
 
 import random
@@ -16,7 +17,6 @@ import pytest
 from repro.config import DependencyConfig
 from repro.core import DependencyRules
 from repro.core.controller import ControllerCore
-from repro.core.sharding import ShardedGraph
 from repro.core.space import GraphSpace
 from repro.errors import SchedulingError
 from repro.trace.schema import concat_traces
@@ -43,27 +43,23 @@ def _two_rings() -> GraphSpace:
     return GraphSpace(adj)
 
 
-def _world(course, metric, sharded):
-    """``(rules, step-major positions, n_steps, shard plan)``."""
+def _world(course, metric, regions):
+    """``(rules, step-major positions, n_steps)``."""
     trace = course()
-    plan = None
-    if sharded:
+    if regions == 2:
         trace = concat_traces([trace, trace], x_stride=_FAR)
-        plan = [[0, 1], [2, 3]]
     if metric == "graph":
         rules = DependencyRules(
             DependencyConfig(radius_p=4.0, max_vel=1.0, metric="graph"),
             space=_two_rings())
     else:
         rules = DependencyRules(DependencyConfig())
-    return rules, trace.positions_by_step, trace.meta.n_steps, plan
+    return rules, trace.positions_by_step, trace.meta.n_steps
 
 
-def _core(course, metric, sharded, **kw):
-    rules, pos_sa, n_steps, plan = _world(course, metric, sharded)
-    core = ControllerCore(rules, pos_sa[0], n_steps, shard_plan=plan, **kw)
-    assert isinstance(core.graph, ShardedGraph) == sharded
-    return core, pos_sa
+def _core(course, metric, regions, **kw):
+    rules, pos_sa, n_steps = _world(course, metric, regions)
+    return ControllerCore(rules, pos_sa[0], n_steps, **kw), pos_sa
 
 
 def _moves(pos_sa, step, members):
@@ -89,8 +85,8 @@ def _run_walkers_until_blocked(core, pos_sa):
     return walkers, held
 
 
-WORLDS = pytest.mark.parametrize("sharded", [False, True],
-                                 ids=["plain", "sharded"])
+WORLDS = pytest.mark.parametrize("regions", [1, 2],
+                                 ids=["one-region", "two-regions"])
 METRICS = pytest.mark.parametrize("metric", ["euclidean", "graph"])
 COURSES = pytest.mark.parametrize(
     "course", [collision_course_trace, disjoint_course_trace],
@@ -103,8 +99,8 @@ COURSES = pytest.mark.parametrize(
 class TestRoundLoop:
     @pytest.mark.parametrize("order_seed", [0, 1, 2])
     def test_reaches_lockstep_state_valid_after_every_retire(
-            self, course, metric, sharded, order_seed):
-        core, pos_sa = _core(course, metric, sharded)
+            self, course, metric, regions, order_seed):
+        core, pos_sa = _core(course, metric, regions)
         rng = random.Random(order_seed)
         n, n_steps = core.graph.n_agents, core.target_step
         in_flight = core.step([], {})
@@ -129,12 +125,12 @@ class TestRoundLoop:
         core.sync_stats()
         assert stats.blocked_events > 0
         assert stats.blocked_events == stats.unblock_events
-        assert stats.extra["shards"] == (2 if sharded else 1)
+        assert stats.extra["shards"] == 1
         assert stats.extra["graph_fallback_scans"] == 0
 
     def test_validate_flag_checks_inside_retire(self, course, metric,
-                                                sharded, monkeypatch):
-        core, pos_sa = _core(course, metric, sharded, validate=True)
+                                                regions, monkeypatch):
+        core, pos_sa = _core(course, metric, regions, validate=True)
         calls = []
         monkeypatch.setattr(type(core.graph), "validate",
                             lambda self: calls.append(1))
@@ -148,8 +144,8 @@ class TestRoundLoop:
 @WORLDS
 class TestAbort:
     def test_abort_then_redispatch_restores_the_graph_exactly(
-            self, metric, sharded):
-        core, pos_sa = _core(collision_course_trace, metric, sharded)
+            self, metric, regions):
+        core, pos_sa = _core(collision_course_trace, metric, regions)
         graph = core.graph
         _, held = _run_walkers_until_blocked(core, pos_sa)
         assert held  # the laggards; the blocked walkers are not in it
@@ -171,9 +167,9 @@ class TestAbort:
             core.step(members, _moves(pos_sa, step, members))
         graph.validate()
 
-    def test_commit_and_abort_in_one_round(self, metric, sharded):
+    def test_commit_and_abort_in_one_round(self, metric, regions):
         """Failed and finished clusters of one ack batch: one step."""
-        core, pos_sa = _core(collision_course_trace, metric, sharded)
+        core, pos_sa = _core(collision_course_trace, metric, regions)
         first = core.step([], {})
         assert len(first) >= 2
         (s0, done), (_, failed) = first[0], first[1]
@@ -187,8 +183,8 @@ class TestAbort:
 @METRICS
 @WORLDS
 class TestStalled:
-    def test_wedged_state_names_the_blocked_agents(self, metric, sharded):
-        core, pos_sa = _core(disjoint_course_trace, metric, sharded)
+    def test_wedged_state_names_the_blocked_agents(self, metric, regions):
+        core, pos_sa = _core(disjoint_course_trace, metric, regions)
         # Wedge: the laggards' clusters never finish (a transport that
         # lost their acks).
         walkers, held = _run_walkers_until_blocked(core, pos_sa)

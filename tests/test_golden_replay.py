@@ -9,8 +9,9 @@ them — under one combination of
 * serving: fluid on 8 GPUs, uncapped (``fluid``) or with
   ``num_workers=3`` (``fluid-w3``); iteration fidelity on one GPU with
   distance KV retention under the scenario's pressure fraction (``kv``);
-* ``shards``: 0 and 2 (``parallel-sync`` has no sharded controller and
-  ignores the knob; its cells are kept as written).
+* ``shards``: 0 and 2. An in-process replay runs one graph and ignores
+  the knob, so each ``(·, ·, 2, 0)`` cell equals its ``(·, ·, 0, 0)``
+  one; with ``parallel_workers=2`` it is the planner's region count.
 
 and pins two values: the virtual completion time (an exact float) and
 :func:`timeline_fingerprint` of its calls. A change that claims

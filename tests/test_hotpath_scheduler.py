@@ -621,6 +621,25 @@ class TestHotpathBench:
         assert failures == ["smallville@2000: required matrix cell "
                             "missing from the report"]
 
+    def test_scale_gate_wants_shards_on_parallel_cells_only(self):
+        """A serial scale cell runs one graph (``shards`` 1); a parallel
+        cell the planner did not split means the workload broke."""
+        from repro.bench import hotpath as hp
+
+        cell = {"scenario": "smallville", "n_agents": 100_000, "shards": 1,
+                "scale_ratio": 1.0, "agent_steps_per_sec": 1e5,
+                "fallback_scans": 0}
+        report = {"scenarios": ["smallville"], "entries": [
+            {**cell, "role": "reference", "n_agents": 2000},
+            {**cell, "role": "scale"},
+            {**cell, "role": "scale-parallel", "shards": 400,
+             "parallel_workers": 4, "parallel_ratio": 2.0}]}
+        assert hp.check_scale_report(report) == []
+        report["entries"][2]["shards"] = 1
+        assert hp.check_scale_report(report) == [
+            "smallville@100000[scale-parallel]: region sharding did not "
+            "engage (shards=1)"]
+
     def test_driver_reports_cache_counters(self, synthetic_trace):
         from repro.config import SchedulerConfig
         from repro.core import run_replay

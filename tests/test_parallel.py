@@ -1,9 +1,10 @@
-"""Multiprocess controller (PR 10): equivalence fuzz against the
-in-process sharded and single-graph paths, crashed-worker redispatch,
-cross-mode counter-aggregation parity, shared-memory hygiene, and the
-worker-assignment balancer."""
+"""Multiprocess controller: equivalence fuzz against the in-process
+single graph and against the same worker tasks run in this process,
+crashed-worker redispatch, counter-aggregation parity, shared-memory
+hygiene, and the worker-assignment balancer."""
 
 import logging
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -22,6 +23,7 @@ from repro.trace.generator import generate_scale_trace
 from repro.trace.schema import SharedPositionStore, concat_traces
 
 from helpers import random_trace
+from test_golden_replay import InProcessPool, counters
 
 pytestmark = pytest.mark.skipif(
     not sys.platform.startswith("linux") and sys.platform != "darwin",
@@ -61,41 +63,49 @@ def _stray_segments():
     return sorted(p.name for p in shm_dir.glob("repro-pos-*"))
 
 
-def _assert_modes_match(trace, single, sharded, parallel):
+def _modes(trace, base, pool):
+    """``(single, parallel)``: the in-process replay and the worker pool
+    (``parallel_workers=2``) on ``trace``; the pool's result must equal
+    the same tasks run in this process, counter for counter."""
+    single = run_replay(trace, base, collect_timeline=True)
+    workers = replace(base, parallel_workers=2)
+    parallel = run_parallel_replay(trace, workers, collect_timeline=True,
+                                   pool=pool)
+    here = run_parallel_replay(trace, workers, collect_timeline=True,
+                               pool=InProcessPool())
+    assert parallel is not None and here is not None
+    assert parallel.driver_stats.extra["parallel_workers"] == 2
+    assert parallel.completion_time == here.completion_time
+    assert counters(parallel) == counters(here)
+    return single, parallel
+
+
+def _assert_modes_match(trace, single, parallel):
     """Final state and per-agent call sequences — the order-independent
-    facts — are identical across the three modes. Timing-entangled
+    facts — are identical in process and in the pool. Timing-entangled
     counters (kernel_events, mid-run scan totals) are *not* pinned on
     traces with calls: each worker owns a serving engine while the
-    in-process modes share one, so intra-region commit interleavings
+    in-process run shares one, so intra-region commit interleavings
     legitimately differ (confluence covers state, not event counts)."""
     n, steps = trace.meta.n_agents, trace.meta.n_steps
-    assert parallel.driver_stats.extra["parallel_workers"] >= 2
-    for r in (single, sharded, parallel):
+    for r in (single, parallel):
         assert r.n_tasks_completed == n * steps
         assert r.n_calls_completed == trace.n_calls
-    ref = _per_agent_sequences(single.timeline, n)
-    assert _per_agent_sequences(sharded.timeline, n) == ref
-    assert _per_agent_sequences(parallel.timeline, n) == ref
+    assert _per_agent_sequences(parallel.timeline, n) == \
+        _per_agent_sequences(single.timeline, n)
 
 
 class TestParallelEquivalenceFuzz:
-    """Multiprocess == in-process-sharded == single-graph, across
-    coordinate worlds with calls and coordinate/graph scale worlds
-    (3 cells x 40 seeds = 120 worlds)."""
+    """Worker pool == in-process single graph, across coordinate worlds
+    with calls and coordinate/graph scale worlds (3 cells x 40 seeds =
+    120 worlds)."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**9))
     def test_coordinate_worlds_with_calls(self, pool, seed):
         trace = _calls_trace(seed)
         base = SchedulerConfig(shards=4, validate_causality=True)
-        single = run_replay(trace, replace(base, shards=0),
-                            collect_timeline=True)
-        sharded = run_replay(trace, base, collect_timeline=True)
-        parallel = run_parallel_replay(
-            trace, replace(base, parallel_workers=2),
-            collect_timeline=True, pool=pool)
-        assert parallel is not None
-        _assert_modes_match(trace, single, sharded, parallel)
+        _assert_modes_match(trace, *_modes(trace, base, pool))
 
     @pytest.mark.parametrize("scenario", ["smallville", "social-graph"])
     @settings(max_examples=40, deadline=None)
@@ -104,38 +114,28 @@ class TestParallelEquivalenceFuzz:
         trace = generate_scale_trace(total_agents=60, n_steps=10,
                                      scenario=scenario, base_seed=seed)
         base = SchedulerConfig(shards=4, validate_causality=True)
-        single = run_replay(trace, replace(base, shards=0),
-                            collect_timeline=True)
-        sharded = run_replay(trace, base, collect_timeline=True)
-        parallel = run_parallel_replay(
-            trace, replace(base, parallel_workers=2),
-            collect_timeline=True, pool=pool)
-        assert parallel is not None
-        _assert_modes_match(trace, single, sharded, parallel)
+        single, parallel = _modes(trace, base, pool)
+        _assert_modes_match(trace, single, parallel)
         # Scale windows are call-free, so every worker's virtual clock
         # runs the same overhead model the shared kernel would: the
         # merged completion (max over workers) is exact, and so are the
         # structural counters.
-        assert parallel.completion_time == sharded.completion_time
+        assert parallel.completion_time == single.completion_time
         assert parallel.driver_stats.blocked_events == \
-            sharded.driver_stats.blocked_events
+            single.driver_stats.blocked_events
         assert parallel.driver_stats.unblock_events == \
-            sharded.driver_stats.unblock_events
+            single.driver_stats.unblock_events
 
     def test_speculative_policy_matches(self, pool):
         trace = generate_scale_trace(total_agents=60, n_steps=10,
                                      base_seed=5)
         base = SchedulerConfig(policy="metropolis-spec", shards=4,
                                validate_causality=True)
-        sharded = run_replay(trace, base, collect_timeline=True)
-        parallel = run_parallel_replay(
-            trace, replace(base, parallel_workers=2),
-            collect_timeline=True, pool=pool)
-        assert parallel is not None
+        single, parallel = _modes(trace, base, pool)
         n = trace.meta.n_agents
-        assert parallel.n_tasks_completed == sharded.n_tasks_completed
+        assert parallel.n_tasks_completed == single.n_tasks_completed
         assert _per_agent_sequences(parallel.timeline, n) == \
-            _per_agent_sequences(sharded.timeline, n)
+            _per_agent_sequences(single.timeline, n)
 
 
 class TestCrashRedispatch:
@@ -166,15 +166,14 @@ class TestCrashRedispatch:
 
 
 class TestCounterAggregation:
-    """Satellite: per-shard counters must aggregate identically in the
-    in-process and multiprocess paths — plain sums, no double counting,
-    no dropped shards."""
+    """Worker counters aggregate as plain sums — no double counting, no
+    dropped worker — and the merge reports the plan's shard count."""
 
     def test_merged_extra_is_the_sum_of_worker_ledgers(self):
         """Run each worker's exact task in-process and check the
         multiprocess run's merged counters equal the plain sum of the
-        ledgers — the same identity ``ShardedGraph`` satisfies across
-        its in-process shards."""
+        ledgers, except ``shards``: each worker ran one graph, and the
+        merge reports how many shards the plan split the agents into."""
         from repro.config import ServingConfig
         from repro.core import parallel as par
         from repro.core.rules import rules_for
@@ -197,6 +196,9 @@ class TestCounterAggregation:
         assert result is not None
         expected = merge_extra_counters(
             [led.driver_stats.extra for led in ledgers])
+        assert [led.driver_stats.extra["shards"] for led in ledgers] \
+            == [1, 1]
+        expected["shards"] = len(plan)
         for key, value in expected.items():
             assert result.driver_stats.extra[key] == value, key
         for field in ("tasks_completed", "clusters_dispatched",
@@ -207,9 +209,8 @@ class TestCounterAggregation:
                     for led in ledgers), field
         assert result.completion_time == \
             max(led.completion_time for led in ledgers)
-        # Counters the in-process facade sums over shards must be
-        # summed here too — present, numeric, and region-complete.
-        assert result.driver_stats.extra["shards"] == len(plan)
+        # The graph counters are present, numeric and region-complete.
+        assert result.driver_stats.extra["shards"] == len(plan) == 3
         for key in ("graph_scanned_slots", "graph_fallback_scans",
                     "graph_scans", "kernel_events"):
             assert key in result.driver_stats.extra, key
@@ -223,6 +224,44 @@ class TestCounterAggregation:
         ])
         assert merged == {"scanned_slots": 7, "kernel_events": 7,
                           "fallback_scans": 1, "spec_depth": 2}
+
+
+class TestWorkerTasks:
+    def test_a_task_is_its_shards_members_sorted(self):
+        """A worker's task is the sorted union of its shards' agents and
+        exactly their calls, agent ids renumbered to that order."""
+        from repro.config import ServingConfig
+        from repro.core import parallel as par
+        from repro.core.rules import rules_for
+        from repro.core.sharding import plan_regions
+
+        trace = _calls_trace(9)
+        sched = SchedulerConfig(shards=4, parallel_workers=2)
+        # Reversed, the shards' id ranges run backwards: a worker's
+        # concatenated shards are out of order until its task sorts them.
+        plan = plan_regions(trace, rules_for(sched, trace.meta), 4)[::-1]
+        groups = assign_shards([len(m) for m in plan], 2)
+        assert max(map(len, groups)) == 2
+        store = trace.share_positions()
+        try:
+            tasks = par._build_tasks(trace, sched, ServingConfig(), plan,
+                                     groups, store, False, None)
+        finally:
+            store.unlink()
+            store.close()
+        for wid, group in enumerate(groups):
+            task = tasks[wid]
+            members = sorted(a for si in group for a in plan[si])
+            assert task["members"].tolist() == members
+            mine = np.isin(trace.call_agent, members)
+            step, local, *rest = task["calls"]
+            for got, want in zip(
+                    (step, task["members"][local], *rest),
+                    (trace.call_step, trace.call_agent, trace.call_func,
+                     trace.call_in, trace.call_out)):
+                assert got.tolist() == want[mine].tolist()
+            assert (task["scheduler"].shards,
+                    task["scheduler"].parallel_workers) == (0, 0)
 
 
 class TestSharedMemoryHygiene:
@@ -264,6 +303,26 @@ class TestSharedMemoryHygiene:
         assert result is not None
         assert result.driver_stats.extra["worker_redispatches"] == 1
         assert _stray_segments() == before
+
+    def test_pool_made_before_any_segment_warns_of_none(self):
+        """Workers forked before the parent first shared a store still
+        leave its cleanup to the parent's resource tracker."""
+        import subprocess
+        script = (
+            "from repro.config import SchedulerConfig\n"
+            "from repro.core.parallel import ShardWorkerPool, "
+            "run_parallel_replay\n"
+            "from repro.trace.generator import generate_scale_trace\n"
+            "with ShardWorkerPool(2) as pool:\n"
+            "    assert run_parallel_replay(generate_scale_trace(\n"
+            "        total_agents=60, n_steps=10, base_seed=15),\n"
+            "        SchedulerConfig(parallel_workers=2), pool=pool)\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 0, done.stderr
+        assert "resource_tracker" not in done.stderr, done.stderr
 
 
 class TestFallbacks:

@@ -1,28 +1,42 @@
-"""Region-sharded controller state: exact equivalence with the single
-graph, the region planner's safety margin, and the million-agent memory
-paths (sampled landmarks, capped BFS, streamed trace concatenation)."""
+"""The region planner: its safety margin, the boundary proof (no
+dependency edge of one graph ever crosses a planned region), the commit
+input forms, and the banded scan's locality."""
 
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro._util import FastRng
 from repro.config import DependencyConfig, SchedulerConfig
-from repro.core import DependencyRules, ShardedGraph, plan_regions, \
-    run_replay, rules_for
+from repro.core import DependencyRules, plan_regions, run_replay, rules_for
 from repro.core.dependency_graph import SpatioTemporalGraph
 from repro.core.space import GraphSpace
-from repro.errors import SchedulingError
 from repro.trace.generator import generate_scale_trace
+from repro.trace.schema import concat_traces
 
-from helpers import ring_space as _ring_space
+from helpers import random_trace, ring_space as _ring_space
+from test_golden_replay import counters
+from test_hotpath_scheduler import (DictReferenceGraph,
+                                    _assert_graph_matches_reference,
+                                    _commit_both, _random_cluster)
 
 
 def _fake_trace(positions_by_step: np.ndarray) -> SimpleNamespace:
     return SimpleNamespace(positions_by_step=positions_by_step)
+
+
+def _two_rings(v, chords=0, seed=0):
+    """``(rules, adjacency)`` of two disjoint copies of a ``v``-node ring
+    with chords: nodes ``(i, 0)`` and ``(i + 1000, 0)``."""
+    base = _ring_space(v, chords=chords, seed=seed)
+    adj = dict(base._adj)
+    adj.update({(a + 1000, 0): tuple((b + 1000, 0) for b, _ in vs)
+                for (a, _), vs in base._adj.items()})
+    return DependencyRules(
+        DependencyConfig(radius_p=1.0, max_vel=1.0, metric="graph"),
+        space=GraphSpace(adj)), adj
 
 
 class TestPlanRegions:
@@ -55,18 +69,10 @@ class TestPlanRegions:
         assert plan_regions(_fake_trace(pos), rules, 2) is None
 
     def test_graph_metric_regions_are_components(self):
-        space = _ring_space(12)
-        # Two disjoint ring copies: offset the second's node ids.
-        adj = dict(space._adj)
-        adj.update({(n + 100, 0): tuple((m + 100, 0) for m, _ in vs)
-                    for (n, _), vs in space._adj.items()})
-        two = GraphSpace(adj)
-        rules = DependencyRules(
-            DependencyConfig(radius_p=1.0, max_vel=1.0, metric="graph"),
-            space=two)
+        rules, _ = _two_rings(12)
         pos = np.zeros((5, 6, 2), dtype=np.int32)
         pos[:, :3, 0] = [0, 4, 8]
-        pos[:, 3:, 0] = [100, 104, 108]
+        pos[:, 3:, 0] = [1000, 1004, 1008]
         shards = plan_regions(_fake_trace(pos), rules, 4)
         assert shards is not None
         assert sorted(sorted(s) for s in shards) == [[0, 1, 2], [3, 4, 5]]
@@ -96,74 +102,163 @@ class TestPlanRegions:
         assert plan_regions(_fake_trace(pos4), rules, 0) is None
 
 
-def _fuzz_world(groups):
-    """``(n, initial position array, shard plan)`` of disjoint groups."""
-    positions = {}
-    for g in groups:
-        positions.update(g)
-    n = len(positions)
-    init = np.array([positions[i] for i in range(n)], dtype=np.int64)
-    return n, init, [sorted(g) for g in groups]
+def _region_of(plan, n):
+    region = [-1] * n
+    for r, members in enumerate(plan):
+        for aid in members:
+            region[aid] = r
+    assert -1 not in region
+    return region
 
 
-def _dispatchable_cluster(graph, n, rng):
-    """A random coupling component of ``graph`` that is free to run."""
-    for seed_aid in sorted(range(n), key=lambda _: rng.random()):
-        if graph.running[seed_aid] or graph.is_blocked(seed_aid):
-            continue
-        members = graph.component_for(seed_aid, set())
-        if not any(graph.is_blocked(m) for m in members):
-            return members
-    raise AssertionError("fuzz deadlocked")
-
-
-def _mirror_commit_fuzz(rules, groups, moves, rng, iters=30):
-    """Drive identical random commits through the single graph and a
-    ShardedGraph over ``groups``; every observable must match exactly."""
-    n, init, plan = _fuzz_world(groups)
-    single = SpatioTemporalGraph(rules, init)
-    sharded = ShardedGraph(rules, init, plan)
-    assert sharded.n_shards == len(groups)
-
-    for _ in range(iters):
-        cluster = _dispatchable_cluster(single, n, rng)
-        # The facade's component must be the same members (global ids).
-        assert sharded.component_for(cluster[0], set()) == cluster
-        single.mark_running(cluster)
-        sharded.mark_running(cluster)
-        new_pos = {m: moves(single.pos[m])[
-            rng.integers(0, len(moves(single.pos[m])))] for m in cluster}
-        r1 = single.commit(cluster, new_pos)
-        r2 = sharded.commit(cluster, new_pos)
-        assert r2.unblocked == r1.unblocked
-        assert {m: set(v) for m, v in r2.member_neighbors.items()} == \
-            {m: set(v) for m, v in r1.member_neighbors.items()}
-        assert sharded.min_step == single.min_step
-        assert sharded.max_step == single.max_step
+def _boundary_fuzz(rules, pos_sa, plan, rng):
+    """One graph over every region, driven by random cluster orders with
+    each member's next position read off ``pos_sa``: after every commit
+    the graph equals the dict reference, and neither the reference's
+    blockers nor any coupling component crosses a region of ``plan``.
+    Every third agent is mostly passed over, so the rest run ahead of
+    it until the rules block them."""
+    n_steps, n = pos_sa.shape[0] - 1, pos_sa.shape[1]
+    region = _region_of(plan, n)
+    laggards = set(range(0, n, 3))
+    graph = SpatioTemporalGraph(rules, pos_sa[0])
+    ref = DictReferenceGraph(
+        rules, {a: tuple(pos_sa[0, a].tolist()) for a in range(n)})
+    while min(graph.step) < n_steps:
+        done = {a for a in range(n) if graph.step[a] == n_steps}
+        batch: list[int] = []
+        for _ in range(rng.integers(1, 4)):
+            skip = done | set(batch)
+            members = _random_cluster(graph, rules, rng, n,
+                                      exclude=skip | laggards) \
+                if rng.random() < 0.8 else None
+            if members is None:
+                members = _random_cluster(graph, rules, rng, n, exclude=skip)
+            if members is None:
+                break
+            graph.mark_running(members)
+            for m in members:
+                ref.running[m] = True
+            batch += members
+        assert batch, "graph deadlocked"
+        _commit_both(graph, ref, batch, {
+            m: tuple(pos_sa[graph.step[m] + 1, m].tolist()) for m in batch})
+        _assert_graph_matches_reference(graph, ref, n)
         for aid in range(n):
-            assert sharded.step[aid] == single.step[aid]
-            assert sharded.pos[aid] == single.pos[aid]
-            assert sharded.running[aid] == single.running[aid]
-            assert bool(sharded.blocked_by[aid]) == \
-                bool(single.blocked_by[aid])
-            assert sharded.blockers_of(aid) == single.blockers_of(aid)
-            assert sharded.is_blocked(aid) == single.is_blocked(aid)
-            if not single.running[aid]:
-                assert sharded.invocation_distance(aid) == \
-                    single.invocation_distance(aid)
-        assert sharded.snapshot() == single.snapshot()
+            assert {region[b] for b in ref.blockers(aid)} <= {region[aid]}
+            if not graph.running[aid]:
+                assert {region[m] for m in graph.component_for(
+                    aid, set())} == {region[aid]}
+    assert graph.blocked_events > 0  # the regions' own edges were real
 
 
-def _commit_forms_fuzz(rules, groups, moves, rng, iters=40, stay_p=0.7):
-    """One random commit stream, three input forms, two graph classes.
+#: Atomic regions (8) or regions packed into two shards (2), as a
+#: worker gets them.
+MAX_SHARDS = pytest.mark.parametrize("max_shards", [8, 2])
+
+
+class TestRegionBoundary:
+    """The proof the worker pool rests on, checked on one graph (fixed
+    worlds: each must also see blocked edges)."""
+
+    @MAX_SHARDS
+    def test_coordinate_segments_near_the_margin(self, max_shards):
+        # Segments strided around the planner's margin: at ``slack`` 0
+        # the two closest tiles of neighbouring segments sit one tile
+        # beyond it, below 0 their agents may reach each other. (A
+        # planner margin of ``radius_p + 4 * max_vel`` fails here.)
+        n_steps, width = 12, 12
+        rules = DependencyRules(DependencyConfig())
+        margin = int(rules.radius_p + (n_steps + 1) * rules.max_vel)
+        for seed, slack in enumerate(range(-12, 2)):
+            trace = concat_traces(
+                [random_trace(seed * 31 + k, n_agents=6, n_steps=n_steps,
+                              width=width, height=12, p_call=0.0)
+                 for k in range(3)], x_stride=width + margin + 1 + slack)
+            plan = plan_regions(trace, rules, max_shards)
+            if slack >= 0:
+                assert plan is not None and len(plan) == min(3, max_shards)
+            _boundary_fuzz(rules, trace.positions_by_step,
+                           plan or [list(range(trace.meta.n_agents))],
+                           FastRng(seed))
+
+    @MAX_SHARDS
+    def test_graph_components(self, max_shards):
+        n_steps, n = 10, 8
+        for seed, v in enumerate(range(12, 22)):
+            rules, adj = _two_rings(v, chords=v // 4, seed=seed)
+            rng = FastRng(seed)
+            pos = np.zeros((n_steps + 1, n, 2), dtype=np.int32)
+            for aid in range(n):
+                node = (rng.integers(0, v) + (1000 if aid % 2 else 0), 0)
+                for s in range(n_steps + 1):
+                    pos[s, aid] = node
+                    hops = [node, *adj[node]]  # stay or one hop
+                    node = hops[rng.integers(0, len(hops))]
+            plan = plan_regions(_fake_trace(pos), rules, max_shards)
+            assert sorted(map(sorted, plan)) == [list(range(0, n, 2)),
+                                                 list(range(1, n, 2))]
+            _boundary_fuzz(rules, pos, plan, rng)
+
+    def test_laggards_block_only_their_own_region(self):
+        """Deterministic deep gap: each region's laggard blocks its own
+        leader while a lone far agent sprints ahead, on one graph."""
+        rules = DependencyRules(DependencyConfig())
+        init = np.array([(0, 0), (6, 0), (500, 0), (506, 0), (1000, 0)])
+        region = _region_of(plan_regions(
+            _fake_trace(np.repeat(init[None], 13, axis=0)), rules, 8), 5)
+        assert region == [0, 0, 1, 1, 2]
+        graph = SpatioTemporalGraph(rules, init)
+
+        def advance(aid):
+            graph.mark_running([aid])
+            unblocked = graph.commit([aid], {}).unblocked
+            assert {region[u] for u in unblocked} <= {region[aid]}
+
+        for _ in range(12):
+            for aid in (1, 3, 4):
+                if not graph.is_blocked(aid):
+                    advance(aid)
+            for aid in range(5):
+                assert {region[b] for b in graph.blockers_of(aid)} \
+                    <= {region[aid]}
+        assert graph.blockers_of(1) == {0} and graph.blockers_of(3) == {2}
+        assert graph.step[4] == 12
+        # Laggards catch up: each release stays inside its region.
+        while min(graph.step) < 12:
+            for aid in range(4):
+                if graph.step[aid] < 12 and not graph.is_blocked(aid):
+                    advance(aid)
+        assert not any(map(graph.is_blocked, range(5)))
+
+
+class TestInProcessIgnoresShards:
+    """An in-process replay runs one graph whatever ``shards`` says."""
+
+    @pytest.mark.parametrize("policy", ["metropolis", "metropolis-spec"])
+    @pytest.mark.parametrize("scenario", ["smallville", "social-graph"])
+    def test_same_replay_with_and_without_shards(self, scenario, policy):
+        trace = generate_scale_trace(total_agents=75, n_steps=25,
+                                     scenario=scenario, base_seed=11)
+        base = SchedulerConfig(policy=policy, validate_causality=True)
+        assert plan_regions(trace, rules_for(base, trace.meta), 4)
+        r0 = run_replay(trace, base)
+        r4 = run_replay(trace, replace(base, shards=4))
+        assert r4.driver_stats.extra["shards"] == 1
+        assert r4.completion_time == r0.completion_time
+        assert counters(r4) == counters(r0)
+
+
+def _commit_forms_fuzz(rules, positions, moves, rng, iters=40, stay_p=0.7):
+    """One random commit stream, three input forms, one graph each.
 
     ``commit`` reads "did not move" off its mapping: a member absent
     from it, a member mapped to an equal position, and a member mapped
     to the graph's own position object must all mean the same thing —
-    same :class:`CommitResult`, blocked edges and slot table — on the
-    plain graph and behind the sharded facade.
+    same :class:`CommitResult`, blocked edges and slot table.
     """
-    n, init, plan = _fuzz_world(groups)
+    n = len(positions)
+    init = np.array([positions[i] for i in range(n)], dtype=np.int64)
     forms = {
         "movers-only": lambda g, new: {m: p for m, p in new.items()
                                        if p != g.pos[m]},
@@ -171,115 +266,55 @@ def _commit_forms_fuzz(rules, groups, moves, rng, iters=40, stay_p=0.7):
         "current": lambda g, new: {m: g.pos[m] if p == g.pos[m] else p
                                    for m, p in new.items()},
     }
-    singles = {f: SpatioTemporalGraph(rules, init) for f in forms}
-    shardeds = {f: ShardedGraph(rules, init, plan) for f in forms}
-    lead = singles["full"]
+    graphs = {f: SpatioTemporalGraph(rules, init) for f in forms}
+    lead = graphs["full"]
 
     def observe(graph, result):
-        slots = [sub._slot_snapshot() for sub in graph._shards] \
-            if isinstance(graph, ShardedGraph) else graph._slot_snapshot()
         return (result.unblocked,
                 {m: sorted(v) for m, v in result.member_neighbors.items()},
                 [graph.blockers_of(a) for a in range(n)],
-                graph.snapshot(), slots)
+                graph.snapshot(), graph._slot_snapshot())
 
     for _ in range(iters):
-        cluster = _dispatchable_cluster(lead, n, rng)
+        cluster = _random_cluster(lead, rules, rng, n)
+        assert cluster is not None, "fuzz deadlocked"
         new = {}
         for m in cluster:
             cands = moves(lead.pos[m])
             new[m] = lead.pos[m] if rng.random() < stay_p \
                 else cands[rng.integers(0, len(cands))]
         seen = {}
-        for family in (singles, shardeds):
-            for form, graph in family.items():
-                graph.mark_running(cluster)
-                seen[form] = observe(
-                    graph, graph.commit(cluster, forms[form](graph, new)))
-            assert seen["movers-only"] == seen["full"] == seen["current"]
+        for form, graph in graphs.items():
+            graph.mark_running(cluster)
+            seen[form] = observe(
+                graph, graph.commit(cluster, forms[form](graph, new)))
+        assert seen["movers-only"] == seen["full"] == seen["current"]
     assert lead.scan_skips + lead.near_checks > 0  # slack gate engaged
-    # The input form changes no work either (shard-local min steps make
-    # the two classes' scan counters legitimately differ, not the forms).
-    for family in (singles, shardeds):
-        for counter in ("scans", "scan_skips", "near_checks",
-                        "scanned_slots", "blocked_events"):
-            assert len({getattr(g, counter) for g in family.values()}) == 1
+    # The input form changes no work either.
+    for counter in ("scans", "scan_skips", "near_checks",
+                    "scanned_slots", "blocked_events"):
+        assert len({getattr(g, counter) for g in graphs.values()}) == 1
 
 
-class TestShardedGraphEquivalence:
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 10**9), na=st.integers(2, 6),
-           nb=st.integers(2, 6))
-    def test_two_far_regions_coordinate(self, seed, na, nb):
-        rng = FastRng(seed)
-        rules = DependencyRules(DependencyConfig())
-        # Boxes far beyond any threshold the fuzz can reach, and moves
-        # clipped to each box so the regions stay provably independent.
-        lo_a, hi_a = 0, 40
-        lo_b, hi_b = 600, 640
-        group_a = {i: (rng.integers(lo_a, hi_a), rng.integers(0, 40))
-                   for i in range(na)}
-        group_b = {na + i: (rng.integers(lo_b, hi_b), rng.integers(0, 40))
-                   for i in range(nb)}
-
-        def moves(pos):
-            x, y = pos
-            lo, hi = (lo_a, hi_a) if x < 300 else (lo_b, hi_b)
-            out = [(x, y)]
-            if x + 1 < hi:
-                out.append((x + 1, y))
-            if x - 1 >= lo:
-                out.append((x - 1, y))
-            out += [(x, y + 1), (x, y - 1)]
-            return out
-
-        _mirror_commit_fuzz(rules, [group_a, group_b], moves, rng)
-
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 10**9), n=st.integers(2, 5),
-           v=st.integers(6, 14))
-    def test_disjoint_components_graph_metric(self, seed, n, v):
-        rng = FastRng(seed)
-        base = _ring_space(v, chords=v // 3, seed=seed)
-        adj = dict(base._adj)
-        adj.update({(a + 1000, 0): tuple((b + 1000, 0) for b, _ in vs)
-                    for (a, _), vs in base._adj.items()})
-        space = GraphSpace(adj)
-        rules = DependencyRules(
-            DependencyConfig(radius_p=1.0, max_vel=1.0, metric="graph"),
-            space=space)
-        group_a = {i: (rng.integers(0, v), 0) for i in range(n)}
-        group_b = {n + i: (1000 + rng.integers(0, v), 0) for i in range(n)}
-
-        def moves(pos):
-            return [pos, *space._adj[pos]]
-
-        _mirror_commit_fuzz(rules, [group_a, group_b], moves, rng)
-
+class TestCommitInputForms:
     @pytest.mark.parametrize("metric", ["euclidean", "graph"])
     def test_commit_input_forms_are_equivalent(self, metric):
         rng = FastRng(7)
         if metric == "graph":
-            base = _ring_space(12, chords=4, seed=7)
-            adj = dict(base._adj)
-            adj.update({(a + 1000, 0): tuple((b + 1000, 0) for b, _ in vs)
-                        for (a, _), vs in base._adj.items()})
-            space = GraphSpace(adj)
-            rules = DependencyRules(
-                DependencyConfig(radius_p=1.0, max_vel=1.0,
-                                 metric="graph"), space=space)
-            groups = [{i: (rng.integers(0, 12), 0) for i in range(5)},
-                      {5 + i: (1000 + rng.integers(0, 12), 0)
-                       for i in range(5)}]
+            rules, adj = _two_rings(12, chords=4, seed=7)
+            positions = {i: (rng.integers(0, 12), 0) for i in range(5)}
+            positions.update({5 + i: (1000 + rng.integers(0, 12), 0)
+                              for i in range(5)})
 
             def moves(pos):
-                return [pos, *space._adj[pos]]
+                return [pos, *adj[pos]]
         else:
             rules = DependencyRules(DependencyConfig())
-            groups = [{i: (rng.integers(0, 40), rng.integers(0, 40))
-                       for i in range(6)},
-                      {6 + i: (600 + rng.integers(0, 40),
-                               rng.integers(0, 40)) for i in range(6)}]
+            positions = {i: (rng.integers(0, 40), rng.integers(0, 40))
+                         for i in range(6)}
+            positions.update({6 + i: (600 + rng.integers(0, 40),
+                                      rng.integers(0, 40))
+                              for i in range(6)})
 
             def moves(pos):
                 x, y = pos
@@ -287,104 +322,7 @@ class TestShardedGraphEquivalence:
                 return [(min(max(x + dx, lo), lo + 39), y + dy)
                         for dx, dy in ((0, 0), (1, 0), (-1, 0), (0, 1),
                                        (0, -1))]
-        _commit_forms_fuzz(rules, groups, moves, rng)
-
-    def test_three_shards_with_blocking_laggard(self):
-        """Deterministic deep-gap scenario: a laggard blocks its own
-        region's leader while other regions sprint ahead — blocker sets
-        and wake behavior must track the single graph exactly."""
-        rules = DependencyRules(DependencyConfig())
-        groups = [{0: (0, 0), 1: (6, 0)},
-                  {2: (500, 0), 3: (506, 0)},
-                  {4: (1000, 0)}]
-        positions = {}
-        for g in groups:
-            positions.update(g)
-        init = np.array([positions[i] for i in range(5)], dtype=np.int64)
-        single = SpatioTemporalGraph(rules, init)
-        sharded = ShardedGraph(rules, init, [sorted(g) for g in groups])
-        # Advance 1, 3, and 4 repeatedly; 0 and 2 lag and eventually
-        # block their region's runner. Positions never change.
-        for _ in range(12):
-            for aid in (1, 3, 4):
-                if single.is_blocked(aid):
-                    assert sharded.is_blocked(aid)
-                    continue
-                assert not sharded.is_blocked(aid)
-                single.mark_running([aid])
-                sharded.mark_running([aid])
-                p = {aid: tuple(single.pos[aid])}
-                r1 = single.commit([aid], p)
-                r2 = sharded.commit([aid], p)
-                assert r2.unblocked == r1.unblocked
-            for aid in range(5):
-                assert sharded.blockers_of(aid) == single.blockers_of(aid)
-        assert single.is_blocked(1) and single.is_blocked(3)
-        assert not single.is_blocked(4)
-        # Laggards catch up: releases must propagate identically.
-        for _ in range(12):
-            for aid in (0, 2):
-                if single.is_blocked(aid) or single.step[aid] >= 12:
-                    continue
-                single.mark_running([aid])
-                sharded.mark_running([aid])
-                p = {aid: tuple(single.pos[aid])}
-                r1 = single.commit([aid], p)
-                r2 = sharded.commit([aid], p)
-                assert r2.unblocked == r1.unblocked
-        assert not single.is_blocked(1)
-        assert not sharded.is_blocked(1)
-
-    def test_member_coverage_is_checked(self):
-        rules = DependencyRules(DependencyConfig())
-        init = np.zeros((4, 2), dtype=np.int64)
-        init[:, 0] = [0, 10, 500, 510]
-        with pytest.raises(ValueError):
-            ShardedGraph(rules, init, [[0, 1], [2]])
-
-
-class TestDriverEquivalence:
-    """Sharded and single controllers replay bit-identically."""
-
-    @pytest.mark.parametrize("scenario", ["smallville", "social-graph"])
-    def test_replay_results_match(self, scenario):
-        trace = generate_scale_trace(total_agents=75, n_steps=25,
-                                     scenario=scenario, base_seed=11)
-        base = SchedulerConfig(policy="metropolis",
-                               validate_causality=True)
-        r0 = run_replay(trace, base)
-        r4 = run_replay(trace, replace(base, shards=4))
-        assert r4.driver_stats.extra["shards"] > 1
-        assert r0.driver_stats.extra["shards"] == 1
-        assert r4.completion_time == r0.completion_time
-        assert r4.driver_stats.blocked_events == \
-            r0.driver_stats.blocked_events
-        assert r4.driver_stats.unblock_events == \
-            r0.driver_stats.unblock_events
-        assert r4.driver_stats.clusters_dispatched == \
-            r0.driver_stats.clusters_dispatched
-        assert r4.n_tasks_completed == r0.n_tasks_completed
-        assert r4.n_calls_completed == r0.n_calls_completed
-
-    def test_speculative_policy_matches(self):
-        trace = generate_scale_trace(total_agents=50, n_steps=20,
-                                     scenario="smallville", base_seed=7)
-        base = SchedulerConfig(policy="metropolis-spec",
-                               validate_causality=True)
-        r0 = run_replay(trace, base)
-        r4 = run_replay(trace, replace(base, shards=4))
-        assert r4.completion_time == r0.completion_time
-        assert r4.n_tasks_completed == r0.n_tasks_completed
-
-    def test_unshardable_workload_falls_back(self):
-        # The default concatenated gutter is inside the safety margin,
-        # so the planner must refuse and the driver keeps one graph.
-        from repro.trace.generator import generate_concatenated_trace
-        trace = generate_concatenated_trace(total_agents=50, n_steps=20,
-                                            base_seed=3)
-        r = run_replay(trace, SchedulerConfig(policy="metropolis",
-                                              shards=4))
-        assert r.driver_stats.extra["shards"] == 1
+        _commit_forms_fuzz(rules, positions, moves, rng)
 
 
 class TestScannedSlotsLocality:
@@ -411,46 +349,3 @@ class TestScannedSlotsLocality:
         # touch only the scanner's own band neighborhood.
         assert flat.scanned_slots >= n_far // 2
         assert banded.scanned_slots <= 10 * banded.scans
-
-
-class TestShardedAbort:
-    """abort_running mirrors through every shard and the global view."""
-
-    def _pair(self):
-        rules = DependencyRules(DependencyConfig())
-        init = np.array([(0, 0), (2, 0), (5000, 0), (5002, 0)],
-                        dtype=np.int64)
-        single = SpatioTemporalGraph(rules, init)
-        sharded = ShardedGraph(rules, init, [[0, 1], [2, 3]])
-        return single, sharded
-
-    def test_abort_matches_single_graph(self):
-        single, sharded = self._pair()
-        for g in (single, sharded):
-            g.mark_running([0, 1])
-            g.mark_running([2, 3])
-            g.abort_running([2, 3])
-        for aid in range(4):
-            assert sharded.running[aid] == single.running[aid]
-            assert sharded.step[aid] == single.step[aid]
-        assert not sharded.running[2] and not sharded.running[3]
-        # Rolled-back members are redispatchable on their home shard and
-        # the still-running cluster is untouched.
-        assert sharded.component_for(2, set()) == [2, 3]
-        assert sharded.running[0] and sharded.running[1]
-
-    def test_abort_of_non_running_raises(self):
-        _, sharded = self._pair()
-        with pytest.raises(SchedulingError, match="not running"):
-            sharded.abort_running([2])
-
-    def test_abort_then_commit_round_trip(self):
-        single, sharded = self._pair()
-        for g in (single, sharded):
-            g.mark_running([0, 1])
-            g.abort_running([0, 1])
-            g.mark_running([0, 1])
-            g.commit([0, 1], {0: (0, 0), 1: (2, 0)})
-        assert sharded.snapshot() == single.snapshot()
-        assert sharded.min_step == single.min_step == 0
-        assert sharded.max_step == single.max_step == 1

@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import SchedulerConfig, ServingConfig
 from repro.core import run_replay
+from repro.core.parallel import run_parallel_replay
 from repro.trace.generator import generate_scale_trace
 
 from helpers import (collision_course_trace, disjoint_course_trace,
                      random_trace)
+from test_golden_replay import InProcessPool, counters
 
 
 def _run(trace, policy, collect_timeline=False, fault_hook=None, **kw):
@@ -172,23 +174,36 @@ class TestSpecEquivalenceFuzz:
     """Spec vs plain OOO vs the lock-step oracle on random small
     worlds: identical committed world state, per-agent call sequences,
     and the speculation ledger — across coordinate and graph metrics,
-    sharded and unsharded (4 cells x 50 seeds = 200 worlds)."""
+    in process and as two worker tasks (4 cells x 50 seeds = 200
+    worlds)."""
 
-    @pytest.mark.parametrize("scenario,shards", [
-        ("smallville", 1), ("smallville", 4),
-        ("social-graph", 1), ("social-graph", 4)])
+    @pytest.mark.parametrize("scenario,workers", [
+        ("smallville", 0), ("smallville", 2),
+        ("social-graph", 0), ("social-graph", 2)])
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10**9))
-    def test_matches_plain_and_oracle(self, scenario, shards, seed):
-        trace = generate_scale_trace(total_agents=24, n_steps=10,
-                                     scenario=scenario, base_seed=seed)
-        base = SchedulerConfig(policy="metropolis-spec", shards=shards,
+    def test_matches_plain_and_oracle(self, scenario, workers, seed):
+        # Two segments are two regions: one worker task each.
+        trace = generate_scale_trace(
+            total_agents=24 * (workers or 1), n_steps=10,
+            scenario=scenario, base_seed=seed)
+        base = SchedulerConfig(policy="metropolis-spec",
+                               parallel_workers=workers,
                                validate_causality=True)
-        spec = run_replay(trace, base, collect_timeline=True)
-        plain = run_replay(trace, replace(base, policy="metropolis"),
-                           collect_timeline=True)
+
+        def replay(config):
+            if not workers:
+                return run_replay(trace, config, collect_timeline=True)
+            result = run_parallel_replay(trace, config,
+                                         collect_timeline=True,
+                                         pool=InProcessPool())
+            assert result is not None
+            return result
+
+        spec = replay(base)
+        plain = replay(replace(base, policy="metropolis"))
         sync = run_replay(trace, replace(base, policy="parallel-sync",
-                                         shards=1),
+                                         parallel_workers=0),
                           collect_timeline=True)
 
         n, steps = trace.meta.n_agents, trace.meta.n_steps
@@ -220,17 +235,24 @@ class TestSpecEquivalenceFuzz:
         if extra["rollback_rows"] == 0:
             assert spec.n_calls_completed == trace.n_calls
 
-    def test_sharded_spec_equals_unsharded(self):
+    def test_worker_spec_equals_in_process(self):
+        """Real worker processes equal their tasks run here, counter for
+        counter; on a call-free trace both equal the in-process run."""
         trace = generate_scale_trace(total_agents=50, n_steps=15,
                                      scenario="smallville", base_seed=3)
         base = SchedulerConfig(policy="metropolis-spec",
                                validate_causality=True)
-        r1 = run_replay(trace, base)
-        r4 = run_replay(trace, replace(base, shards=4))
-        assert r4.completion_time == r1.completion_time
-        assert r4.n_tasks_completed == r1.n_tasks_completed
-        assert r4.driver_stats.extra["speculations"] == \
-            r1.driver_stats.extra["speculations"]
+        single = run_replay(trace, base)
+        workers = replace(base, parallel_workers=2)
+        there = run_replay(trace, workers)
+        here = run_parallel_replay(trace, workers, pool=InProcessPool())
+        assert there.driver_stats.extra["parallel_workers"] == 2
+        assert counters(there) == counters(here)
+        assert there.completion_time == here.completion_time \
+            == single.completion_time
+        assert there.n_tasks_completed == single.n_tasks_completed
+        assert there.driver_stats.extra["speculations"] == \
+            single.driver_stats.extra["speculations"]
 
 
 class TestSpeculationFeedback:
