@@ -142,7 +142,7 @@ def run_scenario() -> None:
     print(f"  zero-rescan on the graph metric: "
           f"{extra.get('graph_scan_skips', 0)} scan skips, "
           f"{extra.get('graph_near_checks', 0)} near-set checks, "
-          f"{extra.get('graph_fallback_scans', 0)} linear fallback scans")
+          f"{extra.get('graph_scans', 0)} full scans")
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from pathlib import Path
 
 GRAPH = "src/repro/core/dependency_graph.py"
 SPACE = "src/repro/core/space.py"
+INDEX = "src/repro/core/clustering.py"
 CORE = "src/repro/core/controller.py"
 DRIVER = "src/repro/core/metropolis.py"
 TASKS = "src/repro/core/tasks.py"
@@ -27,31 +28,40 @@ POOL = "src/repro/core/parallel.py"
 PLANNER = "src/repro/core/sharding.py"
 GOLDEN = "tests/test_golden_replay.py"
 PARALLEL = "tests/test_parallel.py"
+GRAPH_SPACE = "tests/test_graph_space.py"
 WRITE = "node[aid] = self._node_index(new_p)"
 COMPARE = "row[local[nb]] if comp[nb] == ca else inf"
 
 #: name -> (file, old text, new text, which occurrence, tests). The
-#: hop-row lane: every writer of ``pos[aid]`` writes the node index,
-#: and the two sites a cross-component pair can reach (the band scan
-#: and ``dist_within``) compare components before reading a row. The
-#: one-call round: ``ControllerCore.step``'s singleton lane and sorted
-#: seeds, the fused commit's peer count, the call-free cluster's due
-#: time and call test, and pins for callers only. The worker path: a
+#: hop-row lane: the commit writes the node index wherever it writes
+#: ``pos[aid]``, and the two sites a cross-component pair can reach
+#: (the band scan and ``dist_within``) compare components before
+#: reading a row. The off-grid cell lane: a mover's cell and every
+#: initial cell come from ``Space.bucket``, and a space without cells
+#: is refused. The one-call round: ``ControllerCore.step``'s singleton
+#: lane and sorted seeds, the fused commit's peer count, the call-free
+#: cluster's due time and call test, and pins for callers only. The
+#: worker path: a
 #: task's members sorted (local ids monotone in global ids), its calls
 #: from every shard it got, global ids back on its timeline, the plan's
 #: shard count in the merge, and the planner's whole-trace margin.
 MUTANTS = {
-    "fast-commit-skips-node-index": (
+    "commit-skips-node-index": (
         GRAPH, f"if node is not None:\n                    {WRITE}",
         "if False:\n                    pass", 0,
-        "tests/test_graph_space.py tests/test_hotpath_scheduler.py"),
-    "generic-commit-skips-node-index": (
-        GRAPH, f"self._{WRITE}", "pass", 0, "tests/test_graph_space.py"),
+        f"{GRAPH_SPACE} tests/test_hotpath_scheduler.py"),
     "scan-drops-component-compare": (
-        GRAPH, COMPARE, "row[local[nb]]", 0, "tests/test_graph_space.py"),
+        GRAPH, COMPARE, "row[local[nb]]", 0, GRAPH_SPACE),
     "space-drops-component-compare": (
-        SPACE, "if la[2] != lb[2]:", "if False:", 0,
-        "tests/test_graph_space.py"),
+        SPACE, "if la[2] != lb[2]:", "if False:", 0, GRAPH_SPACE),
+    "off-grid-mover-keeps-old-cell": (
+        GRAPH, "nc = bucket(new_p, cell)", "nc = oc", 0, GRAPH_SPACE),
+    "initial-cells-constant": (
+        GRAPH, "return [bucket(p, cell) for p in self.pos]",
+        "return [(0, 0) for p in self.pos]", 0, GRAPH_SPACE),
+    "space-without-cells-accepted": (
+        INDEX, "if not self._grid and self._window is None:", "if False:",
+        0, GRAPH_SPACE),
     "singleton-lane-skips-blocked-check": (
         CORE, "if not blocked_by[aid]:", "if True:", 0, GOLDEN),
     "clusters-in-set-order": (

@@ -15,7 +15,7 @@ pure scheduler overhead.
 cell's exact counters — the same trace gives the same count on every
 machine — must stay under its scenario's row of :data:`COUNT_CEILINGS`
 (full blocker scans per agent-step, slots per scan, kernel events per
-cluster, linear fallback scans); every (scenario, agent-count) cell the
+cluster); every (scenario, agent-count) cell the
 report ran must be present; and with ``--spec`` the speculative mode's
 virtual-time ratio over plain OOO must hold :data:`MIN_SPEC_RATIO` on
 every cell and win on one. The timings — controller agent-steps/s per
@@ -97,8 +97,7 @@ def _ceilings(scans: float, events_total: float, slots_per_scan: float,
     return {"scans_per_agent_step": scans,
             "events_total_per_cluster": events_total,
             "scanned_slots_per_scan": slots_per_scan,
-            "kernel_events_per_cluster": kernel_events,
-            "fallback_scans": 0}
+            "kernel_events_per_cluster": kernel_events}
 
 
 #: The hot-path gate: per scenario, a ceiling on each exact counter of a
@@ -111,8 +110,7 @@ def _ceilings(scans: float, events_total: float, slots_per_scan: float,
 #: above the worst committed 25-2000 cell (trailing comments, same
 #: order). A call-free cluster taking a launch event again reads 1.13 /
 #: 1.47 / 0.74 / 0.52 driver events (each row's worst cell before that
-#: launch went), past every row; any ``fallback_scans`` (linear scans
-#: outside the bucketed fast path) means the fast-path gate broke.
+#: launch went), past every row.
 COUNT_CEILINGS: dict[str, dict[str, float]] = {
     # 0.0760 / 1.652 / 17.17 / 0.686
     "market-town": _ceilings(0.095, 2.07, 21.5, 0.857),
@@ -214,7 +212,6 @@ def bench_one(scenario: str, n_agents: int,
         / max(stats.clusters_dispatched, 1),
         "events_total_per_cluster": stats.extra.get("kernel_events_total", 0)
         / max(stats.clusters_dispatched, 1),
-        "fallback_scans": stats.extra.get("graph_fallback_scans", 0),
         "scans_per_agent_step": stats.extra.get("graph_scans", 0)
         / agent_steps,
         "scanned_slots": stats.extra.get("graph_scanned_slots", 0),
@@ -319,7 +316,6 @@ def bench_scale_one(scenario: str, n_agents: int,
         "wall_time_s": wall,
         "controller_time_s": controller,
         "clusters_dispatched": stats.clusters_dispatched,
-        "fallback_scans": stats.extra.get("graph_fallback_scans", 0),
         "scanned_slots": stats.extra.get("graph_scanned_slots", 0),
         "scanned_slots_per_scan": stats.extra.get("graph_scanned_slots", 0)
         / max(stats.extra.get("graph_scans", 0), 1),
@@ -440,10 +436,6 @@ def check_scale_report(report: dict) -> list[str]:
                 f"{label}: {entry['agent_steps_per_sec']:.0f} "
                 f"agent-steps/s below the {SCALE_MIN_THROUGHPUT:.0f} "
                 f"sanity floor")
-        if entry.get("fallback_scans", 0) > 0:
-            failures.append(
-                f"{label}: {entry['fallback_scans']} linear fallback "
-                f"scans at scale")
         if role in ("scale-parallel", "scale-large"):
             if entry.get("shards", 1) < 2:
                 failures.append(

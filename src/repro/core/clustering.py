@@ -7,25 +7,23 @@ other's last-step writes and must advance together.
 
 The :class:`SpatialIndex` hashes positions into cells of the coupling
 threshold so both clustering and blocked-edge discovery touch only local
-candidates. Three hot-path refinements keep the controller's critical
-path light (§3.6):
+candidates. Every space answers with cells (the contract is in
+:mod:`repro.core.space`), and every query walks one window of them:
 
 * for grid spaces the candidate cells are the **tight window spanned by
   the query's bounding box** (a 2x2 window for the common
   radius <= cell case), and membership uses the space's ``within``
   predicate (squared-distance compare for Euclidean — no sqrt per
   candidate);
+* other spaces hand over the same kind of window as four integers
+  (``cell_window``; ``GraphSpace`` derives it from landmark BFS levels)
+  and are walked by the same loop. A space with neither grid cells nor
+  a window is refused at construction;
 * :meth:`SpatialIndex.query_into` fills a **caller-owned buffer**, so
   the per-round queries of the controller allocate nothing, and the
   dependency graph's batched commits move members with caller-computed
   cells (:meth:`SpatialIndex.move_bucketed`) against position storage
-  it shares with the graph;
-* non-coordinate spaces with cells (``GraphSpace``: landmark BFS
-  levels, see :mod:`repro.core.space`) hand over the same kind of
-  window as four integers (``cell_window``) and are walked by the same
-  loop, with the exact ``within`` predicate per candidate; only a space
-  with no bucketing at all degrades to a linear scan of its
-  ``bucket_range``.
+  it shares with the graph.
 
 Coupling components are searched *inside*
 :class:`~repro.core.dependency_graph.SpatioTemporalGraph`
@@ -38,6 +36,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Sequence
 
 from .._util import UnionFind
+from ..errors import ConfigError
 from .space import Position, Space
 
 
@@ -51,12 +50,16 @@ class SpatialIndex:
         self.cell = cell
         self._buckets: dict[tuple, set[Hashable]] = {}
         self._positions: dict[Hashable, Position] = {}
-        #: Fast-path hooks (see module docstring).
+        #: How a query derives its cell window (see module docstring).
         self._grid = bool(getattr(space, "grid_bucketing", False))
-        #: ``cell_window`` of a non-grid space with cells (GraphSpace).
-        self._window = getattr(space, "cell_window", None) \
-            if getattr(space, "cell_bucketing", False) and not self._grid \
-            else None
+        self._window = None if self._grid \
+            else getattr(space, "cell_window", None)
+        if not self._grid and self._window is None:
+            raise ConfigError(
+                f"{type(space).__name__} has neither grid_bucketing nor "
+                f"cell_window; a space that cannot bound distances "
+                f"answers with one constant cell: bucket -> (0, 0) and "
+                f"cell_window -> (0, 0, 0, 0)")
         within = getattr(space, "within", None)
         if within is None:
             dist = space.dist
@@ -64,29 +67,9 @@ class SpatialIndex:
                 return _dist(a, b) <= radius
         self._within = within
 
-    def __len__(self) -> int:
-        return len(self._positions)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._positions
-
-    def position(self, key: Hashable) -> Position:
-        return self._positions[key]
-
-    def insert(self, key: Hashable, pos: Position) -> None:
-        if key in self._positions:
-            self.remove(key)
-        self._positions[key] = pos
-        self._buckets.setdefault(self.space.bucket(pos, self.cell),
-                                 set()).add(key)
-
     def bulk_load(self, items: Iterable[tuple[Hashable, Position]]) -> None:
-        """Insert many fresh ``(key, pos)`` pairs in one pass.
-
-        Skips the per-item presence check of :meth:`insert`; callers
-        load whole trace slices or initial populations this way (keys
-        must not already be present).
-        """
+        """Insert many fresh ``(key, pos)`` pairs in one pass (keys must
+        not already be present)."""
         positions = self._positions
         setdefault = self._buckets.setdefault
         bucket = self.space.bucket
@@ -99,13 +82,11 @@ class SpatialIndex:
                         ) -> dict[tuple, set[Hashable]]:
         """Bulk-load dense keys ``0..n-1`` from precomputed fine cells.
 
-        Fast path for array-backed callers (the dependency graph): the
-        caller owns position storage (it aliases its dense position
-        list into :attr:`_positions`) and has already derived every
-        agent's cell in one vectorized pass, so this builds only the
-        bucket map — grouped set construction against reused dict
-        entries, no per-item ``insert``/presence-check churn, no
-        second position dict. Returns the bucket dict so the caller
+        For array-backed callers (the dependency graph): the caller
+        owns position storage (it aliases its dense position list into
+        :attr:`_positions`) and has already derived every agent's cell,
+        so this builds only the bucket map — no ``Space.bucket`` call,
+        no second position dict. Returns the bucket dict so the caller
         can seed further per-cell structures from the same grouping
         without regrouping (the graph builds its step-bucketed slot
         table straight from it).
@@ -118,33 +99,6 @@ class SpatialIndex:
                 buckets[c] = b = set()
             b.add(key)
         return buckets
-
-    def remove(self, key: Hashable) -> None:
-        pos = self._positions.pop(key)
-        bucket = self.space.bucket(pos, self.cell)
-        members = self._buckets.get(bucket)
-        if members is not None:
-            members.discard(key)
-            if not members:
-                del self._buckets[bucket]
-
-    def move(self, key: Hashable, pos: Position) -> None:
-        old = self._positions.get(key)
-        if old is not None:
-            cell = self.cell
-            old_bucket = self.space.bucket(old, cell)
-            new_bucket = self.space.bucket(pos, cell)
-            self._positions[key] = pos
-            if old_bucket == new_bucket:
-                return
-            members = self._buckets.get(old_bucket)
-            if members is not None:
-                members.discard(key)
-                if not members:
-                    del self._buckets[old_bucket]
-            self._buckets.setdefault(new_bucket, set()).add(key)
-            return
-        self.insert(key, pos)
 
     def move_bucketed(self, key: Hashable, old_bucket: tuple,
                       new_bucket: tuple) -> None:
@@ -177,52 +131,37 @@ class SpatialIndex:
         positions = self._positions
         buckets = self._buckets
         within = self._within
-        window = self._window
-        if self._grid or window is not None:
-            # Tight cell window: candidates lie in the cells spanned by
-            # the query's bounding box — for the common radius <= cell
-            # case that is a 2x2 window, not a 3x3 center stencil —
-            # or, off the grid, in the space's own ``cell_window``.
-            cell = self.cell
-            if window is not None:
-                cx0, cx1, cy0, cy1 = window(pos, radius, cell)
-            else:
-                x = pos[0]
-                y = pos[1]
-                cx0 = int((x - radius) // cell)
-                cx1 = int((x + radius) // cell)
-                cy0 = int((y - radius) // cell)
-                cy1 = int((y + radius) // cell)
-            if (cx1 - cx0 + 1) * (cy1 - cy0 + 1) > len(buckets):
-                # Wide query (blocker radius grows with step spread):
-                # scanning the occupied buckets beats probing a mostly
-                # empty window.
-                for (bx, by), members in buckets.items():
-                    if cx0 <= bx <= cx1 and cy0 <= by <= cy1:
-                        for key in members:
-                            if within(pos, positions[key], radius):
-                                out.append(key)
-                return out
-            for bx in range(cx0, cx1 + 1):
-                for by in range(cy0, cy1 + 1):
-                    members = buckets.get((bx, by))
-                    if members:
-                        for key in members:
-                            if within(pos, positions[key], radius):
-                                out.append(key)
+        # Tight cell window: candidates lie in the cells spanned by the
+        # query's bounding box — for the common radius <= cell case that
+        # is a 2x2 window, not a 3x3 center stencil — or, off the grid,
+        # in the space's own ``cell_window``.
+        cell = self.cell
+        if self._grid:
+            x = pos[0]
+            y = pos[1]
+            cx0 = int((x - radius) // cell)
+            cx1 = int((x + radius) // cell)
+            cy0 = int((y - radius) // cell)
+            cy1 = int((y + radius) // cell)
+        else:
+            cx0, cx1, cy0, cy1 = self._window(pos, radius, cell)
+        if (cx1 - cx0 + 1) * (cy1 - cy0 + 1) > len(buckets):
+            # Wide query (blocker radius grows with step spread):
+            # scanning the occupied buckets beats probing a mostly
+            # empty window.
+            for (bx, by), members in buckets.items():
+                if cx0 <= bx <= cx1 and cy0 <= by <= cy1:
+                    for key in members:
+                        if within(pos, positions[key], radius):
+                            out.append(key)
             return out
-        seen_linear = False
-        for bucket in self.space.bucket_range(pos, radius, self.cell):
-            if bucket == ():  # non-geometric space: one global bucket
-                if seen_linear:
-                    continue
-                seen_linear = True
-            members = buckets.get(bucket)
-            if not members:
-                continue
-            for key in members:
-                if within(pos, positions[key], radius):
-                    out.append(key)
+        for bx in range(cx0, cx1 + 1):
+            for by in range(cy0, cy1 + 1):
+                members = buckets.get((bx, by))
+                if members:
+                    for key in members:
+                        if within(pos, positions[key], radius):
+                            out.append(key)
         return out
 
 

@@ -240,6 +240,8 @@ class ControllerCore:
         extra["graph_scan_skips"] = graph.scan_skips
         extra["graph_near_checks"] = graph.near_checks
         extra["graph_wake_skips"] = graph.wake_skips
-        extra["graph_fallback_scans"] = graph.fallback_scans
+        # Every space answers with cells, so no scan falls back; the
+        # constant stays for its reader, benchmarks/e2e/workloads.py.
+        extra["graph_fallback_scans"] = 0
         extra["graph_scanned_slots"] = graph.scanned_slots
         extra["shards"] = 1  # the worker-pool merge reports its plan's

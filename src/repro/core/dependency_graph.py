@@ -103,21 +103,18 @@ fuzz model pins this).
 None of the three mechanisms is Euclidean-specific: the slack and wake
 bounds only need the triangle inequality plus the ``max_vel`` movement
 bound, and the step-bucketed index only needs 2D integer cells whose
-per-axis difference lower-bounds the true distance. The fast path is
-therefore gated on ``Space.cell_bucketing`` — coordinate grids provide
-it by floor division, :class:`~repro.core.space.GraphSpace` by landmark
-BFS levels — so ``metric="graph"`` worlds take the same zero-rescan
-path; ``grid_bucketing`` only selects how a cell and the coupling
-window are derived (floor division vs ``Space.bucket`` /
+per-axis difference lower-bounds the true distance — the cell contract
+every :class:`~repro.core.space.Space` meets (coordinate grids by floor
+division, :class:`~repro.core.space.GraphSpace` by landmark BFS levels,
+a space with no bound by one constant cell). So there is one commit
+path for every metric; ``grid_bucketing`` only selects how a cell and
+the coupling window are derived (floor division vs ``Space.bucket`` /
 ``cell_window``) — both kinds walk the window as four integers and
 filter on step before any distance. What a distance *costs* is the
 space's business: Euclidean checks are inlined, and a hop-metric space
 hands over per-source **hop rows** that the three exact-check sites
 index by the node index the graph keeps per agent (see
-:class:`~repro.core.space.GraphSpace`). Spaces with no usable bucketing
-at all keep the legacy
-:meth:`SpatioTemporalGraph._scan_fallback` linear scan (counted by
-``fallback_scans`` so tests can assert it stays off the fast path).
+:class:`~repro.core.space.GraphSpace`).
 """
 
 from __future__ import annotations
@@ -224,13 +221,12 @@ class SpatioTemporalGraph:
         self._two_mv = 2.0 * rules.max_vel
         #: Hop-metric spaces (GraphSpace) number their nodes: the graph
         #: keeps one node index per agent, written wherever ``pos[aid]``
-        #: is — here and on both commit paths, bucketed or not — so the
-        #: exact checks below read ``row[local[node[bid]]]``, with
-        #: ``row`` the source's hop row, instead of calling the space
-        #: per candidate (the band scan, the one site a pair from two
-        #: components can reach, compares components first). All
-        #: ``None`` elsewhere. An unknown node is refused here and at
-        #: commit, by the space, with its name.
+        #: is — here and at commit — so the exact checks below read
+        #: ``row[local[node[bid]]]``, with ``row`` the source's hop row,
+        #: instead of calling the space per candidate (the band scan,
+        #: the one site a pair from two components can reach, compares
+        #: components first). All ``None`` elsewhere. An unknown node is
+        #: refused here and at commit, by the space, with its name.
         self._node_index = getattr(rules.space, "node_index", None)
         self._node: list[int] | None = None
         self._node_comp = self._node_local = self._hop_row = None
@@ -257,20 +253,10 @@ class SpatioTemporalGraph:
         self.index = SpatialIndex(
             rules.space,
             cell=max(cell_span * rules.couple_threshold, 1.0))
-        self.index.bulk_load(enumerate(self.pos))
         #: agents per step value, for O(1) min-step maintenance.
         self._step_counts: dict[int, int] = {start_step: n}
         self._min_step = start_step
         self._max_step = start_step
-        #: Reusable spatial-query scratch buffer (non-grid fallback).
-        self._qbuf: list[int] = []
-        #: Zero-rescan fast path: any space whose cells lower-bound the
-        #: metric (coordinate grids, landmark-bucketed graph spaces)
-        #: gets the step-bucketed blocker index. Slots are densely
-        #: packed in [0, _bcount): scans slice the live prefix, frees
-        #: swap the last slot down — no free list, no sentinels.
-        self._bucket_fast = bool(getattr(rules.space, "cell_bucketing",
-                                         False))
         #: Exact type check: subclasses may override dist/within (e.g.
         #: wrap-around metrics), which the inlined L2 would bypass.
         self._euclid = type(rules.space) is EuclideanSpace
@@ -285,35 +271,32 @@ class SpatioTemporalGraph:
         #: until the next commit, so component BFS seeds from them
         #: instead of re-querying the spatial index.
         self._fresh: dict[int, Sequence[int]] = {}
-        #: Component BFS scratch buffer (distinct from the commit-path
-        #: _qbuf: a round may interleave with pure blocker queries).
+        #: Component BFS scratch buffer.
         self._cbuf: list[int] = []
         #: Coarse band width in fine cells (ctor override serves the
         #: fuzz harness: band_size=1 stresses the window walk, a huge
         #: value degenerates to the unbanded single-table reference).
         self._band = int(band_size) if band_size else BAND_CELLS
-        if self._bucket_fast:
-            # Dense ids let the index read positions straight from the
-            # graph's own list: commits update one storage, and
-            # query_into sees every move for free.
-            self.index._positions = self.pos
-            #: Banded slot table: slots keyed (step, cellx, celly) live
-            #: in per-band sub-tables keyed by (cellx//B, celly//B);
-            #: _bslot maps each live key to its (band, index) home.
-            #: Frees swap the band's last slot down; empty bands are
-            #: deleted, so scans never touch vacated regions.
-            self._bands: dict[tuple[int, int], _Band] = {}
-            self._bslot: dict[tuple[int, int, int],
-                              tuple[_Band, int]] = {}
-            #: Current fine cell per agent: commits read the old cell
-            #: here instead of re-deriving it from the old position.
-            self._cellxy: list[tuple[int, int]] = self._init_cells(arr0)
-            # Bulk load: group agents by cell once (C-speed lexsort
-            # grouping), hand the index its buckets, and seed one slot
-            # per occupied cell — instead of n per-agent insertions.
-            groups = self.index.bulk_load_cells(self._cellxy)
-            for c, ids in groups.items():
-                self._bucket_add((start_step,) + c, ids)
+        # Dense ids let the index read positions straight from the
+        # graph's own list: commits update one storage, and query_into
+        # sees every move for free.
+        self.index._positions = self.pos
+        #: Banded slot table: slots keyed (step, cellx, celly) live in
+        #: per-band sub-tables keyed by (cellx//B, celly//B); _bslot
+        #: maps each live key to its (band, index) home. Slots are
+        #: densely packed: frees swap the band's last slot down, and
+        #: empty bands are deleted, so scans never touch vacated regions.
+        self._bands: dict[tuple[int, int], _Band] = {}
+        self._bslot: dict[tuple[int, int, int], tuple[_Band, int]] = {}
+        #: Current fine cell per agent: commits read the old cell here
+        #: instead of re-deriving it from the old position.
+        self._cellxy: list[tuple[int, int]] = self._init_cells(arr0)
+        # Bulk load: group agents by cell once, hand the index its
+        # buckets, and seed one slot per occupied cell — instead of n
+        # per-agent insertions.
+        groups = self.index.bulk_load_cells(self._cellxy)
+        for c, ids in groups.items():
+            self._bucket_add((start_step,) + c, ids)
         # instrumentation
         self.blocked_events = 0
         self.unblock_events = 0
@@ -322,9 +305,6 @@ class SpatioTemporalGraph:
         self.near_checks = 0
         self.wake_checks = 0
         self.wake_skips = 0
-        #: Linear scans through the non-bucketed fallback path; stays 0
-        #: whenever the space offers cell bucketing (regression-tested).
-        self.fallback_scans = 0
         #: Slots examined by full scans (band-window walk): the scale
         #: matrix asserts this stays O(local population) per scan as
         #: the world grows.
@@ -430,7 +410,7 @@ class SpatioTemporalGraph:
         threshold = self.rules.couple_threshold
         query_into = self.index.query_into
         qbuf = self._cbuf
-        hop_metric = self.index._window is not None
+        off_grid = not self.index._grid
         stack = [aid]
         members: list[int] = []
         while stack:
@@ -438,9 +418,9 @@ class SpatioTemporalGraph:
             members.append(a)
             candidates = fresh.get(a)
             if candidates is None:
-                if hop_metric:
-                    # A hop distance costs a call: filter on step
-                    # first, as the commit's join does.
+                if off_grid:
+                    # A distance off the grid costs a call: filter on
+                    # step first, as the commit's join does.
                     candidates = self._join((a,), {})[a]
                 else:
                     candidates = query_into(pos[a], threshold, qbuf)
@@ -718,20 +698,6 @@ class SpatioTemporalGraph:
             slack[r] = row_slack
         return slack, margins, nears
 
-    def _scan_fallback(self, aid: int, s: int, pos_a: Position) -> set[int]:
-        """Non-bucketed spaces: one index query at the worst-case radius."""
-        self.fallback_scans += 1
-        step = self.step
-        pos = self.pos
-        rules = self.rules
-        radius = rules.block_threshold(s - self._min_step)
-        blocked = rules.blocked
-        blockers: set[int] = set()
-        for bid in self.index.query_into(pos_a, radius, self._qbuf):
-            if bid != aid and blocked(pos_a, s, pos[bid], step[bid]):
-                blockers.add(bid)
-        return blockers
-
     # -- lifecycle ----------------------------------------------------------
 
     def mark_running(self, aids: Iterable[int]) -> None:
@@ -756,34 +722,6 @@ class SpatioTemporalGraph:
                 raise SchedulingError(
                     f"cannot abort agent {aid}: not running")
             self.running[aid] = False
-
-    def commit(self, aids: Iterable[int],
-               new_positions: Mapping[int, Position]) -> CommitResult:
-        """Retire a batch of finished clusters, one step each.
-
-        ``aids`` may span several clusters (ack coalescing hands the
-        whole same-instant batch over at once); every member advances
-        one step. ``new_positions`` maps the *movers* to where they
-        went: a member absent from it — or mapped to its current
-        position, which is how a transport's full dict arrives —
-        stayed put and skips the geometry (the replay driver reads the
-        trace's ``moved`` mask and gathers positions for movers only).
-        Returns a :class:`CommitResult`: agents whose
-        blocker set became empty (newly dispatchable candidates,
-        committed members included) plus each member's coupling
-        candidates, which seed the component BFS of the next round.
-        """
-        members = list(aids)
-        if not members:
-            return CommitResult(set(), {})
-        if self._bucket_fast:
-            unblocked, per_member = self._commit_fast(members,
-                                                      new_positions)
-        else:
-            unblocked, per_member = self._commit_generic(members,
-                                                         new_positions)
-        self._fresh = per_member
-        return CommitResult(unblocked, per_member)
 
     def _recount(self, peers: dict[int, int]) -> None:
         """Step counts and min/max step: ``peers[s]`` members of the
@@ -819,13 +757,30 @@ class SpatioTemporalGraph:
             wake[bid][aid] = self._wake_step(step[bid], s - step[bid],
                                              margins[bid])
 
-    def _commit_fast(self, members: list[int],
-                     moves: Mapping[int, Position]
-                     ) -> tuple[set[int], dict[int, Sequence[int]]]:
-        """Two passes over the batch: the first advances each member
+    def commit(self, aids: Iterable[int],
+               new_positions: Mapping[int, Position]) -> CommitResult:
+        """Retire a batch of finished clusters, one step each.
+
+        ``aids`` may span several clusters (ack coalescing hands the
+        whole same-instant batch over at once); every member advances
+        one step. ``new_positions`` maps the *movers* to where they
+        went: a member absent from it — or mapped to its current
+        position, which is how a transport's full dict arrives —
+        stayed put and skips the geometry (the replay driver reads the
+        trace's ``moved`` mask and gathers positions for movers only).
+        Returns a :class:`CommitResult`: agents whose
+        blocker set became empty (newly dispatchable candidates,
+        committed members included) plus each member's coupling
+        candidates, which seed the component BFS of the next round.
+
+        Two passes over the batch: the first advances each member
         (running flag, step, position, cell, slot, batch peers per new
         step), the second needs the settled ``min_step`` and peer counts
-        (slack and neighbour tests); scans and the join run batched."""
+        (slack and neighbour tests); scans and the join run batched.
+        """
+        members = list(aids)
+        if not members:
+            return CommitResult(set(), {})
         step = self.step
         pos = self.pos
         running = self.running
@@ -840,7 +795,7 @@ class SpatioTemporalGraph:
         cells = self._cellxy
         scan_moves = self._scan_moves
         node = self._node
-        new_pos = moves.get
+        new_pos = new_positions.get
         #: Members of this batch per new step.
         peers: dict[int, int] = {}
         # A mover derives its cell (floor division on coordinate grids,
@@ -955,15 +910,16 @@ class SpatioTemporalGraph:
         # Only a registration above can have given a member a waiter.
         if held or self.blocked_events != events:
             self._release_waiters(members, unblocked)
-        return unblocked, per_member
+        self._fresh = per_member
+        return CommitResult(unblocked, per_member)
 
     def _join(self, aids: Iterable[int], out: dict[int, Sequence[int]]
               ) -> dict[int, Sequence[int]]:
         """Fills (and returns) ``out[aid]``: the agents at ``aid``'s
         step within coupling range of it, for each of ``aids`` — the
         spatial join behind the
-        commit's candidates and, on hop metrics, ``component_for``'s
-        index query. Needs ``cell_bucketing``.
+        commit's candidates and, off the grid, ``component_for``'s
+        index query.
 
         One walk of the agent's cell window, first axis outer (the
         order ``SpatialIndex.query_into`` walks it), the step filter
@@ -1019,56 +975,6 @@ class SpatioTemporalGraph:
                                 found.append(bid)
             out[aid] = found
         return out
-
-    def _commit_generic(self, members: list[int],
-                        moves: Mapping[int, Position]
-                        ) -> tuple[set[int], dict[int, Sequence[int]]]:
-        """Non-bucketed spaces: per-member queries (no numpy batch path)."""
-        step = self.step
-        pos = self.pos
-        running = self.running
-        index = self.index
-        peers: dict[int, int] = {}
-        for aid in members:
-            if not running[aid]:
-                raise SchedulingError(f"agent {aid} was not running")
-            running[aid] = False
-            s = step[aid] = step[aid] + 1
-            peers[s] = peers.get(s, 0) + 1
-            new_p = moves.get(aid)
-            if new_p is not None and new_p != pos[aid]:
-                if self._node is not None:
-                    self._node[aid] = self._node_index(new_p)
-                pos[aid] = new_p
-                index.move(aid, new_p)
-        self._recount(peers)
-        min_step = self._min_step
-        couple_r = self.rules.couple_threshold
-        qbuf = self._qbuf
-        unblocked: set[int] = set()
-        per_member: dict[int, Sequence[int]] = {}
-        block_threshold = self.rules.block_threshold
-        dist = self.rules.space.dist
-        for aid in members:
-            s = step[aid]
-            pos_a = pos[aid]
-            if s > min_step:
-                self.scans += 1
-                new_blockers = self._scan_fallback(aid, s, pos_a)
-            else:
-                new_blockers = set()
-            per_member[aid] = [bid for bid
-                               in index.query_into(pos_a, couple_r, qbuf)
-                               if bid != aid and step[bid] == s]
-            if new_blockers:
-                self._register_blockers(aid, s, {
-                    bid: block_threshold(s - step[bid])
-                    - dist(pos_a, pos[bid])
-                    for bid in new_blockers})
-            else:
-                unblocked.add(aid)
-        self._release_waiters(members, unblocked)
-        return unblocked, per_member
 
     def _wake_step(self, blocker_step: int, gap: int, margin: float) -> int:
         """Last blocker step at which the pair is provably still blocked.

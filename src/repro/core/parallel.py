@@ -95,7 +95,7 @@ def merge_extra_counters(extras: list[dict]) -> dict:
     """The canonical ``DriverStats.extra`` aggregation.
 
     Numeric counters sum, so ``scanned_slots`` / ``kernel_events`` /
-    ``fallback_scans`` count the whole population's work whether it ran
+    ``scans`` count the whole population's work whether it ran
     in one process or many. Non-numeric values (per-run lists,
     diagnostics) do not aggregate and are dropped; level keys
     (:data:`_LEVEL_KEYS`) take the minimum.

@@ -5,20 +5,26 @@ they extend to any space with a notion of distance bounding information
 propagation — e.g. hop distance in a social network. Everything in
 :mod:`repro.core` works against this small protocol.
 
-Two capability flags let the scheduler pick its fast paths per space:
+Every space answers with **cells**: :meth:`Space.bucket` returns 2D
+*integer cells whose per-axis difference lower-bounds the true
+distance* (cells ``k`` and ``k + dc`` on any axis imply
+``dist >= (dc - 1) * cell``). This is the only property the
+step-bucketed blocker index and the slack/near/wake machinery in
+:mod:`repro.core.dependency_graph` need. How the cells are walked is
+one flag plus one method:
 
-* ``grid_bucketing`` — positions are 2D numeric coordinates and
+* ``grid_bucketing = True`` — positions are 2D numeric coordinates and
   :meth:`Space.bucket` is plain floor division, so the spatial index and
-  the dependency graph's commit can derive cells inline and walk
-  coordinate windows;
-* ``cell_bucketing`` — :meth:`Space.bucket` returns 2D *integer cells
-  whose per-axis difference lower-bounds the true distance* (cells ``k``
-  and ``k + dc`` on any axis imply ``dist >= (dc - 1) * cell``). This is
-  the only property the step-bucketed blocker index and the slack/near/
-  wake machinery in :mod:`repro.core.dependency_graph` need, so any
-  space providing it — coordinate grids trivially, :class:`GraphSpace`
-  via landmark BFS levels — gets the zero-rescan scheduler instead of
-  the linear fallback scan.
+  the dependency graph's commit derive cells and windows inline;
+* otherwise the space gives ``cell_window(pos, radius, cell)``: the
+  inclusive cell ranges ``(x0, x1, y0, y1)`` that may hold positions
+  within ``radius`` (:class:`GraphSpace`: landmark BFS levels).
+
+A space that cannot bound distances at all answers with **one constant
+cell**: ``bucket`` returns ``(0, 0)`` and ``cell_window`` ``(0, 0, 0,
+0)``. That is always sound, and costs a linear scan through the same
+code. A space with neither ``grid_bucketing`` nor ``cell_window`` is
+refused by :class:`~repro.core.clustering.SpatialIndex`.
 """
 
 from __future__ import annotations
@@ -51,52 +57,32 @@ class Space(Protocol):
       blocker's whole launch-window trajectory against a member's tile
       in one masked reduction;
     * ``grid_bucketing = True`` — declares 2D numeric coordinates with
-      floor-division cells, enabling inline cell derivation and
-      coordinate cell-window walks;
-    * ``cell_bucketing = True`` — declares that :meth:`bucket` returns
-      2D integer cells satisfying the Lipschitz lower bound
-      ``dist(a, b) >= (max_axis_cell_diff - 1) * cell``, enabling the
-      step-bucketed blocker index (see module docstring).
+      floor-division cells, enabling inline cell and window derivation;
+    * ``cell_window(pos, radius, cell) -> (x0, x1, y0, y1)`` — required
+      when ``grid_bucketing`` is absent (see module docstring).
     """
 
     def dist(self, a: Position, b: Position) -> float:
         """Distance between two positions."""
         ...
 
-    def bucket(self, pos: Position, cell: float) -> tuple:
-        """A coarse hash cell for ``pos`` used by the spatial index, such
-        that positions within distance ``d`` are within
-        ``ceil(d / cell)`` cells of each other in every axis. Spaces that
-        cannot offer this return ``()`` (forcing linear scans)."""
-        ...
-
-    def bucket_range(self, pos: Position, radius: float,
-                     cell: float) -> Iterable[tuple]:
-        """All cells that may contain positions within ``radius``."""
+    def bucket(self, pos: Position, cell: float) -> tuple[int, int]:
+        """The 2D integer cell of ``pos``, with the Lipschitz lower bound
+        ``dist(a, b) >= (max_axis_cell_diff - 1) * cell``. A space that
+        cannot bound distances returns one constant cell, ``(0, 0)``."""
         ...
 
 
 class _Grid2D:
     """Shared bucketing for 2D coordinate spaces."""
 
-    #: Cells are 2D integer coordinates: the spatial index may walk a
-    #: precomputed neighbor-offset stencil instead of ``bucket_range``.
+    #: Cells are floor division: the spatial index and the commit derive
+    #: cells and windows inline.
     grid_bucketing = True
-    #: Coordinate cells trivially satisfy the Lipschitz lower bound the
-    #: step-bucketed blocker index needs.
-    cell_bucketing = True
 
     @staticmethod
     def bucket(pos, cell: float) -> tuple:
         return (int(pos[0] // cell), int(pos[1] // cell))
-
-    @staticmethod
-    def bucket_range(pos, radius: float, cell: float):
-        span = int(math.ceil(radius / cell))
-        cx, cy = int(pos[0] // cell), int(pos[1] // cell)
-        for dx in range(-span, span + 1):
-            for dy in range(-span, span + 1):
-                yield (cx + dx, cy + dy)
 
 
 class EuclideanSpace(_Grid2D):
@@ -186,16 +172,12 @@ class GraphSpace:
     level function is a min of 1-Lipschitz functions
     (``|d(L, a) - d(L, b)| <= d(a, b)`` by the triangle inequality)
     and therefore 1-Lipschitz itself, so the cells ``level // cell``
-    satisfy exactly the lower-bound property (``cell_bucketing``) the
-    step-bucketed blocker index requires — graph worlds ride the same
-    zero-rescan scheduler as coordinate grids, including single
-    million-node components. Components are kept apart by offsetting
-    the first axis per component, which is sound because
-    cross-component distance is infinite. Construct with
-    ``bucketing=False`` to withhold the cells and force the legacy
-    single-bucket linear scans (the conservative reference path the
-    fuzz tests compare against); numbering, rows and balls are the
-    same either way.
+    satisfy exactly the lower-bound property the step-bucketed blocker
+    index requires — graph worlds ride the same zero-rescan scheduler
+    as coordinate grids, including single million-node components.
+    Components are kept apart by offsetting the first axis per
+    component, which is sound because cross-component distance is
+    infinite.
     """
 
     grid_bucketing = False
@@ -218,7 +200,6 @@ class GraphSpace:
     BALL_BUDGET_ENTRIES = 4_000_000
 
     def __init__(self, adjacency: dict[Hashable, Iterable[Hashable]],
-                 bucketing: bool = True,
                  sampled_component_min: int | None = None) -> None:
         self._adj = {node: tuple(neigh) for node, neigh in adjacency.items()}
         for node, neigh in self._adj.items():
@@ -244,7 +225,6 @@ class GraphSpace:
         #: Memo of :meth:`_level_of` over the per-node tables.
         self._levels: dict[Hashable, tuple[int, int, int]] = {}
         self._build_landmarks()
-        self.cell_bucketing = bool(bucketing and self._adj)
 
     # -- construction -------------------------------------------------------
 
@@ -519,16 +499,13 @@ class GraphSpace:
         return int(self._n / cell) + 2
 
     def bucket(self, pos, cell: float) -> tuple:
-        if not self.cell_bucketing:
-            return ()
         l0, l1, comp = self._level_of(pos)[:3]
         return (comp * self._span(cell) + int(l0 // cell), int(l1 // cell))
 
     def cell_window(self, pos, radius: float,
                     cell: float) -> tuple[int, int, int, int]:
         """Inclusive cell ranges ``(x0, x1, y0, y1)`` that may hold
-        positions within ``radius`` — :meth:`bucket_range` without the
-        generator, first axis outer. Needs ``cell_bucketing``."""
+        positions within ``radius``, walked first axis outer."""
         l0, l1, comp = self._level_of(pos)[:3]
         span = self._span(cell)
         base = comp * span
@@ -539,21 +516,11 @@ class GraphSpace:
                 max(0, int((l1 - radius) // cell)),
                 min(span - 2, int((l1 + radius) // cell)))
 
-    def bucket_range(self, pos, radius: float, cell: float):
-        if not self.cell_bucketing:
-            yield ()
-            return
-        x0, x1, y0, y1 = self.cell_window(pos, radius, cell)
-        for b0 in range(x0, x1 + 1):
-            for b1 in range(y0, y1 + 1):
-                yield (b0, b1)
-
 
 def space_for(metric: str, **kwargs) -> Space:
     """Factory keyed by :attr:`DependencyConfig.metric`.
 
-    ``metric="graph"`` requires ``adjacency=...`` and accepts
-    ``bucketing=False`` to opt out of landmark bucketing.
+    ``metric="graph"`` requires ``adjacency=...``.
     """
     if metric == "euclidean":
         return EuclideanSpace()
@@ -565,6 +532,5 @@ def space_for(metric: str, **kwargs) -> Space:
         adjacency = kwargs.get("adjacency")
         if adjacency is None:
             raise ConfigError("graph metric requires adjacency=...")
-        return GraphSpace(adjacency,
-                          bucketing=kwargs.get("bucketing", True))
+        return GraphSpace(adjacency)
     raise ConfigError(f"unknown metric {metric!r}")

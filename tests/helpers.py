@@ -358,8 +358,9 @@ def is_dwelling(agent, step: int) -> bool:
 
 def reference_bucket_range(space: GraphSpace, pos, radius: float,
                            cell: float):
-    """``GraphSpace.bucket_range`` as the generator it was before the
-    integer ``cell_window``: the oracle for the window's four bounds."""
+    """Every cell that may hold a node within ``radius`` of ``pos``, as
+    a generator written without ``GraphSpace.cell_window``: the oracle
+    for the window's four bounds."""
     l0, l1, comp = space._level_of(pos)[:3]
     span = space._span(cell)
     base = comp * span

@@ -126,7 +126,6 @@ class TestRoundLoop:
         assert stats.blocked_events > 0
         assert stats.blocked_events == stats.unblock_events
         assert stats.extra["shards"] == 1
-        assert stats.extra["graph_fallback_scans"] == 0
 
     def test_validate_flag_checks_inside_retire(self, course, metric,
                                                 regions, monkeypatch):

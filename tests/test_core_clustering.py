@@ -12,50 +12,26 @@ class TestSpatialIndex:
     def setup_method(self):
         self.idx = SpatialIndex(EuclideanSpace(), cell=5.0)
 
-    def test_insert_and_query(self):
-        self.idx.insert("a", (0, 0))
-        self.idx.insert("b", (3, 4))
-        self.idx.insert("c", (30, 30))
+    def test_bulk_load_and_query(self):
+        self.idx.bulk_load([("a", (0, 0)), ("b", (3, 4)), ("c", (30, 30))])
         assert sorted(self.idx.query((0, 0), 5.0)) == ["a", "b"]
 
     def test_query_inclusive_boundary(self):
-        self.idx.insert("a", (5, 0))
+        self.idx.bulk_load([("a", (5, 0))])
         assert self.idx.query((0, 0), 5.0) == ["a"]
         assert self.idx.query((0, 0), 4.999) == []
-
-    def test_move(self):
-        self.idx.insert("a", (0, 0))
-        self.idx.move("a", (50, 50))
-        assert self.idx.query((0, 0), 10.0) == []
-        assert self.idx.query((50, 50), 1.0) == ["a"]
-
-    def test_remove(self):
-        self.idx.insert("a", (0, 0))
-        self.idx.remove("a")
-        assert "a" not in self.idx
-        assert len(self.idx) == 0
-
-    def test_reinsert_replaces(self):
-        self.idx.insert("a", (0, 0))
-        self.idx.insert("a", (20, 20))
-        assert len(self.idx) == 1
-        assert self.idx.position("a") == (20, 20)
 
     def test_bad_cell(self):
         with pytest.raises(ValueError):
             SpatialIndex(EuclideanSpace(), cell=0)
 
-    def test_graph_space_linear_scan(self):
-        adj = {i: [i + 1] for i in range(5)}
-        adj[5] = []
-        for k in adj:
-            adj[k] = list(adj[k]) + [k - 1] if k > 0 else list(adj[k])
-        idx = SpatialIndex(GraphSpace(adj), cell=1.0)
-        idx.insert("x", 0)
-        idx.insert("y", 3)
-        assert idx.query(0, 3.0) == ["x", "y"] or \
-            sorted(idx.query(0, 3.0)) == ["x", "y"]
-        assert idx.query(0, 1.0) == ["x"]
+    def test_graph_space_walks_cell_window(self):
+        path = {i: [j for j in (i - 1, i + 1) if 0 <= j <= 5]
+                for i in range(6)}
+        idx = SpatialIndex(GraphSpace(path), cell=1.0)
+        idx.bulk_load([("x", 0), ("y", 3)])
+        assert sorted(idx.query(0, 3.0)) == ["x", "y"]
+        assert idx.query_into(0, 1.0, []) == ["x"]
 
 
 class TestGeoClustering:

@@ -62,18 +62,6 @@ class TestSpaces:
         with pytest.raises(ConfigError):
             space_for("hilbert")
 
-    def test_bucketing_covers_radius(self):
-        s = EuclideanSpace()
-        cell = 5.0
-        pos = (12, 7)
-        buckets = set(s.bucket_range(pos, 11.0, cell))
-        # every point within radius 11 must fall in one of the buckets
-        for dx in range(-11, 12):
-            for dy in range(-11, 12):
-                if math.hypot(dx, dy) <= 11.0:
-                    b = s.bucket((pos[0] + dx, pos[1] + dy), cell)
-                    assert b in buckets
-
 
 class TestDependencyConfig:
     def test_defaults_match_genagent(self):

@@ -1,12 +1,9 @@
-"""GraphSpace landmark bucketing and the graph-metric zero-rescan path.
-
-Covers the §6 extension now that graph worlds are first-class: the
-landmark cells' Lipschitz lower bound, disconnected components (infinite
-distance never blocks or couples), unknown-node errors, fuzz parity of
-the bucketed fast path against both the linear ``_scan_fallback`` path
-and the dict-reference oracle on random small-world graphs, and the
-steady-state regression gate — a graph-metric replay must never touch
-the fallback scan.
+"""GraphSpace landmark bucketing, and the one cell contract every space
+meets: the cells' Lipschitz lower bound, disconnected components
+(infinite distance never blocks or couples), unknown-node errors, the
+commit fuzz against the dict-reference oracle on small-world, edgeless
+and one-constant-cell worlds, a space without cells refused by name,
+and the zero-rescan machinery engaging on a graph-metric replay.
 """
 
 import math
@@ -20,15 +17,13 @@ from repro._util import FastRng
 from repro.bench.smoke import scenario_window_trace
 from repro.config import DependencyConfig, SchedulerConfig
 from repro.core import DependencyRules, run_replay
+from repro.core.clustering import geo_clustering
 from repro.core.dependency_graph import SpatioTemporalGraph
 from repro.core.space import GraphSpace, space_for
 from repro.errors import ConfigError
 
-from helpers import reference_bucket_range
-from test_hotpath_scheduler import (DictReferenceGraph,
-                                    _assert_fastpath_invariants,
-                                    _assert_graph_matches_reference,
-                                    _random_cluster)
+from helpers import grid_moves, reference_bucket_range
+from test_hotpath_scheduler import DictReferenceGraph, _run_commit_fuzz
 
 
 def small_world(rng, n, k=2, ties=2) -> dict[int, list[int]]:
@@ -82,6 +77,23 @@ def labelled_world(rng, sizes, label) -> dict:
     return adj
 
 
+def hop_rules(space) -> DependencyRules:
+    """Perception reaches direct neighbours; one hop per step."""
+    return DependencyRules(
+        DependencyConfig(radius_p=1.0, max_vel=1.0, metric="graph"),
+        space=space)
+
+
+def assert_window_covers(space, source, radius, cell, n):
+    """Every node of ``0..n-1`` within ``radius`` of ``source`` has its
+    cell inside ``source``'s window."""
+    x0, x1, y0, y1 = space.cell_window(source, radius, cell)
+    for node in range(n):
+        if space.dist(source, node) <= radius:
+            bx, by = space.bucket(node, cell)
+            assert x0 <= bx <= x1 and y0 <= by <= y1, (source, node)
+
+
 class TestGraphSpaceBasics:
     def test_hop_distance(self):
         space = GraphSpace({0: [1], 1: [0, 2], 2: [1]})
@@ -110,19 +122,18 @@ class TestGraphSpaceBasics:
 
     def test_space_for_graph(self):
         space = space_for("graph", adjacency={0: [1], 1: [0]})
-        assert space.cell_bucketing
-        slow = space_for("graph", adjacency={0: [1], 1: [0]},
-                         bucketing=False)
-        assert not slow.cell_bucketing
-        assert slow.bucket(0, 1.0) == ()
+        assert isinstance(space, GraphSpace)
+        # Levels to the first node and to the farthest one from it.
+        assert [space.bucket(node, 1.0) for node in (0, 1)] == \
+            [(0, 1), (1, 0)]
         with pytest.raises(ConfigError, match="adjacency"):
             space_for("graph")
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10**9), n=st.integers(4, 40))
     def test_landmark_cells_lower_bound_distance(self, seed, n):
-        """The cell_bucketing contract: cells ``dc`` apart on any axis
-        imply ``dist >= (dc - 1) * cell`` — the only property the
+        """The cell contract: cells ``dc`` apart on any axis imply
+        ``dist >= (dc - 1) * cell`` — the only property the
         step-bucketed blocker index relies on."""
         rng = FastRng(seed)
         space = GraphSpace(small_world(rng, n))
@@ -134,22 +145,19 @@ class TestGraphSpaceBasics:
                              abs(buckets[a][1] - buckets[b][1]))
                     assert space.dist(a, b) >= (dc - 1) * cell
 
-    def test_bucket_range_covers_radius(self):
+    def test_cell_window_covers_radius(self):
         rng = FastRng(5)
         space = GraphSpace(small_world(rng, 30))
         for cell in (1.0, 2.0):
             for source in (0, 7, 19):
                 for radius in (1.0, 2.0, 5.0):
-                    cells = set(space.bucket_range(source, radius, cell))
-                    for node in range(30):
-                        if space.dist(source, node) <= radius:
-                            assert space.bucket(node, cell) in cells
-
+                    assert_window_covers(space, source, radius, cell, 30)
 
     @pytest.mark.parametrize("sampled", [None, 2])
     def test_cell_window_is_bucket_range_as_four_integers(self, sampled):
-        """Same cells in the same order (first axis outer), for every
-        node, radius and cell size the cover test above uses."""
+        """Same cells in the same order (first axis outer) as the
+        reference generator, for every node, radius and cell size the
+        cover test above uses."""
         rng = FastRng(5)
         space = GraphSpace(small_world(rng, 30),
                            sampled_component_min=sampled)
@@ -161,28 +169,23 @@ class TestGraphSpaceBasics:
                               for by in range(y0, y1 + 1)]
                     assert walked == list(reference_bucket_range(
                         space, source, radius, cell))
-                    assert walked == list(
-                        space.bucket_range(source, radius, cell))
 
 
 class TestUnknownNode:
-    """One typed failure, naming the node, at every door — whether or
-    not the graph asks the space for cells at construction."""
+    """One typed failure, naming the node, at every door."""
 
     DOORS = ("construct", "commit", "dist", "dist_within", "within")
 
     @pytest.mark.parametrize("labels", ["int", "dense"])
-    @pytest.mark.parametrize("bucketing", [True, False])
     @pytest.mark.parametrize("door", DOORS)
-    def test_refused_by_name(self, door, bucketing, labels):
+    def test_refused_by_name(self, door, labels):
         label = LABELS[labels]
         # Node 3 is left out: a gap in the dense ids, a stranger else.
         adj = {label(0): [label(1)], label(1): [label(0), label(2)],
                label(2): [label(1), label(4)], label(4): [label(2)]}
         ghost = label(3)
-        space = GraphSpace(adj, bucketing=bucketing)
-        rules = DependencyRules(
-            DependencyConfig(radius_p=1.0, max_vel=1.0), space=space)
+        space = GraphSpace(adj)
+        rules = hop_rules(space)
         with pytest.raises(ConfigError) as err:
             if door == "construct":
                 SpatioTemporalGraph(rules, {0: label(0), 1: ghost})
@@ -339,17 +342,11 @@ class TestDistanceStores:
 
 
 class TestGraphBlocking:
-    def _rules(self, adjacency, bucketing=True):
-        return DependencyRules(
-            DependencyConfig(radius_p=1.0, max_vel=1.0),
-            space=GraphSpace(adjacency, bucketing=bucketing))
-
     def test_disconnected_never_blocks(self):
         """Infinite distance: the other component's laggard can never
         block, no matter how far ahead the leader runs."""
-        rules = self._rules({0: [1], 1: [0], 2: [3], 3: [2]})
+        rules = hop_rules(GraphSpace({0: [1], 1: [0], 2: [3], 3: [2]}))
         graph = SpatioTemporalGraph(rules, {0: 0, 1: 1, 2: 2, 3: 3})
-        assert graph._bucket_fast
         for _ in range(50):
             graph.mark_running([0, 1])
             graph.commit([0, 1], {0: 0, 1: 1})
@@ -361,7 +358,7 @@ class TestGraphBlocking:
         """Same chain, but connected: the hop threshold must bite."""
         chain = {i: [j for j in (i - 1, i + 1) if 0 <= j <= 6]
                  for i in range(7)}
-        rules = self._rules(chain)
+        rules = hop_rules(GraphSpace(chain))
         graph = SpatioTemporalGraph(rules, {0: 0, 1: 6})
         ref = DictReferenceGraph(rules, {0: 0, 1: 6})
         lead = 0
@@ -378,66 +375,101 @@ class TestGraphBlocking:
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10**9), n=st.integers(2, 10))
-    def test_fast_path_matches_fallback_and_reference(self, seed, n):
-        """Fuzz parity on random small worlds: the landmark-bucketed
-        fast path, the linear ``_scan_fallback`` path, and the
-        dict-reference oracle must agree on every edge set."""
+    def test_small_world_matches_reference(self, seed, n):
+        """The commit fuzz on random ring lattices with shortcuts under
+        bare int labels (the space's dict numbering; the other graph
+        fuzzes stand on dense ``(id, 0)`` nodes)."""
         rng = FastRng(seed)
         n_nodes = max(n * 3, 8)
-        adjacency = small_world(rng, n_nodes,
-                                ties=rng.integers(0, 4))
+        adjacency = small_world(rng, n_nodes, ties=rng.integers(0, 4))
         positions = {aid: rng.integers(0, n_nodes) for aid in range(n)}
-        fast_rules = self._rules(adjacency, bucketing=True)
-        slow_rules = self._rules(adjacency, bucketing=False)
-        fast = SpatioTemporalGraph(fast_rules, positions)
-        slow = SpatioTemporalGraph(slow_rules, positions)
-        ref = DictReferenceGraph(fast_rules, positions)
-        assert fast._bucket_fast and not slow._bucket_fast
+        _run_commit_fuzz(hop_rules(GraphSpace(adjacency)), positions,
+                         lambda node: [node, *adjacency[node]], rng, n,
+                         iters=30)
 
-        for _ in range(30):
-            members = _random_cluster(fast, fast_rules, rng, n)
-            assert members is not None, "graph deadlocked"
-            fast.mark_running(members)
-            slow.mark_running(members)
-            for m in members:
-                ref.running[m] = True
-            new_pos = {}
-            for m in members:
-                node = fast.pos[m]
-                neighbors = adjacency[node]
-                pick = rng.integers(0, len(neighbors) + 1)
-                new_pos[m] = node if pick == len(neighbors) \
-                    else neighbors[pick]
-            fast_result = fast.commit(members, new_pos)
-            slow_result = slow.commit(members, new_pos)
-            ref_unblocked, ref_member = ref.commit(members, new_pos)
 
-            assert fast_result.unblocked == slow_result.unblocked \
-                == ref_unblocked
-            for result in (fast_result, slow_result):
-                assert {m: set(lst) for m, lst
-                        in result.member_neighbors.items()} == ref_member
-            for aid in range(n):
-                assert fast.blocked_by[aid] == slow.blocked_by[aid]
-            _assert_graph_matches_reference(fast, ref, n)
-            _assert_fastpath_invariants(fast, ref, fast_rules, n)
-            fast.validate()
-        assert fast.fallback_scans == 0
-        # every blocker scan the slow graph did went through the
-        # linear fallback (it has no bucketed path at all)
-        assert slow.fallback_scans == slow.scans
+class NoCellSpace:
+    """A metric that gives neither ``grid_bucketing`` nor a window."""
+
+    def dist(self, a, b) -> float:
+        return float(abs(a[0] - b[0]))
+
+
+class TorusSpace(NoCellSpace):
+    """Wrap-around Chebyshev distance on a ``w x h`` torus: floor
+    division cannot bound a wrapped distance, so it answers with one
+    constant cell."""
+
+    def __init__(self, w: int, h: int) -> None:
+        self.w, self.h = w, h
+
+    def dist(self, a, b) -> float:
+        dx, dy = abs(a[0] - b[0]), abs(a[1] - b[1])
+        return float(max(min(dx, self.w - dx), min(dy, self.h - dy)))
+
+    def bucket(self, pos, cell):
+        return (0, 0)
+
+    def cell_window(self, pos, radius, cell):
+        return (0, 0, 0, 0)
+
+
+class TestCellContract:
+    """One contract, tested from both sides: a space without a distance
+    bound commits exactly on one constant cell, a space without cells
+    is refused, and graphs without edges or nodes stand on cells too."""
+
+    @pytest.mark.parametrize("whole_first", [False, True])
+    @pytest.mark.parametrize("stay_p", [None, 0.9])
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10**9), n=st.integers(2, 12))
+    def test_constant_cell_torus_matches_reference(self, whole_first,
+                                                   stay_p, seed, n):
+        rng = FastRng(seed)
+        w, h = 24, 16
+        rules = DependencyRules(DependencyConfig(), space=TorusSpace(w, h))
+        positions = {i: (rng.integers(0, w), rng.integers(0, h))
+                     for i in range(n)}
+        _run_commit_fuzz(
+            rules, positions,
+            lambda pos: [(x % w, y % h) for x, y in grid_moves(pos)],
+            rng, n, iters=30, whole_first=whole_first, stay_p=stay_p)
+
+    @pytest.mark.parametrize("door", ["graph", "geo_clustering"])
+    def test_space_without_cells_is_refused_by_name(self, door):
+        space = NoCellSpace()
+        with pytest.raises(ConfigError, match=r"NoCellSpace has neither "
+                           r"grid_bucketing nor cell_window.*\(0, 0, 0, 0\)"):
+            if door == "graph":
+                SpatioTemporalGraph(
+                    DependencyRules(DependencyConfig(), space=space),
+                    {0: (0, 0), 1: (3, 0)})
+            else:
+                geo_clustering([0, 1], [(0, 0), (3, 0)], space, 5.0)
+
+    def test_edgeless_graph_constructs_and_commits(self):
+        """Nodes, no edges: every pair on distinct nodes sits at
+        infinite distance; two agents on one node couple."""
+        rules = hop_rules(GraphSpace({(i, 0): () for i in range(6)}))
+        positions = {0: (0, 0), 1: (1, 0), 2: (1, 0), 3: (5, 0)}
+        _run_commit_fuzz(rules, positions, lambda pos: [pos], FastRng(0),
+                         len(positions), iters=12)
+
+    def test_empty_graph_constructs_and_commits(self):
+        graph = SpatioTemporalGraph(hop_rules(GraphSpace({})), {})
+        assert graph.commit([], {}).unblocked == set()
+        assert graph.min_step == graph.max_step == 0
 
 
 class TestGraphSteadyState:
-    """The acceptance gate: graph-metric replays never take the
-    linear fallback scan, and the zero-rescan machinery engages."""
+    """The acceptance gate: the zero-rescan machinery engages on a
+    graph-metric replay."""
 
-    def test_social_graph_replay_never_falls_back(self):
+    def test_social_graph_replay_engages_zero_rescan(self):
         trace = scenario_window_trace("social-graph")
         result = run_replay(trace, SchedulerConfig(
             policy="metropolis", scenario="social-graph"))
         extra = result.driver_stats.extra
-        assert extra["graph_fallback_scans"] == 0
         assert extra["graph_scan_skips"] > 0  # slack licences fire
         assert extra["graph_near_checks"] > 0  # near sets fire
         assert result.n_calls_completed == trace.n_calls
@@ -540,16 +572,13 @@ class TestSampledLandmarks:
                              abs(buckets[a][1] - buckets[b][1]))
                     assert space.dist(a, b) >= (dc - 1) * cell
 
-    def test_sampled_bucket_range_covers_radius(self):
+    def test_sampled_cell_window_covers_radius(self):
         rng = FastRng(3)
         space = GraphSpace(small_world(rng, 40), sampled_component_min=2)
         for cell in (1.0, 2.0):
             for source in (0, 13, 27):
                 for radius in (1.0, 3.0):
-                    cells = set(space.bucket_range(source, radius, cell))
-                    for node in range(40):
-                        if space.dist(source, node) <= radius:
-                            assert space.bucket(node, cell) in cells
+                    assert_window_covers(space, source, radius, cell, 40)
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10**9), n=st.integers(2, 8),
@@ -557,7 +586,6 @@ class TestSampledLandmarks:
     def test_blocking_fuzz_under_sampled_landmarks(self, seed, n, v):
         """The full dict-reference gate with sampling forced on: blocked
         edges must stay bit-equal even with approximate cells."""
-        from test_hotpath_scheduler import _run_commit_fuzz
         rng = FastRng(seed)
         nodes = [(i, 0) for i in range(v)]
         adj = {node: set() for node in nodes}
@@ -567,9 +595,7 @@ class TestSampledLandmarks:
             adj[nodes[j]].add(nodes[i])
         space = GraphSpace({k: tuple(sorted(vs)) for k, vs in adj.items()},
                            sampled_component_min=2)
-        rules = DependencyRules(
-            DependencyConfig(radius_p=1.0, max_vel=1.0, metric="graph"),
-            space=space)
+        rules = hop_rules(space)
         positions = {i: nodes[rng.integers(0, v)] for i in range(n)}
 
         def moves(pos):

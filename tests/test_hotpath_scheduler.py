@@ -178,8 +178,6 @@ def _assert_fastpath_invariants(graph, ref, rules, n):
                 g = graph.step[a] - graph.step[b]
                 assert g > 0 and dist(graph.pos[a], graph.pos[b]) <= \
                     base_r + g * mv, f"wake step of pair {b}->{a} unsound"
-    if not graph._bucket_fast:
-        return
     # Step-bucket migration: the slot table is exactly the partition of
     # agents by (step, cell), and every live slot is correctly keyed.
     cell = graph.index.cell
@@ -232,7 +230,7 @@ def _run_commit_fuzz(rules, positions, move_candidates, rng, n,
     this fuzz and the abort fuzz.
 
     Mutation check: charging a mover 0 instead of ``max_vel`` (dropping
-    the ``_scan_moves`` increment in ``_commit_fast``) fails this fuzz
+    the ``_scan_moves`` increment in ``commit``) fails this fuzz
     at its default move rate (``test_randomized_commit_order``, every
     coordinate metric and band size) — a walker's skip licence then
     outlives its slack; at ``stay_p >= 0.9`` moves are too rare to
@@ -478,8 +476,7 @@ class TestGraphNativeComponents:
 class TestSpatialIndexBuffers:
     def test_query_into_reuses_buffer(self):
         index = SpatialIndex(EuclideanSpace(), cell=5.0)
-        for i in range(20):
-            index.insert(i, (float(i), 0.0))
+        index.bulk_load((i, (float(i), 0.0)) for i in range(20))
         buf = []
         got = index.query_into((0.0, 0.0), 3.0, buf)
         assert got is buf
@@ -492,22 +489,13 @@ class TestSpatialIndexBuffers:
         index = SpatialIndex(EuclideanSpace(), cell=5.0)
         pts = {i: (rng.integers(0, 400), rng.integers(0, 300))
                for i in range(120)}
-        for i, p in pts.items():
-            index.insert(i, p)
+        index.bulk_load(pts.items())
         space = EuclideanSpace()
         for radius in (4.0, 60.0, 500.0):  # stencil, crossover, all
             got = sorted(index.query((200, 150), radius))
             want = sorted(i for i, p in pts.items()
                           if space.dist((200, 150), p) <= radius)
             assert got == want
-
-    def test_move_between_buckets(self):
-        index = SpatialIndex(EuclideanSpace(), cell=5.0)
-        index.insert(0, (0.0, 0.0))
-        index.move(0, (50.0, 0.0))
-        assert index.query((0.0, 0.0), 2.0) == []
-        assert index.query((50.0, 0.0), 2.0) == [0]
-        assert index.position(0) == (50.0, 0.0)
 
 
 class TestHotpathBench:
@@ -627,8 +615,7 @@ class TestHotpathBench:
         from repro.bench import hotpath as hp
 
         cell = {"scenario": "smallville", "n_agents": 100_000, "shards": 1,
-                "scale_ratio": 1.0, "agent_steps_per_sec": 1e5,
-                "fallback_scans": 0}
+                "scale_ratio": 1.0, "agent_steps_per_sec": 1e5}
         report = {"scenarios": ["smallville"], "entries": [
             {**cell, "role": "reference", "n_agents": 2000},
             {**cell, "role": "scale"},
@@ -709,7 +696,6 @@ class TestHotpathBench:
         monkeypatch.setattr(hp, "MIN_THROUGHPUT", 1.0)
         report = hp.run_hotpath(scenarios=["smallville"], agent_counts=(5,))
         entry = report["entries"][0]
-        assert entry["fallback_scans"] == 0
         assert entry["kernel_events"] > 0
         assert entry["kernel_events_per_cluster"] < 2.0
         assert entry["kernel_events_per_cluster"] <= \
@@ -817,8 +803,7 @@ class TestCountCeilings:
     @pytest.mark.parametrize("scenario", scenario_names())
     @pytest.mark.parametrize("counter", [
         "scans_per_agent_step", "events_total_per_cluster",
-        "scanned_slots_per_scan", "kernel_events_per_cluster",
-        "fallback_scans"])
+        "scanned_slots_per_scan", "kernel_events_per_cluster"])
     def test_lowered_ceiling_turns_the_gate_red(self, committed, monkeypatch,
                                                  scenario, counter):
         from repro.bench import hotpath as hp
@@ -867,7 +852,7 @@ class TestCountCeilings:
 
 def _observable_state(graph, n):
     """Everything a scheduler can see, deep-copied for comparison."""
-    state = {
+    return {
         "blocked_by": [set(graph.blocked_by[a]) for a in range(n)],
         "waiters": [set(graph.waiters[a]) for a in range(n)],
         "step": [graph.step[a] for a in range(n)],
@@ -877,10 +862,8 @@ def _observable_state(graph, n):
         "max_step": graph.max_step,
         "components": [graph.component_for(a, set())
                        for a in range(n) if not graph.running[a]],
+        "slots": graph._slot_snapshot(),
     }
-    if graph._bucket_fast:
-        state["slots"] = graph._slot_snapshot()
-    return state
 
 
 class TestStationaryCommits:
@@ -933,7 +916,6 @@ class TestStationaryCommits:
         assert bucket_calls == []
         assert all(a is b for a, b in zip(cells, graph._cellxy))
         assert all(a is b for a, b in zip(pos_objects, graph.pos))
-        assert graph.fallback_scans == 0
 
     def test_walker_is_charged_for_its_moves(self):
         """The other half of the bound: a commit that moved the agent
