@@ -34,17 +34,18 @@ COMPARE = "row[local[nb]] if comp[nb] == ca else inf"
 
 #: name -> (file, old text, new text, which occurrence, tests). The
 #: hop-row lane: the commit writes the node index wherever it writes
-#: ``pos[aid]``, and the two sites a cross-component pair can reach
-#: (the band scan and ``dist_within``) compare components before
-#: reading a row. The off-grid cell lane: a mover's cell and every
-#: initial cell come from ``Space.bucket``, and a space without cells
-#: is refused. The one-call round: ``ControllerCore.step``'s singleton
-#: lane and sorted seeds, the fused commit's peer count, the call-free
-#: cluster's due time and call test, and pins for callers only. The
-#: worker path: a
-#: task's members sorted (local ids monotone in global ids), its calls
-#: from every shard it got, global ids back on its timeline, the plan's
-#: shard count in the merge, and the planner's whole-trace margin.
+#: ``pos[aid]``, and the three sites a cross-component pair can reach
+#: (the band scan, ``dist_within`` and ``within``) compare components
+#: before reading a row; ``within`` keeps its radius inclusive. The
+#: off-grid cell lane: a mover's cell and every initial cell come from
+#: ``Space.bucket``, a mover drops its cached window keys, and a space
+#: without cells is refused. The one-call round:
+#: ``ControllerCore.step``'s singleton lane and sorted seeds, the fused
+#: commit's peer count, the call-free cluster's due time and call test,
+#: and pins for callers only. The worker path: a task's members sorted
+#: (local ids monotone in global ids), its calls from every shard it
+#: got, global ids back on its timeline, the plan's shard count in the
+#: merge, and the planner's whole-trace margin.
 MUTANTS = {
     "commit-skips-node-index": (
         GRAPH, f"if node is not None:\n                    {WRITE}",
@@ -54,8 +55,15 @@ MUTANTS = {
         GRAPH, COMPARE, "row[local[nb]]", 0, GRAPH_SPACE),
     "space-drops-component-compare": (
         SPACE, "if la[2] != lb[2]:", "if False:", 0, GRAPH_SPACE),
+    "within-drops-component-compare": (
+        SPACE, "if (la[2] != lb[2] or abs(", "if (abs(", 0, GRAPH_SPACE),
+    "within-strict-radius": (
+        SPACE, "return row[lb[4]] <= radius", "return row[lb[4]] < radius",
+        0, GRAPH_SPACE),
     "off-grid-mover-keeps-old-cell": (
         GRAPH, "nc = bucket(new_p, cell)", "nc = oc", 0, GRAPH_SPACE),
+    "mover-keeps-window-keys": (
+        GRAPH, "wkeys[aid] = None", "pass", 0, GRAPH_SPACE),
     "initial-cells-constant": (
         GRAPH, "return [bucket(p, cell) for p in self.pos]",
         "return [(0, 0) for p in self.pos]", 0, GRAPH_SPACE),

@@ -109,9 +109,9 @@ division, :class:`~repro.core.space.GraphSpace` by landmark BFS levels,
 a space with no bound by one constant cell). So there is one commit
 path for every metric; ``grid_bucketing`` only selects how a cell and
 the coupling window are derived (floor division vs ``Space.bucket`` /
-``cell_window``) — both kinds walk the window as four integers and
-filter on step before any distance. What a distance *costs* is the
-space's business: Euclidean checks are inlined, and a hop-metric space
+``cell_window``, whose bucket keys an agent caches until it moves) —
+both kinds filter on step before any distance. What a distance *costs*
+is the space's business: Euclidean checks are inlined, and a hop-metric space
 hands over per-source **hop rows** that the three exact-check sites
 index by the node index the graph keeps per agent (see
 :class:`~repro.core.space.GraphSpace`).
@@ -253,6 +253,11 @@ class SpatioTemporalGraph:
         self.index = SpatialIndex(
             rules.space,
             cell=max(cell_span * rules.couple_threshold, 1.0))
+        #: Off the grid, each agent's coupling-window bucket keys in walk
+        #: order: built from ``cell_window`` at the agent's first join,
+        #: ``None`` again once it moves. Grids derive theirs inline.
+        self._wkeys: list[list[tuple[int, int]] | None] | None = \
+            None if coord else [None] * n
         #: agents per step value, for O(1) min-step maintenance.
         self._step_counts: dict[int, int] = {start_step: n}
         self._min_step = start_step
@@ -795,6 +800,7 @@ class SpatioTemporalGraph:
         cells = self._cellxy
         scan_moves = self._scan_moves
         node = self._node
+        wkeys = self._wkeys
         new_pos = new_positions.get
         #: Members of this batch per new step.
         peers: dict[int, int] = {}
@@ -818,6 +824,7 @@ class SpatioTemporalGraph:
                     nc = (int(new_p[0] // cell), int(new_p[1] // cell))
                 else:
                     nc = bucket(new_p, cell)
+                    wkeys[aid] = None
                 if nc != oc:
                     move_bucketed(aid, oc, nc)
                     cells[aid] = nc
@@ -926,10 +933,11 @@ class SpatioTemporalGraph:
         before any distance: floor-division cells on coordinate grids
         (the coupling radius never exceeds the cell size, so the window
         spanned by the query box is 2x2 in the common case, up to 3x3
-        when the box is boundary-aligned), the space's ``cell_window``
-        elsewhere. The Euclidean membership test runs inline; other
-        spaces answer ``within`` for the few candidates the step filter
-        lets through.
+        when the box is boundary-aligned), elsewhere the key list the
+        agent cached from the space's ``cell_window`` (a pure function
+        of its position, so it holds until the agent moves). The
+        Euclidean membership test runs inline; other spaces answer
+        ``within`` for the few candidates the step filter lets through.
         """
         step = self.step
         pos = self.pos
@@ -938,23 +946,34 @@ class SpatioTemporalGraph:
         buckets = index._buckets
         cell = index.cell
         within = index._within
-        grid = index._grid
-        window = index._window
+        wkeys = self._wkeys
         euclid = self._euclid
         r2 = r * r
         for aid in aids:
             s = step[aid]
             pa = pos[aid]
-            if grid:
-                x = pa[0]
-                y = pa[1]
-                cx0 = int((x - r) // cell)
-                cx1 = int((x + r) // cell)
-                cy0 = int((y - r) // cell)
-                cy1 = int((y + r) // cell)
-            else:
-                cx0, cx1, cy0, cy1 = window(pa, r, cell)
             found: list[int] = []
+            out[aid] = found
+            if wkeys is not None:
+                keys = wkeys[aid]
+                if keys is None:
+                    cx0, cx1, cy0, cy1 = index._window(pa, r, cell)
+                    keys = wkeys[aid] = [(bx, by) for bx in range(cx0, cx1 + 1)
+                                         for by in range(cy0, cy1 + 1)]
+                for key in keys:
+                    b = buckets.get(key)
+                    if b:
+                        for bid in b:
+                            if bid != aid and step[bid] == s \
+                                    and within(pa, pos[bid], r):
+                                found.append(bid)
+                continue
+            x = pa[0]
+            y = pa[1]
+            cx0 = int((x - r) // cell)
+            cx1 = int((x + r) // cell)
+            cy0 = int((y - r) // cell)
+            cy1 = int((y + r) // cell)
             for bx in range(cx0, cx1 + 1):
                 for by in range(cy0, cy1 + 1):
                     b = buckets.get((bx, by))
@@ -973,7 +992,6 @@ class SpatioTemporalGraph:
                             if bid != aid and step[bid] == s \
                                     and within(pa, pos[bid], r):
                                 found.append(bid)
-            out[aid] = found
         return out
 
     def _wake_step(self, blocker_step: int, gap: int, margin: float) -> int:

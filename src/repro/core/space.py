@@ -485,12 +485,16 @@ class GraphSpace:
     dist = dist_within
 
     def within(self, a, b, radius: float) -> bool:
-        la = self._level_of(a)
-        lb = self._level_of(b)
+        levels = self._levels  # as in dist_within: memo hits skip calls
+        la = levels.get(a) or self._level_of(a)
+        lb = levels.get(b) or self._level_of(b)
         if (la[2] != lb[2] or abs(la[0] - lb[0]) > radius
                 or abs(la[1] - lb[1]) > radius):
             return False  # other component, or the levels certify dist > r
-        return self.dist_within(a, b, radius) <= radius
+        row = self._rows.get(la[3]) or self.hop_row(la[3])
+        if row is not None:
+            return row[lb[4]] <= radius
+        return self._ball(a, radius).get(b, math.inf) <= radius
 
     # -- bucketing ----------------------------------------------------------
 

@@ -22,8 +22,11 @@ from repro.core.dependency_graph import SpatioTemporalGraph
 from repro.core.space import GraphSpace, space_for
 from repro.errors import ConfigError
 
-from helpers import grid_moves, reference_bucket_range
-from test_hotpath_scheduler import DictReferenceGraph, _run_commit_fuzz
+from helpers import (grid_moves, reference_bucket_range, ring_space,
+                     tree_chord_space)
+from test_hotpath_scheduler import (DictReferenceGraph,
+                                    _assert_window_keys_fresh,
+                                    _run_commit_fuzz)
 
 
 def small_world(rng, n, k=2, ties=2) -> dict[int, list[int]]:
@@ -459,6 +462,91 @@ class TestCellContract:
         graph = SpatioTemporalGraph(hop_rules(GraphSpace({})), {})
         assert graph.commit([], {}).unblocked == set()
         assert graph.min_step == graph.max_step == 0
+
+
+class TestWindowKeyCache:
+    """Off the grid the join walks the bucket keys each agent cached
+    from ``cell_window``, until the agent moves. The commit fuzz
+    compares every cached list with a fresh build after every commit."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("world", ["ring", "tree_chord", "torus"])
+    def test_cache_matches_a_fresh_build_with_movers(self, world, seed):
+        rng = FastRng(seed)
+        n = 4 + 3 * seed
+        if world == "torus":
+            w, h = 24, 16
+            rules = DependencyRules(DependencyConfig(), space=TorusSpace(w, h))
+            positions = {i: (rng.integers(0, w), rng.integers(0, h))
+                         for i in range(n)}
+
+            def moves(pos):
+                return [(x % w, y % h) for x, y in grid_moves(pos)]
+        else:
+            if world == "ring":
+                space = ring_space(24, chords=3, seed=seed)
+                adj = space._adj
+            else:
+                space, adj = tree_chord_space(rng, 24)
+            rules = hop_rules(space)
+            positions = {i: (rng.integers(0, 24), 0) for i in range(n)}
+
+            def moves(pos):
+                return [pos, *adj[pos]]  # stay or one hop
+
+        assert _run_commit_fuzz(rules, positions, moves, rng, n,
+                                iters=30) > 0
+
+    def test_mover_couples_with_the_stationary_agent_it_reaches(self):
+        """Agent 0 caches its window at node 1 of a 10-node path; agent
+        1 stands at node 4, one step ahead. Agent 0 hops to node 2 and
+        lands within coupling range (2 hops): a window kept from node 1
+        (level cells 0..1 at cell 2) would miss node 4's cell 2."""
+        rules = hop_rules(GraphSpace(path_graph(10)))
+        graph = SpatioTemporalGraph(rules, {0: 1, 1: 4})
+        assert graph.component_for(0, set()) == [0]
+        cached = graph._wkeys[0]
+        assert cached and rules.space.bucket(4, graph.index.cell) \
+            not in cached
+        graph.mark_running([1])
+        graph.commit([1], {})  # stays put, and waits on agent 0
+        assert graph.blocked_by[1] == {0}
+        graph.mark_running([0])
+        result = graph.commit([0], {0: 2})
+        assert 1 in result.unblocked
+        assert list(result.member_neighbors[0]) == [1]
+        assert graph.component_for(0, set()) == [0, 1]
+        assert _assert_window_keys_fresh(graph, rules) == 2
+
+
+class TestWithin:
+    """``within(a, b, r) == (dist(a, b) <= r)`` for every pair at every
+    radius, against a BFS written without the space, on each lane the
+    method reads: hop rows, rows after a wholesale drop, balls."""
+
+    @pytest.mark.parametrize("lane", ["rows", "dropped", "balls"])
+    @pytest.mark.parametrize("labels", sorted(LABELS))
+    def test_every_pair_at_every_radius(self, labels, lane):
+        adj = labelled_world(FastRng(4), [9, 13], LABELS[labels])
+        # sampled_component_min=10 puts the 13-node component on balls.
+        space = GraphSpace(adj, sampled_component_min=(
+            10 if lane == "balls" else None))
+        if lane == "dropped":
+            space.ROW_BUDGET_BYTES = 40  # about three rows
+        refs = {node: bfs_reference(adj, node) for node in adj}
+        diameter = max(max(ref.values()) for ref in refs.values())
+        for a, ref in refs.items():
+            for b in adj:
+                d = ref.get(b, math.inf)
+                for r in range(diameter + 2):
+                    assert space.within(a, b, float(r)) == (d <= r), \
+                        (a, b, r)
+                assert space.dist(a, b) == d
+        assert space._rows
+        if lane == "dropped":
+            assert len(space._rows) < len(adj)  # dropped on the way
+            assert space._row_bytes <= 40
+        assert bool(space._balls) == (lane == "balls")
 
 
 class TestGraphSteadyState:

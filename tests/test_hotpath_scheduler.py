@@ -200,6 +200,26 @@ def _assert_fastpath_invariants(graph, ref, rules, n):
     assert all(b.steps for b in graph._bands.values())
 
 
+def _assert_window_keys_fresh(graph, rules):
+    """Every off-grid window-key list an agent holds equals one built
+    from ``cell_window`` at its current position, first axis outer.
+    Returns how many lists were checked (0 on grids, which cache none).
+    """
+    if graph._wkeys is None:
+        return 0
+    checked = 0
+    for aid, keys in enumerate(graph._wkeys):
+        if keys is None:
+            continue
+        x0, x1, y0, y1 = rules.space.cell_window(
+            graph.pos[aid], rules.couple_threshold, graph.index.cell)
+        assert keys == [(bx, by) for bx in range(x0, x1 + 1)
+                        for by in range(y0, y1 + 1)], \
+            f"agent {aid} holds stale window keys"
+        checked += 1
+    return checked
+
+
 def _run_commit_fuzz(rules, positions, move_candidates, rng, n,
                      iters=40, band_size=None, whole_first=False,
                      stay_p=None):
@@ -236,9 +256,13 @@ def _run_commit_fuzz(rules, positions, move_candidates, rng, n,
     outlives its slack; at ``stay_p >= 0.9`` moves are too rare to
     reach it, so ``test_walker_is_charged_for_its_moves`` pins it
     deterministically.
+
+    Returns how many cached off-grid window-key lists the per-commit
+    freshness check compared (``_assert_window_keys_fresh``).
     """
     graph = SpatioTemporalGraph(rules, positions, band_size=band_size)
     ref = DictReferenceGraph(rules, positions)
+    checked = 0
 
     batch: list[int] = []
 
@@ -286,6 +310,9 @@ def _run_commit_fuzz(rules, positions, move_candidates, rng, n,
                 assert graph.component_for(aid, set()) == \
                     _ref_component(ref, rules, aid), \
                     f"agent {aid} component diverged"
+        # 5. off the grid, every cached window-key list is still fresh
+        checked += _assert_window_keys_fresh(graph, rules)
+    return checked
 
 
 def _metric_world(metric, rng, n, nodes, **box):
