@@ -41,14 +41,6 @@ def test_ablation_prefix_cache(benchmark, experiment_runner):
     assert data[0.6] > 0.6 * data[0.0]
 
 
-def test_ablation_speculative(benchmark, experiment_runner):
-    data = experiment_runner("ablation_speculative", benchmark)
-    # Speculation sits between plain metropolis and the oracle.
-    for budget in (4, 8, 16):
-        assert data[f"spec-{budget}"] <= data["metropolis"] * 1.01
-        assert data[f"spec-{budget}"] >= data["oracle"] * 0.99
-
-
 def test_ablation_interactive(benchmark, experiment_runner):
     data = experiment_runner("ablation_interactive", benchmark)
     # Latency-first scheduling must not blow up total completion time.

@@ -26,9 +26,11 @@ DRIVER = "src/repro/core/metropolis.py"
 TASKS = "src/repro/core/tasks.py"
 POOL = "src/repro/core/parallel.py"
 PLANNER = "src/repro/core/sharding.py"
+REPLICA = "src/repro/serving/replica.py"
 GOLDEN = "tests/test_golden_replay.py"
 PARALLEL = "tests/test_parallel.py"
 GRAPH_SPACE = "tests/test_graph_space.py"
+ORACLE = "tests/test_replica_oracle.py"
 WRITE = "node[aid] = self._node_index(new_p)"
 COMPARE = "row[local[nb]] if comp[nb] == ca else inf"
 
@@ -45,7 +47,12 @@ COMPARE = "row[local[nb]] if comp[nb] == ca else inf"
 #: and pins for callers only. The worker path: a task's members sorted
 #: (local ids monotone in global ids), its calls from every shard it
 #: got, global ids back on its timeline, the plan's shard count in the
-#: merge, and the planner's whole-trace margin.
+#: merge, and the planner's whole-trace margin. The decode window
+#: against its per-iteration oracle: a boundary at the arrival's instant
+#: has passed, each boundary is charged only once it runs (a cut or a
+#: blackout must not leave unrun iterations charged, nor drop the one in
+#: flight), any new admissible head cuts, and same-iteration finishes
+#: leave in admission order.
 MUTANTS = {
     "commit-skips-node-index": (
         GRAPH, f"if node is not None:\n                    {WRITE}",
@@ -105,6 +112,26 @@ MUTANTS = {
         PLANNER, "margin = rules.radius_p + (n_steps + 1) * rules.max_vel",
         "margin = rules.radius_p + 4 * rules.max_vel", 0,
         "tests/test_sharding.py -k Boundary"),
+    "window-cut-bisect-left": (
+        REPLICA, "k = bisect_right(ends, self.kernel.now)",
+        "k = __import__('bisect').bisect_left(ends, self.kernel.now)", 0,
+        ORACLE),
+    "window-charged-at-plan-time": (
+        REPLICA, "self._event = self.kernel.call_at(t, self._window_done)",
+        "self._event = self.kernel.call_at(t, self._window_done)\n"
+        "            self.busy_time = busy; charged[:] = [busy] * len(charged)",
+        0, ORACLE),
+    "cut-only-into-empty-queue": (
+        REPLICA, "if ends and self._peek_admissible() is not None:",
+        "if ends and len(self._waiting) == 1 "
+        "and self._peek_admissible() is not None:", 0, ORACLE),
+    "drain-charges-passed-iterations-only": (
+        REPLICA, "self.busy_time = self._busy[min(k, len(self._busy) - 1)]",
+        "self.busy_time = self._busy[k - 1] if k else self.busy_time", 0,
+        ORACLE),
+    "finishes-in-reverse-admission-order": (
+        REPLICA, "self._run_seq, request))", "-self._run_seq, request))", 0,
+        ORACLE),
 }
 
 

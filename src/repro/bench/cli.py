@@ -114,13 +114,6 @@ def main(argv: list[str] | None = None) -> int:
                           "cell's exact counters exceed their "
                           "hotpath.COUNT_CEILINGS row (timings only "
                           "have to clear raw sanity floors)")
-    hot.add_argument("--spec", action="store_true",
-                     help="also replay every cell under metropolis-spec "
-                          "and attach the speculative win/loss column "
-                          "(spec_speedup + ledger counters); with "
-                          "--check, speculative mode must hold 0.98x "
-                          "of plain OOO on every cell and win on at "
-                          "least one")
     hot.add_argument("--scale", action="store_true",
                      help="run the scale matrix instead: a 2000-agent "
                           "reference cell plus serial and multiprocess "
@@ -219,8 +212,7 @@ def main(argv: list[str] | None = None) -> int:
         agent_counts = tuple(c for chunk in args.agents for c in chunk) \
             if args.agents else AGENT_COUNTS
         report = run_hotpath(scenarios=args.scenarios,
-                             agent_counts=agent_counts, out=out,
-                             spec=args.spec)
+                             agent_counts=agent_counts, out=out)
         print(format_report(report))
         print(f"[report written to {out}]")
         if args.check:

@@ -475,54 +475,6 @@ def ablation_prefix_cache(full: bool = False,
     return ExperimentResult("ablation_prefix_cache", table, data)
 
 
-def ablation_speculative(full: bool = False,
-                         scenario: str | None = None) -> ExperimentResult:
-    """§6 speculative execution: how much of the oracle gap it closes.
-
-    Compares plain metropolis, speculative metropolis (several budgets)
-    and the oracle on the busy hour. The race detector is a replay-mode
-    lookahead; misspeculations and squashes re-execute at full cost.
-    """
-    scn = get_scenario(scenario or scenario_default())
-    day = cached_day_trace(seed=0, scenario=scn)
-    trace = hour_window(day, scn.busy_hour)
-    serving = serving_for("l4-8b", 1)
-    rows = []
-    data = {}
-    metro = run_replay(trace, SchedulerConfig(policy="metropolis",
-                                              scenario=scn.name), serving)
-    oracle = run_replay(trace, SchedulerConfig(policy="oracle",
-                                               scenario=scn.name), serving)
-    data["metropolis"] = metro.completion_time
-    data["oracle"] = oracle.completion_time
-    rows.append(["metropolis", metro.completion_time, "-", "-", "-"])
-    for budget in (4, 8, 16):
-        result = run_replay(
-            trace, SchedulerConfig(policy="metropolis-spec",
-                                   speculation_budget=budget,
-                                   scenario=scn.name), serving)
-        extra = result.driver_stats.extra
-        gap_closed = ((metro.completion_time - result.completion_time)
-                      / max(metro.completion_time - oracle.completion_time,
-                            1e-9) * 100)
-        data[f"spec-{budget}"] = result.completion_time
-        data[f"gap_closed_{budget}_pct"] = gap_closed
-        rows.append([f"spec (budget {budget})",
-                     round(result.completion_time, 1),
-                     extra["speculations"], extra["squashes"],
-                     f"{gap_closed:.0f}%"])
-    rows.append(["oracle", round(oracle.completion_time, 1), "-", "-",
-                 "100%"])
-    table = format_table(
-        "ablation: speculative execution (busy hour, 1 L4)",
-        ["policy", "time (s)", "speculations", "squashes",
-         "oracle gap closed"],
-        rows,
-        note="§6: speculation overlaps blocked waiting with execution; "
-             "commits retire in order so outcomes are unchanged")
-    return ExperimentResult("ablation_speculative", table, data)
-
-
 EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "fig1": fig1,
     "fig2": fig2,
@@ -539,7 +491,6 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "ablation_workers": ablation_workers,
     "ablation_interactive": ablation_interactive,
     "ablation_prefix_cache": ablation_prefix_cache,
-    "ablation_speculative": ablation_speculative,
 }
 
 

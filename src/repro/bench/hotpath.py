@@ -15,10 +15,8 @@ pure scheduler overhead.
 cell's exact counters — the same trace gives the same count on every
 machine — must stay under its scenario's row of :data:`COUNT_CEILINGS`
 (full blocker scans per agent-step, slots per scan, kernel events per
-cluster); every (scenario, agent-count) cell the
-report ran must be present; and with ``--spec`` the speculative mode's
-virtual-time ratio over plain OOO must hold :data:`MIN_SPEC_RATIO` on
-every cell and win on one. The timings — controller agent-steps/s per
+cluster), and every (scenario, agent-count) cell the report ran must be
+present. The timings — controller agent-steps/s per
 cell, and the ``generation`` block's one cold full-day
 ``generate_trace`` per scenario — only have to clear raw sanity floors
 (:data:`MIN_THROUGHPUT`, :data:`MIN_GENERATION_THROUGHPUT`) set far
@@ -121,12 +119,6 @@ COUNT_CEILINGS: dict[str, dict[str, float]] = {
     # 0.1184 / 0.825 / 22.75 / 0.314
     "social-graph": _ceilings(0.148, 1.04, 28.5, 0.392),
 }
-#: Speculation gate: speculative mode's virtual completion time may
-#: never trail plain OOO by more than 2% on any cell (the ratio is a
-#: deterministic virtual-time quantity — no retries, no calibration)
-#: and must strictly win on at least one cell of the report, or the
-#: mode has regressed into dead weight.
-MIN_SPEC_RATIO = 0.98
 #: Worker processes for the multiprocess scale cells.
 PARALLEL_WORKERS = 4
 #: Parallel gate: the multiprocess 100k cell's controller agent-steps/s
@@ -172,17 +164,8 @@ def bench_generation(scenarios: list[str]) -> list[dict]:
 
 
 def bench_one(scenario: str, n_agents: int,
-              policy: str = "metropolis", spec: bool = False) -> dict:
-    """Replay one (scenario, scale) cell; returns its report entry.
-
-    ``spec=True`` additionally replays the *same* trace under the
-    ``metropolis-spec`` policy and attaches the speculative win/loss
-    column: ``spec_speedup`` is the base policy's virtual completion
-    time over speculative mode's — a pure virtual-time ratio, so it is
-    deterministic and machine-independent — plus the speculation
-    ledger counters (``speculations`` / ``misspeculations`` /
-    ``squashes`` / ``spec_retires`` / ``spec_rollback_rows``).
-    """
+              policy: str = "metropolis") -> dict:
+    """Replay one (scenario, scale) cell; returns its report entry."""
     scn = get_scenario(scenario)
     trace = hotpath_trace(scn, n_agents)
     wall0 = time.perf_counter()
@@ -193,7 +176,7 @@ def bench_one(scenario: str, n_agents: int,
     agent_steps = trace.meta.n_agents * trace.meta.n_steps
     controller = stats.controller_time
     kernel_events = stats.extra.get("kernel_events", 0)
-    entry = {
+    return {
         "scenario": scn.name,
         "n_agents": trace.meta.n_agents,
         "n_steps": trace.meta.n_steps,
@@ -223,25 +206,6 @@ def bench_one(scenario: str, n_agents: int,
         else float("inf"),
         "completion_time_s": result.completion_time,
     }
-    if spec:
-        wall1 = time.perf_counter()
-        spec_result = run_replay(
-            trace, SchedulerConfig(policy="metropolis-spec",
-                                   scenario=scn.name))
-        extra = spec_result.driver_stats.extra
-        entry.update({
-            "spec_completion_time_s": spec_result.completion_time,
-            "spec_speedup": result.completion_time
-            / spec_result.completion_time
-            if spec_result.completion_time else float("inf"),
-            "spec_wall_time_s": time.perf_counter() - wall1,
-            "speculations": extra["speculations"],
-            "misspeculations": extra["misspeculations"],
-            "squashes": extra["squashes"],
-            "spec_retires": extra["spec_retires"],
-            "spec_rollback_rows": extra["rollback_rows"],
-        })
-    return entry
 
 
 def _reset_peak_rss() -> None:
@@ -530,18 +494,16 @@ def calibration_score(rounds: int = 5, iters: int = 100_000) -> float:
 def run_hotpath(scenarios: list[str] | None = None,
                 agent_counts: tuple[int, ...] = AGENT_COUNTS,
                 policy: str = "metropolis",
-                out: Path | str | None = None,
-                spec: bool = False) -> dict:
+                out: Path | str | None = None) -> dict:
     """Benchmark every (scenario, scale) cell; write/return the report.
 
-    ``spec`` attaches the speculative-mode win/loss column to every
-    cell (see :func:`bench_one`). :func:`bench_generation`'s block is
-    measured first, while the shared path planners are cold.
+    :func:`bench_generation`'s block is measured first, while the shared
+    path planners are cold.
     """
     names = scenarios or scenario_names()
     calibration = calibration_score()
     generated = bench_generation(names)
-    entries = [bench_one(name, n, policy=policy, spec=spec)
+    entries = [bench_one(name, n, policy=policy)
                for name in names for n in sorted(agent_counts)]
     report = {
         "benchmark": "hotpath",
@@ -550,7 +512,6 @@ def run_hotpath(scenarios: list[str] | None = None,
         "scenarios": list(names),
         "calibration_ops_per_sec": calibration,
         "calibration_after_ops_per_sec": calibration_score(),
-        "spec": spec,
         "generation": generated,
         "entries": entries,
     }
@@ -566,10 +527,7 @@ def check_report(report: dict) -> list[str]:
     ``agent_counts``, and a :data:`COUNT_CEILINGS` row. Per cell: every
     counter of that row at or under its ceiling (a cell missing one
     fails loudly) and controller throughput above
-    :data:`MIN_THROUGHPUT`. A ``spec`` report additionally needs every
-    cell's ``spec_speedup`` at or above :data:`MIN_SPEC_RATIO` and one
-    cell strictly above 1.0 — speculation has to win somewhere or it is
-    dead weight.
+    :data:`MIN_THROUGHPUT`.
     """
     failures = []
     rates = {g["scenario"]: g["agent_steps_per_sec"]
@@ -591,8 +549,6 @@ def check_report(report: dict) -> list[str]:
                 failures.append(
                     f"{scenario}@{count}: required matrix cell missing "
                     f"from the report")
-    spec = report.get("spec", False)
-    spec_wins = 0
     for entry in report["entries"]:
         label = (f"{entry['scenario']}@{entry['n_agents']} "
                  f"({entry['policy']})")
@@ -611,43 +567,17 @@ def check_report(report: dict) -> list[str]:
                 failures.append(
                     f"{label}: {counter} {value:.4g} above its "
                     f"{ceiling:.4g} ceiling")
-        if spec:
-            ratio = entry.get("spec_speedup")
-            if ratio is None:
-                failures.append(
-                    f"{label}: spec_speedup missing from the report "
-                    f"entry")
-            elif ratio < MIN_SPEC_RATIO:
-                failures.append(
-                    f"{label}: speculative mode at {ratio:.4f}x of "
-                    f"plain OOO, below the {MIN_SPEC_RATIO:.2f}x "
-                    f"no-regression bar")
-            elif ratio > 1.0:
-                spec_wins += 1
-    if spec and report["entries"] and not spec_wins:
-        failures.append(
-            "speculative mode wins on no cell of the report "
-            "(spec_speedup <= 1.0 everywhere) — the mode regressed "
-            "into dead weight")
     return failures
 
 
 def format_report(report: dict) -> str:
-    """Fixed-width table for terminal output.
-
-    The ``spec`` column is speculative mode's virtual-time win ratio
-    over plain OOO for the cell (>1 = speculation wins), shown when
-    the report carries speculation cells.
-    """
-    with_spec = any("spec_speedup" in e for e in report["entries"])
+    """Fixed-width table for terminal output."""
     header = (f"{'scenario':<14}{'agents':>7}{'steps':>7}"
               f"{'ctrl-steps/s':>14}{'wall-steps/s':>14}"
               f"{'clustering':>11}{'graph':>9}{'dispatch':>9}"
-              f"{'rounds':>8}{'ev/cl':>7}{'all-ev/cl':>10}"
-              + (f"{'spec':>9}" if with_spec else ""))
+              f"{'rounds':>8}{'ev/cl':>7}{'all-ev/cl':>10}")
     lines = [header, "-" * len(header)]
     for e in report["entries"]:
-        spec = e.get("spec_speedup")
         lines.append(
             f"{e['scenario']:<14}{e['n_agents']:>7}{e['n_steps']:>7}"
             f"{e['agent_steps_per_sec']:>14.0f}"
@@ -657,7 +587,5 @@ def format_report(report: dict) -> str:
             f"{e['time_dispatch_s']:>8.3f}s"
             f"{e['controller_rounds']:>8}"
             f"{e.get('kernel_events_per_cluster', 0.0):>7.2f}"
-            f"{e.get('events_total_per_cluster', 0.0):>10.2f}"
-            + ("" if not with_spec else
-               f"{spec:>8.4f}x" if spec is not None else f"{'-':>9}"))
+            f"{e.get('events_total_per_cluster', 0.0):>10.2f}")
     return "\n".join(lines)

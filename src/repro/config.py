@@ -163,8 +163,8 @@ class SchedulerConfig:
     """Scheduler selection and options for a replay run."""
 
     policy: Literal[
-        "single-thread", "parallel-sync", "metropolis", "metropolis-spec",
-        "oracle", "no-dependency",
+        "single-thread", "parallel-sync", "metropolis", "oracle",
+        "no-dependency",
     ] = "metropolis"
     #: Registered scenario (see :mod:`repro.scenarios`) this run's
     #: workload comes from; reported as ``SimulationResult.scenario``.
@@ -193,26 +193,6 @@ class SchedulerConfig:
     #: interactive agent could block it within ``horizon`` steps, so it is
     #: served latency-first too. The far background stays throughput-first.
     interactive_horizon: int = 30
-    #: Maximum blocked clusters executing speculatively at once (§6
-    #: speculative execution; used by the ``metropolis-spec`` policy).
-    #: ``0`` disables speculation (exact plain-metropolis behavior).
-    speculation_budget: int = 8
-    #: Rank speculation candidates by critical-path contribution
-    #: (wake-step distance x cluster size — Table 1's interaction
-    #: priority inverted into a scheduling signal) instead of launching
-    #: in agent-id order. Set False for the ablation baseline.
-    speculation_priority: bool = True
-    #: Adaptive speculation depth: the live concurrent-speculation limit
-    #: starts at ``speculation_budget`` and halves whenever the recent
-    #: misspeculation+squash rate climbs past 1/2, growing back one slot
-    #: per clean window. Set False to pin the limit at the budget.
-    speculation_adaptive: bool = True
-    #: Feed the speculation ledger back into candidate *priority*:
-    #: agents whose past speculations misspeculated accumulate a decayed
-    #: penalty that demotes their clusters in the wake-distance x size
-    #: ranking, so the budget drains toward provably-safe candidates.
-    #: Set False for the ablation baseline (ranking ignores outcomes).
-    speculation_feedback: bool = True
     #: Region count for the worker pool (``parallel_workers >= 2``): the
     #: planner splits the map into at most this many provably-independent
     #: shards and packs them onto the workers (see

@@ -133,13 +133,9 @@ class ControllerCore:
         stats.time_graph += self.clock() - t0
         return dirty
 
-    def _claim(self, dirty: set[int],
-               exclude: Callable[[int], bool] | None = None
-               ) -> list[tuple[int, list[int]]]:
+    def _claim(self, dirty: set[int]) -> list[tuple[int, list[int]]]:
         """:meth:`step`'s second half: cluster the frontier and claim
-        what is dispatchable, in one batched graph transition. ``exclude``
-        hides agents the transport manages out of band (speculation)
-        from the component search."""
+        what is dispatchable, in one batched graph transition."""
         t0 = self.clock()
         graph = self.graph
         component = graph.component_for
@@ -167,7 +163,7 @@ class ControllerCore:
                     clusters.append((step[aid], [aid]))
                     batch.append(aid)
                 continue
-            cluster = component(aid, visited, exclude, True)
+            cluster = component(aid, visited, True)
             for m in cluster:
                 if blocked_by[m]:
                     break

@@ -387,7 +387,7 @@ class SpatioTemporalGraph:
     # -- coupling components (§3.4) ----------------------------------------
 
     def component_for(self, aid: int, visited: set[int],
-                      exclude=None, strict: bool = False) -> list[int]:
+                      strict: bool = False) -> list[int]:
         """BFS of the coupling component around ``aid``, sorted.
 
         Members are non-running agents at ``aid``'s step connected by
@@ -395,9 +395,8 @@ class SpatioTemporalGraph:
         commit's per-member lists where available (exact until the
         next commit) and from the spatial index otherwise. Members are
         added to the caller's ``visited`` set, so a round never
-        re-seeds the same component. ``exclude`` skips agents the
-        caller manages out-of-band (speculation); ``strict`` turns a
-        running same-step agent inside coupling range into a
+        re-seeds the same component. ``strict`` turns a running
+        same-step agent inside coupling range into a
         :class:`SchedulingError` (the rules guarantee it cannot happen
         — reaching it means the invariant broke).
         """
@@ -431,8 +430,6 @@ class SpatioTemporalGraph:
                     candidates = query_into(pos[a], threshold, qbuf)
             for other in candidates:
                 if other in visited or step[other] != step_v:
-                    continue
-                if exclude is not None and exclude(other):
                     continue
                 if running[other]:
                     if strict:

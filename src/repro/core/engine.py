@@ -23,14 +23,12 @@ from ..trace import Trace
 from .baselines import DriverStats, ParallelSyncDriver, SingleThreadDriver
 from .metropolis import MetropolisDriver
 from .oracle import NoDependencyDriver, OracleDriver, critical_path_time
-from .speculative import SpeculativeMetropolisDriver
 from .tasks import ChainExecutor
 
 _DRIVERS = {
     "single-thread": SingleThreadDriver,
     "parallel-sync": ParallelSyncDriver,
     "metropolis": MetropolisDriver,
-    "metropolis-spec": SpeculativeMetropolisDriver,
     "oracle": OracleDriver,
     "no-dependency": NoDependencyDriver,
 }

@@ -129,9 +129,6 @@ class MetropolisDriver:
             validate=config.validate_causality)
         self.graph = self.core.graph
         self.stats = self.core.stats
-        #: The round's one controller call (speculation composes its
-        #: own from the core's two halves).
-        self._step = self.core.step
         #: Per agent, the sorted steps whose chains contain LLM calls —
         #: the replay-mode half of the invocation-distance signal (the
         #: trace is known, as with ``ignore_eos`` output lengths).
@@ -196,7 +193,7 @@ class MetropolisDriver:
     # -- controller ------------------------------------------------------
 
     def start(self) -> None:
-        self._dispatch(self._step((), {}))
+        self._dispatch(self.core.step((), {}))
 
     def _dispatch(self, clusters: list[tuple[int, list[int]]]) -> None:
         """Give the round's claimed clusters worker slots and stage them.
@@ -363,7 +360,7 @@ class MetropolisDriver:
                     self.interactive_latencies.append(
                         now - self._last_commit_time[aid])
                     self._last_commit_time[aid] = now
-        self._dispatch(self._step(members_all, positions))
+        self._dispatch(self.core.step(members_all, positions))
 
     def finished(self) -> bool:
         """Drained to the last step? Also the end-of-run stats fold."""

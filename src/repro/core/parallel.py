@@ -85,11 +85,6 @@ _log = logging.getLogger(__name__)
 #: Seconds between liveness sweeps while waiting on worker ledgers.
 _POLL_S = 0.05
 
-#: ``DriverStats.extra`` keys that are *levels*, not counters: summing
-#: them across workers is meaningless, so the canonical merge
-#: reports the minimum live value instead.
-_LEVEL_KEYS = frozenset({"spec_depth"})
-
 
 def merge_extra_counters(extras: list[dict]) -> dict:
     """The canonical ``DriverStats.extra`` aggregation.
@@ -97,22 +92,15 @@ def merge_extra_counters(extras: list[dict]) -> dict:
     Numeric counters sum, so ``scanned_slots`` / ``kernel_events`` /
     ``scans`` count the whole population's work whether it ran
     in one process or many. Non-numeric values (per-run lists,
-    diagnostics) do not aggregate and are dropped; level keys
-    (:data:`_LEVEL_KEYS`) take the minimum.
+    diagnostics) do not aggregate and are dropped.
     """
     out: dict = {}
     for extra in extras:
         for key, value in extra.items():
-            if key in _LEVEL_KEYS:
-                continue
             if isinstance(value, bool) or \
                     not isinstance(value, (int, float)):
                 continue
             out[key] = out.get(key, 0) + value
-    for key in _LEVEL_KEYS:
-        values = [e[key] for e in extras if key in e]
-        if values:
-            out[key] = min(values)
     return out
 
 
@@ -463,7 +451,7 @@ def try_parallel_replay(trace: Trace, scheduler: SchedulerConfig,
         return _fallback("a fault_hook closure cannot cross processes")
     if scheduler.parallel_workers < 2 and pool is None:
         return _fallback("fewer than two parallel_workers requested")
-    if scheduler.policy not in ("metropolis", "metropolis-spec"):
+    if scheduler.policy != "metropolis":
         return _fallback(
             f"policy {scheduler.policy!r} has no shard-worker controller")
     if scheduler.interactive_agents:

@@ -46,16 +46,11 @@ class Space(Protocol):
     """A metric over agent positions.
 
     Spaces may additionally provide optional performance hooks the
-    :class:`~repro.core.clustering.SpatialIndex`, the dependency graph
-    and the speculative driver exploit:
+    :class:`~repro.core.clustering.SpatialIndex` and the dependency
+    graph exploit:
 
     * ``within(a, b, radius) -> bool`` — radius membership without
       computing the distance itself (Euclidean skips the sqrt);
-    * ``within_mat(dx, dy, radius) -> bool ndarray`` — the same
-      predicate over numpy coordinate-delta arrays (coordinate spaces
-      only); its one reader is speculation's race oracle, which tests a
-      blocker's whole launch-window trajectory against a member's tile
-      in one masked reduction;
     * ``grid_bucketing = True`` — declares 2D numeric coordinates with
       floor-division cells, enabling inline cell and window derivation;
     * ``cell_window(pos, radius, cell) -> (x0, x1, y0, y1)`` — required
@@ -96,10 +91,6 @@ class EuclideanSpace(_Grid2D):
         dy = a[1] - b[1]
         return dx * dx + dy * dy <= radius * radius
 
-    @staticmethod
-    def within_mat(dx, dy, radius: float):
-        return dx * dx + dy * dy <= radius * radius
-
 
 class ChebyshevSpace(_Grid2D):
     """L-infinity distance (square perception windows on grids)."""
@@ -110,10 +101,6 @@ class ChebyshevSpace(_Grid2D):
     def within(self, a, b, radius: float) -> bool:
         return abs(a[0] - b[0]) <= radius and abs(a[1] - b[1]) <= radius
 
-    @staticmethod
-    def within_mat(dx, dy, radius: float):
-        return np.maximum(np.abs(dx), np.abs(dy)) <= radius
-
 
 class ManhattanSpace(_Grid2D):
     """L1 distance (4-connected grid movement)."""
@@ -123,10 +110,6 @@ class ManhattanSpace(_Grid2D):
 
     def within(self, a, b, radius: float) -> bool:
         return abs(a[0] - b[0]) + abs(a[1] - b[1]) <= radius
-
-    @staticmethod
-    def within_mat(dx, dy, radius: float):
-        return np.abs(dx) + np.abs(dy) <= radius
 
 
 class GraphSpace:

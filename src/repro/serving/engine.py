@@ -139,29 +139,6 @@ class ServingEngine:
     def idle(self) -> bool:
         return all(r.idle() for r in self.replicas)
 
-    def spec_slack(self, fraction: float = 1.0) -> int:
-        """Concurrent-request headroom under the decode saturation knee.
-
-        Decode is memory-bandwidth bound until the batch reaches
-        :meth:`PerfModel.saturation_batch_size`: below the knee an extra
-        sequence shares the weight-streaming cost, above it every one
-        adds compute time that delays the foreground critical path. The
-        speculative scheduler spends this headroom like a budget — its
-        background chains are only ~free while the engine stays in the
-        bandwidth-bound regime, so launches stop when the knee is
-        reached (per replica; an overloaded replica contributes zero,
-        it cannot lend another's slack). ``fraction`` scales the knee:
-        even bandwidth-bound sequences tax every iteration with their
-        KV reads, so callers hiding latency (rather than chasing
-        utilization) should stop well short of the flip point.
-        """
-        knee = int(self.perf.saturation_batch_size() * fraction)
-        free = 0
-        for r in self.replicas:
-            if r.outstanding < knee:
-                free += knee - r.outstanding
-        return free
-
     @property
     def kv_capacity_tokens(self) -> int:
         return self.perf.kv_capacity_tokens

@@ -18,6 +18,18 @@ import numpy as np
 from ..errors import TraceError
 from .schema import Trace, TraceMeta, _alloc_positions
 
+#: The arrays every npz trace holds besides its positions.
+_NPZ_ARRAYS = ("meta", "call_step", "call_agent", "call_func", "call_in",
+               "call_out")
+
+
+def _meta(fields: dict, where: str) -> TraceMeta:
+    """The header's :class:`TraceMeta`, or a TraceError naming it."""
+    try:
+        return TraceMeta(**fields)
+    except TypeError as exc:
+        raise TraceError(f"{where}: bad trace header: {exc}") from None
+
 
 def save_trace(trace: Trace, path: str | Path) -> None:
     """Write a trace as compressed npz — to a temp file beside ``path``,
@@ -44,7 +56,13 @@ def load_trace(path: str | Path) -> Trace:
     if not path.exists():
         raise TraceError(f"no trace at {path}")
     with np.load(path, allow_pickle=False) as data:
-        meta = TraceMeta(**json.loads(str(data["meta"])))
+        missing = [name for name in _NPZ_ARRAYS if name not in data.files]
+        if "positions_sa" not in data.files \
+                and "positions" not in data.files:
+            missing.append("positions_sa")
+        if missing:
+            raise TraceError(f"{path}: npz trace lacks {missing}")
+        meta = _meta(json.loads(str(data["meta"])), str(path))
         # Step-major is the canonical on-disk layout; files written
         # before the numpy position store carried agent-major arrays.
         if "positions_sa" in data.files:
@@ -91,34 +109,65 @@ def export_jsonl(trace: Trace, path: str | Path) -> None:
 
 
 def import_jsonl(path: str | Path) -> Trace:
-    """Read the interchange jsonl representation."""
+    """Read the interchange jsonl representation.
+
+    Every agent needs one movement record whose path holds a position
+    for each step boundary; a malformed record raises
+    :class:`TraceError` naming its line.
+    """
     from ..world.behavior import FUNC_INDEX
 
     path = Path(path)
     meta = None
-    movements: dict[int, list] = {}
+    movements: dict[int, tuple[str, list]] = {}
     steps, agents, funcs, ins, outs = [], [], [], [], []
     with path.open() as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
+            where = f"{path.name} line {lineno}"
             rec = json.loads(line)
-            kind = rec.pop("type")
-            if kind == "header":
-                meta = TraceMeta(**rec)
-            elif kind == "movement":
-                movements[rec["agent"]] = rec["path"]
-            elif kind == "call":
-                steps.append(rec["step"])
-                agents.append(rec["agent"])
-                funcs.append(FUNC_INDEX[rec["func"]])
-                ins.append(rec["input_tokens"])
-                outs.append(rec["output_tokens"])
-            else:
-                raise TraceError(f"unknown record type {kind!r}")
+            kind = rec.pop("type", None)
+            try:
+                if kind == "header":
+                    meta = _meta(rec, where)
+                elif kind == "movement":
+                    movements[rec["agent"]] = (where, rec["path"])
+                elif kind == "call":
+                    if rec["func"] not in FUNC_INDEX:
+                        raise TraceError(
+                            f"{where}: unknown func {rec['func']!r}")
+                    steps.append(rec["step"])
+                    agents.append(rec["agent"])
+                    funcs.append(FUNC_INDEX[rec["func"]])
+                    ins.append(rec["input_tokens"])
+                    outs.append(rec["output_tokens"])
+                else:
+                    raise TraceError(
+                        f"{where}: unknown record type {kind!r}")
+            except KeyError as exc:
+                raise TraceError(
+                    f"{where}: {kind} record lacks {exc}") from None
     if meta is None:
         raise TraceError("jsonl trace missing header record")
-    positions = np.zeros((meta.n_agents, meta.n_steps + 1, 2), dtype=np.int32)
-    for aid, pos_list in movements.items():
-        positions[aid] = np.asarray(pos_list, dtype=np.int32)
+    n = meta.n_agents
+    shape = (meta.n_steps + 1, 2)
+    positions = np.empty((n, *shape), dtype=np.int32)
+    for aid, (where, pos_list) in movements.items():
+        if not isinstance(aid, int) or not 0 <= aid < n:
+            raise TraceError(
+                f"{where}: movement agent {aid!r} outside [0, {n})")
+        try:
+            row = np.asarray(pos_list, dtype=np.int32)
+        except (TypeError, ValueError) as exc:
+            raise TraceError(f"{where}: agent {aid}'s path: {exc}") from None
+        if row.shape != shape:
+            raise TraceError(
+                f"{where}: agent {aid}'s path has shape {row.shape}, "
+                f"not {shape}")
+        positions[aid] = row
+    missing = sorted(set(range(n)) - movements.keys())
+    if missing:
+        raise TraceError(
+            f"{path.name}: no movement record for agent {missing[0]}")
     trace = Trace(
         meta, positions,
         np.asarray(steps, dtype=np.int32), np.asarray(agents, dtype=np.int32),

@@ -1,5 +1,5 @@
 """Test utilities: compact synthetic traces and seeded world builders
-shared across the scheduler, sharding, fault, and speculation suites."""
+shared across the scheduler, sharding, fault, and controller suites."""
 
 from __future__ import annotations
 
@@ -63,10 +63,10 @@ def collision_course_trace(n_steps=24):
     retreats while the light agent walks left from 14 toward it.
 
     The light agent blocks *strictly inside* the laggard's §3.2 sphere
-    (head-on closing speed 2 beats the sphere's max_vel growth), so the
-    launch window provably contains the laggard's dip into the agent's
-    perception radius — the oracle marks the record and its coupling
-    kill is a misspeculation, not a conservative squash.
+    (head-on closing speed 2 beats the sphere's max_vel growth), and the
+    laggard's trajectory really does dip into the agent's perception
+    radius: the block is a true interaction, and the pair couples once
+    the laggard catches up.
     """
     laggard = [(s if s <= 8 else max(0, 16 - s), 0)
                for s in range(n_steps + 1)]
@@ -78,8 +78,8 @@ def collision_course_trace(n_steps=24):
 def disjoint_course_trace(n_steps=24):
     """Anchored but never racing: a heavy laggard sits at (0, 0), a
     light agent at (10, 0) — inside blocking range at gap >= 5 but
-    outside the perception radius forever. Every speculation must
-    retire; none may misspeculate or squash.
+    outside the perception radius forever: every block is conservative,
+    and the pair never couples.
     """
     laggard = [(0, 0)] * (n_steps + 1)
     agent = [(10, 0)] * (n_steps + 1)

@@ -5,7 +5,7 @@ segments, the last :data:`STEPS` steps of the active window, side by
 side past the worst-case blocking margin so ``plan_regions`` can split
 them — under one combination of
 
-* policy: ``metropolis``, ``metropolis-spec``, ``parallel-sync``;
+* policy: ``metropolis``, ``parallel-sync``;
 * serving: fluid on 8 GPUs, uncapped (``fluid``) or with
   ``num_workers=3`` (``fluid-w3``); iteration fidelity on one GPU with
   distance KV retention under the scenario's pressure fraction (``kv``);
@@ -42,7 +42,7 @@ from repro.trace.schema import concat_traces
 
 SCENARIO = "smallville"
 STEPS = 40
-POLICIES = ("metropolis", "metropolis-spec", "parallel-sync")
+POLICIES = ("metropolis", "parallel-sync")
 SERVINGS = ("fluid", "fluid-w3", "kv")
 
 #: (policy, serving, shards, parallel_workers) -> (completion time,
@@ -66,24 +66,6 @@ GOLDEN: dict[tuple[str, str, int, int], tuple[float, str]] = {
         (61.03216750590409, "cb6518968b2a8c3e"),
     ("metropolis", "kv", 2, 2):
         (39.02510264740499, "272b14032b3ed1f6"),
-    ("metropolis-spec", "fluid", 0, 0):
-        (36.753623046175484, "5d2f514c46b1a6a6"),
-    ("metropolis-spec", "fluid", 2, 0):
-        (36.753623046175484, "5d2f514c46b1a6a6"),
-    ("metropolis-spec", "fluid", 2, 2):
-        (35.316786967449055, "80aed2f9a20d985b"),
-    ("metropolis-spec", "fluid-w3", 0, 0):
-        (108.61190501847305, "ed741dc0cff5a6f8"),
-    ("metropolis-spec", "fluid-w3", 2, 0):
-        (108.61190501847305, "ed741dc0cff5a6f8"),
-    ("metropolis-spec", "fluid-w3", 2, 2):
-        (58.09741494615966, "db815f026f202841"),
-    ("metropolis-spec", "kv", 0, 0):
-        (58.52209794667544, "3f791aa4aab92baf"),
-    ("metropolis-spec", "kv", 2, 0):
-        (58.52209794667544, "3f791aa4aab92baf"),
-    ("metropolis-spec", "kv", 2, 2):
-        (36.44464171800338, "789ad96b6bcf6067"),
     ("parallel-sync", "fluid", 0, 0):
         (215.14768788905778, "3eca0238df272dfb"),
     ("parallel-sync", "fluid", 2, 0):

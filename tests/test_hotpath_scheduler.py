@@ -479,11 +479,6 @@ class TestGraphNativeComponents:
         graph.component_for(0, visited)
         assert visited == {0, 1}
 
-    def test_exclude_hook_skips_agents(self):
-        _, graph = self._graph()
-        got = graph.component_for(0, set(), lambda aid: aid == 1)
-        assert got == [0]
-
     @pytest.mark.parametrize("seeded", [False, True],
                              ids=["index", "commit"])
     def test_running_neighbour_trips_strict_search(self, seeded):
@@ -497,7 +492,7 @@ class TestGraphNativeComponents:
         graph.running[1] = True
         assert graph.component_for(0, set()) == [0]
         with pytest.raises(SchedulingError, match="coupling invariant"):
-            graph.component_for(0, set(), None, True)
+            graph.component_for(0, set(), True)
 
 
 class TestSpatialIndexBuffers:
@@ -669,9 +664,7 @@ class TestHotpathBench:
         assert stats.extra["cluster_cache_hits"] == 0
         assert stats.extra["cluster_cache_misses"] > 0
 
-    @pytest.mark.parametrize("policy", ["metropolis", "metropolis-spec"])
-    def test_kernel_events_per_cluster_amortized_o1(self, synthetic_trace,
-                                                    policy):
+    def test_kernel_events_per_cluster_amortized_o1(self, synthetic_trace):
         """Single-event rounds: the driver schedules strictly fewer
         kernel events than the old dispatch + commit pair per cluster,
         even on a tiny trace with almost no ack coalescing (the hotpath
@@ -679,7 +672,7 @@ class TestHotpathBench:
         from repro.config import SchedulerConfig
         from repro.core import run_replay
 
-        result = run_replay(synthetic_trace, SchedulerConfig(policy=policy))
+        result = run_replay(synthetic_trace, SchedulerConfig())
         stats = result.driver_stats
         events = stats.extra["kernel_events"]
         assert events > 0
@@ -688,10 +681,8 @@ class TestHotpathBench:
         # event per finish instant bounds the total
         assert events <= 2 * stats.controller_rounds + 1
 
-    @pytest.mark.parametrize("policy", ["metropolis", "metropolis-spec"])
     @pytest.mark.parametrize("num_workers", [0, 3])
-    def test_kernel_events_total_one_per_quiet_round(self, policy,
-                                                     num_workers):
+    def test_kernel_events_total_one_per_quiet_round(self, num_workers):
         """With no LLM call anywhere, a controller round costs one kernel
         event across *all* layers — its own round (commit) event —
         however many clusters it dispatches, with or without a worker
@@ -703,17 +694,15 @@ class TestHotpathBench:
 
         trace = random_trace(seed=11, n_agents=12, p_call=0.0)
         stats = run_replay(trace, SchedulerConfig(
-            policy=policy, num_workers=num_workers)).driver_stats
+            num_workers=num_workers)).driver_stats
         assert stats.clusters_dispatched > 2 * stats.controller_rounds
-        # The first round runs at start, every later one is an event; a
-        # speculation adds its own launch and the executor's start.
-        spec = stats.extra.get("speculations", 0)
+        # The first round runs at start, every later one is an event.
         rounds = stats.controller_rounds - 1
-        assert stats.extra["kernel_events"] == rounds + spec
-        assert stats.extra["kernel_events_total"] == rounds + 2 * spec
+        assert stats.extra["kernel_events"] == rounds
+        assert stats.extra["kernel_events_total"] == rounds
 
         trace = random_trace(seed=11, n_agents=12)
-        stats = run_replay(trace, SchedulerConfig(policy=policy)).driver_stats
+        stats = run_replay(trace, SchedulerConfig()).driver_stats
         assert stats.extra["kernel_events"] < \
             stats.extra["kernel_events_total"]
 
@@ -817,7 +806,6 @@ class TestCountCeilings:
     def test_committed_report_passes(self, committed):
         from repro.bench.hotpath import check_report
 
-        assert committed["spec"]
         assert check_report(committed) == []
 
     def test_every_scenario_has_a_row(self):

@@ -126,17 +126,6 @@ class TestParallelEquivalenceFuzz:
         assert parallel.driver_stats.unblock_events == \
             single.driver_stats.unblock_events
 
-    def test_speculative_policy_matches(self, pool):
-        trace = generate_scale_trace(total_agents=60, n_steps=10,
-                                     base_seed=5)
-        base = SchedulerConfig(policy="metropolis-spec", shards=4,
-                               validate_causality=True)
-        single, parallel = _modes(trace, base, pool)
-        n = trace.meta.n_agents
-        assert parallel.n_tasks_completed == single.n_tasks_completed
-        assert _per_agent_sequences(parallel.timeline, n) == \
-            _per_agent_sequences(single.timeline, n)
-
 
 class TestCrashRedispatch:
     def test_crashed_worker_is_redispatched(self):
@@ -217,13 +206,12 @@ class TestCounterAggregation:
 
     def test_merge_extra_counters(self):
         merged = merge_extra_counters([
-            {"scanned_slots": 3, "kernel_events": 2, "spec_depth": 8,
+            {"scanned_slots": 3, "kernel_events": 2,
              "flag": True, "latencies": [1, 2]},
-            {"scanned_slots": 4, "kernel_events": 5, "spec_depth": 2,
-             "fallback_scans": 1},
+            {"scanned_slots": 4, "kernel_events": 5, "fallback_scans": 1},
         ])
         assert merged == {"scanned_slots": 7, "kernel_events": 7,
-                          "fallback_scans": 1, "spec_depth": 2}
+                          "fallback_scans": 1}
 
 
 class TestWorkerTasks:

@@ -6,8 +6,8 @@ kernel event per batch-composition change; ``PerIterationReplica``
 Every float either produces must be the other's, so everything here is
 compared with ``==``, never ``approx``.
 
-Mutations of ``serving/replica.py`` that must turn this file red (each
-was tried by hand; re-try them when the replica changes):
+Mutations of ``serving/replica.py`` that must turn this file red
+(scripted in ``scripts/mutants.py``; run them when the replica changes):
 
 * ``bisect_left`` for ``bisect_right`` in the cut — an arrival at the
   bit-identical instant of a boundary re-schedules that boundary instead
@@ -17,7 +17,11 @@ was tried by hand; re-try them when the replica changes):
   (the ``busy_time`` rows of the sweep);
 * cutting only when the queue was empty before the arrival — a small
   urgent request that jumps a head blocked on KV is admitted an
-  iteration-run late (the ``max_running`` / KV-pressure rows).
+  iteration-run late (the ``max_running`` / KV-pressure rows);
+* a blackout charging only the iterations that passed — the one in
+  flight was charged when it started (the blackout rows);
+* finishes of one iteration delivered in reverse admission order — the
+  oracle finishes them in admission order (the ``delivered`` rows).
 """
 
 from __future__ import annotations

@@ -235,12 +235,11 @@ class TestRegionBoundary:
 class TestInProcessIgnoresShards:
     """An in-process replay runs one graph whatever ``shards`` says."""
 
-    @pytest.mark.parametrize("policy", ["metropolis", "metropolis-spec"])
     @pytest.mark.parametrize("scenario", ["smallville", "social-graph"])
-    def test_same_replay_with_and_without_shards(self, scenario, policy):
+    def test_same_replay_with_and_without_shards(self, scenario):
         trace = generate_scale_trace(total_agents=75, n_steps=25,
                                      scenario=scenario, base_seed=11)
-        base = SchedulerConfig(policy=policy, validate_causality=True)
+        base = SchedulerConfig(validate_causality=True)
         assert plan_regions(trace, rules_for(base, trace.meta), 4)
         r0 = run_replay(trace, base)
         r4 = run_replay(trace, replace(base, shards=4))

@@ -1,5 +1,6 @@
 """Tests for the trace schema, generation, io and statistics."""
 
+import json
 import logging
 from dataclasses import replace
 
@@ -430,6 +431,67 @@ class TestTraceIO:
                         '"output_tokens": 2}\n')
         with pytest.raises(TraceError):
             import_jsonl(path)
+
+
+def _record(recs, kind, agent=None):
+    return next(r for r in recs if r["type"] == kind
+                and (agent is None or r["agent"] == agent))
+
+
+def _edited_jsonl(trace, tmp_path, edit):
+    path = tmp_path / "t.jsonl"
+    export_jsonl(trace, path)
+    recs = [json.loads(line) for line in path.read_text().splitlines()]
+    edit(recs)
+    path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    return import_jsonl(path)
+
+
+def _edited_npz(trace, tmp_path, edit):
+    path = tmp_path / "t.npz"
+    save_trace(trace, path)
+    with np.load(path, allow_pickle=False) as data:
+        arrays = dict(data)
+    edit(arrays)
+    np.savez_compressed(path, **arrays)
+    return load_trace(path)
+
+
+def _drop_meta_field(arrays, field):
+    meta = json.loads(str(arrays["meta"]))
+    del meta[field]
+    arrays["meta"] = json.dumps(meta)
+
+
+#: id -> (loader, edit of a good file, text the error must name).
+MALFORMED = {
+    "movement-missing": (
+        _edited_jsonl, lambda r: r.remove(_record(r, "movement", 2)),
+        "agent 2"),
+    "one-point-path": (
+        _edited_jsonl, lambda r: _record(r, "movement", 2).update(
+            path=_record(r, "movement", 2)["path"][:1]), "agent 2"),
+    "movement-agent-out-of-range": (
+        _edited_jsonl, lambda r: _record(r, "movement", 2).update(agent=99),
+        "agent 99"),
+    "unknown-func": (
+        _edited_jsonl, lambda r: _record(r, "call").update(func="teleport"),
+        "teleport"),
+    "extra-header-field": (
+        _edited_jsonl, lambda r: r[0].update(colour="red"), "colour"),
+    "npz-missing-array": (
+        _edited_npz, lambda a: a.pop("call_out"), "call_out"),
+    "npz-missing-meta-field": (
+        _edited_npz, lambda a: _drop_meta_field(a, "n_steps"), "n_steps"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_trace_file_raises_trace_error(synthetic_trace, tmp_path,
+                                                 case):
+    load, edit, named = MALFORMED[case]
+    with pytest.raises(TraceError, match=named):
+        load(synthetic_trace, tmp_path, edit)
 
 
 class TestStats:
