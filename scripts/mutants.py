@@ -27,10 +27,16 @@ TASKS = "src/repro/core/tasks.py"
 POOL = "src/repro/core/parallel.py"
 PLANNER = "src/repro/core/sharding.py"
 REPLICA = "src/repro/serving/replica.py"
+MEMORY = "src/repro/world/memory_stream.py"
+BEHAVIOR = "src/repro/world/behavior.py"
+GRID = "src/repro/world/grid.py"
+PATHFIND = "src/repro/world/pathfind.py"
 GOLDEN = "tests/test_golden_replay.py"
 PARALLEL = "tests/test_parallel.py"
 GRAPH_SPACE = "tests/test_graph_space.py"
 ORACLE = "tests/test_replica_oracle.py"
+WORLD = "tests/test_world.py"
+RANKING = f"{WORLD}::TestMemoryRankingMemo::test_matches_reference"
 WRITE = "node[aid] = self._node_index(new_p)"
 COMPARE = "row[local[nb]] if comp[nb] == ca else inf"
 
@@ -52,7 +58,13 @@ COMPARE = "row[local[nb]] if comp[nb] == ca else inf"
 #: has passed, each boundary is charged only once it runs (a cut or a
 #: blackout must not leave unrun iterations charged, nor drop the one in
 #: flight), any new admissible head cuts, and same-iteration finishes
-#: leave in admission order.
+#: leave in admission order. The world model: the memo'd ranking against
+#: its full-sort reference (reset on add, ties in stream order, no
+#: negative table index, the one-keyword literal), every clause of the
+#: dwelling guard, the chat sweep's strict break and final sort, the
+#: perception scan's inclusive radius without the agent itself, the
+#: first-declared venue table dropped by ``add_venue``, and the wall-
+#: respecting, four-way, read-only flood.
 MUTANTS = {
     "commit-skips-node-index": (
         GRAPH, f"if node is not None:\n                    {WRITE}",
@@ -132,6 +144,60 @@ MUTANTS = {
     "finishes-in-reverse-admission-order": (
         REPLICA, "self._run_seq, request))", "-self._run_seq, request))", 0,
         ORACLE),
+    "ranking-memo-survives-add": (
+        MEMORY, "+= event.importance\n        self._ranked_for = None",
+        "+= event.importance", 0, RANKING),
+    "ranking-ties-by-tokens": (
+        MEMORY, "range(len(events)), key=keys.__getitem__)]",
+        "range(len(events)), key=lambda i: (keys[i], -events[i].tokens))]",
+        0, RANKING),
+    "decay-table-without-sign-guard": (
+        MEMORY, "_DECAY[age] if 0 <= age < 4000 else",
+        "_DECAY[age] if age < 4000 else", 0, RANKING),
+    "one-keyword-hit-scored-one": (
+        MEMORY, "(1.1 if only in event.keywords else 0.1)",
+        "(1.0 if only in event.keywords else 0.1)", 0, WORLD),
+    "dweller-skips-reflection-check": (
+        BEHAVIOR, "\n                and not self._reflection_due(agent, step)):",
+        "):", 0, WORLD),
+    "dweller-ignores-sleep-time": (
+        BEHAVIOR, "and day_step < persona.sleep_step\n", "and True\n", 0,
+        WORLD),
+    "dweller-ignores-schedule-block": (
+        BEHAVIOR, "and persona.block_at(day_step).activity\n"
+        '                in (agent.activity, "sleeping")', "and True", 0,
+        WORLD),
+    "dweller-ignores-target": (
+        BEHAVIOR, "if (agent.awake and agent.target_venue is None",
+        "if (agent.awake", 0, WORLD),
+    "dweller-ignores-awake": (
+        BEHAVIOR, "if (agent.awake and agent.target_venue is None",
+        "if (agent.target_venue is None", 0, WORLD),
+    "dweller-drops-sleeping-block": (
+        BEHAVIOR, 'in (agent.activity, "sleeping")', "in (agent.activity,)",
+        0, WORLD),
+    "chat-sweep-breaks-at-limit": (
+        BEHAVIOR, "if bx > limit:", "if bx >= limit:", 0, WORLD),
+    "chat-pairs-unsorted": (
+        BEHAVIOR, "pairs.sort()", "pass", 0, WORLD),
+    "neighbors-include-self": (
+        BEHAVIOR, "* dy <= reach and i != aid]", "* dy <= reach]", 0, WORLD),
+    "neighbors-strict-radius": (
+        BEHAVIOR, "* dy <= reach and i != aid]", "* dy < reach and i != aid]",
+        0, WORLD),
+    "venue-table-last-declared-wins": (
+        GRID, "table.setdefault(tile, venue)", "table[tile] = venue", 0,
+        WORLD),
+    "venue-table-survives-add-venue": (
+        GRID, "= venue\n        self._venue_of_tile = None", "= venue", 0,
+        WORLD),
+    "flood-misses-a-shift": (
+        PATHFIND, "grown[:, :-1] |= frontier[:, 1:]", "pass", 0, WORLD),
+    "flood-ignores-walls": (
+        PATHFIND, "unseen = walkable & ~frontier",
+        "unseen = np.ones_like(walkable) & ~frontier", 0, WORLD),
+    "flood-field-writable": (
+        PATHFIND, "field.setflags(write=False)", "pass", 0, WORLD),
 }
 
 

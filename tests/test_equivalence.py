@@ -154,11 +154,12 @@ def _per_agent_sequences(timeline, n_agents):
 class TestReplayMatchesLockStep:
     """Out-of-order replay vs the lock-step oracle on random small
     worlds, coordinate and graph metrics, in process and as two worker
-    tasks (4 cells x 50 seeds = 200 worlds)."""
+    tasks, on every registered scenario (8 cells x 50 seeds = 400
+    worlds)."""
 
-    @pytest.mark.parametrize("scenario,workers", [
-        ("smallville", 0), ("smallville", 2),
-        ("social-graph", 0), ("social-graph", 2)])
+    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("scenario", ["smallville", "metro-grid",
+                                          "market-town", "social-graph"])
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10**9))
     def test_matches_lock_step(self, scenario, workers, seed):

@@ -5,7 +5,11 @@ segments, the last :data:`STEPS` steps of the active window, side by
 side past the worst-case blocking margin so ``plan_regions`` can split
 them — under one combination of
 
-* policy: ``metropolis``, ``parallel-sync``;
+* policy: ``metropolis``, ``parallel-sync``, and the bounds the paper's
+  speedups are measured against: ``oracle`` (critical path),
+  ``no-dependency`` (hardware throughput; it submits every call at once
+  and records no call timeline, so its fingerprint is the empty one)
+  and ``single-thread``;
 * serving: fluid on 8 GPUs, uncapped (``fluid``) or with
   ``num_workers=3`` (``fluid-w3``); iteration fidelity on one GPU with
   distance KV retention under the scenario's pressure fraction (``kv``);
@@ -42,7 +46,8 @@ from repro.trace.schema import concat_traces
 
 SCENARIO = "smallville"
 STEPS = 40
-POLICIES = ("metropolis", "parallel-sync")
+POLICIES = ("metropolis", "parallel-sync", "oracle", "no-dependency",
+            "single-thread")
 SERVINGS = ("fluid", "fluid-w3", "kv")
 
 #: (policy, serving, shards, parallel_workers) -> (completion time,
@@ -78,6 +83,42 @@ GOLDEN: dict[tuple[str, str, int, int], tuple[float, str]] = {
         (212.27969450314905, "4ab439fdf3b7ffec"),
     ("parallel-sync", "kv", 2, 0):
         (212.27969450314905, "4ab439fdf3b7ffec"),
+    ("oracle", "fluid", 0, 0):
+        (28.88084325415104, "0b3e149213c1572a"),
+    ("oracle", "fluid", 2, 0):
+        (28.88084325415104, "0b3e149213c1572a"),
+    ("oracle", "fluid-w3", 0, 0):
+        (115.61473278674153, "f0507b643f8833ce"),
+    ("oracle", "fluid-w3", 2, 0):
+        (115.61473278674153, "f0507b643f8833ce"),
+    ("oracle", "kv", 0, 0):
+        (62.14131075659284, "5d8122bfe5c3c469"),
+    ("oracle", "kv", 2, 0):
+        (62.14131075659284, "5d8122bfe5c3c469"),
+    ("no-dependency", "fluid", 0, 0):
+        (24.55890047672066, "4f53cda18c2baa0c"),
+    ("no-dependency", "fluid", 2, 0):
+        (24.55890047672066, "4f53cda18c2baa0c"),
+    ("no-dependency", "fluid-w3", 0, 0):
+        (24.55890047672066, "4f53cda18c2baa0c"),
+    ("no-dependency", "fluid-w3", 2, 0):
+        (24.55890047672066, "4f53cda18c2baa0c"),
+    ("no-dependency", "kv", 0, 0):
+        (62.75478196871404, "4f53cda18c2baa0c"),
+    ("no-dependency", "kv", 2, 0):
+        (62.75478196871404, "4f53cda18c2baa0c"),
+    ("single-thread", "fluid", 0, 0):
+        (336.7254695569401, "6d16a87606787ac2"),
+    ("single-thread", "fluid", 2, 0):
+        (336.7254695569401, "6d16a87606787ac2"),
+    ("single-thread", "fluid-w3", 0, 0):
+        (336.7254695569401, "6d16a87606787ac2"),
+    ("single-thread", "fluid-w3", 2, 0):
+        (336.7254695569401, "6d16a87606787ac2"),
+    ("single-thread", "kv", 0, 0):
+        (321.86955703757, "ae2c01213ff151de"),
+    ("single-thread", "kv", 2, 0):
+        (321.86955703757, "ae2c01213ff151de"),
 }
 
 
@@ -115,7 +156,7 @@ def cells() -> list[tuple[str, str, int, int]]:
         for serving in SERVINGS:
             for shards in (0, 2):
                 out.append((policy, serving, shards, 0))
-            if policy != "parallel-sync":  # no shard-worker controller
+            if policy == "metropolis":  # the one shard-worker controller
                 out.append((policy, serving, 2, 2))
     return out
 

@@ -97,8 +97,8 @@ def _assert_modes_match(trace, single, parallel):
 
 class TestParallelEquivalenceFuzz:
     """Worker pool == in-process single graph, across coordinate worlds
-    with calls and coordinate/graph scale worlds (3 cells x 40 seeds =
-    120 worlds)."""
+    with calls and the scale worlds of every registered scenario (5 cells
+    x 40 seeds = 200 worlds)."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**9))
@@ -107,7 +107,8 @@ class TestParallelEquivalenceFuzz:
         base = SchedulerConfig(shards=4, validate_causality=True)
         _assert_modes_match(trace, *_modes(trace, base, pool))
 
-    @pytest.mark.parametrize("scenario", ["smallville", "social-graph"])
+    @pytest.mark.parametrize("scenario", ["smallville", "metro-grid",
+                                          "market-town", "social-graph"])
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**9))
     def test_scale_worlds(self, pool, scenario, seed):

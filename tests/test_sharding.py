@@ -235,7 +235,8 @@ class TestRegionBoundary:
 class TestInProcessIgnoresShards:
     """An in-process replay runs one graph whatever ``shards`` says."""
 
-    @pytest.mark.parametrize("scenario", ["smallville", "social-graph"])
+    @pytest.mark.parametrize("scenario", ["smallville", "metro-grid",
+                                          "market-town", "social-graph"])
     def test_same_replay_with_and_without_shards(self, scenario):
         trace = generate_scale_trace(total_agents=75, n_steps=25,
                                      scenario=scenario, base_seed=11)

@@ -256,7 +256,8 @@ class TestMemoryRankingMemo:
     """The memoised, table-driven ranking against the per-call full sort
     it replaced (``helpers.reference_ranking``).
 
-    Mutations that must each fail ``test_matches_reference``: dropping
+    Mutations that must each fail ``test_matches_reference`` (scripted
+    in ``scripts/mutants.py``): dropping
     the memo reset in ``add``; ``sort(reverse=True)`` on ``(score,
     tokens)`` pairs without a key (equal scores then order by tokens,
     not by stream position); ``_DECAY[age]`` without the sign guard (a
