@@ -31,10 +31,14 @@ MEMORY = "src/repro/world/memory_stream.py"
 BEHAVIOR = "src/repro/world/behavior.py"
 GRID = "src/repro/world/grid.py"
 PATHFIND = "src/repro/world/pathfind.py"
+MINED = "src/repro/core/oracle.py"
 GOLDEN = "tests/test_golden_replay.py"
 PARALLEL = "tests/test_parallel.py"
 GRAPH_SPACE = "tests/test_graph_space.py"
 ORACLE = "tests/test_replica_oracle.py"
+SCHEDULE = ("tests/test_core_drivers.py::TestOracleSchedule "
+            "tests/test_equivalence.py::TestReplayMatchesLockStep"
+            "::test_oracle_matches_lock_step")
 WORLD = "tests/test_world.py"
 RANKING = f"{WORLD}::TestMemoryRankingMemo::test_matches_reference"
 WRITE = "node[aid] = self._node_index(new_p)"
@@ -64,7 +68,9 @@ COMPARE = "row[local[nb]] if comp[nb] == ca else inf"
 #: dwelling guard, the chat sweep's strict break and final sort, the
 #: perception scan's inclusive radius without the agent itself, the
 #: first-declared venue table dropped by ``add_venue``, and the wall-
-#: respecting, four-way, read-only flood.
+#: respecting, four-way, read-only flood. The oracle's mined-group
+#: graph: a member waits on every group-mate behind it, on its own
+#: step's group, and the last arrival releases the rest.
 MUTANTS = {
     "commit-skips-node-index": (
         GRAPH, f"if node is not None:\n                    {WRITE}",
@@ -198,6 +204,15 @@ MUTANTS = {
         "unseen = np.ones_like(walkable) & ~frontier", 0, WORLD),
     "flood-field-writable": (
         PATHFIND, "field.setflags(write=False)", "pass", 0, WORLD),
+    "mined-claims-group-a-step-behind": (
+        MINED, "behind = {m for m in group if step[m] < s}",
+        "behind = {m for m in group if step[m] < s - 1}", 0, SCHEDULE),
+    "mined-blockers-from-next-step": (
+        MINED, "group = self._group(s, aid)", "group = self._group(s + 1, aid)",
+        0, SCHEDULE),
+    "mined-release-skipped-for-last-arrival": (
+        MINED, "if aid in waits:", "if aid in waits and len(waits) > 1:", 0,
+        SCHEDULE),
 }
 
 

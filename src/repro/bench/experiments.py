@@ -218,7 +218,6 @@ def table1(full: bool = False,
     num_workers = 24 if full else 12
     day = generate_concatenated_trace(n_agents, scenario=scn)
     trace = hour_window(day, scn.busy_hour)
-    rows = []
     data: dict = {}
     for policy in ("metropolis", "oracle"):
         for num_gpus in gpu_counts:
@@ -237,17 +236,26 @@ def table1(full: bool = False,
                 "parallelism_with": with_priority.achieved_parallelism,
                 "parallelism_without": without.achieved_parallelism,
             }
-            rows.append([policy, num_gpus,
-                         round(with_priority.completion_time, 1),
-                         round(without.completion_time, 1),
-                         f"{speedup:.2f}%",
-                         round(with_priority.achieved_parallelism, 1),
-                         round(without.achieved_parallelism, 1)])
+    rows = []
+    for key, row in data.items():
+        policy, num_gpus = key.rsplit("-", 1)
+        # Does the upper bound hold at this GPU count, w/ and w/o
+        # priority? Shown on both policies' rows, not asserted here.
+        metro, oracle = data[f"metropolis-{num_gpus}"], \
+            data[f"oracle-{num_gpus}"]
+        row["oracle_le_metropolis"] = [oracle[k] <= metro[k]
+                                       for k in ("with", "without")]
+        rows.append([policy, int(num_gpus), round(row["with"], 1),
+                     round(row["without"], 1), f"{row['speedup_pct']:.2f}%",
+                     round(row["parallelism_with"], 1),
+                     round(row["parallelism_without"], 1),
+                     " / ".join("yes" if ok else "NO"
+                                for ok in row["oracle_le_metropolis"])])
     table = format_table(
         f"table1: priority scheduling ({n_agents} agents, busy hour, "
         f"{scn.name}, L4)",
         ["policy", "gpus", "w/ priority (s)", "w/o priority (s)",
-         "speedup", "par w/", "par w/o"],
+         "speedup", "par w/", "par w/o", "oracle <= metro (w/ / w/o)"],
         rows,
         note="paper (500 agents): metropolis gains 3.84% @4 GPUs, 15.7% "
              "@8 GPUs; oracle ~0%; parallelism 41.9->50.9 vs 69.4->69.9")

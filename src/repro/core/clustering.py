@@ -194,19 +194,3 @@ def geo_clustering(agent_ids: Sequence[int],
     clusters.sort()
     return clusters
 
-
-def brute_force_clustering(agent_ids: Sequence[int],
-                           positions: Sequence[Position],
-                           space: Space,
-                           threshold: float) -> list[list[int]]:
-    """O(n^2) reference implementation used to cross-check the indexed one."""
-    ids = list(agent_ids)
-    uf = UnionFind(len(ids))
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            if space.dist(positions[i], positions[j]) <= threshold:
-                uf.union(i, j)
-    clusters = [sorted(ids[i] for i in group)
-                for group in uf.groups(range(len(ids)))]
-    clusters.sort()
-    return clusters

@@ -2,12 +2,16 @@
 
 The paper's architecture (§3.1) has one controller: dependency graph →
 geo-clusters → ready queue, acks → commit. :class:`ControllerCore` is
-that controller and nothing else: it owns the one dependency graph,
-the ``ready`` / ``done`` agent sets and one
-:class:`DriverStats`. A *transport* owns execution — the virtual-time
-kernel (:class:`~repro.core.metropolis.MetropolisDriver`) or worker
-threads and queues (:class:`~repro.live.engine.LiveSimulation`) — and
-makes one call per round:
+that controller and nothing else: it drives one dependency graph and
+owns the ``ready`` / ``done`` agent sets and one :class:`DriverStats`.
+The graph is an argument: the §3.2 rules'
+:class:`~repro.core.dependency_graph.SpatioTemporalGraph`, or the
+oracle's :class:`~repro.core.oracle.MinedGroupGraph`, which answers the
+same surface from the trace's mined interaction groups. A *transport*
+owns execution — the virtual-time kernel
+(:class:`~repro.core.metropolis.MetropolisDriver`) or worker threads
+and queues (:class:`~repro.live.engine.LiveSimulation`) — and makes one
+call per round:
 
     clusters = core.step(finished, positions, aborted=failed)
 
@@ -25,27 +29,25 @@ thread.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from ..errors import SchedulingError
 from ..faults import scheduler_diagnostics
 from .baselines import DriverStats
-from .dependency_graph import SpatioTemporalGraph
-from .rules import DependencyRules
 from .space import Position
+
+if TYPE_CHECKING:
+    from .dependency_graph import SpatioTemporalGraph
+    from .oracle import MinedGroupGraph
 
 
 class ControllerCore:
     """Dependency graph + ready/done sets + stats behind one round verb."""
 
-    def __init__(self, rules: DependencyRules, positions,
-                 target_step: int, *, start_step: int = 0,
-                 stats: DriverStats | None = None,
+    def __init__(self, graph: "SpatioTemporalGraph | MinedGroupGraph",
+                 target_step: int, *, stats: DriverStats | None = None,
                  clock: Callable[[], float] = perf_counter,
                  validate: bool = False) -> None:
-        # ``positions``: a mapping by agent id or an ``(n, 2)`` array.
-        self.graph = SpatioTemporalGraph(rules, positions,
-                                         start_step=start_step)
+        self.graph = graph
         self.target_step = target_step
         self.stats = stats if stats is not None else DriverStats()
         #: Time source of the §3.6 critical-path accounting. Wall clock
@@ -53,8 +55,8 @@ class ControllerCore:
         #: so a worker's controller seconds measure its own CPU work
         #: even when workers timeshare cores.
         self.clock = clock
-        #: Re-derive every blocker and re-run every member's coupling
-        #: join after each commit (debug mode).
+        #: Re-check the graph's invariants against the blockers held
+        #: before each commit (debug mode).
         self.validate = validate
         #: Agents finished with their previous step and not yet claimed.
         self.ready: set[int] = set(range(self.graph.n_agents))
@@ -119,8 +121,7 @@ class ControllerCore:
         if spread > stats.max_step_spread:
             stats.max_step_spread = spread
         if self.validate:
-            graph.validate()
-            self._validate_coupling(members, blockers)
+            graph.validate(members, blockers)
         dirty = set(members)
         if max_step >= self.target_step:
             done = {aid for aid in members
@@ -179,30 +180,6 @@ class ControllerCore:
         self._components += searches
         stats.time_clustering += self.clock() - t0
         return clusters
-
-    def _validate_coupling(self, members: list[int],
-                           blockers: list[frozenset[int]]) -> None:
-        """Debug mode: the full coupling join of every committed member.
-
-        The commit takes coupling candidates from the batch and the
-        blocked edges alone (:mod:`~repro.core.dependency_graph`): a
-        same-step agent in range of a member must be a batch peer or
-        one the member blocked before the commit; none may be running.
-        """
-        graph = self.graph
-        step = graph.step
-        batch = set(members)
-        radius = graph.rules.couple_threshold
-        for m in members:
-            for b in graph.index.query(graph.pos[m], radius):
-                if b == m or step[b] != step[m]:
-                    continue
-                if graph.running[b] or not (b in batch or m in blockers[b]):
-                    raise SchedulingError(
-                        f"coupling invariant violated: agent {b} at step "
-                        f"{step[b]} in coupling range of committed agent "
-                        f"{m} is " + ("running" if graph.running[b] else
-                                      "neither a batch peer nor its waiter"))
 
     def stalled(self, **transport) -> str:
         """Why nothing can run: who is blocked on whom, what is running.

@@ -176,8 +176,78 @@ class CommitResult:
     member_neighbors: dict[int, Sequence[int]]
 
 
-class SpatioTemporalGraph:
+class AgentSteps:
+    """Per-agent step, running flag and blocked edges, and their
+    lifecycle: the state every dependency graph keeps, whatever decides
+    its edges (geometry here, mined groups in :mod:`repro.core.oracle`).
+    """
+
+    def __init__(self, n: int, start_step: int = 0) -> None:
+        self.n_agents = n
+        #: Flat per-agent state, indexed by agent id.
+        self.step: list[int] = [start_step] * n
+        self.running: list[bool] = [False] * n
+        self.blocked_by: list[set[int]] = [set() for _ in range(n)]
+        #: agents per step value, for O(1) min-step maintenance.
+        self._step_counts: dict[int, int] = {start_step: n}
+        #: The lowest and highest step any agent holds.
+        self.min_step = self.max_step = start_step
+        self.blocked_events = 0
+        self.unblock_events = 0
+
+    def is_blocked(self, aid: int) -> bool:
+        return bool(self.blocked_by[aid])
+
+    def blockers_of(self, aid: int) -> frozenset[int]:
+        return frozenset(self.blocked_by[aid])
+
+    def mark_running(self, aids: Iterable[int]) -> None:
+        for aid in aids:
+            if self.blocked_by[aid]:
+                raise SchedulingError(
+                    f"agent {aid} dispatched while blocked by "
+                    f"{sorted(self.blocked_by[aid])}")
+            if self.running[aid]:
+                raise SchedulingError(f"agent {aid} already running")
+            self.running[aid] = True
+
+    def abort_running(self, aids: Iterable[int]) -> None:
+        """Exact inverse of :meth:`mark_running` for a failed cluster:
+        nothing was committed, so nothing else in the graph moves."""
+        for aid in aids:
+            if not self.running[aid]:
+                raise SchedulingError(
+                    f"cannot abort agent {aid}: not running")
+            self.running[aid] = False
+
+    def _recount(self, peers: dict[int, int]) -> None:
+        """Step counts and min/max step: ``peers[s]`` members of the
+        batch moved from ``s - 1`` to ``s``. Steps only grow, so
+        min_step walks up only when the batch drained its bucket."""
+        counts = self._step_counts
+        for s, k in peers.items():
+            c = counts[s - 1] - k
+            if c:
+                counts[s - 1] = c
+            else:
+                del counts[s - 1]
+            counts[s] = counts.get(s, 0) + k
+        top = max(peers)
+        if top > self.max_step:
+            self.max_step = top
+        if self.min_step not in counts:
+            ms = self.min_step
+            while ms not in counts:
+                ms += 1
+            self.min_step = ms
+
+
+class SpatioTemporalGraph(AgentSteps):
     """Incrementally-maintained blocked-edge graph over all agents."""
+
+    #: Bound here too: class-level wrappers (``benchmarks/e2e/layers.py``)
+    #: trace this graph's own entry points and leave the oracle's alone.
+    mark_running = AgentSteps.mark_running
 
     def __init__(self, rules: DependencyRules,
                  initial_positions: "Mapping[int, Position] | np.ndarray",
@@ -197,12 +267,8 @@ class SpatioTemporalGraph:
                     "agent ids must be dense 0..n-1 for array-backed "
                     f"storage; got {sorted(initial_positions)[:8]}...")
             pos_list = [initial_positions[aid] for aid in range(n)]
-        self.n_agents = n
-        #: Flat per-agent state, indexed by agent id.
-        self.step: list[int] = [start_step] * n
+        super().__init__(n, start_step)
         self.pos: list[Position] = pos_list
-        self.running: list[bool] = [False] * n
-        self.blocked_by: list[set[int]] = [set() for _ in range(n)]
         self.waiters: list[set[int]] = [set() for _ in range(n)]
         #: Per blocked pair, the blocker step up to which the waiter is
         #: provably still blocked: ``_wake[b][a] >= step[b]`` skips the
@@ -258,10 +324,6 @@ class SpatioTemporalGraph:
         #: ``None`` again once it moves. Grids derive theirs inline.
         self._wkeys: list[list[tuple[int, int]] | None] | None = \
             None if coord else [None] * n
-        #: agents per step value, for O(1) min-step maintenance.
-        self._step_counts: dict[int, int] = {start_step: n}
-        self._min_step = start_step
-        self._max_step = start_step
         #: Exact type check: subclasses may override dist/within (e.g.
         #: wrap-around metrics), which the inlined L2 would bypass.
         self._euclid = type(rules.space) is EuclideanSpace
@@ -303,8 +365,6 @@ class SpatioTemporalGraph:
         for c, ids in groups.items():
             self._bucket_add((start_step,) + c, ids)
         # instrumentation
-        self.blocked_events = 0
-        self.unblock_events = 0
         self.scans = 0
         self.scan_skips = 0
         self.near_checks = 0
@@ -377,13 +437,6 @@ class SpatioTemporalGraph:
         if not steps:
             del self._bands[(key[1] // self._band, key[2] // self._band)]
 
-    def _slot_snapshot(self) -> dict[tuple[int, int, int], set[int]]:
-        """Live ``key -> members`` map (tests validate layout through it)."""
-        snap: dict[tuple[int, int, int], set[int]] = {}
-        for key, (band, idx) in self._bslot.items():
-            snap[key] = band.members[idx]
-        return snap
-
     # -- coupling components (§3.4) ----------------------------------------
 
     def component_for(self, aid: int, visited: set[int],
@@ -445,17 +498,6 @@ class SpatioTemporalGraph:
 
     # -- queries ----------------------------------------------------------
 
-    @property
-    def min_step(self) -> int:
-        return self._min_step
-
-    @property
-    def max_step(self) -> int:
-        return self._max_step
-
-    def is_blocked(self, aid: int) -> bool:
-        return bool(self.blocked_by[aid])
-
     def invocation_distance(self, aid: int) -> float:
         """Predicted virtual steps until ``aid``'s next LLM dispatch.
 
@@ -483,9 +525,6 @@ class SpatioTemporalGraph:
                     dist = need
         return float(dist)
 
-    def blockers_of(self, aid: int) -> frozenset[int]:
-        return frozenset(self.blocked_by[aid])
-
     def state(self, aid: int) -> tuple[int, Position]:
         return self.step[aid], self.pos[aid]
 
@@ -494,9 +533,31 @@ class SpatioTemporalGraph:
         return [(aid, self.step[aid], self.pos[aid])
                 for aid in range(self.n_agents)]
 
-    def validate(self) -> None:
-        """Assert the §3.2 validity condition for the whole state."""
+    def validate(self, members: Sequence[int] = (),
+                 blockers: Sequence[frozenset[int]] = ()) -> None:
+        """Assert the §3.2 validity condition for the whole state, and
+        the full coupling join of each just-committed member.
+
+        The commit takes coupling candidates from the batch and the
+        blocked edges alone (module docstring): a same-step agent in
+        range of a member must be a batch peer or one the member
+        blocked before the commit (``blockers``, per agent); none may
+        be running.
+        """
         self.rules.validate_state(self.snapshot())
+        step = self.step
+        batch = set(members)
+        radius = self.rules.couple_threshold
+        for m in members:
+            for b in self.index.query(self.pos[m], radius):
+                if b == m or step[b] != step[m]:
+                    continue
+                if self.running[b] or not (b in batch or m in blockers[b]):
+                    raise SchedulingError(
+                        f"coupling invariant violated: agent {b} at step "
+                        f"{step[b]} in coupling range of committed agent "
+                        f"{m} is " + ("running" if self.running[b] else
+                                      "neither a batch peer nor its waiter"))
 
     # -- edge maintenance --------------------------------------------------
 
@@ -581,7 +642,7 @@ class SpatioTemporalGraph:
         horizon = self._slack_horizon
         cut = base_r + horizon
         cellsz = self.index.cell
-        min_step = self._min_step
+        min_step = self.min_step
         B = self._band
         bands = self._bands
         n_bands = len(bands)
@@ -702,50 +763,6 @@ class SpatioTemporalGraph:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def mark_running(self, aids: Iterable[int]) -> None:
-        for aid in aids:
-            if self.blocked_by[aid]:
-                raise SchedulingError(
-                    f"agent {aid} dispatched while blocked by "
-                    f"{sorted(self.blocked_by[aid])}")
-            if self.running[aid]:
-                raise SchedulingError(f"agent {aid} already running")
-            self.running[aid] = True
-
-    def abort_running(self, aids: Iterable[int]) -> None:
-        """Exact inverse of :meth:`mark_running` for a failed cluster.
-
-        The members return to the dispatchable pool with step, position,
-        and blocked edges untouched — nothing was committed, so nothing
-        else in the graph moved.
-        """
-        for aid in aids:
-            if not self.running[aid]:
-                raise SchedulingError(
-                    f"cannot abort agent {aid}: not running")
-            self.running[aid] = False
-
-    def _recount(self, peers: dict[int, int]) -> None:
-        """Step counts and min/max step: ``peers[s]`` members of the
-        batch moved from ``s - 1`` to ``s``. Steps only grow, so
-        min_step walks up only when the batch drained its bucket."""
-        counts = self._step_counts
-        for s, k in peers.items():
-            c = counts[s - 1] - k
-            if c:
-                counts[s - 1] = c
-            else:
-                del counts[s - 1]
-            counts[s] = counts.get(s, 0) + k
-        top = max(peers)
-        if top > self._max_step:
-            self._max_step = top
-        if self._min_step not in counts:
-            ms = self._min_step
-            while ms not in counts:
-                ms += 1
-            self._min_step = ms
-
     def _register_blockers(self, aid: int, s: int,
                            margins: dict[int, float]) -> None:
         """``aid`` at step ``s`` waits on every key of ``margins``."""
@@ -849,7 +866,7 @@ class SpatioTemporalGraph:
         # near set while the shrink stays within the horizon, scan past
         # it. A blocker registered later is at a smaller step than its
         # waiter, so it never changes a neighbour test.
-        min_step = self._min_step
+        min_step = self.min_step
         mv = self.rules.max_vel
         horizon = self._slack_horizon
         scan_step = self._scan_step

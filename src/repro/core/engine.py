@@ -22,14 +22,14 @@ from ..serving import EngineMetrics, PerfModel, ServingEngine, get_gpu, get_mode
 from ..trace import Trace
 from .baselines import DriverStats, ParallelSyncDriver, SingleThreadDriver
 from .metropolis import MetropolisDriver
-from .oracle import NoDependencyDriver, OracleDriver, critical_path_time
+from .oracle import NoDependencyDriver, critical_path_time
 from .tasks import ChainExecutor
 
 _DRIVERS = {
     "single-thread": SingleThreadDriver,
     "parallel-sync": ParallelSyncDriver,
     "metropolis": MetropolisDriver,
-    "oracle": OracleDriver,
+    "oracle": MetropolisDriver,
     "no-dependency": NoDependencyDriver,
 }
 

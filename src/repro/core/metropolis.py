@@ -44,6 +44,8 @@ from ..errors import SchedulingError
 from ..serving import ServingEngine
 from ..trace import Trace
 from .controller import ControllerCore
+from .dependency_graph import SpatioTemporalGraph
+from .oracle import MinedGroupGraph
 from .rules import rules_for
 from .tasks import ChainExecutor
 
@@ -105,7 +107,8 @@ class _DispatchBuckets:
 
 
 class MetropolisDriver:
-    """Out-of-order replay of a trace under the §3.2 rules."""
+    """Out-of-order replay of a trace under the §3.2 rules, or, for the
+    ``oracle`` policy, under the trace's mined interaction groups."""
 
     def __init__(self, kernel: Kernel, engine: ServingEngine, trace: Trace,
                  config: SchedulerConfig, executor: ChainExecutor,
@@ -124,8 +127,12 @@ class MetropolisDriver:
         self._moved = trace.moved
         #: Its twin: does the (step, agent) chain hold an LLM call?
         self._calling = trace.calling
+        #: ``oracle`` runs the same controller over the mined groups.
+        graph = MinedGroupGraph(trace, self.rules) \
+            if config.policy == "oracle" \
+            else SpatioTemporalGraph(self.rules, self._pos_sa[0])
         self.core = ControllerCore(
-            self.rules, self._pos_sa[0], trace.meta.n_steps, clock=clock,
+            graph, trace.meta.n_steps, clock=clock,
             validate=config.validate_causality)
         self.graph = self.core.graph
         self.stats = self.core.stats
@@ -150,8 +157,10 @@ class MetropolisDriver:
         self._kernel_events = 0
         #: §6 hybrid deployment: latency-critical agents (see
         #: SchedulerConfig.interactive_agents), and whether they preempt.
+        #: The oracle measures them but has no spatial cone to boost.
         self._interactive = frozenset(config.interactive_agents)
-        self._boost = bool(self._interactive and config.interactive_boost)
+        self._boost = bool(self._interactive and config.interactive_boost
+                           and config.policy != "oracle")
         #: Agents inside any interactive agent's dependency cone,
         #: refreshed at most once per controller round via the spatial
         #: index (None = recompute on next use).

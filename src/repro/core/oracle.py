@@ -3,9 +3,9 @@
 * **oracle** mines the *actual* dependencies from the full trace: agents
   that appear in each other's observation space (within ``radius_p``) at
   a step synchronize before and after that step; otherwise only each
-  agent's own step chain serializes. This is unattainable online (it
-  requires future knowledge) and upper-bounds what any dependency manager
-  can achieve.
+  agent's own step chain serializes. Unattainable online (it needs
+  future knowledge), it upper-bounds any dependency manager, and it runs
+  through ``metropolis``'s controller over a :class:`MinedGroupGraph`.
 * **no-dependency** issues every LLM call at time zero — the pure
   hardware-throughput bound used for the §4.3 scaling studies.
 * **critical** is the token-weighted longest path through the oracle
@@ -15,8 +15,7 @@
 
 from __future__ import annotations
 
-import heapq
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,133 +26,158 @@ from ..serving import PerfModel, ServingEngine
 from ..trace import Trace
 from .baselines import DriverStats
 from .clustering import geo_clustering
-from .rules import rules_for
+from .dependency_graph import AgentSteps, CommitResult
+from .rules import DependencyRules, rules_for
+from .space import Position, Space
 from .tasks import ChainExecutor
 
 
-def mine_interaction_groups(trace: Trace) -> list[list[list[int]]]:
-    """Per-step connected components of mutual observation.
+def mine_interaction_groups(trace: Trace, space: Space | None = None
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step connected components of mutual observation, flat.
 
-    Returns ``groups[step] = [sorted member lists]`` using start-of-step
-    positions and the trace's perception radius, measured in the trace
-    scenario's space (hop distance for graph-metric worlds).
+    Start-of-step positions within the trace's perception radius, in
+    ``space`` (default: the trace scenario's). Returns ``(start,
+    order)``, both ``(n_steps, n_agents)`` int32, 8 bytes per agent-step:
+    ``order[s]`` lists the agents group by group, each group sorted, and
+    ``start[s, a]`` is where agent ``a``'s group begins in that row.
     """
-    space = rules_for(None, trace.meta).space
-    groups: list[list[list[int]]] = []
+    if space is None:
+        space = rules_for(None, trace.meta).space
     n = trace.meta.n_agents
+    n_steps = trace.meta.n_steps
+    start = np.empty((n_steps, n), dtype=np.int32)
+    order = np.empty((n_steps, n), dtype=np.int32)
     ids = list(range(n))
     pos_sa = trace.positions_by_step
-    for step in range(trace.meta.n_steps):
+    for step in range(n_steps):
         # One contiguous step slice instead of n per-agent reads.
         positions = [(r[0], r[1]) for r in pos_sa[step].tolist()]
-        groups.append(geo_clustering(ids, positions, space,
-                                     trace.meta.radius_p))
-    return groups
+        groups = geo_clustering(ids, positions, space, trace.meta.radius_p)
+        sizes = [len(g) for g in groups]
+        row = order[step]
+        row[:] = [aid for g in groups for aid in g]
+        start[step, row] = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+    return start, order
 
 
 def mean_dependency_count(trace: Trace) -> float:
-    """Average group size over agent-steps (the paper's 1.85 statistic)."""
-    groups = mine_interaction_groups(trace)
-    total = 0
-    count = 0
-    for per_step in groups:
-        for group in per_step:
-            total += len(group) * len(group)  # each member sees the group
-            count += len(group)
-    return total / max(count, 1)
+    """Average group size over agent-steps (the paper's 1.85 statistic):
+    each member sees its whole group."""
+    start, _ = mine_interaction_groups(trace)
+    n_steps, n = start.shape
+    keys = start + (np.arange(n_steps, dtype=np.int64) * n)[:, None]
+    return float(np.bincount(keys.ravel())[keys].mean())
 
 
-class OracleDriver:
-    """Replay under mined (exact) dependencies."""
+class MinedGroupGraph(AgentSteps):
+    """The oracle's dependency graph: mined groups instead of geometry.
 
-    def __init__(self, kernel: Kernel, engine: ServingEngine, trace: Trace,
-                 config: SchedulerConfig, executor: ChainExecutor) -> None:
-        self.kernel = kernel
-        self.trace = trace
-        self.config = config
-        self.executor = executor
-        self.stats = DriverStats()
-        self.n_steps = trace.meta.n_steps
-        self.n_agents = trace.meta.n_agents
-        self.groups = mine_interaction_groups(trace)
-        #: group index of each agent per step.
-        self.group_of = []
-        for step, per_step in enumerate(self.groups):
-            lookup = np.empty(self.n_agents, dtype=np.int32)
-            for gidx, group in enumerate(per_step):
-                for aid in group:
-                    lookup[aid] = gidx
-            self.group_of.append(lookup)
-        #: next step each agent will execute.
-        self.next_step = np.zeros(self.n_agents, dtype=np.int64)
-        self._dispatched: set[tuple[int, int]] = set()
-        self._remaining: dict[tuple[int, int], int] = {}
-        self._tasks_left = self.n_agents * self.n_steps
-        #: Ready groups awaiting a worker slot (§3.1 worker pool).
-        self._pending: list[tuple[float, int, tuple[int, int]]] = []
-        self._pending_seq = 0
-        self._busy_workers = 0
+    Answers what :class:`~repro.core.controller.ControllerCore` and
+    :class:`~repro.core.metropolis.MetropolisDriver` read from a
+    :class:`~repro.core.dependency_graph.SpatioTemporalGraph`, under one
+    rule: an agent at step ``s`` is blocked by every member of its mined
+    group of ``s`` still at a lower step, and its component is that
+    group's members at ``s``. A group is therefore claimed only when all
+    of it sits at its step (the last arrival releases the others) and
+    runs as one cluster; a lone agent never waits. No distance is ever
+    measured, so positions are not kept: the groups settled them.
+    """
 
-    def start(self) -> None:
-        for gidx in range(len(self.groups[0])):
-            self._try_dispatch(0, gidx)
+    # The geometric graph's scan counters, which ``sync_stats`` folds.
+    scans = scan_skips = near_checks = wake_skips = scanned_slots = 0
 
-    def _try_dispatch(self, step: int, gidx: int) -> None:
-        key = (step, gidx)
-        if key in self._dispatched:
-            return
-        group = self.groups[step][gidx]
-        if any(self.next_step[aid] != step for aid in group):
-            return
-        self._dispatched.add(key)
-        self._pending_seq += 1
-        prio = float(step) if self.config.priority else float(self._pending_seq)
-        heapq.heappush(self._pending, (prio, self._pending_seq, key))
-        self._fill_workers()
+    def __init__(self, trace: Trace, rules: DependencyRules) -> None:
+        super().__init__(trace.meta.n_agents)
+        self.rules = rules
+        self._start, self._order = mine_interaction_groups(trace,
+                                                           rules.space)
+        self._n_steps = trace.meta.n_steps
 
-    def _fill_workers(self) -> None:
-        cap = self.config.num_workers
-        while self._pending and (cap == 0 or self._busy_workers < cap):
-            _, _, key = heapq.heappop(self._pending)
-            self._busy_workers += 1
-            self._dispatch(key)
+    def _group(self, s: int, aid: int) -> list[int]:
+        """``aid``'s mined group of step ``s``, sorted."""
+        if s >= self._n_steps:
+            return [aid]
+        start = self._start[s]
+        order = self._order[s]
+        j = end = int(start[aid])
+        last = len(order) - 1
+        while end < last and start[order[end + 1]] == j:
+            end += 1
+        return order[j:end + 1].tolist()
 
-    def _dispatch(self, key: tuple[int, int]) -> None:
-        step, gidx = key
-        group = self.groups[step][gidx]
-        self._remaining[key] = len(group)
-        self.stats.clusters_dispatched += 1
-        self.stats.cluster_size_sum += len(group)
-        self.kernel.call_in(
-            self.config.overhead.controller_dispatch,
-            self.executor.run_cluster, group, step, float(step),
-            lambda a, s, key=key: self._task_done(key, a, s))
+    def component_for(self, aid: int, visited: set[int],
+                      strict: bool = True) -> list[int]:
+        """The members of ``aid``'s mined group at its step (sorted),
+        added to ``visited``. Always strict: a running one is an error."""
+        step = self.step
+        s = step[aid]
+        members = [m for m in self._group(s, aid) if step[m] == s]
+        if any(self.running[m] for m in members):
+            raise SchedulingError(f"a member of agent {aid}'s mined group "
+                                  f"of step {s} is running")
+        visited.update(members)
+        return members
 
-    def _task_done(self, key: tuple[int, int], aid: int, step: int) -> None:
-        self.stats.tasks_completed += 1
-        self._remaining[key] -= 1
-        if self._remaining[key] == 0:
-            self.kernel.call_in(self.config.overhead.cluster_commit,
-                                self._commit_group, key)
+    def invocation_distance(self, aid: int) -> float:
+        """No wake-step bound: the trace lookahead alone decides."""
+        return 0.0
 
-    def _commit_group(self, key: tuple[int, int]) -> None:
-        step, gidx = key
-        del self._remaining[key]
-        self._busy_workers -= 1
-        group = self.groups[step][gidx]
-        for aid in group:
-            if self.next_step[aid] != step:
-                raise SchedulingError("oracle committed out of order")
-            self.next_step[aid] = step + 1
-            self._tasks_left -= 1
-        if step + 1 < self.n_steps:
-            for aid in group:
-                self._try_dispatch(step + 1,
-                                   int(self.group_of[step + 1][aid]))
-        self._fill_workers()
+    def commit(self, aids: Iterable[int],
+               new_positions: Mapping[int, Position]) -> CommitResult:
+        """Advance a batch of finished clusters one step each.
 
-    def finished(self) -> bool:
-        return self._tasks_left == 0
+        A member releases each group-mate of its new step that waited
+        on it, then waits on each one still behind it.
+        ``member_neighbors`` holds ``()`` for a member whose new group
+        is itself; the others' components come from the group.
+        """
+        members = list(aids)
+        step = self.step
+        running = self.running
+        peers: dict[int, int] = {}
+        for aid in members:
+            if not running[aid]:
+                raise SchedulingError(f"agent {aid} was not running")
+            running[aid] = False
+            s = step[aid] = step[aid] + 1
+            peers[s] = peers.get(s, 0) + 1
+        if peers:
+            self._recount(peers)
+        blocked_by = self.blocked_by
+        unblocked: set[int] = set()
+        alone: dict[int, Sequence[int]] = {}
+        for aid in members:
+            s = step[aid]
+            group = self._group(s, aid)
+            for m in group:
+                waits = blocked_by[m]
+                if aid in waits:
+                    waits.discard(aid)
+                    if not waits:
+                        unblocked.add(m)
+                        self.unblock_events += 1
+            behind = {m for m in group if step[m] < s}
+            if behind:
+                self.blocked_events += 1
+                blocked_by[aid] = behind
+            else:
+                unblocked.add(aid)
+                if len(group) == 1:
+                    alone[aid] = ()
+        return CommitResult(unblocked, alone)
+
+    def validate(self, members: Sequence[int] = (),
+                 blockers: Sequence[frozenset[int]] = ()) -> None:
+        """Every agent waits on exactly its group-mates behind it."""
+        step = self.step
+        for aid, s in enumerate(step):
+            behind = {m for m in self._group(s, aid) if step[m] < s}
+            if self.blocked_by[aid] != behind:
+                raise SchedulingError(
+                    f"agent {aid} at step {s} waits on "
+                    f"{sorted(self.blocked_by[aid])}, not its group-mates "
+                    f"behind it {sorted(behind)}")
 
 
 class NoDependencyDriver:
@@ -161,24 +185,19 @@ class NoDependencyDriver:
 
     def __init__(self, kernel: Kernel, engine: ServingEngine, trace: Trace,
                  config: SchedulerConfig, executor: ChainExecutor) -> None:
-        self.kernel = kernel
         self.engine = engine
         self.trace = trace
-        self.config = config
         self.stats = DriverStats()
         self._remaining = trace.n_calls
 
     def start(self) -> None:
         trace = self.trace
-        for i in range(trace.n_calls):
-            self.engine.generate(
-                prompt_tokens=int(trace.call_in[i]),
-                output_tokens=int(trace.call_out[i]),
-                priority=float(trace.call_step[i]),
-                on_complete=self._done,
-                context=(int(trace.call_agent[i]), int(trace.call_step[i]),
-                         int(trace.call_func[i])),
-                agent_id=int(trace.call_agent[i]))
+        self.engine.generate_batch([
+            (aid, n_in, n_out, float(s), self._done, (aid, s, func))
+            for aid, n_in, n_out, s, func in zip(
+                trace.call_agent.tolist(), trace.call_in.tolist(),
+                trace.call_out.tolist(), trace.call_step.tolist(),
+                trace.call_func.tolist())])
         self.stats.clusters_dispatched = 1
         self.stats.cluster_size_sum = trace.meta.n_agents
 
@@ -191,9 +210,7 @@ class NoDependencyDriver:
 
 
 def critical_path_time(trace: Trace, perf: PerfModel,
-                       config: SchedulerConfig | None = None,
-                       groups: Sequence[Sequence[Sequence[int]]] | None = None,
-                       ) -> float:
+                       config: SchedulerConfig | None = None) -> float:
     """Longest dependency path executed alone at batch size 1.
 
     Dynamic program over the oracle DAG: an agent's step starts when it
@@ -201,10 +218,8 @@ def critical_path_time(trace: Trace, perf: PerfModel,
     step; it then runs its chain at ideal single-request latency.
     """
     config = config or SchedulerConfig()
-    if groups is None:
-        groups = mine_interaction_groups(trace)
-    n = trace.meta.n_agents
-    n_steps = trace.meta.n_steps
+    start, _ = mine_interaction_groups(trace)
+    n_steps, n = start.shape
 
     # Per-call ideal (batch-1) service time, vectorized: both prefill and
     # decode-iteration latency are affine in their token arguments.
@@ -225,11 +240,9 @@ def critical_path_time(trace: Trace, perf: PerfModel,
 
     finish = np.zeros(n, dtype=np.float64)
     for step in range(n_steps):
-        starts = finish  # same array: group sync rewrites entries in place
-        for group in groups[step]:
-            if len(group) > 1:
-                group_start = max(finish[aid] for aid in group)
-                for aid in group:
-                    starts[aid] = group_start
-        finish = starts + chain_time[:, step]
+        # A group starts when its last member finished: the max of the
+        # members' finishes, gathered at the group's start index.
+        group_start = np.zeros(n, dtype=np.float64)
+        np.maximum.at(group_start, start[step], finish)
+        finish = group_start[start[step]] + chain_time[:, step]
     return float(finish.max())

@@ -22,8 +22,8 @@ they start tasks. Two entry points, one chain-advance implementation
   members calls: it knows the trace and buffers those for their commit
   round itself, see :meth:`repro.core.metropolis.MetropolisDriver._dispatch`.)
 * :meth:`ChainExecutor.run_cluster` — one cluster, one lookup, one
-  start event, completion reported per member (the lock-step, oracle
-  and single-thread paths) or once per cluster
+  start event, completion reported per member (the lock-step and
+  single-thread paths) or once per cluster
   (a round of a single cluster, which has nothing to fold).
 
 Neither materializes per-task chains or allocates per-call closures.

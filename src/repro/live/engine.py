@@ -48,6 +48,7 @@ from typing import Callable
 from ..config import FaultPolicy, SchedulerConfig
 from ..core.baselines import DriverStats
 from ..core.controller import ControllerCore
+from ..core.dependency_graph import SpatioTemporalGraph
 from ..core.rules import rules_for
 from ..errors import ScenarioError, SchedulingError
 from ..faults import FallbackLLMClient, FaultStats, ResilientClient
@@ -197,8 +198,9 @@ class LiveSimulation:
                 self._run_lockstep(target_step, n, start_step)
             else:
                 core = ControllerCore(
-                    self.rules, pos0, target_step, start_step=start_step,
-                    stats=self._stats,
+                    SpatioTemporalGraph(self.rules, pos0,
+                                        start_step=start_step),
+                    target_step, stats=self._stats,
                     validate=self.scheduler.validate_causality)
                 self._run_ooo(core)
                 core.sync_stats()

@@ -33,7 +33,15 @@ def _meta(fields: dict, where: str) -> TraceMeta:
 
 def save_trace(trace: Trace, path: str | Path) -> None:
     """Write a trace as compressed npz — to a temp file beside ``path``,
-    then renamed, so no reader ever finds a truncated file there."""
+    then renamed, so no reader ever finds a truncated file there.
+
+    The file names its generator: ``generator_version`` (the
+    ``GENERATOR_VERSION`` that wrote it) and ``fingerprint``
+    (:func:`~repro.trace.generator.trace_fingerprint` of its arrays),
+    which :func:`load_trace` checks.
+    """
+    from .generator import GENERATOR_VERSION, trace_fingerprint
+
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -44,14 +52,23 @@ def save_trace(trace: Trace, path: str | Path) -> None:
                 positions_sa=trace.positions_by_step,
                 call_step=trace.call_step, call_agent=trace.call_agent,
                 call_func=trace.call_func, call_in=trace.call_in,
-                call_out=trace.call_out)
+                call_out=trace.call_out, generator_version=GENERATOR_VERSION,
+                fingerprint=trace_fingerprint(trace))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
 def load_trace(path: str | Path) -> Trace:
-    """Read a trace written by :func:`save_trace`."""
+    """Read a trace written by :func:`save_trace`.
+
+    A :class:`TraceError` names ``generator_version`` when the file was
+    written by another generator version, and ``fingerprint`` when its
+    arrays no longer hash to the fingerprint stored beside them. Files
+    written before either field existed load unchecked.
+    """
+    from .generator import GENERATOR_VERSION, trace_fingerprint
+
     path = Path(path)
     if not path.exists():
         raise TraceError(f"no trace at {path}")
@@ -63,6 +80,14 @@ def load_trace(path: str | Path) -> Trace:
         if missing:
             raise TraceError(f"{path}: npz trace lacks {missing}")
         meta = _meta(json.loads(str(data["meta"])), str(path))
+        if "generator_version" in data.files:
+            version = int(data["generator_version"])
+            if version != GENERATOR_VERSION:
+                raise TraceError(
+                    f"{path}: generator_version {version} is not this "
+                    f"generator's {GENERATOR_VERSION}")
+        stored = str(data["fingerprint"]) \
+            if "fingerprint" in data.files else None
         # Step-major is the canonical on-disk layout; files written
         # before the numpy position store carried agent-major arrays.
         if "positions_sa" in data.files:
@@ -81,6 +106,10 @@ def load_trace(path: str | Path) -> Trace:
             meta, positions,
             data["call_step"], data["call_agent"], data["call_func"],
             data["call_in"], data["call_out"], step_major=step_major)
+    if stored is not None and stored != trace_fingerprint(trace):
+        raise TraceError(
+            f"{path}: fingerprint {stored} does not match its arrays "
+            f"({trace_fingerprint(trace)})")
     # Graph traces: the coordinate speed check does not apply, so the
     # untrusted boundary re-checks movement in hop distance.
     trace.validate_movement()

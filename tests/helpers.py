@@ -8,7 +8,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from repro._util import FastRng
+from repro._util import FastRng, UnionFind
 from repro.config import STEPS_PER_DAY, FaultPolicy
 from repro.core.space import GraphSpace
 from repro.serving import engine as serving_engine
@@ -117,6 +117,26 @@ def ring_space(v: int, chords: int = 0, seed: int = 0) -> GraphSpace:
             adj[nodes[a]].add(nodes[b])
             adj[nodes[b]].add(nodes[a])
     return GraphSpace({k: tuple(sorted(vs)) for k, vs in adj.items()})
+
+
+def slot_snapshot(graph) -> dict:
+    """A ``SpatioTemporalGraph``'s live slot table as ``(step, cell) ->
+    members`` (the layout checks compare it with a fresh partition)."""
+    return {key: band.members[idx]
+            for key, (band, idx) in graph._bslot.items()}
+
+
+def brute_force_clustering(agent_ids, positions, space, threshold):
+    """O(n^2) reference for ``geo_clustering``: components of
+    ``dist <= threshold`` as sorted id lists, sorted."""
+    ids = list(agent_ids)
+    uf = UnionFind(len(ids))
+    for i in range(len(ids)):
+        for j in range(i + 1, len(ids)):
+            if space.dist(positions[i], positions[j]) <= threshold:
+                uf.union(i, j)
+    return sorted(sorted(ids[i] for i in group)
+                  for group in uf.groups(range(len(ids))))
 
 
 def tree_chord_space(rng: FastRng, v: int):

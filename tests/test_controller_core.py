@@ -17,6 +17,7 @@ import pytest
 from repro.config import DependencyConfig
 from repro.core import DependencyRules
 from repro.core.controller import ControllerCore
+from repro.core.dependency_graph import SpatioTemporalGraph
 from repro.core.space import GraphSpace
 from repro.errors import SchedulingError
 from repro.trace.schema import concat_traces
@@ -59,7 +60,8 @@ def _world(course, metric, regions):
 
 def _core(course, metric, regions, **kw):
     rules, pos_sa, n_steps = _world(course, metric, regions)
-    return ControllerCore(rules, pos_sa[0], n_steps, **kw), pos_sa
+    return ControllerCore(SpatioTemporalGraph(rules, pos_sa[0]), n_steps,
+                          **kw), pos_sa
 
 
 def _moves(pos_sa, step, members):
@@ -132,7 +134,7 @@ class TestRoundLoop:
         core, pos_sa = _core(course, metric, regions, validate=True)
         calls = []
         monkeypatch.setattr(type(core.graph), "validate",
-                            lambda self: calls.append(1))
+                            lambda self, *check: calls.append(1))
         clusters = core.step([], {})
         for step, members in clusters:
             core.step(members, _moves(pos_sa, step, members))
@@ -204,9 +206,10 @@ class TestCouplingCandidates:
 
     @staticmethod
     def _core(positions, validate, target_step=8):
-        return ControllerCore(DependencyRules(DependencyConfig()),
-                              dict(enumerate(positions)), target_step,
-                              validate=validate)
+        return ControllerCore(
+            SpatioTemporalGraph(DependencyRules(DependencyConfig()),
+                                dict(enumerate(positions))),
+            target_step, validate=validate)
 
     def test_running_agent_in_coupling_range_raises(self, validate):
         """A same-step agent running next to a committing one: the

@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.clustering import (SpatialIndex, brute_force_clustering,
-                                   geo_clustering)
+from repro.core.clustering import SpatialIndex, geo_clustering
 from repro.core.space import EuclideanSpace, GraphSpace
+
+from helpers import brute_force_clustering
 
 
 class TestSpatialIndex:

@@ -3,17 +3,26 @@ no-dependency) and the replay engine around them."""
 
 from dataclasses import asdict
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import (DependencyConfig, OverheadConfig, SchedulerConfig,
                           ServingConfig)
 from repro.core import run_replay
 from repro.core.engine import critical_time_for
-from repro.core.oracle import mean_dependency_count, mine_interaction_groups
+from repro._util import FastRng
+from repro.core.clustering import geo_clustering
+from repro.core.controller import ControllerCore
+from repro.core.oracle import (MinedGroupGraph, mean_dependency_count,
+                               mine_interaction_groups)
+from repro.core.rules import DependencyRules, rules_for
 from repro.errors import ConfigError
 from repro.trace import Trace
+from repro.trace.schema import TraceMeta
 
-from helpers import random_trace
+from helpers import random_trace, trajectory_trace, tree_chord_space
 
 POLICIES = ["single-thread", "parallel-sync", "metropolis", "oracle",
             "no-dependency"]
@@ -199,12 +208,30 @@ class TestParallelSync:
         assert all(a <= b for a, b in zip(times, times[1:]))
 
 
+def _mined_groups(start, order, step):
+    """Step ``step``'s groups read back from the flat store: runs of
+    ``order[step]``, each labelled by the index where it begins."""
+    groups = []
+    for j, aid in enumerate(order[step].tolist()):
+        if start[step, aid] == j:
+            groups.append([])
+        groups[-1].append(aid)
+    return groups
+
+
 class TestOracleMining:
-    def test_groups_partition_agents(self, synthetic_trace):
-        groups = mine_interaction_groups(synthetic_trace)
-        for per_step in groups:
-            members = sorted(m for g in per_step for m in g)
-            assert members == list(range(synthetic_trace.meta.n_agents))
+    def test_store_holds_the_clustering_of_every_step(self, synthetic_trace):
+        trace = synthetic_trace
+        start, order = mine_interaction_groups(trace)
+        assert start.shape == order.shape == (trace.meta.n_steps,
+                                              trace.meta.n_agents)
+        assert start.dtype == order.dtype == np.int32
+        space = rules_for(None, trace.meta).space
+        ids = list(range(trace.meta.n_agents))
+        for step in range(trace.meta.n_steps):
+            positions = [trace.pos(aid, step) for aid in ids]
+            assert _mined_groups(start, order, step) == geo_clustering(
+                ids, positions, space, trace.meta.radius_p)
 
     def test_mean_dependency_at_least_one(self, synthetic_trace):
         assert mean_dependency_count(synthetic_trace) >= 1.0
@@ -213,6 +240,145 @@ class TestOracleMining:
         # The paper's headline sparsity claim: ~1.85 of 25.
         mean_deps = mean_dependency_count(day_trace)
         assert 1.2 <= mean_deps <= 2.8
+
+
+def _tree_chord_world(seed, n_agents=8, nodes=10, n_steps=16):
+    """``(trace, rules)``: random walkers on a tree-with-chords graph,
+    one hop or a stay per step, with a sparse random call chain."""
+    rng = FastRng(seed)
+    space, adj = tree_chord_space(rng, nodes)
+    positions = np.zeros((n_agents, n_steps + 1, 2), dtype=np.int16)
+    for aid in range(n_agents):
+        node = (rng.integers(0, nodes), 0)
+        for s in range(n_steps + 1):
+            positions[aid, s, 0] = node[0]
+            moves = [node, *sorted(adj[node])]
+            node = moves[rng.integers(0, len(moves))]
+    calls = [(s, aid) for s in range(n_steps) for aid in range(n_agents)
+             if rng.random() < 0.4]
+    meta = TraceMeta(n_agents=n_agents, n_steps=n_steps, seed=seed,
+                     width=nodes, height=1, radius_p=1.0, metric="graph",
+                     scenario="")
+    trace = Trace(meta, positions,
+                  np.asarray([c[0] for c in calls], dtype=np.int32),
+                  np.asarray([c[1] for c in calls], dtype=np.int32),
+                  np.zeros(len(calls), dtype=np.int16),
+                  np.full(len(calls), 64, dtype=np.int32),
+                  np.full(len(calls), 4, dtype=np.int32))
+    rules = DependencyRules(
+        DependencyConfig(radius_p=1.0, max_vel=1.0, metric="graph"),
+        space=space)
+    return trace, rules
+
+
+def _record_rounds(monkeypatch):
+    """Log every ``ControllerCore.step``: the ``(agent, step)`` pairs it
+    finished, then the ``(step, members)`` clusters it claimed."""
+    rounds = []
+    step = ControllerCore.step
+
+    def spy(core, finished, positions, *, aborted=()):
+        done = [(aid, core.graph.step[aid]) for aid in finished]
+        clusters = step(core, finished, positions, aborted=aborted)
+        rounds.append((done, [(s, list(m)) for s, m in clusters]))
+        return clusters
+
+    monkeypatch.setattr(ControllerCore, "step", spy)
+    return rounds
+
+
+def _assert_oracle_schedule(start, order, rounds):
+    """Each claimed cluster at step s is exactly one mined group of s;
+    no member starts s before every group-mate finished s - 1; every
+    (agent, step) starts once."""
+    n_steps, n = start.shape
+    finished: set[tuple[int, int]] = set()
+    started: set[tuple[int, int]] = set()
+    groups = {}
+    for done, clusters in rounds:
+        finished.update(done)
+        for s, members in clusters:
+            if s not in groups:
+                groups[s] = {g[0]: g for g in _mined_groups(start, order, s)}
+            assert members == groups[s].get(members[0]), \
+                f"step {s}: dispatched {members}, not a mined group"
+            for m in members:
+                assert s == 0 or (m, s - 1) in finished, \
+                    f"agent {m} started {s} before its group finished {s - 1}"
+                assert (m, s) not in started
+                started.add((m, s))
+    assert len(started) == n * n_steps
+
+
+class TestOracleSchedule:
+    """The oracle is the one controller over the mined groups: a cluster
+    is a whole mined group, claimed once every member reached its step."""
+
+    @staticmethod
+    def _random_acks(trace, rules, seed):
+        """Drive the core over the mined graph, acking a random subset
+        of the clusters in flight each round (validated throughout)."""
+        graph = MinedGroupGraph(trace, rules)
+        core = ControllerCore(graph, trace.meta.n_steps, validate=True)
+        rng = FastRng(seed)
+        inflight = core.step([], {})
+        while inflight:
+            for i in range(len(inflight) - 1, 0, -1):
+                j = rng.integers(0, i + 1)
+                inflight[i], inflight[j] = inflight[j], inflight[i]
+            k = rng.integers(1, len(inflight) + 1)
+            batch, inflight = inflight[:k], inflight[k:]
+            inflight += core.step([m for _, ms in batch for m in ms], {})
+        assert core.finished()
+        return graph
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_random_trace(self, seed):
+        trace = random_trace(seed, n_agents=10, n_steps=20, width=12,
+                             height=10)
+        start, order = mine_interaction_groups(trace)
+        with pytest.MonkeyPatch.context() as mp:
+            rounds = _record_rounds(mp)
+            self._random_acks(trace, rules_for(None, trace.meta), seed)
+        _assert_oracle_schedule(start, order, rounds)
+        with pytest.MonkeyPatch.context() as mp:
+            rounds = _record_rounds(mp)
+            result = _run(trace, "oracle", num_workers=3, priority=False,
+                          validate_causality=True)
+        assert result.n_calls_completed == trace.n_calls
+        _assert_oracle_schedule(start, order, rounds)
+
+    def test_trajectory_trace(self, monkeypatch):
+        # Three walkers converge on a heavy laggard's tile and disperse:
+        # the group forms, waits for the laggard, and splits again.
+        laggard = (10, 10)
+        walkers = [[(10 + d * max(0, 8 - s), 10) for s in range(21)]
+                   for d in (-1, 1)]
+        walkers.append([(10, 10 + max(0, 8 - abs(s - 10))) for s in
+                        range(21)])
+        trace = trajectory_trace([laggard, *walkers],
+                                 [(4, 384, 32), (1, 32, 2), (0, 0, 0),
+                                  (1, 32, 2)])
+        start, order = mine_interaction_groups(trace)
+        assert max(len(g) for s in range(trace.meta.n_steps)
+                   for g in _mined_groups(start, order, s)) >= 3
+        rounds = _record_rounds(monkeypatch)
+        _run(trace, "oracle", validate_causality=True)
+        _assert_oracle_schedule(start, order, rounds)
+        rounds.clear()
+        self._random_acks(trace, rules_for(None, trace.meta), 7)
+        _assert_oracle_schedule(start, order, rounds)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_tree_chord_space(self, seed):
+        trace, rules = _tree_chord_world(seed)
+        start, order = mine_interaction_groups(trace, rules.space)
+        with pytest.MonkeyPatch.context() as mp:
+            rounds = _record_rounds(mp)
+            self._random_acks(trace, rules, seed)
+        _assert_oracle_schedule(start, order, rounds)
 
 
 class TestCriticalPath:

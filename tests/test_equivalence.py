@@ -151,23 +151,36 @@ def _per_agent_sequences(timeline, n_agents):
     return seqs
 
 
+SCENARIOS = ["smallville", "metro-grid", "market-town", "social-graph"]
+
+
 class TestReplayMatchesLockStep:
     """Out-of-order replay vs the lock-step oracle on random small
-    worlds, coordinate and graph metrics, in process and as two worker
-    tasks, on every registered scenario (8 cells x 50 seeds = 400
-    worlds)."""
+    worlds, coordinate and graph metrics, on every registered scenario:
+    metropolis in process and as two worker tasks, and the ``oracle``
+    policy — the same controller over mined groups — in process (12
+    cells x 50 seeds = 600 worlds)."""
 
     @pytest.mark.parametrize("workers", [0, 2])
-    @pytest.mark.parametrize("scenario", ["smallville", "metro-grid",
-                                          "market-town", "social-graph"])
+    @pytest.mark.parametrize("scenario", SCENARIOS)
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10**9))
     def test_matches_lock_step(self, scenario, workers, seed):
+        self._check("metropolis", scenario, workers, seed)
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 10**9))
+    def test_oracle_matches_lock_step(self, scenario, seed):
+        self._check("oracle", scenario, 0, seed)
+
+    @staticmethod
+    def _check(policy, scenario, workers, seed):
         # Two segments are two regions: one worker task each.
         trace = generate_scale_trace(
             total_agents=24 * (workers or 1), n_steps=10,
             scenario=scenario, base_seed=seed)
-        config = SchedulerConfig(policy="metropolis",
+        config = SchedulerConfig(policy=policy,
                                  parallel_workers=workers,
                                  validate_causality=True)
         if workers:

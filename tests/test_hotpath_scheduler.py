@@ -22,7 +22,7 @@ from repro.errors import CausalityViolation, SchedulingError
 from repro.scenarios import scenario_names
 
 from helpers import (grid_moves, grid_positions, random_trace, ring_space,
-                     tree_chord_space)
+                     slot_snapshot, tree_chord_space)
 
 
 class DictReferenceGraph:
@@ -186,7 +186,7 @@ def _assert_fastpath_invariants(graph, ref, rules, n):
         p = graph.pos[aid]
         key = (graph.step[aid],) + rules.space.bucket(p, cell)
         expected.setdefault(key, set()).add(aid)
-    assert graph._slot_snapshot() == expected
+    assert slot_snapshot(graph) == expected
     # Banded layout: every live key sits in the band derived from its
     # cell, the parallel columns agree with the key, and the per-band
     # tables are exactly the live keys (no leaked empty slots/bands).
@@ -877,7 +877,7 @@ def _observable_state(graph, n):
         "max_step": graph.max_step,
         "components": [graph.component_for(a, set())
                        for a in range(n) if not graph.running[a]],
-        "slots": graph._slot_snapshot(),
+        "slots": slot_snapshot(graph),
     }
 
 

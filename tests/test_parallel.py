@@ -314,6 +314,71 @@ class TestSharedMemoryHygiene:
         assert "resource_tracker" not in done.stderr, done.stderr
 
 
+def _run_clean(script: str) -> str:
+    """Run ``script`` in a fresh interpreter; require a clean exit that
+    left no segment and no resource-tracker complaint. Returns stdout."""
+    import subprocess
+    root = Path(__file__).resolve().parents[1]
+    before = _stray_segments()
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=300, env={**os.environ, "PYTHONPATH":
+                          f"{root / 'src'}{os.pathsep}{root / 'tests'}"})
+    assert done.returncode == 0, done.stderr
+    assert "resource_tracker" not in done.stderr, done.stderr
+    assert "leaked" not in done.stderr, done.stderr
+    assert _stray_segments() == before
+    return done.stdout
+
+
+class TestOddPlatforms:
+    """Where fork or POSIX shared memory is missing: the spawn start
+    method reaches the fork pool's counters, and a platform without
+    shared memory falls back in-process and names why. Each runs in a
+    fresh interpreter, which must exit with no child process, segment
+    or resource-tracker warning left behind."""
+
+    def test_spawn_pool_counters_equal_the_fork_pool(self):
+        out = _run_clean(
+            "import multiprocessing as mp\n"
+            "from repro.config import SchedulerConfig\n"
+            "from repro.core import parallel\n"
+            "from repro.trace.generator import generate_scale_trace\n"
+            "from test_golden_replay import counters\n"
+            "trace = generate_scale_trace(total_agents=60, n_steps=10,\n"
+            "                             base_seed=15)\n"
+            "sched = SchedulerConfig(parallel_workers=2)\n"
+            "fork = parallel.run_parallel_replay(trace, sched)\n"
+            "parallel._mp_context = lambda: mp.get_context('spawn')\n"
+            "spawn = parallel.run_parallel_replay(trace, sched)\n"
+            "assert spawn.driver_stats.extra['parallel_workers'] == 2\n"
+            "assert counters(spawn) == counters(fork)\n"
+            "assert spawn.completion_time == fork.completion_time\n"
+            "assert not mp.active_children()\n"
+            "print(spawn.n_tasks_completed)\n")
+        assert out.split() == ["600"]
+
+    def test_no_shared_memory_falls_back_and_names_why(self):
+        out = _run_clean(
+            "import multiprocessing as mp\n"
+            "from repro.config import SchedulerConfig\n"
+            "from repro.core import run_replay\n"
+            "from repro.trace.generator import generate_scale_trace\n"
+            "from repro.trace.schema import Trace\n"
+            "def no_shm(self):\n"
+            "    raise OSError(38, 'Function not implemented')\n"
+            "Trace.share_positions = no_shm\n"
+            "trace = generate_scale_trace(total_agents=60, n_steps=10,\n"
+            "                             base_seed=15)\n"
+            "result = run_replay(trace, SchedulerConfig(parallel_workers=2))\n"
+            "assert result.n_tasks_completed == 600\n"
+            "assert 'parallel_workers' not in result.driver_stats.extra\n"
+            "assert not mp.active_children()\n"
+            "print(result.driver_stats.extra['parallel_fallback'])\n")
+        assert "no POSIX shared memory" in out
+        assert "Function not implemented" in out
+
+
 class TestFallbacks:
     def test_single_region_returns_none(self):
         # 24 agents fit one scenario segment -> one region -> fall back.

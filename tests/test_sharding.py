@@ -16,7 +16,7 @@ from repro.core.space import GraphSpace
 from repro.trace.generator import generate_scale_trace
 from repro.trace.schema import concat_traces
 
-from helpers import random_trace, ring_space as _ring_space
+from helpers import random_trace, ring_space as _ring_space, slot_snapshot
 from test_golden_replay import counters
 from test_hotpath_scheduler import (DictReferenceGraph,
                                     _assert_graph_matches_reference,
@@ -273,7 +273,7 @@ def _commit_forms_fuzz(rules, positions, moves, rng, iters=40, stay_p=0.7):
         return (result.unblocked,
                 {m: sorted(v) for m, v in result.member_neighbors.items()},
                 [graph.blockers_of(a) for a in range(n)],
-                graph.snapshot(), graph._slot_snapshot())
+                graph.snapshot(), slot_snapshot(graph))
 
     for _ in range(iters):
         cluster = _random_cluster(lead, rules, rng, n)

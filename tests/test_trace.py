@@ -378,6 +378,46 @@ class TestTraceIO:
         assert np.array_equal(loaded.positions, synthetic_trace.positions)
         assert np.array_equal(loaded.call_in, synthetic_trace.call_in)
 
+    def test_file_names_its_generator(self, synthetic_trace, tmp_path):
+        path = tmp_path / "t.npz"
+        save_trace(synthetic_trace, path)
+        with np.load(path, allow_pickle=False) as data:
+            assert int(data["generator_version"]) == GENERATOR_VERSION
+            assert str(data["fingerprint"]) == \
+                trace_fingerprint(synthetic_trace)
+
+    def test_other_generator_version_is_refused(self, synthetic_trace,
+                                                tmp_path):
+        def older(arrays):
+            arrays["generator_version"] = np.asarray(GENERATOR_VERSION - 1)
+        with pytest.raises(TraceError, match="generator_version 3 "):
+            _edited_npz(synthetic_trace, tmp_path, older)
+
+    def test_tampered_arrays_are_refused(self, synthetic_trace, tmp_path):
+        def tampered(arrays):
+            arrays["call_in"] = arrays["call_in"] + 1
+        with pytest.raises(TraceError, match="fingerprint"):
+            _edited_npz(synthetic_trace, tmp_path, tampered)
+
+    @pytest.mark.parametrize("field, value", [
+        ("generator_version", GENERATOR_VERSION + 1),
+        ("fingerprint", "0" * 16)])
+    def test_cache_regenerates_a_mismatched_file(self, tmp_path,
+                                                 monkeypatch, caplog,
+                                                 field, value):
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+        first = cached_day_trace(seed=3, n_agents=3, n_steps=40)
+        (path,) = tmp_path.iterdir()
+        with np.load(path, allow_pickle=False) as data:
+            arrays = dict(data)
+        arrays[field] = np.asarray(value)
+        np.savez_compressed(path, **arrays)
+        with caplog.at_level(logging.WARNING, logger="repro.trace"):
+            again = cached_day_trace(seed=3, n_agents=3, n_steps=40)
+        assert trace_fingerprint(again) == trace_fingerprint(first)
+        assert field in caplog.text
+        load_trace(path)  # rewritten whole
+
     def test_load_missing(self, tmp_path):
         with pytest.raises(TraceError):
             load_trace(tmp_path / "nope.npz")
