@@ -193,4 +193,3 @@ def geo_clustering(agent_ids: Sequence[int],
         clusters.append(sorted(ids[i] for i in group))
     clusters.sort()
     return clusters
-

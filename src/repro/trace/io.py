@@ -40,6 +40,7 @@ def save_trace(trace: Trace, path: str | Path) -> None:
     (:func:`~repro.trace.generator.trace_fingerprint` of its arrays),
     which :func:`load_trace` checks.
     """
+    # Lazy: the generator module imports this one.
     from .generator import GENERATOR_VERSION, trace_fingerprint
 
     path = Path(path)
@@ -106,10 +107,9 @@ def load_trace(path: str | Path) -> Trace:
             meta, positions,
             data["call_step"], data["call_agent"], data["call_func"],
             data["call_in"], data["call_out"], step_major=step_major)
-    if stored is not None and stored != trace_fingerprint(trace):
-        raise TraceError(
-            f"{path}: fingerprint {stored} does not match its arrays "
-            f"({trace_fingerprint(trace)})")
+    if stored is not None and stored != (actual := trace_fingerprint(trace)):
+        raise TraceError(f"{path}: fingerprint {stored} does not match "
+                         f"its arrays ({actual})")
     # Graph traces: the coordinate speed check does not apply, so the
     # untrusted boundary re-checks movement in hop distance.
     trace.validate_movement()

@@ -1,6 +1,7 @@
 """Tests for the scheduling drivers (Algorithm 1, Algorithm 3, oracle,
 no-dependency) and the replay engine around them."""
 
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.core.oracle import (MinedGroupGraph, mean_dependency_count,
                                mine_interaction_groups)
 from repro.core.rules import DependencyRules, rules_for
 from repro.errors import ConfigError
+from repro.serving import PerfModel, get_gpu, get_model
 from repro.trace import Trace
 from repro.trace.schema import TraceMeta
 
@@ -233,6 +235,23 @@ class TestOracleMining:
             assert _mined_groups(start, order, step) == geo_clustering(
                 ids, positions, space, trace.meta.radius_p)
 
+    def test_graph_keeps_8_bytes_per_agent_step(self):
+        """The mined store is the graph's only O(agent-steps) memory, and
+        no step's member lists outlive their conversion."""
+        trace = random_trace(5, n_agents=40, n_steps=400, width=60,
+                             height=40)
+        rules = rules_for(None, trace.meta)
+        tracemalloc.start()
+        try:
+            graph = MinedGroupGraph(trace, rules)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        store = 8 * 40 * 400
+        assert graph._start.nbytes + graph._order.nbytes == store
+        assert retained < store + 48 * 1024
+        assert peak < retained + 48 * 1024
+
     def test_mean_dependency_at_least_one(self, synthetic_trace):
         assert mean_dependency_count(synthetic_trace) >= 1.0
 
@@ -381,7 +400,47 @@ class TestOracleSchedule:
         _assert_oracle_schedule(start, order, rounds)
 
 
+def _per_group_references(trace, perf, config):
+    """The group-list loops the flat store replaced: ``(mean group size
+    over agent-steps, critical path)``, from ``geo_clustering`` per step
+    and per-call service times summed in call order."""
+    space = rules_for(None, trace.meta).space
+    n, n_steps = trace.meta.n_agents, trace.meta.n_steps
+    groups = [geo_clustering(range(n), [trace.pos(a, s) for a in range(n)],
+                             space, trace.meta.radius_p)
+              for s in range(n_steps)]
+    sizes = [len(g) for per_step in groups for g in per_step]
+    mean = sum(k * k for k in sizes) / sum(sizes)
+    prefill0 = perf.prefill_time(0)
+    slope = perf.prefill_time(1_000_000) / 1e6 - prefill0 / 1e6
+    iter0 = perf.decode_iteration_time(1, 0.0)
+    kv = perf.kv_read_time_per_token()
+    chain = np.zeros((n, n_steps))
+    for i in range(trace.n_calls):
+        p, o = float(trace.call_in[i]), float(trace.call_out[i])
+        chain[trace.call_agent[i], trace.call_step[i]] += (
+            prefill0 + slope * p + o * (iter0 + kv * (p + o / 2.0)))
+    chain += config.overhead.agent_step
+    finish = [0.0] * n
+    for step in range(n_steps):
+        for group in groups[step]:
+            start = max(finish[a] for a in group)
+            for a in group:
+                finish[a] = start + chain[a, step]
+    return mean, max(finish)
+
+
 class TestCriticalPath:
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_flat_store_matches_the_group_loops(self, seed, l4_serving):
+        trace = random_trace(seed, n_agents=12, n_steps=30, width=14,
+                             height=10)
+        mean, critical = _per_group_references(
+            trace, PerfModel(model=get_model("llama3-8b"), gpu=get_gpu("l4")),
+            SchedulerConfig())
+        assert mean_dependency_count(trace) == mean
+        assert critical_time_for(trace, l4_serving) == critical
+
     def test_lower_bounds_oracle(self, morning_trace, l4_serving):
         critical = critical_time_for(morning_trace, l4_serving)
         oracle = _run(morning_trace, "oracle")
