@@ -44,20 +44,21 @@ def mine_interaction_groups(trace: Trace, space: Space | None = None
     """
     if space is None:
         space = rules_for(None, trace.meta).space
-    n = trace.meta.n_agents
-    n_steps = trace.meta.n_steps
+    n, n_steps = trace.meta.n_agents, trace.meta.n_steps
+    radius = trace.meta.radius_p
     start = np.empty((n_steps, n), dtype=np.int32)
     order = np.empty((n_steps, n), dtype=np.int32)
-    ids = list(range(n))
-    pos_sa = trace.positions_by_step
-    for step in range(n_steps):
+    for step, rows in enumerate(trace.positions_by_step[:n_steps]):
         # One contiguous step slice instead of n per-agent reads.
-        positions = [(r[0], r[1]) for r in pos_sa[step].tolist()]
-        groups = geo_clustering(ids, positions, space, trace.meta.radius_p)
-        sizes = [len(g) for g in groups]
-        row = order[step]
-        row[:] = [aid for g in groups for aid in g]
-        start[step, row] = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+        positions = [(r[0], r[1]) for r in rows.tolist()]
+        flat: list[int] = []
+        starts = [0] * n
+        for group in geo_clustering(range(n), positions, space, radius):
+            for aid in group:
+                starts[aid] = len(flat)
+            flat += group
+        order[step] = flat
+        start[step] = starts
     return start, order
 
 

@@ -238,7 +238,7 @@ class TestOracleMining:
     def test_graph_keeps_8_bytes_per_agent_step(self):
         """The mined store is the graph's only O(agent-steps) memory, and
         no step's member lists outlive their conversion."""
-        trace = random_trace(5, n_agents=40, n_steps=400, width=60,
+        trace = random_trace(5, n_agents=40, n_steps=200, width=60,
                              height=40)
         rules = rules_for(None, trace.meta)
         tracemalloc.start()
@@ -247,7 +247,7 @@ class TestOracleMining:
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        store = 8 * 40 * 400
+        store = 8 * 40 * 200
         assert graph._start.nbytes + graph._order.nbytes == store
         assert retained < store + 48 * 1024
         assert peak < retained + 48 * 1024
