@@ -70,7 +70,10 @@ COMPARE = "row[local[nb]] if comp[nb] == ca else inf"
 #: first-declared venue table dropped by ``add_venue``, and the wall-
 #: respecting, four-way, read-only flood. The oracle's mined-group
 #: graph: a member waits on every group-mate behind it, on its own
-#: step's group, and the last arrival releases the rest.
+#: step's group, and the last arrival releases the rest. The replay
+#: driver: a blocker's commit releases every waiter out of range at the
+#: exact threshold, the capped dispatch heap keys on priority before
+#: arrival, and the invocation distance counts from the agent's step.
 MUTANTS = {
     "commit-skips-node-index": (
         GRAPH, f"if node is not None:\n                    {WRITE}",
@@ -213,6 +216,17 @@ MUTANTS = {
     "mined-release-skipped-for-last-arrival": (
         MINED, "if aid in waits:", "if aid in waits and len(waits) > 1:", 0,
         SCHEDULE),
+    "release-keeps-out-of-range-waiter": (
+        GRAPH, "if d <= thr:\n                        continue",
+        "if d <= thr + mv:\n                        continue", 0,
+        "tests/test_hotpath_scheduler.py"),
+    "dispatch-heap-fifo-only": (
+        DRIVER, "heappush(pending, (self._cluster_priority(s, cluster),",
+        "heappush(pending, (self._pending_seq,", 0,
+        "tests/test_core_drivers.py::TestWorkerCapQueue"),
+    "distance-from-next-step": (
+        DRIVER, "i = bisect_left(steps, s)", "i = bisect_left(steps, s + 1)",
+        0, "tests/test_serving_kv.py::TestInvocationDistance"),
 }
 
 

@@ -16,8 +16,8 @@ cells per scenario:
   scheduler-oblivious serving stack would do). The acceptance criterion
   is that ``kv-distance`` beats this cell somewhere: round-robin agent
   stepping is LRU's cyclic worst case (it evicts exactly the
-  next-needed agent), while the wake-step signal protects near-wake
-  agents.
+  next-needed agent), while the trace lookahead keeps the agents whose
+  next call is nearest.
 * ``iteration`` — the ``kv-distance`` deployment at the reference
   fidelity (``fidelity="iteration"``). It keeps the fluid model honest
   (its ``tokens_per_s`` must stay within ``MAX_FIDELITY_GAP`` of the
@@ -29,7 +29,8 @@ cells per scenario:
 The headline metric, **end-to-end tokens per virtual second**
 (`tokens_per_s`), is deterministic — virtual completion times do not
 depend on the machine — so the CI gate compares it tightly against the
-committed ``benchmarks/baselines/serving_pr6.json``. Wall-clock replay
+committed ``BENCH_serving.json`` at the repository root, read before
+``--out`` rewrites it: the report is its own reference. Wall-clock replay
 throughput is reported beside it, never gated; the report records the
 machine's ``calibration_ops_per_sec`` before the matrix and
 ``calibration_after_ops_per_sec`` after it.
@@ -52,8 +53,7 @@ from .smoke import scenario_window_trace
 
 SERVING_SEED = 0
 #: The committed reference run, found from the source tree (not the cwd).
-BASELINE_PATH = (Path(__file__).resolve().parents[3] / "benchmarks"
-                 / "baselines" / "serving_pr6.json")
+BASELINE_PATH = Path(__file__).resolve().parents[3] / "BENCH_serving.json"
 #: The per-scenario matrix cells (see module docstring).
 CELLS = ("fluid", "kv-distance", "kv-lru", "iteration")
 #: Virtual tokens/s is deterministic; the ratio bar only absorbs float

@@ -254,8 +254,8 @@ class ServingConfig:
     #: frees KV at finish (seed behaviour); ``lru`` keeps per-agent
     #: segments and evicts the longest-idle; ``distance`` evicts the
     #: agent whose next LLM call is furthest in virtual time, using the
-    #: scheduler's invocation-distance signal (ScaleSim-style, driven
-    #: by the dependency graph's wake steps).
+    #: scheduler's invocation-distance signal (ScaleSim-style: the
+    #: replay trace's steps to each agent's next call).
     kv_policy: Literal["none", "lru", "distance"] = "none"
 
     def __post_init__(self) -> None:

@@ -212,9 +212,10 @@ class ControllerCore:
         extra["graph_scans"] = graph.scans
         extra["graph_scan_skips"] = graph.scan_skips
         extra["graph_near_checks"] = graph.near_checks
-        extra["graph_wake_skips"] = graph.wake_skips
-        # Every space answers with cells, so no scan falls back; the
-        # constant stays for its reader, benchmarks/e2e/workloads.py.
+        # Every space answers with cells, so no scan falls back, and no
+        # blocked pair skips its re-check; the constants stay for their
+        # reader, benchmarks/e2e/workloads.py.
+        extra["graph_wake_skips"] = 0
         extra["graph_fallback_scans"] = 0
         extra["graph_scanned_slots"] = graph.scanned_slots
         extra["shards"] = 1  # the worker-pool merge reports its plan's

@@ -55,7 +55,7 @@ commit's per-member candidates and by the spatial index elsewhere.
 Nothing is memoized: the round that finds a dispatchable component
 dispatches it, which dissolves it.
 
-The blocker work itself is bounded by three mechanisms that make
+The blocker work itself is bounded by two mechanisms that make
 steady-state commits (nearly) scan-free:
 
 * **step-bucketed blocker index with coarse spatial bands** — agents
@@ -87,22 +87,16 @@ steady-state commits (nearly) scan-free:
   recorded near set is re-examined (a handful of exact distance
   checks); only past the horizon does the indexed scan re-run. An
   agent that stays on its tile is charged half of a walker's rate and
-  re-scans half as often;
-* **blocked-pair wake steps** — symmetrically, a still-blocked check of
-  waiter A against blocker B at margin ``M = threshold - dist`` stays
-  true for B's next ``min(M // (2 * max_vel), gap - 1)`` commits, so
-  the pair carries a wake step and B's commits skip the geometry
-  re-check until B's step reaches it. This bound keeps the full
-  ``2 * max_vel`` per commit: it predicts the blocker's *future*
-  commits, and whether those will move is not known yet.
+  re-scans half as often.
 
-All three bounds are conservative, so the maintained edge sets stay
+Both bounds are conservative, so the maintained edge sets stay
 *exactly* equal to a from-scratch recomputation (the dict-reference
-fuzz model pins this).
+fuzz model pins this). A blocker's commit re-checks each of its
+waiters exactly: one distance per waiter.
 
-None of the three mechanisms is Euclidean-specific: the slack and wake
-bounds only need the triangle inequality plus the ``max_vel`` movement
-bound, and the step-bucketed index only needs 2D integer cells whose
+Neither mechanism is Euclidean-specific: the slack bound only needs
+the triangle inequality plus the ``max_vel`` movement bound, and the
+step-bucketed index only needs 2D integer cells whose
 per-axis difference lower-bounds the true distance — the cell contract
 every :class:`~repro.core.space.Space` meets (coordinate grids by floor
 division, :class:`~repro.core.space.GraphSpace` by landmark BFS levels,
@@ -270,10 +264,6 @@ class SpatioTemporalGraph(AgentSteps):
         super().__init__(n, start_step)
         self.pos: list[Position] = pos_list
         self.waiters: list[set[int]] = [set() for _ in range(n)]
-        #: Per blocked pair, the blocker step up to which the waiter is
-        #: provably still blocked: ``_wake[b][a] >= step[b]`` skips the
-        #: geometry re-check on b's commit (indexed by blocker).
-        self._wake: list[dict[int, int]] = [{} for _ in range(n)]
         #: Slack-bound scan cache: step of the agent's last full blocker
         #: scan, the slack it measured, and the near set (agents within
         #: the slack horizon then; None = no valid scan yet).
@@ -284,7 +274,6 @@ class SpatioTemporalGraph(AgentSteps):
         #: only those can have closed the distance to a threat.
         self._scan_moves: list[int] = [0] * n
         self._base_r = rules.radius_p + rules.max_vel
-        self._two_mv = 2.0 * rules.max_vel
         #: Hop-metric spaces (GraphSpace) number their nodes: the graph
         #: keeps one node index per agent, written wherever ``pos[aid]``
         #: is — here and at commit — so the exact checks below read
@@ -368,8 +357,6 @@ class SpatioTemporalGraph(AgentSteps):
         self.scans = 0
         self.scan_skips = 0
         self.near_checks = 0
-        self.wake_checks = 0
-        self.wake_skips = 0
         #: Slots examined by full scans (band-window walk): the scale
         #: matrix asserts this stays O(local population) per scan as
         #: the world grows.
@@ -498,33 +485,6 @@ class SpatioTemporalGraph(AgentSteps):
 
     # -- queries ----------------------------------------------------------
 
-    def invocation_distance(self, aid: int) -> float:
-        """Predicted virtual steps until ``aid``'s next LLM dispatch.
-
-        The serving layer's KV eviction key (ScaleSim's *invocation
-        distance*, §PAPERS): 0 for agents running or dispatchable now;
-        for blocked agents, a lower bound on how many steps the slowest
-        blocker must commit before the pair can dissolve, read straight
-        off the pair wake steps the zero-rescan scheduler already
-        maintains (``_wake[b][a]`` is the last blocker step at which the
-        pair is provably still blocked). All blockers must clear, so the
-        prediction is the max over blockers. Free of geometry work —
-        O(blockers) dict lookups — hence cheap enough to consult on
-        every eviction decision.
-        """
-        blockers = self.blocked_by[aid]
-        if self.running[aid] or not blockers:
-            return 0.0
-        step = self.step
-        dist = 1
-        for bid in blockers:
-            wake = self._wake[bid].get(aid)
-            if wake is not None:
-                need = wake - step[bid] + 1
-                if need > dist:
-                    dist = need
-        return float(dist)
-
     def state(self, aid: int) -> tuple[int, Position]:
         return self.step[aid], self.pos[aid]
 
@@ -592,7 +552,7 @@ class SpatioTemporalGraph(AgentSteps):
                 pay = pa[1]
             elif node is not None:
                 row = self._hop_row(node[aid])
-            margins: dict[int, float] = {}
+            blockers: list[int] = []
             for bid in near_sets[aid]:
                 g = s - step[bid]
                 if g <= 0:
@@ -610,16 +570,15 @@ class SpatioTemporalGraph(AgentSteps):
                 else:
                     d = dist(pa, pos[bid])
                 if d <= thr:
-                    margins[bid] = thr - d
-            if margins:
-                self._register_blockers(aid, s, margins)
+                    blockers.append(bid)
+            if blockers:
+                self._register_blockers(aid, blockers)
             else:
                 unblocked.add(aid)
 
     def _scan_rows(self, ids: list[int], svs: list[int],
                    cells: list[tuple[int, int]], ppos: list[Position]
-                   ) -> tuple[list[float], list[dict[int, float]],
-                              list[list[int]]]:
+                   ) -> tuple[list[float], list[list[int]], list[list[int]]]:
         """Full blocker scans via the step-bucketed index, one batch.
 
         Scans are banded: a row's worst-case reach (``(step gap to the
@@ -632,10 +591,9 @@ class SpatioTemporalGraph(AgentSteps):
         since every out-of-window slot exceeds even the worst-case-gap
         threshold. Returns per row the measured slack (exact distances
         for examined members, clamped at the horizon every dismissed
-        slot provably exceeds), the blocking margin per blocker (its
-        keys are the blockers; the margins feed wake steps), and the
-        near set (members within the horizon) that licenses scan-free
-        re-checks until the horizon is consumed.
+        slot provably exceeds), the blockers, and the near set (members
+        within the horizon) that licenses scan-free re-checks until the
+        horizon is consumed.
         """
         mv = self.rules.max_vel
         base_r = self._base_r
@@ -698,7 +656,7 @@ class SpatioTemporalGraph(AgentSteps):
                         pairs.append((r, steps_l[i], membs[i]))
         self.scanned_slots += scanned
 
-        margins: list[dict[int, float]] = [{} for _ in ids]
+        blockers: list[list[int]] = [[] for _ in ids]
         nears: list[list[int]] = [[] for _ in ids]
         slack = [horizon] * len(ids)
         pos = self.pos
@@ -731,7 +689,7 @@ class SpatioTemporalGraph(AgentSteps):
                 row = rows[r]
                 ca = comp[node[aid]]
             row_slack = slack[r]
-            row_margins = margins[r]
+            row_blockers = blockers[r]
             row_near = nears[r]
             blocking = g > 0
             for bid in slot_members:
@@ -757,24 +715,19 @@ class SpatioTemporalGraph(AgentSteps):
                 if d <= near_cut:
                     row_near.append(bid)
                     if blocking and d <= thr:
-                        row_margins[bid] = thr - d
+                        row_blockers.append(bid)
             slack[r] = row_slack
-        return slack, margins, nears
+        return slack, blockers, nears
 
     # -- lifecycle ----------------------------------------------------------
 
-    def _register_blockers(self, aid: int, s: int,
-                           margins: dict[int, float]) -> None:
-        """``aid`` at step ``s`` waits on every key of ``margins``."""
+    def _register_blockers(self, aid: int, blockers: list[int]) -> None:
+        """``aid`` waits on every agent of ``blockers``."""
         self.blocked_events += 1
-        self.blocked_by[aid] = set(margins)
+        self.blocked_by[aid] = set(blockers)
         waiters = self.waiters
-        wake = self._wake
-        step = self.step
-        for bid in margins:
+        for bid in blockers:
             waiters[bid].add(aid)
-            wake[bid][aid] = self._wake_step(step[bid], s - step[bid],
-                                             margins[bid])
 
     def commit(self, aids: Iterable[int],
                new_positions: Mapping[int, Position]) -> CommitResult:
@@ -915,15 +868,15 @@ class SpatioTemporalGraph(AgentSteps):
         if ids:
             self.scans += len(ids)
             svs = [step[a] for a in ids]
-            slacks, margins, nears = self._scan_rows(
+            slacks, blockers, nears = self._scan_rows(
                 ids, svs, [cells[a] for a in ids], [pos[a] for a in ids])
             for r, aid in enumerate(ids):
                 scan_step[aid] = svs[r]
                 scan_slack[aid] = slacks[r]
                 near_sets[aid] = nears[r]
                 scan_moves[aid] = 0
-                if margins[r]:
-                    self._register_blockers(aid, svs[r], margins[r])
+                if blockers[r]:
+                    self._register_blockers(aid, blockers[r])
                 else:
                     unblocked.add(aid)
         if join:
@@ -1008,29 +961,13 @@ class SpatioTemporalGraph(AgentSteps):
                                 found.append(bid)
         return out
 
-    def _wake_step(self, blocker_step: int, gap: int, margin: float) -> int:
-        """Last blocker step at which the pair is provably still blocked.
-
-        Per blocker commit the margin shrinks by at most ``2 * max_vel``
-        (it moves up to ``max_vel`` away while the threshold drops by
-        ``max_vel``), and the pair dissolves outright once the gap
-        closes — whichever bound is nearer. Unlike the slack bound this
-        cannot discount stationary commits: they have not happened yet.
-        """
-        two_mv = self._two_mv
-        free = int(margin // two_mv) if two_mv else gap - 1
-        if free > gap - 1:
-            free = gap - 1
-        return blocker_step + free
-
     def _release_waiters(self, members: list[int],
                          unblocked: set[int]) -> None:
-        """Re-examine (or wake-skip) every waiter of the committed batch."""
+        """Re-check every waiter of the committed batch exactly."""
         waiters = self.waiters
         step = self.step
         pos = self.pos
         blocked_by = self.blocked_by
-        wake = self._wake
         dist = self.rules.space.dist
         dist_within = self._dist_within
         euclid = self._euclid
@@ -1047,13 +984,7 @@ class SpatioTemporalGraph(AgentSteps):
                 continue
             s_b = step[b]
             pos_b = pos[b]
-            wake_b = wake[b]
             for a in list(w):
-                wk = wake_b.get(a)
-                if wk is not None and s_b <= wk:
-                    self.wake_skips += 1
-                    continue
-                self.wake_checks += 1
                 g = step[a] - s_b
                 if g > 0:
                     thr = base_r + g * mv  # == block_threshold(g)
@@ -1073,10 +1004,8 @@ class SpatioTemporalGraph(AgentSteps):
                     else:
                         d = dist(pos[a], pos_b)
                     if d <= thr:
-                        wake_b[a] = self._wake_step(s_b, g, thr - d)
                         continue
                 w.discard(a)
-                wake_b.pop(a, None)
                 bb = blocked_by[a]
                 bb.discard(b)
                 if not bb:

@@ -16,14 +16,14 @@ instant (§3.6 light critical path):
    index into the step-major store), the rest commit without geometry;
 2. **one** ``core.step`` commits the batch, releases waiters, forms the
    dirty components and claims the dispatchable ones;
-3. each claimed cluster takes a worker slot (uncapped, or from the
-   **step-keyed dispatch buckets**: numpy-backed, keyed by integer step
-   priority instead of a heap of python tuples). The trace's ``calling``
-   mask splits them: a cluster none of whose members calls — most of
-   them — skips the launch event and goes straight into the round batch
-   due when its chains would have ended; the rest launch together
-   through one event into :meth:`ChainExecutor.run_round` and join
-   their round batch when their last chain ends.
+3. each claimed cluster takes a worker slot (uncapped, or, under a
+   worker cap, from a ``heapq`` keyed by the cluster's §3.5 priority,
+   FIFO among equal keys). The trace's ``calling`` mask splits them: a
+   cluster none of whose members calls — most of them — skips the
+   launch event and goes straight into the round batch due when its
+   chains would have ended; the rest launch together through one event
+   into :meth:`ChainExecutor.run_round` and join their round batch when
+   their last chain ends.
 
 ``DriverStats.extra["kernel_events"]`` counts the events the *driver*
 schedules (launches with a call, rounds), well below one per cluster;
@@ -33,7 +33,7 @@ schedules (launches with a call, rounds), well below one per cluster;
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
+from heapq import heappop, heappush
 from time import perf_counter
 
 import numpy as np
@@ -48,62 +48,6 @@ from .dependency_graph import SpatioTemporalGraph
 from .oracle import MinedGroupGraph
 from .rules import rules_for
 from .tasks import ChainExecutor
-
-#: Interactive clusters sort before every regular step key (§6 hybrid
-#: deployment) while keeping step order among themselves.
-_INTERACTIVE_BOOST = 1 << 40
-
-
-class _DispatchBuckets:
-    """Step-keyed dispatch queue (§3.5 priority order without a heap).
-
-    Pending clusters bucket by an integer priority key — the step under
-    priority scheduling, a constant in FIFO mode, ``step -
-    _INTERACTIVE_BOOST`` for interactive clusters — FIFO within a
-    bucket. Active keys sit densely packed in a numpy vector, so pop is
-    one vectorized argmin over the live prefix (the live key count
-    tracks the step spread: a handful) instead of log-n python tuple
-    comparisons per push/pop.
-    """
-
-    __slots__ = ("_buckets", "_keys", "_count", "_n")
-
-    def __init__(self) -> None:
-        self._buckets: dict[int, deque] = {}
-        self._keys = np.empty(8, dtype=np.int64)
-        self._count = 0
-        self._n = 0
-
-    def __len__(self) -> int:
-        return self._n
-
-    def push(self, key: int, item) -> None:
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            self._buckets[key] = bucket = deque()
-            count = self._count
-            if count == len(self._keys):
-                self._keys = np.resize(self._keys, count * 2)
-            self._keys[count] = key
-            self._count = count + 1
-        bucket.append(item)
-        self._n += 1
-
-    def pop(self):
-        """Remove and return the item with the smallest key (FIFO ties)."""
-        count = self._count
-        idx = int(np.argmin(self._keys[:count])) if count > 1 else 0
-        key = int(self._keys[idx])
-        bucket = self._buckets[key]
-        item = bucket.popleft()
-        self._n -= 1
-        if not bucket:
-            del self._buckets[key]
-            count -= 1
-            self._count = count
-            if idx != count:
-                self._keys[idx] = self._keys[count]
-        return item
 
 
 class MetropolisDriver:
@@ -144,8 +88,9 @@ class MetropolisDriver:
         #: Scheduler-aware serving: the engine's KV eviction key is the
         #: live invocation-distance prediction per agent.
         engine.set_distance_provider(self.invocation_distance)
-        #: Dispatchable clusters awaiting a worker slot (when capped).
-        self._pending = _DispatchBuckets()
+        #: Dispatchable clusters awaiting a worker slot (when capped),
+        #: a heap of ``(priority, arrival seq, step, cluster)``.
+        self._pending: list[tuple[float, int, int, list[int]]] = []
         self._pending_seq = 0
         #: Clusters launched (or staged to launch) and not yet retired.
         self._busy_workers = 0
@@ -176,28 +121,20 @@ class MetropolisDriver:
     def invocation_distance(self, aid: int) -> float:
         """Predicted steps until ``aid``'s next LLM call (KV eviction key).
 
-        Two ingredients, take the max:
-
-        * the dependency graph's wake-step bound — how many steps the
-          slowest blocker must commit before ``aid`` can even be
-          dispatched (:meth:`SpatioTemporalGraph.invocation_distance`);
-        * the trace lookahead — how many steps ahead ``aid``'s next
-          *call-bearing* chain sits (replay mode knows the trace, the
-          same way it knows output lengths). An agent walking a long
-          call-free route was used recently but won't need its KV for
-          many steps — precisely the segment LRU keeps and this evicts.
-
+        The trace lookahead: how many steps ahead ``aid``'s next
+        *call-bearing* chain sits, blocked or not (replay mode knows the
+        trace, the same way it knows output lengths). An agent walking a
+        long call-free route was used recently but won't need its KV for
+        many steps — precisely the segment LRU keeps and this evicts.
         Agents with no calls left in the window return ``inf`` (ideal
         victims).
         """
-        wake = self.graph.invocation_distance(aid)
         steps = self._call_steps[aid]
         s = self.graph.step[aid]
         i = bisect_left(steps, s)
         if i >= len(steps):
             return float("inf")
-        gap = float(steps[i] - s)
-        return gap if gap > wake else wake
+        return float(steps[i] - s)
 
     # -- controller ------------------------------------------------------
 
@@ -208,14 +145,14 @@ class MetropolisDriver:
         """Give the round's claimed clusters worker slots and stage them.
 
         Uncapped, every cluster dispatches this instant; under a cap
-        they queue in the step-keyed buckets and the free slots take
-        the front of the queue. A cluster none of whose members calls
-        at its step has nothing to launch: it goes straight into the
-        round batch due at ``((now + controller_dispatch) + agent_step)
-        + cluster_commit``, where the launch event and the executor's
-        start event would have queued it — the same float additions in
-        the same order. The rest launch together through one event
-        (:meth:`_launch_batch`).
+        they queue in a heap by :meth:`_cluster_priority`, then arrival,
+        and the free slots take its front. A cluster none of whose
+        members calls at its step has nothing to launch: it goes
+        straight into the round batch due at ``((now +
+        controller_dispatch) + agent_step) + cluster_commit``, where the
+        launch event and the executor's start event would have queued
+        it — the same float additions in the same order. The rest launch
+        together through one event (:meth:`_launch_batch`).
         """
         clock = self.core.clock
         t0 = clock()
@@ -227,10 +164,12 @@ class MetropolisDriver:
             pending = self._pending
             for s, cluster in clusters:
                 self._pending_seq += 1
-                pending.push(self._dispatch_key(s, cluster), (s, cluster))
+                heappush(pending, (self._cluster_priority(s, cluster),
+                                   self._pending_seq, s, cluster))
             clusters = []
             while pending and self._busy_workers + len(clusters) < cap:
-                clusters.append(pending.pop())
+                _, _, s, cluster = heappop(pending)
+                clusters.append((s, cluster))
         self._busy_workers += len(clusters)
         calling = self._calling
         n = self.graph.n_agents
@@ -274,14 +213,6 @@ class MetropolisDriver:
         if self.config.priority:
             return float(step)
         return float(self._pending_seq)
-
-    def _dispatch_key(self, step: int, cluster: list[int]) -> int:
-        """Integer dispatch-bucket key mirroring ``_cluster_priority``."""
-        if self._boost and self._in_interactive_cone(cluster):
-            return step - _INTERACTIVE_BOOST
-        if self.config.priority:
-            return step
-        return 0  # FIFO: one bucket, arrival order
 
     def _cone_agents(self) -> set[int]:
         """Agents within the interactive dependency cone, via the index.

@@ -86,7 +86,7 @@ class MinedGroupGraph(AgentSteps):
     """
 
     # The geometric graph's scan counters, which ``sync_stats`` folds.
-    scans = scan_skips = near_checks = wake_skips = scanned_slots = 0
+    scans = scan_skips = near_checks = scanned_slots = 0
 
     def __init__(self, trace: Trace, rules: DependencyRules) -> None:
         super().__init__(trace.meta.n_agents)
@@ -119,10 +119,6 @@ class MinedGroupGraph(AgentSteps):
                                   f"of step {s} is running")
         visited.update(members)
         return members
-
-    def invocation_distance(self, aid: int) -> float:
-        """No wake-step bound: the trace lookahead alone decides."""
-        return 0.0
 
     def commit(self, aids: Iterable[int],
                new_positions: Mapping[int, Position]) -> CommitResult:

@@ -129,7 +129,7 @@ def _run_worker_task(task: dict) -> SimulationResult:
     finally:
         store.close()
     trace = Trace(replace(task["meta"], n_agents=len(members)), positions,
-                  *task["calls"], step_major=True)
+                  *task["calls"])
     result = replay_in_process(
         trace, task["scheduler"], task["serving"],
         collect_timeline=task["collect_calls"], clock=time.process_time)
@@ -276,26 +276,37 @@ class ShardWorkerPool:
         return redispatched
 
     def close(self) -> None:
-        """Drain the pool: polite sentinel, then terminate stragglers."""
-        for wid, proc in enumerate(self._procs):
-            if proc is None:
-                continue
-            try:
-                self._inboxes[wid].put(None)
-            except Exception:  # pragma: no cover - queue torn down
-                pass
-        deadline = time.monotonic() + self.faults.worker_join_grace
-        for proc in self._procs:
-            if proc is None:
-                continue
-            proc.join(timeout=max(0.0, deadline - time.monotonic()))
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(1.0)
-        self._outbox.close()
-        for inbox in self._inboxes:
-            if inbox is not None:
-                inbox.close()
+        """Drain the pool: polite sentinel, then terminate stragglers.
+
+        A second interrupt landing in the drain still terminates every
+        worker before it propagates: a worker left running could attach
+        the position segment after its owner unlinked it, which the
+        resource tracker reports as a leak at exit. Nor is an inbox's
+        feeder thread joined at exit: an interrupted ``put`` can leave
+        it waiting for a wake-up that never comes.
+        """
+        procs = [p for p in self._procs if p is not None]
+        try:
+            for wid, proc in enumerate(self._procs):
+                if proc is None:
+                    continue
+                try:
+                    self._inboxes[wid].put(None)
+                except Exception:  # pragma: no cover - queue torn down
+                    pass
+            deadline = time.monotonic() + self.faults.worker_join_grace
+            for proc in procs:
+                proc.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            for proc in procs:
+                if proc.is_alive():
+                    proc.terminate()
+                    proc.join(1.0)
+            self._outbox.close()
+            for inbox in self._inboxes:
+                if inbox is not None:
+                    inbox.cancel_join_thread()
+                    inbox.close()
 
     def __enter__(self) -> "ShardWorkerPool":
         return self

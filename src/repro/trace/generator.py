@@ -95,7 +95,7 @@ def generate_trace(n_agents: int | None = None,
         meta, positions,
         np.asarray(steps, dtype=np.int32), np.asarray(agents, dtype=np.int32),
         np.asarray(funcs, dtype=np.int16), np.asarray(ins, dtype=np.int32),
-        np.asarray(outs, dtype=np.int32), step_major=True)
+        np.asarray(outs, dtype=np.int32))
 
 
 def _cache_dir() -> Path | None:

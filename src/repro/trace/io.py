@@ -18,9 +18,11 @@ import numpy as np
 from ..errors import TraceError
 from .schema import Trace, TraceMeta, _alloc_positions
 
-#: The arrays every npz trace holds besides its positions.
-_NPZ_ARRAYS = ("meta", "call_step", "call_agent", "call_func", "call_in",
-               "call_out")
+#: The arrays every npz trace holds. Files from before the step-major
+#: store kept agent-major ``positions`` instead of ``positions_sa``:
+#: they are refused by that name (``cached_day_trace`` regenerates).
+_NPZ_ARRAYS = ("meta", "positions_sa", "call_step", "call_agent",
+               "call_func", "call_in", "call_out")
 
 
 def _meta(fields: dict, where: str) -> TraceMeta:
@@ -75,9 +77,6 @@ def load_trace(path: str | Path) -> Trace:
         raise TraceError(f"no trace at {path}")
     with np.load(path, allow_pickle=False) as data:
         missing = [name for name in _NPZ_ARRAYS if name not in data.files]
-        if "positions_sa" not in data.files \
-                and "positions" not in data.files:
-            missing.append("positions_sa")
         if missing:
             raise TraceError(f"{path}: npz trace lacks {missing}")
         meta = _meta(json.loads(str(data["meta"])), str(path))
@@ -89,12 +88,7 @@ def load_trace(path: str | Path) -> Trace:
                     f"generator's {GENERATOR_VERSION}")
         stored = str(data["fingerprint"]) \
             if "fingerprint" in data.files else None
-        # Step-major is the canonical on-disk layout; files written
-        # before the numpy position store carried agent-major arrays.
-        if "positions_sa" in data.files:
-            positions, step_major = data["positions_sa"], True
-        else:
-            positions, step_major = data["positions"], False
+        positions = data["positions_sa"]
         # Route big stores through the size-thresholded allocator so a
         # million-agent load lands in the same (possibly memmap-backed)
         # kind of store the generator builds, instead of pinning the
@@ -106,7 +100,7 @@ def load_trace(path: str | Path) -> Trace:
         trace = Trace(
             meta, positions,
             data["call_step"], data["call_agent"], data["call_func"],
-            data["call_in"], data["call_out"], step_major=step_major)
+            data["call_in"], data["call_out"])
     if stored is not None and stored != (actual := trace_fingerprint(trace)):
         raise TraceError(f"{path}: fingerprint {stored} does not match "
                          f"its arrays ({actual})")
@@ -125,7 +119,7 @@ def export_jsonl(trace: Trace, path: str | Path) -> None:
         for aid in range(trace.meta.n_agents):
             fh.write(json.dumps({
                 "type": "movement", "agent": aid,
-                "path": trace.positions[aid].tolist()}) + "\n")
+                "path": trace.positions_by_step[:, aid].tolist()}) + "\n")
         for i in range(trace.n_calls):
             fh.write(json.dumps({
                 "type": "call",
@@ -179,7 +173,7 @@ def import_jsonl(path: str | Path) -> Trace:
         raise TraceError("jsonl trace missing header record")
     n = meta.n_agents
     shape = (meta.n_steps + 1, 2)
-    positions = np.empty((n, *shape), dtype=np.int32)
+    positions = np.empty((meta.n_steps + 1, n, 2), dtype=np.int32)
     for aid, (where, pos_list) in movements.items():
         if not isinstance(aid, int) or not 0 <= aid < n:
             raise TraceError(
@@ -192,7 +186,7 @@ def import_jsonl(path: str | Path) -> Trace:
             raise TraceError(
                 f"{where}: agent {aid}'s path has shape {row.shape}, "
                 f"not {shape}")
-        positions[aid] = row
+        positions[:, aid] = row
     missing = sorted(set(range(n)) - movements.keys())
     if missing:
         raise TraceError(

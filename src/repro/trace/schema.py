@@ -3,14 +3,14 @@
 Positions and LLM calls are stored as dense numpy arrays so that thousand-
 agent traces stay compact and slicing an hour window (the paper's busy/
 quiet-hour benchmarks) is a cheap array operation. Positions are held
-**step-major** — one ``(n_steps + 1, n_agents, 2)`` int array — so the
-replay drivers gather a commit batch's movers in one fancy index (a
-lazily built ``moved`` mask says who they are), a step's population slice is contiguous (bulk spatial-index loads, the oracle's
-per-step clustering), and graph-metric traces expose their node-id
-column without re-tupling; the agent-major orientation remains available
-as a transposed view. A CSR-style index maps ``(agent, step)`` to that
-agent's ordered call chain for the step, which is what the scheduler
-drivers consume.
+**step-major** — one ``(n_steps + 1, n_agents, 2)`` int array, the
+only layout — so the replay drivers gather a commit batch's movers in
+one fancy index (a lazily built ``moved`` mask says who they are), a
+step's population slice is contiguous (bulk spatial-index loads, the
+oracle's per-step clustering), and graph-metric traces expose their
+node-id column without re-tupling. A CSR-style index maps ``(agent,
+step)`` to that agent's ordered call chain for the step, which is what
+the scheduler drivers consume.
 """
 
 from __future__ import annotations
@@ -202,8 +202,7 @@ class Trace:
         store: tile at the *start* of each step;
         ``positions_by_step[s + 1, a]`` is where agent ``a`` ended step
         ``s``. Per-step displacement never exceeds ``meta.max_vel``.
-        ``positions`` is the agent-major transposed view of the same
-        array (``int[n_agents, n_steps + 1, 2]``).
+        The constructor takes positions in this layout.
     call_step / call_agent / call_func / call_in / call_out:
         Parallel arrays of the call events, sorted by ``(agent, step)``
         with chain order preserved. ``call_func`` indexes
@@ -213,22 +212,15 @@ class Trace:
     def __init__(self, meta: TraceMeta, positions: np.ndarray,
                  call_step: np.ndarray, call_agent: np.ndarray,
                  call_func: np.ndarray, call_in: np.ndarray,
-                 call_out: np.ndarray, step_major: bool = False) -> None:
+                 call_out: np.ndarray) -> None:
         self.meta = meta
         positions = np.asarray(positions)
-        if step_major:
-            if positions.shape != (meta.n_steps + 1, meta.n_agents, 2):
-                raise TraceError(
-                    f"step-major positions shape {positions.shape} != "
-                    f"{(meta.n_steps + 1, meta.n_agents, 2)}")
-            self._pos_sa = np.ascontiguousarray(positions)
-        else:
-            if positions.shape != (meta.n_agents, meta.n_steps + 1, 2):
-                raise TraceError(
-                    f"positions shape {positions.shape} != "
-                    f"{(meta.n_agents, meta.n_steps + 1, 2)}")
-            self._pos_sa = np.ascontiguousarray(
-                positions.transpose(1, 0, 2))
+        if positions.shape != (meta.n_steps + 1, meta.n_agents, 2):
+            raise TraceError(
+                f"positions shape {positions.shape} != "
+                f"{(meta.n_steps + 1, meta.n_agents, 2)} "
+                f"(steps + 1, agents, 2)")
+        self._pos_sa = np.ascontiguousarray(positions)
         self._pos_flat: np.ndarray | None = None
         self._moved: bytes | None = None
         self._calling: bytes | None = None
@@ -320,11 +312,6 @@ class Trace:
         np.cumsum(counts, out=self._row_ptr[1:])
 
     # -- accessors ----------------------------------------------------------
-
-    @property
-    def positions(self) -> np.ndarray:
-        """Agent-major ``int[n_agents, n_steps + 1, 2]`` view."""
-        return self._pos_sa.transpose(1, 0, 2)
 
     @property
     def positions_by_step(self) -> np.ndarray:
@@ -466,7 +453,6 @@ class Trace:
             self.call_func[mask],
             self.call_in[mask],
             self.call_out[mask],
-            step_major=True,
         )
 
 
@@ -514,5 +500,4 @@ def concat_traces(traces: Sequence[Trace], x_stride: int) -> Trace:
     return Trace(
         meta, out,
         np.concatenate(steps), np.concatenate(agents),
-        np.concatenate(funcs), np.concatenate(ins), np.concatenate(outs),
-        step_major=True)
+        np.concatenate(funcs), np.concatenate(ins), np.concatenate(outs))

@@ -67,11 +67,11 @@ def _mean_dependency_agents(trace: Trace, sample_stride: int = 7) -> float:
             count += 1
         return totals / max(count, 1)
     thr2 = threshold * threshold
-    pos = trace.positions.astype(np.float64)
+    pos = trace.positions_by_step.astype(np.float64)
     totals = 0.0
     count = 0
     for step in range(0, trace.meta.n_steps, sample_stride):
-        p = pos[:, step, :]
+        p = pos[step]
         diff = p[:, None, :] - p[None, :, :]
         within = (diff ** 2).sum(axis=2) <= thr2
         totals += within.sum(axis=1).mean()

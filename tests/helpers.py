@@ -32,13 +32,11 @@ def trajectory_trace(trajectories, chains, *, radius_p: float = 4.0,
     n_agents = len(trajectories)
     n_steps = max(len(t) - 1 for t in trajectories
                   if not isinstance(t, tuple))
-    positions = np.zeros((n_agents, n_steps + 1, 2), dtype=np.int16)
+    positions = np.zeros((n_steps + 1, n_agents, 2), dtype=np.int16)
     for aid, traj in enumerate(trajectories):
-        if isinstance(traj, tuple):
-            positions[aid, :, :] = traj
-        else:
+        if not isinstance(traj, tuple):
             assert len(traj) == n_steps + 1
-            positions[aid, :, :] = traj
+        positions[:, aid] = traj
     steps, agents, funcs, ins, outs = [], [], [], [], []
     for aid, (k, n_in, n_out) in enumerate(chains):
         for s in range(n_steps):
@@ -178,16 +176,16 @@ def random_trace(seed: int, n_agents: int = 6, n_steps: int = 40,
     movement-speed assumption holds by construction.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    positions = np.zeros((n_agents, n_steps + 1, 2), dtype=np.int16)
-    positions[:, 0, 0] = rng.integers(0, width, n_agents)
-    positions[:, 0, 1] = rng.integers(0, height, n_agents)
+    positions = np.zeros((n_steps + 1, n_agents, 2), dtype=np.int16)
+    positions[0, :, 0] = rng.integers(0, width, n_agents)
+    positions[0, :, 1] = rng.integers(0, height, n_agents)
     moves = np.array([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
     for s in range(n_steps):
         step_moves = moves[rng.integers(0, len(moves), n_agents)]
-        nxt = positions[:, s, :].astype(np.int32) + step_moves
+        nxt = positions[s].astype(np.int32) + step_moves
         nxt[:, 0] = np.clip(nxt[:, 0], 0, width - 1)
         nxt[:, 1] = np.clip(nxt[:, 1], 0, height - 1)
-        positions[:, s + 1, :] = nxt
+        positions[s + 1] = nxt
     steps, agents, funcs, ins, outs = [], [], [], [], []
     for aid in range(n_agents):
         for s in range(n_steps):

@@ -143,6 +143,48 @@ class TestMetropolisProperties:
         assert loose.completion_time >= 0.95 * tight.completion_time
 
 
+class TestWorkerCapQueue:
+    """Under ``num_workers=1`` the pending clusters leave one at a time:
+    an interactive-cone cluster first, then by step (or by arrival with
+    priority off), arrival order among equal keys."""
+
+    @pytest.mark.parametrize("priority, expected", [
+        (True, [[0], [2], [4], [1], [3]]),
+        (False, [[0], [1], [2], [3], [4]])])
+    def test_pop_order(self, priority, expected):
+        from repro.core.metropolis import MetropolisDriver
+        from repro.core.tasks import ChainExecutor
+        from repro.devent import Kernel
+        from repro.serving import ServingEngine
+
+        # No calls, so every popped cluster joins one quiet round batch
+        # in pop order. Agent 0 is interactive; the others stand far
+        # outside its cone.
+        n_steps = 10
+        xy = [(0, 0), (200, 0), (0, 200), (200, 200), (400, 0)]
+        positions = np.tile(np.asarray(xy, dtype=np.int16),
+                            (n_steps + 1, 1, 1))
+        none = np.zeros(0, dtype=np.int32)
+        trace = Trace(TraceMeta(n_agents=5, n_steps=n_steps, seed=0,
+                                width=512, height=512),
+                      positions, none, none, none.astype(np.int16), none,
+                      none)
+        kernel = Kernel()
+        engine = ServingEngine(kernel, ServingConfig(fidelity="fluid"))
+        config = SchedulerConfig(num_workers=1, priority=priority,
+                                 interactive_agents=(0,))
+        driver = MetropolisDriver(kernel, engine, trace, config,
+                                  ChainExecutor(kernel, engine, trace,
+                                                config.overhead))
+        # Pushed out of step order; the cone's cluster arrives last.
+        driver._dispatch([(5, [1]), (2, [2]), (5, [3]), (2, [4]), (7, [0])])
+        while driver._pending:
+            driver._busy_workers -= 1  # a slot frees
+            driver._dispatch([])
+        (batch,) = driver._round_pending.values()
+        assert [cluster for _, cluster in batch] == expected
+
+
 class TestQuietClusters:
     """Call-free clusters bypass the executor; nothing simulated moves."""
 
@@ -266,11 +308,11 @@ def _tree_chord_world(seed, n_agents=8, nodes=10, n_steps=16):
     one hop or a stay per step, with a sparse random call chain."""
     rng = FastRng(seed)
     space, adj = tree_chord_space(rng, nodes)
-    positions = np.zeros((n_agents, n_steps + 1, 2), dtype=np.int16)
+    positions = np.zeros((n_steps + 1, n_agents, 2), dtype=np.int16)
     for aid in range(n_agents):
         node = (rng.integers(0, nodes), 0)
         for s in range(n_steps + 1):
-            positions[aid, s, 0] = node[0]
+            positions[s, aid, 0] = node[0]
             moves = [node, *sorted(adj[node])]
             node = moves[rng.integers(0, len(moves))]
     calls = [(s, aid) for s in range(n_steps) for aid in range(n_agents)

@@ -47,8 +47,8 @@ def chain_trace() -> Trace:
             funcs.append((aid + c) % 10)
             ins.append(200 + 40 * aid + 8 * c)
             outs.append(4 + (aid + c) % 5)
-    positions = np.zeros((N_AGENTS, N_STEPS + 1, 2), dtype=np.int16)
-    positions[:, :, 0] = np.arange(N_AGENTS)[:, None] * 20
+    positions = np.zeros((N_STEPS + 1, N_AGENTS, 2), dtype=np.int16)
+    positions[:, :, 0] = np.arange(N_AGENTS) * 20
     meta = TraceMeta(n_agents=N_AGENTS, n_steps=N_STEPS, seed=0,
                      width=256, height=8)
     return Trace(meta, positions,

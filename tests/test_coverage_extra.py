@@ -77,8 +77,8 @@ class TestConcatenatedReplay:
 
     def test_cross_segment_isolation(self):
         day = generate_concatenated_trace(50, n_steps=100)
-        seg_a = day.positions[:25, :, 0]
-        seg_b = day.positions[25:, :, 0]
+        seg_a = day.positions_by_step[:, :25, 0]
+        seg_b = day.positions_by_step[:, 25:, 0]
         assert seg_a.max() < seg_b.min()
 
 

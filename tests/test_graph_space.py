@@ -616,8 +616,8 @@ class TestGraphSteadyState:
         path = tmp_path / "ok.npz"
         save_trace(trace, path)
         load_trace(path)  # intact: loads fine
-        bad = np.array(trace.positions, copy=True)
-        bad[0, 5, 0] = (bad[0, 4, 0] + 60) % 240  # ~30-hop teleport
+        bad = np.array(trace.positions_by_step, copy=True)
+        bad[5, 0, 0] = (bad[4, 0, 0] + 60) % 240  # ~30-hop teleport
         save_trace(
             type(trace)(trace.meta, bad, trace.call_step,
                         trace.call_agent, trace.call_func,

@@ -146,13 +146,10 @@ def _assert_graph_matches_reference(graph, ref, n):
 def _assert_fastpath_invariants(graph, ref, rules, n):
     """The zero-rescan machinery's conservative bounds hold exactly.
 
-    Pins the slack-bound scan licence, the near sets, the blocked-pair
-    wake steps, and the step-bucket slot table against the from-scratch
-    reference.
+    Pins the slack-bound scan licence, the near sets and the step-bucket
+    slot table against the from-scratch reference.
     """
     mv = rules.max_vel
-    base_r = rules.radius_p + mv
-    dist = rules.space.dist
     for aid in range(n):
         if graph.running[aid]:
             continue
@@ -170,14 +167,6 @@ def _assert_fastpath_invariants(graph, ref, rules, n):
         if near is not None and shrink <= graph._slack_horizon:
             assert ref.blockers(aid) <= set(near), \
                 f"agent {aid} has a blocker outside its near set"
-    # Wake steps: a pair inside its wake window is provably still
-    # blocked (the re-check skip can never miss a release).
-    for b in range(n):
-        for a, wake in graph._wake[b].items():
-            if a in graph.waiters[b] and graph.step[b] <= wake:
-                g = graph.step[a] - graph.step[b]
-                assert g > 0 and dist(graph.pos[a], graph.pos[b]) <= \
-                    base_r + g * mv, f"wake step of pair {b}->{a} unsound"
     # Step-bucket migration: the slot table is exactly the partition of
     # agents by (step, cell), and every live slot is correctly keyed.
     cell = graph.index.cell

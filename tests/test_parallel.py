@@ -314,9 +314,10 @@ class TestSharedMemoryHygiene:
         assert "resource_tracker" not in done.stderr, done.stderr
 
 
-def _run_clean(script: str) -> str:
-    """Run ``script`` in a fresh interpreter; require a clean exit that
-    left no segment and no resource-tracker complaint. Returns stdout."""
+def _run_clean(script: str, raises: str | None = None) -> str:
+    """Run ``script`` in a fresh interpreter; require a clean exit (or,
+    given ``raises``, one by that uncaught exception) that left no
+    segment and no resource-tracker complaint. Returns stdout."""
     import subprocess
     root = Path(__file__).resolve().parents[1]
     before = _stray_segments()
@@ -324,7 +325,12 @@ def _run_clean(script: str) -> str:
         [sys.executable, "-c", script], capture_output=True, text=True,
         timeout=300, env={**os.environ, "PYTHONPATH":
                           f"{root / 'src'}{os.pathsep}{root / 'tests'}"})
-    assert done.returncode == 0, done.stderr
+    if raises is None:
+        assert done.returncode == 0, done.stderr
+    else:
+        assert done.returncode != 0, done.stdout
+        assert done.stderr.strip().splitlines()[-1].startswith(raises), \
+            done.stderr
     assert "resource_tracker" not in done.stderr, done.stderr
     assert "leaked" not in done.stderr, done.stderr
     assert _stray_segments() == before
@@ -377,6 +383,49 @@ class TestOddPlatforms:
             "print(result.driver_stats.extra['parallel_fallback'])\n")
         assert "no POSIX shared memory" in out
         assert "Function not implemented" in out
+
+
+class TestFailurePaths:
+    """A failed replay tears down like a finished one. An exception in
+    the parent after the workers ran, or SIGINT while they run, exits
+    non-zero in a fresh interpreter that must leave no child process,
+    segment or resource-tracker warning behind."""
+
+    PRELUDE = (
+        "import multiprocessing as mp\n"
+        "import os, signal\n"
+        "from repro.config import SchedulerConfig\n"
+        "from repro.core import parallel, run_replay\n"
+        "from repro.trace.generator import generate_scale_trace\n"
+        "trace = generate_scale_trace(total_agents=60, n_steps=10,\n"
+        "                             base_seed=15)\n")
+    RUN = (
+        "try:\n"
+        "    run_replay(trace, SchedulerConfig(parallel_workers=2))\n"
+        "finally:\n"
+        "    print('children', len(mp.active_children()))\n")
+
+    def test_exception_in_the_parent(self):
+        out = _run_clean(
+            self.PRELUDE
+            + "def merge(*args):\n"
+              "    raise RuntimeError('merge failed')\n"
+              "parallel._merge_results = merge\n" + self.RUN,
+            raises="RuntimeError: merge failed")
+        assert out.split() == ["children", "0"]
+
+    def test_sigint_while_the_workers_run(self):
+        # The first task's worker interrupts the parent, then runs on.
+        out = _run_clean(
+            self.PRELUDE
+            + "run_task = parallel._run_worker_task\n"
+              "def interrupting(task):\n"
+              "    if task['task_id'] == 0:\n"
+              "        os.kill(os.getppid(), signal.SIGINT)\n"
+              "    return run_task(task)\n"
+              "parallel._run_worker_task = interrupting\n" + self.RUN,
+            raises="KeyboardInterrupt")
+        assert out.split() == ["children", "0"]
 
 
 class TestFallbacks:

@@ -115,8 +115,9 @@ class TestWorldInvariants:
                                    trace.pos(aid, step + 1))
                     assert d <= max_vel
         else:
-            deltas = np.abs(np.diff(trace.positions.astype(np.int32),
-                                    axis=1)).sum(axis=2)
+            deltas = np.abs(np.diff(
+                trace.positions_by_step.astype(np.int32),
+                axis=0)).sum(axis=2)
             assert deltas.max() <= 1
 
 

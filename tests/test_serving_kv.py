@@ -7,9 +7,7 @@ import pytest
 
 from repro.config import SchedulerConfig, ServingConfig
 from repro.core import run_replay
-from repro.core.dependency_graph import SpatioTemporalGraph
 from repro.core.metropolis import MetropolisDriver
-from repro.core.rules import DependencyRules
 from repro.core.tasks import ChainExecutor
 from repro.devent import Kernel
 from repro.errors import ConfigError, ScenarioError, ServingError, WorldError
@@ -222,30 +220,6 @@ class TestInvocationDistance:
         return MetropolisDriver(kernel, engine, trace, config,
                                 executor), engine
 
-    def test_graph_distance_zero_for_free_agents(self):
-        import numpy as np
-        rules = DependencyRules()
-        graph = SpatioTemporalGraph(
-            rules, np.array([(0, 0), (50, 50)], dtype=np.int32))
-        assert graph.invocation_distance(0) == 0.0
-        graph.mark_running([0])
-        assert graph.invocation_distance(0) == 0.0
-
-    def test_graph_distance_positive_for_blocked_agent(self):
-        import numpy as np
-        rules = DependencyRules()
-        graph = SpatioTemporalGraph(
-            rules, np.array([(0, 0), (3, 0), (80, 80)], dtype=np.int32))
-        # Agent 1 races ahead until the laggard at (0, 0) blocks it.
-        for _ in range(6):
-            if graph.blocked_by[1]:
-                break
-            graph.mark_running([1])
-            graph.commit([1], {})  # stays at (3, 0)
-        assert graph.blocked_by[1]
-        assert graph.invocation_distance(1) >= 1.0
-        assert graph.invocation_distance(2) == 0.0
-
     def test_driver_distance_uses_trace_lookahead(self):
         trace = random_trace(seed=5, n_agents=4, p_call=0.3)
         driver, _ = self._driver(trace)
@@ -258,6 +232,36 @@ class TestInvocationDistance:
                 assert dist == float(steps[0])
             else:
                 assert dist == float("inf")
+
+    def test_blocked_agent_distance_is_the_trace_gap(self):
+        """Blocked or not, the distance is the gap from the agent's step
+        to its next call-bearing step, ``inf`` past its last one."""
+        import numpy as np
+        from repro.trace import Trace
+        from repro.trace.schema import TraceMeta
+
+        # Agent 0 lags at (0, 0) and never calls; 1-3 stand next to
+        # it, 4 far away.
+        xy = [(0, 0), (3, 0), (0, 3), (3, 3), (60, 60)]
+        calls = [(1, 1), (4, 1), (3, 2), (0, 3), (5, 4)]  # (step, agent)
+        n_steps = 8
+        positions = np.tile(np.asarray(xy, dtype=np.int16),
+                            (n_steps + 1, 1, 1))
+        ones = np.ones(len(calls), dtype=np.int32)
+        trace = Trace(
+            TraceMeta(n_agents=len(xy), n_steps=n_steps, seed=0,
+                      width=64, height=64),
+            positions, np.asarray([c[0] for c in calls], dtype=np.int32),
+            np.asarray([c[1] for c in calls], dtype=np.int32),
+            np.zeros(len(calls), dtype=np.int16), 64 * ones, 4 * ones)
+        driver, _ = self._driver(trace)
+        graph = driver.graph
+        graph.mark_running([1, 2, 3])
+        graph.commit([1, 2, 3], {})
+        assert all(graph.blocked_by[a] == {0} for a in (1, 2, 3))
+        assert not graph.blocked_by[4]
+        assert [driver.invocation_distance(a) for a in range(5)] == \
+            [float("inf"), 0.0, 2.0, float("inf"), 5.0]
 
     def test_driver_distance_infinite_past_last_call(self):
         trace = random_trace(seed=6, n_agents=3, p_call=0.0)

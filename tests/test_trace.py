@@ -25,12 +25,16 @@ class TestTraceSchema:
     def test_shapes_validated(self):
         meta = TraceMeta(n_agents=2, n_steps=5, seed=0, width=10, height=10)
         with pytest.raises(TraceError):
-            Trace(meta, np.zeros((2, 4, 2), dtype=np.int16),
+            Trace(meta, np.zeros((4, 2, 2), dtype=np.int16),
+                  *[np.zeros(0, dtype=np.int32)] * 5)
+        with pytest.raises(TraceError, match=r"\(6, 2, 2\)"):
+            # The agent-major layout is no longer accepted.
+            Trace(meta, np.zeros((2, 6, 2), dtype=np.int16),
                   *[np.zeros(0, dtype=np.int32)] * 5)
 
     def test_call_bounds_validated(self):
         meta = TraceMeta(n_agents=2, n_steps=5, seed=0, width=10, height=10)
-        pos = np.zeros((2, 6, 2), dtype=np.int16)
+        pos = np.zeros((6, 2, 2), dtype=np.int16)
         bad_step = np.array([7], dtype=np.int32)
         ok = np.array([0], dtype=np.int32)
         with pytest.raises(TraceError):
@@ -39,15 +43,15 @@ class TestTraceSchema:
 
     def test_zero_output_rejected(self):
         meta = TraceMeta(n_agents=1, n_steps=2, seed=0, width=5, height=5)
-        pos = np.zeros((1, 3, 2), dtype=np.int16)
+        pos = np.zeros((3, 1, 2), dtype=np.int16)
         z = np.array([0], dtype=np.int32)
         with pytest.raises(TraceError):
             Trace(meta, pos, z, z, z.astype(np.int16), z + 10, z)
 
     def test_speed_limit_enforced(self):
         meta = TraceMeta(n_agents=1, n_steps=1, seed=0, width=10, height=10)
-        pos = np.zeros((1, 2, 2), dtype=np.int16)
-        pos[0, 1] = (3, 0)  # jumped 3 tiles
+        pos = np.zeros((2, 1, 2), dtype=np.int16)
+        pos[1, 0] = (3, 0)  # jumped 3 tiles
         with pytest.raises(TraceError):
             Trace(meta, pos, *[np.zeros(0, dtype=np.int32)] * 5)
 
@@ -93,8 +97,9 @@ class TestTraceSchema:
         w = t.window(10, 30)
         assert w.meta.n_steps == 20
         assert w.meta.base_step == 10
-        assert w.positions.shape == (t.meta.n_agents, 21, 2)
-        assert np.array_equal(w.positions[:, 0], t.positions[:, 10])
+        assert w.positions_by_step.shape == (21, t.meta.n_agents, 2)
+        assert np.array_equal(w.positions_by_step[0],
+                              t.positions_by_step[10])
         mask = (t.call_step >= 10) & (t.call_step < 30)
         assert w.n_calls == int(mask.sum())
 
@@ -110,9 +115,10 @@ class TestTraceSchema:
         c = concat_traces([a, b], x_stride=100)
         assert c.meta.n_agents == 6
         assert c.meta.segments == 2
-        assert np.array_equal(c.positions[:3, :, 0], a.positions[:, :, 0])
-        assert np.array_equal(c.positions[3:, :, 0],
-                              b.positions[:, :, 0] + 100)
+        assert np.array_equal(c.positions_by_step[:, :3, 0],
+                              a.positions_by_step[:, :, 0])
+        assert np.array_equal(c.positions_by_step[:, 3:, 0],
+                              b.positions_by_step[:, :, 0] + 100)
         assert c.n_calls == a.n_calls + b.n_calls
 
     @staticmethod
@@ -138,7 +144,7 @@ class TestTraceSchema:
             np.searchsorted(members, trace.call_agent[mask]
                             ).astype(trace.call_agent.dtype),
             trace.call_func[mask], trace.call_in[mask],
-            trace.call_out[mask], step_major=True)
+            trace.call_out[mask])
 
     @pytest.mark.parametrize("mask", ["moved", "calling"])
     def test_step_major_masks_match_brute_force(self, synthetic_trace,
@@ -239,13 +245,13 @@ class TestGenerator:
     def test_deterministic(self):
         a = generate_trace(4, 300, seed=5)
         b = generate_trace(4, 300, seed=5)
-        assert np.array_equal(a.positions, b.positions)
+        assert np.array_equal(a.positions_by_step, b.positions_by_step)
         assert np.array_equal(a.call_in, b.call_in)
 
     def test_seed_changes_output(self):
         a = generate_trace(4, 2600, seed=5)
         b = generate_trace(4, 2600, seed=6)
-        assert not (np.array_equal(a.positions, b.positions)
+        assert not (np.array_equal(a.positions_by_step, b.positions_by_step)
                     and np.array_equal(a.call_in, b.call_in))
 
     def test_needs_agents(self):
@@ -257,8 +263,8 @@ class TestGenerator:
         assert t.meta.n_agents == 60
         assert t.meta.segments == 3  # 25 + 25 + 10
         # Segments are spatially disjoint.
-        assert t.positions[:25, :, 0].max() < 141
-        assert t.positions[25:50, :, 0].min() >= 141
+        assert t.positions_by_step[:, :25, 0].max() < 141
+        assert t.positions_by_step[:, 25:50, 0].min() >= 141
 
     def test_small_request_single_ville(self):
         t = generate_concatenated_trace(10, n_steps=50)
@@ -319,7 +325,7 @@ class TestGoldenFingerprints:
         t = synthetic_trace
         base = trace_fingerprint(t)
         assert len(base) == 16 and base == trace_fingerprint(t)
-        bumped = Trace(t.meta, t.positions, t.call_step, t.call_agent,
+        bumped = Trace(t.meta, t.positions_by_step, t.call_step, t.call_agent,
                        t.call_func, t.call_in, t.call_out + 1)
         assert trace_fingerprint(bumped) != base
 
@@ -375,7 +381,8 @@ class TestTraceIO:
         save_trace(synthetic_trace, path)
         loaded = load_trace(path)
         assert loaded.meta == synthetic_trace.meta
-        assert np.array_equal(loaded.positions, synthetic_trace.positions)
+        assert np.array_equal(loaded.positions_by_step,
+                              synthetic_trace.positions_by_step)
         assert np.array_equal(loaded.call_in, synthetic_trace.call_in)
 
     def test_file_names_its_generator(self, synthetic_trace, tmp_path):
@@ -435,23 +442,37 @@ class TestTraceIO:
         assert np.array_equal(loaded.positions_by_step,
                               synthetic_trace.positions_by_step)
 
-    def test_load_legacy_agent_major_npz(self, synthetic_trace, tmp_path):
-        """Caches written before the step-major store still load."""
-        import json as _json
-        from dataclasses import asdict
+    @staticmethod
+    def _to_legacy(path):
+        """Rewrite a saved trace the way files were written before the
+        step-major store: agent-major ``positions``, no version fields."""
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files
+                      if k not in ("generator_version", "fingerprint")}
+        arrays["positions"] = np.ascontiguousarray(
+            arrays.pop("positions_sa").transpose(1, 0, 2))
+        np.savez_compressed(path, **arrays)
 
+    def test_load_legacy_agent_major_npz(self, synthetic_trace, tmp_path):
+        """A file with agent-major ``positions`` is refused by the name
+        of the array it lacks."""
         path = tmp_path / "legacy.npz"
-        t = synthetic_trace
-        np.savez_compressed(
-            path,
-            meta=_json.dumps(asdict(t.meta)),
-            positions=np.ascontiguousarray(t.positions),
-            call_step=t.call_step, call_agent=t.call_agent,
-            call_func=t.call_func, call_in=t.call_in,
-            call_out=t.call_out)
-        loaded = load_trace(path)
-        assert np.array_equal(loaded.positions_by_step,
-                              t.positions_by_step)
+        save_trace(synthetic_trace, path)
+        self._to_legacy(path)
+        with pytest.raises(TraceError, match=r"lacks \['positions_sa'\]"):
+            load_trace(path)
+
+    def test_cache_regenerates_a_legacy_file(self, tmp_path, monkeypatch,
+                                             caplog):
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+        first = cached_day_trace(seed=3, n_agents=3, n_steps=40)
+        (path,) = tmp_path.iterdir()
+        self._to_legacy(path)
+        with caplog.at_level(logging.WARNING, logger="repro.trace"):
+            again = cached_day_trace(seed=3, n_agents=3, n_steps=40)
+        assert trace_fingerprint(again) == trace_fingerprint(first)
+        assert "positions_sa" in caplog.text
+        load_trace(path)  # rewritten step-major
 
     def test_jsonl_roundtrip(self, synthetic_trace, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -459,8 +480,8 @@ class TestTraceIO:
         loaded = import_jsonl(path)
         assert loaded.meta.n_agents == synthetic_trace.meta.n_agents
         assert loaded.n_calls == synthetic_trace.n_calls
-        assert np.array_equal(loaded.positions,
-                              synthetic_trace.positions.astype(np.int32))
+        assert np.array_equal(loaded.positions_by_step,
+                              synthetic_trace.positions_by_step)
         assert np.array_equal(np.sort(loaded.call_in),
                               np.sort(synthetic_trace.call_in))
 
