@@ -32,6 +32,7 @@ BEHAVIOR = "src/repro/world/behavior.py"
 GRID = "src/repro/world/grid.py"
 PATHFIND = "src/repro/world/pathfind.py"
 MINED = "src/repro/core/oracle.py"
+REPORT = "src/repro/bench/report.py"
 GOLDEN = "tests/test_golden_replay.py"
 PARALLEL = "tests/test_parallel.py"
 GRAPH_SPACE = "tests/test_graph_space.py"
@@ -73,7 +74,9 @@ COMPARE = "row[local[nb]] if comp[nb] == ca else inf"
 #: step's group, and the last arrival releases the rest. The replay
 #: driver: a blocker's commit releases every waiter out of range at the
 #: exact threshold, the capped dispatch heap keys on priority before
-#: arrival, and the invocation distance counts from the agent's step.
+#: arrival, and the invocation distance counts from the agent's step. The
+#: harness: a matrix cell no entry holds is reported, and a reused
+#: worker pool drops the replies of an earlier run.
 MUTANTS = {
     "commit-skips-node-index": (
         GRAPH, f"if node is not None:\n                    {WRITE}",
@@ -227,6 +230,15 @@ MUTANTS = {
     "distance-from-next-step": (
         DRIVER, "i = bisect_left(steps, s)", "i = bisect_left(steps, s + 1)",
         0, "tests/test_serving_kv.py::TestInvocationDistance"),
+    "missing-cells-never-reported": (
+        REPORT, "for value in required if (scenario, value) not in present]",
+        "for value in required if False]", 0,
+        "tests/test_hotpath_scheduler.py::TestHotpathBench"
+        "::test_check_requires_matrix_cells "
+        "tests/test_serving_kv.py::TestServingBench::test_missing_cell_fails"),
+    "pool-keeps-stale-ledger": (
+        POOL, "if run != self._runs:", "if False:", 0,
+        f"{PARALLEL}::TestPoolReuse"),
 }
 
 

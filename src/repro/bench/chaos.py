@@ -31,7 +31,6 @@ threads).
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from pathlib import Path
@@ -41,8 +40,9 @@ from ..core import run_replay
 from ..errors import SchedulingError
 from ..faults import ChaosClient, FaultSchedule
 from ..scenarios import get_scenario, scenario_names
+from .report import Column, format_table, run_report
 from .runner import serving_for
-from .smoke import SMOKE_SEED, scenario_window_trace
+from .smoke import live_matches_lock_step, scenario_window_trace
 
 #: The three per-scenario fault schedules the gate runs. Rates are per
 #: LLM call; the smoke window issues hundreds, so every injector fires
@@ -92,44 +92,31 @@ REQUIRED_PATHS: dict[str, tuple[str, ...]] = {
     "breaker": ("breaker_opens", "degraded_completions"),
 }
 
+#: The terminal table: one row per cell, then the watchdog's.
+CHAOS_COLUMNS = (
+    Column("scenario", "<14"), Column("schedule", "<11"),
+    Column("state", "<7"), Column("exercised", "<28"),
+    Column("ok", key=lambda c: "ok" if c["ok"] else "FAIL"))
+
 
 def chaos_cell(scn, kind: str, seed: int) -> dict:
     """One (scenario, schedule) live run vs. the clean lock-step state."""
-    from ..live import EchoLLMClient, LiveSimulation
-    from ..live.environment import BehaviorProgram
+    from ..live import EchoLLMClient
 
-    start, end = scn.active_window
-    n_agents = min(10, scn.agents_per_segment)
-
-    ref = scn.model(n_agents, SMOKE_SEED)
-    for step in range(end):
-        ref.step_all(step)
-    ref_state = [(a.pos, a.awake, a.activity, len(a.memory))
-                 for a in ref.agents]
-
-    ooo = scn.model(n_agents, SMOKE_SEED)
-    for step in range(start):
-        ooo.step_all(step)
     overrides = {}
     if kind == "breaker":
         overrides = dict(breaker_threshold=3, breaker_cooldown=60.0)
-    sim = LiveSimulation(
-        BehaviorProgram(ooo),
+    # A transient cell also takes a forced WatchError burst: its next
+    # TX_STORM state commits conflict and must be absorbed by the
+    # optimistic-retry loop.
+    identical, result = live_matches_lock_step(
+        scn, min(10, scn.agents_per_segment),
+        SchedulerConfig(scenario=scn.name,
+                        faults=_policy(seed, **overrides)),
         ChaosClient(EchoLLMClient(), _schedule(kind, seed)),
-        scheduler=SchedulerConfig(scenario=scn.name,
-                                  faults=_policy(seed, **overrides)),
-        num_workers=4)
-    if kind == "transient":
-        # A forced WatchError burst: the next TX_STORM state commits
-        # conflict and must be absorbed by the optimistic-retry loop.
-        sim.store.force_conflicts(TX_STORM)
-    result = sim.run(target_step=end, start_step=start)
-    ooo_state = [(a.pos, a.awake, a.activity, len(a.memory))
-                 for a in ooo.agents]
-
+        tx_storm=TX_STORM if kind == "transient" else 0)
     faults = result.faults.as_dict()
     missing = [key for key in REQUIRED_PATHS[kind] if not faults.get(key)]
-    identical = ooo_state == ref_state
     return {
         "scenario": scn.name,
         "schedule": kind,
@@ -270,77 +257,62 @@ def run_chaos(out: Path | None = None,
     independent) plus one replay blackout cell; the watchdog cell is
     engine-global.
     """
-    names = scenarios or scenario_names()
-    cells = []
-    for name in names:
-        scn = get_scenario(name)
-        for base_seed in seeds:
-            for offset, kind in enumerate(SCHEDULES):
-                cells.append(chaos_cell(scn, kind,
-                                        seed=base_seed * 100 + offset))
-        cells.append(blackout_cell(scn))
-    watchdog = watchdog_cell()
-    report = {
-        "cells": cells,
-        "watchdog": watchdog,
-        "ok": all(c["ok"] for c in cells) and watchdog["ok"],
-    }
-    if out is not None:
-        out = Path(out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(report, indent=2) + "\n")
-    return report
+    def measure() -> dict:
+        cells = []
+        for name in scenarios or scenario_names():
+            scn = get_scenario(name)
+            for base_seed in seeds:
+                for offset, kind in enumerate(SCHEDULES):
+                    cells.append(chaos_cell(scn, kind,
+                                            seed=base_seed * 100 + offset))
+            cells.append(blackout_cell(scn))
+        watchdog = watchdog_cell()
+        return {"cells": cells, "watchdog": watchdog,
+                "ok": all(c["ok"] for c in cells) and watchdog["ok"]}
+
+    return run_report("chaos", out, measure)
+
+
+def _summary(cell: dict) -> tuple[str, str, str]:
+    """A cell's ``state`` and ``exercised`` columns, and why it failed
+    (meaningful only when it did)."""
+    if cell["schedule"] == "blackout":
+        exercised = (f"blackouts={cell['replica_blackouts']} "
+                     f"rerouted={cell['rerouted_requests']}")
+        return ("n/a" if cell["ok"] else "FAIL", exercised,
+                f"{exercised} calls {cell['n_calls_faulted']}/"
+                f"{cell['n_calls_clean']}")
+    faults = cell["faults"]
+    reasons = []
+    if not cell["state_identical"]:
+        reasons.append("final state diverged from lock-step")
+    if cell["unexercised_paths"]:
+        reasons.append(
+            f"unexercised fault paths: {cell['unexercised_paths']}")
+    if faults.get("leaked_workers"):
+        reasons.append(f"leaked workers: {faults['leaked_workers']}")
+    return ("same" if cell["state_identical"] else "DIFF",
+            " ".join(f"{key}={faults.get(key, 0)}"
+                     for key in cell["required_paths"]),
+            "; ".join(reasons) or "failed")
 
 
 def format_chaos_report(report: dict) -> str:
-    header = (f"{'scenario':<14}{'schedule':<11}{'state':<7}"
-              f"{'exercised':<28}ok")
-    lines = [header, "-" * len(header)]
+    rows = []
     for cell in report["cells"]:
-        if cell["schedule"] == "blackout":
-            exercised = (f"blackouts={cell['replica_blackouts']} "
-                         f"rerouted={cell['rerouted_requests']}")
-            state = "n/a" if cell["ok"] else "FAIL"
-        else:
-            faults = cell["faults"]
-            exercised = " ".join(
-                f"{key}={faults.get(key, 0)}"
-                for key in cell["required_paths"])
-            state = "same" if cell["state_identical"] else "DIFF"
-        lines.append(f"{cell['scenario']:<14}{cell['schedule']:<11}"
-                     f"{state:<7}{exercised:<28}"
-                     f"{'ok' if cell['ok'] else 'FAIL'}")
+        state, exercised, _ = _summary(cell)
+        rows.append({**cell, "state": state, "exercised": exercised})
     wd = report["watchdog"]
-    lines.append(f"{'-':<14}{'watchdog':<11}{'-':<7}"
+    rows.append({**wd, "scenario": "-", "state": "-", "exercised":
                  f"fired={wd['fired']} diag={wd['diagnostic']} "
-                 f"leaked={wd['leaked_threads']:<3}"
-                 f"{'ok' if wd['ok'] else 'FAIL'}")
-    return "\n".join(lines)
+                 f"leaked={wd['leaked_threads']:<3}"})
+    return format_table(None, CHAOS_COLUMNS, rows)
 
 
 def check_chaos_report(report: dict) -> list[str]:
     """Gate: every cell ok. Returns human-readable failure strings."""
-    failures = []
-    for cell in report["cells"]:
-        if cell["ok"]:
-            continue
-        name = f"{cell['scenario']}/{cell['schedule']}"
-        if cell["schedule"] == "blackout":
-            failures.append(
-                f"{name}: blackouts={cell['replica_blackouts']} "
-                f"rerouted={cell['rerouted_requests']} calls "
-                f"{cell['n_calls_faulted']}/{cell['n_calls_clean']}")
-            continue
-        reasons = []
-        if not cell["state_identical"]:
-            reasons.append("final state diverged from lock-step")
-        if cell["unexercised_paths"]:
-            reasons.append(
-                f"unexercised fault paths: {cell['unexercised_paths']}")
-        if cell["faults"].get("leaked_workers"):
-            reasons.append(
-                f"leaked workers: {cell['faults']['leaked_workers']}")
-        failures.append(f"{name}: {'; '.join(reasons) or 'failed'}")
+    failures = [f"{cell['scenario']}/{cell['schedule']}: {_summary(cell)[2]}"
+                for cell in report["cells"] if not cell["ok"]]
     wd = report["watchdog"]
     if not wd["ok"]:
         failures.append(

@@ -23,14 +23,15 @@ from pathlib import Path
 
 from ..errors import ScenarioError
 from ..scenarios import get_scenario, scenario_names
+from .chaos import check_chaos_report, format_chaos_report, run_chaos
 from .experiments import EXPERIMENTS, run_experiment
 from .hotpath import (AGENT_COUNTS, SCALE_AGENTS, SCALE_SCENARIOS,
                       check_report, check_scale_report, format_report,
                       format_scale_report, run_hotpath, run_scale,
                       scale_ratio_lines)
+from .report import Column, format_table
 from .serving import (CELLS, check_serving_report, format_profiles,
                       format_serving_report, run_serving)
-from .chaos import check_chaos_report, format_chaos_report, run_chaos
 from .smoke import run_smoke
 
 
@@ -50,6 +51,34 @@ def _agent_list(value: str) -> list[int]:
         raise argparse.ArgumentTypeError(
             f"agent counts must be positive integers, got {value!r}")
     return counts
+
+
+#: ``repro-bench scenarios``: one row per registered scenario.
+SCENARIO_COLUMNS = (
+    Column("name", "<14", key=lambda s: s.name),
+    Column("metric", "<11", key=lambda s: s.metric),
+    Column("agents/seg", ">10", key=lambda s: s.agents_per_segment),
+    Column("  description", cell="  {}", key=lambda s: s.description))
+
+
+def _gate(name: str, table: str, out: Path | None,
+          failures: list[str] | None, check_lines: list[str] = ()) -> int:
+    """Print a gate family's table and report path. Under ``--check``
+    (``failures`` not None) print ``check_lines``, send each failure to
+    stderr and return 1 if there is any."""
+    print(table)
+    if out is not None:
+        print(f"[report written to {out}]")
+    if failures is None:
+        return 0
+    for line in check_lines:
+        print(line)
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    if failures:
+        return 1
+    print(f"{name} gate: ok")
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -152,14 +181,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "scenarios":
-        header = (f"{'name':<14}{'metric':<11}{'agents/seg':>10}  "
-                  f"description")
-        print(header)
-        print("-" * len(header))
-        for name in scenario_names():
-            scn = get_scenario(name)
-            print(f"{name:<14}{scn.metric:<11}"
-                  f"{scn.agents_per_segment:>10}  {scn.description}")
+        print(format_table(None, SCENARIO_COLUMNS, [
+            get_scenario(name) for name in scenario_names()]))
         return 0
 
     if args.command == "smoke":
@@ -173,20 +196,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "chaos":
-        seeds = tuple(args.seeds) if args.seeds else (0,)
         report = run_chaos(out=args.out, scenarios=args.scenarios,
-                           seeds=seeds)
-        print(format_chaos_report(report))
-        if args.out is not None:
-            print(f"[report written to {args.out}]")
-        if args.check:
-            failures = check_chaos_report(report)
-            if failures:
-                for failure in failures:
-                    print(f"FAIL: {failure}", file=sys.stderr)
-                return 1
-            print("chaos gate: ok")
-        return 0
+                           seeds=tuple(args.seeds) if args.seeds else (0,))
+        return _gate("chaos", format_chaos_report(report), args.out,
+                     check_chaos_report(report) if args.check else None)
 
     if args.command == "hotpath" and args.scale:
         out = args.out or Path("BENCH_scale.json")
@@ -194,18 +207,9 @@ def main(argv: list[str] | None = None) -> int:
             else SCALE_SCENARIOS
         report = run_scale(scenarios=scenarios,
                            scale_agents=args.scale_agents, out=out)
-        print(format_scale_report(report))
-        print(f"[report written to {out}]")
-        if args.check:
-            for line in scale_ratio_lines(report):
-                print(line)
-            failures = check_scale_report(report)
-            if failures:
-                for failure in failures:
-                    print(f"FAIL: {failure}", file=sys.stderr)
-                return 1
-            print("hotpath scale gate: ok")
-        return 0
+        return _gate("hotpath scale", format_scale_report(report), out,
+                     check_scale_report(report) if args.check else None,
+                     scale_ratio_lines(report))
 
     if args.command == "hotpath":
         out = args.out or Path("BENCH_hotpath.json")
@@ -213,32 +217,17 @@ def main(argv: list[str] | None = None) -> int:
             if args.agents else AGENT_COUNTS
         report = run_hotpath(scenarios=args.scenarios,
                              agent_counts=agent_counts, out=out)
-        print(format_report(report))
-        print(f"[report written to {out}]")
-        if args.check:
-            failures = check_report(report)
-            if failures:
-                for failure in failures:
-                    print(f"FAIL: {failure}", file=sys.stderr)
-                return 1
-            print("hotpath gate: ok")
-        return 0
+        return _gate("hotpath", format_report(report), out,
+                     check_report(report) if args.check else None)
 
     if args.command == "serving":
         if args.list_profiles:
             print(format_profiles())
             return 0
         report = run_serving(scenarios=args.scenarios, out=args.out)
-        print(format_serving_report(report))
-        print(f"[report written to {args.out}]")
-        if args.check:
-            failures = check_serving_report(report, required_cells=CELLS)
-            if failures:
-                for failure in failures:
-                    print(f"FAIL: {failure}", file=sys.stderr)
-                return 1
-            print("serving gate: ok")
-        return 0
+        return _gate("serving", format_serving_report(report), args.out,
+                     check_serving_report(report, required_cells=CELLS)
+                     if args.check else None)
 
     names = sorted(EXPERIMENTS) if args.experiment == "all" \
         else [args.experiment]

@@ -12,10 +12,10 @@ agent counts so the whole suite fits in CI.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from ..config import DependencyConfig, SchedulerConfig
+from ..config import STEPS_PER_HOUR, DependencyConfig, SchedulerConfig
 from ..core import run_replay
 from ..instrument import render_ascii_timeline
 from ..scenarios import get_scenario
@@ -308,75 +308,75 @@ def fig2(full: bool = False,
 # Ablations (design choices called out in DESIGN.md / §6)
 # ---------------------------------------------------------------------------
 
+def _busy_hour_sweep(scenario: str | None, values, scheduler=None,
+                     serving=None, steps: int = STEPS_PER_HOUR
+                     ) -> list[tuple[object, object]]:
+    """One metropolis replay of the first ``steps`` of the scenario's
+    busy hour on one L4 per value of one axis: ``scheduler(value)`` /
+    ``serving(value)`` give the config fields the value sets. Returns
+    ``(value, result)`` pairs."""
+    scn = get_scenario(scenario or scenario_default())
+    start = scn.busy_hour * STEPS_PER_HOUR
+    trace = cached_day_trace(seed=0, scenario=scn).window(start,
+                                                          start + steps)
+    base = serving_for("l4-8b", 1)
+    return [(value, run_replay(
+        trace, SchedulerConfig(policy="metropolis", scenario=scn.name,
+                               **(scheduler(value) if scheduler else {})),
+        replace(base, **(serving(value) if serving else {}))))
+        for value in values]
+
+
 def ablation_metric(full: bool = False,
                     scenario: str | None = None) -> ExperimentResult:
     """Distance-metric choice (§6 generality): effect on OOO replay."""
-    scn = get_scenario(scenario or scenario_default())
-    day = cached_day_trace(seed=0, scenario=scn)
-    trace = hour_window(day, scn.busy_hour)
-    rows = []
-    data = {}
-    for metric in ("euclidean", "chebyshev", "manhattan"):
-        scheduler = SchedulerConfig(
-            policy="metropolis", scenario=scn.name,
-            dependency=DependencyConfig(metric=metric))
-        result = run_replay(trace, scheduler, serving_for("l4-8b", 1))
-        data[metric] = result.completion_time
-        rows.append([metric, round(result.completion_time, 1),
-                     round(result.achieved_parallelism, 2),
-                     result.driver_stats.max_step_spread])
+    runs = _busy_hour_sweep(
+        scenario, ("euclidean", "chebyshev", "manhattan"),
+        scheduler=lambda m: {"dependency": DependencyConfig(metric=m)})
     table = format_table(
         "ablation: distance metric (metropolis, busy hour, 1 L4)",
-        ["metric", "time (s)", "parallelism", "max spread"], rows,
+        ["metric", "time (s)", "parallelism", "max spread"],
+        [[metric, round(r.completion_time, 1),
+          round(r.achieved_parallelism, 2), r.driver_stats.max_step_spread]
+         for metric, r in runs],
         note="chebyshev under-approximates euclidean distance on the grid "
              "(stricter rules); manhattan over-approximates (looser)")
-    return ExperimentResult("ablation_metric", table, data)
+    return ExperimentResult("ablation_metric", table,
+                            {m: r.completion_time for m, r in runs})
 
 
 def ablation_radius(full: bool = False,
                     scenario: str | None = None) -> ExperimentResult:
     """Sensitivity of OOO benefit to the perception radius."""
-    scn = get_scenario(scenario or scenario_default())
-    day = cached_day_trace(seed=0, scenario=scn)
-    trace = hour_window(day, scn.busy_hour)
-    rows = []
-    data = {}
-    for radius in (2.0, 4.0, 8.0, 16.0):
-        scheduler = SchedulerConfig(
-            policy="metropolis", scenario=scn.name,
-            dependency=DependencyConfig(radius_p=radius))
-        result = run_replay(trace, scheduler, serving_for("l4-8b", 1))
-        data[radius] = result.completion_time
-        rows.append([radius, round(result.completion_time, 1),
-                     round(result.achieved_parallelism, 2),
-                     round(result.driver_stats.mean_cluster_size, 2)])
+    runs = _busy_hour_sweep(
+        scenario, (2.0, 4.0, 8.0, 16.0),
+        scheduler=lambda p: {"dependency": DependencyConfig(radius_p=p)})
     table = format_table(
         "ablation: perception radius (metropolis, busy hour, 1 L4)",
-        ["radius_p", "time (s)", "parallelism", "mean cluster"], rows,
+        ["radius_p", "time (s)", "parallelism", "mean cluster"],
+        [[radius, round(r.completion_time, 1),
+          round(r.achieved_parallelism, 2),
+          round(r.driver_stats.mean_cluster_size, 2)]
+         for radius, r in runs],
         note="larger radii couple more agents -> less OOO headroom; the "
              "trace itself was generated at radius 4 (GenAgent)")
-    return ExperimentResult("ablation_radius", table, data)
+    return ExperimentResult("ablation_radius", table,
+                            {p: r.completion_time for p, r in runs})
 
 
 def ablation_fidelity(full: bool = False,
                       scenario: str | None = None) -> ExperimentResult:
     """Fluid vs per-iteration serving simulation agreement."""
-    scn = get_scenario(scenario or scenario_default())
-    day = cached_day_trace(seed=0, scenario=scn)
-    start = scn.busy_hour * 360
-    trace = day.window(start, start + (360 if full else 90))
-    rows = []
-    data = {}
-    for fidelity in ("fluid", "iteration"):
-        outcome = run_policies(trace, "l4-8b", 1, ["metropolis"],
-                               fidelity=fidelity)["metropolis"]
-        data[fidelity] = outcome.completion_time
-        rows.append([fidelity, round(outcome.completion_time, 2),
-                     round(outcome.achieved_parallelism, 2)])
+    runs = _busy_hour_sweep(scenario, ("fluid", "iteration"),
+                            serving=lambda f: {"fidelity": f},
+                            steps=360 if full else 90)
+    data = {fidelity: r.completion_time for fidelity, r in runs}
     gap = abs(data["fluid"] - data["iteration"]) / data["iteration"] * 100
     table = format_table(
         "ablation: serving-simulation fidelity (metropolis)",
-        ["fidelity", "time (s)", "parallelism"], rows,
+        ["fidelity", "time (s)", "parallelism"],
+        [[fidelity, round(r.completion_time, 2),
+          round(r.achieved_parallelism, 2)] for fidelity, r in runs],
         note=f"relative completion-time gap {gap:.2f}% (fluid mode is the "
              f"O(log n) fast path used at 1000-agent scale)")
     data["gap_pct"] = gap
@@ -386,24 +386,16 @@ def ablation_fidelity(full: bool = False,
 def ablation_workers(full: bool = False,
                      scenario: str | None = None) -> ExperimentResult:
     """Worker-pool cap (§3.6 scalability of the controller/worker split)."""
-    scn = get_scenario(scenario or scenario_default())
-    day = cached_day_trace(seed=0, scenario=scn)
-    trace = hour_window(day, scn.busy_hour)
-    rows = []
-    data = {}
-    for workers in (1, 2, 8, 0):
-        scheduler = SchedulerConfig(policy="metropolis", num_workers=workers,
-                                    scenario=scn.name)
-        result = run_replay(trace, scheduler, serving_for("l4-8b", 1))
-        label = workers if workers else "unbounded"
-        data[str(label)] = result.completion_time
-        rows.append([label, round(result.completion_time, 1),
-                     round(result.achieved_parallelism, 2)])
+    runs = [(w or "unbounded", r) for w, r in _busy_hour_sweep(
+        scenario, (1, 2, 8, 0), scheduler=lambda w: {"num_workers": w})]
     table = format_table(
         "ablation: worker pool size (metropolis, busy hour, 1 L4)",
-        ["workers", "time (s)", "parallelism"], rows,
+        ["workers", "time (s)", "parallelism"],
+        [[label, round(r.completion_time, 1),
+          round(r.achieved_parallelism, 2)] for label, r in runs],
         note="too few workers serialize clusters and waste the GPU")
-    return ExperimentResult("ablation_workers", table, data)
+    return ExperimentResult("ablation_workers", table,
+                            {str(w): r.completion_time for w, r in runs})
 
 
 def ablation_interactive(full: bool = False,
@@ -458,26 +450,16 @@ def ablation_prefix_cache(full: bool = False,
     Replays the busy hour with the common-prefix cache modelled at
     several hit rates (GenAgent prompts share persona/world preambles).
     """
-    from dataclasses import replace as dc_replace
-
-    scn = get_scenario(scenario or scenario_default())
-    day = cached_day_trace(seed=0, scenario=scn)
-    trace = hour_window(day, scn.busy_hour)
-    rows = []
-    data = {}
-    base = serving_for("l4-8b", 1)
-    for hit in (0.0, 0.3, 0.6):
-        serving = dc_replace(base, prefix_cache_hit_rate=hit)
-        result = run_replay(trace, SchedulerConfig(policy="metropolis",
-                                                   scenario=scn.name),
-                            serving)
-        data[hit] = result.completion_time
-        rows.append([f"{hit:.0%}", round(result.completion_time, 1),
-                     f"{data[0.0] / result.completion_time:.2f}x"])
+    runs = _busy_hour_sweep(
+        scenario, (0.0, 0.3, 0.6),
+        serving=lambda hit: {"prefix_cache_hit_rate": hit})
+    data = {hit: r.completion_time for hit, r in runs}
     table = format_table(
         "ablation: common-prefix cache hit rate (metropolis, busy hour, "
         "1 L4)",
-        ["hit rate", "time (s)", "speedup"], rows,
+        ["hit rate", "time (s)", "speedup"],
+        [[f"{hit:.0%}", round(r.completion_time, 1),
+          f"{data[0.0] / r.completion_time:.2f}x"] for hit, r in runs],
         note="paper: enabling SGLang's cache gave ~20% throughput across "
              "settings (they benchmark with it off for stability)")
     return ExperimentResult("ablation_prefix_cache", table, data)

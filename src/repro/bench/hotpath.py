@@ -42,19 +42,16 @@ plus a raw sanity floor, and every entry reports its own
 
 from __future__ import annotations
 
-import json
-import resource
 import time
 from pathlib import Path
 
-import numpy as np
-
 from ..config import SchedulerConfig
-from ..core import run_replay
 from ..scenarios import get_scenario, scenario_names
 from ..trace import (generate_concatenated_trace, generate_trace,
                      trace_fingerprint)
 from ..trace.generator import generate_scale_trace
+from .report import (Column, _peak_rss_mb, _reset_peak_rss, format_table,
+                     missing_cells, run_report, timed_cell)
 
 #: Agent scales benchmarked (the paper's §4.3 scaling axis; the
 #: 2000-agent cell pins the flattened scaling curve of the zero-rescan
@@ -168,70 +165,26 @@ def bench_one(scenario: str, n_agents: int,
     """Replay one (scenario, scale) cell; returns its report entry."""
     scn = get_scenario(scenario)
     trace = hotpath_trace(scn, n_agents)
-    wall0 = time.perf_counter()
-    result = run_replay(
+    result, entry = timed_cell(
         trace, SchedulerConfig(policy=policy, scenario=scn.name))
-    wall = time.perf_counter() - wall0
     stats = result.driver_stats
-    agent_steps = trace.meta.n_agents * trace.meta.n_steps
-    controller = stats.controller_time
+    clusters = max(stats.clusters_dispatched, 1)
     kernel_events = stats.extra.get("kernel_events", 0)
     return {
-        "scenario": scn.name,
-        "n_agents": trace.meta.n_agents,
-        "n_steps": trace.meta.n_steps,
-        "agent_steps": agent_steps,
-        "policy": policy,
-        "wall_time_s": wall,
-        "controller_time_s": controller,
+        **entry,
         "time_clustering_s": stats.time_clustering,
         "time_graph_s": stats.time_graph,
         "time_dispatch_s": stats.time_dispatch,
         "controller_rounds": stats.controller_rounds,
-        "clusters_dispatched": stats.clusters_dispatched,
         "mean_cluster_size": stats.mean_cluster_size,
         "kernel_events": kernel_events,
-        "kernel_events_per_cluster": kernel_events
-        / max(stats.clusters_dispatched, 1),
-        "events_total_per_cluster": stats.extra.get("kernel_events_total", 0)
-        / max(stats.clusters_dispatched, 1),
-        "scans_per_agent_step": stats.extra.get("graph_scans", 0)
-        / agent_steps,
-        "scanned_slots": stats.extra.get("graph_scanned_slots", 0),
-        "scanned_slots_per_scan": stats.extra.get("graph_scanned_slots", 0)
-        / max(stats.extra.get("graph_scans", 0), 1),
-        "agent_steps_per_sec": agent_steps / controller if controller
-        else float("inf"),
-        "wall_agent_steps_per_sec": agent_steps / wall if wall
-        else float("inf"),
+        "kernel_events_per_cluster": kernel_events / clusters,
+        "events_total_per_cluster":
+            stats.extra.get("kernel_events_total", 0) / clusters,
+        "scans_per_agent_step":
+            stats.extra.get("graph_scans", 0) / entry["agent_steps"],
         "completion_time_s": result.completion_time,
     }
-
-
-def _reset_peak_rss() -> None:
-    """Start a new RSS high-water mark at the current RSS (Linux: ``5``
-    written to ``/proc/self/clear_refs``); where that file is absent or
-    not writable the mark stays the process's."""
-    try:
-        with open("/proc/self/clear_refs", "w") as f:
-            f.write("5")
-    except OSError:
-        pass
-
-
-def _peak_rss_mb() -> float:
-    """High-water RSS in MiB since the last reset (``ru_maxrss`` is KiB
-    on Linux)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
-def write_report(report: dict, out: Path | str | None) -> None:
-    """Write ``report`` as indented JSON to ``out`` (None: don't)."""
-    if out is None:
-        return
-    out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=2) + "\n")
 
 
 def bench_scale_one(scenario: str, n_agents: int,
@@ -259,36 +212,16 @@ def bench_scale_one(scenario: str, n_agents: int,
     scn = get_scenario(scenario)
     trace = generate_scale_trace(n_agents, n_steps=n_steps,
                                  base_seed=HOTPATH_SEED, scenario=scn)
-    wall0 = time.perf_counter()
-    result = run_replay(
+    result, entry = timed_cell(
         trace, SchedulerConfig(policy="metropolis", scenario=scn.name,
                                shards=shards,
                                parallel_workers=parallel_workers))
-    wall = time.perf_counter() - wall0
-    stats = result.driver_stats
-    agent_steps = trace.meta.n_agents * trace.meta.n_steps
-    controller = stats.controller_time
-    return {
-        "scenario": scn.name,
-        "n_agents": trace.meta.n_agents,
-        "n_steps": trace.meta.n_steps,
-        "agent_steps": agent_steps,
-        "policy": "metropolis",
-        "shards": stats.extra.get("shards", 1),
-        "parallel_workers": stats.extra.get("parallel_workers", 0),
-        "worker_redispatches": stats.extra.get("worker_redispatches", 0),
-        "wall_time_s": wall,
-        "controller_time_s": controller,
-        "clusters_dispatched": stats.clusters_dispatched,
-        "scanned_slots": stats.extra.get("graph_scanned_slots", 0),
-        "scanned_slots_per_scan": stats.extra.get("graph_scanned_slots", 0)
-        / max(stats.extra.get("graph_scans", 0), 1),
-        "peak_rss_mb": _peak_rss_mb(),
-        "agent_steps_per_sec": agent_steps / controller if controller
-        else float("inf"),
-        "wall_agent_steps_per_sec": agent_steps / wall if wall
-        else float("inf"),
-    }
+    extra = result.driver_stats.extra
+    return {**entry,
+            "shards": extra.get("shards", 1),
+            "parallel_workers": extra.get("parallel_workers", 0),
+            "worker_redispatches": extra.get("worker_redispatches", 0),
+            "peak_rss_mb": _peak_rss_mb()}
 
 
 def run_scale(scenarios: tuple[str, ...] = SCALE_SCENARIOS,
@@ -311,51 +244,38 @@ def run_scale(scenarios: tuple[str, ...] = SCALE_SCENARIOS,
     the identical workload. Both are within-run ratios, so
     machine-normalized by construction.
     """
-    calibration = calibration_score()
     mid_agents = min(scale_agents, SCALE_AGENTS)
-    entries = []
-    for name in scenarios:
-        ref = bench_scale_one(name, reference_agents, n_steps)
-        ref["role"] = "reference"
-        entries.append(ref)
-        big = bench_scale_one(name, mid_agents, n_steps)
-        big["role"] = "scale"
-        if ref["agent_steps_per_sec"] > 0:
-            big["scale_ratio"] = (big["agent_steps_per_sec"]
-                                  / ref["agent_steps_per_sec"])
-        entries.append(big)
-        par = bench_scale_one(name, mid_agents, n_steps,
-                              parallel_workers=parallel_workers)
-        par["role"] = "scale-parallel"
-        if ref["agent_steps_per_sec"] > 0:
-            par["scale_ratio"] = (par["agent_steps_per_sec"]
-                                  / ref["agent_steps_per_sec"])
-        if big["agent_steps_per_sec"] > 0:
-            par["parallel_ratio"] = (par["agent_steps_per_sec"]
-                                     / big["agent_steps_per_sec"])
-        entries.append(par)
-        if scale_agents > mid_agents:
-            large = bench_scale_one(name, scale_agents, n_steps,
-                                    parallel_workers=parallel_workers)
-            large["role"] = "scale-large"
-            if par["agent_steps_per_sec"] > 0:
-                large["scale_ratio"] = (large["agent_steps_per_sec"]
-                                        / par["agent_steps_per_sec"])
-            entries.append(large)
-    report = {
-        "benchmark": "hotpath-scale",
-        "scenarios": list(scenarios),
-        "scale_agents": scale_agents,
-        "reference_agents": reference_agents,
-        "n_steps": n_steps,
-        "agents_per_shard": SCALE_AGENTS_PER_SHARD,
-        "parallel_workers": parallel_workers,
-        "calibration_ops_per_sec": calibration,
-        "calibration_after_ops_per_sec": calibration_score(),
-        "entries": entries,
-    }
-    write_report(report, out)
-    return report
+
+    def cell(name, role, n_agents, workers, baseline):
+        entry = bench_scale_one(name, n_agents, n_steps,
+                                parallel_workers=workers)
+        entry["role"] = role
+        if baseline is not None and baseline["agent_steps_per_sec"] > 0:
+            entry["scale_ratio"] = (entry["agent_steps_per_sec"]
+                                    / baseline["agent_steps_per_sec"])
+        return entry
+
+    def measure() -> dict:
+        entries = []
+        for name in scenarios:
+            ref = cell(name, "reference", reference_agents, 0, None)
+            big = cell(name, "scale", mid_agents, 0, ref)
+            par = cell(name, "scale-parallel", mid_agents,
+                       parallel_workers, ref)
+            if big["agent_steps_per_sec"] > 0:
+                par["parallel_ratio"] = (par["agent_steps_per_sec"]
+                                         / big["agent_steps_per_sec"])
+            entries += [ref, big, par]
+            if scale_agents > mid_agents:
+                entries.append(cell(name, "scale-large", scale_agents,
+                                    parallel_workers, par))
+        return {"entries": entries}
+
+    return run_report(
+        "hotpath-scale", out, measure, scenarios=list(scenarios),
+        scale_agents=scale_agents, reference_agents=reference_agents,
+        n_steps=n_steps, agents_per_shard=SCALE_AGENTS_PER_SHARD,
+        parallel_workers=parallel_workers)
 
 
 def check_scale_report(report: dict) -> list[str]:
@@ -371,16 +291,10 @@ def check_scale_report(report: dict) -> list[str]:
     the worker pool, and beaten the serial cell by
     :data:`MIN_PARALLEL_RATIO` on ctrl-steps/s.
     """
-    failures = []
     required = ["reference", "scale", "scale-parallel"]
     if report.get("scale_agents", SCALE_AGENTS) > SCALE_AGENTS:
         required.append("scale-large")
-    roles = {(e["scenario"], e.get("role")) for e in report["entries"]}
-    for scenario in report.get("scenarios", []):
-        for role in required:
-            if (scenario, role) not in roles:
-                failures.append(
-                    f"{scenario}: {role} cell missing from the report")
+    failures = missing_cells(report, "role", required)
     for entry in report["entries"]:
         role = entry.get("role")
         if role not in ("scale", "scale-parallel", "scale-large"):
@@ -422,73 +336,50 @@ def check_scale_report(report: dict) -> list[str]:
     return failures
 
 
+#: The terminal tables: hot-path matrix, scale matrix, and the scale
+#: gate's parallel-against-serial rows.
+HOTPATH_COLUMNS = (
+    Column("scenario", "<14"), Column("agents", ">7", key="n_agents"),
+    Column("steps", ">7", key="n_steps"),
+    Column("ctrl-steps/s", ">14", "{:.0f}", "agent_steps_per_sec"),
+    Column("wall-steps/s", ">14", "{:.0f}", "wall_agent_steps_per_sec"),
+    Column("clustering", ">11", "{:.3f}s", "time_clustering_s"),
+    Column("graph", ">9", "{:.3f}s", "time_graph_s"),
+    Column("dispatch", ">9", "{:.3f}s", "time_dispatch_s"),
+    Column("rounds", ">8", key="controller_rounds"),
+    Column("ev/cl", ">7", "{:.2f}", "kernel_events_per_cluster"),
+    Column("all-ev/cl", ">10", "{:.2f}", "events_total_per_cluster"))
+SCALE_COLUMNS = (
+    Column("scenario", "<14"), Column("agents", ">9", key="n_agents"),
+    Column("steps", ">7", key="n_steps"), Column("shards", ">7"),
+    Column("workers", ">8", key="parallel_workers"),
+    Column("ctrl-steps/s", ">14", "{:.0f}", "agent_steps_per_sec"),
+    Column("wall-steps/s", ">14", "{:.0f}", "wall_agent_steps_per_sec"),
+    Column("slots/scan", ">11", "{:.1f}", "scanned_slots_per_scan"),
+    Column("rss-mb", ">9", "{:.0f}", "peak_rss_mb"),
+    Column("ratio", ">8", "{:.2f}x", "scale_ratio"),
+    Column("par-ratio", ">10", "{:.2f}x", "parallel_ratio"))
+RATIO_COLUMNS = (
+    Column("scenario", "<14"), Column("agents", ">9", key="n_agents"),
+    Column("workers", ">8", key="parallel_workers"),
+    Column("parallel", ">14", "{:.0f}", "agent_steps_per_sec"),
+    Column("serial", ">14", "{:.0f}"),
+    Column("par-ratio", ">10", "{:.2f}x", "parallel_ratio"))
+
+
 def scale_ratio_lines(report: dict) -> list[str]:
-    """Human-readable parallel/serial ctrl-steps/s lines, one per
-    parallel cell — printed by the CLI under ``--scale --check``."""
+    """Parallel against serial ctrl-steps/s, one row per parallel
+    cell — printed by the CLI under ``--scale --check``."""
     serial = {(e["scenario"], e["n_agents"]): e["agent_steps_per_sec"]
               for e in report["entries"] if e.get("role") == "scale"}
-    lines = []
-    for e in report["entries"]:
-        if "parallel_ratio" not in e:
-            continue
-        base = serial.get((e["scenario"], e["n_agents"]), 0.0)
-        lines.append(
-            f"{e['scenario']}@{e['n_agents']}: parallel "
-            f"{e['agent_steps_per_sec']:.0f} ctrl-steps/s "
-            f"({e['parallel_workers']} workers) vs serial {base:.0f} "
-            f"-> {e['parallel_ratio']:.2f}x")
-    return lines
+    rows = [{**e, "serial": serial.get((e["scenario"], e["n_agents"]), 0.0)}
+            for e in report["entries"] if "parallel_ratio" in e]
+    return format_table(None, RATIO_COLUMNS, rows).splitlines()
 
 
 def format_scale_report(report: dict) -> str:
     """Fixed-width table for the scale matrix."""
-    header = (f"{'scenario':<14}{'agents':>9}{'steps':>7}{'shards':>7}"
-              f"{'workers':>8}{'ctrl-steps/s':>14}{'wall-steps/s':>14}"
-              f"{'slots/scan':>11}{'rss-mb':>9}{'ratio':>8}"
-              f"{'par-ratio':>10}")
-    lines = [header, "-" * len(header)]
-    for e in report["entries"]:
-        ratio = e.get("scale_ratio")
-        pratio = e.get("parallel_ratio")
-        lines.append(
-            f"{e['scenario']:<14}{e['n_agents']:>9}{e['n_steps']:>7}"
-            f"{e['shards']:>7}"
-            f"{e.get('parallel_workers', 0):>8}"
-            f"{e['agent_steps_per_sec']:>14.0f}"
-            f"{e['wall_agent_steps_per_sec']:>14.0f}"
-            f"{e['scanned_slots_per_scan']:>11.1f}"
-            f"{e['peak_rss_mb']:>9.0f}"
-            + (f"{ratio:>7.2f}x" if ratio is not None else f"{'-':>8}")
-            + (f"{pratio:>9.2f}x" if pratio is not None
-               else f"{'-':>10}"))
-    return "\n".join(lines)
-
-
-def calibration_score(rounds: int = 5, iters: int = 100_000) -> float:
-    """Machine-speed reading (ops/sec, higher = faster hardware).
-
-    A fixed, deterministic workload with the controller's op mix —
-    dict/set churn plus small numpy reductions — timed best-of-N.
-    Reports record it beside their timings; no gate reads it.
-    """
-    best = 0.0
-    arr = np.arange(256, dtype=np.int64)
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        acc = 0
-        d: dict[int, int] = {}
-        s: set[int] = set()
-        for i in range(iters):
-            k = (i * 2654435761) & 1023
-            d[k] = i
-            s.add(k & 255)
-            acc += d.get((k * 7) & 1023, 0)
-            if not i & 1023:
-                acc += int((np.abs(arr - (k & 255)) <= 16).sum())
-        elapsed = time.perf_counter() - t0
-        if elapsed > 0:
-            best = max(best, iters / elapsed)
-    return best
+    return format_table(None, SCALE_COLUMNS, report["entries"])
 
 
 def run_hotpath(scenarios: list[str] | None = None,
@@ -501,22 +392,14 @@ def run_hotpath(scenarios: list[str] | None = None,
     path planners are cold.
     """
     names = scenarios or scenario_names()
-    calibration = calibration_score()
-    generated = bench_generation(names)
-    entries = [bench_one(name, n, policy=policy)
-               for name in names for n in sorted(agent_counts)]
-    report = {
-        "benchmark": "hotpath",
-        "policy": policy,
-        "agent_counts": sorted(agent_counts),
-        "scenarios": list(names),
-        "calibration_ops_per_sec": calibration,
-        "calibration_after_ops_per_sec": calibration_score(),
-        "generation": generated,
-        "entries": entries,
-    }
-    write_report(report, out)
-    return report
+    return run_report(
+        "hotpath", out,
+        lambda: {"generation": bench_generation(names),
+                 "entries": [bench_one(name, n, policy=policy)
+                             for name in names
+                             for n in sorted(agent_counts)]},
+        policy=policy, agent_counts=sorted(agent_counts),
+        scenarios=list(names))
 
 
 def check_report(report: dict) -> list[str]:
@@ -529,10 +412,10 @@ def check_report(report: dict) -> list[str]:
     fails loudly) and controller throughput above
     :data:`MIN_THROUGHPUT`.
     """
-    failures = []
+    failures = missing_cells(report, "n_agents",
+                             report.get("agent_counts", ()))
     rates = {g["scenario"]: g["agent_steps_per_sec"]
              for g in report.get("generation", [])}
-    present = {(e["scenario"], e["n_agents"]) for e in report["entries"]}
     for scenario in report.get("scenarios", []):
         if scenario not in rates:
             failures.append(
@@ -544,11 +427,6 @@ def check_report(report: dict) -> list[str]:
                 f"{MIN_GENERATION_THROUGHPUT:.0f} floor")
         if scenario not in COUNT_CEILINGS:
             failures.append(f"{scenario}: no COUNT_CEILINGS row")
-        for count in report.get("agent_counts", ()):
-            if (scenario, count) not in present:
-                failures.append(
-                    f"{scenario}@{count}: required matrix cell missing "
-                    f"from the report")
     for entry in report["entries"]:
         label = (f"{entry['scenario']}@{entry['n_agents']} "
                  f"({entry['policy']})")
@@ -572,20 +450,4 @@ def check_report(report: dict) -> list[str]:
 
 def format_report(report: dict) -> str:
     """Fixed-width table for terminal output."""
-    header = (f"{'scenario':<14}{'agents':>7}{'steps':>7}"
-              f"{'ctrl-steps/s':>14}{'wall-steps/s':>14}"
-              f"{'clustering':>11}{'graph':>9}{'dispatch':>9}"
-              f"{'rounds':>8}{'ev/cl':>7}{'all-ev/cl':>10}")
-    lines = [header, "-" * len(header)]
-    for e in report["entries"]:
-        lines.append(
-            f"{e['scenario']:<14}{e['n_agents']:>7}{e['n_steps']:>7}"
-            f"{e['agent_steps_per_sec']:>14.0f}"
-            f"{e['wall_agent_steps_per_sec']:>14.0f}"
-            f"{e['time_clustering_s']:>10.3f}s"
-            f"{e['time_graph_s']:>8.3f}s"
-            f"{e['time_dispatch_s']:>8.3f}s"
-            f"{e['controller_rounds']:>8}"
-            f"{e.get('kernel_events_per_cluster', 0.0):>7.2f}"
-            f"{e.get('events_total_per_cluster', 0.0):>10.2f}")
-    return "\n".join(lines)
+    return format_table(None, HOTPATH_COLUMNS, report["entries"])

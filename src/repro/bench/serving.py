@@ -39,15 +39,14 @@ machine's ``calibration_ops_per_sec`` before the matrix and
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from ..config import SchedulerConfig, ServingConfig
-from ..core import run_replay
 from ..errors import ScenarioError
 from ..scenarios import get_scenario, scenario_names
-from .hotpath import calibration_score, write_report
+from .report import (Column, format_table, missing_cells, run_report,
+                     timed_cell)
 from .runner import PLATFORMS, serving_for
 from .smoke import scenario_window_trace
 
@@ -70,21 +69,15 @@ MAX_FIDELITY_GAP = 0.05
 
 def _cell_config(profile, cell: str) -> ServingConfig:
     """The deployment for one matrix cell of a scenario's profile."""
-    base = serving_for(profile.platform, profile.gpus, profile.fidelity)
-    if cell == "fluid":
-        return ServingConfig(**{**base.__dict__, "kv_policy": "distance"})
-    if cell == "kv-distance":
-        return ServingConfig(**{**base.__dict__, "kv_policy": "distance",
-                                "kv_memory_fraction":
-                                profile.kv_pressure_fraction})
-    if cell == "kv-lru":
-        return ServingConfig(**{**base.__dict__, "kv_policy": "lru",
-                                "kv_memory_fraction":
-                                profile.kv_pressure_fraction})
-    if cell == "iteration":
-        return replace(_cell_config(profile, "kv-distance"),
-                       fidelity="iteration")
-    raise ScenarioError(f"unknown serving bench cell {cell!r}")
+    fluid = replace(serving_for(profile.platform, profile.gpus,
+                                profile.fidelity), kv_policy="distance")
+    starved = replace(fluid, kv_memory_fraction=profile.kv_pressure_fraction)
+    configs = {"fluid": fluid, "kv-distance": starved,
+               "kv-lru": replace(starved, kv_policy="lru"),
+               "iteration": replace(starved, fidelity="iteration")}
+    if cell not in configs:
+        raise ScenarioError(f"unknown serving bench cell {cell!r}")
+    return configs[cell]
 
 
 def bench_cell(scenario: str, cell: str,
@@ -101,10 +94,9 @@ def bench_cell(scenario: str, cell: str,
     trace = scenario_window_trace(scn, n_agents=scn.agents_per_segment,
                                   seed=SERVING_SEED)
     serving = _cell_config(profile, cell)
-    wall0 = time.perf_counter()
-    result = run_replay(
+    result, timed = timed_cell(
         trace, SchedulerConfig(policy=policy, scenario=scn.name), serving)
-    wall = time.perf_counter() - wall0
+    wall = timed["wall_time_s"]
     metrics = result.engine_metrics
     total_tokens = (metrics.total_prompt_tokens
                     + metrics.total_output_tokens)
@@ -162,23 +154,17 @@ def run_serving(scenarios: list[str] | None = None,
     loudly.
     """
     names = scenarios or scenario_names()
-    calibration = calibration_score()
-    entries = [bench_cell(name, cell, policy=policy)
-               for name in names for cell in cells]
-    report = {
-        "benchmark": "serving",
-        "policy": policy,
-        "cells": list(cells),
-        "scenarios": list(names),
-        "calibration_ops_per_sec": calibration,
-        "calibration_after_ops_per_sec": calibration_score(),
-        "entries": entries,
-    }
-    if BASELINE_PATH.exists():
-        _annotate_vs_baseline(entries,
-                              json.loads(BASELINE_PATH.read_text()))
-    write_report(report, out)
-    return report
+
+    def measure() -> dict:
+        entries = [bench_cell(name, cell, policy=policy)
+                   for name in names for cell in cells]
+        if BASELINE_PATH.exists():
+            _annotate_vs_baseline(entries,
+                                  json.loads(BASELINE_PATH.read_text()))
+        return {"entries": entries}
+
+    return run_report("serving", out, measure, policy=policy,
+                      cells=list(cells), scenarios=list(names))
 
 
 def check_serving_report(report: dict,
@@ -198,17 +184,11 @@ def check_serving_report(report: dict,
     KV-constrained cell overall. ``required_cells`` defaults to the
     cells the report says it ran.
     """
-    failures = []
     entries = report["entries"]
     if required_cells is None:
         required_cells = tuple(report.get("cells", CELLS))
+    failures = missing_cells(report, "cell", required_cells)
     by_cell = {(e["scenario"], e["cell"]): e for e in entries}
-    for scenario in report.get("scenarios", []):
-        for cell in required_cells:
-            if (scenario, cell) not in by_cell:
-                failures.append(
-                    f"{scenario}/{cell}: required matrix cell missing "
-                    f"from the report")
     for entry in entries:
         label = f"{entry['scenario']}/{entry['cell']}"
         ratio = entry.get("tokens_ratio_vs_baseline")
@@ -255,48 +235,36 @@ def check_serving_report(report: dict,
     return failures
 
 
-def gate_serving(report: dict,
-                 min_tokens_ratio: float = MIN_TOKENS_RATIO) -> None:
-    """Raise :class:`ScenarioError` when the gate fails."""
-    failures = check_serving_report(report, min_tokens_ratio)
-    if failures:
-        raise ScenarioError(
-            "serving gate failed:\n  " + "\n  ".join(failures))
+#: The terminal tables: the serving matrix and the profile listing.
+SERVING_COLUMNS = (
+    Column("scenario", "<14"), Column("cell", "<13"),
+    Column("tokens/s", ">10", "{:.0f}", "tokens_per_s"),
+    Column("virt-time", ">11", "{:.0f}s", "completion_time_s"),
+    Column("par", ">6", "{:.1f}", "achieved_parallelism"),
+    Column("busy", ">6", "{:.2f}", "gpu_busy_fraction"),
+    Column("hits", ">7", key=lambda e: e.get("kv", {}).get("hits", 0)),
+    Column("evict", ">7",
+           key=lambda e: e.get("kv", {}).get("evictions", 0)),
+    Column("pins", ">6",
+           key=lambda e: e.get("kv", {}).get("prefetch_pins", 0)),
+    Column("ev/call", ">9", "{:.2f}", "serving_events_per_call"),
+    Column("vs-base", ">9", "{:.2f}x", "tokens_ratio_vs_baseline"))
+PROFILE_COLUMNS = (
+    Column("scenario", "<14"), Column("platform", "<13"),
+    Column("gpus", ">5"), Column("fidelity", ">10"),
+    Column("prompt", ">8", "{:.0f}", "mean_prompt_tokens"),
+    Column("output", ">8", "{:.0f}", "mean_output_tokens"),
+    Column("kv-press", ">9", "{:.2f}", "kv_pressure_fraction"),
+    Column("  description", cell="  {}", key="description"))
 
 
 def format_serving_report(report: dict) -> str:
     """Fixed-width table for terminal output."""
-    header = (f"{'scenario':<14}{'cell':<13}{'tokens/s':>10}"
-              f"{'virt-time':>11}{'par':>6}{'busy':>6}"
-              f"{'hits':>7}{'evict':>7}{'pins':>6}{'ev/call':>9}"
-              f"{'vs-base':>9}")
-    lines = [header, "-" * len(header)]
-    for e in report["entries"]:
-        kv = e.get("kv", {})
-        ratio = e.get("tokens_ratio_vs_baseline")
-        lines.append(
-            f"{e['scenario']:<14}{e['cell']:<13}"
-            f"{e['tokens_per_s']:>10.0f}"
-            f"{e['completion_time_s']:>10.0f}s"
-            f"{e['achieved_parallelism']:>6.1f}"
-            f"{e['gpu_busy_fraction']:>6.2f}"
-            f"{kv.get('hits', 0):>7}{kv.get('evictions', 0):>7}"
-            f"{kv.get('prefetch_pins', 0):>6}"
-            f"{e.get('serving_events_per_call', 0.0):>9.2f}"
-            + (f"{ratio:>8.2f}x" if ratio is not None else f"{'-':>9}"))
-    return "\n".join(lines)
+    return format_table(None, SERVING_COLUMNS, report["entries"])
 
 
 def format_profiles() -> str:
     """``repro-bench serving --list-profiles`` output."""
-    header = (f"{'scenario':<14}{'platform':<13}{'gpus':>5}"
-              f"{'fidelity':>10}{'prompt':>8}{'output':>8}"
-              f"{'kv-press':>9}  description")
-    lines = [header, "-" * len(header)]
-    for name in scenario_names():
-        p = get_scenario(name).serving_profile
-        lines.append(
-            f"{name:<14}{p.platform:<13}{p.gpus:>5}{p.fidelity:>10}"
-            f"{p.mean_prompt_tokens:>8.0f}{p.mean_output_tokens:>8.0f}"
-            f"{p.kv_pressure_fraction:>9.2f}  {p.description}")
-    return "\n".join(lines)
+    return format_table(None, PROFILE_COLUMNS, [
+        {"scenario": name, **asdict(get_scenario(name).serving_profile)}
+        for name in scenario_names()])

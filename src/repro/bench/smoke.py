@@ -16,7 +16,6 @@ bisect from the workflow page.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from ..config import SchedulerConfig
@@ -24,6 +23,7 @@ from ..core import run_replay
 from ..errors import ScenarioError
 from ..scenarios import get_scenario, scenario_names
 from ..trace import generate_trace
+from .report import run_report
 from .runner import serving_for
 
 #: Agents used for the smoke replay (capped per scenario segment size).
@@ -69,33 +69,48 @@ def smoke_one(name: str, check_live: bool = True) -> dict:
         "metropolis_beats_sync": times["metropolis"] < times["parallel-sync"],
     }
     if check_live:
-        entry["live_state_identical"] = _live_equivalent(scn, n_agents,
-                                                         start, end)
+        # scenario= routes graph-metric worlds to their own space.
+        entry["live_state_identical"] = live_matches_lock_step(
+            scn, n_agents, SchedulerConfig(scenario=scn.name))[0]
     return entry
 
 
-def _live_equivalent(scn, n_agents: int, start: int, end: int) -> bool:
-    """Live OOO vs lock-step over the active window: identical state?"""
+def live_matches_lock_step(scn, n_agents: int, scheduler, client=None,
+                           tx_storm: int = 0) -> tuple[bool, object]:
+    """Live OOO vs lock-step over the scenario's active window.
+
+    The reference model steps to the window's end in lock-step. The
+    out-of-order one steps to its start; then :class:`LiveSimulation`
+    runs it to the end on four worker threads under ``scheduler``, with
+    ``client`` (an echo client by default) and ``tx_storm`` forced
+    transaction conflicts. Returns whether both end in the same state,
+    and the live run's result.
+    """
     from ..live import EchoLLMClient, LiveSimulation
     from ..live.environment import BehaviorProgram
 
+    start, end = scn.active_window
     ref = scn.model(n_agents, SMOKE_SEED)
     for step in range(end):
         ref.step_all(step)
-    ref_state = [(a.pos, a.awake, a.activity, len(a.memory))
-                 for a in ref.agents]
-
     ooo = scn.model(n_agents, SMOKE_SEED)
     for step in range(start):
         ooo.step_all(step)
-    # scenario= routes graph-metric worlds to their own space.
-    sim = LiveSimulation(BehaviorProgram(ooo), EchoLLMClient(),
-                         scheduler=SchedulerConfig(scenario=scn.name),
-                         num_workers=4)
-    sim.run(target_step=end, start_step=start)
-    ooo_state = [(a.pos, a.awake, a.activity, len(a.memory))
-                 for a in ooo.agents]
-    return ooo_state == ref_state
+    sim = LiveSimulation(BehaviorProgram(ooo), client or EchoLLMClient(),
+                         scheduler=scheduler, num_workers=4)
+    sim.store.force_conflicts(tx_storm)
+    result = sim.run(target_step=end, start_step=start)
+
+    def state(model):
+        return [(a.pos, a.awake, a.activity, len(a.memory))
+                for a in model.agents]
+
+    return state(ooo) == state(ref), result
+
+
+def _passed(entry: dict) -> bool:
+    return entry["metropolis_beats_sync"] and \
+        entry.get("live_state_identical", True)
 
 
 def run_smoke(out: Path | None = None, scenarios: list[str] | None = None,
@@ -107,16 +122,14 @@ def run_smoke(out: Path | None = None, scenarios: list[str] | None = None,
     report is written.
     """
     names = scenarios or scenario_names()
-    report = {"scenarios": [smoke_one(name, check_live=check_live)
-                            for name in names]}
+
+    def measure() -> dict:
+        entries = [smoke_one(name, check_live=check_live) for name in names]
+        return {"scenarios": entries, "ok": all(map(_passed, entries))}
+
+    report = run_report("smoke", out, measure)
     failures = [e["scenario"] for e in report["scenarios"]
-                if not e["metropolis_beats_sync"]
-                or not e.get("live_state_identical", True)]
-    report["ok"] = not failures
-    if out is not None:
-        out = Path(out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(report, indent=2) + "\n")
+                if not _passed(e)]
     if strict and failures:
         raise ScenarioError(
             f"smoke gate failed for: {failures} (see report)")

@@ -154,10 +154,10 @@ def _worker_main(worker_id: int, inbox, outbox) -> None:
             # parent decrements the counter before redispatching).
             os._exit(17)
         try:
-            outbox.put((worker_id, task["task_id"], "ok",
+            outbox.put((worker_id, task["run"], task["task_id"], "ok",
                         _run_worker_task(task)))
         except BaseException:
-            outbox.put((worker_id, task["task_id"], "error",
+            outbox.put((worker_id, task["run"], task["task_id"], "error",
                         traceback.format_exc()))
 
 
@@ -204,6 +204,8 @@ class ShardWorkerPool:
         self.faults = faults or FaultPolicy()
         self._ctx = _mp_context()
         self._outbox = self._ctx.Queue()
+        #: Runs started so far; tags each run's tasks and ledgers.
+        self._runs = 0
         self._procs: list = [None] * n_workers
         self._inboxes: list = [None] * n_workers
         for wid in range(n_workers):
@@ -228,20 +230,27 @@ class ShardWorkerPool:
 
         Returns ``(task_id -> ledger, redispatches)``. Raises
         :class:`SchedulingError` when a worker reports an error or a
-        task exhausts its crash-redispatch budget.
+        task exhausts its crash-redispatch budget. Task ids restart at
+        0 every run, so each run's tasks carry the pool's run number
+        and messages of an earlier run — the ledgers its other workers
+        still sent after it raised — are dropped.
         """
         import queue as queue_mod
+        self._runs += 1
         outstanding = dict(tasks)
         for wid, task in outstanding.items():
+            task["run"] = self._runs
             self._inboxes[wid].put(task)
         results: dict[int, dict] = {}
         redispatches = 0
         while outstanding:
             try:
-                wid, task_id, status, payload = self._outbox.get(
+                wid, run, task_id, status, payload = self._outbox.get(
                     timeout=_POLL_S)
             except queue_mod.Empty:
                 redispatches += self._redispatch_dead(outstanding)
+                continue
+            if run != self._runs:
                 continue
             if status == "error":
                 raise SchedulingError(

@@ -2,8 +2,8 @@
 
 The paper (§3.6) keeps all inter-process simulation state — including the
 spatiotemporal dependency graph — in Redis and wraps graph examinations and
-updates in transactions. This package provides the same primitives
-in-process: typed keys (strings, hashes, sets, sorted sets), per-key
+updates in transactions. This package provides the primitives the live
+engine uses, in-process: plain values and hashes, counters, per-key
 versioning, and optimistic WATCH/MULTI/EXEC transactions, safe for use
 from many threads (the live engine's workers).
 """

@@ -2,7 +2,7 @@
 
 Semantics follow Redis closely enough for the engine's needs:
 
-* every key holds one typed value (string/any, hash, set, zset);
+* every key holds one typed value (a plain value or a hash);
 * every write bumps the key's version counter;
 * a :class:`Transaction` records versions of the keys it reads (WATCH),
   buffers writes (MULTI), and at EXEC atomically verifies that no watched
@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 import threading
 import time
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from ..errors import TransactionError, WatchError
 
@@ -58,16 +58,11 @@ class KVStore:
     def _bump(self, key: str) -> None:
         self._versions[key] = self._versions.get(key, 0) + 1
 
-    def _get_typed(self, key: str, factory: Callable[[], Any]) -> Any:
-        value = self._data.get(key, _MISSING)
-        if value is _MISSING:
-            value = factory()
-            self._data[key] = value
-        expected = type(factory())
-        if not isinstance(value, expected):
+    def _hash(self, key: str) -> dict:
+        value = self._data.setdefault(key, {})
+        if not isinstance(value, dict):
             raise TypeError(
-                f"key {key!r} holds {type(value).__name__}, "
-                f"expected {expected.__name__}")
+                f"key {key!r} holds {type(value).__name__}, expected dict")
         return value
 
     # -- plain values ---------------------------------------------------
@@ -81,15 +76,6 @@ class KVStore:
         with self._lock:
             self._data[key] = value
             self._bump(key)
-
-    def setnx(self, key: str, value: Any) -> bool:
-        """Set only if the key does not exist. Returns True if set."""
-        with self._lock:
-            if key in self._data:
-                return False
-            self._data[key] = value
-            self._bump(key)
-            return True
 
     def delete(self, *keys: str) -> int:
         with self._lock:
@@ -128,7 +114,7 @@ class KVStore:
 
     def hset(self, key: str, field: str, value: Any) -> None:
         with self._lock:
-            self._get_typed(key, dict)[field] = value
+            self._hash(key)[field] = value
             self._bump(key)
 
     def hget(self, key: str, field: str, default: Any = None) -> Any:
@@ -156,88 +142,6 @@ class KVStore:
         with self._lock:
             value = self._data.get(key)
             return dict(value) if isinstance(value, dict) else {}
-
-    def hlen(self, key: str) -> int:
-        with self._lock:
-            value = self._data.get(key)
-            return len(value) if isinstance(value, dict) else 0
-
-    # -- sets ---------------------------------------------------------------
-
-    def sadd(self, key: str, *members: Any) -> int:
-        with self._lock:
-            s = self._get_typed(key, set)
-            before = len(s)
-            s.update(members)
-            added = len(s) - before
-            if added:
-                self._bump(key)
-            return added
-
-    def srem(self, key: str, *members: Any) -> int:
-        with self._lock:
-            s = self._data.get(key)
-            if not isinstance(s, set):
-                return 0
-            removed = 0
-            for m in members:
-                if m in s:
-                    s.discard(m)
-                    removed += 1
-            if removed:
-                self._bump(key)
-            return removed
-
-    def smembers(self, key: str) -> set:
-        with self._lock:
-            s = self._data.get(key)
-            return set(s) if isinstance(s, set) else set()
-
-    def scard(self, key: str) -> int:
-        with self._lock:
-            s = self._data.get(key)
-            return len(s) if isinstance(s, set) else 0
-
-    def sismember(self, key: str, member: Any) -> bool:
-        with self._lock:
-            s = self._data.get(key)
-            return isinstance(s, set) and member in s
-
-    # -- sorted sets -----------------------------------------------------
-
-    def zadd(self, key: str, member: Any, score: float) -> None:
-        with self._lock:
-            z = self._get_typed(key, dict)
-            z[member] = score
-            self._bump(key)
-
-    def zscore(self, key: str, member: Any) -> Optional[float]:
-        with self._lock:
-            z = self._data.get(key)
-            if not isinstance(z, dict):
-                return None
-            return z.get(member)
-
-    def zrange(self, key: str, start: int = 0, stop: int = -1) -> list:
-        """Members ordered by (score, member) — like Redis ZRANGE."""
-        with self._lock:
-            z = self._data.get(key)
-            if not isinstance(z, dict):
-                return []
-            ordered = sorted(z, key=lambda m: (z[m], repr(m)))
-            if stop == -1:
-                return ordered[start:]
-            return ordered[start:stop + 1]
-
-    def zpopmin(self, key: str) -> Optional[tuple[Any, float]]:
-        with self._lock:
-            z = self._data.get(key)
-            if not isinstance(z, dict) or not z:
-                return None
-            member = min(z, key=lambda m: (z[m], repr(m)))
-            score = z.pop(member)
-            self._bump(key)
-            return member, score
 
     # -- chaos hooks ------------------------------------------------------
 
@@ -292,11 +196,6 @@ class KVStore:
         raise TransactionError(
             f"transaction aborted after {max_retries} retries")
 
-    def pipeline(self) -> "Transaction":
-        """A bare transaction handle (manual ``commit()``)."""
-        return Transaction(self)
-
-
 class Transaction:
     """Optimistic read-buffer-commit handle. See :meth:`KVStore.transaction`."""
 
@@ -332,11 +231,6 @@ class Transaction:
             self._watch(key)
             return self._store.hget(key, field, default)
 
-    def smembers(self, key: str) -> set:
-        with self._store._lock:
-            self._watch(key)
-            return self._store.smembers(key)
-
     # -- buffered writes -------------------------------------------------
 
     def set(self, key: str, value: Any) -> None:
@@ -350,15 +244,6 @@ class Transaction:
 
     def hdel(self, key: str, *fields: str) -> None:
         self._writes.append((self._store.hdel, (key, *fields)))
-
-    def sadd(self, key: str, *members: Any) -> None:
-        self._writes.append((self._store.sadd, (key, *members)))
-
-    def srem(self, key: str, *members: Any) -> None:
-        self._writes.append((self._store.srem, (key, *members)))
-
-    def zadd(self, key: str, member: Any, score: float) -> None:
-        self._writes.append((self._store.zadd, (key, member, score)))
 
     def incr(self, key: str, amount: int = 1) -> None:
         self._writes.append((self._store.incr, (key, amount)))

@@ -768,21 +768,22 @@ class TestHotpathBench:
         mark left by an earlier, larger allocation is cleared."""
         import numpy as np
 
-        from repro.bench import hotpath as hp
+        from repro.bench import report
 
-        hp._reset_peak_rss()
-        before = hp._peak_rss_mb()
+        report._reset_peak_rss()
+        before = report._peak_rss_mb()
         block = np.ones(25_000_000)  # 200 MB, touched
-        high = hp._peak_rss_mb()
+        high = report._peak_rss_mb()
         assert high > before + 150
         del block
-        assert hp._peak_rss_mb() == high  # a high-water mark, until ...
-        hp._reset_peak_rss()
-        assert hp._peak_rss_mb() < high - 150
+        assert report._peak_rss_mb() == high  # a high-water mark, until ...
+        report._reset_peak_rss()
+        assert report._peak_rss_mb() < high - 150
 
 
 #: The committed hot-path report: the ledger the ceilings are set on.
 COMMITTED_HOTPATH = Path(__file__).resolve().parents[1] / "BENCH_hotpath.json"
+COMMITTED_SCALE = COMMITTED_HOTPATH.with_name("BENCH_scale.json")
 
 
 class TestCountCeilings:
@@ -796,6 +797,12 @@ class TestCountCeilings:
         from repro.bench.hotpath import check_report
 
         assert check_report(committed) == []
+
+    def test_committed_scale_report_passes(self):
+        from repro.bench.hotpath import check_scale_report
+
+        committed = json.loads(COMMITTED_SCALE.read_text())
+        assert check_scale_report(committed) == []
 
     def test_every_scenario_has_a_row(self):
         from repro.bench.hotpath import COUNT_CEILINGS

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import TransactionError, WatchError
-from repro.kvstore import KVStore
+from repro.kvstore import KVStore, Transaction
 
 
 class TestPlainValues:
@@ -17,12 +17,6 @@ class TestPlainValues:
 
     def test_get_default(self):
         assert KVStore().get("missing", "fallback") == "fallback"
-
-    def test_setnx(self):
-        s = KVStore()
-        assert s.setnx("k", 1)
-        assert not s.setnx("k", 2)
-        assert s.get("k") == 1
 
     def test_delete(self):
         s = KVStore()
@@ -80,65 +74,22 @@ class TestHashes:
         d["b"] = 2
         assert s.hgetall("h") == {"a": 1}
 
-    def test_hdel_and_hlen(self):
+    def test_hdel(self):
         s = KVStore()
         s.hset("h", "a", 1)
         s.hset("h", "b", 2)
-        assert s.hlen("h") == 2
         assert s.hdel("h", "a", "zz") == 1
-        assert s.hlen("h") == 1
+        assert s.hgetall("h") == {"b": 2}
 
     def test_type_conflict(self):
         s = KVStore()
         s.set("k", 3)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="expected dict"):
             s.hset("k", "f", 1)
-
-
-class TestSets:
-    def test_sadd_smembers(self):
-        s = KVStore()
-        assert s.sadd("s", 1, 2, 2) == 2
-        assert s.smembers("s") == {1, 2}
-
-    def test_srem(self):
-        s = KVStore()
-        s.sadd("s", 1, 2, 3)
-        assert s.srem("s", 2, 9) == 1
-        assert s.smembers("s") == {1, 3}
-
-    def test_scard_sismember(self):
-        s = KVStore()
-        s.sadd("s", "x")
-        assert s.scard("s") == 1
-        assert s.sismember("s", "x")
-        assert not s.sismember("s", "y")
-        assert s.scard("missing") == 0
-
-
-class TestSortedSets:
-    def test_zadd_zrange(self):
-        s = KVStore()
-        s.zadd("z", "b", 2.0)
-        s.zadd("z", "a", 1.0)
-        s.zadd("z", "c", 3.0)
-        assert s.zrange("z") == ["a", "b", "c"]
-        assert s.zrange("z", 0, 1) == ["a", "b"]
-
-    def test_zscore_and_update(self):
-        s = KVStore()
-        s.zadd("z", "a", 1.0)
-        s.zadd("z", "a", 5.0)
-        assert s.zscore("z", "a") == 5.0
-        assert s.zscore("z", "missing") is None
-
-    def test_zpopmin(self):
-        s = KVStore()
-        s.zadd("z", "b", 2.0)
-        s.zadd("z", "a", 1.0)
-        assert s.zpopmin("z") == ("a", 1.0)
-        assert s.zpopmin("z") == ("b", 2.0)
-        assert s.zpopmin("z") is None
+        assert s.get("k") == 3
+        s.hset("h", "f", 1)
+        with pytest.raises(TypeError):
+            s.incr("h")
 
 
 class TestTransactions:
@@ -156,7 +107,7 @@ class TestTransactions:
     def test_watch_conflict_aborts_single_attempt(self):
         s = KVStore()
         s.set("k", 1)
-        txn = s.pipeline()
+        txn = Transaction(s)
         assert txn.get("k") == 1
         s.set("k", 2)  # concurrent write
         txn.set("k", 99)
@@ -194,7 +145,7 @@ class TestTransactions:
 
     def test_commit_twice_rejected(self):
         s = KVStore()
-        txn = s.pipeline()
+        txn = Transaction(s)
         txn.set("k", 1)
         txn.commit()
         with pytest.raises(TransactionError):
@@ -206,12 +157,12 @@ class TestTransactions:
         def body(txn):
             txn.set("a", 1)
             txn.hset("h", "f", 2)
-            txn.sadd("set", 3)
+            txn.incr("n", 3)
 
         s.transaction(body)
         assert s.get("a") == 1
         assert s.hget("h", "f") == 2
-        assert s.smembers("set") == {3}
+        assert s.get("n") == 3
 
     def test_concurrent_increments_are_exact(self):
         s = KVStore()
@@ -231,7 +182,8 @@ class TestTransactions:
             t.join()
         assert s.get("counter") == n_threads * n_iters
 
-    @given(st.lists(st.tuples(st.sampled_from(["set", "delete", "incr"]),
+    @given(st.lists(st.tuples(st.sampled_from(["set", "delete", "incr",
+                                               "hset", "hdel"]),
                               st.sampled_from(["a", "b"])), max_size=30))
     def test_versions_monotonic(self, ops):
         s = KVStore()
@@ -241,6 +193,11 @@ class TestTransactions:
                 s.set(key, 1)
             elif op == "delete":
                 s.delete(key)
+            elif op in ("hset", "hdel"):
+                s.delete(key)
+                s.hset(key, "f", 1)
+                if op == "hdel":
+                    s.hdel(key, "f")
             else:
                 s.set(key, 0)
                 s.incr(key)

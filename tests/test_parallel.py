@@ -6,6 +6,7 @@ hygiene, and the worker-assignment balancer."""
 import logging
 import os
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -153,6 +154,41 @@ class TestCrashRedispatch:
         with pytest.raises(SchedulingError, match="crash budget"):
             run_parallel_replay(trace, sched, _crash_plan={0: 5})
         assert _stray_segments() == []
+
+
+class TestPoolReuse:
+    def test_failed_run_leaves_no_stale_ledger(self, monkeypatch):
+        """A run that raised on one worker's error leaves the other
+        worker's reply queued (its ledger, or its own error once the
+        run's position segment is gone); the next run on the same pool
+        must not take it for its own (task ids restart at 0 every run)."""
+        sched = SchedulerConfig(shards=4, parallel_workers=2)
+        failing, other = _calls_trace(21), _calls_trace(22)
+        with ShardWorkerPool(2) as pool:
+            run_tasks = pool.run_tasks
+
+            def corrupt_worker_0(tasks):
+                step, *rest = tasks[0]["calls"]
+                assert len(step) > 0
+                # Mismatched call columns: Trace(...) raises in worker 0.
+                tasks[0]["calls"] = (step[:-1], *rest)
+                return run_tasks(tasks)
+
+            monkeypatch.setattr(pool, "run_tasks", corrupt_worker_0)
+            with pytest.raises(SchedulingError, match="worker 0 failed"):
+                run_parallel_replay(failing, sched, pool=pool)
+            monkeypatch.undo()
+            deadline = time.monotonic() + 60.0
+            while pool._outbox.empty() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not pool._outbox.empty(), "worker 1 sent no reply"
+            # Worker 1 crashes once on the new run, so worker 0's ledger
+            # is queued behind the stale reply and ahead of worker 1's.
+            reused = run_parallel_replay(other, sched, pool=pool,
+                                         _crash_plan={1: 1})
+        fresh = run_parallel_replay(other, sched, _crash_plan={1: 1})
+        assert reused.completion_time == fresh.completion_time
+        assert counters(reused) == counters(fresh)
 
 
 class TestCounterAggregation:

@@ -449,11 +449,11 @@ class TestServingBench:
         failures = check_serving_report(self._report(entries))
         assert any("zero KV retention hits" in f for f in failures)
 
-    def test_gate_raises(self):
-        from repro.bench.serving import gate_serving
-        with pytest.raises(ScenarioError):
-            gate_serving(self._report(
-                [self._entry("s1", "fluid", ratio=0.5)], scenarios=[]))
+    def test_committed_report_passes(self):
+        from repro.bench.serving import (BASELINE_PATH, CELLS,
+                                         check_serving_report)
+        committed = json.loads(BASELINE_PATH.read_text())
+        assert check_serving_report(committed, required_cells=CELLS) == []
 
     def test_unknown_cell_rejected(self):
         from repro.bench.serving import _cell_config
