@@ -1,11 +1,16 @@
 """Tests for the benchmark harness (runner, report, experiments, CLI)."""
 
+import json
+import re
+
 import pytest
 
+import repro.bench.report as report_mod
 from repro.bench import (EXPERIMENTS, bounds_for, format_table, hour_window,
                          run_experiment, run_policies)
 from repro.bench.cli import main as cli_main
-from repro.bench.report import format_series
+from repro.bench.report import (Column, format_series, missing_cells,
+                                run_report)
 from repro.bench.runner import PLATFORMS, serving_for
 from repro.errors import ConfigError
 
@@ -56,6 +61,63 @@ class TestReport:
     def test_format_series(self):
         out = format_series("S", [25, 100], {"m": [1.0, 2.0]})
         assert "25" in out and "100" in out and "m" in out
+
+    def test_format_table_columns_keep_their_widths(self):
+        columns = (Column("name", "<6"),
+                   Column("rate", ">8", "{:.2f}", key="r"),
+                   Column("twice", ">6",
+                          key=lambda e: e["r"] * 2 if "r" in e else None))
+        out = format_table(None, columns, [{"name": "a", "r": 1.5},
+                                           {"name": "bb"}])
+        assert out.splitlines() == ["name      rate twice",
+                                    "-" * 20,
+                                    "a         1.50   3.0",
+                                    "bb           -     -"]
+
+    def test_missing_cells_names_each_absent_cell(self):
+        report = {"scenarios": ["a", "b"],
+                  "entries": [{"scenario": "a", "n": 1},
+                              {"scenario": "a", "n": 2},
+                              {"scenario": "b", "n": 1}]}
+        assert missing_cells(report, "n", (1, 2)) == [
+            "b@2: required matrix cell missing from the report"]
+        assert missing_cells(report, "n", (1,)) == []
+
+    def test_run_report_envelope(self, tmp_path, monkeypatch):
+        """Header fields first, the matrix between the two calibration
+        readings, the report written as returned."""
+        calls = []
+        monkeypatch.setattr(report_mod, "calibration_score",
+                            lambda: calls.append("cal") or 1.0)
+        out = tmp_path / "sub" / "r.json"
+        report = run_report(
+            "demo", out,
+            lambda: calls.append("measure") or {"entries": [{"x": 1}]},
+            scenarios=["s"])
+        assert calls == ["cal", "measure", "cal"]
+        assert list(report) == [
+            "benchmark", "git_sha", "nproc", "scenarios",
+            "calibration_ops_per_sec", "calibration_after_ops_per_sec",
+            "entries"]
+        assert report["benchmark"] == "demo" and report["nproc"] >= 1
+        sha = report["git_sha"]
+        assert sha is None or re.fullmatch(r"[0-9a-f]{40}", sha)
+        assert json.loads(out.read_text()) == report
+
+    def test_git_sha_is_none_without_git(self, monkeypatch):
+        def no_git(*args, **kwargs):
+            raise FileNotFoundError("git")
+        monkeypatch.setattr(report_mod.subprocess, "run", no_git)
+        assert report_mod.git_sha() is None
+
+    def test_gate_prints_ok_only_under_check(self, capsys):
+        from repro.bench.cli import _gate
+        assert _gate("demo", "TABLE", None, None) == 0
+        assert capsys.readouterr().out == "TABLE\n"
+        assert _gate("demo", "TABLE", "r.json", [], ["ratio line"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "TABLE", "[report written to r.json]", "ratio line",
+            "demo gate: ok"]
 
 
 class TestExperiments:

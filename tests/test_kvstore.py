@@ -74,10 +74,11 @@ class TestHashes:
         d["b"] = 2
         assert s.hgetall("h") == {"a": 1}
 
-    def test_hdel(self):
+    def test_hdel_and_hlen(self):
         s = KVStore()
         s.hset("h", "a", 1)
         s.hset("h", "b", 2)
+        assert len(s.hgetall("h")) == 2
         assert s.hdel("h", "a", "zz") == 1
         assert s.hgetall("h") == {"b": 2}
 

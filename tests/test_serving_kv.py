@@ -449,6 +449,19 @@ class TestServingBench:
         failures = check_serving_report(self._report(entries))
         assert any("zero KV retention hits" in f for f in failures)
 
+    def test_gate_raises(self, capsys):
+        """The CLI's serving gate fails a failing report: exit 1, each
+        failure on stderr."""
+        from repro.bench.cli import _gate
+        from repro.bench.serving import check_serving_report
+        report = self._report([self._entry("s1", "fluid", ratio=0.5)],
+                              scenarios=[])
+        assert _gate("serving", "table", None,
+                     check_serving_report(report)) == 1
+        captured = capsys.readouterr()
+        assert "FAIL:" in captured.err and "below the required" in captured.err
+        assert "serving gate: ok" not in captured.out
+
     def test_committed_report_passes(self):
         from repro.bench.serving import (BASELINE_PATH, CELLS,
                                          check_serving_report)
