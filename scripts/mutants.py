@@ -33,6 +33,7 @@ GRID = "src/repro/world/grid.py"
 PATHFIND = "src/repro/world/pathfind.py"
 MINED = "src/repro/core/oracle.py"
 REPORT = "src/repro/bench/report.py"
+SCHEMA = "src/repro/trace/schema.py"
 GOLDEN = "tests/test_golden_replay.py"
 PARALLEL = "tests/test_parallel.py"
 GRAPH_SPACE = "tests/test_graph_space.py"
@@ -76,7 +77,9 @@ COMPARE = "row[local[nb]] if comp[nb] == ca else inf"
 #: exact threshold, the capped dispatch heap keys on priority before
 #: arrival, and the invocation distance counts from the agent's step. The
 #: harness: a matrix cell no entry holds is reported, and a reused
-#: worker pool drops the replies of an earlier run.
+#: worker pool drops the replies of an earlier run. The trace's call
+#: index: a chain ends past the last call with its row key, and the
+#: ``calling`` mask is scattered step-major.
 MUTANTS = {
     "commit-skips-node-index": (
         GRAPH, f"if node is not None:\n                    {WRITE}",
@@ -239,6 +242,14 @@ MUTANTS = {
     "pool-keeps-stale-ledger": (
         POOL, "if run != self._runs:", "if False:", 0,
         f"{PARALLEL}::TestPoolReuse"),
+    "chain-ends-searched-at-starts": (
+        SCHEMA, 'keys.searchsorted(rows, "right")', "keys.searchsorted(rows)",
+        0, f"tests/test_trace.py::TestChainIndex {GOLDEN}"),
+    "calling-scattered-agent-major": (
+        SCHEMA, "mask[self.call_step.astype(np.int64) * n + self.call_agent]",
+        "mask[self.call_agent.astype(np.int64) * self.meta.n_steps"
+        " + self.call_step]", 0,
+        f"tests/test_trace.py::TestChainIndex {GOLDEN}"),
 }
 
 

@@ -37,7 +37,8 @@ pool. The gate is *relative*: per-agent-step controller throughput at
 scale must stay within :data:`MIN_SCALE_RATIO` of the same scenario's
 2000-agent cell — a flat curve is precisely the banded-scan claim —
 plus a raw sanity floor, and every entry reports its own
-``peak_rss_mb`` so memory blowups surface in the report.
+``peak_rss_mb`` and ``bytes_per_agent`` so memory blowups surface in
+the report.
 """
 
 from __future__ import annotations
@@ -205,6 +206,8 @@ def bench_scale_one(scenario: str, n_agents: int,
     allows (:func:`_reset_peak_rss`), so it starts from what the process
     still holds (earlier cells' caches included). It counts this
     process only — a parallel cell's worker processes are not in it.
+    ``bytes_per_agent`` is that mark over the cell's agents (report
+    only, no gate).
     """
     _reset_peak_rss()
     if shards is None:
@@ -217,11 +220,13 @@ def bench_scale_one(scenario: str, n_agents: int,
                                shards=shards,
                                parallel_workers=parallel_workers))
     extra = result.driver_stats.extra
+    peak_mb = _peak_rss_mb()
     return {**entry,
             "shards": extra.get("shards", 1),
             "parallel_workers": extra.get("parallel_workers", 0),
             "worker_redispatches": extra.get("worker_redispatches", 0),
-            "peak_rss_mb": _peak_rss_mb()}
+            "peak_rss_mb": peak_mb,
+            "bytes_per_agent": peak_mb * 2 ** 20 / n_agents}
 
 
 def run_scale(scenarios: tuple[str, ...] = SCALE_SCENARIOS,
@@ -357,6 +362,7 @@ SCALE_COLUMNS = (
     Column("wall-steps/s", ">14", "{:.0f}", "wall_agent_steps_per_sec"),
     Column("slots/scan", ">11", "{:.1f}", "scanned_slots_per_scan"),
     Column("rss-mb", ">9", "{:.0f}", "peak_rss_mb"),
+    Column("B/agent", ">9", "{:.0f}", "bytes_per_agent"),
     Column("ratio", ">8", "{:.2f}x", "scale_ratio"),
     Column("par-ratio", ">10", "{:.2f}x", "parallel_ratio"))
 RATIO_COLUMNS = (

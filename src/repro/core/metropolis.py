@@ -82,9 +82,15 @@ class MetropolisDriver:
         self.stats = self.core.stats
         #: Per agent, the sorted steps whose chains contain LLM calls —
         #: the replay-mode half of the invocation-distance signal (the
-        #: trace is known, as with ``ignore_eos`` output lengths).
-        self._call_steps = [np.flatnonzero(row).tolist()
-                            for row in trace.chain_lengths()]
+        #: trace is known, as with ``ignore_eos`` output lengths). Split
+        #: by agent from the trace's sorted call keys.
+        n_steps = trace.meta.n_steps
+        rows = np.unique(trace.call_row)
+        steps = (rows % n_steps).tolist()
+        ends = rows.searchsorted(
+            np.arange(1, trace.meta.n_agents + 1) * n_steps).tolist()
+        self._call_steps = [steps[lo:hi]
+                            for lo, hi in zip([0] + ends[:-1], ends)]
         #: Scheduler-aware serving: the engine's KV eviction key is the
         #: live invocation-distance prediction per agent.
         engine.set_distance_provider(self.invocation_distance)

@@ -12,8 +12,9 @@ they start tasks. Two entry points, one chain-advance implementation
 
 * :meth:`ChainExecutor.run_round` — a whole dispatch round (every
   cluster a controller round launches at one virtual instant). One
-  vectorized CSR lookup (:meth:`repro.trace.Trace.chain_bounds` with a
-  per-member step vector) resolves every member's chain, the KV of the
+  vectorized binary search over the trace's sorted call keys
+  (:meth:`repro.trace.Trace.chain_bounds` with a per-member step
+  vector) resolves every member's chain, the KV of the
   members that call is pinned at the launch instant, and **one**
   kernel event starts the whole round after the per-step overhead. In
   that event each cluster submits its members' first calls to the

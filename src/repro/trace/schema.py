@@ -8,9 +8,11 @@ only layout — so the replay drivers gather a commit batch's movers in
 one fancy index (a lazily built ``moved`` mask says who they are), a
 step's population slice is contiguous (bulk spatial-index loads, the
 oracle's per-step clustering), and graph-metric traces expose their
-node-id column without re-tupling. A CSR-style index maps ``(agent,
-step)`` to that agent's ordered call chain for the step, which is what
-the scheduler drivers consume.
+node-id column without re-tupling. Calls are sorted by ``(agent,
+step)``, and their one index is each call's row key ``agent * n_steps
++ step`` (8 bytes per call, nothing per agent-step): a binary search
+over the keys finds an agent's ordered call chain for a step, which is
+what the scheduler drivers consume.
 """
 
 from __future__ import annotations
@@ -207,6 +209,12 @@ class Trace:
         Parallel arrays of the call events, sorted by ``(agent, step)``
         with chain order preserved. ``call_func`` indexes
         :data:`repro.world.behavior.FUNCS`.
+    call_row:
+        ``int64[n_calls]``, each call's row key ``agent * n_steps +
+        step`` — non-decreasing, so an agent-step's chain is the run of
+        calls with its key, found by binary search. The trace's only
+        call index: it costs 8 bytes per call, and nothing is kept per
+        agent-step.
     """
 
     def __init__(self, meta: TraceMeta, positions: np.ndarray,
@@ -230,15 +238,18 @@ class Trace:
                           ("call_out", call_out)):
             if len(arr) != n:
                 raise TraceError(f"{name} length {len(arr)} != {n}")
-        # Normalize to (agent, step, original order) so chains are CSR rows.
-        order = np.lexsort((np.arange(n), call_step, call_agent))
+        # Sort by row key, chain order kept (a stable sort): a chain is
+        # the run of calls with its agent-step's key.
+        row = np.asarray(call_agent, dtype=np.int64) * meta.n_steps \
+            + call_step
+        order = np.argsort(row, kind="stable")
+        self.call_row = row[order]
         self.call_step = np.ascontiguousarray(call_step[order])
         self.call_agent = np.ascontiguousarray(call_agent[order])
         self.call_func = np.ascontiguousarray(call_func[order])
         self.call_in = np.ascontiguousarray(call_in[order])
         self.call_out = np.ascontiguousarray(call_out[order])
         self._validate()
-        self._build_index()
 
     # -- construction helpers ------------------------------------------
 
@@ -299,18 +310,6 @@ class Trace:
                         f"agent {aid} moved {d} hops at step {step} "
                         f"(max_vel={max_vel})")
 
-    def _build_index(self) -> None:
-        """CSR row pointers: row = agent * n_steps + step."""
-        n_rows = self.meta.n_agents * self.meta.n_steps
-        keys = (self.call_agent.astype(np.int64) * self.meta.n_steps
-                + self.call_step)
-        if len(keys) and np.any(np.diff(keys) < 0):
-            raise TraceError("internal: calls not sorted")  # pragma: no cover
-        self._row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
-        counts = np.bincount(keys, minlength=n_rows) if len(keys) else \
-            np.zeros(n_rows, dtype=np.int64)
-        np.cumsum(counts, out=self._row_ptr[1:])
-
     # -- accessors ----------------------------------------------------------
 
     @property
@@ -354,16 +353,19 @@ class Trace:
     def calling(self) -> bytes:
         """One byte per agent-step: does the agent's chain hold a call?
 
-        ``calling[step * n_agents + agent]`` is non-zero iff
-        ``chain_lengths()[agent, step] != 0`` — the twin of
-        :attr:`moved`, same layout, same laziness. Most dispatched
-        clusters hold no call at all; the replay driver reads this mask
-        and sends only the calling ones to the chain executor.
+        ``calling[step * n_agents + agent]`` is non-zero iff the agent
+        makes a call at ``step`` — the twin of :attr:`moved`, same
+        layout, same laziness. Most dispatched clusters hold no call at
+        all; the replay driver reads this mask and sends only the
+        calling ones to the chain executor. Built by one scatter of the
+        call columns into a ``uint8`` mask.
         """
         calling = self._calling
         if calling is None:
-            self._calling = calling = \
-                (self.chain_lengths() != 0).T.tobytes()
+            n = self.meta.n_agents
+            mask = np.zeros(self.meta.n_steps * n, dtype=np.uint8)
+            mask[self.call_step.astype(np.int64) * n + self.call_agent] = 1
+            self._calling = calling = mask.tobytes()
         return calling
 
     def step_positions(self, step: int) -> np.ndarray:
@@ -383,36 +385,62 @@ class Trace:
         return len(self.call_step)
 
     def chain_slice(self, agent: int, step: int) -> slice:
-        """Index range of agent's calls within ``step`` (chain order)."""
-        row = agent * self.meta.n_steps + step
-        return slice(int(self._row_ptr[row]), int(self._row_ptr[row + 1]))
+        """Index range of agent's calls within ``step`` (chain order).
+
+        Raises :class:`TraceError` naming the agent and the step when
+        either lies outside the trace: a row key past an agent's own
+        steps is another agent's.
+        """
+        n_agents, n_steps = self.meta.n_agents, self.meta.n_steps
+        if not (0 <= agent < n_agents and 0 <= step < n_steps):
+            raise TraceError(
+                f"no chain for agent {agent} at step {step}: the trace "
+                f"has agents [0, {n_agents}) and steps [0, {n_steps})")
+        row = agent * n_steps + step
+        keys = self.call_row
+        return slice(int(keys.searchsorted(row)),
+                     int(keys.searchsorted(row, "right")))
 
     def chain_bounds(self, agents: Sequence[int] | np.ndarray,
                      step: int | Sequence[int] | np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
-        """CSR ``(starts, ends)`` of each agent's call chain at ``step``.
+        """``(starts, ends)`` of each agent's call chain at ``step``.
 
-        One fancy index over the row-pointer table: a whole cluster at
-        one ``step``, or — the executor's per-dispatch-round lookup — a
+        A binary search over :attr:`call_row` for a whole cluster at one
+        ``step``, or — the executor's per-dispatch-round lookup — a
         whole round's members with a per-member ``step`` vector aligned
         with ``agents`` (clusters of one round sit at different steps).
         ``call_func[starts[i]:ends[i]]`` (and ``call_in`` /
         ``call_out``) is member ``i``'s chain in order.
+
+        Unchecked, as the executor's hot lookup: every agent must lie in
+        ``[0, n_agents)`` and every step in ``[0, n_steps)``, or the
+        bounds are another agent's chain (:meth:`chain_slice` checks).
         """
         rows = np.asarray(agents, dtype=np.int64) * self.meta.n_steps + step
-        return self._row_ptr[rows], self._row_ptr[rows + 1]
+        keys = self.call_row
+        return keys.searchsorted(rows), keys.searchsorted(rows, "right")
 
     def chain(self, agent: int, step: int) -> list[tuple[int, int, int]]:
-        """``[(func_id, prompt_tokens, output_tokens), ...]`` for the step."""
+        """``[(func_id, prompt_tokens, output_tokens), ...]`` for the step.
+
+        Raises :class:`TraceError` for an agent or step outside the
+        trace (see :meth:`chain_slice`).
+        """
         sl = self.chain_slice(agent, step)
         return list(zip(self.call_func[sl].tolist(),
                         self.call_in[sl].tolist(),
                         self.call_out[sl].tolist()))
 
     def chain_lengths(self) -> np.ndarray:
-        """``int64[n_agents, n_steps]`` — number of calls per agent-step."""
-        return np.diff(self._row_ptr).reshape(
-            self.meta.n_agents, self.meta.n_steps)
+        """``int64[n_agents, n_steps]`` — number of calls per agent-step.
+
+        Counted on demand from :attr:`call_row`; the trace keeps no
+        per-agent-step index.
+        """
+        n_agents, n_steps = self.meta.n_agents, self.meta.n_steps
+        return np.bincount(self.call_row, minlength=n_agents * n_steps
+                           ).reshape(n_agents, n_steps)
 
     def pos(self, agent: int, step: int) -> tuple[int, int]:
         """Tile of ``agent`` at the start of ``step``."""

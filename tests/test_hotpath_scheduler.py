@@ -780,6 +780,19 @@ class TestHotpathBench:
         report._reset_peak_rss()
         assert report._peak_rss_mb() < high - 150
 
+    def test_scale_cell_reports_bytes_per_agent(self):
+        """``bytes_per_agent`` is the cell's peak RSS over its agents,
+        and the scale table prints it."""
+        from repro.bench import hotpath as hp
+
+        entry = hp.bench_scale_one("smallville", 50, n_steps=4)
+        assert entry["bytes_per_agent"] == \
+            entry["peak_rss_mb"] * 2 ** 20 / 50
+        header, _, row = hp.format_scale_report(
+            {"entries": [entry]}).splitlines()
+        assert "B/agent" in header
+        assert f"{entry['bytes_per_agent']:.0f}" in row.split()
+
 
 #: The committed hot-path report: the ledger the ceilings are set on.
 COMMITTED_HOTPATH = Path(__file__).resolve().parents[1] / "BENCH_hotpath.json"
@@ -803,6 +816,7 @@ class TestCountCeilings:
 
         committed = json.loads(COMMITTED_SCALE.read_text())
         assert check_scale_report(committed) == []
+        assert all(e["bytes_per_agent"] > 0 for e in committed["entries"])
 
     def test_every_scenario_has_a_row(self):
         from repro.bench.hotpath import COUNT_CEILINGS

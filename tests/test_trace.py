@@ -2,13 +2,19 @@
 
 import json
 import logging
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.config import SchedulerConfig, ServingConfig
+from repro.core.metropolis import MetropolisDriver
+from repro.core.tasks import ChainExecutor
+from repro.devent import Kernel
 from repro.errors import TraceError
 from repro.scenarios import scenario_names
+from repro.serving import ServingEngine
 from repro.trace import (Trace, cached_day_trace, compute_stats,
                          export_jsonl, generate_concatenated_trace,
                          generate_trace, import_jsonl, load_trace,
@@ -187,6 +193,179 @@ class TestTraceSchema:
     def test_concat_empty(self):
         with pytest.raises(TraceError):
             concat_traces([], x_stride=10)
+
+
+def _with_calls(trace, agents, steps):
+    """``trace`` plus one call per ``(agent, step)`` pair given."""
+    k = len(agents)
+    return Trace(
+        trace.meta, trace.positions_by_step,
+        np.concatenate([trace.call_step, np.asarray(steps, np.int32)]),
+        np.concatenate([trace.call_agent, np.asarray(agents, np.int32)]),
+        np.concatenate([trace.call_func, np.zeros(k, np.int16)]),
+        np.concatenate([trace.call_in, np.full(k, 40, np.int32)]),
+        np.concatenate([trace.call_out, np.full(k, 3, np.int32)]))
+
+
+def _index_cases():
+    """Zero calls, a call on the very last ``(agent, step)`` row (and on
+    the first), multi-call chains; each with a window and a
+    concatenation."""
+    empty = random_trace(seed=21, n_agents=5, n_steps=30, p_call=0.0)
+    multi = random_trace(seed=22, n_agents=7, n_steps=30, p_call=0.4,
+                         max_chain=4)
+    last = _with_calls(random_trace(seed=23, n_agents=6, n_steps=30,
+                                    p_call=0.2), [5, 0, 5], [29, 0, 29])
+    cases = {"empty": empty, "multi": multi, "last-row": last}
+    for name, t in list(cases.items()):
+        cases[f"{name}-window"] = t.window(4, 30)
+        cases[f"{name}-concat"] = concat_traces([t, multi], x_stride=100)
+    return cases
+
+
+INDEX_CASES = _index_cases()
+
+
+def _dense_row_ptr(trace):
+    """The per-agent-step reference index: ``ptr[row]:ptr[row + 1]`` is
+    row ``agent * n_steps + step``'s chain (``bincount`` + ``cumsum``)."""
+    n_rows = trace.meta.n_agents * trace.meta.n_steps
+    keys = trace.call_agent.astype(np.int64) * trace.meta.n_steps \
+        + trace.call_step
+    ptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n_rows), out=ptr[1:])
+    return ptr
+
+
+class TestChainIndex:
+    """The sorted per-call keys answer every chain question the dense
+    per-agent-step row pointer did, byte for byte."""
+
+    @pytest.fixture(params=sorted(INDEX_CASES))
+    def case(self, request):
+        trace = INDEX_CASES[request.param]
+        return trace, _dense_row_ptr(trace)
+
+    def test_cases_cover_the_edges(self):
+        assert INDEX_CASES["empty"].n_calls == 0
+        last = INDEX_CASES["last-row"]
+        assert last.chain(5, 29) and last.chain(0, 0)
+        multi = INDEX_CASES["multi"].chain_lengths()
+        assert multi.max() > 1
+
+    def test_chain_slice_every_row(self, case):
+        trace, ptr = case
+        n_steps = trace.meta.n_steps
+        for agent in range(trace.meta.n_agents):
+            for step in range(n_steps):
+                row = agent * n_steps + step
+                assert trace.chain_slice(agent, step) == \
+                    slice(ptr[row], ptr[row + 1])
+
+    def test_chain_bounds_whole_step_and_per_member(self, case):
+        trace, ptr = case
+        n_agents, n_steps = trace.meta.n_agents, trace.meta.n_steps
+        agents = np.arange(n_agents)
+        for step in range(n_steps):
+            starts, ends = trace.chain_bounds(agents, step)
+            rows = agents * n_steps + step
+            assert starts.tolist() == ptr[rows].tolist()
+            assert ends.tolist() == ptr[rows + 1].tolist()
+        rng = np.random.default_rng(n_agents * n_steps)
+        members = rng.integers(0, n_agents, 50).tolist()
+        steps = rng.integers(0, n_steps, 50).tolist()
+        members[-1], steps[-1] = n_agents - 1, n_steps - 1
+        starts, ends = trace.chain_bounds(members, steps)
+        rows = np.asarray(members) * n_steps + steps
+        assert starts.tolist() == ptr[rows].tolist()
+        assert ends.tolist() == ptr[rows + 1].tolist()
+
+    def test_chain_lengths_and_calling(self, case):
+        trace, ptr = case
+        lengths = np.diff(ptr).reshape(trace.meta.n_agents,
+                                       trace.meta.n_steps)
+        assert np.array_equal(trace.chain_lengths(), lengths)
+        assert trace.calling == (lengths != 0).T.tobytes()
+
+    def test_driver_call_steps(self, case):
+        trace, ptr = case
+        kernel = Kernel()
+        engine = ServingEngine(kernel, ServingConfig(fidelity="fluid"))
+        config = SchedulerConfig()
+        driver = MetropolisDriver(
+            kernel, engine, trace, config,
+            ChainExecutor(kernel, engine, trace, config.overhead))
+        lengths = np.diff(ptr).reshape(trace.meta.n_agents,
+                                       trace.meta.n_steps)
+        assert driver._call_steps == [np.flatnonzero(row).tolist()
+                                      for row in lengths]
+
+    def test_index_costs_bytes_per_call(self):
+        """2,000 agents x 500 steps with 10 calls: the built trace keeps
+        no per-agent-step index, and ``calling`` peaks at its mask plus
+        the bytes it returns."""
+        n_agents, n_steps = 2000, 500
+        positions = np.zeros((n_steps + 1, n_agents, 2), dtype=np.int16)
+        rng = np.random.default_rng(7)
+        calls = [rng.integers(0, n_steps, 10).astype(np.int32),
+                 rng.integers(0, n_agents, 10).astype(np.int32),
+                 np.zeros(10, np.int16), np.full(10, 40, np.int32),
+                 np.full(10, 3, np.int32)]
+        meta = TraceMeta(n_agents=n_agents, n_steps=n_steps, seed=0,
+                         width=10, height=10)
+        tracemalloc.start()
+        try:
+            trace = Trace(meta, positions, *calls)
+            retained, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            calling = trace.calling
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.positions_by_step is positions  # not a copy
+        assert sum(calling) == len(set(zip(*calls[:2])))
+        assert retained <= 64 * 1024
+        assert peak <= 2.1 * n_agents * n_steps
+
+
+class TestChainBoundsChecked:
+    """``chain`` and ``chain_slice`` refuse an agent-step outside the
+    trace: its row key would be another agent's (or no) row."""
+
+    @pytest.fixture
+    def agent2_step(self, day_trace):
+        """A step at which agent 2 calls, so an aliased row is visible."""
+        steps = day_trace.call_step[day_trace.call_agent == 2]
+        assert len(steps) and steps.max() > 100
+        return int(steps.max())
+
+    @pytest.mark.parametrize("method", ["chain", "chain_slice"])
+    def test_step_past_the_agents_last(self, day_trace, agent2_step,
+                                       method):
+        step = day_trace.meta.n_steps + agent2_step  # agent 2's row
+        with pytest.raises(TraceError, match=f"agent 1 at step {step}"):
+            getattr(day_trace, method)(1, step)
+
+    @pytest.mark.parametrize("method", ["chain", "chain_slice"])
+    def test_negative_step(self, day_trace, agent2_step, method):
+        step = agent2_step - day_trace.meta.n_steps  # agent 2's row
+        assert step < 0
+        with pytest.raises(TraceError, match=f"agent 3 at step {step}"):
+            getattr(day_trace, method)(3, step)
+
+    @pytest.mark.parametrize("method", ["chain", "chain_slice"])
+    def test_step_past_the_last_row(self, day_trace, method):
+        agent, step = day_trace.meta.n_agents - 1, day_trace.meta.n_steps
+        with pytest.raises(TraceError,
+                           match=f"agent {agent} at step {step}"):
+            getattr(day_trace, method)(agent, step)
+
+    @pytest.mark.parametrize("method", ["chain", "chain_slice"])
+    def test_agent_out_of_range(self, day_trace, method):
+        n = day_trace.meta.n_agents
+        for agent in (n, -1):
+            with pytest.raises(TraceError, match=f"agent {agent} at step 0"):
+                getattr(day_trace, method)(agent, 0)
 
 
 def _memmap_backed(arr):
