@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Re-check that the tests would have caught it.
 
-Each mutant is a one-line patch to ``src/repro`` that a named group of
-tests must turn red. The script copies ``src`` and ``tests`` to a
-temporary directory, applies one patch at a time, runs the tests and
-expects them to fail; a mutant that survives is an error.
+Each mutant is a patch to ``src/repro`` — one site, or several applied
+together — that a named group of tests must turn red. The script copies
+``src`` and ``tests`` to a temporary directory, applies one mutant at a
+time, runs the tests and expects them to fail; a mutant that survives is
+an error.
 
 Usage: python scripts/mutants.py [name ...]   (no name = all)
 """
@@ -43,10 +44,13 @@ SCHEDULE = ("tests/test_core_drivers.py::TestOracleSchedule "
             "::test_oracle_matches_lock_step")
 WORLD = "tests/test_world.py"
 RANKING = f"{WORLD}::TestMemoryRankingMemo::test_matches_reference"
+RANKINGS = f"{WORLD}::TestMemoryRankingMemo"
 WRITE = "node[aid] = self._node_index(new_p)"
 COMPARE = "row[local[nb]] if comp[nb] == ca else inf"
 
-#: name -> (file, old text, new text, which occurrence, tests). The
+#: name -> (file, old text, new text, which occurrence, tests), or
+#: name -> ((site, ...), tests) with each site a (file, old text, new
+#: text, which occurrence), patched in order. The
 #: hop-row lane: the commit writes the node index wherever it writes
 #: ``pos[aid]``, and the three sites a cross-component pair can reach
 #: (the band scan, ``dist_within`` and ``within``) compare components
@@ -64,9 +68,12 @@ COMPARE = "row[local[nb]] if comp[nb] == ca else inf"
 #: has passed, each boundary is charged only once it runs (a cut or a
 #: blackout must not leave unrun iterations charged, nor drop the one in
 #: flight), any new admissible head cuts, and same-iteration finishes
-#: leave in admission order. The world model: the memo'd ranking against
-#: its full-sort reference (reset on add, ties in stream order, no
-#: negative table index, the one-keyword literal), every clause of the
+#: leave in admission order. The world model: the kept ranking against
+#: its full-sort reference (an add is seen, ties in stream order, no
+#: negative table index, the one-keyword literal and its one-keyword
+#: test at both sites; the reuse's age range, class-pair guard,
+#: insertion after equal keys and token sums dropped with a changed
+#: order), every clause of the
 #: dwelling guard, the chat sweep's strict break and final sort, the
 #: perception scan's inclusive radius without the agent itself, the
 #: first-declared venue table dropped by ``add_venue``, and the wall-
@@ -160,18 +167,37 @@ MUTANTS = {
         REPLICA, "self._run_seq, request))", "-self._run_seq, request))", 0,
         ORACLE),
     "ranking-memo-survives-add": (
-        MEMORY, "+= event.importance\n        self._ranked_for = None",
-        "+= event.importance", 0, RANKING),
+        MEMORY, "self._added += 1", "pass", 0, RANKING),
     "ranking-ties-by-tokens": (
-        MEMORY, "range(len(events)), key=keys.__getitem__)]",
-        "range(len(events)), key=lambda i: (keys[i], -events[i].tokens))]",
-        0, RANKING),
+        MEMORY, "sorted(events, key=_sort_key(now_step, query_keywords))",
+        "sorted(events, key=lambda e, k=_sort_key(now_step, query_keywords):"
+        " (k(e), -e.tokens))", 0, RANKING),
     "decay-table-without-sign-guard": (
         MEMORY, "_DECAY[age] if 0 <= age < 4000 else",
         "_DECAY[age] if age < 4000 else", 0, RANKING),
     "one-keyword-hit-scored-one": (
         MEMORY, "(1.1 if only in event.keywords else 0.1)",
         "(1.0 if only in event.keywords else 0.1)", 0, WORLD),
+    "one-keyword-shortcut-for-two-keywords": ((
+        (MEMORY, "if n_query == 1 else None", "if n_query in (1, 2) else None",
+         0),
+        (MEMORY, "0.1)\n                     if n_query == 1 else",
+         "0.1)\n                     if n_query in (1, 2) else", 0)),
+        RANKINGS),
+    "reuse-skips-age-range": (
+        MEMORY, "if not (min(then, now_step) >= hi and", "if False and (", 0,
+        RANKINGS),
+    "every-class-pair-shift-safe": (
+        MEMORY, "return all(_pair_shift_safe(",
+        "return True or all(_pair_shift_safe(", 0,
+        RANKINGS),
+    "token-sums-survive-a-carry": (
+        MEMORY, "self._span = (lo, hi)\n        self._sums = {}",
+        "self._span = (lo, hi)", 0, RANKINGS),
+    "appended-inserted-before-equal-keys": (
+        MEMORY, "insort(ranked, event, key=key)",
+        "__import__('bisect').insort_left(ranked, event, key=key)", 0,
+        RANKINGS),
     "dweller-skips-reflection-check": (
         BEHAVIOR, "\n                and not self._reflection_due(agent, step)):",
         "):", 0, WORLD),
@@ -253,20 +279,38 @@ MUTANTS = {
 }
 
 
+def sites(name: str) -> tuple[list[tuple[str, str, str, int]], str]:
+    """A mutant's patch sites, in the order they apply, and its tests."""
+    entry = MUTANTS[name]
+    if len(entry) == 2:
+        return list(entry[0]), entry[1]
+    *site, tests = entry
+    return [tuple(site)], tests
+
+
+def patched(text: str, old: str, new: str, nth: int) -> str | None:
+    """``text`` with occurrence ``nth`` of ``old`` replaced (None: absent)."""
+    pieces = text.split(old)
+    if len(pieces) <= nth + 1:
+        return None
+    return old.join(pieces[:nth + 1]) + new + old.join(pieces[nth + 1:])
+
+
 def run(name: str, root: Path) -> bool:
     """True when the tests went red under the mutant."""
-    file, old, new, nth, tests = MUTANTS[name]
+    patches, tests = sites(name)
     with tempfile.TemporaryDirectory() as tmp:
         for part in ("src", "tests"):
             shutil.copytree(root / part, Path(tmp, part),
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(root / "pyproject.toml", tmp)
-        target = Path(tmp, file)
-        pieces = target.read_text().split(old)
-        if len(pieces) <= nth + 1:
-            raise SystemExit(f"{name}: patch site {nth} not found in {file}")
-        target.write_text(old.join(pieces[:nth + 1]) + new
-                          + old.join(pieces[nth + 1:]))
+        for file, old, new, nth in patches:
+            target = Path(tmp, file)
+            text = patched(target.read_text(), old, new, nth)
+            if text is None:
+                raise SystemExit(
+                    f"{name}: patch site {nth} not found in {file}")
+            target.write_text(text)
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p",
              "no:cacheprovider", *tests.split()],

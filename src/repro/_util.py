@@ -14,10 +14,11 @@ def stable_seed(*parts: int | str) -> int:
     Used to key counter-based RNG streams per (seed, agent, step) so that
     agent decisions are independent of scheduling order.
     """
-    h = hashlib.blake2b(digest_size=8)
-    for p in parts:
-        h.update(str(p).encode())
-        h.update(b"\x1f")
+    # Each part's ``str`` and a unit separator, hashed in one call:
+    # ``tests/helpers.py::reference_stable_seed`` feeds the same bytes
+    # one ``update`` at a time, and must give the same seed.
+    h = hashlib.blake2b(("%s\x1f" * len(parts) % parts).encode(),
+                        digest_size=8)
     return int.from_bytes(h.digest(), "little") & (2**63 - 1)
 
 

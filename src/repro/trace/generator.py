@@ -56,6 +56,8 @@ def generate_trace(n_agents: int | None = None,
         n_agents = scn.agents_per_segment
     if n_agents < 1:
         raise TraceError("need at least one agent")
+    if n_steps < 0:
+        raise TraceError(f"n_steps must be >= 0, got {n_steps}")
     model = scn.model(n_agents, seed)
     world = model.world
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -33,6 +34,19 @@ def _meta(fields: dict, where: str) -> TraceMeta:
         raise TraceError(f"{where}: bad trace header: {exc}") from None
 
 
+def _savez(fh, **arrays) -> None:
+    """``np.savez_compressed`` at zlib level 1. Every cold set-up writes
+    each segment it simulates: a 25-agent segment to the end of the
+    busy hour takes ≈11 ms on a 2-core x86 container, ≈50 ms at the
+    default level, for a file about a fifth larger."""
+    with zipfile.ZipFile(fh, "w", zipfile.ZIP_DEFLATED,
+                         compresslevel=1) as archive:
+        for name, value in arrays.items():
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as out:
+                np.lib.format.write_array(out, np.asanyarray(value),
+                                          allow_pickle=False)
+
+
 def save_trace(trace: Trace, path: str | Path) -> None:
     """Write a trace as compressed npz — to a temp file beside ``path``,
     then renamed, so no reader ever finds a truncated file there.
@@ -50,7 +64,7 @@ def save_trace(trace: Trace, path: str | Path) -> None:
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("wb") as fh:
-            np.savez_compressed(
+            _savez(
                 fh, meta=json.dumps(asdict(trace.meta)),
                 positions_sa=trace.positions_by_step,
                 call_step=trace.call_step, call_agent=trace.call_agent,

@@ -3,6 +3,7 @@ shared across the scheduler, sharding, fault, and controller suites."""
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 from contextlib import contextmanager
 
@@ -289,6 +290,17 @@ def per_iteration_oracle():
         yield
     finally:
         serving_engine.make_replica = real
+
+
+def reference_stable_seed(*parts: int | str) -> int:
+    """``repro._util.stable_seed`` hashed part by part: one ``update``
+    per part and one per separator. The one-call hash must give the
+    same seed for every key."""
+    h = hashlib.blake2b(digest_size=8)
+    for p in parts:
+        h.update(str(p).encode())
+        h.update(b"\x1f")
+    return int.from_bytes(h.digest(), "little") & (2**63 - 1)
 
 
 def reference_ranking(events, now_step: int,

@@ -10,15 +10,19 @@ import pytest
 ROOT = Path(__file__).parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
 
-from mutants import MUTANTS  # noqa: E402
+from mutants import MUTANTS, patched, sites  # noqa: E402
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_patch_site_and_tests_exist(name):
-    file, old, new, nth, tests = MUTANTS[name]
-    assert old != new
-    assert (ROOT / file).read_text().count(old) > nth, \
-        f"{name}: patch site {nth} gone from {file}"
+    patches, tests = sites(name)
+    texts = {}
+    for file, old, new, nth in patches:
+        assert old != new
+        text = texts.get(file) or (ROOT / file).read_text()
+        texts[file] = patched(text, old, new, nth)
+        assert texts[file] is not None, \
+            f"{name}: patch site {nth} gone from {file}"
     paths = [token.split("::")[0] for token in tests.split()
              if token.startswith("tests/")]
     assert paths, f"{name} names no test file"

@@ -437,6 +437,13 @@ class TestGenerator:
         with pytest.raises(TraceError):
             generate_trace(0, 10)
 
+    def test_negative_steps_refused_by_name(self):
+        with pytest.raises(TraceError, match="n_steps"):
+            generate_trace(5, -3)
+        empty = generate_trace(5, 0)
+        assert empty.meta.n_steps == 0 and empty.n_calls == 0
+        assert empty.positions_by_step.shape == (1, 5, 2)
+
     def test_concatenated_sizes(self):
         t = generate_concatenated_trace(60, n_steps=50)
         assert t.meta.n_agents == 60
@@ -540,14 +547,14 @@ class TestTraceCache:
             fh.write(b"PK half an archive")
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(trace_io.np, "savez_compressed", dies_mid_write)
+        monkeypatch.setattr(trace_io, "_savez", dies_mid_write)
         with pytest.raises(KeyboardInterrupt):
             save_trace(synthetic_trace, path)
         assert list(tmp_path.iterdir()) == []
         monkeypatch.undo()
         save_trace(synthetic_trace, path)
         good = path.read_bytes()
-        monkeypatch.setattr(trace_io.np, "savez_compressed", dies_mid_write)
+        monkeypatch.setattr(trace_io, "_savez", dies_mid_write)
         with pytest.raises(KeyboardInterrupt):
             save_trace(synthetic_trace, path)  # the old file survives
         assert list(tmp_path.iterdir()) == [path]

@@ -15,7 +15,7 @@ from repro.config import STEPS_PER_DAY
 from repro.errors import WorldError
 from repro.scenarios import get_scenario, scenario_names
 from repro.world import (BehaviorModel, GridWorld, Venue, behavior,
-                         build_smallville, make_personas)
+                         build_smallville, make_personas, memory_stream)
 from repro.world.behavior import FUNC_INDEX, FUNCS
 from repro.world.memory_stream import MemoryEvent, MemoryStream
 from repro.world.pathfind import PathPlanner, astar
@@ -23,7 +23,7 @@ from repro.world.persona import SOCIAL_VENUES
 
 from helpers import (agent_snapshot, is_dwelling, reference_chat_pairs,
                      reference_distance_field, reference_ranking,
-                     reference_venue_at)
+                     reference_stable_seed, reference_venue_at)
 
 GRID_SCENARIOS = [name for name in scenario_names()
                   if get_scenario(name).metric != "graph"]
@@ -253,15 +253,18 @@ class TestMemoryStream:
 
 
 class TestMemoryRankingMemo:
-    """The memoised, table-driven ranking against the per-call full sort
-    it replaced (``helpers.reference_ranking``).
+    """The kept, table-driven ranking against the per-call full sort it
+    replaced (``helpers.reference_ranking``).
 
-    Mutations that must each fail ``test_matches_reference`` (scripted
-    in ``scripts/mutants.py``): dropping
-    the memo reset in ``add``; ``sort(reverse=True)`` on ``(score,
-    tokens)`` pairs without a key (equal scores then order by tokens,
-    not by stream position); ``_DECAY[age]`` without the sign guard (a
-    negative age indexes the table from its end).
+    Mutations that must each fail here (scripted in
+    ``scripts/mutants.py``): ``add`` not counting the event (the kept
+    ranking misses it); ties ordered by tokens, not by stream position;
+    ``_DECAY[age]`` without the sign guard (a negative age indexes the
+    table from its end); the one-keyword shortcut scoring a hit 1.0 or
+    taken for two keywords; and, in the reuse, the age-range test
+    skipped, every class pair taken as shift-safe, appended events
+    inserted with ``bisect_left`` (before equal keys), or token sums kept
+    through a carry that changed the order.
     """
 
     KEYWORDS = ("lunch", "working", "Ada", "Bo", "conversation")
@@ -327,6 +330,146 @@ class TestMemoryRankingMemo:
             assert all(g is w for g, w in zip(got, want))
             assert len(got) == 64
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_reuse_matches_reference(self, seed, monkeypatch):
+        """One query held for stretches while ``now`` advances and events
+        arrive: rankings are carried forward, with evictions between
+        them, and bursts that evict events appended since the last
+        ranking; ages cross 4000 and some events are stamped ahead."""
+        sorts = _count_full_sorts(monkeypatch)
+        rnd = random.Random(100 + seed)
+        window = rnd.choice([4, 8, 64])
+        stream = MemoryStream(window=window)
+        shadow = deque(maxlen=window)
+        now, rankings = 3000, 0
+        for phase in range(12):
+            query = frozenset(rnd.sample(self.KEYWORDS, rnd.randrange(3)))
+            # Every third phase also stamps events ahead of now or
+            # almost 4000 steps back: each blocks reuse while it is held.
+            ages = [0] * 8 + [1, 5, 40] + [-3, 3990] * (phase % 3 == 0)
+            for _ in range(60):
+                burst = rnd.choice([0] * 4 + [1] * 4 + [2] * 3 + [window + 1])
+                for _ in range(burst):
+                    event = MemoryEvent(
+                        step=now - rnd.choice(ages),
+                        kind="observation",
+                        keywords=frozenset(rnd.sample(self.KEYWORDS, 2)),
+                        importance=rnd.choice([0.15, 0.6]),
+                        tokens=rnd.randrange(20, 80))
+                    stream.add(event)
+                    shadow.append(event)
+                now += rnd.choice([0, 1, 1, 3, 15])
+                want = reference_ranking(shadow, now, query)
+                top_k = rnd.choice([1, 2, 4])
+                assert stream.retrieved_tokens(now, query, top_k=top_k) \
+                    == sum(e.tokens for e in want[:top_k])
+                got = stream.retrieve(now, query, top_k=window)
+                rankings += 1
+                assert len(got) == len(want)
+                assert all(g is w for g, w in zip(got, want)), (phase, now)
+        assert sorts[0] < rankings // 2  # most rankings were carried
+
+    def test_carried_across_steps_and_appends(self, monkeypatch):
+        """The generator's pattern: one query, ``now`` advancing, an
+        event or two appended between rankings, the window full."""
+        sorts = _count_full_sorts(monkeypatch)
+        stream = MemoryStream(window=8)
+        shadow = deque(maxlen=8)
+        query = frozenset({"lunch"})
+        for step in range(100, 400):
+            if step % 3 == 0:
+                event = MemoryEvent(step, "observation",
+                                    frozenset({"lunch", "Bo"} if step % 2
+                                              else {"Ada", "Bo"}),
+                                    0.15, tokens=step)
+                stream.add(event)
+                shadow.append(event)
+            got = stream.retrieve(step, query, top_k=8)
+            assert got == reference_ranking(shadow, step, query)
+        assert sorts[0] == 3  # two of the empty stream, the first event
+
+    def test_appended_then_evicted_before_ranking(self):
+        stream = MemoryStream(window=4)
+        first = [MemoryEvent(10 + i, "plan", frozenset({"a"}), 0.5, tokens=i)
+                 for i in range(4)]
+        for event in first:
+            stream.add(event)
+        stream.retrieve(20, frozenset({"a"}), top_k=4)
+        later = [MemoryEvent(20 + i, "plan", frozenset({"b"} if i % 2 else
+                                                       {"a"}), 0.5,
+                             tokens=10 + i) for i in range(5)]
+        for event in later:  # all four ranked ones and later[0] evicted
+            stream.add(event)
+        got = stream.retrieve(30, frozenset({"a"}), top_k=4)
+        want = reference_ranking(later[1:], 30, frozenset({"a"}))
+        assert [e.tokens for e in got] == [e.tokens for e in want]
+        assert all(g is w for g, w in zip(got, want))
+
+    def test_aging_past_the_table_forces_full_sort(self, monkeypatch):
+        """An age reaching 4000 between two rankings zeroes a score: no
+        shift keeps that order."""
+        sorts = _count_full_sorts(monkeypatch)
+        stream = MemoryStream()
+        old = MemoryEvent(100, "plan", frozenset({"a"}), 0.6, tokens=1)
+        new = MemoryEvent(2000, "plan", frozenset({"b"}), 0.15, tokens=2)
+        for event in (old, new):
+            stream.add(event)
+        query = frozenset({"a"})
+        assert stream.retrieve(4095, query, 2) == [old, new]
+        assert stream.retrieve(4105, query, 2) == [new, old]
+        assert sorts[0] == 2
+
+    def test_event_ahead_of_now_forces_full_sort(self, monkeypatch):
+        sorts = _count_full_sorts(monkeypatch)
+        stream = MemoryStream()
+        events = [MemoryEvent(step, "plan", frozenset({"a"}), 0.15, tokens=i)
+                  for i, step in enumerate((4000, 4100, 4090))]
+        for event in events:
+            stream.add(event)
+        query = frozenset({"a"})
+        for now in (4105, 4095, 4098):  # step 4100: 5 old, 5 and 2 ahead
+            assert stream.retrieve(now, query, 3) == \
+                reference_ranking(events, now, query)
+        assert sorts[0] == 3
+
+    def test_near_tie_pair_takes_full_sort(self, monkeypatch):
+        """Two classes whose importance ratio is ``0.999 ** -k`` in
+        floats score within rounding of each other at every age k apart,
+        and which ranks first flips with the shift: the guard refuses
+        the pair, and the second ranking is a full sort."""
+        k, low = 1, 0.1
+        high = (0.5 + low) * 0.999 ** -k - 0.5
+        assert (0.5 + high) / (0.5 + low) == 0.999 ** -k
+        a, shift = self._flip(low, high, k)
+        sorts = _count_full_sorts(monkeypatch)
+        stream = MemoryStream()
+        now = 5000
+        far = MemoryEvent(now - a - k, "plan", frozenset(), high, tokens=1)
+        near = MemoryEvent(now - a, "plan", frozenset(), low, tokens=2)
+        for event in (far, near):
+            stream.add(event)
+        first = stream.retrieve(now, frozenset(), 2)
+        second = stream.retrieve(now + shift, frozenset(), 2)
+        assert first == reference_ranking([far, near], now, frozenset())
+        assert second == reference_ranking([far, near], now + shift,
+                                           frozenset())
+        assert first[0] is not second[0]
+        assert sorts[0] == 2
+
+    @staticmethod
+    def _flip(low, high, k):
+        """An age ``a`` and a shift that change which of the pair ranks
+        first (the one ``k`` steps older wins ties: it came first)."""
+        def near_first(age):
+            near = MemoryStream.RECENCY_DECAY ** age * (0.5 + low)
+            far = MemoryStream.RECENCY_DECAY ** (age + k) * (0.5 + high)
+            return near > far
+        for a in range(100, 3000):
+            for shift in range(1, 50):
+                if near_first(a + shift) != near_first(a):
+                    return a, shift
+        raise AssertionError("no flip found")
+
     def test_future_event_outranks_the_present(self):
         """Age -5 scores ``0.999 ** -5`` > 1, not the table's far end."""
         m = MemoryStream()
@@ -336,14 +479,85 @@ class TestMemoryRankingMemo:
             [105, 100, 95]
 
 
+#: The importances ``BehaviorModel`` writes (observation, reflection,
+#: plan, chat); with a one-keyword query's relevances 1.1 and 0.1 they
+#: are the eight classes the generator ranks.
+BEHAVIOR_IMPORTANCES = frozenset({0.15, 0.4, 0.5, 0.6})
+
+
+def _order_kept_at_every_shift(c1, r1, c2, r2) -> bool:
+    """Brute force: for every two ages in [0, 4000), one event of class
+    ``(c1, r1)`` and one of ``(c2, r2)`` compare alike (less, equal or
+    greater) at every common shift of both ages that stays in range."""
+    decay = np.array(memory_stream._DECAY)
+    # The ranking's own float expression, element by element.
+    k1 = -(decay * c1 * r1)
+    k2 = -(decay * c2 * r2)
+    n = len(decay)
+    for r0 in range(0, n - 1, 500):
+        rows = k1[r0:min(r0 + 501, n), None]
+        for cmp in (np.less, np.greater):
+            rel = cmp(rows, k2)  # rel[a, b]: ages (r0 + a, b)
+            if not (rel[:-1, :-1] == rel[1:, 1:]).all():
+                return False
+    return True
+
+
+@pytest.mark.nightly
+def test_behavior_classes_keep_order_at_every_shift():
+    """The reuse guard against brute force (a few seconds): the model
+    writes only ``BEHAVIOR_IMPORTANCES`` through the lunch hour, every
+    pair of the eight classes keeps its order at every shift, the guard
+    passes them all, and it refuses a near-tie pair that brute force
+    shows flipping."""
+    model = get_scenario("smallville").model(25, 7)
+    for step in range(4700):
+        model.step_all(step)
+    seen = frozenset().union(*(a.memory._importances for a in model.agents))
+    assert seen == BEHAVIOR_IMPORTANCES
+    classes = sorted((0.5 + i, r) for i in BEHAVIOR_IMPORTANCES
+                     for r in (1.1, 0.1))
+    for a, (c1, r1) in enumerate(classes):
+        for c2, r2 in classes[a:]:
+            assert _order_kept_at_every_shift(c1, r1, c2, r2), (c1, r1, c2, r2)
+            if (c1, r1) != (c2, r2):
+                assert memory_stream._pair_shift_safe(c1 * r1, c2 * r2)
+    assert memory_stream._shift_safe(BEHAVIOR_IMPORTANCES, 1)
+    high = 0.6 * 0.999 ** -1
+    assert not _order_kept_at_every_shift(0.6, 1.0, high, 1.0)
+    assert not memory_stream._pair_shift_safe(0.6, high)
+
+
+def _count_full_sorts(monkeypatch) -> list[int]:
+    """Count ``MemoryStream``'s full sorts (its only ``sorted`` call)."""
+    count = [0]
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return sorted(*args, **kwargs)
+    monkeypatch.setattr(memory_stream, "sorted", counted, raising=False)
+    return count
+
+
 class TestLazyStreams:
     def test_lazy_stream_equals_eager(self):
-        for parts in ((0, "beh", 3, 17), (9, "chat", 1, 2, 4400), ("x",), ()):
+        for parts in ((0, "beh", 3, 17), (9, "chat", 1, 2, 4400),
+                      (9, "turn", 1, 2, 4400, 2), (-3, "beh", -1, -40),
+                      ("s", "turn", "a", -2, "b"), (7, "chat"), ("x",), ()):
             lazy, eager = fast_rng_for(*parts), FastRng(stable_seed(*parts))
             assert [lazy.random() for _ in range(3)] == \
                 [eager.random() for _ in range(3)]
             assert [lazy.integers(2, 90) for _ in range(3)] == \
                 [eager.integers(2, 90) for _ in range(3)]
+
+    @pytest.mark.parametrize("parts", [
+        (0, "beh", 3, 17), (9, "chat", 1, 2, 4400),
+        (9, "turn", 1, 2, 4400, 2), (-3, "beh", -1, -40),
+        ("s", "turn", "a", -2, "b"), (7, "spawn", 0), ("x",), ()])
+    def test_stable_seed_is_the_per_part_hash(self, parts):
+        """One ``blake2b`` call over the joined parts is the seed the
+        per-part updates gave, for every stream tag the model keys."""
+        assert stable_seed(*parts) == reference_stable_seed(*parts)
 
     def test_sleeping_night_hashes_nothing(self, monkeypatch):
         from repro.scenarios import get_scenario
@@ -504,6 +718,9 @@ class TestSleepersSkipped:
 
     def test_deepcopy_mid_day_steps_identically(self):
         model = _warm_model(2350)
+        # The copy carries kept rankings, not only events.
+        assert sum(a.memory._ranked_for is not None
+                   for a in model.agents) > 5
         twin = copy.deepcopy(model)
         for step in range(2350, 2700):
             assert twin.step_all(step) == model.step_all(step)
