@@ -2,7 +2,6 @@
 
 * distance metric (§6 generality),
 * perception-radius sensitivity of the conservative rules,
-* fluid vs per-iteration serving fidelity (our substrate),
 * worker-pool sizing (§3.6).
 """
 
@@ -21,11 +20,6 @@ def test_ablation_perception_radius(benchmark, experiment_runner):
     radii = sorted(data)
     # Wider perception -> more coupling/blocking -> no faster.
     assert data[radii[0]] <= data[radii[-1]] * 1.02
-
-
-def test_ablation_serving_fidelity(benchmark, experiment_runner):
-    data = experiment_runner("ablation_fidelity", benchmark)
-    assert data["gap_pct"] < 2.0  # fluid mode is a faithful fast path
 
 
 def test_ablation_worker_pool(benchmark, experiment_runner):

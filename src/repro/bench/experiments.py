@@ -309,16 +309,15 @@ def fig2(full: bool = False,
 # ---------------------------------------------------------------------------
 
 def _busy_hour_sweep(scenario: str | None, values, scheduler=None,
-                     serving=None, steps: int = STEPS_PER_HOUR
-                     ) -> list[tuple[object, object]]:
-    """One metropolis replay of the first ``steps`` of the scenario's
-    busy hour on one L4 per value of one axis: ``scheduler(value)`` /
-    ``serving(value)`` give the config fields the value sets. Returns
-    ``(value, result)`` pairs."""
+                     serving=None) -> list[tuple[object, object]]:
+    """One metropolis replay of the scenario's busy hour on one L4 per
+    value of one axis: ``scheduler(value)`` / ``serving(value)`` give
+    the config fields the value sets. Returns ``(value, result)``
+    pairs."""
     scn = get_scenario(scenario or scenario_default())
     start = scn.busy_hour * STEPS_PER_HOUR
-    trace = cached_day_trace(seed=0, scenario=scn).window(start,
-                                                          start + steps)
+    trace = cached_day_trace(seed=0, scenario=scn).window(
+        start, start + STEPS_PER_HOUR)
     base = serving_for("l4-8b", 1)
     return [(value, run_replay(
         trace, SchedulerConfig(policy="metropolis", scenario=scn.name,
@@ -362,25 +361,6 @@ def ablation_radius(full: bool = False,
              "trace itself was generated at radius 4 (GenAgent)")
     return ExperimentResult("ablation_radius", table,
                             {p: r.completion_time for p, r in runs})
-
-
-def ablation_fidelity(full: bool = False,
-                      scenario: str | None = None) -> ExperimentResult:
-    """Fluid vs per-iteration serving simulation agreement."""
-    runs = _busy_hour_sweep(scenario, ("fluid", "iteration"),
-                            serving=lambda f: {"fidelity": f},
-                            steps=360 if full else 90)
-    data = {fidelity: r.completion_time for fidelity, r in runs}
-    gap = abs(data["fluid"] - data["iteration"]) / data["iteration"] * 100
-    table = format_table(
-        "ablation: serving-simulation fidelity (metropolis)",
-        ["fidelity", "time (s)", "parallelism"],
-        [[fidelity, round(r.completion_time, 2),
-          round(r.achieved_parallelism, 2)] for fidelity, r in runs],
-        note=f"relative completion-time gap {gap:.2f}% (fluid mode is the "
-             f"O(log n) fast path used at 1000-agent scale)")
-    data["gap_pct"] = gap
-    return ExperimentResult("ablation_fidelity", table, data)
 
 
 def ablation_workers(full: bool = False,
@@ -477,7 +457,6 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "table1": table1,
     "ablation_metric": ablation_metric,
     "ablation_radius": ablation_radius,
-    "ablation_fidelity": ablation_fidelity,
     "ablation_workers": ablation_workers,
     "ablation_interactive": ablation_interactive,
     "ablation_prefix_cache": ablation_prefix_cache,

@@ -108,14 +108,14 @@ def _ceilings(scans: float, events_total: float, slots_per_scan: float,
 #: 1.47 / 0.74 / 0.52 driver events (each row's worst cell before that
 #: launch went), past every row.
 COUNT_CEILINGS: dict[str, dict[str, float]] = {
-    # 0.0760 / 1.652 / 17.17 / 0.686
-    "market-town": _ceilings(0.095, 2.07, 21.5, 0.857),
-    # 0.0704 / 2.561 / 26.74 / 0.903
-    "metro-grid": _ceilings(0.088, 3.21, 33.5, 1.129),
-    # 0.0683 / 0.944 / 32.05 / 0.430
+    # 0.0760 / 1.405 / 17.16 / 0.630
+    "market-town": _ceilings(0.095, 1.76, 21.5, 0.788),
+    # 0.0704 / 2.576 / 26.74 / 0.885
+    "metro-grid": _ceilings(0.088, 3.21, 33.5, 1.106),
+    # 0.0683 / 0.945 / 32.07 / 0.421
     "smallville": _ceilings(0.0853, 1.19, 40.1, 0.537),
-    # 0.1184 / 0.825 / 22.75 / 0.314
-    "social-graph": _ceilings(0.148, 1.04, 28.5, 0.392),
+    # 0.1184 / 0.870 / 22.75 / 0.307
+    "social-graph": _ceilings(0.148, 1.04, 28.5, 0.384),
 }
 #: Worker processes for the multiprocess scale cells.
 PARALLEL_WORKERS = 4

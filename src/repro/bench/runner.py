@@ -21,8 +21,19 @@ PLATFORMS: dict[str, dict] = {
 
 
 def serving_for(platform: str, num_gpus: int,
-                fidelity: str = "fluid") -> ServingConfig:
-    """Deployment shape for ``num_gpus`` of a platform (DP x TP)."""
+                fidelity: str = "iteration") -> ServingConfig:
+    """Deployment shape for ``num_gpus`` of a platform (DP x TP).
+
+    Every deployment decodes through the one iteration-level replica.
+    ``fidelity`` stays only because the frozen
+    ``benchmarks/e2e/workloads.py`` passes ``"fluid"`` or
+    ``"iteration"`` positionally: both names build the same deployment,
+    any other is refused. The benchmark's next revision drops it.
+    """
+    if fidelity not in ("fluid", "iteration"):
+        raise ConfigError(
+            f"unknown fidelity {fidelity!r}; 'fluid' and 'iteration' "
+            f"are accepted and both build the iteration replica")
     try:
         spec = PLATFORMS[platform]
     except KeyError:
@@ -34,7 +45,7 @@ def serving_for(platform: str, num_gpus: int,
         raise ConfigError(
             f"{platform}: {num_gpus} GPUs not divisible by tp={tp}")
     return ServingConfig(model=spec["model"], gpu=spec["gpu"],
-                         dp=num_gpus // tp, tp=tp, fidelity=fidelity)
+                         dp=num_gpus // tp, tp=tp)
 
 
 @dataclass(frozen=True)
@@ -52,7 +63,6 @@ class PolicyOutcome:
 def run_policies(trace: Trace, platform: str, num_gpus: int,
                  policies: Sequence[str],
                  priority: bool = True,
-                 fidelity: str = "fluid",
                  num_workers: int = 0,
                  scenario: str | None = None) -> dict[str, PolicyOutcome]:
     """Replay ``trace`` under each policy on the given deployment.
@@ -60,7 +70,7 @@ def run_policies(trace: Trace, platform: str, num_gpus: int,
     ``scenario`` labels the run's workload in the scheduler config; it
     defaults to the scenario recorded in the trace metadata.
     """
-    serving = serving_for(platform, num_gpus, fidelity)
+    serving = serving_for(platform, num_gpus)
     scenario = scenario or trace.meta.scenario
     out: dict[str, PolicyOutcome] = {}
     for policy in policies:

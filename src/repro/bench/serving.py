@@ -2,13 +2,13 @@
 
 Where ``repro-bench hotpath`` measures the controller alone, this matrix
 measures what the paper actually reports (Fig. 4-7): end-to-end
-throughput of the whole stack — OOO scheduler, cluster-granular fluid
+throughput of the whole stack — OOO scheduler, cluster-granular
 executor, and the simulated serving engine — on each registered world's
-declared deployment (its :class:`~repro.serving.ServingProfile`). Four
+declared deployment (its :class:`~repro.serving.ServingProfile`). Three
 cells per scenario:
 
-* ``fluid`` — the headline run: fluid replicas at the profile's full KV
-  budget, invocation-distance retention on.
+* ``full-kv`` — the headline run at the profile's full KV budget,
+  invocation-distance retention on.
 * ``kv-distance`` — the profile's ``kv_pressure_fraction`` shrinks the
   KV cache until retained segments compete for space; eviction keyed on
   the scheduler's invocation-distance prediction.
@@ -18,13 +18,10 @@ cells per scenario:
   stepping is LRU's cyclic worst case (it evicts exactly the
   next-needed agent), while the trace lookahead keeps the agents whose
   next call is nearest.
-* ``iteration`` — the ``kv-distance`` deployment at the reference
-  fidelity (``fidelity="iteration"``). It keeps the fluid model honest
-  (its ``tokens_per_s`` must stay within ``MAX_FIDELITY_GAP`` of the
-  ``kv-distance`` sibling) and the reference replica cheap: every entry
-  reports ``serving_events_per_call``, the kernel events scheduled
-  below the driver per LLM call, and this cell gates it — events follow
-  batch changes, not output tokens.
+
+Every entry reports ``serving_events_per_call``, the kernel events
+scheduled below the driver per LLM call, and every cell gates it:
+events follow batch changes, not output tokens.
 
 The headline metric, **end-to-end tokens per virtual second**
 (`tokens_per_s`), is deterministic — virtual completion times do not
@@ -54,27 +51,23 @@ SERVING_SEED = 0
 #: The committed reference run, found from the source tree (not the cwd).
 BASELINE_PATH = Path(__file__).resolve().parents[3] / "BENCH_serving.json"
 #: The per-scenario matrix cells (see module docstring).
-CELLS = ("fluid", "kv-distance", "kv-lru", "iteration")
+CELLS = ("full-kv", "kv-distance", "kv-lru")
 #: Virtual tokens/s is deterministic; the ratio bar only absorbs float
 #: noise across numpy/python versions, not machine speed.
 MIN_TOKENS_RATIO = 0.95
-#: Ceiling on an ``iteration`` cell's ``serving_events_per_call``: 25%
-#: above the worst cell measured (social-graph, 4.41). Exact, so never
-#: retried; one event per decode iteration reads 6.2-12.5 on the four.
+#: Ceiling on every cell's ``serving_events_per_call``: 16% above the
+#: worst cell measured (market-town's ``full-kv``, 4.72). Exact, so
+#: never retried; one event per decode iteration reads 6.2-12.5.
 MAX_SERVING_EVENTS_PER_CALL = 5.5
-#: How far an ``iteration`` cell's tokens/s may sit from its fluid
-#: ``kv-distance`` sibling's.
-MAX_FIDELITY_GAP = 0.05
 
 
 def _cell_config(profile, cell: str) -> ServingConfig:
     """The deployment for one matrix cell of a scenario's profile."""
-    fluid = replace(serving_for(profile.platform, profile.gpus,
-                                profile.fidelity), kv_policy="distance")
-    starved = replace(fluid, kv_memory_fraction=profile.kv_pressure_fraction)
-    configs = {"fluid": fluid, "kv-distance": starved,
-               "kv-lru": replace(starved, kv_policy="lru"),
-               "iteration": replace(starved, fidelity="iteration")}
+    full = replace(serving_for(profile.platform, profile.gpus),
+                   kv_policy="distance")
+    starved = replace(full, kv_memory_fraction=profile.kv_pressure_fraction)
+    configs = {"full-kv": full, "kv-distance": starved,
+               "kv-lru": replace(starved, kv_policy="lru")}
     if cell not in configs:
         raise ScenarioError(f"unknown serving bench cell {cell!r}")
     return configs[cell]
@@ -177,12 +170,10 @@ def check_serving_report(report: dict,
     baseline counterpart (a baseline missing a cell fails loudly, so
     new scenarios force a baseline regeneration); end-to-end tokens/s
     within ``min_tokens_ratio`` of baseline; KV-constrained distance cells
-    actually hit their retained segments; ``iteration`` cells stay
-    under ``MAX_SERVING_EVENTS_PER_CALL`` and within
-    ``MAX_FIDELITY_GAP`` of their fluid ``kv-distance`` sibling; and
-    invocation-distance eviction beats LRU on at least one
-    KV-constrained cell overall. ``required_cells`` defaults to the
-    cells the report says it ran.
+    actually hit their retained segments; every cell stays under
+    ``MAX_SERVING_EVENTS_PER_CALL``; and invocation-distance eviction
+    beats LRU on at least one KV-constrained cell overall.
+    ``required_cells`` defaults to the cells the report says it ran.
     """
     entries = report["entries"]
     if required_cells is None:
@@ -206,20 +197,12 @@ def check_serving_report(report: dict,
             failures.append(
                 f"{label}: zero KV retention hits — the "
                 f"invocation-distance policy is not engaging")
-        if entry["cell"] == "iteration":
-            events = entry["serving_events_per_call"]
-            if events > MAX_SERVING_EVENTS_PER_CALL:
-                failures.append(
-                    f"{label}: {events:.2f} serving events per call, "
-                    f"above the {MAX_SERVING_EVENTS_PER_CALL} ceiling — "
-                    f"decode is paying per token again")
-            fluid = by_cell.get((entry["scenario"], "kv-distance"))
-            if fluid and abs(entry["tokens_per_s"] / fluid["tokens_per_s"]
-                             - 1.0) > MAX_FIDELITY_GAP:
-                failures.append(
-                    f"{label}: {entry['tokens_per_s']:.0f} tokens/s is "
-                    f"more than {MAX_FIDELITY_GAP:.0%} from the fluid "
-                    f"kv-distance cell's {fluid['tokens_per_s']:.0f}")
+        events = entry["serving_events_per_call"]
+        if events > MAX_SERVING_EVENTS_PER_CALL:
+            failures.append(
+                f"{label}: {events:.2f} serving events per call, "
+                f"above the {MAX_SERVING_EVENTS_PER_CALL} ceiling — "
+                f"decode is paying per token again")
     # The headline claim: distance-aware eviction must beat LRU on at
     # least one KV-constrained cell.
     wins = []
@@ -251,7 +234,7 @@ SERVING_COLUMNS = (
     Column("vs-base", ">9", "{:.2f}x", "tokens_ratio_vs_baseline"))
 PROFILE_COLUMNS = (
     Column("scenario", "<14"), Column("platform", "<13"),
-    Column("gpus", ">5"), Column("fidelity", ">10"),
+    Column("gpus", ">5"),
     Column("prompt", ">8", "{:.0f}", "mean_prompt_tokens"),
     Column("output", ">8", "{:.0f}", "mean_output_tokens"),
     Column("kv-press", ">9", "{:.2f}", "kv_pressure_fraction"),

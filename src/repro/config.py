@@ -233,10 +233,6 @@ class ServingConfig:
     dp: int = 1
     #: Tensor-parallel degree within each replica.
     tp: int = 1
-    #: ``iteration`` sums every decode iteration's latency (exact under
-    #: the performance model); ``fluid`` integrates it in closed form
-    #: between batch-composition changes (no per-token work, ~2% off).
-    fidelity: Literal["fluid", "iteration"] = "fluid"
     #: Order the waiting queue by request priority (simulation step).
     priority_scheduling: bool = True
     #: Fraction of post-weights GPU memory usable for KV cache.

@@ -7,11 +7,9 @@ roofline performance model, paged-KV memory admission, priority-aware
 queueing, and data-/tensor-parallel deployment — as a deterministic
 discrete-event simulation.
 
-Two fidelities are provided and tested against each other:
-
-* ``iteration`` — simulates every decode iteration / prefill burst.
-* ``fluid`` — advances an equivalent shared token clock between batch
-  composition changes (O(log n) events; used for 1000-agent benches).
+Replicas are :class:`~repro.serving.replica.IterationReplica`: exact
+per-iteration decode arithmetic, one kernel event per batch-composition
+change.
 """
 
 from .engine import ServingEngine

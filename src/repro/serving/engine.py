@@ -26,7 +26,7 @@ from ..errors import ServingError
 from .metrics import EngineMetrics
 from .perfmodel import PerfModel
 from .profiles import get_gpu, get_model
-from .replica import make_replica
+from .replica import IterationReplica
 from .request import LLMRequest
 
 #: One cluster-batch entry: (agent_id, prompt, output, priority,
@@ -47,17 +47,7 @@ class ServingEngine:
             kv_memory_fraction=config.kv_memory_fraction)
         self.metrics = EngineMetrics()
         self._distance_provider: Optional[Callable[[int], float]] = None
-        self.replicas = [
-            make_replica(
-                config.fidelity, kernel, self.perf, replica_id=i,
-                priority_scheduling=config.priority_scheduling,
-                max_running_requests=config.max_running_requests,
-                on_request_finish=self._record_finish,
-                prefix_cache_hit_rate=config.prefix_cache_hit_rate,
-                kv_policy=config.kv_policy,
-                distance_fn=self._agent_distance)
-            for i in range(config.dp)
-        ]
+        self.replicas = [self._new_replica(i) for i in range(config.dp)]
         self._rr = 0
         self._id_counter = 0
         # Blackout accounting: counters of dead replicas are carried so
@@ -202,15 +192,7 @@ class ServingEngine:
         for key, value in dead.kv.stats().items():
             self._carry_kv_stats[key] = \
                 self._carry_kv_stats.get(key, 0) + value
-        self.replicas[replica_id] = make_replica(
-            self.config.fidelity, self.kernel, self.perf,
-            replica_id=replica_id,
-            priority_scheduling=self.config.priority_scheduling,
-            max_running_requests=self.config.max_running_requests,
-            on_request_finish=self._record_finish,
-            prefix_cache_hit_rate=self.config.prefix_cache_hit_rate,
-            kv_policy=self.config.kv_policy,
-            distance_fn=self._agent_distance)
+        self.replicas[replica_id] = self._new_replica(replica_id)
         self.replica_blackouts += 1
         for request in orphans:
             # Internal re-route: the request was already counted by
@@ -222,6 +204,18 @@ class ServingEngine:
         return len(orphans)
 
     # -- internals -------------------------------------------------------
+
+    def _new_replica(self, replica_id: int) -> IterationReplica:
+        """An empty replica in slot ``replica_id`` of this deployment."""
+        config = self.config
+        return IterationReplica(
+            self.kernel, self.perf, replica_id,
+            priority_scheduling=config.priority_scheduling,
+            max_running_requests=config.max_running_requests,
+            on_request_finish=self._record_finish,
+            prefix_cache_hit_rate=config.prefix_cache_hit_rate,
+            kv_policy=config.kv_policy,
+            distance_fn=self._agent_distance)
 
     def _next_id(self) -> int:
         self._id_counter += 1

@@ -102,8 +102,6 @@ class ServingProfile:
     platform: str = "l4-8b"
     #: Total GPUs for the deployment (split into dp x tp by the runner).
     gpus: int = 1
-    #: Replica fidelity for end-to-end runs.
-    fidelity: str = "fluid"
     #: Expected mean prompt / output tokens per call for this world's
     #: behaviour model (documentation + sanity checks, not a control).
     mean_prompt_tokens: float = 640.0

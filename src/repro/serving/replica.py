@@ -1,6 +1,6 @@
-"""Continuous-batching replica simulation, in two fidelities.
+"""Continuous-batching replica simulation.
 
-Both replicas implement the same engine behaviour:
+:class:`IterationReplica` models one SGLang engine process:
 
 * a waiting queue ordered by ``(priority, arrival)`` — or pure FCFS when
   priority scheduling is off (Table 1 ablation);
@@ -9,10 +9,10 @@ Both replicas implement the same engine behaviour:
   prefill, as in the SGLang version the paper uses);
 * iteration-level (continuous) batching for decode.
 
-:class:`IterationReplica` is exact under the performance model: it sums
-every decode iteration's latency in order (arithmetic per iteration) but
-schedules one kernel event per batch *composition change* — a finish, or
-an arrival the queue can admit — because between two changes the batch
+It is exact under the performance model: it sums every decode
+iteration's latency in order (arithmetic per iteration) but schedules
+one kernel event per batch *composition change* — a finish, or an
+arrival the queue can admit — because between two changes the batch
 size is constant and the boundaries up to the next finish can be planned
 at once. Its floats are those of a one-event-per-iteration engine
 (``tests/helpers.py::PerIterationReplica``, the oracle). A planned
@@ -22,31 +22,19 @@ takes exactly symmetric clocks (identical prompts at one instant), which
 generated traces never have. ``busy_time`` is folded when a window ends:
 exact when the replica is idle, at every batch change and after
 :meth:`~_BaseReplica.drain`; in between it lags by the window in flight.
-
-:class:`FluidReplica` exploits that all sequences in a decode batch emit
-exactly one token per iteration: a shared *token clock* ``tau`` counts
-decode iterations, each running sequence finishes at a fixed
-``tau_done = tau_admit + output_tokens``, and real time between batch
-composition changes is the closed-form integral of the iteration latency
-(linear in the growing KV footprint, hence quadratic in ``tau``). This
-gives O(log n) work per request instead of per token and is validated
-against :class:`IterationReplica` in the test suite.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from bisect import bisect_right
 from typing import Callable, Optional
 
 from ..devent import Event, Kernel
-from ..errors import ServingError
 from .memory import KVCacheManager
 from .perfmodel import PerfModel
 from .request import LLMRequest, RequestState
 
-_EPS = 1e-9
 #: Most decode iterations :class:`IterationReplica` plans ahead; a window
 #: that ends without a finish just plans the next stretch, so planning
 #: stays linear in the iterations executed however often it is cut.
@@ -54,7 +42,7 @@ _PLAN_CAP = 64
 
 
 class _BaseReplica:
-    """Shared queueing/admission machinery."""
+    """Queueing/admission machinery, shared with the test oracle."""
 
     def __init__(self, kernel: Kernel, perf: PerfModel, replica_id: int,
                  priority_scheduling: bool = True,
@@ -306,125 +294,6 @@ class IterationReplica(_BaseReplica):
         return admitted
 
 
-class FluidReplica(_BaseReplica):
-    """Token-clock simulation, exact at batch-change granularity."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        #: token clock and the instant it (and ``_kv_context``) stood there
-        self._tau = 0.0
-        self._last_sync = 0.0
-        self._event = None
-        #: pending prefill-end event (separate from ``_event`` so
-        #: ``_reschedule`` never cancels it); a blackout must.
-        self._prefill_event = None
-
-    # -- fluid decode dynamics -----------------------------------------
-
-    def _iteration_cost_coeffs(self) -> tuple[float, float, float]:
-        """Return (a, kvr, B): iteration time = a + kv * kvr, batch B."""
-        B = len(self._running)
-        return self._decode_base(B), self._kvr, B
-
-    def _time_for_dtau(self, dtau: float) -> float:
-        """Real seconds to advance the token clock by ``dtau``."""
-        a, kvr, B = self._iteration_cost_coeffs()
-        # kv grows linearly at rate B per unit tau; integrate a + kv*kvr.
-        return dtau * (a + kvr * (self._kv_context + B * dtau / 2.0))
-
-    def _dtau_for_time(self, dt: float) -> float:
-        """Inverse of :meth:`_time_for_dtau` (quadratic root)."""
-        a, kvr, B = self._iteration_cost_coeffs()
-        lin = a + kvr * self._kv_context
-        quad = kvr * B / 2.0
-        if quad <= _EPS:
-            return dt / lin
-        disc = lin * lin + 4.0 * quad * dt
-        return (-lin + math.sqrt(disc)) / (2.0 * quad)
-
-    def _sync(self) -> None:
-        """Advance the token clock to the current instant."""
-        now = self.kernel.now
-        if self._prefilling is not None or not self._running:
-            self._last_sync = now
-            return
-        dt = now - self._last_sync
-        if dt > _EPS:
-            dtau = self._dtau_for_time(dt)
-            B = len(self._running)
-            self._tau += dtau
-            self._kv_context += B * dtau
-            self.busy_time += dt
-        self._last_sync = now
-
-    # -- scheduling ------------------------------------------------------
-
-    def _on_state_change(self) -> None:
-        self._sync()
-        self._reschedule()
-
-    def _cancel_event(self) -> None:
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-
-    def _reschedule(self) -> None:
-        self._cancel_event()
-        if self._prefilling is not None:
-            # Decode is paused; the pending prefill-end event (scheduled
-            # outside ``_event``, so never cancelled here) drives the next
-            # action.
-            return
-        request = self._peek_admissible()
-        if request is not None:
-            self._prefill_event = self._start_prefill(request)
-            return
-        if self._running:
-            tau_next = self._running[0][0]
-            dt = self._time_for_dtau(max(tau_next - self._tau, 0.0))
-            self._event = self.kernel.call_in(dt, self._completions_due, tau_next)
-        # else: idle
-
-    def _prefill_done(self, request: LLMRequest) -> None:
-        self._prefill_event = None
-        self._last_sync = self.kernel.now  # decode resumes now
-        self._start_decode(request, self._tau)
-        self._reschedule()
-
-    def _completions_due(self, tau_target: float) -> None:
-        self._event = None
-        # Land exactly on the target to avoid float drift.
-        dtau = max(tau_target - self._tau, 0.0)
-        self._kv_context += len(self._running) * dtau
-        self.busy_time += self.kernel.now - self._last_sync
-        self._tau = tau_target
-        self._last_sync = self.kernel.now
-        while self._running and self._running[0][0] <= self._tau + _EPS:
-            _, _, request = heapq.heappop(self._running)
-            self._kv_context -= request.total_tokens
-            self._finish(request)
-        self._reschedule()
-
-    def _drain_admitted(self) -> list[LLMRequest]:
-        self._sync()  # charge the decode time since the last sync
-        self._cancel_event()
-        if self._prefill_event is not None:
-            self._prefill_event.cancel()
-            self._prefill_event = None
-        admitted = [request for _, _, request in self._running]
-        self._running.clear()
-        self._kv_context = 0.0
-        self._tau = 0.0
-        self._last_sync = self.kernel.now
-        if self._prefilling is not None:
-            admitted.append(self._prefilling)
-            self._prefilling = None
-        return admitted
-
-
-def make_replica(fidelity: str, *args, **kwargs) -> _BaseReplica:
-    if fidelity == "iteration":
-        return IterationReplica(*args, **kwargs)
-    if fidelity == "fluid":
-        return FluidReplica(*args, **kwargs)
-    raise ServingError(f"unknown fidelity {fidelity!r}")
+#: The frozen ``benchmarks/e2e`` span tests find the serving layer
+#: through this name; the benchmark's next revision drops it.
+FluidReplica = IterationReplica

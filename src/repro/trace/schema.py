@@ -368,10 +368,6 @@ class Trace:
             self._calling = calling = mask.tobytes()
         return calling
 
-    def step_positions(self, step: int) -> np.ndarray:
-        """Contiguous ``int[n_agents, 2]`` slice at the start of ``step``."""
-        return self._pos_sa[step]
-
     def node_ids(self, step: int) -> np.ndarray:
         """Graph-metric node-id column at ``step`` (``int[n_agents]``).
 

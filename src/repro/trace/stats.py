@@ -38,9 +38,6 @@ class TraceStats:
     #: Fraction of agent-steps that issue no LLM call at all.
     idle_fraction: float
 
-    def calls_in_hour(self, hour: int) -> int:
-        return int(self.calls_per_hour[hour])
-
 
 def _mean_dependency_agents(trace: Trace, sample_stride: int = 7) -> float:
     """Average cluster-mate count under the paper's oracle criterion.

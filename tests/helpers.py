@@ -277,19 +277,14 @@ class PerIterationReplica(_BaseReplica):
 
 @contextmanager
 def per_iteration_oracle():
-    """Engines built inside serve ``fidelity="iteration"`` from the oracle."""
-    real = serving_engine.make_replica
-
-    def make(fidelity, *args, **kwargs):
-        if fidelity == "iteration":
-            return PerIterationReplica(*args, **kwargs)
-        return real(fidelity, *args, **kwargs)
-
-    serving_engine.make_replica = make
+    """Replicas built inside (a blackout's replacement too) are the
+    oracle: it swaps the engine module's one replica class."""
+    real = serving_engine.IterationReplica
+    serving_engine.IterationReplica = PerIterationReplica
     try:
         yield
     finally:
-        serving_engine.make_replica = real
+        serving_engine.IterationReplica = real
 
 
 def reference_stable_seed(*parts: int | str) -> int:

@@ -31,6 +31,15 @@ class TestServingFor:
         with pytest.raises(ConfigError):
             serving_for("tpu-v9", 8)
 
+    def test_both_replica_names_build_one_deployment(self):
+        """``benchmarks/e2e/workloads.py`` passes either name."""
+        assert serving_for("l4-8b", 8, "fluid") == \
+            serving_for("l4-8b", 8, "iteration") == serving_for("l4-8b", 8)
+
+    def test_other_replica_name_rejected_by_name(self):
+        with pytest.raises(ConfigError, match="'exact'"):
+            serving_for("l4-8b", 8, "exact")
+
 
 class TestRunnerPieces:
     def test_run_policies_shapes(self, synthetic_trace):

@@ -34,7 +34,6 @@ class TestServingConfig:
     def test_defaults(self):
         c = ServingConfig()
         assert c.num_gpus == 1
-        assert c.fidelity == "fluid"
 
     def test_num_gpus(self):
         assert ServingConfig(dp=2, tp=4).num_gpus == 8

@@ -170,7 +170,7 @@ class TestWorkerCapQueue:
                       positions, none, none, none.astype(np.int16), none,
                       none)
         kernel = Kernel()
-        engine = ServingEngine(kernel, ServingConfig(fidelity="fluid"))
+        engine = ServingEngine(kernel, ServingConfig())
         config = SchedulerConfig(num_workers=1, priority=priority,
                                  interactive_agents=(0,))
         driver = MetropolisDriver(kernel, engine, trace, config,

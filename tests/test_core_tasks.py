@@ -115,9 +115,8 @@ class Play:
 
 
 SERVING = {
-    "fluid": ServingConfig(fidelity="fluid"),
-    "iteration": ServingConfig(fidelity="iteration"),
-    "distance": ServingConfig(fidelity="iteration", kv_policy="distance"),
+    "none": ServingConfig(),
+    "distance": ServingConfig(kv_policy="distance"),
 }
 
 
@@ -182,7 +181,7 @@ def test_call_free_member_stays_unpinned_through_its_step(launch):
 
 
 def test_cluster_done_fires_once_per_cluster():
-    play = Play(SERVING["fluid"])
+    play = Play(SERVING["none"])
     play.launch_round(ROUND)
     play.kernel.run()
     done = play.clusters_done
@@ -197,7 +196,7 @@ def test_cluster_done_fires_once_per_cluster():
 
 
 def test_round_costs_one_lookup_and_one_event(monkeypatch):
-    play = Play(SERVING["fluid"])
+    play = Play(SERVING["none"])
     lookups = []
     bounds = Trace.chain_bounds
 
@@ -210,7 +209,7 @@ def test_round_costs_one_lookup_and_one_event(monkeypatch):
     assert lookups == [sum(len(m) for m, _, _ in ROUND)]
     assert play.kernel.events_scheduled == 1
 
-    play = Play(SERVING["fluid"])
+    play = Play(SERVING["none"])
     play.launch_clusters(ROUND)
     assert play.kernel.events_scheduled == len(ROUND)
 

@@ -43,8 +43,7 @@ class TestIterationModePriority:
     def test_priority_respected_in_iteration_mode(self):
         k = Kernel()
         engine = ServingEngine(k, ServingConfig(
-            model="llama3-8b", gpu="l4", fidelity="iteration",
-            max_running_requests=1))
+            model="llama3-8b", gpu="l4", max_running_requests=1))
         finished = []
         engine.generate(640, 50, priority=9.0,
                         on_complete=lambda r: finished.append(r))

@@ -18,7 +18,9 @@ from repro.faults import (ChaosClient, CircuitBreaker, FallbackLLMClient,
                           scheduler_diagnostics)
 from repro.live import EchoLLMClient, LiveSimulation
 from repro.serving import ServingEngine
+from repro.serving.replica import IterationReplica
 
+from helpers import PerIterationReplica, per_iteration_oracle
 from helpers import fast_fault_policy as _fast_policy
 
 
@@ -349,16 +351,14 @@ class TestLiveEngineFaultTolerance:
 
 
 class TestReplicaBlackout:
-    def _engine(self, fidelity: str, kv_policy: str = "none"):
+    def _engine(self, kv_policy: str = "none"):
         kernel = Kernel()
-        engine = ServingEngine(
-            kernel, ServingConfig(dp=2, fidelity=fidelity,
-                                  kv_policy=kv_policy))
+        engine = ServingEngine(kernel, ServingConfig(dp=2,
+                                                     kv_policy=kv_policy))
         return kernel, engine
 
-    @pytest.mark.parametrize("fidelity", ["iteration", "fluid"])
-    def test_inflight_requests_rerouted_and_served(self, fidelity):
-        kernel, engine = self._engine(fidelity)
+    def test_inflight_requests_rerouted_and_served(self):
+        kernel, engine = self._engine()
         done = []
         for i in range(8):
             engine.generate(prompt_tokens=400, output_tokens=20,
@@ -371,9 +371,8 @@ class TestReplicaBlackout:
         assert engine.rerouted_requests >= 1
         assert engine.idle()
 
-    @pytest.mark.parametrize("fidelity", ["iteration", "fluid"])
-    def test_retained_kv_lost_on_blackout(self, fidelity):
-        kernel, engine = self._engine(fidelity, kv_policy="lru")
+    def test_retained_kv_lost_on_blackout(self):
+        kernel, engine = self._engine(kv_policy="lru")
         for i in range(4):
             engine.generate(prompt_tokens=400, output_tokens=20,
                             agent_id=i)
@@ -387,7 +386,7 @@ class TestReplicaBlackout:
         assert fresh is not victim and fresh.kv.retained_tokens == 0
 
     def test_busy_time_and_kv_stats_carried(self):
-        kernel, engine = self._engine("fluid", kv_policy="lru")
+        kernel, engine = self._engine(kv_policy="lru")
         for i in range(4):
             engine.generate(prompt_tokens=400, output_tokens=20,
                             agent_id=i)
@@ -404,27 +403,28 @@ class TestReplicaBlackout:
         assert stats["replica_blackouts"] == 1
 
     def test_busy_time_carried_from_mid_decode(self):
-        """A replica that dies decoding was busy until it died.
+        """A replica that dies decoding was busy until it died: the
+        iteration in flight is charged in full."""
+        kernel, engine = self._engine()
+        request = engine.generate(prompt_tokens=400, output_tokens=400)
+        kernel.call_at(5.0, engine.blackout_replica, request.replica_id)
+        kernel.run()
+        assert 5.0 <= engine._carry_busy_time < 5.05
 
-        The fluid replica used to cancel without syncing its token
-        clock, dropping everything since the last batch change (0.16 s
-        carried of 5.0 here)."""
-        carried, fractions = {}, {}
-        for fidelity in ("iteration", "fluid"):
-            kernel, engine = self._engine(fidelity)
-            request = engine.generate(prompt_tokens=400, output_tokens=400)
-            kernel.call_at(5.0, engine.blackout_replica, request.replica_id)
-            end = kernel.run()
-            carried[fidelity] = engine._carry_busy_time
-            fractions[fidelity] = engine.busy_fraction(end)
-        # The iteration replica charges the iteration in flight in full.
-        assert 5.0 <= carried["iteration"] < 5.05
-        assert carried["fluid"] == pytest.approx(carried["iteration"],
-                                                 rel=0.02)
-        assert fractions["fluid"] == pytest.approx(fractions["iteration"],
-                                                   rel=0.02)
+    def test_replacement_is_built_like_the_first_replicas(self):
+        """A blackout's fresh replica comes from the engine's one
+        replica seam: an ``IterationReplica``, or the per-iteration
+        oracle while ``per_iteration_oracle`` swaps it."""
+        _, engine = self._engine()
+        engine.blackout_replica(1)
+        assert [type(r) for r in engine.replicas] == [IterationReplica] * 2
+        with per_iteration_oracle():
+            _, engine = self._engine()
+            engine.blackout_replica(1)
+        assert [type(r) for r in engine.replicas] == \
+            [PerIterationReplica] * 2
 
     def test_blackout_of_unknown_replica_raises(self):
-        _, engine = self._engine("fluid")
+        _, engine = self._engine()
         with pytest.raises(ServingError):
             engine.blackout_replica(5)

@@ -10,9 +10,9 @@ them — under one combination of
   ``no-dependency`` (hardware throughput; it submits every call at once
   and records no call timeline, so its fingerprint is the empty one)
   and ``single-thread``;
-* serving: fluid on 8 GPUs, uncapped (``fluid``) or with
-  ``num_workers=3`` (``fluid-w3``); iteration fidelity on one GPU with
-  distance KV retention under the scenario's pressure fraction (``kv``);
+* serving: 8 GPUs, uncapped (``dp8``) or with ``num_workers=3``
+  (``dp8-w3``); one GPU with distance KV retention under the scenario's
+  pressure fraction (``kv``);
 * ``shards``: 0 and 2. An in-process replay runs one graph and ignores
   the knob, so each ``(·, ·, 2, 0)`` cell equals its ``(·, ·, 0, 0)``
   one; with ``parallel_workers=2`` it is the planner's region count.
@@ -44,77 +44,79 @@ from repro.scenarios import get_scenario
 from repro.trace import Trace, cached_day_trace
 from repro.trace.schema import concat_traces
 
+from helpers import per_iteration_oracle
+
 SCENARIO = "smallville"
 STEPS = 40
 POLICIES = ("metropolis", "parallel-sync", "oracle", "no-dependency",
             "single-thread")
-SERVINGS = ("fluid", "fluid-w3", "kv")
+SERVINGS = ("dp8", "dp8-w3", "kv")
 
 #: (policy, serving, shards, parallel_workers) -> (completion time,
 #: timeline fingerprint).
 GOLDEN: dict[tuple[str, str, int, int], tuple[float, str]] = {
-    ("metropolis", "fluid", 0, 0):
-        (38.18406369753069, "117e239efee0813d"),
-    ("metropolis", "fluid", 2, 0):
-        (38.18406369753069, "117e239efee0813d"),
-    ("metropolis", "fluid", 2, 2):
-        (37.26151523886761, "c4d04afb9d4d19eb"),
-    ("metropolis", "fluid-w3", 0, 0):
-        (115.43928950253682, "71ebb59e3b78e016"),
-    ("metropolis", "fluid-w3", 2, 0):
-        (115.43928950253682, "71ebb59e3b78e016"),
-    ("metropolis", "fluid-w3", 2, 2):
-        (62.445463402111145, "243d9815c3a67ecd"),
+    ("metropolis", "dp8", 0, 0):
+        (38.18909326287163, "42b90be45333c29e"),
+    ("metropolis", "dp8", 2, 0):
+        (38.18909326287163, "42b90be45333c29e"),
+    ("metropolis", "dp8", 2, 2):
+        (37.15946082137742, "278a129e3fcabebb"),
+    ("metropolis", "dp8-w3", 0, 0):
+        (115.4389132166701, "f9ca79d983928f15"),
+    ("metropolis", "dp8-w3", 2, 0):
+        (115.4389132166701, "f9ca79d983928f15"),
+    ("metropolis", "dp8-w3", 2, 2):
+        (62.44526324424448, "77c53765bedb91e8"),
     ("metropolis", "kv", 0, 0):
         (61.03216750590409, "cb6518968b2a8c3e"),
     ("metropolis", "kv", 2, 0):
         (61.03216750590409, "cb6518968b2a8c3e"),
     ("metropolis", "kv", 2, 2):
         (39.02510264740499, "272b14032b3ed1f6"),
-    ("parallel-sync", "fluid", 0, 0):
-        (215.14768788905778, "3eca0238df272dfb"),
-    ("parallel-sync", "fluid", 2, 0):
-        (215.14768788905778, "3eca0238df272dfb"),
-    ("parallel-sync", "fluid-w3", 0, 0):
-        (215.14768788905778, "3eca0238df272dfb"),
-    ("parallel-sync", "fluid-w3", 2, 0):
-        (215.14768788905778, "3eca0238df272dfb"),
+    ("parallel-sync", "dp8", 0, 0):
+        (215.14692193705778, "2f23c9440743ea3e"),
+    ("parallel-sync", "dp8", 2, 0):
+        (215.14692193705778, "2f23c9440743ea3e"),
+    ("parallel-sync", "dp8-w3", 0, 0):
+        (215.14692193705778, "2f23c9440743ea3e"),
+    ("parallel-sync", "dp8-w3", 2, 0):
+        (215.14692193705778, "2f23c9440743ea3e"),
     ("parallel-sync", "kv", 0, 0):
         (212.27969450314905, "4ab439fdf3b7ffec"),
     ("parallel-sync", "kv", 2, 0):
         (212.27969450314905, "4ab439fdf3b7ffec"),
-    ("oracle", "fluid", 0, 0):
-        (28.88084325415104, "0b3e149213c1572a"),
-    ("oracle", "fluid", 2, 0):
-        (28.88084325415104, "0b3e149213c1572a"),
-    ("oracle", "fluid-w3", 0, 0):
-        (115.61473278674153, "f0507b643f8833ce"),
-    ("oracle", "fluid-w3", 2, 0):
-        (115.61473278674153, "f0507b643f8833ce"),
+    ("oracle", "dp8", 0, 0):
+        (29.11939618483304, "99db5552902c90ef"),
+    ("oracle", "dp8", 2, 0):
+        (29.11939618483304, "99db5552902c90ef"),
+    ("oracle", "dp8-w3", 0, 0):
+        (115.61436032380814, "0df738b25d88bf9c"),
+    ("oracle", "dp8-w3", 2, 0):
+        (115.61436032380814, "0df738b25d88bf9c"),
     ("oracle", "kv", 0, 0):
         (62.14131075659284, "5d8122bfe5c3c469"),
     ("oracle", "kv", 2, 0):
         (62.14131075659284, "5d8122bfe5c3c469"),
-    ("no-dependency", "fluid", 0, 0):
-        (24.55890047672066, "4f53cda18c2baa0c"),
-    ("no-dependency", "fluid", 2, 0):
-        (24.55890047672066, "4f53cda18c2baa0c"),
-    ("no-dependency", "fluid-w3", 0, 0):
-        (24.55890047672066, "4f53cda18c2baa0c"),
-    ("no-dependency", "fluid-w3", 2, 0):
-        (24.55890047672066, "4f53cda18c2baa0c"),
+    ("no-dependency", "dp8", 0, 0):
+        (24.55871970658733, "4f53cda18c2baa0c"),
+    ("no-dependency", "dp8", 2, 0):
+        (24.55871970658733, "4f53cda18c2baa0c"),
+    ("no-dependency", "dp8-w3", 0, 0):
+        (24.55871970658733, "4f53cda18c2baa0c"),
+    ("no-dependency", "dp8-w3", 2, 0):
+        (24.55871970658733, "4f53cda18c2baa0c"),
     ("no-dependency", "kv", 0, 0):
         (62.75478196871404, "4f53cda18c2baa0c"),
     ("no-dependency", "kv", 2, 0):
         (62.75478196871404, "4f53cda18c2baa0c"),
-    ("single-thread", "fluid", 0, 0):
-        (336.7254695569401, "6d16a87606787ac2"),
-    ("single-thread", "fluid", 2, 0):
-        (336.7254695569401, "6d16a87606787ac2"),
-    ("single-thread", "fluid-w3", 0, 0):
-        (336.7254695569401, "6d16a87606787ac2"),
-    ("single-thread", "fluid-w3", 2, 0):
-        (336.7254695569401, "6d16a87606787ac2"),
+    ("single-thread", "dp8", 0, 0):
+        (336.7243934012061, "4cb49febd96930c5"),
+    ("single-thread", "dp8", 2, 0):
+        (336.7243934012061, "4cb49febd96930c5"),
+    ("single-thread", "dp8-w3", 0, 0):
+        (336.7243934012061, "4cb49febd96930c5"),
+    ("single-thread", "dp8-w3", 2, 0):
+        (336.7243934012061, "4cb49febd96930c5"),
     ("single-thread", "kv", 0, 0):
         (321.86955703757, "ae2c01213ff151de"),
     ("single-thread", "kv", 2, 0):
@@ -139,14 +141,14 @@ def cell_config(policy: str, serving: str, shards: int, workers: int):
     scn = get_scenario(SCENARIO)
     if serving == "kv":
         serving_cfg = replace(
-            serving_for("l4-8b", 1, "iteration"), kv_policy="distance",
+            serving_for("l4-8b", 1), kv_policy="distance",
             kv_memory_fraction=scn.serving_profile.kv_pressure_fraction)
     else:
-        serving_cfg = serving_for("l4-8b", 8, "fluid")
+        serving_cfg = serving_for("l4-8b", 8)
     scheduler = SchedulerConfig(
         policy=policy, scenario=scn.name, shards=shards,
         parallel_workers=workers,
-        num_workers=3 if serving == "fluid-w3" else 0)
+        num_workers=3 if serving == "dp8-w3" else 0)
     return scheduler, serving_cfg
 
 
@@ -232,6 +234,19 @@ def test_worker_processes_equal_in_process_tasks(trace, cell):
     assert there.completion_time == here.completion_time
     assert timeline_fingerprint(there) == timeline_fingerprint(here)
     assert counters(there) == counters(here)
+
+
+@pytest.mark.parametrize("serving", SERVINGS)
+@pytest.mark.parametrize("policy", POLICIES)
+def test_cell_equals_its_per_iteration_oracle_replay(trace, policy,
+                                                     serving):
+    """The cells pin the iteration replica's values, and the
+    one-event-per-iteration oracle it must equal gives them too."""
+    cell = (policy, serving, 0, 0)
+    with per_iteration_oracle():
+        result = replay(trace, cell)
+    assert (result.completion_time, timeline_fingerprint(result)) \
+        == GOLDEN[cell]
 
 
 def test_golden_table_covers_every_cell():

@@ -90,7 +90,7 @@ def _drive(seed: int, oracle: bool, *, dp: int = 1, priority: bool = True,
     starts, chains = _scripts(seed, symmetric)
     kernel = Kernel()
     config = ServingConfig(
-        dp=dp, fidelity="iteration", priority_scheduling=priority,
+        dp=dp, priority_scheduling=priority,
         max_running_requests=max_running, kv_policy=kv_policy,
         kv_memory_fraction=KV_FRACTION)
     requests, delivered, delayed = [], [], []
@@ -225,7 +225,7 @@ class TestAgainstPerIterationOracle:
     @pytest.mark.parametrize("policy", ["metropolis", "parallel-sync"])
     def test_replay_bit_equal(self, policy):
         trace = random_trace(seed=11, n_agents=8, n_steps=30, p_call=0.4)
-        serving = ServingConfig(fidelity="iteration", kv_policy="distance",
+        serving = ServingConfig(kv_policy="distance",
                                 kv_memory_fraction=KV_FRACTION)
 
         def replay():
@@ -302,7 +302,7 @@ class TestEventsDoNotScaleWithTokens:
         trace = random_trace(seed=11, n_agents=8, n_steps=30, p_call=0.4)
         result = run_replay(
             trace, SchedulerConfig(policy="metropolis"),
-            ServingConfig(fidelity="iteration", kv_policy="distance",
+            ServingConfig(kv_policy="distance",
                           kv_memory_fraction=KV_FRACTION))
         extra = result.driver_stats.extra
         # Four replica-side events per call and the executor's start

@@ -154,11 +154,11 @@ class TestKVCacheManager:
         assert mgr.utilization == pytest.approx(0.5)
 
 
-def _run_workload(fidelity, requests, dp=1, priority=True, max_running=256):
+def _run_workload(requests, dp=1, priority=True, max_running=256):
     """Submit (prompt, out, priority, at_time) tuples; return engine."""
     k = Kernel()
     engine = ServingEngine(k, ServingConfig(
-        model="llama3-8b", gpu="l4", dp=dp, fidelity=fidelity,
+        model="llama3-8b", gpu="l4", dp=dp,
         priority_scheduling=priority, max_running_requests=max_running))
     finished = []
     for prompt, out, prio, at in requests:
@@ -175,21 +175,13 @@ class TestReplicas:
                 (900, 40, 1.0, 0.5), (100, 5, 1.0, 2.0),
                 (640, 22, 2.0, 2.0), (500, 30, 2.0, 4.0)]
 
-    def test_all_complete_both_fidelities(self):
-        for fidelity in ("iteration", "fluid"):
-            engine, finished = _run_workload(fidelity, self.WORKLOAD)
-            assert len(finished) == len(self.WORKLOAD)
-            assert engine.idle()
-
-    def test_fluid_matches_iteration_closely(self):
-        eng_it, _ = _run_workload("iteration", self.WORKLOAD)
-        eng_fl, _ = _run_workload("fluid", self.WORKLOAD)
-        t_it = eng_it.metrics.last_finish
-        t_fl = eng_fl.metrics.last_finish
-        assert t_fl == pytest.approx(t_it, rel=0.02)
+    def test_all_complete(self):
+        engine, finished = _run_workload(self.WORKLOAD)
+        assert len(finished) == len(self.WORKLOAD)
+        assert engine.idle()
 
     def test_request_lifecycle_timestamps(self):
-        _, finished = _run_workload("fluid", [(640, 22, 0.0, 1.0)])
+        _, finished = _run_workload([(640, 22, 0.0, 1.0)])
         r = finished[0]
         assert r.submit_time == pytest.approx(1.0)
         assert r.prefill_start >= r.submit_time
@@ -200,10 +192,9 @@ class TestReplicas:
     def test_batching_beats_serial(self):
         # 8 identical requests at t=0 must finish far faster than 8x one
         # request (continuous batching on memory-bound decode).
-        single, _ = _run_workload("fluid", [(640, 22, 0.0, 0.0)])
+        single, _ = _run_workload([(640, 22, 0.0, 0.0)])
         t_single = single.metrics.last_finish
-        batch, _ = _run_workload(
-            "fluid", [(640, 22, 0.0, 0.0)] * 8)
+        batch, _ = _run_workload([(640, 22, 0.0, 0.0)] * 8)
         t_batch = batch.metrics.last_finish
         assert t_batch < 0.45 * (8 * t_single)
 
@@ -212,14 +203,14 @@ class TestReplicas:
         # then a step-9 and a step-1 arrival — step 1 must be served next.
         requests = [(640, 50, 9.0, 0.0),
                     (640, 10, 5.0, 0.1), (640, 10, 1.0, 0.1)]
-        _, finished = _run_workload("fluid", requests, max_running=1)
+        _, finished = _run_workload(requests, max_running=1)
         by_priority = {r.priority: r.finish_time for r in finished}
         assert by_priority[1.0] < by_priority[5.0]
 
     def test_fcfs_when_priority_disabled(self):
         requests = [(640, 50, 9.0, 0.0),
                     (640, 10, 5.0, 0.1), (640, 10, 1.0, 0.12)]
-        _, finished = _run_workload("fluid", requests, priority=False,
+        _, finished = _run_workload(requests, priority=False,
                                     max_running=1)
         by_priority = {r.priority: r.finish_time for r in finished}
         assert by_priority[5.0] < by_priority[1.0]  # arrival order wins
@@ -235,7 +226,7 @@ class TestReplicas:
         """Requests beyond KV capacity wait rather than failing."""
         k = Kernel()
         engine = ServingEngine(k, ServingConfig(
-            model="llama3-8b", gpu="l4", fidelity="fluid"))
+            model="llama3-8b", gpu="l4"))
         cap = engine.kv_capacity_tokens
         big_prompt = int(cap * 0.6)
         done = []
@@ -252,19 +243,18 @@ class TestReplicas:
 
 class TestEngineRouting:
     def test_dp_spreads_load(self):
-        engine, finished = _run_workload(
-            "fluid", [(640, 22, 0.0, 0.0)] * 8, dp=4)
+        engine, finished = _run_workload([(640, 22, 0.0, 0.0)] * 8, dp=4)
         replicas_used = {r.replica_id for r in finished}
         assert len(replicas_used) == 4
 
     def test_dp_speeds_up_parallel_workload(self):
-        one, _ = _run_workload("fluid", [(640, 22, 0.0, 0.0)] * 16, dp=1)
-        four, _ = _run_workload("fluid", [(640, 22, 0.0, 0.0)] * 16, dp=4)
+        one, _ = _run_workload([(640, 22, 0.0, 0.0)] * 16, dp=1)
+        four, _ = _run_workload([(640, 22, 0.0, 0.0)] * 16, dp=4)
         assert four.metrics.last_finish < one.metrics.last_finish
 
     def test_metrics_accounting(self):
         engine, finished = _run_workload(
-            "fluid", [(100, 10, 0.0, 0.0), (200, 20, 0.0, 0.0)])
+            [(100, 10, 0.0, 0.0), (200, 20, 0.0, 0.0)])
         m = engine.metrics
         assert m.completed == 2
         assert m.total_prompt_tokens == 300
@@ -273,12 +263,12 @@ class TestEngineRouting:
         assert m.throughput_tokens_per_s() > 0
 
     def test_achieved_parallelism_bounds(self):
-        engine, _ = _run_workload("fluid", [(640, 22, 0.0, 0.0)] * 4)
+        engine, _ = _run_workload([(640, 22, 0.0, 0.0)] * 4)
         par = engine.metrics.achieved_parallelism()
         assert 1.0 <= par <= 4.0
 
     def test_busy_fraction(self):
-        engine, _ = _run_workload("fluid", [(640, 22, 0.0, 0.0)])
+        engine, _ = _run_workload([(640, 22, 0.0, 0.0)])
         makespan = engine.metrics.last_finish
         assert 0.5 < engine.busy_fraction(makespan) <= 1.0
 
@@ -291,7 +281,7 @@ class TestBatchSubmission:
 
         def run(batched):
             k = Kernel()
-            engine = ServingEngine(k, ServingConfig(fidelity="fluid"))
+            engine = ServingEngine(k, ServingConfig())
             if batched:
                 engine.generate_batch(specs)
             else:
@@ -305,7 +295,7 @@ class TestBatchSubmission:
 
     def test_batch_requests_carry_agent_ids(self):
         k = Kernel()
-        engine = ServingEngine(k, ServingConfig(fidelity="fluid"))
+        engine = ServingEngine(k, ServingConfig())
         reqs = engine.generate_batch(
             [(7, 100, 5, 0.0, None, None), (9, 100, 5, 0.0, None, None)])
         assert [r.agent_id for r in reqs] == [7, 9]

@@ -151,8 +151,7 @@ class TestEngineKV:
     def _engine(self, policy="distance", dp=1):
         kernel = Kernel()
         engine = ServingEngine(kernel, ServingConfig(
-            model="llama3-8b", gpu="l4", dp=dp, fidelity="fluid",
-            kv_policy=policy))
+            model="llama3-8b", gpu="l4", dp=dp, kv_policy=policy))
         return kernel, engine
 
     def test_empty_replicas_raise(self):
@@ -214,7 +213,7 @@ class TestEngineKV:
 class TestInvocationDistance:
     def _driver(self, trace, **cfg):
         kernel = Kernel()
-        engine = ServingEngine(kernel, ServingConfig(fidelity="fluid"))
+        engine = ServingEngine(kernel, ServingConfig())
         config = SchedulerConfig(**cfg)
         executor = ChainExecutor(kernel, engine, trace, config.overhead)
         return MetropolisDriver(kernel, engine, trace, config,
@@ -277,45 +276,20 @@ class TestInvocationDistance:
         assert provider(0) == driver.invocation_distance(0)
 
 
-def _pressure_config(fidelity, policy, priority=True):
-    return ServingConfig(model="llama3-8b", gpu="l4", fidelity=fidelity,
-                         kv_policy=policy, kv_memory_fraction=0.05,
-                         priority_scheduling=priority)
+def _pressure_config(policy):
+    return ServingConfig(model="llama3-8b", gpu="l4", kv_policy=policy,
+                         kv_memory_fraction=0.05)
 
 
-class TestFidelityEquivalenceUnderKV:
-    """FluidReplica must match IterationReplica with retention on."""
-
+class TestKVPressure:
     TRACE = random_trace(seed=11, n_agents=8, n_steps=30, p_call=0.4)
-
-    @pytest.mark.parametrize("priority", [True, False])
-    def test_same_finish_order_and_throughput(self, priority):
-        results = {}
-        for fidelity in ("fluid", "iteration"):
-            results[fidelity] = run_replay(
-                self.TRACE,
-                SchedulerConfig(policy="metropolis", priority=priority),
-                _pressure_config(fidelity, "distance", priority))
-        fluid, iteration = results["fluid"], results["iteration"]
-        assert fluid.n_calls_completed == iteration.n_calls_completed
-        assert fluid.kv_stats["hits"] > 0
-        # Retention behaves identically (shared base replica): the KV
-        # counters must agree exactly, not just approximately.
-        for key in ("hits", "misses", "evictions"):
-            assert fluid.kv_stats[key] == iteration.kv_stats[key], key
-        # The fluid approximation diverges more under heavy KV-pressure
-        # queueing than on open workloads (the 2% bound in
-        # test_serving.py) — hold it to the same order of magnitude.
-        t_fluid = fluid.engine_metrics.throughput_tokens_per_s()
-        t_iter = iteration.engine_metrics.throughput_tokens_per_s()
-        assert t_fluid == pytest.approx(t_iter, rel=0.2)
 
     def test_distance_policy_not_slower_than_lru_here(self):
         outcomes = {}
         for policy in ("lru", "distance"):
             outcomes[policy] = run_replay(
                 self.TRACE, SchedulerConfig(policy="metropolis"),
-                _pressure_config("fluid", policy))
+                _pressure_config(policy))
         assert outcomes["distance"].completion_time <= \
             1.02 * outcomes["lru"].completion_time
 
@@ -350,7 +324,7 @@ class TestClusterDispatchDeterminism:
 class TestServingProfiles:
     def test_defaults(self):
         p = ServingProfile()
-        assert p.platform == "l4-8b" and p.fidelity == "fluid"
+        assert p.platform == "l4-8b"
         assert 0 < p.kv_pressure_fraction < 1
 
     def test_frozen(self):
@@ -392,35 +366,37 @@ class TestTokenShapes:
 
 
 class TestServingBench:
-    def _entry(self, scenario, cell, tokens=1000.0, hits=5, ratio=1.0):
+    def _entry(self, scenario, cell, tokens=1000.0, hits=5, ratio=1.0,
+               events=4.0):
         return {"scenario": scenario, "cell": cell,
                 "policy": "metropolis", "tokens_per_s": tokens,
                 "wall_tokens_per_s": 100.0,
                 "tokens_ratio_vs_baseline": ratio,
+                "serving_events_per_call": events,
                 "kv": {"hits": hits}}
 
     def _report(self, entries, scenarios=("s1",)):
         return {"benchmark": "serving", "scenarios": list(scenarios),
-                "cells": ["fluid", "kv-distance", "kv-lru"],
+                "cells": ["full-kv", "kv-distance", "kv-lru"],
                 "entries": entries}
 
     def test_check_passes_on_good_report(self):
         from repro.bench.serving import check_serving_report
-        entries = [self._entry("s1", "fluid"),
+        entries = [self._entry("s1", "full-kv"),
                    self._entry("s1", "kv-distance", tokens=900.0),
                    self._entry("s1", "kv-lru", tokens=880.0)]
         assert check_serving_report(self._report(entries)) == []
 
     def test_missing_cell_fails(self):
         from repro.bench.serving import check_serving_report
-        entries = [self._entry("s1", "fluid"),
+        entries = [self._entry("s1", "full-kv"),
                    self._entry("s1", "kv-distance", tokens=900.0)]
         failures = check_serving_report(self._report(entries))
         assert any("kv-lru" in f and "missing" in f for f in failures)
 
     def test_missing_baseline_entry_fails_loudly(self):
         from repro.bench.serving import check_serving_report
-        entry = self._entry("s1", "fluid")
+        entry = self._entry("s1", "full-kv")
         del entry["tokens_ratio_vs_baseline"]
         failures = check_serving_report(
             self._report([entry], scenarios=[]))
@@ -428,14 +404,14 @@ class TestServingBench:
 
     def test_regression_fails(self):
         from repro.bench.serving import check_serving_report
-        entries = [self._entry("s1", "fluid", ratio=0.80)]
+        entries = [self._entry("s1", "full-kv", ratio=0.80)]
         failures = check_serving_report(
             self._report(entries, scenarios=[]))
         assert any("below the required" in f for f in failures)
 
     def test_distance_must_beat_lru_somewhere(self):
         from repro.bench.serving import check_serving_report
-        entries = [self._entry("s1", "fluid"),
+        entries = [self._entry("s1", "full-kv"),
                    self._entry("s1", "kv-distance", tokens=800.0),
                    self._entry("s1", "kv-lru", tokens=900.0)]
         failures = check_serving_report(self._report(entries))
@@ -443,7 +419,7 @@ class TestServingBench:
 
     def test_zero_hits_on_distance_cell_fails(self):
         from repro.bench.serving import check_serving_report
-        entries = [self._entry("s1", "fluid"),
+        entries = [self._entry("s1", "full-kv"),
                    self._entry("s1", "kv-distance", tokens=950.0, hits=0),
                    self._entry("s1", "kv-lru", tokens=900.0)]
         failures = check_serving_report(self._report(entries))
@@ -454,7 +430,7 @@ class TestServingBench:
         failure on stderr."""
         from repro.bench.cli import _gate
         from repro.bench.serving import check_serving_report
-        report = self._report([self._entry("s1", "fluid", ratio=0.5)],
+        report = self._report([self._entry("s1", "full-kv", ratio=0.5)],
                               scenarios=[])
         assert _gate("serving", "table", None,
                      check_serving_report(report)) == 1
@@ -476,61 +452,41 @@ class TestServingBench:
 
     def test_one_real_cell(self):
         """One genuine bench cell end-to-end (the smallest scenario)."""
-        from repro.bench.serving import bench_cell
+        from repro.bench.serving import (MAX_SERVING_EVENTS_PER_CALL,
+                                         bench_cell)
         entry = bench_cell("smallville", "kv-distance")
         assert entry["kv_policy"] == "distance"
         assert entry["tokens_per_s"] > 0
         assert entry["kv"]["hits"] > 0
         assert entry["n_calls"] > 0
+        assert 0 < entry["serving_events_per_call"] \
+            <= MAX_SERVING_EVENTS_PER_CALL
 
-    def _with_iteration(self, tokens=890.0, events=4.0):
-        iteration = self._entry("s1", "iteration", tokens=tokens)
-        iteration["serving_events_per_call"] = events
-        report = self._report([
-            self._entry("s1", "fluid"),
-            self._entry("s1", "kv-distance", tokens=900.0),
-            self._entry("s1", "kv-lru", tokens=880.0), iteration])
-        report["cells"].append("iteration")
-        return report
-
-    def test_iteration_cell_gates(self):
+    def test_events_per_call_gates_every_cell(self):
+        """Decode paying per token again: exact counter, no tolerance."""
         from repro.bench.serving import (MAX_SERVING_EVENTS_PER_CALL,
                                          check_serving_report)
-        assert check_serving_report(self._with_iteration()) == []
-        # Decode paying per token again: exact counter, no tolerance.
-        failures = check_serving_report(self._with_iteration(
-            events=MAX_SERVING_EVENTS_PER_CALL + 0.01))
-        assert any("serving events per call" in f for f in failures)
-        # The reference fidelity and its fluid sibling drifted apart.
-        for tokens in (900.0 * 0.94, 900.0 * 1.06):
-            failures = check_serving_report(
-                self._with_iteration(tokens=tokens))
-            assert any("from the fluid" in f for f in failures)
+        over = MAX_SERVING_EVENTS_PER_CALL + 0.01
+        tokens = {"full-kv": 1000.0, "kv-distance": 900.0, "kv-lru": 880.0}
+        for cell in tokens:
+            entries = [self._entry("s1", name, tokens=value,
+                                   events=over if name == cell else 4.0)
+                       for name, value in tokens.items()]
+            [failure] = check_serving_report(self._report(entries))
+            assert failure.startswith(f"s1/{cell}: ")
+            assert "serving events per call" in failure
 
-    def test_iteration_cell_required_once_listed(self):
+    def test_old_cell_names_fail_the_cli_gate(self):
+        """The CLI names the cells itself: a report from before the
+        ``fluid`` cell became ``full-kv`` cannot pass."""
         from repro.bench.serving import CELLS, check_serving_report
-        report = self._with_iteration()
-        report["entries"].pop()
-        failures = check_serving_report(report)
-        assert any("iteration" in f and "missing" in f for f in failures)
-        # The CLI names the cells itself: an old report cannot hide one.
         old = self._report([self._entry("s1", "fluid"),
                             self._entry("s1", "kv-distance", tokens=900.0),
                             self._entry("s1", "kv-lru", tokens=880.0)])
+        old["cells"] = ["fluid", "kv-distance", "kv-lru"]
+        assert check_serving_report(old) == []
         failures = check_serving_report(old, required_cells=CELLS)
-        assert any("iteration" in f and "missing" in f for f in failures)
-
-    def test_one_real_iteration_cell(self):
-        from repro.bench.serving import (MAX_SERVING_EVENTS_PER_CALL,
-                                         bench_cell)
-        entry = bench_cell("smallville", "iteration")
-        fluid = bench_cell("smallville", "kv-distance")
-        assert entry["kv_policy"] == "distance"
-        assert entry["kv_memory_fraction"] == fluid["kv_memory_fraction"]
-        assert 0 < entry["serving_events_per_call"] \
-            <= MAX_SERVING_EVENTS_PER_CALL
-        assert entry["tokens_per_s"] == pytest.approx(
-            fluid["tokens_per_s"], rel=0.05)
+        assert any("full-kv" in f and "missing" in f for f in failures)
 
     def test_cli_list_profiles(self, capsys):
         from repro.bench.cli import main

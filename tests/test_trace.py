@@ -290,7 +290,7 @@ class TestChainIndex:
     def test_driver_call_steps(self, case):
         trace, ptr = case
         kernel = Kernel()
-        engine = ServingEngine(kernel, ServingConfig(fidelity="fluid"))
+        engine = ServingEngine(kernel, ServingConfig())
         config = SchedulerConfig()
         driver = MetropolisDriver(
             kernel, engine, trace, config,
