@@ -28,6 +28,7 @@ TASKS = "src/repro/core/tasks.py"
 POOL = "src/repro/core/parallel.py"
 PLANNER = "src/repro/core/sharding.py"
 REPLICA = "src/repro/serving/replica.py"
+METRICS = "src/repro/serving/metrics.py"
 MEMORY = "src/repro/world/memory_stream.py"
 BEHAVIOR = "src/repro/world/behavior.py"
 GRID = "src/repro/world/grid.py"
@@ -39,6 +40,7 @@ GOLDEN = "tests/test_golden_replay.py"
 PARALLEL = "tests/test_parallel.py"
 GRAPH_SPACE = "tests/test_graph_space.py"
 ORACLE = "tests/test_replica_oracle.py"
+RECORDS = "tests/test_serving.py::TestRequestRecords"
 SCHEDULE = ("tests/test_core_drivers.py::TestOracleSchedule "
             "tests/test_equivalence.py::TestReplayMatchesLockStep"
             "::test_oracle_matches_lock_step")
@@ -68,7 +70,9 @@ COMPARE = "row[local[nb]] if comp[nb] == ca else inf"
 #: has passed, each boundary is charged only once it runs (a cut or a
 #: blackout must not leave unrun iterations charged, nor drop the one in
 #: flight), any new admissible head cuts, and same-iteration finishes
-#: leave in admission order. The world model: the kept ranking against
+#: leave in admission order. The finish bookkeeping: a record copies its
+#: request's stamps, and one iteration's finishes are recorded in
+#: admission order. The world model: the kept ranking against
 #: its full-sort reference (an add is seen, ties in stream order, no
 #: negative table index, the one-keyword literal and its one-keyword
 #: test at both sites; the reuse's age range, class-pair guard,
@@ -147,18 +151,18 @@ MUTANTS = {
         "margin = rules.radius_p + 4 * rules.max_vel", 0,
         "tests/test_sharding.py -k Boundary"),
     "window-cut-bisect-left": (
-        REPLICA, "k = bisect_right(ends, self.kernel.now)",
-        "k = __import__('bisect').bisect_left(ends, self.kernel.now)", 0,
-        ORACLE),
+        REPLICA, "k = bisect_right(ends, now)",
+        "k = __import__('bisect').bisect_left(ends, now)", 0, ORACLE),
     "window-charged-at-plan-time": (
-        REPLICA, "self._event = self.kernel.call_at(t, self._window_done)",
-        "self._event = self.kernel.call_at(t, self._window_done)\n"
-        "            self.busy_time = busy; charged[:] = [busy] * len(charged)",
+        REPLICA, "self._event = kernel.call_at(t, self._window_done)",
+        "self._event = kernel.call_at(t, self._window_done)\n"
+        "            self.busy_time = busy\n"
+        "            self._busy[:] = [busy] * len(self._busy)",
         0, ORACLE),
     "cut-only-into-empty-queue": (
-        REPLICA, "if ends and self._peek_admissible() is not None:",
-        "if ends and len(self._waiting) == 1 "
-        "and self._peek_admissible() is not None:", 0, ORACLE),
+        REPLICA, "if ends and len(self._running)",
+        "if ends and len(self._waiting) == 1 and len(self._running)", 0,
+        ORACLE),
     "drain-charges-passed-iterations-only": (
         REPLICA, "self.busy_time = self._busy[min(k, len(self._busy) - 1)]",
         "self.busy_time = self._busy[k - 1] if k else self.busy_time", 0,
@@ -166,6 +170,20 @@ MUTANTS = {
     "finishes-in-reverse-admission-order": (
         REPLICA, "self._run_seq, request))", "-self._run_seq, request))", 0,
         ORACLE),
+    "record-stores-decode-as-prefill-start": (
+        METRICS, "request.prefill_start, request.decode_start, now)))",
+        "request.decode_start, request.decode_start, now)))", 0, RECORDS),
+    "same-iteration-finishes-recorded-in-reverse": ((
+        (REPLICA, "on_finish = self.on_request_finish",
+         "on_finish = self.on_request_finish\n        recorded = []", 0),
+        (REPLICA, "                on_finish(request)\n",
+         "                recorded.append(request)\n", 0),
+        (REPLICA, "request.on_complete, request)\n        self._schedule_next()",
+         "request.on_complete, request)\n"
+         "        for request in reversed(recorded):\n"
+         "            on_finish(request)\n"
+         "        self._schedule_next()", 0)),
+        RECORDS),
     "ranking-memo-survives-add": (
         MEMORY, "self._added += 1", "pass", 0, RANKING),
     "ranking-ties-by-tokens": (

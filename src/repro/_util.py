@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -112,10 +112,3 @@ class UnionFind:
         for it in items:
             by_root.setdefault(self.find(it), []).append(it)
         yield from by_root.values()
-
-
-def weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
-    total = float(sum(weights))
-    if total == 0.0:
-        return 0.0
-    return float(sum(v * w for v, w in zip(values, weights)) / total)

@@ -12,8 +12,9 @@ instant (§3.6 light critical path):
 
 1. every cluster finishing at that instant is in one round batch; the
    **movers-only gather** reads the trace's one-byte ``moved`` mask per
-   member and fetches a next position only for the movers (one fancy
-   index into the step-major store), the rest commit without geometry;
+   member and reads a next position only for the movers (two ints off
+   a memoryview of the step-major store), the rest commit without
+   geometry;
 2. **one** ``core.step`` commits the batch, releases waiters, forms the
    dirty components and claims the dispatchable ones;
 3. each claimed cluster takes a worker slot (uncapped, or, under a
@@ -64,10 +65,11 @@ class MetropolisDriver:
         self.executor = executor
         self.rules = rules_for(config, trace.meta)
         #: Step-major trace position store and its did-it-move mask:
-        #: commit batches gather the movers' (step + 1, agent) rows in
-        #: one flat fancy index.
+        #: commit batches read the movers' (step + 1, agent) rows as
+        #: Python ints off a memoryview of the flat rows (a round holds
+        #: a few members; a fancy index costs microseconds however few).
         self._pos_sa = trace.positions_by_step
-        self._pos_flat = trace.positions_flat
+        self._pos_rows = memoryview(trace.positions_flat)
         self._moved = trace.moved
         #: Its twin: does the (step, agent) chain hold an LLM call?
         self._calling = trace.calling
@@ -284,19 +286,16 @@ class MetropolisDriver:
         t0 = clock()
         n = self.graph.n_agents
         moved = self._moved
+        pos = self._pos_rows
         members_all: list[int] = []
-        movers: list[int] = []
-        rows: list[int] = []
+        positions: dict[int, tuple[int, int]] = {}
         for step, members in batch:
             members_all += members
             base = step * n
             for aid in members:
                 if moved[base + aid]:
-                    movers.append(aid)
-                    rows.append(base + n + aid)
-        positions = {aid: (r[0], r[1]) for aid, r in
-                     zip(movers, self._pos_flat[rows].tolist())} \
-            if movers else {}
+                    row = base + n + aid
+                    positions[aid] = (pos[row, 0], pos[row, 1])
         # The trace gather is graph-update work: same bucket as the commit.
         self.stats.time_graph += clock() - t0
         if self._interactive:

@@ -23,7 +23,6 @@ oracle gap measured in §4.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 from ..config import DependencyConfig
@@ -115,22 +114,6 @@ class DependencyRules:
             return False
         gap = step_a - step_b
         return self.space.dist(pos_a, pos_b) <= self.block_threshold(gap)
-
-    def max_runahead(self, distance: float) -> int:
-        """Largest step lead at which ``distance`` does not block.
-
-        Inverse of :meth:`block_threshold`: the scheduler may let an agent
-        lead another by at most this many steps at the given separation.
-        """
-        if distance <= self.couple_threshold:
-            return 0
-        # Largest integer gap with distance > (gap + 1) * max_vel + radius_p
-        # (note the strict inequality: at equality the laggard still blocks).
-        q = (distance - self.radius_p) / self.max_vel - 1.0
-        gap = math.floor(q)
-        if gap == q:
-            gap -= 1
-        return max(int(gap), 0)
 
     # -- runtime validation ------------------------------------------------
 

@@ -76,23 +76,21 @@ class _ClusterRun:
         self.left = len(members)
         self.cur = cur
         self.end = end
-        self.index_of = {aid: i for i, aid in enumerate(members)}
+        self.index_of = dict(zip(members, range(len(members))))
 
     def start(self) -> None:
         """Fires once per cluster after the per-step overhead."""
         ex = self.ex
-        trace = ex.trace
+        ins, outs, funcs = ex._columns
+        step, priority, done = self.step, self.priority, self._call_done
         specs = []
         finished = []
-        for i, aid in enumerate(self.members):
-            idx = self.cur[i]
-            if idx >= self.end[i]:
+        for aid, idx, end in zip(self.members, self.cur, self.end):
+            if idx >= end:
                 finished.append(aid)
                 continue
-            specs.append((aid, int(trace.call_in[idx]),
-                          int(trace.call_out[idx]), self.priority,
-                          self._call_done,
-                          (aid, self.step, int(trace.call_func[idx]))))
+            specs.append((aid, ins[idx], outs[idx], priority, done,
+                          (aid, step, funcs[idx])))
         if specs:
             ex.calls_issued += len(specs)
             ex.engine.generate_batch(specs)
@@ -110,26 +108,28 @@ class _ClusterRun:
     def _call_done(self, request: LLMRequest) -> None:
         """One member's call finished: observe, then advance its chain."""
         ex = self.ex
+        ins, outs, funcs = ex._columns
         aid = request.agent_id
+        step = self.step
         i = self.index_of[aid]
         idx = self.cur[i]
         if ex.call_observer is not None:
-            ex.call_observer(aid, self.step, int(ex.trace.call_func[idx]),
-                             request.submit_time, ex.kernel.now)
+            ex.call_observer(aid, step, funcs[idx], request.submit_time,
+                             ex.kernel.now)
         idx += 1
         self.cur[i] = idx
-        if idx >= self.end[i]:
-            self._chain_done(aid)
+        if idx < self.end[i]:
+            ex.calls_issued += 1
+            ex.engine.generate(ins[idx], outs[idx], self.priority,
+                               self._call_done, (aid, step, funcs[idx]),
+                               aid)
             return
-        trace = ex.trace
-        ex.calls_issued += 1
-        ex.engine.generate(
-            prompt_tokens=int(trace.call_in[idx]),
-            output_tokens=int(trace.call_out[idx]),
-            priority=self.priority,
-            on_complete=self._call_done,
-            context=(aid, self.step, int(trace.call_func[idx])),
-            agent_id=aid)
+        if self.on_done is not None:
+            self.on_done(aid, step)
+            return
+        self.left -= 1
+        if not self.left:
+            self.on_cluster_done(step, self.members)
 
 
 class ChainExecutor:
@@ -145,6 +145,12 @@ class ChainExecutor:
         self.call_observer = call_observer
         #: Total LLM calls issued (for completeness accounting).
         self.calls_issued = 0
+        #: ``(call_in, call_out, call_func)`` as memoryviews: a call's
+        #: fields read as Python ints, one subscript each, with no copy
+        #: of the trace's columns.
+        self._columns = (memoryview(trace.call_in),
+                         memoryview(trace.call_out),
+                         memoryview(trace.call_func))
 
     def run_round(self, launches: Sequence[Launch],
                   on_cluster_done: ClusterDone) -> None:

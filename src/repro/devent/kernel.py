@@ -41,15 +41,13 @@ class Kernel:
     """The virtual-time event loop."""
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current virtual time in seconds. A plain attribute, not a
+        #: property: the serving engine reads it several times per
+        #: call. Only the kernel writes it.
+        self.now = 0.0
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._running = False
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     @property
     def events_scheduled(self) -> int:
@@ -60,9 +58,9 @@ class Kernel:
 
     def call_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute virtual time ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise KernelError(
-                f"cannot schedule at {time} (now is {self._now})")
+                f"cannot schedule at {time} (now is {self.now})")
         ev = Event(time, fn, args)
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, ev))
@@ -72,7 +70,7 @@ class Kernel:
         """Schedule ``fn(*args)`` after ``delay`` seconds of virtual time."""
         if delay < 0:
             raise KernelError(f"negative delay {delay}")
-        return self.call_at(self._now + delay, fn, *args)
+        return self.call_at(self.now + delay, fn, *args)
 
     # -- execution ----------------------------------------------------
 
@@ -89,19 +87,19 @@ class Kernel:
             while heap:
                 time, _, ev = heap[0]
                 if until is not None and time > until:
-                    self._now = until
+                    self.now = until
                     break
                 heapq.heappop(heap)
                 if ev.cancelled:
                     continue
-                self._now = time
+                self.now = time
                 ev.fn(*ev.args)
             else:
-                if until is not None and until > self._now:
-                    self._now = until
+                if until is not None and until > self.now:
+                    self.now = until
         finally:
             self._running = False
-        return self._now
+        return self.now
 
     def step(self) -> bool:
         """Run a single (non-cancelled) event. Returns False when empty."""
@@ -109,7 +107,7 @@ class Kernel:
             time, _, ev = heapq.heappop(self._heap)
             if ev.cancelled:
                 continue
-            self._now = time
+            self.now = time
             ev.fn(*ev.args)
             return True
         return False
@@ -122,7 +120,7 @@ class Kernel:
     def process(self, gen: Generator) -> "Process":
         """Start a generator-based process immediately (at current time)."""
         proc = Process(self, gen)
-        self.call_at(self._now, proc._advance, None)
+        self.call_at(self.now, proc._advance, None)
         return proc
 
 

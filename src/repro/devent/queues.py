@@ -49,11 +49,6 @@ class VirtualPriorityQueue:
             return None
         return heapq.heappop(self._heap)[2]
 
-    def peek_priority(self) -> Optional[float]:
-        if not self._heap:
-            return None
-        return self._heap[0][0]
-
     def _drain(self) -> None:
         while self._heap and self._getters:
             _, _, item = heapq.heappop(self._heap)

@@ -61,11 +61,6 @@ class CircuitBreaker:
         self.opens = 0
         self.closes = 0
 
-    @property
-    def is_open(self) -> bool:
-        with self._lock:
-            return self._opened_at is not None
-
     def allow_call(self) -> bool:
         """Whether the primary client may be tried right now."""
         with self._lock:

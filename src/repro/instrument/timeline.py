@@ -38,9 +38,6 @@ class TimelineRecorder:
         self.events.append(TimelineEvent(agent, step, func_id,
                                          submit_time, finish_time))
 
-    def for_agent(self, agent: int) -> list[TimelineEvent]:
-        return [e for e in self.events if e.agent == agent]
-
     def span(self) -> tuple[float, float]:
         if not self.events:
             return (0.0, 0.0)

@@ -40,10 +40,6 @@ class EchoLLMClient:
             self.calls += 1
         return f"ok({min(max_tokens, 16)})"
 
-    def completed_calls(self) -> int:
-        with self._lock:
-            return self.calls
-
 
 class ThrottledLLMClient:
     """Simulates a serving deployment in wall-clock time.

@@ -70,29 +70,30 @@ class ServingEngine:
         the values are always current.
         """
         self._distance_provider = fn
-
-    def _agent_distance(self, agent_id: int) -> float:
-        if self._distance_provider is None:
-            return 0.0
-        return self._distance_provider(agent_id)
+        for replica in self.replicas:
+            replica.kv.distance_fn = fn
 
     # -- public API -------------------------------------------------------
 
     def submit(self, request: LLMRequest) -> None:
         """Route a request (sticky to retained KV, else least-loaded)."""
         self.metrics.on_submit(self.kernel.now, request)
-        replica = self._pick_replica(request.agent_id)
-        replica.submit(request)
+        replicas = self.replicas
+        if len(replicas) == 1:
+            # One replica is every policy's choice, and the round-robin
+            # cursor of a one-replica ring stays at 0.
+            replicas[0].submit(request)
+            return
+        self._pick_replica(request.agent_id).submit(request)
 
     def generate(self, prompt_tokens: int, output_tokens: int,
                  priority: float = 0.0,
                  on_complete: Optional[Callable[[LLMRequest], None]] = None,
                  context=None, agent_id: int = -1) -> LLMRequest:
-        """Convenience wrapper building and submitting a request."""
-        request = LLMRequest(
-            request_id=self._next_id(), prompt_tokens=prompt_tokens,
-            output_tokens=output_tokens, priority=priority,
-            on_complete=on_complete, context=context, agent_id=agent_id)
+        """Build a request with the next id and submit it."""
+        self._id_counter += 1
+        request = LLMRequest(self._id_counter, prompt_tokens, output_tokens,
+                             priority, on_complete, context, agent_id)
         self.submit(request)
         return request
 
@@ -106,13 +107,11 @@ class ServingEngine:
         hence arrival sequence on each replica) matches an equivalent
         sequence of :meth:`generate` calls exactly.
         """
-        out = []
-        for agent_id, prompt, output, priority, on_complete, context in specs:
-            out.append(self.generate(
-                prompt_tokens=prompt, output_tokens=output,
-                priority=priority, on_complete=on_complete,
-                context=context, agent_id=agent_id))
-        return out
+        generate = self.generate
+        return [generate(prompt, output, priority, on_complete, context,
+                         agent_id)
+                for agent_id, prompt, output, priority, on_complete, context
+                in specs]
 
     def prefetch(self, agent_ids: Iterable[int]) -> int:
         """Pin retained KV of agents the scheduler just dispatched.
@@ -212,14 +211,10 @@ class ServingEngine:
             self.kernel, self.perf, replica_id,
             priority_scheduling=config.priority_scheduling,
             max_running_requests=config.max_running_requests,
-            on_request_finish=self._record_finish,
+            on_request_finish=self.metrics.on_finish,
             prefix_cache_hit_rate=config.prefix_cache_hit_rate,
             kv_policy=config.kv_policy,
-            distance_fn=self._agent_distance)
-
-    def _next_id(self) -> int:
-        self._id_counter += 1
-        return self._id_counter
+            distance_fn=self._distance_provider)
 
     def _pick_replica(self, agent_id: int = -1):
         n = len(self.replicas)
@@ -240,6 +235,3 @@ class ServingEngine:
                 best, best_key = replica, key
         self._rr = (self._rr + 1) % n
         return best
-
-    def _record_finish(self, request: LLMRequest) -> None:
-        self.metrics.on_finish(self.kernel.now, request)

@@ -117,13 +117,14 @@ class KVCacheManager:
         prefill. Retained segments of *other* agents are evicted as
         needed to honour the capacity invariant.
         """
-        if not self.fits(request):
+        total = request.total_tokens
+        if self.reserved_tokens + total > self.capacity_tokens:
             raise CapacityError(
                 f"admitting request {request.request_id} would exceed "
                 f"KV capacity")
-        if request.request_id in self._reservations:
-            raise CapacityError(
-                f"request {request.request_id} already reserved")
+        rid = request.request_id
+        if rid in self._reservations:
+            raise CapacityError(f"request {rid} already reserved")
         cached = 0
         if self.policy != "none" and request.agent_id >= 0:
             seg = self._retained.pop(request.agent_id, None)
@@ -134,9 +135,11 @@ class KVCacheManager:
                 self.hit_tokens += cached
             else:
                 self.misses += 1
-        self._reservations[request.request_id] = request.total_tokens
-        self.reserved_tokens += request.total_tokens
-        self._evict_down_to(self.capacity_tokens - self.reserved_tokens)
+        self._reservations[rid] = total
+        self.reserved_tokens += total
+        budget = self.capacity_tokens - self.reserved_tokens
+        if self.retained_tokens > budget:
+            self._evict_down_to(budget)
         return cached
 
     def release(self, request: LLMRequest) -> None:
@@ -164,19 +167,17 @@ class KVCacheManager:
         prev = self._retained.pop(agent_id, None)
         if prev is not None:
             self.retained_tokens -= prev.tokens
+        seg = _Segment(agent_id, tokens, now)
         free = (self.capacity_tokens - self.reserved_tokens
                 - self.retained_tokens)
-        if tokens > free:
-            cand = _Segment(agent_id, tokens, now)
-            while tokens > free:
-                victim = self._pick_victim(worse_than=cand)
-                if victim is None:
-                    self.retain_rejects += 1
-                    return False
-                self._evict(victim)
-                free = (self.capacity_tokens - self.reserved_tokens
-                        - self.retained_tokens)
-        seg = _Segment(agent_id, tokens, now)
+        while tokens > free:
+            victim = self._pick_victim(worse_than=seg)
+            if victim is None:
+                self.retain_rejects += 1
+                return False
+            self._evict(victim)
+            free = (self.capacity_tokens - self.reserved_tokens
+                    - self.retained_tokens)
         self._retained[agent_id] = seg
         self.retained_tokens += tokens
         return True
@@ -265,10 +266,6 @@ class KVCacheManager:
     @property
     def utilization(self) -> float:
         return self.reserved_tokens / self.capacity_tokens
-
-    @property
-    def retained_fraction(self) -> float:
-        return self.retained_tokens / self.capacity_tokens
 
     def stats(self) -> dict[str, int]:
         """Counters for the bench report (per replica, summed upstream)."""

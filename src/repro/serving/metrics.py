@@ -9,14 +9,18 @@ metropolis on 8 GPUs).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .request import LLMRequest
 
 
-@dataclass(frozen=True)
-class RequestRecord:
-    """Immutable completion record for one request."""
+class RequestRecord(NamedTuple):
+    """Immutable completion record for one request.
+
+    A named tuple: :meth:`EngineMetrics.on_finish` builds one per
+    finished request with ``tuple.__new__``, which runs no Python frame
+    and keeps no per-record ``__dict__``.
+    """
 
     request_id: int
     replica_id: int
@@ -37,6 +41,9 @@ class RequestRecord:
         return self.prefill_start - self.submit_time
 
 
+_new_record = tuple.__new__
+
+
 @dataclass
 class EngineMetrics:
     """Aggregated over the lifetime of one :class:`ServingEngine`."""
@@ -52,32 +59,27 @@ class EngineMetrics:
     last_finish: float = 0.0
 
     def on_submit(self, now: float, request: LLMRequest) -> None:
-        self._advance(now)
+        self._outstanding_integral += \
+            self._outstanding * (now - self._last_change)
+        self._last_change = now
         self._outstanding += 1
         if self.first_submit is None:
             self.first_submit = now
 
-    def on_finish(self, now: float, request: LLMRequest) -> None:
-        self._advance(now)
+    def on_finish(self, request: LLMRequest) -> None:
+        """Record ``request``, finished at its ``finish_time`` (now)."""
+        now = request.finish_time
+        self._outstanding_integral += \
+            self._outstanding * (now - self._last_change)
+        self._last_change = now
         self._outstanding -= 1
         self.total_prompt_tokens += request.prompt_tokens
         self.total_output_tokens += request.output_tokens
         self.last_finish = now
-        self.records.append(RequestRecord(
-            request_id=request.request_id,
-            replica_id=request.replica_id,
-            prompt_tokens=request.prompt_tokens,
-            output_tokens=request.output_tokens,
-            priority=request.priority,
-            submit_time=request.submit_time,
-            prefill_start=request.prefill_start,
-            decode_start=request.decode_start,
-            finish_time=request.finish_time,
-        ))
-
-    def _advance(self, now: float) -> None:
-        self._outstanding_integral += self._outstanding * (now - self._last_change)
-        self._last_change = now
+        self.records.append(_new_record(RequestRecord, (
+            request.request_id, request.replica_id, request.prompt_tokens,
+            request.output_tokens, request.priority, request.submit_time,
+            request.prefill_start, request.decode_start, now)))
 
     # -- summary ----------------------------------------------------------
 

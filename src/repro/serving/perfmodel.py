@@ -56,6 +56,11 @@ class PerfModel:
                 f"{self.model.name} does not fit on {self.tp}x "
                 f"{self.gpu.name}: needs {self.weight_bytes_per_gpu / 1e9:.1f} "
                 f"GB/GPU of {self.gpu.mem_bytes / 1e9:.1f} GB")
+        # Prefill runs once per request: keep its constants at hand.
+        object.__setattr__(self, "_prefill_overhead", self._overhead)
+        object.__setattr__(self, "_prefill_flops",
+                           2.0 * self.model.params_active)
+        object.__setattr__(self, "_prefill_rate", MFU_PREFILL * self._flops)
 
     # -- capacity -------------------------------------------------------
 
@@ -110,24 +115,8 @@ class PerfModel:
         """Latency to prefill a prompt of ``prompt_tokens``."""
         if prompt_tokens < 0:
             raise ConfigError("prompt_tokens must be >= 0")
-        compute = (2.0 * self.model.params_active * prompt_tokens
-                   / (MFU_PREFILL * self._flops))
-        return self._overhead + compute
-
-    # -- convenience ------------------------------------------------------
-
-    def request_service_time(self, prompt_tokens: int,
-                             output_tokens: int,
-                             batch_size: int = 1,
-                             avg_context: float | None = None) -> float:
-        """Approximate end-to-end service time of one request executed in a
-        steady batch of ``batch_size`` (used for critical-path bounds)."""
-        if avg_context is None:
-            avg_context = prompt_tokens + output_tokens / 2.0
-        it = self.decode_iteration_time(batch_size,
-                                        kv_tokens=batch_size * avg_context)
-        return self.prefill_time(prompt_tokens) + output_tokens * it
-
-    def saturation_batch_size(self) -> float:
-        """Batch size where decode flips from bandwidth- to compute-bound."""
-        return self.weight_read_time(1e9) / self.token_compute_time
+        # ``overhead + 2 * params * P / (MFU * flops)``, its two
+        # constant factors taken once in ``__post_init__``: the same
+        # operations on the same floats, so the same result.
+        return self._prefill_overhead \
+            + self._prefill_flops * prompt_tokens / self._prefill_rate

@@ -21,16 +21,24 @@ boundary gets its kernel sequence number at planning time, so events of
 takes exactly symmetric clocks (identical prompts at one instant), which
 generated traces never have. ``busy_time`` is folded when a window ends:
 exact when the replica is idle, at every batch change and after
-:meth:`~_BaseReplica.drain`; in between it lags by the window in flight.
+:meth:`~IterationReplica.drain`; in between it lags by the window in
+flight.
+
+What one call costs on the host is the point of its layout: a request's
+admission, prefill end and finish each run in one method with every
+helper inlined (``fits``, the prefill duration, the finish bookkeeping),
+reading the kernel clock and the request's fields once. The oracle
+carries its own copy of the queueing and admission code, so it does not
+check this path against itself.
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
-from ..devent import Event, Kernel
+from ..devent import Kernel
 from .memory import KVCacheManager
 from .perfmodel import PerfModel
 from .request import LLMRequest, RequestState
@@ -40,9 +48,14 @@ from .request import LLMRequest, RequestState
 #: stays linear in the iterations executed however often it is cut.
 _PLAN_CAP = 64
 
+_QUEUED = RequestState.QUEUED
+_PREFILL = RequestState.PREFILL
+_DECODE = RequestState.DECODE
+_FINISHED = RequestState.FINISHED
 
-class _BaseReplica:
-    """Queueing/admission machinery, shared with the test oracle."""
+
+class IterationReplica:
+    """Exact per-iteration arithmetic, one event per batch change."""
 
     def __init__(self, kernel: Kernel, perf: PerfModel, replica_id: int,
                  priority_scheduling: bool = True,
@@ -61,6 +74,7 @@ class _BaseReplica:
         self.prefix_cache_hit_rate = prefix_cache_hit_rate
         self.kv = KVCacheManager(perf.kv_capacity_tokens, policy=kv_policy,
                                  distance_fn=distance_fn)
+        #: waiting queue: (priority or 0.0 under FCFS, arrival seq, request)
         self._waiting: list[tuple[float, int, LLMRequest]] = []
         self._arrival_seq = 0
         #: running + prefilling + waiting, used by the DP router.
@@ -70,97 +84,155 @@ class _BaseReplica:
         self._prefilling: Optional[LLMRequest] = None
         #: decode batch as a finish heap: (token clock at the last
         #: token, admission seq, request)
-        self._running: list[tuple[float, int, LLMRequest]] = []
+        self._running: list[tuple[int, int, LLMRequest]] = []
         self._run_seq = 0
         #: total cached context tokens of the running batch
         self._kv_context = 0.0
-        #: decode iteration time = ``_decode_base(B) + kv_tokens * _kvr``
+        #: decode iteration time = ``_base_by_batch[B] + kv_tokens * _kvr``
         self._kvr = perf.kv_read_time_per_token()
         self._base_by_batch: dict[int, float] = {}
-
-    def _decode_base(self, batch: int) -> float:
-        """KV-independent part of a decode iteration at batch ``batch``."""
-        base = self._base_by_batch.get(batch)
-        if base is None:
-            base = self._base_by_batch[batch] = \
-                self.perf.decode_iteration_time(batch, 0.0)
-        return base
-
-    def _start_prefill(self, request: LLMRequest) -> Event:
-        """Admit the queue head ``request``; return its prefill-end event."""
-        heapq.heappop(self._waiting)
-        request.cached_prompt_tokens = self.kv.reserve(request)
-        request.state = RequestState.PREFILL
-        request.prefill_start = self.kernel.now
-        self._prefilling = request
-        duration = self._prefill_duration(request)
-        self.busy_time += duration
-        return self.kernel.call_in(duration, self._prefill_done, request)
-
-    def _start_decode(self, request: LLMRequest, clock: float) -> None:
-        """Prefill is over: ``request`` joins the batch at ``clock``."""
-        self._prefilling = None
-        request.state = RequestState.DECODE
-        request.decode_start = self.kernel.now
-        self._run_seq += 1
-        heapq.heappush(self._running, (clock + request.output_tokens,
-                                       self._run_seq, request))
-        self._kv_context += request.prompt_tokens
-
-    def _prefill_duration(self, request: LLMRequest) -> float:
-        """Prefill latency, discounted by warm KV and the prefix cache.
-
-        Tokens already resident in the agent's retained KV segment
-        (invocation-distance retention) skip prefill entirely; the
-        remainder is discounted by the common-prefix cache rate.
-        """
-        cold = request.prompt_tokens - request.cached_prompt_tokens
-        effective = int(cold * (1.0 - self.prefix_cache_hit_rate))
-        return self.perf.prefill_time(effective)
+        #: decode iterations completed so far (the token clock)
+        self._iter = 0
+        #: the one pending event: a prefill end or a planned window's end
+        self._event = None
+        #: planned decode window: per iteration its end time and the
+        #: ``busy_time`` once it is charged; both empty outside a window
+        self._ends: list[float] = []
+        self._busy: list[float] = []
+        #: prefill is discounted by warm KV, then by the prefix cache
+        self._cold_share = 1.0 - prefix_cache_hit_rate
+        self._retains = self.kv.policy != "none"
 
     # -- queue ----------------------------------------------------------
 
     def submit(self, request: LLMRequest) -> None:
-        self.kv.check_feasible(request)
-        request.submit_time = self.kernel.now
+        kv = self.kv
+        if request.total_tokens > kv.capacity_tokens:
+            kv.check_feasible(request)  # raises
+        now = self.kernel.now
+        request.submit_time = now
         request.replica_id = self.replica_id
         self._arrival_seq += 1
-        key = request.priority if self.priority_scheduling else 0.0
-        heapq.heappush(self._waiting, (key, self._arrival_seq, request))
+        heappush(self._waiting,
+                 (request.priority if self.priority_scheduling else 0.0,
+                  self._arrival_seq, request))
         self.outstanding += 1
-        self._on_state_change()
-
-    def _peek_admissible(self) -> Optional[LLMRequest]:
-        """Head-of-line request if it can be admitted right now."""
-        if not self._waiting:
-            return None
-        request = self._waiting[0][2]
-        if len(self._running) + 1 > self.max_running_requests:
-            return None
-        if not self.kv.fits(request):
-            return None
-        return request
+        if self._event is None:
+            self._schedule_next()
+            return
+        # Mid-window, admission can only open up through a new queue
+        # head (``fits`` and the running cap move on admit and finish
+        # alone): cut the window at the end of the iteration in flight.
+        # A boundary at this very instant has passed — its event was
+        # scheduled an iteration before anything this instant caused.
+        ends = self._ends
+        if ends and len(self._running) < self.max_running_requests \
+                and kv.reserved_tokens + self._waiting[0][2].total_tokens \
+                <= kv.capacity_tokens:
+            k = bisect_right(ends, now)
+            if k < len(ends) - 1:
+                self._event.cancel()
+                del ends[k + 1:], self._busy[k + 1:]
+                self._event = self.kernel.call_at(ends[k], self._window_done)
 
     def idle(self) -> bool:
         return (not self._running and not self._waiting
                 and self._prefilling is None)
 
-    def _finish(self, request: LLMRequest) -> None:
-        request.state = RequestState.FINISHED
-        request.finish_time = self.kernel.now
-        self.kv.release(request)
-        if self.kv.policy != "none":
-            # Keep the finished context warm for the agent's next call
-            # (subject to the retention policy's eviction ordering).
-            self.kv.retain(request.agent_id, request.total_tokens,
-                           now=self.kernel.now)
-        self.outstanding -= 1
-        if self.on_request_finish is not None:
-            self.on_request_finish(request)
-        if request.on_complete is not None:
-            # Deliver through the kernel so caller reactions (e.g. the next
-            # call in an agent's chain) are ordinary events.
-            self.kernel.call_at(self.kernel.now, request.on_complete, request)
+    # -- engine actions ---------------------------------------------------
+
+    def _schedule_next(self) -> None:
+        """Pick the next engine action and schedule its completion."""
+        waiting = self._waiting
+        running = self._running
+        kernel = self.kernel
+        if waiting and len(running) < self.max_running_requests:
+            request = waiting[0][2]
+            kv = self.kv
+            if kv.reserved_tokens + request.total_tokens <= kv.capacity_tokens:
+                # Admit the head: reserve its whole footprint, then
+                # prefill what the retained KV and prefix cache miss.
+                heappop(waiting)
+                cached = request.cached_prompt_tokens = kv.reserve(request)
+                request.state = _PREFILL
+                now = kernel.now
+                request.prefill_start = now
+                self._prefilling = request
+                duration = self.perf.prefill_time(
+                    int((request.prompt_tokens - cached) * self._cold_share))
+                self.busy_time += duration
+                self._event = kernel.call_at(now + duration,
+                                             self._prefill_done, request)
+                return
+        if running:
+            # Plan the iterations up to the next finish: the very sums a
+            # per-iteration ``call_in(decode_iteration_time(B, kv))``
+            # chain evaluates, kept per boundary so a cut stays exact.
+            batch = len(running)
+            base = self._base_by_batch.get(batch)
+            if base is None:
+                base = self._base_by_batch[batch] = \
+                    self.perf.decode_iteration_time(batch, 0.0)
+            kvr = self._kvr
+            kv, t, busy = self._kv_context, kernel.now, self.busy_time
+            end, charge = self._ends.append, self._busy.append
+            for _ in range(min(running[0][0] - self._iter, _PLAN_CAP)):
+                duration = base + kv * kvr
+                t += duration
+                busy += duration
+                kv += batch
+                end(t)
+                charge(busy)
+            self._event = kernel.call_at(t, self._window_done)
+            return
+        self._event = None
+
+    def _prefill_done(self, request: LLMRequest) -> None:
+        """Prefill is over: ``request`` joins the decode batch."""
+        self._prefilling = None
+        request.state = _DECODE
+        request.decode_start = self.kernel.now
+        self._run_seq += 1
+        heappush(self._running, (self._iter + request.output_tokens,
+                                 self._run_seq, request))
+        self._kv_context += request.prompt_tokens
+        self._schedule_next()
+
+    def _window_done(self) -> None:
+        """Fold the planned window; finish what is due at its end.
+
+        A finish releases the reservation, keeps the context warm for
+        the agent's next call (subject to the retention policy), is
+        recorded, then delivered through the kernel so the caller's
+        reaction (the next call of a chain) is an ordinary event.
+        """
+        running = self._running
+        done = len(self._ends)
+        self.busy_time = self._busy[-1]
+        # Token counts are integers: one ``+= B * n`` is ``n`` of ``+= B``.
+        self._kv_context += len(running) * done
+        self._iter = now_iter = self._iter + done
+        self._ends.clear()
+        self._busy.clear()
+        kernel = self.kernel
+        now = kernel.now
+        kv = self.kv
+        on_finish = self.on_request_finish
+        while running and running[0][0] == now_iter:
+            request = heappop(running)[2]
+            tokens = request.total_tokens
+            self._kv_context -= tokens
+            request.state = _FINISHED
+            request.finish_time = now
+            kv.release(request)
+            if self._retains:
+                kv.retain(request.agent_id, tokens, now)
+            self.outstanding -= 1
+            if on_finish is not None:
+                on_finish(request)
+            if request.on_complete is not None:
+                kernel.call_at(now, request.on_complete, request)
+        self._schedule_next()
 
     # -- blackout ---------------------------------------------------------
 
@@ -176,105 +248,17 @@ class _BaseReplica:
         """
         admitted = self._drain_admitted()
         admitted.sort(key=lambda r: r.request_id)
-        waiting = [heapq.heappop(self._waiting)[2] for _ in
+        waiting = [heappop(self._waiting)[2] for _ in
                    range(len(self._waiting))]
         for request in admitted:
             self.kv.release(request)
-            request.state = RequestState.QUEUED
+            request.state = _QUEUED
             request.cached_prompt_tokens = 0
         self.outstanding = 0
         return admitted + waiting
 
-    # -- hooks ------------------------------------------------------------
-
-    def _on_state_change(self) -> None:
-        raise NotImplementedError
-
     def _drain_admitted(self) -> list[LLMRequest]:
         """Cancel events; return admitted (prefilling+running) requests."""
-        raise NotImplementedError
-
-
-class IterationReplica(_BaseReplica):
-    """Exact per-iteration arithmetic, one event per batch change."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        #: decode iterations completed so far (the token clock)
-        self._iter = 0
-        #: the one pending event: a prefill end or a planned window's end
-        self._event = None
-        #: planned decode window: per iteration its end time and the
-        #: ``busy_time`` once it is charged; both empty outside a window
-        self._ends: list[float] = []
-        self._busy: list[float] = []
-
-    def _on_state_change(self) -> None:
-        if self._event is None:
-            self._schedule_next()
-            return
-        ends = self._ends
-        # Mid-window, admission can only open up through a new queue
-        # head (``fits`` and the running cap move on admit and finish
-        # alone): cut the window at the end of the iteration in flight.
-        # A boundary at this very instant has passed — its event was
-        # scheduled an iteration before anything this instant caused.
-        if ends and self._peek_admissible() is not None:
-            k = bisect_right(ends, self.kernel.now)
-            if k < len(ends) - 1:
-                self._event.cancel()
-                del ends[k + 1:], self._busy[k + 1:]
-                self._event = self.kernel.call_at(ends[k], self._window_done)
-
-    def _schedule_next(self) -> None:
-        """Pick the next engine action and schedule its completion."""
-        request = self._peek_admissible()
-        if request is not None:
-            self._event = self._start_prefill(request)
-            return
-        running = self._running
-        if running:
-            # Plan the iterations up to the next finish: the very sums a
-            # per-iteration ``call_in(decode_iteration_time(B, kv))``
-            # chain evaluates, kept per boundary so a cut stays exact.
-            batch = len(running)
-            base, kvr = self._decode_base(batch), self._kvr
-            kv, t, busy = self._kv_context, self.kernel.now, self.busy_time
-            ends, charged = self._ends, self._busy
-            for _ in range(min(running[0][0] - self._iter, _PLAN_CAP)):
-                duration = base + kv * kvr
-                t += duration
-                busy += duration
-                kv += batch
-                ends.append(t)
-                charged.append(busy)
-            self._event = self.kernel.call_at(t, self._window_done)
-            return
-        self._event = None
-
-    def _prefill_done(self, request: LLMRequest) -> None:
-        self._start_decode(request, self._iter)
-        self._event = None
-        self._schedule_next()
-
-    def _window_done(self) -> None:
-        """Fold the planned window; finish what is due at its end."""
-        running = self._running
-        done = len(self._ends)
-        self.busy_time = self._busy[-1]
-        # Token counts are integers: one ``+= B * n`` is ``n`` of ``+= B``.
-        self._kv_context += len(running) * done
-        self._iter = now_iter = self._iter + done
-        self._ends.clear()
-        self._busy.clear()
-        while running and running[0][0] == now_iter:
-            request = heapq.heappop(running)[2]
-            self._kv_context -= request.total_tokens
-            self._finish(request)
-        self._event = None
-        self._schedule_next()
-
-    def _drain_admitted(self) -> list[LLMRequest]:
         if self._event is not None:
             self._event.cancel()
             self._event = None

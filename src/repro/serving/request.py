@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Optional
 
@@ -16,7 +15,6 @@ class RequestState(Enum):
     FINISHED = "finished"
 
 
-@dataclass(eq=False)  # identity semantics: requests are unique objects
 class LLMRequest:
     """One LLM call.
 
@@ -26,43 +24,58 @@ class LLMRequest:
 
     ``priority`` carries the simulation step of the issuing agent; under
     priority scheduling (§3.5) smaller steps are served first.
+
+    A slotted class with a positional ``__init__``: one is built per
+    simulated call. Equality is identity (requests are unique objects).
+    The token counts are fixed at construction, so ``total_tokens`` is
+    stored, not recomputed on each of the engine's reads.
     """
 
-    request_id: int
-    prompt_tokens: int
-    output_tokens: int
-    priority: float = 0.0
-    #: Called with this request when generation finishes.
-    on_complete: Optional[Callable[["LLMRequest"], None]] = None
-    #: Opaque payload for callers (e.g. (agent, step, call index)).
-    context: Any = None
-    #: Issuing agent (-1 = anonymous). Keys per-agent KV retention and
-    #: sticky routing; the scheduler's invocation-distance signal is
-    #: looked up under this id.
-    agent_id: int = -1
+    __slots__ = ("request_id", "prompt_tokens", "output_tokens",
+                 "total_tokens", "priority", "on_complete", "context",
+                 "agent_id", "submit_time", "prefill_start", "decode_start",
+                 "finish_time", "state", "replica_id",
+                 "cached_prompt_tokens")
 
-    # lifecycle timestamps (virtual seconds), filled by the engine
-    submit_time: float = field(default=-1.0, init=False)
-    prefill_start: float = field(default=-1.0, init=False)
-    decode_start: float = field(default=-1.0, init=False)
-    finish_time: float = field(default=-1.0, init=False)
-    state: RequestState = field(default=RequestState.QUEUED, init=False)
-    #: Replica that served the request.
-    replica_id: int = field(default=-1, init=False)
-    #: Prompt tokens found warm in the agent's retained KV segment at
-    #: admission (prefill is discounted by these; set by the replica).
-    cached_prompt_tokens: int = field(default=0, init=False)
-
-    def __post_init__(self) -> None:
-        if self.prompt_tokens < 0:
+    def __init__(self, request_id: int, prompt_tokens: int,
+                 output_tokens: int, priority: float = 0.0,
+                 on_complete: Optional[Callable[["LLMRequest"], None]] = None,
+                 context: Any = None, agent_id: int = -1) -> None:
+        if prompt_tokens < 0:
             raise ConfigError("prompt_tokens must be >= 0")
-        if self.output_tokens < 1:
+        if output_tokens < 1:
             # Every LLM call produces at least one token (even yes/no).
             raise ConfigError("output_tokens must be >= 1")
+        self.request_id = request_id
+        self.prompt_tokens = prompt_tokens
+        self.output_tokens = output_tokens
+        self.total_tokens = prompt_tokens + output_tokens
+        self.priority = priority
+        #: Called with this request when generation finishes.
+        self.on_complete = on_complete
+        #: Opaque payload for callers (e.g. (agent, step, call index)).
+        self.context = context
+        #: Issuing agent (-1 = anonymous). Keys per-agent KV retention
+        #: and sticky routing; the scheduler's invocation-distance signal
+        #: is looked up under this id.
+        self.agent_id = agent_id
+        # lifecycle timestamps (virtual seconds), filled by the engine
+        self.submit_time = -1.0
+        self.prefill_start = -1.0
+        self.decode_start = -1.0
+        self.finish_time = -1.0
+        self.state = RequestState.QUEUED
+        #: Replica that served the request.
+        self.replica_id = -1
+        #: Prompt tokens found warm in the agent's retained KV segment at
+        #: admission (prefill is discounted by these; set by the replica).
+        self.cached_prompt_tokens = 0
 
-    @property
-    def total_tokens(self) -> int:
-        return self.prompt_tokens + self.output_tokens
+    def __repr__(self) -> str:
+        return (f"LLMRequest(request_id={self.request_id}, "
+                f"prompt_tokens={self.prompt_tokens}, "
+                f"output_tokens={self.output_tokens}, "
+                f"agent_id={self.agent_id}, state={self.state.name})")
 
     @property
     def latency(self) -> float:

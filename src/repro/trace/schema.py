@@ -4,8 +4,8 @@ Positions and LLM calls are stored as dense numpy arrays so that thousand-
 agent traces stay compact and slicing an hour window (the paper's busy/
 quiet-hour benchmarks) is a cheap array operation. Positions are held
 **step-major** — one ``(n_steps + 1, n_agents, 2)`` int array, the
-only layout — so the replay drivers gather a commit batch's movers in
-one fancy index (a lazily built ``moved`` mask says who they are), a
+only layout — so the replay drivers read a commit batch's movers off
+its flat rows (a lazily built ``moved`` mask says who they are), a
 step's population slice is contiguous (bulk spatial-index loads, the
 oracle's per-step clustering), and graph-metric traces expose their
 node-id column without re-tupling. Calls are sorted by ``(agent,

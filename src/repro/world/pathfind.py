@@ -4,13 +4,11 @@ Trace generation needs tens of thousands of venue-to-venue walks, so the
 planner is a *distance-field* router: one BFS flood per goal tile (cached)
 and greedy descent from any start. This is equivalent to shortest paths on
 the 4-connected grid and amortizes perfectly across agents that share
-destinations (everyone walks to the cafe at lunch). A plain A* is also
-provided for one-off queries and as a cross-check in tests.
+destinations (everyone walks to the cafe at lunch). Its cross-check in
+the tests is a plain A* (``tests/helpers.py::reference_astar``).
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
@@ -96,35 +94,3 @@ class PathPlanner:
             pos = self.next_step(pos, goal)
             out.append(pos)
         raise WorldError("path descent did not terminate")  # pragma: no cover
-
-
-def astar(world: GridWorld, start: tuple[int, int],
-          goal: tuple[int, int]) -> list[tuple[int, int]]:
-    """Textbook A* with Manhattan heuristic (reference implementation)."""
-    if not world.is_walkable(*start) or not world.is_walkable(*goal):
-        raise WorldError("start/goal not walkable")
-
-    def h(p: tuple[int, int]) -> int:
-        return abs(p[0] - goal[0]) + abs(p[1] - goal[1])
-
-    open_heap: list[tuple[int, int, tuple[int, int]]] = [(h(start), 0, start)]
-    g_score = {start: 0}
-    came: dict[tuple[int, int], tuple[int, int]] = {}
-    seq = 0
-    while open_heap:
-        _, _, current = heapq.heappop(open_heap)
-        if current == goal:
-            path = [current]
-            while current in came:
-                current = came[current]
-                path.append(current)
-            path.reverse()
-            return path
-        for nxt in world.neighbors(*current):
-            tentative = g_score[current] + 1
-            if tentative < g_score.get(nxt, 1 << 30):
-                g_score[nxt] = tentative
-                came[nxt] = current
-                seq += 1
-                heapq.heappush(open_heap, (tentative + h(nxt), seq, nxt))
-    raise WorldError(f"no path from {start} to {goal}")

@@ -4,6 +4,7 @@ shared across the scheduler, sharding, fault, and controller suites."""
 from __future__ import annotations
 
 import hashlib
+import heapq
 from collections import deque
 from contextlib import contextmanager
 
@@ -12,8 +13,10 @@ import numpy as np
 from repro._util import FastRng, UnionFind
 from repro.config import STEPS_PER_DAY, FaultPolicy
 from repro.core.space import GraphSpace
+from repro.errors import WorldError
 from repro.serving import engine as serving_engine
-from repro.serving.replica import _BaseReplica
+from repro.serving.memory import KVCacheManager
+from repro.serving.perfmodel import MFU_PREFILL
 from repro.serving.request import RequestState
 from repro.trace.schema import Trace, TraceMeta
 from repro.world.memory_stream import MemoryEvent, MemoryStream
@@ -207,24 +210,107 @@ def random_trace(seed: int, n_agents: int = 6, n_steps: int = 40,
                  np.asarray(outs, dtype=np.int32))
 
 
-class PerIterationReplica(_BaseReplica):
+class PerIterationReplica:
     """Reference engine: one kernel event per decode iteration.
 
     The body ``IterationReplica`` had before it planned whole windows —
     a countdown per running request, ``decode_iteration_time`` asked of
     the perf model every iteration — kept as the differential oracle:
     whatever ``IterationReplica`` schedules must produce these floats.
+    Its queueing and admission (``submit``, ``_peek_admissible``, the
+    prefill start, ``_finish`` and ``drain``) are its own copy of the
+    code the two replicas once shared, so the oracle never checks the
+    replica against itself. It speaks the engine's replica interface:
+    the constructor, ``submit``, ``idle``, ``drain``, ``kv``,
+    ``outstanding`` and ``busy_time``.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        #: request -> remaining output tokens (not the base's finish heap)
+    def __init__(self, kernel, perf, replica_id: int,
+                 priority_scheduling: bool = True,
+                 max_running_requests: int = 256,
+                 on_request_finish=None,
+                 prefix_cache_hit_rate: float = 0.0,
+                 kv_policy: str = "none",
+                 distance_fn=None) -> None:
+        self.kernel = kernel
+        self.perf = perf
+        self.replica_id = replica_id
+        self.priority_scheduling = priority_scheduling
+        self.max_running_requests = max_running_requests
+        self.on_request_finish = on_request_finish
+        self.prefix_cache_hit_rate = prefix_cache_hit_rate
+        self.kv = KVCacheManager(perf.kv_capacity_tokens, policy=kv_policy,
+                                 distance_fn=distance_fn)
+        self._waiting = []
+        self._arrival_seq = 0
+        self.outstanding = 0
+        self.busy_time = 0.0
+        self._prefilling = None
+        #: request -> remaining output tokens
         self._running = {}
+        self._kv_context = 0.0
         self._event = None
 
-    def _on_state_change(self) -> None:
+    # -- queue and admission ----------------------------------------------
+
+    def submit(self, request) -> None:
+        self.kv.check_feasible(request)
+        request.submit_time = self.kernel.now
+        request.replica_id = self.replica_id
+        self._arrival_seq += 1
+        key = request.priority if self.priority_scheduling else 0.0
+        heapq.heappush(self._waiting, (key, self._arrival_seq, request))
+        self.outstanding += 1
         if self._event is None:
             self._schedule_next()
+
+    def _peek_admissible(self):
+        """Head-of-line request if it can be admitted right now."""
+        if not self._waiting:
+            return None
+        request = self._waiting[0][2]
+        if len(self._running) + 1 > self.max_running_requests:
+            return None
+        if not self.kv.fits(request):
+            return None
+        return request
+
+    def _start_prefill(self, request):
+        """Admit the queue head ``request``; return its prefill-end event."""
+        heapq.heappop(self._waiting)
+        request.cached_prompt_tokens = self.kv.reserve(request)
+        request.state = RequestState.PREFILL
+        request.prefill_start = self.kernel.now
+        self._prefilling = request
+        cold = request.prompt_tokens - request.cached_prompt_tokens
+        effective = int(cold * (1.0 - self.prefix_cache_hit_rate))
+        # ``PerfModel.prefill_time`` spelled out, not called: the oracle
+        # re-derives the constants the perf model caches.
+        perf = self.perf
+        duration = perf._overhead + (2.0 * perf.model.params_active
+                                     * effective
+                                     / (MFU_PREFILL * perf._flops))
+        self.busy_time += duration
+        return self.kernel.call_in(duration, self._prefill_done, request)
+
+    def idle(self) -> bool:
+        return (not self._running and not self._waiting
+                and self._prefilling is None)
+
+    def _finish(self, request) -> None:
+        request.state = RequestState.FINISHED
+        request.finish_time = self.kernel.now
+        self.kv.release(request)
+        if self.kv.policy != "none":
+            self.kv.retain(request.agent_id, request.total_tokens,
+                           now=self.kernel.now)
+        self.outstanding -= 1
+        if self.on_request_finish is not None:
+            self.on_request_finish(request)
+        if request.on_complete is not None:
+            self.kernel.call_at(self.kernel.now, request.on_complete, request)
+
+    # -- one event per iteration ------------------------------------------
 
     def _schedule_next(self) -> None:
         request = self._peek_admissible()
@@ -262,7 +348,11 @@ class PerIterationReplica(_BaseReplica):
         self._event = None
         self._schedule_next()
 
-    def _drain_admitted(self) -> list:
+    # -- blackout -----------------------------------------------------------
+
+    def drain(self) -> list:
+        """Crash: cancel the event, release reservations, return every
+        in-flight request (admitted by id, then the queue in order)."""
         if self._event is not None:
             self._event.cancel()
             self._event = None
@@ -272,7 +362,15 @@ class PerIterationReplica(_BaseReplica):
         if self._prefilling is not None:
             admitted.append(self._prefilling)
             self._prefilling = None
-        return admitted
+        admitted.sort(key=lambda r: r.request_id)
+        waiting = [heapq.heappop(self._waiting)[2] for _ in
+                   range(len(self._waiting))]
+        for request in admitted:
+            self.kv.release(request)
+            request.state = RequestState.QUEUED
+            request.cached_prompt_tokens = 0
+        self.outstanding = 0
+        return admitted + waiting
 
 
 @contextmanager
@@ -379,6 +477,38 @@ def is_dwelling(agent, step: int) -> bool:
             in (agent.activity, "sleeping")
             and not (agent.memory.importance_since_reflection > 12.0
                      and step - agent.last_reflection > 180))
+
+
+def reference_astar(world, start: tuple[int, int],
+                    goal: tuple[int, int]) -> list[tuple[int, int]]:
+    """Textbook A* with Manhattan heuristic: ``PathPlanner``'s reference."""
+    if not world.is_walkable(*start) or not world.is_walkable(*goal):
+        raise WorldError("start/goal not walkable")
+
+    def h(p: tuple[int, int]) -> int:
+        return abs(p[0] - goal[0]) + abs(p[1] - goal[1])
+
+    open_heap: list[tuple[int, int, tuple[int, int]]] = [(h(start), 0, start)]
+    g_score = {start: 0}
+    came: dict[tuple[int, int], tuple[int, int]] = {}
+    seq = 0
+    while open_heap:
+        _, _, current = heapq.heappop(open_heap)
+        if current == goal:
+            path = [current]
+            while current in came:
+                current = came[current]
+                path.append(current)
+            path.reverse()
+            return path
+        for nxt in world.neighbors(*current):
+            tentative = g_score[current] + 1
+            if tentative < g_score.get(nxt, 1 << 30):
+                g_score[nxt] = tentative
+                came[nxt] = current
+                seq += 1
+                heapq.heappush(open_heap, (tentative + h(nxt), seq, nxt))
+    raise WorldError(f"no path from {start} to {goal}")
 
 
 def reference_bucket_range(space: GraphSpace, pos, radius: float,

@@ -106,15 +106,6 @@ class TestRulesPredicates:
         assert self.rules.blocked(pos_a, 5, (9, 0), 1)
         assert not self.rules.blocked(pos_a, 5, (10, 0), 1)
 
-    def test_max_runahead_inverse(self):
-        r = self.rules
-        for distance in (5.5, 7.0, 12.0, 40.0):
-            lead = r.max_runahead(distance)
-            # leading by `lead` at this distance must not block...
-            assert not r.blocked((0, 0), lead, (distance, 0), 0) or lead == 0
-            # ...but leading one more must.
-            assert r.blocked((0, 0), lead + 1, (distance, 0), 0)
-
     def test_validate_state_accepts_safe(self):
         self.rules.validate_state([(0, 5, (0, 0)), (1, 6, (20, 0))])
 

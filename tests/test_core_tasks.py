@@ -3,14 +3,20 @@ clusters issued back to back through `run_cluster` — same engine
 submissions, same finish times, same observer records — at one chain
 lookup and one kernel event."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro import SchedulerConfig, run_replay
 from repro.config import OverheadConfig, ServingConfig
 from repro.core.tasks import ChainExecutor
 from repro.devent import Kernel
 from repro.serving import ServingEngine
+from repro.instrument.timeline import TimelineRecorder
 from repro.trace.schema import Trace, TraceMeta
+
+from helpers import random_trace
 
 N_AGENTS, N_STEPS = 10, 4
 
@@ -212,4 +218,44 @@ def test_round_costs_one_lookup_and_one_event(monkeypatch):
     play = Play(SERVING["none"])
     play.launch_clusters(ROUND)
     assert play.kernel.events_scheduled == len(ROUND)
+
+
+def test_executor_holds_no_copy_of_the_call_columns(monkeypatch):
+    """The executor reads a call's prompt, output and function through
+    views of the trace's columns. What ``core/tasks.py`` allocated and
+    still holds halfway through a replay is bookkeeping for the calls
+    in flight — far below one pointer per call of the trace, where a
+    Python list copy of the three columns would cost three."""
+    trace = random_trace(seed=5, n_agents=30, n_steps=100, p_call=0.5)
+    kernel = Kernel()
+    engine = ServingEngine(kernel, ServingConfig())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ChainExecutor(kernel, engine, trace, OverheadConfig())
+        built = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert built < 2048, built
+
+    held = []
+    record = TimelineRecorder.record
+
+    def observe(self, *row):
+        if len(self.events) == trace.n_calls // 2:
+            held.append(sum(
+                stat.size for stat in tracemalloc.take_snapshot().filter_traces(
+                    [tracemalloc.Filter(True, "*core/tasks.py")]
+                ).statistics("filename")))
+        record(self, *row)
+
+    monkeypatch.setattr(TimelineRecorder, "record", observe)
+    tracemalloc.start()
+    try:
+        result = run_replay(trace, SchedulerConfig(policy="metropolis"),
+                            collect_timeline=True)
+    finally:
+        tracemalloc.stop()
+    assert result.n_calls_completed == trace.n_calls > 2500
+    assert held and held[0] < 8 * trace.n_calls, (held, trace.n_calls)
 

@@ -106,24 +106,6 @@ class TestRunReplayApi:
         assert 0.0 < result.gpu_busy_fraction <= 1.0
 
 
-class TestRulesRunaheadProperty:
-    @settings(max_examples=80, deadline=None)
-    @given(distance=st.floats(0.0, 200.0),
-           radius_p=st.floats(0.0, 10.0),
-           max_vel=st.floats(0.25, 3.0))
-    def test_max_runahead_consistent_with_blocked(self, distance, radius_p,
-                                                  max_vel):
-        rules = DependencyRules(
-            DependencyConfig(radius_p=radius_p, max_vel=max_vel))
-        lead = rules.max_runahead(distance)
-        assert lead >= 0
-        # At the returned lead the pair must not block (unless lead 0).
-        if lead > 0:
-            assert not rules.blocked((0.0, 0.0), lead, (distance, 0.0), 0)
-        # One step further must block.
-        assert rules.blocked((0.0, 0.0), lead + 1, (distance, 0.0), 0)
-
-
 class TestTraceWindowComposition:
     def test_double_window_base_step(self, synthetic_trace):
         w1 = synthetic_trace.window(5, 35)

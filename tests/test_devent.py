@@ -239,10 +239,3 @@ class TestVirtualPriorityQueue:
         q.put("b", priority=1.0)
         assert q.get_nowait() == "b"
         assert len(q) == 1
-
-    def test_peek_priority(self):
-        k = Kernel()
-        q = VirtualPriorityQueue(k)
-        assert q.peek_priority() is None
-        q.put("a", priority=2.5)
-        assert q.peek_priority() == 2.5

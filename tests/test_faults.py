@@ -96,12 +96,14 @@ class _FlakyClient:
 
 
 class TestCircuitBreaker:
+    """The circuit is open between an ``opens`` and the next ``closes``."""
+
     def test_opens_after_threshold_consecutive_failures(self):
         breaker = CircuitBreaker(threshold=2, cooldown=60.0)
         breaker.record_failure()
-        assert not breaker.is_open
+        assert breaker.opens == 0 and breaker.allow_call()
         breaker.record_failure()
-        assert breaker.is_open and breaker.opens == 1
+        assert breaker.opens == 1
         assert not breaker.allow_call()
 
     def test_success_resets_consecutive_count(self):
@@ -109,17 +111,17 @@ class TestCircuitBreaker:
         breaker.record_failure()
         breaker.record_success()
         breaker.record_failure()
-        assert not breaker.is_open
+        assert breaker.opens == 0 and breaker.allow_call()
 
     def test_half_open_trial_closes_on_success(self):
         breaker = CircuitBreaker(threshold=1, cooldown=0.01)
         breaker.record_failure()
-        assert breaker.is_open
+        assert breaker.opens == 1
         time.sleep(0.02)
         assert breaker.allow_call()  # the half-open trial
         assert not breaker.allow_call()  # only one trial in flight
         breaker.record_success()
-        assert not breaker.is_open and breaker.closes == 1
+        assert breaker.closes == 1
         assert breaker.allow_call()
 
     def test_failed_trial_restarts_cooldown(self):
@@ -128,7 +130,7 @@ class TestCircuitBreaker:
         time.sleep(0.06)
         assert breaker.allow_call()
         breaker.record_failure()
-        assert breaker.is_open
+        assert breaker.opens == 1 and breaker.closes == 0
         assert not breaker.allow_call()  # cooldown restarted
 
 
@@ -178,7 +180,7 @@ class TestResilientClient:
             fallback=fallback)
         with pytest.raises(LLMCallError):
             client.complete("p", 8)
-        assert client.breaker.is_open
+        assert client.breaker.opens == 1
         assert client.complete("p", 8) == "degraded plan"
         assert client.degraded == 1 and fallback.calls == 1
         assert inner.calls == 1  # primary untouched while open

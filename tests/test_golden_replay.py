@@ -23,6 +23,13 @@ bit-identical replays keeps every cell. The ``parallel_workers=2``
 cells are pinned too, and each must also equal its worker tasks run
 in this process — same completion time, same counters.
 
+:data:`BRANCH_GOLDEN` pins the serving branches the policy cells never
+reach, each on ``metropolis`` with one knob turned: ``lru`` retention
+(at a pressure where it and ``distance`` part ways), FCFS admission
+(``priority=False``), a running cap of 3 on two replicas, and a mid-run
+blackout of replica 1 on a two-replica deployment with distance
+retention. Each differs from the run with its knob left alone.
+
 Re-taking a value: run ``PYTHONPATH=src python
 tests/test_golden_replay.py`` from the repo root on the commit whose behaviour is the reference; it prints
 the ``GOLDEN`` table. Only a change that moves a cell on purpose
@@ -124,6 +131,25 @@ GOLDEN: dict[tuple[str, str, int, int], tuple[float, str]] = {
 }
 
 
+#: branch cell -> (completion time, timeline fingerprint).
+BRANCH_GOLDEN: dict[str, tuple[float, str]] = {
+    "lru":
+        (46.270381417749874, "dbed63a5e97e7ecd"),
+    "fcfs":
+        (58.35720331857631, "4ef567f9416fea72"),
+    "running-cap":
+        (63.42754944742265, "a334b905869e204c"),
+    "blackout":
+        (39.08628801811572, "f9cc792dbcee1c77"),
+}
+
+#: Virtual time at which the ``blackout`` cell first tries to crash
+#: replica 1; it re-arms every :data:`BLACKOUT_RETRY` seconds until the
+#: replica has work in flight.
+BLACKOUT_AT = 8.0
+BLACKOUT_RETRY = 0.05
+
+
 def golden_trace() -> Trace:
     scn = get_scenario(SCENARIO)
     _, end = scn.active_window
@@ -150,6 +176,51 @@ def cell_config(policy: str, serving: str, shards: int, workers: int):
         parallel_workers=workers,
         num_workers=3 if serving == "dp8-w3" else 0)
     return scheduler, serving_cfg
+
+
+BRANCH_CELLS = ("lru", "fcfs", "running-cap", "blackout")
+
+
+def branch_config(name: str):
+    """``(SchedulerConfig, ServingConfig, fault_hook)`` of a branch cell."""
+    scn = get_scenario(SCENARIO)
+    kv = replace(serving_for("l4-8b", 1), kv_policy="distance",
+                 kv_memory_fraction=scn.serving_profile.kv_pressure_fraction)
+    scheduler = SchedulerConfig(policy="metropolis", scenario=scn.name)
+    hook = None
+    if name == "lru":
+        # At the scenario's pressure fraction lru evicts other segments
+        # than distance but hits the same ones; at 0.12 the runs differ.
+        serving = replace(kv, kv_policy="lru", kv_memory_fraction=0.12)
+    elif name == "fcfs":
+        # The replay hands the scheduler's priority switch to the
+        # engine's waiting queue (§3.5; table 1 flips both together).
+        scheduler = replace(scheduler, priority=False)
+        serving = kv
+    elif name == "running-cap":
+        serving = replace(serving_for("l4-8b", 2), max_running_requests=3)
+    elif name == "blackout":
+        serving = replace(kv, dp=2)
+        hook = _blackout_hook
+    else:
+        raise KeyError(name)
+    return scheduler, serving, hook
+
+
+def _blackout_hook(kernel, engine) -> None:
+    def fire() -> None:
+        if engine.replicas[1].outstanding == 0:
+            kernel.call_in(BLACKOUT_RETRY, fire)
+            return
+        engine.blackout_replica(1)
+
+    kernel.call_at(BLACKOUT_AT, fire)
+
+
+def branch_replay(trace: Trace, name: str):
+    scheduler, serving, hook = branch_config(name)
+    return run_replay(trace, scheduler, serving, collect_timeline=True,
+                      fault_hook=hook)
 
 
 def cells() -> list[tuple[str, str, int, int]]:
@@ -249,8 +320,29 @@ def test_cell_equals_its_per_iteration_oracle_replay(trace, policy,
         == GOLDEN[cell]
 
 
+@pytest.mark.parametrize("name", BRANCH_CELLS)
+def test_branch_cell(trace, name):
+    result = branch_replay(trace, name)
+    assert result.n_calls_completed == trace.n_calls
+    if name == "blackout":
+        extra = result.driver_stats.extra
+        assert extra["replica_blackouts"] == 1
+        assert extra["rerouted_requests"] >= 1
+    assert (result.completion_time, timeline_fingerprint(result)) \
+        == BRANCH_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", BRANCH_CELLS)
+def test_branch_cell_equals_its_per_iteration_oracle_replay(trace, name):
+    with per_iteration_oracle():
+        result = branch_replay(trace, name)
+    assert (result.completion_time, timeline_fingerprint(result)) \
+        == BRANCH_GOLDEN[name]
+
+
 def test_golden_table_covers_every_cell():
     assert sorted(GOLDEN) == sorted(cells())
+    assert sorted(BRANCH_GOLDEN) == sorted(BRANCH_CELLS)
 
 
 if __name__ == "__main__":
@@ -260,5 +352,11 @@ if __name__ == "__main__":
         r = replay(tr, c)
         key = '("%s", "%s", %d, %d)' % c
         print(f'    {key}:\n        ({r.completion_time!r}, '
+              f'"{timeline_fingerprint(r)}"),')
+    print("}")
+    print("BRANCH_GOLDEN = {")
+    for name in BRANCH_CELLS:
+        r = branch_replay(tr, name)
+        print(f'    "{name}":\n        ({r.completion_time!r}, '
               f'"{timeline_fingerprint(r)}"),')
     print("}")

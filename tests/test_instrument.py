@@ -20,8 +20,7 @@ class TestTimelineRecorder:
         rec = TimelineRecorder()
         rec.record(0, 3, 2, 1.0, 2.0)
         rec.record(1, 3, 2, 1.5, 2.5)
-        assert len(rec.events) == 2
-        assert [e.agent for e in rec.for_agent(1)] == [1]
+        assert [e.agent for e in rec.events] == [0, 1]
         assert rec.span() == (1.0, 2.5)
 
     def test_event_func_name(self):

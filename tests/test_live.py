@@ -25,7 +25,7 @@ class TestClients:
         c = EchoLLMClient()
         c.complete("hi", 5)
         c.complete("hi", 5)
-        assert c.completed_calls() == 2
+        assert c.calls == 2
 
     def test_throttled_latency_and_slots(self):
         c = ThrottledLLMClient(base_latency=0.001, per_token=0.0, slots=2)

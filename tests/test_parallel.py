@@ -5,6 +5,7 @@ hygiene, and the worker-assignment balancer."""
 
 import logging
 import os
+import signal
 import sys
 import time
 from dataclasses import replace
@@ -161,22 +162,33 @@ class TestPoolReuse:
         """A run that raised on one worker's error leaves the other
         worker's reply queued (its ledger, or its own error once the
         run's position segment is gone); the next run on the same pool
-        must not take it for its own (task ids restart at 0 every run)."""
+        must not take it for its own (task ids restart at 0 every run).
+
+        Worker 1 is held (``SIGSTOP``) from the dispatch until the run
+        has raised, so its reply is still owed then. Left running, it
+        can beat a slow worker 0 on a busy machine: the run then takes
+        its ledger before the error, raises with nothing left queued,
+        and this test waits out its deadline on an empty outbox."""
         sched = SchedulerConfig(shards=4, parallel_workers=2)
         failing, other = _calls_trace(21), _calls_trace(22)
         with ShardWorkerPool(2) as pool:
             run_tasks = pool.run_tasks
+            worker_1 = pool._procs[1].pid
 
             def corrupt_worker_0(tasks):
                 step, *rest = tasks[0]["calls"]
                 assert len(step) > 0
                 # Mismatched call columns: Trace(...) raises in worker 0.
                 tasks[0]["calls"] = (step[:-1], *rest)
+                os.kill(worker_1, signal.SIGSTOP)
                 return run_tasks(tasks)
 
             monkeypatch.setattr(pool, "run_tasks", corrupt_worker_0)
-            with pytest.raises(SchedulingError, match="worker 0 failed"):
-                run_parallel_replay(failing, sched, pool=pool)
+            try:
+                with pytest.raises(SchedulingError, match="worker 0 failed"):
+                    run_parallel_replay(failing, sched, pool=pool)
+            finally:
+                os.kill(worker_1, signal.SIGCONT)
             monkeypatch.undo()
             deadline = time.monotonic() + 60.0
             while pool._outbox.empty() and time.monotonic() < deadline:

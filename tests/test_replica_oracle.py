@@ -175,13 +175,13 @@ class TestAgainstPerIterationOracle:
         """The sweep's world cuts windows, crosses the cap, and blacks
         out replicas mid-window — or the sweep proves little."""
         seen = {"cut": 0, "cap": 0, "mid_window_drain": 0}
-        on_state_change = IterationReplica._on_state_change
+        submit = IterationReplica.submit
         window_done = IterationReplica._window_done
         drain = IterationReplica._drain_admitted
 
-        def spy_change(self):
+        def spy_submit(self, request):
             before = len(self._ends)
-            on_state_change(self)
+            submit(self, request)
             seen["cut"] += 0 < len(self._ends) < before
 
         def spy_done(self):
@@ -195,7 +195,7 @@ class TestAgainstPerIterationOracle:
                 and self._ends[0] <= self.kernel.now < self._ends[-2])
             return drain(self)
 
-        monkeypatch.setattr(IterationReplica, "_on_state_change", spy_change)
+        monkeypatch.setattr(IterationReplica, "submit", spy_submit)
         monkeypatch.setattr(IterationReplica, "_window_done", spy_done)
         monkeypatch.setattr(IterationReplica, "_drain_admitted", spy_drain)
         for seed in (3, 17):

@@ -1,13 +1,17 @@
 """Tests for the simulated serving engine: profiles, perf model, memory,
 replicas (both fidelities), router and metrics."""
 
+import gc
+import sys
+import tracemalloc
+
 import pytest
 
 from repro.config import ServingConfig
 from repro.devent import Kernel
 from repro.errors import CapacityError, ConfigError
 from repro.serving import (GPUS, MODELS, LLMRequest, PerfModel,
-                           ServingEngine, get_gpu, get_model)
+                           RequestRecord, ServingEngine, get_gpu, get_model)
 from repro.serving.memory import KVCacheManager
 
 
@@ -63,7 +67,8 @@ class TestPerfModel:
         assert t8 < 1.05 * t1
 
     def test_decode_compute_bound_at_large_batch(self):
-        sat = self.pm.saturation_batch_size()
+        # The batch where decode flips from bandwidth- to compute-bound.
+        sat = self.pm.weight_read_time(1e9) / self.pm.token_compute_time
         t = self.pm.decode_iteration_time(int(sat * 4), 0)
         assert t > 2 * self.pm.decode_iteration_time(1, 0)
 
@@ -101,11 +106,6 @@ class TestPerfModel:
         pm_less = PerfModel(get_model("llama3-8b"), get_gpu("l4"),
                             kv_memory_fraction=0.45)
         assert pm_less.kv_capacity_tokens < cap1
-
-    def test_request_service_time_composition(self):
-        t = self.pm.request_service_time(600, 20)
-        assert t > self.pm.prefill_time(600)
-        assert t > 20 * self.pm.decode_iteration_time(1, 0)
 
 
 class TestKVCacheManager:
@@ -313,3 +313,77 @@ class TestRequestValidation:
         r = LLMRequest(request_id=1, prompt_tokens=10, output_tokens=5)
         with pytest.raises(ConfigError):
             _ = r.latency
+
+
+class TestRequestRecords:
+    """``EngineMetrics.records``: one small immutable record per finish."""
+
+    @staticmethod
+    def _run(n: int = 600):
+        kernel = Kernel()
+        engine = ServingEngine(kernel, ServingConfig(dp=2))
+        requests = []
+        for i in range(n):
+            kernel.call_at(0.01 * i, lambda i=i: requests.append(
+                engine.generate(300 + i, 1 + i % 40, 1.0 + i % 7,
+                                agent_id=i % 9)))
+        kernel.run()
+        return engine, requests
+
+    def test_record_copies_its_request(self):
+        engine, requests = self._run(200)
+        by_id = {r.request_id: r for r in requests}
+        records = engine.metrics.records
+        assert len(records) == len(requests)
+        for record in records:
+            request = by_id[record.request_id]
+            assert tuple(record) == (
+                request.request_id, request.replica_id,
+                request.prompt_tokens, request.output_tokens,
+                request.priority, request.submit_time,
+                request.prefill_start, request.decode_start,
+                request.finish_time)
+            assert record.latency == request.latency
+            assert record.queue_time == \
+                request.prefill_start - request.submit_time
+        # Recorded as they finish; the finishes of one iteration of one
+        # replica in admission (prefill) order — and there are some.
+        ties = 0
+        for replica in (0, 1):
+            keys = [(r.finish_time, r.prefill_start) for r in records
+                    if r.replica_id == replica]
+            assert keys == sorted(keys)
+            ties += len(keys) - len({t for t, _ in keys})
+        assert ties > 0
+
+    def test_record_is_immutable(self):
+        record = RequestRecord(
+            request_id=1, replica_id=0, prompt_tokens=10, output_tokens=2,
+            priority=0.0, submit_time=0.0, prefill_start=0.5,
+            decode_start=0.75, finish_time=1.0)
+        with pytest.raises(AttributeError):
+            record.finish_time = 2.0
+        assert (record.latency, record.queue_time) == (1.0, 0.5)
+
+    def test_bytes_kept_per_record(self):
+        """A record keeps one 9-slot tuple and the numbers only it holds
+        (four time stamps, the request id and prompt length), plus its
+        list slot: nothing per record beyond that, no ``__dict__``."""
+        tracemalloc.start()
+        try:
+            engine, requests = self._run()
+            del requests
+            gc.collect()
+            with_records = tracemalloc.get_traced_memory()[0]
+            n = len(engine.metrics.records)
+            engine.metrics.records = []
+            gc.collect()
+            kept = (with_records - tracemalloc.get_traced_memory()[0]) / n
+        finally:
+            tracemalloc.stop()
+        budget = (sys.getsizeof(tuple(range(9)))
+                  + 4 * sys.getsizeof(0.5)
+                  + 2 * sys.getsizeof(10**6)
+                  + 8)
+        assert kept <= budget, (kept, budget)
+

@@ -144,7 +144,6 @@ class TestRetention:
         mgr.retain(agent_id=1, tokens=400, now=1.0)
         mgr.reserve(_req(1, prompt=500, out=100, agent=2))
         assert mgr.reserved_tokens + mgr.retained_tokens <= 1000
-        assert mgr.retained_fraction <= 1.0
 
 
 class TestEngineKV:

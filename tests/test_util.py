@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro._util import (FastRng, UnionFind, fast_rng_for, rng_for,
-                         stable_seed, weighted_mean)
+from repro._util import FastRng, UnionFind, fast_rng_for, rng_for, stable_seed
 
 
 class TestStableSeed:
@@ -111,13 +110,3 @@ class TestUnionFind:
             for j in range(10):
                 assert (uf.find(i) == uf.find(j)) == (j in naive[i])
 
-
-class TestWeightedMean:
-    def test_basic(self):
-        assert weighted_mean([1.0, 3.0], [1.0, 1.0]) == pytest.approx(2.0)
-
-    def test_weights(self):
-        assert weighted_mean([1.0, 3.0], [3.0, 1.0]) == pytest.approx(1.5)
-
-    def test_zero_weights(self):
-        assert weighted_mean([1.0, 2.0], [0.0, 0.0]) == 0.0

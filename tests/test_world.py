@@ -18,12 +18,13 @@ from repro.world import (BehaviorModel, GridWorld, Venue, behavior,
                          build_smallville, make_personas, memory_stream)
 from repro.world.behavior import FUNC_INDEX, FUNCS
 from repro.world.memory_stream import MemoryEvent, MemoryStream
-from repro.world.pathfind import PathPlanner, astar
+from repro.world.pathfind import PathPlanner
 from repro.world.persona import SOCIAL_VENUES
 
-from helpers import (agent_snapshot, is_dwelling, reference_chat_pairs,
-                     reference_distance_field, reference_ranking,
-                     reference_stable_seed, reference_venue_at)
+from helpers import (agent_snapshot, is_dwelling, reference_astar,
+                     reference_chat_pairs, reference_distance_field,
+                     reference_ranking, reference_stable_seed,
+                     reference_venue_at)
 
 GRID_SCENARIOS = [name for name in scenario_names()
                   if get_scenario(name).metric != "graph"]
@@ -133,7 +134,7 @@ class TestPathfinding:
         start = self.world.venue("House 1").center
         goal = self.world.venue("The Rose Bar").center
         bfs_path = self.planner.path(start, goal)
-        astar_path = astar(self.world, start, goal)
+        astar_path = reference_astar(self.world, start, goal)
         assert len(bfs_path) == len(astar_path)  # both shortest
 
     def test_next_step_at_goal(self):
@@ -164,7 +165,7 @@ class TestPathfinding:
         start = self.world.random_walkable_tile(rng)
         goal = self.world.random_walkable_tile(rng)
         bfs = self.planner.path(start, goal)
-        ast = astar(self.world, start, goal)
+        ast = reference_astar(self.world, start, goal)
         assert len(bfs) == len(ast)
 
 
