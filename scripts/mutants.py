@@ -86,9 +86,11 @@ COMPARE = "row[local[nb]] if comp[nb] == ca else inf"
 #: step's group, and the last arrival releases the rest. The replay
 #: driver: a blocker's commit releases every waiter out of range at the
 #: exact threshold, the capped dispatch heap keys on priority before
-#: arrival, and the invocation distance counts from the agent's step. The
-#: harness: a matrix cell no entry holds is reported, and a reused
-#: worker pool drops the replies of an earlier run. The trace's call
+#: arrival, the interactive cone reaches the whole horizon, and the
+#: invocation distance counts from the agent's step. The harness: a
+#: matrix cell no entry holds is reported, a reused worker pool drops
+#: the replies of an earlier run, and the pool leaves the oracle to the
+#: in-process replay. The trace's call
 #: index: a chain ends past the last call with its row key, and the
 #: ``calling`` mask is scattered step-major.
 MUTANTS = {
@@ -274,6 +276,10 @@ MUTANTS = {
         DRIVER, "heappush(pending, (self._cluster_priority(s, cluster),",
         "heappush(pending, (self._pending_seq,", 0,
         "tests/test_core_drivers.py::TestWorkerCapQueue"),
+    "interactive-cone-one-step-short": (
+        DRIVER, "self.config.interactive_horizon)",
+        "self.config.interactive_horizon - 1)", 0,
+        "tests/test_core_drivers.py::TestWorkerCapQueue"),
     "distance-from-next-step": (
         DRIVER, "i = bisect_left(steps, s)", "i = bisect_left(steps, s + 1)",
         0, "tests/test_serving_kv.py::TestInvocationDistance"),
@@ -286,6 +292,10 @@ MUTANTS = {
     "pool-keeps-stale-ledger": (
         POOL, "if run != self._runs:", "if False:", 0,
         f"{PARALLEL}::TestPoolReuse"),
+    "pool-accepts-oracle": (
+        POOL, 'if scheduler.policy != "metropolis":',
+        'if scheduler.policy not in ("metropolis", "oracle"):', 0,
+        f"{PARALLEL}::TestFallbacks"),
     "chain-ends-searched-at-starts": (
         SCHEMA, 'keys.searchsorted(rows, "right")', "keys.searchsorted(rows)",
         0, f"tests/test_trace.py::TestChainIndex {GOLDEN}"),

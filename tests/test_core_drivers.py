@@ -149,8 +149,8 @@ class TestWorkerCapQueue:
     priority off), arrival order among equal keys."""
 
     @pytest.mark.parametrize("priority, expected", [
-        (True, [[0], [2], [4], [1], [3]]),
-        (False, [[0], [1], [2], [3], [4]])])
+        (True, [[0], [5], [6], [2], [4], [1], [3]]),
+        (False, [[0], [5], [1], [2], [3], [4], [6]])])
     def test_pop_order(self, priority, expected):
         from repro.core.metropolis import MetropolisDriver
         from repro.core.tasks import ChainExecutor
@@ -158,14 +158,16 @@ class TestWorkerCapQueue:
         from repro.serving import ServingEngine
 
         # No calls, so every popped cluster joins one quiet round batch
-        # in pop order. Agent 0 is interactive; the others stand far
-        # outside its cone.
+        # in pop order. Agent 0 is interactive. Its cone reaches
+        # block_threshold(interactive_horizon) = 35: agent 5 stands at
+        # exactly 35, agent 6 at 35.01; the others stand far outside.
         n_steps = 10
-        xy = [(0, 0), (200, 0), (0, 200), (200, 200), (400, 0)]
+        xy = [(0, 0), (200, 0), (0, 200), (200, 200), (400, 0), (35, 0),
+              (1, 35)]
         positions = np.tile(np.asarray(xy, dtype=np.int16),
                             (n_steps + 1, 1, 1))
         none = np.zeros(0, dtype=np.int32)
-        trace = Trace(TraceMeta(n_agents=5, n_steps=n_steps, seed=0,
+        trace = Trace(TraceMeta(n_agents=len(xy), n_steps=n_steps, seed=0,
                                 width=512, height=512),
                       positions, none, none, none.astype(np.int16), none,
                       none)
@@ -176,8 +178,13 @@ class TestWorkerCapQueue:
         driver = MetropolisDriver(kernel, engine, trace, config,
                                   ChainExecutor(kernel, engine, trace,
                                                 config.overhead))
-        # Pushed out of step order; the cone's cluster arrives last.
-        driver._dispatch([(5, [1]), (2, [2]), (5, [3]), (2, [4]), (7, [0])])
+        assert driver.rules.block_threshold(
+            config.interactive_horizon) == 35.0
+        # Pushed out of step order; the cone's clusters arrive last but
+        # one. Outside the cone, agent 6's step 1 would lead on step
+        # priority, and inside it would lead the cone too.
+        driver._dispatch([(5, [1]), (2, [2]), (5, [3]), (2, [4]), (1, [6]),
+                          (8, [5]), (7, [0])])
         while driver._pending:
             driver._busy_workers -= 1  # a slot frees
             driver._dispatch([])

@@ -59,10 +59,13 @@ def _calls_trace(seed, n_segments=3, n_agents=8, n_steps=12, width=20):
 
 
 def _stray_segments():
+    """This process's position segments: their names carry the creating
+    pid, so a replay running beside the tests cannot show up here."""
     shm_dir = Path("/dev/shm")
     if not shm_dir.is_dir():
         return []
-    return sorted(p.name for p in shm_dir.glob("repro-pos-*"))
+    return sorted(p.name for p in
+                  shm_dir.glob(f"repro-pos-{os.getpid()}-*"))
 
 
 def _modes(trace, base, pool):
@@ -511,6 +514,23 @@ class TestFallbacks:
         # A run that did go multiprocess reports no fallback.
         engaged = run_replay(_calls_trace(17), sched)
         assert "parallel_fallback" not in engaged.driver_stats.extra
+
+    def test_oracle_runs_in_process_and_says_why(self, caplog):
+        """The pool runs only ``metropolis``: the oracle under
+        ``parallel_workers=2`` replays in-process, names its policy in
+        ``extra["parallel_fallback"]`` and warns once."""
+        trace = _calls_trace(18)
+        sched = SchedulerConfig(policy="oracle", shards=4,
+                                parallel_workers=2)
+        with caplog.at_level(logging.WARNING, logger="repro.core.parallel"):
+            result = run_replay(trace, sched)
+        reason = result.driver_stats.extra["parallel_fallback"]
+        assert "'oracle'" in reason
+        assert [r.name for r in caplog.records] == ["repro.core.parallel"]
+        assert reason in caplog.records[0].getMessage()
+        assert "parallel_workers" not in result.driver_stats.extra
+        assert result.n_tasks_completed == \
+            trace.meta.n_agents * trace.meta.n_steps
 
     def test_workers_below_two_returns_none(self):
         trace = _calls_trace(15)
