@@ -1,4 +1,5 @@
-"""Ablations of DESIGN.md's design choices (beyond the paper's tables).
+"""Ablations of the design choices in docs/ARCHITECTURE.md (beyond the
+paper's tables).
 
 * distance metric (§6 generality),
 * perception-radius sensitivity of the conservative rules,

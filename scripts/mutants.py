@@ -277,8 +277,8 @@ MUTANTS = {
         "heappush(pending, (self._pending_seq,", 0,
         "tests/test_core_drivers.py::TestWorkerCapQueue"),
     "interactive-cone-one-step-short": (
-        DRIVER, "self.config.interactive_horizon)",
-        "self.config.interactive_horizon - 1)", 0,
+        DRIVER, "radius = self.rules.block_threshold(INTERACTIVE_HORIZON)",
+        "radius = self.rules.block_threshold(INTERACTIVE_HORIZON - 1)", 0,
         "tests/test_core_drivers.py::TestWorkerCapQueue"),
     "distance-from-next-step": (
         DRIVER, "i = bisect_left(steps, s)", "i = bisect_left(steps, s + 1)",

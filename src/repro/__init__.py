@@ -5,8 +5,9 @@ Simulation with Out-of-order Execution* (MLSys 2025) as a self-contained
 Python library: the dependency-tracking OOO scheduler itself plus every
 substrate its evaluation needs (simulated LLM serving, a GenAgent-style
 world, trace generation/replay, a transactional KV store, and a live
-threaded engine). See DESIGN.md for the system inventory and
-EXPERIMENTS.md for paper-vs-measured numbers.
+threaded engine). See docs/ARCHITECTURE.md for the layer map and
+README.md's "Performance" section and ``repro-bench run`` for measured
+numbers.
 
 Quickstart (replay benchmarking, virtual time)::
 
@@ -21,14 +22,12 @@ Quickstart (replay benchmarking, virtual time)::
 
 Quickstart (live execution, wall-clock)::
 
-    from repro.live import Environment, EchoLLMClient
-    from repro.live.environment import BehaviorProgram
-    from repro.world import BehaviorModel, build_smallville, make_personas
+    from repro.live import (EchoLLMClient, LiveSimulation,
+                            program_for_scenario)
 
-    world, homes = build_smallville()
-    program = BehaviorProgram(BehaviorModel(
-        world, make_personas(10, seed=0, homes=homes), seed=0))
-    result = Environment(program, EchoLLMClient()).run(target_step=100)
+    program = program_for_scenario("smallville", n_agents=10)
+    result = LiveSimulation(program, EchoLLMClient(),
+                            num_workers=4).run(target_step=100)
 """
 
 from .config import (DependencyConfig, OverheadConfig, SchedulerConfig,

@@ -37,7 +37,7 @@ class ExperimentResult:
     name: str
     #: Human-readable table(s), printed by benches and the CLI.
     table: str
-    #: Raw numbers for tests and EXPERIMENTS.md.
+    #: Raw numbers for tests and the paper-figure benches.
     data: dict = field(default_factory=dict)
 
 
@@ -213,8 +213,8 @@ def table1(full: bool = False,
     n_agents = 500 if full else 100
     gpu_counts = (4, 8) if full else (4,)
     # Sized so the §3.1 worker pool just binds under the busy-hour load
-    # (the regime of the authors' CPU-constrained testbed); see the scan
-    # in EXPERIMENTS.md — an unbounded pool hides the priority effect.
+    # (the regime of the authors' CPU-constrained testbed): an unbounded
+    # pool hides the priority effect.
     num_workers = 24 if full else 12
     day = generate_concatenated_trace(n_agents, scenario=scn)
     trace = hour_window(day, scn.busy_hour)
@@ -305,7 +305,7 @@ def fig2(full: bool = False,
 
 
 # ---------------------------------------------------------------------------
-# Ablations (design choices called out in DESIGN.md / §6)
+# Ablations (design choices called out in docs/ARCHITECTURE.md / §6)
 # ---------------------------------------------------------------------------
 
 def _busy_hour_sweep(scenario: str | None, values, scheduler=None,

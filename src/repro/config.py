@@ -188,11 +188,6 @@ class SchedulerConfig:
     #: Set False to *measure* interactive agents' step latency without
     #: giving them preemptive priority (the ablation baseline).
     interactive_boost: bool = True
-    #: How many steps ahead the interactive agents' dependency cone is
-    #: boosted: any cluster within ``block_threshold(horizon)`` of an
-    #: interactive agent could block it within ``horizon`` steps, so it is
-    #: served latency-first too. The far background stays throughput-first.
-    interactive_horizon: int = 30
     #: Region count for the worker pool (``parallel_workers >= 2``): the
     #: planner splits the map into at most this many provably-independent
     #: shards and packs them onto the workers (see
@@ -233,8 +228,6 @@ class ServingConfig:
     dp: int = 1
     #: Tensor-parallel degree within each replica.
     tp: int = 1
-    #: Order the waiting queue by request priority (simulation step).
-    priority_scheduling: bool = True
     #: Fraction of post-weights GPU memory usable for KV cache.
     kv_memory_fraction: float = 0.9
     #: Cap on requests decoded concurrently per replica (engine limit).
@@ -273,7 +266,3 @@ class ServingConfig:
             raise ConfigError(
                 f"prefix_cache_hit_rate must be in [0, 1), got "
                 f"{self.prefix_cache_hit_rate}")
-
-    @property
-    def num_gpus(self) -> int:
-        return self.dp * self.tp

@@ -27,7 +27,7 @@ This package is the paper's contribution:
 """
 
 from .engine import SimulationResult, run_replay, critical_path_time
-from .parallel import ShardWorkerPool, run_parallel_replay
+from .parallel import ShardWorkerPool
 from .rules import DependencyRules, rules_for
 from .sharding import plan_regions
 from .space import (ChebyshevSpace, EuclideanSpace, GraphSpace,
@@ -41,7 +41,6 @@ __all__ = [
     "rules_for",
     "plan_regions",
     "ShardWorkerPool",
-    "run_parallel_replay",
     "Space",
     "EuclideanSpace",
     "ChebyshevSpace",

@@ -442,11 +442,6 @@ class SpatioTemporalGraph(AgentSteps):
         """
         visited.add(aid)
         fresh = self._fresh
-        candidates = fresh.get(aid)
-        if candidates is not None and not candidates:
-            # Committed in the latest batch with nobody to couple to
-            # (most agent-steps): the component is the agent itself.
-            return [aid]
         step = self.step
         step_v = step[aid]
         running = self.running

@@ -139,13 +139,8 @@ def replay_in_process(trace: Trace, scheduler: SchedulerConfig,
 def _replay(trace: Trace, scheduler: SchedulerConfig, serving: ServingConfig,
             collect_timeline: bool, fault_hook,
             controller: dict) -> SimulationResult:
-    # §3.5: request priority at the serving engine follows the scheduler's
-    # priority switch (the Table 1 ablation flips both together).
-    serving_cfg = serving if serving.priority_scheduling == scheduler.priority \
-        else ServingConfig(**{**serving.__dict__,
-                              "priority_scheduling": scheduler.priority})
     kernel = Kernel()
-    engine = ServingEngine(kernel, serving_cfg)
+    engine = ServingEngine(kernel, serving, priority=scheduler.priority)
     if fault_hook is not None:
         fault_hook(kernel, engine)
     timeline = TimelineRecorder() if collect_timeline else None

@@ -50,6 +50,13 @@ from .oracle import MinedGroupGraph
 from .rules import rules_for
 from .tasks import ChainExecutor
 
+#: How many steps ahead the interactive agents' dependency cone is
+#: boosted: any cluster within ``block_threshold(INTERACTIVE_HORIZON)``
+#: of an interactive agent could block it within that many steps, so it
+#: is served latency-first too. The far background stays
+#: throughput-first.
+INTERACTIVE_HORIZON = 30
+
 
 class MetropolisDriver:
     """Out-of-order replay of a trace under the §3.2 rules, or, for the
@@ -231,8 +238,7 @@ class MetropolisDriver:
         """
         cone = self._cone_cache
         if cone is None:
-            radius = self.rules.block_threshold(
-                self.config.interactive_horizon)
+            radius = self.rules.block_threshold(INTERACTIVE_HORIZON)
             cone = set(self._interactive)
             graph = self.graph
             for iid in self._interactive:

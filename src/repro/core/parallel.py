@@ -435,26 +435,6 @@ def _merge_results(trace: Trace, scheduler: SchedulerConfig,
     )
 
 
-def run_parallel_replay(trace: Trace,
-                        scheduler: SchedulerConfig | None = None,
-                        serving: ServingConfig | None = None,
-                        collect_timeline: bool = False,
-                        pool: ShardWorkerPool | None = None,
-                        _crash_plan: dict[int, int] | None = None
-                        ) -> SimulationResult | None:
-    """Replay ``trace`` with shard-worker processes; ``None`` = cannot.
-
-    The reason is logged (:func:`try_parallel_replay`); ``run_replay``
-    is the entry point that then stays in-process. ``pool`` reuses
-    persistent workers across runs; ``_crash_plan`` (worker id -> crash
-    count) is the chaos/test hook exercising the redispatch path.
-    """
-    outcome = try_parallel_replay(
-        trace, scheduler or SchedulerConfig(), serving or ServingConfig(),
-        collect_timeline, pool=pool, _crash_plan=_crash_plan)
-    return None if isinstance(outcome, str) else outcome
-
-
 def _fallback(reason: str) -> str:
     _log.warning("multiprocess replay falls back in-process: %s", reason)
     return reason
@@ -466,7 +446,12 @@ def try_parallel_replay(trace: Trace, scheduler: SchedulerConfig,
                         pool: ShardWorkerPool | None = None, fault_hook=None,
                         _crash_plan: dict[int, int] | None = None
                         ) -> SimulationResult | str:
-    """The multiprocess replay, or the (logged) reason it cannot run."""
+    """The multiprocess replay, or the (logged) reason it cannot run.
+
+    ``pool`` reuses persistent workers across runs; ``_crash_plan``
+    (worker id -> crash count) is the test hook exercising the
+    redispatch path.
+    """
     if fault_hook is not None:
         return _fallback("a fault_hook closure cannot cross processes")
     if scheduler.parallel_workers < 2 and pool is None:

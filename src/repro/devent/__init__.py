@@ -8,14 +8,6 @@ keeping completion-time *ratios* between schedulers meaningful and exactly
 reproducible.
 """
 
-from .kernel import Event, Kernel, Process, Timeout, Gate
-from .queues import VirtualPriorityQueue
+from .kernel import Event, Kernel
 
-__all__ = [
-    "Event",
-    "Kernel",
-    "Process",
-    "Timeout",
-    "Gate",
-    "VirtualPriorityQueue",
-]
+__all__ = ["Event", "Kernel"]

@@ -1,22 +1,19 @@
-"""Event heap, virtual clock, and lightweight processes.
+"""Event heap and virtual clock.
 
 The kernel is deliberately small: a binary heap of ``(time, seq, Event)``
 entries with a monotonically increasing sequence number so that events
 scheduled earlier run first at equal timestamps (deterministic tie-break).
 
-Two programming styles are supported:
-
-* **Callbacks** — ``kernel.call_at(t, fn, *args)`` / ``call_in(dt, ...)``.
-  This is the style used by the performance-critical serving engine and
-  scheduler drivers.
-* **Processes** — generator functions that ``yield Timeout(dt)`` or
-  ``yield gate`` (a :class:`Gate`). Convenient for tests and examples.
+Every layer (the scheduler drivers, the serving engine, the chain
+executor) schedules plain callbacks: ``kernel.call_at(t, fn, *args)`` /
+``call_in(dt, ...)``. A callback that must wait for something registers
+the next callback with whatever it waits on.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Optional
 
 from ..errors import KernelError
 
@@ -100,99 +97,3 @@ class Kernel:
         finally:
             self._running = False
         return self.now
-
-    def step(self) -> bool:
-        """Run a single (non-cancelled) event. Returns False when empty."""
-        while self._heap:
-            time, _, ev = heapq.heappop(self._heap)
-            if ev.cancelled:
-                continue
-            self.now = time
-            ev.fn(*ev.args)
-            return True
-        return False
-
-    def empty(self) -> bool:
-        return not any(not ev.cancelled for _, _, ev in self._heap)
-
-    # -- processes ------------------------------------------------------
-
-    def process(self, gen: Generator) -> "Process":
-        """Start a generator-based process immediately (at current time)."""
-        proc = Process(self, gen)
-        self.call_at(self.now, proc._advance, None)
-        return proc
-
-
-class Timeout:
-    """Yielded by a process to sleep ``delay`` virtual seconds."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, delay: float) -> None:
-        if delay < 0:
-            raise KernelError(f"negative timeout {delay}")
-        self.delay = delay
-
-
-class Gate:
-    """A one-shot broadcast event processes can wait on.
-
-    ``fire(value)`` wakes every waiter with ``value`` as the yield result;
-    waiting on an already-fired gate resumes immediately.
-    """
-
-    __slots__ = ("kernel", "fired", "value", "_waiters")
-
-    def __init__(self, kernel: Kernel) -> None:
-        self.kernel = kernel
-        self.fired = False
-        self.value: Any = None
-        self._waiters: list[Callable[[Any], None]] = []
-
-    def fire(self, value: Any = None) -> None:
-        if self.fired:
-            raise KernelError("gate already fired")
-        self.fired = True
-        self.value = value
-        waiters, self._waiters = self._waiters, []
-        for resume in waiters:
-            self.kernel.call_at(self.kernel.now, resume, value)
-
-    def add_waiter(self, resume: Callable[[Any], None]) -> None:
-        if self.fired:
-            self.kernel.call_at(self.kernel.now, resume, self.value)
-        else:
-            self._waiters.append(resume)
-
-
-class Process:
-    """A running generator-based process.
-
-    The generator may yield :class:`Timeout` or :class:`Gate` instances and
-    receives the gate's fire value (or None) back from the yield. When the
-    generator returns, :attr:`done` gate fires with its return value.
-    """
-
-    __slots__ = ("kernel", "gen", "done")
-
-    def __init__(self, kernel: Kernel, gen: Generator) -> None:
-        self.kernel = kernel
-        self.gen = gen
-        self.done = Gate(kernel)
-
-    def _advance(self, send_value: Any) -> None:
-        try:
-            yielded = self.gen.send(send_value)
-        except StopIteration as stop:
-            self.done.fire(stop.value)
-            return
-        if isinstance(yielded, Timeout):
-            self.kernel.call_in(yielded.delay, self._advance, None)
-        elif isinstance(yielded, Gate):
-            yielded.add_waiter(self._advance)
-        elif isinstance(yielded, Process):
-            yielded.done.add_waiter(self._advance)
-        else:
-            raise KernelError(
-                f"process yielded unsupported value {yielded!r}")

@@ -1,13 +1,9 @@
-"""Execution instrumentation: per-agent timelines (Figure 1) and derived
-parallelism series."""
+"""Execution instrumentation: per-agent timelines (Figure 1)."""
 
 from .timeline import TimelineRecorder, TimelineEvent, render_ascii_timeline
-from .parallelism import concurrency_series, concurrency_at
 
 __all__ = [
     "TimelineRecorder",
     "TimelineEvent",
     "render_ascii_timeline",
-    "concurrency_series",
-    "concurrency_at",
 ]

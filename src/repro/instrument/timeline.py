@@ -38,12 +38,6 @@ class TimelineRecorder:
         self.events.append(TimelineEvent(agent, step, func_id,
                                          submit_time, finish_time))
 
-    def span(self) -> tuple[float, float]:
-        if not self.events:
-            return (0.0, 0.0)
-        return (min(e.submit_time for e in self.events),
-                max(e.finish_time for e in self.events))
-
 
 #: One glyph per agent function, mirroring Figure 1's color coding.
 _GLYPHS = "PWADLOUSRM"

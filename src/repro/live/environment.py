@@ -1,4 +1,4 @@
-"""World-program protocol and the gym-like Environment wrapper.
+"""World-program protocol and the SmallVille world program.
 
 A *world program* is the developer-defined side of the paper's
 architecture: given a step and a coupling-closed set of agents, it runs
@@ -8,15 +8,13 @@ passes is closed under the §3.2 coupling relation and causally safe to
 run — the world program never needs locks of its own.
 
 :class:`BehaviorProgram` adapts the full :class:`repro.world` simulation;
-:class:`Environment` is the small façade mirroring the reset/run surface
-of RL-style frameworks the paper compares its interface to.
+:class:`repro.live.LiveSimulation` runs any world program.
 """
 
 from __future__ import annotations
 
 from typing import Protocol, Sequence
 
-from ..config import SchedulerConfig
 from ..core.space import Position
 from ..world.behavior import BehaviorModel
 from .clients import LLMClient
@@ -115,38 +113,7 @@ def program_for_scenario(scenario: str, n_agents: int,
     Example::
 
         program = program_for_scenario("metro-grid", n_agents=10)
-        result = Environment(program, EchoLLMClient()).run(target_step=50)
+        result = LiveSimulation(program, EchoLLMClient()).run(target_step=50)
     """
     from ..scenarios import get_scenario
     return BehaviorProgram(get_scenario(scenario).model(n_agents, seed))
-
-
-class Environment:
-    """Gym-flavoured façade over :class:`repro.live.LiveSimulation`.
-
-    Example::
-
-        world, homes = build_smallville()
-        personas = make_personas(5, seed=0, homes=homes)
-        program = BehaviorProgram(BehaviorModel(world, personas, seed=0))
-        env = Environment(program, EchoLLMClient())
-        result = env.run(target_step=50)
-    """
-
-    def __init__(self, program: WorldProgram, client: LLMClient,
-                 scheduler: SchedulerConfig | None = None,
-                 num_workers: int = 4) -> None:
-        from .engine import LiveSimulation  # avoid import cycle
-        self.program = program
-        self.client = client
-        self.scheduler = scheduler or SchedulerConfig()
-        self.num_workers = num_workers
-        self._sim: LiveSimulation | None = None
-
-    def run(self, target_step: int):
-        """Run the simulation to ``target_step`` and return its result."""
-        from .engine import LiveSimulation
-        self._sim = LiveSimulation(
-            self.program, self.client, scheduler=self.scheduler,
-            num_workers=self.num_workers)
-        return self._sim.run(target_step)

@@ -35,11 +35,19 @@ BatchSpec = tuple
 
 
 class ServingEngine:
-    """The simulated serving deployment seen by scheduler drivers."""
+    """The simulated serving deployment seen by scheduler drivers.
 
-    def __init__(self, kernel: Kernel, config: ServingConfig) -> None:
+    ``priority`` orders each replica's waiting queue by request priority
+    (the simulation step); the replay wiring passes the scheduler's
+    ``SchedulerConfig.priority``, so §3.5's switch (the Table 1
+    ablation) turns both off together.
+    """
+
+    def __init__(self, kernel: Kernel, config: ServingConfig,
+                 priority: bool = True) -> None:
         self.kernel = kernel
         self.config = config
+        self.priority = priority
         self.model = get_model(config.model)
         self.gpu = get_gpu(config.gpu)
         self.perf = PerfModel(
@@ -209,7 +217,7 @@ class ServingEngine:
         config = self.config
         return IterationReplica(
             self.kernel, self.perf, replica_id,
-            priority_scheduling=config.priority_scheduling,
+            priority_scheduling=self.priority,
             max_running_requests=config.max_running_requests,
             on_request_finish=self.metrics.on_finish,
             prefix_cache_hit_rate=config.prefix_cache_hit_rate,

@@ -263,10 +263,6 @@ class KVCacheManager:
 
     # -- reporting -------------------------------------------------------
 
-    @property
-    def utilization(self) -> float:
-        return self.reserved_tokens / self.capacity_tokens
-
     def stats(self) -> dict[str, int]:
         """Counters for the bench report (per replica, summed upstream)."""
         return {

@@ -96,11 +96,6 @@ class EngineMetrics:
             return 0.0
         return self._outstanding_integral / makespan
 
-    def mean_latency(self) -> float:
-        if not self.records:
-            return 0.0
-        return sum(r.latency for r in self.records) / len(self.records)
-
     def throughput_tokens_per_s(self) -> float:
         start = self.first_submit or 0.0
         span = self.last_finish - start

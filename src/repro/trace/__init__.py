@@ -6,8 +6,8 @@ step, plus every LLM call (step, agent, function, prompt tokens, output
 tokens, chain order). The paper collected 40 simulation-days of traces by
 instrumenting the original GenAgent implementation against the GPT-3.5
 API; we generate statistically equivalent traces by running the
-:mod:`repro.world` simulation (see DESIGN.md for the substitution
-rationale) and replay them identically.
+:mod:`repro.world` simulation (docs/ARCHITECTURE.md, "What a trace
+holds" and "What world simulation costs") and replay them identically.
 """
 
 from .schema import Trace, TraceMeta

@@ -368,14 +368,6 @@ class Trace:
             self._calling = calling = mask.tobytes()
         return calling
 
-    def node_ids(self, step: int) -> np.ndarray:
-        """Graph-metric node-id column at ``step`` (``int[n_agents]``).
-
-        Graph traces store positions as ``(node_id, 0)`` pairs; this is
-        the id column without re-tupling.
-        """
-        return self._pos_sa[step, :, 0]
-
     @property
     def n_calls(self) -> int:
         return len(self.call_step)
@@ -416,17 +408,6 @@ class Trace:
         rows = np.asarray(agents, dtype=np.int64) * self.meta.n_steps + step
         keys = self.call_row
         return keys.searchsorted(rows), keys.searchsorted(rows, "right")
-
-    def chain(self, agent: int, step: int) -> list[tuple[int, int, int]]:
-        """``[(func_id, prompt_tokens, output_tokens), ...]`` for the step.
-
-        Raises :class:`TraceError` for an agent or step outside the
-        trace (see :meth:`chain_slice`).
-        """
-        sl = self.chain_slice(agent, step)
-        return list(zip(self.call_func[sl].tolist(),
-                        self.call_in[sl].tolist(),
-                        self.call_out[sl].tolist()))
 
     def chain_lengths(self) -> np.ndarray:
         """``int64[n_agents, n_steps]`` — number of calls per agent-step.

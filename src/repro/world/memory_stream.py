@@ -162,11 +162,6 @@ class MemoryStream:
         self._sums = {}
         return True
 
-    def retrieve(self, now_step: int, query_keywords: frozenset[str],
-                 top_k: int = 8) -> list[MemoryEvent]:
-        """Top-k events by recency * importance * relevance."""
-        return self._ranking(now_step, query_keywords)[:top_k]
-
     def retrieved_tokens(self, now_step: int,
                          query_keywords: frozenset[str],
                          top_k: int = 8) -> int:

@@ -114,9 +114,6 @@ class GraphWorld:
             return (int(rng.integers(0, self.n_nodes)), 0)
         return venue.center
 
-    def neighbors(self, node: Node) -> tuple[Node, ...]:
-        return self.adjacency[node]
-
 
 class GraphPlanner:
     """Shortest-hop routing with per-target BFS fields (PathPlanner's

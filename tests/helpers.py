@@ -210,6 +210,16 @@ def random_trace(seed: int, n_agents: int = 6, n_steps: int = 40,
                  np.asarray(outs, dtype=np.int32))
 
 
+def per_agent_sequences(timeline, n_agents: int) -> dict[int, list]:
+    """``[(step, func_id), ...]`` per agent, in submission order: the
+    order-independent fact every equivalent schedule must reproduce."""
+    seqs = {aid: [] for aid in range(n_agents)}
+    for e in sorted(timeline.events, key=lambda e: (e.submit_time,
+                                                    e.agent, e.step)):
+        seqs[e.agent].append((e.step, e.func_id))
+    return seqs
+
+
 class PerIterationReplica:
     """Reference engine: one kernel event per decode iteration.
 

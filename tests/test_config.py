@@ -33,10 +33,7 @@ class TestSchedulerConfig:
 class TestServingConfig:
     def test_defaults(self):
         c = ServingConfig()
-        assert c.num_gpus == 1
-
-    def test_num_gpus(self):
-        assert ServingConfig(dp=2, tp=4).num_gpus == 8
+        assert (c.dp, c.tp) == (1, 1)
 
     def test_validation(self):
         with pytest.raises(ConfigError):

@@ -152,14 +152,14 @@ class TestWorkerCapQueue:
         (True, [[0], [5], [6], [2], [4], [1], [3]]),
         (False, [[0], [5], [1], [2], [3], [4], [6]])])
     def test_pop_order(self, priority, expected):
-        from repro.core.metropolis import MetropolisDriver
+        from repro.core.metropolis import INTERACTIVE_HORIZON, MetropolisDriver
         from repro.core.tasks import ChainExecutor
         from repro.devent import Kernel
         from repro.serving import ServingEngine
 
         # No calls, so every popped cluster joins one quiet round batch
         # in pop order. Agent 0 is interactive. Its cone reaches
-        # block_threshold(interactive_horizon) = 35: agent 5 stands at
+        # block_threshold(INTERACTIVE_HORIZON) = 35: agent 5 stands at
         # exactly 35, agent 6 at 35.01; the others stand far outside.
         n_steps = 10
         xy = [(0, 0), (200, 0), (0, 200), (200, 200), (400, 0), (35, 0),
@@ -178,8 +178,7 @@ class TestWorkerCapQueue:
         driver = MetropolisDriver(kernel, engine, trace, config,
                                   ChainExecutor(kernel, engine, trace,
                                                 config.overhead))
-        assert driver.rules.block_threshold(
-            config.interactive_horizon) == 35.0
+        assert driver.rules.block_threshold(INTERACTIVE_HORIZON) == 35.0
         # Pushed out of step order; the cone's clusters arrive last but
         # one. Outside the cone, agent 6's step 1 would lead on step
         # priority, and inside it would lead the cone too.

@@ -1,10 +1,7 @@
 """Additional edge-case coverage across modules."""
 
-from hypothesis import given, settings, strategies as st
-
-from repro.config import (DependencyConfig, SchedulerConfig,
-                          ServingConfig)
-from repro.core import DependencyRules, run_replay
+from repro.config import SchedulerConfig, ServingConfig
+from repro.core import run_replay
 from repro.devent import Kernel
 from repro.serving import ServingEngine
 from repro.trace import generate_concatenated_trace
@@ -88,13 +85,16 @@ class TestRunReplayApi:
         assert result.timeline is None
 
     def test_priority_flag_propagates_to_serving(self, synthetic_trace):
-        # scheduler.priority=False must override serving priority too.
+        # scheduler.priority=False turns the replicas' priority off too.
+        engines = []
         result = run_replay(
             synthetic_trace,
             SchedulerConfig(policy="metropolis", priority=False),
-            ServingConfig(model="llama3-8b", gpu="l4",
-                          priority_scheduling=True))
+            ServingConfig(model="llama3-8b", gpu="l4", dp=2),
+            fault_hook=lambda kernel, engine: engines.append(engine))
         assert result.n_calls_completed == synthetic_trace.n_calls
+        assert [r.priority_scheduling for r in engines[0].replicas] == \
+            [False, False]
 
     def test_default_configs(self, synthetic_trace):
         result = run_replay(synthetic_trace)
@@ -117,8 +117,11 @@ class TestTraceWindowComposition:
         w = synthetic_trace.window(10, 30)
         for aid in range(w.meta.n_agents):
             for step in range(w.meta.n_steps):
-                assert w.chain(aid, step) == \
-                    synthetic_trace.chain(aid, step + 10)
+                got = w.chain_slice(aid, step)
+                want = synthetic_trace.chain_slice(aid, step + 10)
+                for col in ("call_func", "call_in", "call_out"):
+                    assert getattr(w, col)[got].tolist() == \
+                        getattr(synthetic_trace, col)[want].tolist()
 
     def test_func_name_roundtrip(self, synthetic_trace):
         if synthetic_trace.n_calls:

@@ -16,13 +16,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro._util import FastRng
-from repro.config import DependencyConfig, SchedulerConfig
+from repro.config import DependencyConfig, SchedulerConfig, ServingConfig
 from repro.core import DependencyRules, run_replay
 from repro.core.dependency_graph import SpatioTemporalGraph
-from repro.core.parallel import run_parallel_replay
+from repro.core.parallel import try_parallel_replay
 from repro.trace.generator import generate_scale_trace
 from repro.world import BehaviorModel, build_smallville, make_personas
 
+from helpers import per_agent_sequences
 from test_golden_replay import InProcessPool, counters
 
 
@@ -142,15 +143,6 @@ class TestOOOEquivalence:
         assert ooo_state == ref_state
 
 
-def _per_agent_sequences(timeline, n_agents):
-    """[(step, func_id), ...] per agent, in submission order."""
-    seqs = {aid: [] for aid in range(n_agents)}
-    for e in sorted(timeline.events, key=lambda e: (e.submit_time,
-                                                    e.agent, e.step)):
-        seqs[e.agent].append((e.step, e.func_id))
-    return seqs
-
-
 SCENARIOS = ["smallville", "metro-grid", "market-town", "social-graph"]
 
 
@@ -184,9 +176,10 @@ class TestReplayMatchesLockStep:
                                  parallel_workers=workers,
                                  validate_causality=True)
         if workers:
-            ooo = run_parallel_replay(trace, config, collect_timeline=True,
+            ooo = try_parallel_replay(trace, config, ServingConfig(),
+                                      collect_timeline=True,
                                       pool=InProcessPool())
-            assert ooo is not None
+            assert not isinstance(ooo, str), ooo
         else:
             ooo = run_replay(trace, config, collect_timeline=True)
         sync = run_replay(trace, replace(config, policy="parallel-sync",
@@ -201,8 +194,8 @@ class TestReplayMatchesLockStep:
             assert result.n_calls_completed == trace.n_calls
         # OOO reorders across agents but never within one: per-agent
         # call sequences equal the lock-step oracle's bit for bit.
-        assert _per_agent_sequences(ooo.timeline, n) == \
-            _per_agent_sequences(sync.timeline, n)
+        assert per_agent_sequences(ooo.timeline, n) == \
+            per_agent_sequences(sync.timeline, n)
 
     def test_worker_processes_equal_in_process(self):
         """Real worker processes equal their tasks run here, counter for
@@ -213,7 +206,8 @@ class TestReplayMatchesLockStep:
         single = run_replay(trace, base)
         workers = replace(base, parallel_workers=2)
         there = run_replay(trace, workers)
-        here = run_parallel_replay(trace, workers, pool=InProcessPool())
+        here = try_parallel_replay(trace, workers, ServingConfig(),
+                                   pool=InProcessPool())
         assert there.driver_stats.extra["parallel_workers"] == 2
         assert counters(there) == counters(here)
         assert there.completion_time == here.completion_time \

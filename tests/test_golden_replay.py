@@ -249,7 +249,7 @@ def timeline_fingerprint(result) -> str:
 def replay(trace: Trace, cell: tuple[str, str, int, int], pool=None):
     scheduler, serving = cell_config(*cell)
     if pool is not None:
-        return parallel.run_parallel_replay(
+        return parallel.try_parallel_replay(
             trace, scheduler, serving, collect_timeline=True, pool=pool)
     return run_replay(trace, scheduler, serving, collect_timeline=True)
 

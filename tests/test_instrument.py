@@ -1,18 +1,11 @@
-"""Tests for timelines and concurrency instrumentation."""
+"""Tests for timelines and the achieved-parallelism integral."""
+
+import numpy as np
 
 from repro.config import SchedulerConfig
 from repro.core import run_replay
-from repro.instrument import (TimelineRecorder, concurrency_at,
-                              concurrency_series, render_ascii_timeline)
+from repro.instrument import TimelineRecorder, render_ascii_timeline
 from repro.instrument.timeline import TimelineEvent
-from repro.serving.metrics import RequestRecord
-
-
-def _record(start, end, rid=0):
-    return RequestRecord(
-        request_id=rid, replica_id=0, prompt_tokens=10, output_tokens=5,
-        priority=0.0, submit_time=start, prefill_start=start,
-        decode_start=start, finish_time=end)
 
 
 class TestTimelineRecorder:
@@ -21,14 +14,11 @@ class TestTimelineRecorder:
         rec.record(0, 3, 2, 1.0, 2.0)
         rec.record(1, 3, 2, 1.5, 2.5)
         assert [e.agent for e in rec.events] == [0, 1]
-        assert rec.span() == (1.0, 2.5)
+        assert [e.finish_time for e in rec.events] == [2.0, 2.5]
 
     def test_event_func_name(self):
         e = TimelineEvent(0, 0, 0, 0.0, 1.0)
         assert e.func == "daily_plan"
-
-    def test_empty_span(self):
-        assert TimelineRecorder().span() == (0.0, 0.0)
 
 
 class TestAsciiRendering:
@@ -62,28 +52,18 @@ class TestAsciiRendering:
 
 
 class TestConcurrency:
-    def test_series_counts_overlap(self):
-        records = [_record(0.0, 10.0), _record(2.0, 8.0), _record(12.0, 14.0)]
-        times, counts = concurrency_series(records, resolution=100)
-        assert counts.max() == 2
-        assert counts.min() == 0
-
-    def test_concurrency_at(self):
-        records = [_record(0.0, 10.0), _record(2.0, 8.0)]
-        assert concurrency_at(records, 5.0) == 2
-        assert concurrency_at(records, 9.0) == 1
-        assert concurrency_at(records, 11.0) == 0
-
-    def test_empty_series(self):
-        times, counts = concurrency_series([])
-        assert len(times) == 0 and len(counts) == 0
-
     def test_integral_matches_metric(self, synthetic_trace, l4_serving):
+        """The engine's outstanding-request integral matches the
+        in-flight count sampled from the request records."""
         result = run_replay(synthetic_trace,
                             SchedulerConfig(policy="parallel-sync"),
                             l4_serving)
-        times, counts = concurrency_series(
-            result.engine_metrics.records, resolution=4000)
+        records = result.engine_metrics.records
+        starts = np.array([r.submit_time for r in records])
+        ends = np.array([r.finish_time for r in records])
+        times = np.linspace(starts.min(), ends.max(), 4000)
+        counts = ((starts[None, :] <= times[:, None])
+                  & (ends[None, :] > times[:, None])).sum(axis=1)
         sampled_mean = counts.mean()
         span = times[-1] - times[0]
         reported = result.engine_metrics.achieved_parallelism(span)

@@ -8,8 +8,7 @@ import pytest
 
 from repro.config import SchedulerConfig
 from repro.errors import SchedulingError
-from repro.live import (EchoLLMClient, Environment, LiveSimulation,
-                        ThrottledLLMClient)
+from repro.live import EchoLLMClient, LiveSimulation, ThrottledLLMClient
 from repro.live.environment import BehaviorProgram
 from repro.world import BehaviorModel, build_smallville, make_personas
 
@@ -204,18 +203,18 @@ class TestLiveSimulation:
         assert [a.pos for a in ooo.model.agents] == ref_positions
 
 
-class TestEnvironment:
-    def test_gym_like_run(self):
-        env = Environment(_program(), EchoLLMClient(), num_workers=2)
-        result = env.run(target_step=20)
+class TestRun:
+    def test_run_returns_result(self):
+        sim = LiveSimulation(_program(), EchoLLMClient(), num_workers=2)
+        result = sim.run(target_step=20)
         assert result.target_step == 20
         assert result.wall_time >= 0.0
 
     def test_priority_off_still_correct(self):
-        env = Environment(
+        sim = LiveSimulation(
             _program(n_agents=4, seed=6), EchoLLMClient(),
             scheduler=SchedulerConfig(priority=False), num_workers=2)
-        result = env.run(target_step=20)
+        result = sim.run(target_step=20)
         assert result.clusters_executed > 0
 
 

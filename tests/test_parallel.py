@@ -15,16 +15,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import FaultPolicy, SchedulerConfig
+from repro.config import FaultPolicy, SchedulerConfig, ServingConfig
 from repro.core import run_replay
 from repro.core.parallel import (ShardWorkerPool, merge_extra_counters,
-                                 run_parallel_replay)
+                                 try_parallel_replay)
 from repro.core.sharding import assign_shards
 from repro.errors import SchedulingError
 from repro.trace.generator import generate_scale_trace
 from repro.trace.schema import SharedPositionStore, concat_traces
 
-from helpers import random_trace
+from helpers import per_agent_sequences, random_trace
 from test_golden_replay import InProcessPool, counters
 
 pytestmark = pytest.mark.skipif(
@@ -37,14 +37,6 @@ def pool():
     """One persistent two-worker pool shared across the fuzz worlds."""
     with ShardWorkerPool(2) as p:
         yield p
-
-
-def _per_agent_sequences(timeline, n_agents):
-    seqs = {aid: [] for aid in range(n_agents)}
-    for e in sorted(timeline.events, key=lambda e: (e.submit_time,
-                                                    e.agent, e.step)):
-        seqs[e.agent].append((e.step, e.func_id))
-    return seqs
 
 
 def _calls_trace(seed, n_segments=3, n_agents=8, n_steps=12, width=20):
@@ -74,11 +66,12 @@ def _modes(trace, base, pool):
     the same tasks run in this process, counter for counter."""
     single = run_replay(trace, base, collect_timeline=True)
     workers = replace(base, parallel_workers=2)
-    parallel = run_parallel_replay(trace, workers, collect_timeline=True,
-                                   pool=pool)
-    here = run_parallel_replay(trace, workers, collect_timeline=True,
-                               pool=InProcessPool())
-    assert parallel is not None and here is not None
+    parallel = try_parallel_replay(trace, workers, ServingConfig(),
+                                   collect_timeline=True, pool=pool)
+    here = try_parallel_replay(trace, workers, ServingConfig(),
+                               collect_timeline=True, pool=InProcessPool())
+    assert not isinstance(parallel, str), parallel
+    assert not isinstance(here, str), here
     assert parallel.driver_stats.extra["parallel_workers"] == 2
     assert parallel.completion_time == here.completion_time
     assert counters(parallel) == counters(here)
@@ -96,8 +89,8 @@ def _assert_modes_match(trace, single, parallel):
     for r in (single, parallel):
         assert r.n_tasks_completed == n * steps
         assert r.n_calls_completed == trace.n_calls
-    assert _per_agent_sequences(parallel.timeline, n) == \
-        _per_agent_sequences(single.timeline, n)
+    assert per_agent_sequences(parallel.timeline, n) == \
+        per_agent_sequences(single.timeline, n)
 
 
 class TestParallelEquivalenceFuzz:
@@ -137,18 +130,21 @@ class TestCrashRedispatch:
     def test_crashed_worker_is_redispatched(self):
         trace = _calls_trace(11)
         sched = SchedulerConfig(shards=4, parallel_workers=2)
-        clean = run_parallel_replay(trace, sched, collect_timeline=True)
-        crashed = run_parallel_replay(trace, sched, collect_timeline=True,
+        clean = try_parallel_replay(trace, sched, ServingConfig(),
+                                    collect_timeline=True)
+        crashed = try_parallel_replay(trace, sched, ServingConfig(),
+                                      collect_timeline=True,
                                       _crash_plan={0: 1})
-        assert clean is not None and crashed is not None
+        assert not isinstance(clean, str), clean
+        assert not isinstance(crashed, str), crashed
         assert clean.driver_stats.extra["worker_redispatches"] == 0
         assert crashed.driver_stats.extra["worker_redispatches"] == 1
         # Redispatch is idempotent (workers never write the shared
         # store): the recovered run is state-identical to the clean one.
         n = trace.meta.n_agents
         assert crashed.n_tasks_completed == clean.n_tasks_completed
-        assert _per_agent_sequences(crashed.timeline, n) == \
-            _per_agent_sequences(clean.timeline, n)
+        assert per_agent_sequences(crashed.timeline, n) == \
+            per_agent_sequences(clean.timeline, n)
 
     def test_crash_budget_exhaustion_raises(self):
         trace = _calls_trace(12)
@@ -156,7 +152,8 @@ class TestCrashRedispatch:
             shards=4, parallel_workers=2,
             faults=FaultPolicy(max_redispatches=1, worker_join_grace=1.0))
         with pytest.raises(SchedulingError, match="crash budget"):
-            run_parallel_replay(trace, sched, _crash_plan={0: 5})
+            try_parallel_replay(trace, sched, ServingConfig(),
+                                _crash_plan={0: 5})
         assert _stray_segments() == []
 
 
@@ -189,7 +186,8 @@ class TestPoolReuse:
             monkeypatch.setattr(pool, "run_tasks", corrupt_worker_0)
             try:
                 with pytest.raises(SchedulingError, match="worker 0 failed"):
-                    run_parallel_replay(failing, sched, pool=pool)
+                    try_parallel_replay(failing, sched, ServingConfig(),
+                                        pool=pool)
             finally:
                 os.kill(worker_1, signal.SIGCONT)
             monkeypatch.undo()
@@ -199,9 +197,10 @@ class TestPoolReuse:
             assert not pool._outbox.empty(), "worker 1 sent no reply"
             # Worker 1 crashes once on the new run, so worker 0's ledger
             # is queued behind the stale reply and ahead of worker 1's.
-            reused = run_parallel_replay(other, sched, pool=pool,
-                                         _crash_plan={1: 1})
-        fresh = run_parallel_replay(other, sched, _crash_plan={1: 1})
+            reused = try_parallel_replay(other, sched, ServingConfig(),
+                                         pool=pool, _crash_plan={1: 1})
+        fresh = try_parallel_replay(other, sched, ServingConfig(),
+                                    _crash_plan={1: 1})
         assert reused.completion_time == fresh.completion_time
         assert counters(reused) == counters(fresh)
 
@@ -233,8 +232,8 @@ class TestCounterAggregation:
         finally:
             store.unlink()
             store.close()
-        result = run_parallel_replay(trace, sched)
-        assert result is not None
+        result = try_parallel_replay(trace, sched, ServingConfig())
+        assert not isinstance(result, str), result
         expected = merge_extra_counters(
             [led.driver_stats.extra for led in ledgers])
         assert [led.driver_stats.extra["shards"] for led in ledgers] \
@@ -328,19 +327,20 @@ class TestSharedMemoryHygiene:
         before = _stray_segments()
         trace = generate_scale_trace(total_agents=60, n_steps=10,
                                      base_seed=13)
-        result = run_parallel_replay(
-            trace, SchedulerConfig(shards=4, parallel_workers=2))
-        assert result is not None
+        result = try_parallel_replay(
+            trace, SchedulerConfig(shards=4, parallel_workers=2),
+            ServingConfig())
+        assert not isinstance(result, str), result
         assert _stray_segments() == before
 
     def test_no_segments_leak_after_crash(self):
         before = _stray_segments()
         trace = generate_scale_trace(total_agents=60, n_steps=10,
                                      base_seed=14)
-        result = run_parallel_replay(
+        result = try_parallel_replay(
             trace, SchedulerConfig(shards=4, parallel_workers=2),
-            _crash_plan={1: 1})
-        assert result is not None
+            ServingConfig(), _crash_plan={1: 1})
+        assert not isinstance(result, str), result
         assert result.driver_stats.extra["worker_redispatches"] == 1
         assert _stray_segments() == before
 
@@ -349,14 +349,16 @@ class TestSharedMemoryHygiene:
         leave its cleanup to the parent's resource tracker."""
         import subprocess
         script = (
-            "from repro.config import SchedulerConfig\n"
+            "from repro.config import SchedulerConfig, ServingConfig\n"
             "from repro.core.parallel import ShardWorkerPool, "
-            "run_parallel_replay\n"
+            "try_parallel_replay\n"
             "from repro.trace.generator import generate_scale_trace\n"
             "with ShardWorkerPool(2) as pool:\n"
-            "    assert run_parallel_replay(generate_scale_trace(\n"
+            "    result = try_parallel_replay(generate_scale_trace(\n"
             "        total_agents=60, n_steps=10, base_seed=15),\n"
-            "        SchedulerConfig(parallel_workers=2), pool=pool)\n")
+            "        SchedulerConfig(parallel_workers=2), ServingConfig(),\n"
+            "        pool=pool)\n"
+            "    assert not isinstance(result, str), result\n")
         src = Path(__file__).resolve().parents[1] / "src"
         done = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, timeout=120,
@@ -398,16 +400,16 @@ class TestOddPlatforms:
     def test_spawn_pool_counters_equal_the_fork_pool(self):
         out = _run_clean(
             "import multiprocessing as mp\n"
-            "from repro.config import SchedulerConfig\n"
+            "from repro.config import SchedulerConfig, ServingConfig\n"
             "from repro.core import parallel\n"
             "from repro.trace.generator import generate_scale_trace\n"
             "from test_golden_replay import counters\n"
             "trace = generate_scale_trace(total_agents=60, n_steps=10,\n"
             "                             base_seed=15)\n"
             "sched = SchedulerConfig(parallel_workers=2)\n"
-            "fork = parallel.run_parallel_replay(trace, sched)\n"
+            "fork = parallel.try_parallel_replay(trace, sched, ServingConfig())\n"
             "parallel._mp_context = lambda: mp.get_context('spawn')\n"
-            "spawn = parallel.run_parallel_replay(trace, sched)\n"
+            "spawn = parallel.try_parallel_replay(trace, sched, ServingConfig())\n"
             "assert spawn.driver_stats.extra['parallel_workers'] == 2\n"
             "assert counters(spawn) == counters(fork)\n"
             "assert spawn.completion_time == fork.completion_time\n"
@@ -480,12 +482,13 @@ class TestFailurePaths:
 
 
 class TestFallbacks:
-    def test_single_region_returns_none(self):
+    def test_single_region_says_why(self):
         # 24 agents fit one scenario segment -> one region -> fall back.
         trace = generate_scale_trace(total_agents=24, n_steps=10,
                                      base_seed=2)
-        assert run_parallel_replay(
-            trace, SchedulerConfig(shards=4, parallel_workers=2)) is None
+        assert "fewer than two independent regions" in try_parallel_replay(
+            trace, SchedulerConfig(shards=4, parallel_workers=2),
+            ServingConfig())
         # The run_replay route falls through to the in-process driver.
         result = run_replay(
             trace, SchedulerConfig(shards=4, parallel_workers=2))
@@ -532,16 +535,19 @@ class TestFallbacks:
         assert result.n_tasks_completed == \
             trace.meta.n_agents * trace.meta.n_steps
 
-    def test_workers_below_two_returns_none(self):
+    def test_workers_below_two_says_why(self):
         trace = _calls_trace(15)
-        assert run_parallel_replay(
-            trace, SchedulerConfig(shards=4, parallel_workers=1)) is None
+        assert "fewer than two parallel_workers" in try_parallel_replay(
+            trace, SchedulerConfig(shards=4, parallel_workers=1),
+            ServingConfig())
 
-    def test_non_metropolis_policy_returns_none(self):
+    def test_non_metropolis_policy_says_why(self):
         trace = _calls_trace(16)
-        assert run_parallel_replay(
-            trace, SchedulerConfig(policy="parallel-sync",
-                                   parallel_workers=2)) is None
+        assert "'parallel-sync' has no shard-worker controller" in \
+            try_parallel_replay(
+                trace, SchedulerConfig(policy="parallel-sync",
+                                       parallel_workers=2),
+                ServingConfig())
 
     def test_run_replay_route_engages_parallel(self):
         trace = _calls_trace(17)

@@ -90,8 +90,7 @@ def _drive(seed: int, oracle: bool, *, dp: int = 1, priority: bool = True,
     starts, chains = _scripts(seed, symmetric)
     kernel = Kernel()
     config = ServingConfig(
-        dp=dp, priority_scheduling=priority,
-        max_running_requests=max_running, kv_policy=kv_policy,
+        dp=dp, max_running_requests=max_running, kv_policy=kv_policy,
         kv_memory_fraction=KV_FRACTION)
     requests, delivered, delayed = [], [], []
 
@@ -112,7 +111,7 @@ def _drive(seed: int, oracle: bool, *, dp: int = 1, priority: bool = True,
                 delayed.append(kernel.call_in(gap, call, agent, pos + 1))
 
     with per_iteration_oracle() if oracle else nullcontext():
-        engine = ServingEngine(kernel, config)
+        engine = ServingEngine(kernel, config, priority=priority)
         engine.set_distance_provider(lambda aid: float(aid * 7 % 5))
         for agent, at in enumerate(starts):
             kernel.call_at(at, call, agent, 0)

@@ -221,21 +221,21 @@ class TestMemoryStream:
         m = MemoryStream()
         m.add(self._event(0))
         m.add(self._event(900))
-        top = m.retrieve(1000, frozenset(), top_k=1)
+        top = m._ranking(1000, frozenset())[:1]
         assert top[0].step == 900
 
     def test_relevance_preferred(self):
         m = MemoryStream()
         m.add(self._event(99, kw=("cats",)))
         m.add(self._event(100, kw=("dogs",)))
-        top = m.retrieve(101, frozenset({"cats"}), top_k=1)
+        top = m._ranking(101, frozenset({"cats"}))[:1]
         assert "cats" in top[0].keywords
 
     def test_importance_breaks_ties(self):
         m = MemoryStream()
         m.add(self._event(50, importance=0.1))
         m.add(self._event(50, importance=0.9))
-        top = m.retrieve(51, frozenset(), top_k=1)
+        top = m._ranking(51, frozenset())[:1]
         assert top[0].importance == 0.9
 
     def test_retrieved_tokens_sums_topk(self):
@@ -298,7 +298,7 @@ class TestMemoryRankingMemo:
             top_k = rnd.choice([1, 2, 4, 6, 8, 10, 100])
             expect = reference_ranking(shadow, now, query)[:top_k]
             if rnd.random() < 0.5:
-                got = stream.retrieve(now, query, top_k=top_k)
+                got = stream._ranking(now, query)[:top_k]
                 assert len(got) == len(expect)
                 assert all(g is e for g, e in zip(got, expect))
             else:
@@ -312,7 +312,7 @@ class TestMemoryRankingMemo:
         assert m.retrieved_tokens(20, frozenset({"a"}), top_k=4) == 7
         m.add(MemoryEvent(20, "chat", frozenset({"a"}), 0.6, tokens=11))
         assert m.retrieved_tokens(20, frozenset({"a"}), top_k=4) == 18
-        assert [e.tokens for e in m.retrieve(20, frozenset({"a"}), 1)] == [11]
+        assert [e.tokens for e in m._ranking(20, frozenset({"a"}))[:1]] == [11]
 
     def test_one_keyword_query_matches_reference(self):
         """The membership shortcut: 0.1 + 1 / 1 and 0.1 + 0 / 1 are the
@@ -326,7 +326,7 @@ class TestMemoryRankingMemo:
                 keywords=frozenset(rnd.sample(self.KEYWORDS, 2)),
                 importance=rnd.choice([0.15, 0.6]), tokens=i))
         for word in self.KEYWORDS + ("absent",):
-            got = stream.retrieve(4400, frozenset({word}), top_k=64)
+            got = stream._ranking(4400, frozenset({word}))[:64]
             want = reference_ranking(stream._events, 4400, frozenset({word}))
             assert all(g is w for g, w in zip(got, want))
             assert len(got) == 64
@@ -364,7 +364,7 @@ class TestMemoryRankingMemo:
                 top_k = rnd.choice([1, 2, 4])
                 assert stream.retrieved_tokens(now, query, top_k=top_k) \
                     == sum(e.tokens for e in want[:top_k])
-                got = stream.retrieve(now, query, top_k=window)
+                got = stream._ranking(now, query)[:window]
                 rankings += 1
                 assert len(got) == len(want)
                 assert all(g is w for g, w in zip(got, want)), (phase, now)
@@ -385,7 +385,7 @@ class TestMemoryRankingMemo:
                                     0.15, tokens=step)
                 stream.add(event)
                 shadow.append(event)
-            got = stream.retrieve(step, query, top_k=8)
+            got = stream._ranking(step, query)[:8]
             assert got == reference_ranking(shadow, step, query)
         assert sorts[0] == 3  # two of the empty stream, the first event
 
@@ -395,13 +395,13 @@ class TestMemoryRankingMemo:
                  for i in range(4)]
         for event in first:
             stream.add(event)
-        stream.retrieve(20, frozenset({"a"}), top_k=4)
+        stream._ranking(20, frozenset({"a"}))[:4]
         later = [MemoryEvent(20 + i, "plan", frozenset({"b"} if i % 2 else
                                                        {"a"}), 0.5,
                              tokens=10 + i) for i in range(5)]
         for event in later:  # all four ranked ones and later[0] evicted
             stream.add(event)
-        got = stream.retrieve(30, frozenset({"a"}), top_k=4)
+        got = stream._ranking(30, frozenset({"a"}))[:4]
         want = reference_ranking(later[1:], 30, frozenset({"a"}))
         assert [e.tokens for e in got] == [e.tokens for e in want]
         assert all(g is w for g, w in zip(got, want))
@@ -416,8 +416,8 @@ class TestMemoryRankingMemo:
         for event in (old, new):
             stream.add(event)
         query = frozenset({"a"})
-        assert stream.retrieve(4095, query, 2) == [old, new]
-        assert stream.retrieve(4105, query, 2) == [new, old]
+        assert stream._ranking(4095, query)[:2] == [old, new]
+        assert stream._ranking(4105, query)[:2] == [new, old]
         assert sorts[0] == 2
 
     def test_event_ahead_of_now_forces_full_sort(self, monkeypatch):
@@ -429,7 +429,7 @@ class TestMemoryRankingMemo:
             stream.add(event)
         query = frozenset({"a"})
         for now in (4105, 4095, 4098):  # step 4100: 5 old, 5 and 2 ahead
-            assert stream.retrieve(now, query, 3) == \
+            assert stream._ranking(now, query)[:3] == \
                 reference_ranking(events, now, query)
         assert sorts[0] == 3
 
@@ -449,8 +449,8 @@ class TestMemoryRankingMemo:
         near = MemoryEvent(now - a, "plan", frozenset(), low, tokens=2)
         for event in (far, near):
             stream.add(event)
-        first = stream.retrieve(now, frozenset(), 2)
-        second = stream.retrieve(now + shift, frozenset(), 2)
+        first = stream._ranking(now, frozenset())[:2]
+        second = stream._ranking(now + shift, frozenset())[:2]
         assert first == reference_ranking([far, near], now, frozenset())
         assert second == reference_ranking([far, near], now + shift,
                                            frozenset())
@@ -476,7 +476,7 @@ class TestMemoryRankingMemo:
         m = MemoryStream()
         for step in (95, 100, 105):
             m.add(MemoryEvent(step, "plan", frozenset(), 0.5, tokens=step))
-        assert [e.step for e in m.retrieve(100, frozenset(), 3)] == \
+        assert [e.step for e in m._ranking(100, frozenset())[:3]] == \
             [105, 100, 95]
 
 
