@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.config import (STEPS_PER_DAY, STEPS_PER_HOUR, OverheadConfig,
-                          SchedulerConfig, ServingConfig)
+from repro.config import (STEPS_PER_DAY, STEPS_PER_HOUR, FaultPolicy,
+                          OverheadConfig, SchedulerConfig, ServingConfig)
 from repro.errors import ConfigError
 
 
@@ -46,6 +46,30 @@ class TestServingConfig:
             ServingConfig(kv_memory_fraction=1.5)
         with pytest.raises(ConfigError):
             ServingConfig(max_running_requests=0)
+
+
+class TestFaultPolicy:
+    def test_defaults_valid(self):
+        p = FaultPolicy()
+        assert p.max_call_retries >= 0 and p.backoff_factor >= 1.0
+        assert p.backoff_base <= p.backoff_max
+
+    @pytest.mark.parametrize("field, bad", [
+        ("call_timeout", 0.0),
+        ("max_call_retries", -1),
+        ("backoff_base", -0.1),
+        ("backoff_max", -0.1),
+        ("backoff_factor", 0.5),
+        ("backoff_jitter", -0.1),
+        ("breaker_threshold", 0),
+        ("breaker_cooldown", -1.0),
+        ("max_redispatches", -1),
+        ("watchdog_timeout", 0.0),
+        ("worker_join_grace", -1.0),
+    ])
+    def test_validation(self, field, bad):
+        with pytest.raises(ConfigError):
+            FaultPolicy(**{field: bad})
 
 
 class TestOverheadConfig:

@@ -40,6 +40,23 @@ class TestAsciiRendering:
     def test_empty(self):
         assert render_ascii_timeline([], 3) == "(no events)"
 
+    def test_window_skips_events_outside(self):
+        events = [TimelineEvent(0, 0, 2, 0.0, 1.0),
+                  TimelineEvent(1, 0, 6, 4.0, 6.0),
+                  TimelineEvent(0, 1, 2, 9.0, 10.0)]
+        art = render_ascii_timeline(events, n_agents=2, width=10,
+                                    t0=3.0, t1=7.0)
+        lines = art.splitlines()
+        assert lines[0].startswith("time: 3.0s .. 7.0s")
+        assert lines[1].split("|")[1].strip() == ""  # both outside
+        assert "U" in lines[2].split("|")[1]
+
+    def test_zero_length_span_still_draws(self):
+        events = [TimelineEvent(0, 0, 0, 2.0, 2.0)]
+        art = render_ascii_timeline(events, n_agents=1, width=10)
+        assert art.splitlines()[0].startswith("time: 2.0s .. 3.0s")
+        assert "P" in art.splitlines()[1]
+
     def test_replay_integration(self, synthetic_trace, l4_serving):
         result = run_replay(synthetic_trace,
                             SchedulerConfig(policy="parallel-sync"),

@@ -73,6 +73,21 @@ class TestRetention:
         assert mgr.retained_tokens == 0   # evicted to make room
         assert mgr.stats()["evictions"] == 1
 
+    def test_drop_all_retained_loses_soft_kv_only(self):
+        """A replica blackout loses retained segments, not reservations,
+        and is not counted as a policy eviction."""
+        mgr = KVCacheManager(1000, policy="lru")
+        mgr.retain(agent_id=0, tokens=200, now=0.0)
+        mgr.retain(agent_id=1, tokens=150, now=1.0)
+        running = _req(9, prompt=300, out=50, agent=2)
+        mgr.reserve(running)
+        assert mgr.drop_all_retained() == 350
+        assert mgr.retained_tokens == 0
+        assert mgr.reserved_tokens == 350
+        assert mgr.stats()["evictions"] == 0
+        assert mgr.reserve(_req(10, agent=0)) == 0   # cold again
+        assert mgr.drop_all_retained() == 0
+
     def test_lru_evicts_longest_idle(self):
         mgr = KVCacheManager(1000, policy="lru")
         mgr.retain(agent_id=0, tokens=400, now=1.0)   # oldest

@@ -363,6 +363,19 @@ class TestChainBoundsChecked:
             with pytest.raises(TraceError, match=f"agent {agent} at step 0"):
                 day_trace.chain_slice(agent, 0)
 
+    def test_in_range_edges_match_chain_bounds(self, day_trace,
+                                               agent2_step):
+        last_agent = day_trace.meta.n_agents - 1
+        last_step = day_trace.meta.n_steps - 1
+        for agent, step in ((0, 0), (2, agent2_step),
+                            (last_agent, last_step)):
+            got = day_trace.chain_slice(agent, step)
+            starts, ends = day_trace.chain_bounds([agent], step)
+            assert (got.start, got.stop) == (starts[0], ends[0])
+            assert (day_trace.call_agent[got] == agent).all()
+        assert day_trace.chain_slice(2, agent2_step).stop > \
+            day_trace.chain_slice(2, agent2_step).start
+
 
 def _memmap_backed(arr):
     """True when ``arr`` is (a view of) a disk-backed memmap."""
