@@ -36,6 +36,7 @@ PATHFIND = "src/repro/world/pathfind.py"
 MINED = "src/repro/core/oracle.py"
 REPORT = "src/repro/bench/report.py"
 SCHEMA = "src/repro/trace/schema.py"
+STORE = "src/repro/kvstore/store.py"
 GOLDEN = "tests/test_golden_replay.py"
 PARALLEL = "tests/test_parallel.py"
 GRAPH_SPACE = "tests/test_graph_space.py"
@@ -77,8 +78,8 @@ COMPARE = "row[local[nb]] if comp[nb] == ca else inf"
 #: negative table index, the one-keyword literal and its one-keyword
 #: test at both sites; the reuse's age range, class-pair guard,
 #: insertion after equal keys and token sums dropped with a changed
-#: order), every clause of the
-#: dwelling guard, the chat sweep's strict break and final sort, the
+#: order), every clause of the dwelling guard and a chatting agent's
+#: turn ahead of it, the chat sweep's strict break and final sort, the
 #: perception scan's inclusive radius without the agent itself, the
 #: first-declared venue table dropped by ``add_venue``, and the wall-
 #: respecting, four-way, read-only flood. The oracle's mined-group
@@ -92,7 +93,8 @@ COMPARE = "row[local[nb]] if comp[nb] == ca else inf"
 #: the replies of an earlier run, and the pool leaves the oracle to the
 #: in-process replay. The trace's call
 #: index: a chain ends past the last call with its row key, and the
-#: ``calling`` mask is scattered step-major.
+#: ``calling`` mask is scattered step-major. The live engine's store:
+#: a write batch applies its counter increments.
 MUTANTS = {
     "commit-skips-node-index": (
         GRAPH, f"if node is not None:\n                    {WRITE}",
@@ -237,6 +239,16 @@ MUTANTS = {
     "dweller-drops-sleeping-block": (
         BEHAVIOR, 'in (agent.activity, "sleeping")', "in (agent.activity,)",
         0, WORLD),
+    "dweller-guard-before-turn": ((
+        (BEHAVIOR, "        if agent.busy_chatting:\n"
+         "            self._conversation_turn(step, aid, out)\n"
+         "            return\n", "", 0),
+        (BEHAVIOR, "            return\n        rng = fast_rng_for(",
+         "            return\n        if agent.busy_chatting:\n"
+         "            self._conversation_turn(step, aid, out)\n"
+         "            return\n        rng = fast_rng_for(", 0)),
+        f"{WORLD}::TestBehaviorModel"
+        "::test_conversation_pairs_symmetric_and_frozen"),
     "chat-sweep-breaks-at-limit": (
         BEHAVIOR, "if bx > limit:", "if bx >= limit:", 0, WORLD),
     "chat-pairs-unsorted": (
@@ -304,6 +316,10 @@ MUTANTS = {
         "mask[self.call_agent.astype(np.int64) * self.meta.n_steps"
         " + self.call_step]", 0,
         f"tests/test_trace.py::TestChainIndex {GOLDEN}"),
+    "store-drops-commit-count": (
+        STORE, "for key, amount in txn.incrs:", "for key, amount in ():", 0,
+        "tests/test_live.py::TestLiveSimulation"
+        "::test_store_reflects_final_steps"),
 }
 
 

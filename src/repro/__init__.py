@@ -38,7 +38,7 @@ from .core import (DependencyRules, SimulationResult, critical_path_time,
 from .core.engine import critical_time_for
 from .errors import (CapacityError, CausalityViolation, ConfigError,
                      ReproError, ScenarioError, SchedulingError,
-                     ServingError, TraceError, TransactionError, WorldError)
+                     ServingError, TraceError, WorldError)
 from .scenarios import (Scenario, ScenarioRegistry, get_scenario,
                         register_scenario, scenario_names)
 from .serving import ServingEngine
@@ -66,6 +66,6 @@ __all__ = [
     "cached_day_trace", "compute_stats", "save_trace", "load_trace",
     # errors
     "ReproError", "ConfigError", "SchedulingError", "CausalityViolation",
-    "ServingError", "CapacityError", "TransactionError", "TraceError",
-    "WorldError", "ScenarioError",
+    "ServingError", "CapacityError", "TraceError", "WorldError",
+    "ScenarioError",
 ]

@@ -2,9 +2,9 @@
 
 The fault-tolerance claim behind ``repro.faults`` is *exactly-once
 application under at-least-once execution*: whatever the chaos layer
-injects — transient LLM errors, stragglers, hard call failures, forced
-transaction conflicts, replica blackouts — the OOO engine must end in
-the world state bit-identical to a clean lock-step run, because every
+injects — transient LLM errors, stragglers, hard call failures,
+replica blackouts — the OOO engine must end in the world state
+bit-identical to a clean lock-step run, because every
 failed cluster is rolled back before any of its writes land and every
 re-delivery is deduplicated by the program's per-``(step, agent)`` memo.
 
@@ -13,9 +13,8 @@ three seeded fault schedules (and checks each schedule actually
 *exercised* its target recovery path, so a silently-disabled injector
 cannot pass the gate):
 
-* ``transient`` — retryable LLM errors + stragglers + a forced
-  KV-transaction conflict storm: the seeded-backoff retry loops must
-  absorb everything (``llm_retries``, ``tx_retries`` > 0);
+* ``transient`` — retryable LLM errors + stragglers: the
+  seeded-backoff retry loop must absorb everything (``llm_retries`` > 0);
 * ``crash``     — hard LLM failures: clusters must be aborted
   (``abort_running``) and redispatched to success;
 * ``breaker``   — a hard-failure burst: the circuit breaker must open
@@ -48,9 +47,6 @@ from .smoke import live_matches_lock_step, scenario_window_trace
 #: LLM call; the smoke window issues hundreds, so every injector fires
 #: many times under any seed.
 SCHEDULES: tuple[str, ...] = ("transient", "crash", "breaker")
-
-#: Forced KV-transaction conflicts injected per transient cell.
-TX_STORM = 6
 
 #: Virtual-time fraction of the clean run at which the blackout fires.
 BLACKOUT_AT = 0.25
@@ -87,7 +83,7 @@ def _schedule(kind: str, seed: int) -> FaultSchedule:
 #: fails even with identical state: the injector or the recovery path
 #: silently did nothing).
 REQUIRED_PATHS: dict[str, tuple[str, ...]] = {
-    "transient": ("llm_retries", "tx_retries"),
+    "transient": ("llm_retries",),
     "crash": ("aborted_clusters", "redispatches"),
     "breaker": ("breaker_opens", "degraded_completions"),
 }
@@ -106,15 +102,11 @@ def chaos_cell(scn, kind: str, seed: int) -> dict:
     overrides = {}
     if kind == "breaker":
         overrides = dict(breaker_threshold=3, breaker_cooldown=60.0)
-    # A transient cell also takes a forced WatchError burst: its next
-    # TX_STORM state commits conflict and must be absorbed by the
-    # optimistic-retry loop.
     identical, result = live_matches_lock_step(
         scn, min(10, scn.agents_per_segment),
         SchedulerConfig(scenario=scn.name,
                         faults=_policy(seed, **overrides)),
-        ChaosClient(EchoLLMClient(), _schedule(kind, seed)),
-        tx_storm=TX_STORM if kind == "transient" else 0)
+        ChaosClient(EchoLLMClient(), _schedule(kind, seed)))
     faults = result.faults.as_dict()
     missing = [key for key in REQUIRED_PATHS[kind] if not faults.get(key)]
     return {

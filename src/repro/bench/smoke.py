@@ -75,16 +75,15 @@ def smoke_one(name: str, check_live: bool = True) -> dict:
     return entry
 
 
-def live_matches_lock_step(scn, n_agents: int, scheduler, client=None,
-                           tx_storm: int = 0) -> tuple[bool, object]:
+def live_matches_lock_step(scn, n_agents: int, scheduler,
+                           client=None) -> tuple[bool, object]:
     """Live OOO vs lock-step over the scenario's active window.
 
     The reference model steps to the window's end in lock-step. The
     out-of-order one steps to its start; then :class:`LiveSimulation`
     runs it to the end on four worker threads under ``scheduler``, with
-    ``client`` (an echo client by default) and ``tx_storm`` forced
-    transaction conflicts. Returns whether both end in the same state,
-    and the live run's result.
+    ``client`` (an echo client by default). Returns whether both end in
+    the same state, and the live run's result.
     """
     from ..live import EchoLLMClient, LiveSimulation
     from ..live.environment import BehaviorProgram
@@ -98,7 +97,6 @@ def live_matches_lock_step(scn, n_agents: int, scheduler, client=None,
         ooo.step_all(step)
     sim = LiveSimulation(BehaviorProgram(ooo), client or EchoLLMClient(),
                          scheduler=scheduler, num_workers=4)
-    sim.store.force_conflicts(tx_storm)
     result = sim.run(target_step=end, start_step=start)
 
     def state(model):
@@ -114,12 +112,11 @@ def _passed(entry: dict) -> bool:
 
 
 def run_smoke(out: Path | None = None, scenarios: list[str] | None = None,
-              check_live: bool = True, strict: bool = True) -> dict:
+              check_live: bool = True) -> dict:
     """Smoke-gate every registered scenario (or the given subset).
 
-    With ``strict`` (the default and what CI runs), any scenario that
-    fails either property raises :class:`ScenarioError` after the full
-    report is written.
+    Any scenario that fails either property raises
+    :class:`ScenarioError` after the full report is written.
     """
     names = scenarios or scenario_names()
 
@@ -130,7 +127,7 @@ def run_smoke(out: Path | None = None, scenarios: list[str] | None = None,
     report = run_report("smoke", out, measure)
     failures = [e["scenario"] for e in report["scenarios"]
                 if not _passed(e)]
-    if strict and failures:
+    if failures:
         raise ScenarioError(
             f"smoke gate failed for: {failures} (see report)")
     return report

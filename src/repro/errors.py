@@ -51,14 +51,6 @@ class CapacityError(ServingError):
     """A request can never fit in the configured KV-cache capacity."""
 
 
-class TransactionError(ReproError):
-    """Optimistic transaction aborted after exhausting retries."""
-
-
-class WatchError(TransactionError):
-    """A watched key changed between WATCH and EXEC (single attempt)."""
-
-
 class FaultError(ReproError):
     """Base class for injected or surfaced execution-layer faults."""
 

@@ -1,13 +1,12 @@
 """Fault model for the execution layers (chaos injection + resilience).
 
-The live engine assumes nothing about why an LLM call or a worker commit
+The live engine assumes nothing about why an LLM call or a worker
 fails — this package supplies both halves of the fault story:
 
 * **injection** — :class:`ChaosClient` wraps any
   :class:`~repro.live.clients.LLMClient` and injects transient errors,
   hard failures, and straggler latency from a seeded
-  :class:`FaultSchedule`; :meth:`repro.kvstore.KVStore.force_conflicts`
-  forces ``WatchError`` bursts on the transaction path; and
+  :class:`FaultSchedule`; and
   :meth:`repro.serving.ServingEngine.blackout_replica` kills a replica
   (retained KV lost, in-flight requests rerouted and re-prefilled);
 * **resilience** — :class:`ResilientClient` adds per-call timeouts,

@@ -32,7 +32,9 @@ class FaultStats:
     #: Circuit-breaker transitions.
     breaker_opens: int = 0
     breaker_closes: int = 0
-    #: KV-store optimistic-transaction retries during the run.
+    #: Always 0: the KV store's write batches cannot conflict. Kept
+    #: because ``benchmarks/e2e/workloads.py`` adds it to
+    #: ``faults.retries``.
     tx_retries: int = 0
     #: Faults the chaos layer injected, by kind (empty without chaos).
     injected: dict[str, int] = field(default_factory=dict)

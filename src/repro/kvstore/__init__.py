@@ -1,11 +1,11 @@
-"""In-process transactional key-value store (Redis substitute).
+"""In-process key-value store for the live engine's committed state.
 
-The paper (§3.6) keeps all inter-process simulation state — including the
-spatiotemporal dependency graph — in Redis and wraps graph examinations and
-updates in transactions. This package provides the primitives the live
-engine uses, in-process: plain values and hashes, counters, per-key
-versioning, and optimistic WATCH/MULTI/EXEC transactions, safe for use
-from many threads (the live engine's workers).
+The paper (§3.6) keeps inter-process simulation state in Redis and
+commits it in transactions. Here the controller thread owns the
+dependency graph, so the store only mirrors what workers commit: each
+cluster's members' step and position plus a commit counter, written as
+one locked batch per cluster. ``LiveResult.final_positions`` is read
+back from it.
 """
 
 from .store import KVStore, Transaction

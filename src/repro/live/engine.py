@@ -11,8 +11,8 @@ Faithful to the paper's architecture at thread granularity:
 * **workers** (a thread pool) pull clusters, run the world program's
   ``execute`` for the members — which issues blocking LLM calls — read
   the members' positions once in bulk, commit the new state to the KV
-  store in one optimistic transaction (§3.6 keeps this state in Redis)
-  and acknowledge — positions included — through the ``ack_queue``;
+  store as one locked write batch (§3.6 keeps this state in Redis) and
+  acknowledge — positions included — through the ``ack_queue``;
 * the controller drains every pending ack and makes one ``core.step``
   per batch, exactly like the virtual-time driver: it commits the
   finished clusters (the ack payload carries the positions, so the
@@ -84,13 +84,11 @@ class LiveSimulation:
     def __init__(self, program: WorldProgram, client: LLMClient,
                  scheduler: SchedulerConfig | None = None,
                  num_workers: int = 4,
-                 store: KVStore | None = None,
                  fallback_client: LLMClient | None = None) -> None:
         self.program = program
         self.client = client
         self.scheduler = scheduler or SchedulerConfig()
         self.num_workers = max(num_workers, 1)
-        self.store = store or KVStore()
         self.faults_policy = self.scheduler.faults or FaultPolicy()
         # Degraded-mode plan: an explicit client wins, then the
         # scenario's fallback_client() hook, then canned completions.
@@ -143,7 +141,7 @@ class LiveSimulation:
 
     def _commit_to_store(self, step: int, cluster: list[int],
                          positions: dict) -> None:
-        """Transactionally persist the members' post-step state."""
+        """Persist the members' post-step state as one write batch."""
 
         def body(txn) -> None:
             for aid in cluster:
@@ -167,6 +165,7 @@ class LiveSimulation:
         # A LiveSimulation object is reusable: every run starts from
         # fresh queues, counters, and KV state (a second run would
         # otherwise accumulate stale keys and inflated stats).
+        self.store = KVStore()
         self._ready_queue: queue.PriorityQueue = queue.PriorityQueue()
         self._ack_queue: queue.Queue = queue.Queue()
         self._seq = 0
@@ -177,12 +176,7 @@ class LiveSimulation:
         self._resilient = ResilientClient(self.client, self.faults_policy,
                                           fallback=self._fallback)
         fallback_calls0 = getattr(self._fallback, "calls", 0)
-        tx_retries0 = self.store.tx_retries
         injected0 = dict(getattr(self.client, "injected", {}))
-        conflicts0 = self.store.injected_conflicts
-        # Only the simulation's own keys: a caller-supplied store may
-        # hold unrelated application data.
-        self.store.delete(*self.store.keys("agent:"), "commits")
         n = self.program.n_agents
         pos0 = self._positions_of(list(range(n)))
         for aid in range(n):
@@ -218,15 +212,13 @@ class LiveSimulation:
             for w in workers:
                 w.join(timeout=self.faults_policy.worker_join_grace)
             leaked = sum(1 for w in workers if w.is_alive())
-            self._collect_faults(fallback_calls0, tx_retries0, injected0,
-                                 conflicts0, leaked)
+            self._collect_faults(fallback_calls0, injected0, leaked)
         self._stats.wall_time = time.monotonic() - start
         self._stats.final_positions = {
             aid: self.store.hget(f"agent:{aid}", "pos") for aid in range(n)}
         return self._stats
 
-    def _collect_faults(self, fallback_calls0: int, tx_retries0: int,
-                        injected0: dict, conflicts0: int,
+    def _collect_faults(self, fallback_calls0: int, injected0: dict,
                         leaked: int) -> None:
         """Fold the run's fault counters into the result record."""
         faults = self._stats.faults
@@ -239,16 +231,12 @@ class LiveSimulation:
             if hasattr(self._fallback, "calls") else resilient.degraded
         faults.breaker_opens = resilient.breaker.opens
         faults.breaker_closes = resilient.breaker.closes
-        faults.tx_retries = self.store.tx_retries - tx_retries0
         faults.leaked_workers = leaked
         injected = dict(getattr(self.client, "injected", {}))
         for kind, count in injected.items():
             delta = count - injected0.get(kind, 0)
             if delta:
                 faults.injected[kind] = delta
-        delta = self.store.injected_conflicts - conflicts0
-        if delta:
-            faults.injected["tx_conflicts"] = delta
 
     def _next_seq(self) -> int:
         self._seq += 1

@@ -164,19 +164,22 @@ def generate_concatenated_trace(
     return concat_traces(segments, x_stride=world.width + 1)
 
 
+#: Independently seeded windows :func:`generate_scale_trace` tiles.
+SCALE_POOL = 8
+
+
 def generate_scale_trace(
         total_agents: int,
         n_steps: int = 30,
         base_seed: int = 0,
-        scenario: str | Scenario = "smallville",
-        pool_size: int = 8) -> Trace:
+        scenario: str | Scenario = "smallville") -> Trace:
     """Tiled large-population trace for the 100k/1M scale benchmarks.
 
     Like :func:`generate_concatenated_trace`, but built for populations
     where simulating thousands of independent day segments would cost
     more than the benchmark itself:
 
-    * segments cycle through a small pool of ``pool_size``
+    * segments cycle through a small pool of :data:`SCALE_POOL`
       independently-seeded windows (``n_steps`` kept short for the same
       reason), so generation is O(pool) simulation + O(total) array
       writes — the writes stream into the preallocated (possibly
@@ -197,7 +200,7 @@ def generate_scale_trace(
     if total_agents <= per_segment:
         return cached_day_trace(base_seed, total_agents, n_steps, scn)
     pool = [cached_day_trace(base_seed + k, per_segment, n_steps, scn)
-            for k in range(max(1, pool_size))]
+            for k in range(SCALE_POOL)]
     n_segments, remainder = divmod(total_agents, per_segment)
     segments = [pool[k % len(pool)] for k in range(n_segments)]
     if remainder:

@@ -39,12 +39,16 @@ class TraceStats:
     idle_fraction: float
 
 
-def _mean_dependency_agents(trace: Trace, sample_stride: int = 7) -> float:
+#: Every this many steps is sampled for ``mean_dependency_agents``.
+SAMPLE_STRIDE = 7
+
+
+def _mean_dependency_agents(trace: Trace) -> float:
     """Average cluster-mate count under the paper's oracle criterion.
 
-    For sampled steps, counts for each agent how many agents (itself
-    included) sit within ``radius_p + max_vel`` — i.e. how many actually
-    constrain it across consecutive steps.
+    For every :data:`SAMPLE_STRIDE`-th step, counts for each agent how
+    many agents (itself included) sit within ``radius_p + max_vel`` —
+    i.e. how many actually constrain it across consecutive steps.
     """
     threshold = trace.meta.radius_p + trace.meta.max_vel
     if trace.meta.metric == "graph":
@@ -55,7 +59,7 @@ def _mean_dependency_agents(trace: Trace, sample_stride: int = 7) -> float:
         totals = 0.0
         count = 0
         n = trace.meta.n_agents
-        for step in range(0, trace.meta.n_steps, sample_stride):
+        for step in range(0, trace.meta.n_steps, SAMPLE_STRIDE):
             positions = [trace.pos(aid, step) for aid in range(n)]
             within = sum(
                 1 for a in positions for b in positions
@@ -67,7 +71,7 @@ def _mean_dependency_agents(trace: Trace, sample_stride: int = 7) -> float:
     pos = trace.positions_by_step.astype(np.float64)
     totals = 0.0
     count = 0
-    for step in range(0, trace.meta.n_steps, sample_stride):
+    for step in range(0, trace.meta.n_steps, SAMPLE_STRIDE):
         p = pos[step]
         diff = p[:, None, :] - p[None, :, :]
         within = (diff ** 2).sum(axis=2) <= thr2
@@ -76,8 +80,7 @@ def _mean_dependency_agents(trace: Trace, sample_stride: int = 7) -> float:
     return totals / max(count, 1)
 
 
-def compute_stats(trace: Trace, dependency_sample_stride: int = 7
-                  ) -> TraceStats:
+def compute_stats(trace: Trace) -> TraceStats:
     """Derive the §4.1 characterization of a trace."""
     n_hours = (trace.meta.n_steps + STEPS_PER_HOUR - 1) // STEPS_PER_HOUR
     hour_of_call = trace.call_step // STEPS_PER_HOUR
@@ -94,8 +97,7 @@ def compute_stats(trace: Trace, dependency_sample_stride: int = 7
         calls_per_hour=calls_per_hour,
         calls_per_func={FUNCS[i]: int(func_counts[i])
                         for i in range(len(FUNCS)) if func_counts[i]},
-        mean_dependency_agents=_mean_dependency_agents(
-            trace, dependency_sample_stride),
+        mean_dependency_agents=_mean_dependency_agents(trace),
         mean_chain_length=float(nonzero.mean()) if len(nonzero) else 0.0,
         idle_fraction=float((chain_lengths == 0).mean()),
     )

@@ -50,15 +50,6 @@ ALLOWED = {
     "repro/trace/io.py::import_jsonl":
         "the jsonl trace format: validates traces made outside the "
         "program (test_trace.py feeds it edited files)",
-    # kvstore/ goes or gains a reader as one unit (ROADMAP item 13), and
-    # benchmarks/e2e/layers.py patches KVStore.transaction, so the
-    # module waits for the benchmark's next revision.
-    "repro/kvstore/store.py::KVStore.hdel": "kvstore/ verdict pending",
-    "repro/kvstore/store.py::KVStore.hgetall": "kvstore/ verdict pending",
-    "repro/kvstore/store.py::Transaction.hdel": "kvstore/ verdict pending",
-    "repro/kvstore/store.py::Transaction.hgetall":
-        "kvstore/ verdict pending",
-    "repro/kvstore/store.py::Transaction.watch": "kvstore/ verdict pending",
 }
 
 
