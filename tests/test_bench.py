@@ -6,13 +6,15 @@ import re
 import pytest
 
 import repro.bench.report as report_mod
+import repro.bench.smoke as smoke_mod
 from repro.bench import (EXPERIMENTS, bounds_for, format_table, hour_window,
                          run_experiment, run_policies)
 from repro.bench.cli import main as cli_main
 from repro.bench.report import (Column, format_series, missing_cells,
                                 run_report)
 from repro.bench.runner import PLATFORMS, serving_for
-from repro.errors import ConfigError
+from repro.bench.smoke import run_smoke
+from repro.errors import ConfigError, ScenarioError
 
 
 class TestServingFor:
@@ -127,6 +129,33 @@ class TestReport:
         assert capsys.readouterr().out.splitlines() == [
             "TABLE", "[report written to r.json]", "ratio line",
             "demo gate: ok"]
+
+
+class TestSmokeGate:
+    @staticmethod
+    def _fake_smoke_one(monkeypatch, failing=()):
+        monkeypatch.setattr(report_mod, "calibration_score", lambda: 1.0)
+        monkeypatch.setattr(
+            smoke_mod, "smoke_one", lambda name, check_live=True: {
+                "scenario": name, "metropolis_beats_sync": True,
+                "live_state_identical": name not in failing})
+
+    def test_passing_scenarios_return_the_report(self, tmp_path,
+                                                 monkeypatch):
+        self._fake_smoke_one(monkeypatch)
+        report = run_smoke(tmp_path / "s.json", scenarios=["a", "b"])
+        assert report["ok"]
+        assert [e["scenario"] for e in report["scenarios"]] == ["a", "b"]
+
+    def test_failing_scenario_raises_after_the_report_is_written(
+            self, tmp_path, monkeypatch):
+        self._fake_smoke_one(monkeypatch, failing=("b",))
+        out = tmp_path / "s.json"
+        with pytest.raises(ScenarioError, match=r"\['b'\]"):
+            run_smoke(out, scenarios=["a", "b"])
+        report = json.loads(out.read_text())
+        assert not report["ok"]
+        assert len(report["scenarios"]) == 2
 
 
 class TestExperiments:

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from repro.bench.chaos import REQUIRED_PATHS, SCHEDULES, chaos_cell
 from repro.config import SchedulerConfig, ServingConfig
 from repro.devent import Kernel
 from repro.errors import (ConfigError, LLMCallError, SchedulingError,
@@ -263,6 +264,28 @@ class TestLiveEngineFaultTolerance:
         for aid in range(4):
             assert result.final_positions[aid][0] == 5.0
 
+    def test_tx_retries_stay_zero_under_chaos(self):
+        """A write batch cannot conflict: both ``tx_retries`` fields read
+        0 and no ``tx_conflicts`` are injected, even when LLM calls fail
+        and clusters are redispatched."""
+        sim = LiveSimulation(
+            _GridProgram(),
+            ChaosClient(EchoLLMClient(),
+                        FaultSchedule(seed=2, transient_rate=0.3,
+                                      hard_rate=0.1)),
+            scheduler=SchedulerConfig(
+                faults=_fast_policy(max_call_retries=8)),
+            num_workers=2)
+        result = sim.run(target_step=5)
+        assert result.faults.any_faults
+        assert result.faults.tx_retries == 0
+        assert sim.store.tx_retries == 0
+        assert "tx_conflicts" not in result.faults.injected
+        # aborted clusters commit nothing; every other one commits once
+        assert result.faults.aborted_clusters
+        assert sim.store.get("commits") == \
+            result.clusters_executed - result.faults.aborted_clusters
+
     def test_hard_failures_abort_and_redispatch(self):
         sim = LiveSimulation(
             _GridProgram(),
@@ -350,6 +373,24 @@ class TestLiveEngineFaultTolerance:
         from repro.scenarios import get_scenario
         client = get_scenario("smallville").fallback_client()
         assert client.complete("p", 8)
+
+
+class TestChaosGate:
+    """``repro-bench chaos`` cells, run here on one scenario and seed."""
+
+    @pytest.mark.parametrize("kind", SCHEDULES)
+    def test_cell_matches_lock_step_and_exercises_its_path(self, kind):
+        from repro.scenarios import get_scenario
+        cell = chaos_cell(get_scenario("smallville"), kind, seed=0)
+        assert cell["state_identical"]
+        assert cell["required_paths"] == list(REQUIRED_PATHS[kind])
+        assert cell["unexercised_paths"] == []
+        assert cell["ok"]
+
+    def test_unknown_schedule_rejected(self):
+        from repro.scenarios import get_scenario
+        with pytest.raises(ValueError, match="unknown chaos schedule"):
+            chaos_cell(get_scenario("smallville"), "storm", seed=0)
 
 
 class TestReplicaBlackout:

@@ -5,6 +5,9 @@ import threading
 import time
 from contextlib import contextmanager
 
+import pytest
+from hypothesis import given, strategies as st
+
 from repro.kvstore import KVStore
 
 N_THREADS = 4
@@ -65,6 +68,13 @@ class TestReads:
         s.hset("h", "a", 3)
         assert (s.hget("h", "a"), s.hget("h", "b")) == (3, 2)
 
+    def test_stores_do_not_share_state(self):
+        a, b = KVStore(), KVStore()
+        a.hset("agent:0", "step", 1)
+        a.transaction(lambda txn: txn.incr("commits"))
+        assert b.hget("agent:0", "step") is None
+        assert b.get("commits") is None
+
 
 class TestTransaction:
     def test_writes_land_after_the_body_returns(self):
@@ -81,6 +91,74 @@ class TestTransaction:
         assert seen == [(None, None)]
         assert s.hget("agent:0", "step") == 5
         assert s.get("commits") == 3
+
+    def test_body_that_raises_applies_nothing(self):
+        s = KVStore()
+
+        def body(txn):
+            txn.hset("agent:0", "step", 1)
+            txn.incr("commits")
+            raise RuntimeError("worker failed mid-body")
+
+        with pytest.raises(RuntimeError, match="mid-body"):
+            s.transaction(body)
+        assert s.hget("agent:0", "step") is None
+        assert s.get("commits") is None
+        # the lock was never taken, so the store still commits
+        s.transaction(lambda txn: txn.incr("commits"))
+        assert s.get("commits") == 1
+
+    def test_body_that_queues_nothing_changes_nothing(self):
+        s = KVStore()
+        s.hset("agent:0", "step", 4)
+        assert s.transaction(lambda txn: 7) == 7
+        assert s.hget("agent:0", "step") == 4
+        assert s.get("commits") is None
+
+    def test_later_queued_write_to_a_field_wins(self):
+        s = KVStore()
+
+        def body(txn):
+            txn.hset("agent:0", "step", 1)
+            txn.hset("agent:0", "step", 2)
+
+        s.transaction(body)
+        assert s.hget("agent:0", "step") == 2
+
+    def test_batch_keeps_a_hashs_other_fields(self):
+        s = KVStore()
+        s.hset("agent:0", "pos", (1, 1))
+        s.transaction(lambda txn: txn.hset("agent:0", "step", 3))
+        assert s.hget("agent:0", "pos") == (1, 1)
+        assert s.hget("agent:0", "step") == 3
+
+    @given(st.lists(st.lists(st.one_of(
+        st.tuples(st.just("hset"), st.sampled_from(["agent:0", "agent:1"]),
+                  st.sampled_from(["step", "pos"]), st.integers()),
+        st.tuples(st.just("incr"), st.sampled_from(["commits", "n"]),
+                  st.integers(-3, 3))), max_size=6), max_size=10))
+    def test_batches_match_a_dict_model(self, batches):
+        """Any run of batches leaves the store equal to applying every
+        queued write in order to plain dicts."""
+        s = KVStore()
+        hashes: dict = {}
+        counts: dict = {}
+        for batch in batches:
+            def body(txn, batch=batch):
+                for op in batch:
+                    getattr(txn, op[0])(*op[1:])
+            s.transaction(body)
+            for op in batch:
+                if op[0] == "hset":
+                    hashes.setdefault(op[1], {})[op[2]] = op[3]
+                else:
+                    counts[op[1]] = counts.get(op[1], 0) + op[2]
+        for key in ("agent:0", "agent:1"):
+            for field in ("step", "pos"):
+                assert s.hget(key, field) == \
+                    hashes.get(key, {}).get(field)
+        for key in ("commits", "n"):
+            assert s.get(key) == counts.get(key)
 
     def test_incr_adds_to_the_stored_count(self):
         s = KVStore()

@@ -63,6 +63,31 @@ class TestLiveSimulation:
             assert sim.store.hget(f"agent:{aid}", "step") == 25
         assert sim.store.get("commits") == sim._stats.clusters_executed
 
+    def test_final_positions_are_the_committed_ones(self):
+        """``final_positions`` reads the store, and the store holds each
+        agent's position in the world after the last step."""
+        program = _program()
+        sim = LiveSimulation(program, EchoLLMClient(), num_workers=2)
+        result = sim.run(target_step=15)
+        for aid in range(5):
+            assert result.final_positions[aid] == \
+                sim.store.hget(f"agent:{aid}", "pos") == \
+                program.position(aid)
+
+    def test_a_run_leaves_earlier_stores_alone(self):
+        """Each run commits into a store of its own: a store taken from
+        run 1 still holds run 1's final state after run 2."""
+        sim = LiveSimulation(_program(), EchoLLMClient(), num_workers=2)
+        r1 = sim.run(target_step=5)
+        first = sim.store
+        r2 = sim.run(target_step=12, start_step=5)
+        assert sim.store is not first
+        assert first.get("commits") == r1.clusters_executed
+        assert sim.store.get("commits") == r2.clusters_executed
+        for aid in range(5):
+            assert first.hget(f"agent:{aid}", "step") == 5
+            assert sim.store.hget(f"agent:{aid}", "step") == 12
+
     def test_lockstep_mode(self):
         sim = LiveSimulation(
             _program(), EchoLLMClient(),

@@ -20,9 +20,12 @@ from repro.trace import (Trace, cached_day_trace, compute_stats,
                          generate_trace, import_jsonl, load_trace,
                          save_trace, trace_fingerprint)
 from repro.trace import io as trace_io
-from repro.trace.generator import GENERATOR_VERSION
+from repro.trace import generator as generator_mod
+from repro.trace.generator import (GENERATOR_VERSION, SCALE_POOL,
+                                   generate_scale_trace)
 from repro.trace.schema import (SharedPositionStore, TraceMeta,
                                 concat_traces)
+from repro.trace.stats import SAMPLE_STRIDE
 
 from helpers import random_trace
 
@@ -466,6 +469,31 @@ class TestGenerator:
         assert t.meta.segments == 1
 
 
+class TestScaleTrace:
+    def test_segments_cycle_through_the_pool(self, monkeypatch):
+        """Full segments reuse :data:`SCALE_POOL` seeded windows in turn;
+        a remainder gets a window of its own."""
+        seeds = []
+        real = generator_mod.cached_day_trace
+
+        def recording(seed, n_agents, *args, **kwargs):
+            seeds.append((seed, n_agents))
+            return real(seed, n_agents, *args, **kwargs)
+
+        monkeypatch.setattr(generator_mod, "cached_day_trace", recording)
+        per = 25  # smallville's agents per segment
+        t = generate_scale_trace(per * (SCALE_POOL + 1) + 3, n_steps=5)
+        assert seeds == [(k, per) for k in range(SCALE_POOL)] + \
+            [(SCALE_POOL, 3)]
+        assert t.meta.n_agents == per * (SCALE_POOL + 1) + 3
+        pos = t.positions_by_step
+        first, again = pos[:, :per], pos[:, SCALE_POOL * per:
+                                         (SCALE_POOL + 1) * per]
+        shift = again[..., 0] - first[..., 0]
+        assert shift.min() == shift.max() > 0
+        assert np.array_equal(again[..., 1], first[..., 1])
+
+
 #: ``trace_fingerprint`` of ``generate_trace(None, n_steps, seed, name)``
 #: as PR 19 generated it (taken before PR 20 touched the world model):
 #: scenario -> {(seed, n_steps): fingerprint}. Seed 1003 x 2,420 is the
@@ -761,6 +789,22 @@ class TestStats:
     def test_calls_per_hour_sums(self, morning_trace):
         s = compute_stats(morning_trace)
         assert int(s.calls_per_hour.sum()) == s.total_calls
+
+    def test_mean_dependency_samples_every_stride_th_step(
+            self, morning_trace):
+        """Mean count of agents (self included) within ``radius_p +
+        max_vel`` of each agent, over every :data:`SAMPLE_STRIDE`-th
+        step."""
+        meta = morning_trace.meta
+        threshold = meta.radius_p + meta.max_vel
+        per_step = []
+        for step in range(0, meta.n_steps, SAMPLE_STRIDE):
+            p = morning_trace.positions_by_step[step].astype(float)
+            within = [sum(1 for b in p if np.hypot(*(a - b)) <= threshold)
+                      for a in p]
+            per_step.append(sum(within) / meta.n_agents)
+        assert compute_stats(morning_trace).mean_dependency_agents == \
+            pytest.approx(sum(per_step) / len(per_step))
 
     def test_empty_window(self, day_trace):
         night = day_trace.window(60, 120)  # ~00:10-00:20, all asleep
