@@ -37,6 +37,7 @@ MINED = "src/repro/core/oracle.py"
 REPORT = "src/repro/bench/report.py"
 SCHEMA = "src/repro/trace/schema.py"
 STORE = "src/repro/kvstore/store.py"
+UTIL = "src/repro/_util.py"
 GOLDEN = "tests/test_golden_replay.py"
 PARALLEL = "tests/test_parallel.py"
 GRAPH_SPACE = "tests/test_graph_space.py"
@@ -48,6 +49,8 @@ SCHEDULE = ("tests/test_core_drivers.py::TestOracleSchedule "
 WORLD = "tests/test_world.py"
 RANKING = f"{WORLD}::TestMemoryRankingMemo::test_matches_reference"
 RANKINGS = f"{WORLD}::TestMemoryRankingMemo"
+DRAWS = ("tests/test_util.py::TestPcg64MatchesNumpy "
+         "tests/test_trace.py::TestGoldenFingerprints")
 WRITE = "node[aid] = self._node_index(new_p)"
 COMPARE = "row[local[nb]] if comp[nb] == ca else inf"
 
@@ -94,7 +97,9 @@ COMPARE = "row[local[nb]] if comp[nb] == ca else inf"
 #: in-process replay. The trace's call
 #: index: a chain ends past the last call with its row key, and the
 #: ``calling`` mask is scattered step-major. The live engine's store:
-#: a write batch applies its counter increments.
+#: a write batch applies its counter increments. The seeded draws
+#: against numpy's stream: a 64-bit output serves two 32-bit draws, and
+#: the seed's pool is cross-mixed.
 MUTANTS = {
     "commit-skips-node-index": (
         GRAPH, f"if node is not None:\n                    {WRITE}",
@@ -320,6 +325,10 @@ MUTANTS = {
         STORE, "for key, amount in txn.incrs:", "for key, amount in ():", 0,
         "tests/test_live.py::TestLiveSimulation"
         "::test_store_reflects_final_steps"),
+    "pcg-upper-half-dropped": (
+        UTIL, "self._half = word >> 32", "pass", 0, DRAWS),
+    "seedseq-cross-mix-skipped": (
+        UTIL, "for src in range(4):", "for src in range(0):", 0, DRAWS),
 }
 
 

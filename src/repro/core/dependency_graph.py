@@ -132,6 +132,13 @@ from .space import EuclideanSpace, Position
 #: lookup (swept 4/8/16 on the hotpath matrix).
 BAND_CELLS = 8
 
+#: The empty ``blocked_by`` / ``waiters`` entry every agent starts on:
+#: one shared object, not a set per agent (most agents never wait or
+#: hold a waiter). ``_register_blockers`` swaps in a real set and
+#: ``_release_waiters`` puts this one back when a set empties; readers
+#: only test and iterate, so they never tell the two apart.
+NO_EDGES: frozenset[int] = frozenset()
+
 
 class _Band:
     """One coarse band's slot sub-table: parallel per-slot columns.
@@ -181,7 +188,7 @@ class AgentSteps:
         #: Flat per-agent state, indexed by agent id.
         self.step: list[int] = [start_step] * n
         self.running: list[bool] = [False] * n
-        self.blocked_by: list[set[int]] = [set() for _ in range(n)]
+        self.blocked_by: list[set[int] | frozenset[int]] = [NO_EDGES] * n
         #: agents per step value, for O(1) min-step maintenance.
         self._step_counts: dict[int, int] = {start_step: n}
         #: The lowest and highest step any agent holds.
@@ -263,7 +270,7 @@ class SpatioTemporalGraph(AgentSteps):
             pos_list = [initial_positions[aid] for aid in range(n)]
         super().__init__(n, start_step)
         self.pos: list[Position] = pos_list
-        self.waiters: list[set[int]] = [set() for _ in range(n)]
+        self.waiters: list[set[int] | frozenset[int]] = [NO_EDGES] * n
         #: Slack-bound scan cache: step of the agent's last full blocker
         #: scan, the slack it measured, and the near set (agents within
         #: the slack horizon then; None = no valid scan yet).
@@ -722,7 +729,11 @@ class SpatioTemporalGraph(AgentSteps):
         self.blocked_by[aid] = set(blockers)
         waiters = self.waiters
         for bid in blockers:
-            waiters[bid].add(aid)
+            w = waiters[bid]
+            if w:
+                w.add(aid)
+            else:
+                waiters[bid] = {aid}
 
     def commit(self, aids: Iterable[int],
                new_positions: Mapping[int, Position]) -> CommitResult:
@@ -1004,5 +1015,8 @@ class SpatioTemporalGraph(AgentSteps):
                 bb = blocked_by[a]
                 bb.discard(b)
                 if not bb:
+                    blocked_by[a] = NO_EDGES
                     unblocked.add(a)
                     self.unblock_events += 1
+            if not w:
+                waiters[b] = NO_EDGES

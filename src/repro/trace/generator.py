@@ -11,7 +11,6 @@ to relocate or ``=0`` to disable.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import os
 import tempfile
@@ -26,6 +25,16 @@ from ..world.behavior import FUNC_INDEX
 from .io import load_trace, save_trace
 from .schema import Trace, TraceMeta, concat_traces
 
+# CPython's own SHA-256: ``hashlib`` would load ``_hashlib`` and with it
+# OpenSSL's libcrypto for this one hash.
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.11 and older
+    except ImportError:  # pragma: no cover - built without it
+        from hashlib import sha256
+
 #: Bump to invalidate cached traces when generation logic changes.
 GENERATOR_VERSION = 4
 
@@ -35,7 +44,7 @@ _log = logging.getLogger("repro.trace")
 def trace_fingerprint(trace: Trace) -> str:
     """16 hex digits of SHA-256 over the trace's arrays: the golden
     tests pin it, which is what lets ``GENERATOR_VERSION`` stay put."""
-    digest = hashlib.sha256()
+    digest = sha256()
     for arr in (trace.positions_by_step, trace.call_step, trace.call_agent,
                 trace.call_func, trace.call_in, trace.call_out):
         digest.update(arr.tobytes())

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._util import FastRng
+from .._util import FastRng, Pcg64
 from ..errors import WorldError
 
 
@@ -128,7 +128,7 @@ class GridWorld:
                 out.append((nx, ny))
         return out
 
-    def random_walkable_tile(self, rng: np.random.Generator | FastRng,
+    def random_walkable_tile(self, rng: Pcg64 | FastRng,
                              venue: Venue | None = None) -> tuple[int, int]:
         """A uniformly random walkable tile (within ``venue`` if given);
         ``rng`` needs ``integers(lo, hi)`` only."""

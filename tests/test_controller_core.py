@@ -17,7 +17,7 @@ import pytest
 from repro.config import DependencyConfig
 from repro.core import DependencyRules
 from repro.core.controller import ControllerCore
-from repro.core.dependency_graph import SpatioTemporalGraph
+from repro.core.dependency_graph import NO_EDGES, SpatioTemporalGraph
 from repro.core.space import GraphSpace
 from repro.errors import SchedulingError
 from repro.trace.schema import concat_traces
@@ -179,6 +179,31 @@ class TestAbort:
         assert all(core.graph.step[m] == s0 + 1 for m in done)
         assert all(core.graph.step[m] == s0 for m in failed)
         assert core.stats.tasks_completed == len(done)
+
+
+@METRICS
+@WORLDS
+class TestSharedEmptyEdges:
+    """An agent with no blocker (no waiter) holds the one shared
+    ``NO_EDGES``, not a set of its own: at construction, and again once
+    every set it was given has drained."""
+
+    def test_fresh_and_drained_graph_hold_the_shared_empty_set(
+            self, metric, regions):
+        core, pos_sa = _core(collision_course_trace, metric, regions)
+        graph = core.graph
+        assert all(e is NO_EDGES for e in graph.blocked_by + graph.waiters)
+        walkers, held = _run_walkers_until_blocked(core, pos_sa)
+        for w in walkers:
+            assert type(graph.blocked_by[w]) is set
+            assert w in graph.waiters[w - 1]
+        in_flight = held
+        while in_flight:
+            step, members = in_flight.pop(0)
+            in_flight += core.step(members, _moves(pos_sa, step, members))
+        assert core.finished()
+        assert graph.blocked_events == graph.unblock_events > 0
+        assert all(e is NO_EDGES for e in graph.blocked_by + graph.waiters)
 
 
 @METRICS
