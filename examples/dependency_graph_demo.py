@@ -45,7 +45,7 @@ def main() -> None:
 
     print("nodes (agent@step):")
     for aid in range(6):
-        step, pos = graph.state(aid)
+        step, pos = graph.step[aid], graph.pos[aid]
         state = "BLOCKED" if graph.is_blocked(aid) else "ready"
         print(f"  {AGENTS[aid]}@{step}  pos={pos}  [{state}]")
 

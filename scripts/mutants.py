@@ -68,7 +68,8 @@ COMPARE = "row[local[nb]] if comp[nb] == ca else inf"
 #: commit's peer count, the call-free cluster's due time and call test,
 #: and pins for callers only. The worker path: a task's members sorted
 #: (local ids monotone in global ids), its calls from every shard it
-#: got, global ids back on its timeline, the plan's shard count in the
+#: got, its own position columns gathered, global ids back on its
+#: timeline, the plan's shard count in the
 #: merge, and the planner's whole-trace margin. The decode window
 #: against its per-iteration oracle: a boundary at the arrival's instant
 #: has passed, each boundary is charged only once it runs (a cut or a
@@ -92,8 +93,8 @@ COMPARE = "row[local[nb]] if comp[nb] == ca else inf"
 #: exact threshold, the capped dispatch heap keys on priority before
 #: arrival, the interactive cone reaches the whole horizon, and the
 #: invocation distance counts from the agent's step. The harness: a
-#: matrix cell no entry holds is reported, a reused worker pool drops
-#: the replies of an earlier run, and the pool leaves the oracle to the
+#: matrix cell no entry holds is reported, the pool forks again only
+#: a worker that exited nonzero, and it leaves the oracle to the
 #: in-process replay. The trace's call
 #: index: a chain ends past the last call with its row key, and the
 #: ``calling`` mask is scattered step-major. The live engine's store:
@@ -149,6 +150,10 @@ MUTANTS = {
         POOL, "mask = np.isin(call_agent, members)",
         "mask = np.isin(call_agent, shards[shard_idxs[0]])", 0,
         f"{GOLDEN} {PARALLEL}"),
+    "worker-gathers-leading-columns": (
+        POOL, 'positions = task["positions"][:, members, :].copy()',
+        'positions = task["positions"][:, :len(members), :].copy()', 0,
+        GOLDEN),
     "worker-timeline-keeps-local-ids": (
         POOL, "TimelineEvent(gids[e.agent], e.step",
         "TimelineEvent(e.agent, e.step", 0, GOLDEN),
@@ -306,9 +311,10 @@ MUTANTS = {
         "tests/test_hotpath_scheduler.py::TestHotpathBench"
         "::test_check_requires_matrix_cells "
         "tests/test_serving_kv.py::TestServingBench::test_missing_cell_fails"),
-    "pool-keeps-stale-ledger": (
-        POOL, "if run != self._runs:", "if False:", 0,
-        f"{PARALLEL}::TestPoolReuse"),
+    "pool-redispatches-clean-exit": (
+        POOL, "if wid not in results and proc.exitcode:",
+        "if wid not in results and not proc.is_alive():", 0,
+        f"{PARALLEL}::TestPerRunPool"),
     "pool-accepts-oracle": (
         POOL, 'if scheduler.policy != "metropolis":',
         'if scheduler.policy not in ("metropolis", "oracle"):', 0,

@@ -195,17 +195,18 @@ class SchedulerConfig:
     #: worker. An in-process replay ignores it: it always runs one
     #: dependency graph.
     shards: int = 0
-    #: Multiprocess controller (replay mode): run this many persistent
-    #: worker processes over a shared-memory copy of the trace position
-    #: store. ``0``/``1`` keeps the in-process controller; with ``>= 2``
-    #: the driver plans ``shards`` regions, assigns whole shards to
-    #: workers, lets each worker run one dependency graph over its
-    #: shards' agents, and merges the workers' ledgers into one
+    #: Multiprocess controller (replay mode): fork up to this many
+    #: worker processes for the run, each handed its task and reading
+    #: the trace's position store in place. ``0``/``1`` keeps the
+    #: in-process controller; with ``>= 2`` the driver plans ``shards``
+    #: regions, assigns whole shards to ``min(parallel_workers,
+    #: shards)`` workers, lets each worker run one dependency graph over
+    #: its shards' agents, and merges the workers' ledgers into one
     #: :class:`~repro.core.baselines.DriverStats`. Falls back loudly
     #: (``extra["parallel_fallback"]`` + a logged warning) to the
     #: in-process replay when the workload cannot be split or the
-    #: platform lacks POSIX shared memory. Results are state-identical
-    #: either way (see :mod:`repro.core.parallel`).
+    #: platform cannot start worker processes. Results are
+    #: state-identical either way (see :mod:`repro.core.parallel`).
     parallel_workers: int = 0
     #: Fault-tolerance policy for the live engine. ``None`` runs under
     #: the default :class:`FaultPolicy` (hardening is always on; set an

@@ -16,9 +16,10 @@ This package is the paper's contribution:
   controller/worker workflow as a replay driver;
 * :mod:`sharding` — the region planner: provably independent map
   regions, packed into shards and the shards onto worker processes;
-* :mod:`parallel` — the multiprocess controller: each worker process
-  runs one controller loop over its shards' agents against a
-  shared-memory position store, ledgers merged into one result;
+* :mod:`parallel` — the multiprocess controller: one forked worker
+  process per task runs one controller loop over its shards' agents,
+  reading the trace's position store in place, ledgers merged into one
+  result;
 * :mod:`baselines` — Algorithm 1 baselines (``single-thread`` and
   ``parallel-sync``);
 * :mod:`oracle` — the §4.1 ``oracle`` (trace-mined dependencies),

@@ -487,9 +487,6 @@ class SpatioTemporalGraph(AgentSteps):
 
     # -- queries ----------------------------------------------------------
 
-    def state(self, aid: int) -> tuple[int, Position]:
-        return self.step[aid], self.pos[aid]
-
     def snapshot(self) -> list[tuple[int, int, Position]]:
         """``(aid, step, pos)`` for every agent (for validation)."""
         return [(aid, self.step[aid], self.pos[aid])

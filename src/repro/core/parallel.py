@@ -1,4 +1,4 @@
-"""Multiprocess controller: shard-worker processes over a shared store.
+"""Multiprocess controller: one forked shard-worker process per task.
 
 The region planner (:func:`~repro.core.sharding.plan_regions`) proves
 its regions share **no** dependency edge — no coupling, no blocking, at
@@ -6,32 +6,33 @@ any reachable step gap — so the controller loop over one region never
 reads or writes another region's state. This module runs the regions
 in parallel worker processes:
 
-* the parent publishes the trace's step-major position store as one
-  named shared-memory segment (:meth:`Trace.share_positions`); workers
-  attach **zero-copy** by name and gather only their members' columns;
-* whole shards are assigned to a pool of persistent worker processes
+* whole shards are assigned to workers
   (:func:`~repro.core.sharding.assign_shards` — the same deterministic
   LPT rule that balances regions into shards). A worker's task is its
   member slice: the sorted union of its shards' agents, renumbered
-  ``0..m-1`` in that order, and nothing else about the plan. The worker
-  runs one controller loop over one
+  ``0..m-1`` in that order, and nothing else about the plan. Every
+  task references the trace's one step-major position store
+  (:meth:`Trace.share_positions`); each run forks one process per task
+  and hands it the task, so a forked worker reads the parent's store
+  in place (a ``spawn`` worker gets it pickled) and gathers only its
+  members' columns. The worker runs one controller loop over one
   :class:`~repro.core.dependency_graph.SpatioTemporalGraph` — blocker
   scans, clustering, commits, dispatch bookkeeping — against its own
   virtual-time kernel and serving engine;
 * **no cross-worker synchronization exists mid-run.** Workers never
-  write the shared segment and never message each other; each runs
+  write the position store and never message each other; each runs
   :func:`~repro.core.engine.replay_in_process` — the same wiring
   ``run_replay`` uses — and ships the resulting
-  :class:`SimulationResult`, minus per-request records, back over a
-  queue as its ledger. The parent folds the ledgers' ``DriverStats`` by
-  each field's declared merge rule and aggregates the virtual clocks
-  (completion = max over workers).
+  :class:`SimulationResult`, minus per-request records, back over the
+  run's queue as its ledger, then exits. The parent folds the ledgers'
+  ``DriverStats`` by each field's declared merge rule and aggregates
+  the virtual clocks (completion = max over workers).
 
 **Crash handling** reuses the faults-layer budget semantics: a worker
-process that dies mid-task is replaced and its task redispatched (the
-shared store is read-only, so a retry from scratch is idempotent), up
-to ``FaultPolicy.max_redispatches`` times; past the budget the run
-raises a diagnostic :class:`SchedulingError` via
+process that exits nonzero before its ledger arrives is forked again
+with its task (the position store is read-only, so a retry from scratch
+is idempotent), up to ``FaultPolicy.max_redispatches`` times; past the
+budget the run raises a diagnostic :class:`SchedulingError` via
 :func:`~repro.faults.scheduler_diagnostics`.
 
 **Controller-time accounting.** Each worker runs its controller core on
@@ -53,8 +54,8 @@ against each other across seeded coordinate and graph worlds, and
 
 The mode falls back loudly: when the workload yields fewer than two
 regions, ``parallel_workers < 2``, the policy is not a metropolis
-variant, a ``fault_hook`` is set, or the platform lacks POSIX shared
-memory, :func:`try_parallel_replay` logs one warning and returns the
+variant, a ``fault_hook`` is set, or the platform cannot start worker
+processes, :func:`try_parallel_replay` logs one warning and returns the
 reason, which ``run_replay`` records on its in-process result as
 ``driver_stats.extra["parallel_fallback"]``.
 """
@@ -74,7 +75,7 @@ from ..errors import SchedulingError
 from ..faults import scheduler_diagnostics
 from ..instrument import TimelineEvent, TimelineRecorder
 from ..serving import EngineMetrics
-from ..trace.schema import SharedPositionStore, Trace
+from ..trace.schema import Trace
 from .baselines import DriverStats
 from .engine import SimulationResult, replay_in_process
 from .rules import rules_for
@@ -113,21 +114,17 @@ def _run_worker_task(task: dict) -> SimulationResult:
     """Replay one worker's members in-process; return the compact ledger.
 
     :func:`~repro.core.engine.replay_in_process` over this worker's
-    slice: positions come from the shared segment (gathered down to the
-    member columns), one graph covers every member, and the controller
-    clock is per-process CPU time (see module docstring). The ledger is
-    the replay's own result, made compact (no per-request records) and
-    global (timeline agent ids).
+    slice: positions are the member columns of the trace's store, one
+    graph covers every member, and the controller clock is per-process
+    CPU time (see module docstring). The ledger is the replay's own
+    result, made compact (no per-request records) and global (timeline
+    agent ids).
     """
     members: np.ndarray = task["members"]
-    store = SharedPositionStore.open(
-        task["shm_name"], task["shm_shape"], task["shm_dtype"])
-    try:
-        # One fancy-index gather: the worker's whole working set, sized
-        # O(its members), leaving the shared segment untouched.
-        positions = store.array[:, members, :].copy()
-    finally:
-        store.close()
+    # One fancy-index gather, sized O(its members); the copy makes it
+    # contiguous (the index alone is a strided array the replay would
+    # copy again).
+    positions = task["positions"][:, members, :].copy()
     trace = Trace(replace(task["meta"], n_agents=len(members)), positions,
                   *task["calls"])
     result = replay_in_process(
@@ -143,22 +140,16 @@ def _run_worker_task(task: dict) -> SimulationResult:
     return result
 
 
-def _worker_main(worker_id: int, inbox, outbox) -> None:
-    """Persistent worker loop: tasks in, ledgers out, ``None`` to quit."""
-    while True:
-        task = inbox.get()
-        if task is None:
-            return
-        if task.get("crash_times", 0) > 0:
-            # Test hook: simulate a hard worker crash mid-task (the
-            # parent decrements the counter before redispatching).
-            os._exit(17)
-        try:
-            outbox.put((worker_id, task["run"], task["task_id"], "ok",
-                        _run_worker_task(task)))
-        except BaseException:
-            outbox.put((worker_id, task["run"], task["task_id"], "error",
-                        traceback.format_exc()))
+def _worker_main(task: dict, outbox) -> None:
+    """One worker process: its task's ledger (or traceback) out, then exit."""
+    if task.get("crash_times", 0) > 0:
+        # Test hook: simulate a hard worker crash mid-task (the parent
+        # decrements the counter before it forks the task again).
+        os._exit(17)
+    try:
+        outbox.put((task["task_id"], "ok", _run_worker_task(task)))
+    except BaseException:
+        outbox.put((task["task_id"], "error", traceback.format_exc()))
 
 
 # ---------------------------------------------------------------------------
@@ -169,164 +160,94 @@ def _worker_main(worker_id: int, inbox, outbox) -> None:
 def _mp_context():
     import multiprocessing as mp
     try:
-        # Fork shares the imported interpreter state, so worker startup
-        # is milliseconds; spawn is the portable fallback.
-        ctx = mp.get_context("fork")
+        # Fork shares the imported interpreter state and the position
+        # store, so worker startup is milliseconds; spawn is the
+        # portable fallback.
+        return mp.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platform
         return mp.get_context("spawn")
-    # Forked workers inherit the parent's resource tracker only if it
-    # runs before the fork. Otherwise each starts its own on its first
-    # attach, which registers the segment there (and before 3.12
-    # nothing unregisters it), so when the worker exits that tracker
-    # "cleans up" the parent's unlinked segments, warning per segment.
-    from multiprocessing import resource_tracker
-    resource_tracker.ensure_running()
-    return ctx
 
 
 class ShardWorkerPool:
-    """A pool of persistent shard-worker processes.
+    """One run's shard workers: a process per task, forked with it.
 
-    Reusable across runs (the equivalence fuzz shares one pool over a
-    hundred worlds); each worker owns a private inbox so tasks pin to
-    the worker whose shard slice they describe, and all workers share
-    one outbox. A dead worker is detected by liveness polling, replaced
-    with a fresh process *and a fresh inbox* (so a task that died
-    before or after ``get()`` is re-run exactly once), and its task
-    redispatched against the faults-layer budget.
+    :meth:`run_tasks` starts one process per task and passes the task
+    as its argument; the ledgers come back on the run's one queue. A
+    worker that exits nonzero before its ledger arrived (a crash, a
+    signal, the OOM killer) is forked again with its task, against the
+    faults-layer budget. Exit code 0 means the ledger is already in the
+    queue's pipe: a process flushes its queue before it exits.
     """
 
-    def __init__(self, n_workers: int,
-                 faults: FaultPolicy | None = None) -> None:
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        self.n_workers = n_workers
+    def __init__(self, faults: FaultPolicy | None = None) -> None:
         self.faults = faults or FaultPolicy()
-        self._ctx = _mp_context()
-        self._outbox = self._ctx.Queue()
-        #: Runs started so far; tags each run's tasks and ledgers.
-        self._runs = 0
-        self._procs: list = [None] * n_workers
-        self._inboxes: list = [None] * n_workers
-        for wid in range(n_workers):
-            self._respawn(wid)
-
-    def _respawn(self, worker_id: int) -> None:
-        old = self._procs[worker_id]
-        if old is not None and old.is_alive():  # pragma: no cover
-            old.terminate()
-            old.join(1.0)
-        inbox = self._ctx.Queue()
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(worker_id, inbox, self._outbox),
-            name=f"repro-shard-worker-{worker_id}", daemon=True)
-        proc.start()
-        self._procs[worker_id] = proc
-        self._inboxes[worker_id] = inbox
 
     def run_tasks(self, tasks: dict[int, dict]) -> tuple[dict, int]:
-        """Dispatch ``tasks`` (worker id -> task) and collect ledgers.
+        """Run ``tasks`` (worker id -> task) and collect their ledgers.
 
         Returns ``(task_id -> ledger, redispatches)``. Raises
         :class:`SchedulingError` when a worker reports an error or a
-        task exhausts its crash-redispatch budget. Task ids restart at
-        0 every run, so each run's tasks carry the pool's run number
-        and messages of an earlier run — the ledgers its other workers
-        still sent after it raised — are dropped.
+        task exhausts its crash-redispatch budget. Every process has
+        ended, joined or terminated, when this returns or raises.
         """
         import queue as queue_mod
-        self._runs += 1
-        outstanding = dict(tasks)
-        for wid, task in outstanding.items():
-            task["run"] = self._runs
-            self._inboxes[wid].put(task)
-        results: dict[int, dict] = {}
+        ctx = _mp_context()
+        outbox = ctx.Queue()
+        procs: dict[int, object] = {}
+
+        def start(wid: int) -> None:
+            procs[wid] = proc = ctx.Process(
+                target=_worker_main, args=(tasks[wid], outbox),
+                name=f"repro-shard-worker-{wid}", daemon=True)
+            proc.start()
+
+        results: dict[int, SimulationResult] = {}
         redispatches = 0
-        while outstanding:
-            try:
-                wid, run, task_id, status, payload = self._outbox.get(
-                    timeout=_POLL_S)
-            except queue_mod.Empty:
-                redispatches += self._redispatch_dead(outstanding)
-                continue
-            if run != self._runs:
-                continue
-            if status == "error":
-                raise SchedulingError(
-                    f"parallel worker {wid} failed:\n{payload}")
-            results[task_id] = payload
-            outstanding.pop(wid, None)
+        try:
+            for wid in tasks:
+                start(wid)
+            while len(results) < len(tasks):
+                try:
+                    task_id, status, payload = outbox.get(timeout=_POLL_S)
+                except queue_mod.Empty:
+                    for wid, proc in procs.items():
+                        if wid not in results and proc.exitcode:
+                            self._charge_crash(wid, tasks[wid])
+                            start(wid)
+                            redispatches += 1
+                    continue
+                if status == "error":
+                    raise SchedulingError(
+                        f"parallel worker {task_id} failed:\n{payload}")
+                results[task_id] = payload
+        finally:
+            # All ledgers read: every worker is exiting. Otherwise stop
+            # them, so none is left writing into a queue nobody reads.
+            for proc in procs.values():
+                if len(results) < len(tasks):
+                    proc.terminate()
+                proc.join()
+            outbox.close()
         return results, redispatches
 
-    def _redispatch_dead(self, outstanding: dict[int, dict]) -> int:
-        """Replace dead workers; re-run their tasks. Returns the count."""
-        redispatched = 0
-        for wid in list(outstanding):
-            proc = self._procs[wid]
-            if proc.is_alive():
-                continue
-            task = outstanding[wid]
-            attempts = task["redispatched"] = \
-                task.get("redispatched", 0) + 1
-            if attempts > self.faults.max_redispatches:
-                raise SchedulingError(
-                    "parallel worker crash budget exhausted "
-                    f"(worker {wid} died {attempts} times, budget "
-                    f"{self.faults.max_redispatches})\n  "
-                    + scheduler_diagnostics(
-                        done=0, total=int(len(task["members"])),
-                        redispatches=attempts - 1))
-            if task.get("crash_times", 0) > 0:
-                task["crash_times"] -= 1
-            self._respawn(wid)
-            self._inboxes[wid].put(task)
-            redispatched += 1
-        return redispatched
-
-    def close(self) -> None:
-        """Drain the pool: polite sentinel, then terminate stragglers.
-
-        A second interrupt landing in the drain still terminates every
-        worker before it propagates: a worker left running could attach
-        the position segment after its owner unlinked it, which the
-        resource tracker reports as a leak at exit. Nor is an inbox's
-        feeder thread joined at exit: an interrupted ``put`` can leave
-        it waiting for a wake-up that never comes.
-        """
-        procs = [p for p in self._procs if p is not None]
-        try:
-            for wid, proc in enumerate(self._procs):
-                if proc is None:
-                    continue
-                try:
-                    self._inboxes[wid].put(None)
-                except Exception:  # pragma: no cover - queue torn down
-                    pass
-            deadline = time.monotonic() + self.faults.worker_join_grace
-            for proc in procs:
-                proc.join(timeout=max(0.0, deadline - time.monotonic()))
-        finally:
-            for proc in procs:
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(1.0)
-            self._outbox.close()
-            for inbox in self._inboxes:
-                if inbox is not None:
-                    inbox.cancel_join_thread()
-                    inbox.close()
-
-    def __enter__(self) -> "ShardWorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def _charge_crash(self, wid: int, task: dict) -> None:
+        """Count one crash of ``task`` against the redispatch budget."""
+        attempts = task["redispatched"] = task.get("redispatched", 0) + 1
+        if attempts > self.faults.max_redispatches:
+            raise SchedulingError(
+                "parallel worker crash budget exhausted "
+                f"(worker {wid} died {attempts} times, budget "
+                f"{self.faults.max_redispatches})\n  "
+                + scheduler_diagnostics(
+                    done=0, total=int(len(task["members"])),
+                    redispatches=attempts - 1))
+        if task.get("crash_times", 0) > 0:
+            task["crash_times"] -= 1
 
 
 def _build_tasks(trace: Trace, scheduler: SchedulerConfig,
                  serving: ServingConfig, shards: list[list[int]],
-                 groups: list[list[int]], store: SharedPositionStore,
+                 groups: list[list[int]], positions: np.ndarray,
                  collect_calls: bool,
                  crash_plan: dict[int, int] | None) -> dict[int, dict]:
     """One task per worker: the members of the shards LPT gave it."""
@@ -344,9 +265,10 @@ def _build_tasks(trace: Trace, scheduler: SchedulerConfig,
         mask = np.isin(call_agent, members)
         tasks[wid] = {
             "task_id": wid,
-            "shm_name": store.name,
-            "shm_shape": store.shape,
-            "shm_dtype": store.dtype.str,
+            # Every task references the one store; each worker gathers
+            # its own columns (gathered here, every forked worker would
+            # inherit every task's copy).
+            "positions": positions,
             "meta": trace.meta,
             "members": members,
             # The Trace call columns: step, agent (local id), func,
@@ -448,13 +370,13 @@ def try_parallel_replay(trace: Trace, scheduler: SchedulerConfig,
                         ) -> SimulationResult | str:
     """The multiprocess replay, or the (logged) reason it cannot run.
 
-    ``pool`` reuses persistent workers across runs; ``_crash_plan``
-    (worker id -> crash count) is the test hook exercising the
-    redispatch path.
+    ``pool`` stands in for the run's :class:`ShardWorkerPool` (tests
+    run the tasks in-process through it); ``_crash_plan`` (worker id ->
+    crash count) is the test hook exercising the redispatch path.
     """
     if fault_hook is not None:
         return _fallback("a fault_hook closure cannot cross processes")
-    if scheduler.parallel_workers < 2 and pool is None:
+    if scheduler.parallel_workers < 2:
         return _fallback("fewer than two parallel_workers requested")
     if scheduler.policy != "metropolis":
         return _fallback(
@@ -468,33 +390,17 @@ def try_parallel_replay(trace: Trace, scheduler: SchedulerConfig,
     shards = plan_regions(trace, rules, max_shards)
     if shards is None:
         return _fallback("fewer than two independent regions in the workload")
-    want = scheduler.parallel_workers \
-        if scheduler.parallel_workers >= 2 else pool.n_workers
-    if pool is not None:
-        want = min(want, pool.n_workers)
-    n_workers = min(want, len(shards))
-    if n_workers < 2:
-        return _fallback(f"only {n_workers} worker process usable")
+    n_workers = min(scheduler.parallel_workers, len(shards))
     groups = assign_shards([len(m) for m in shards], n_workers)
-    try:
-        store = trace.share_positions()
-    except (ImportError, OSError) as exc:
-        return _fallback(f"no POSIX shared memory ({exc!r})")
+    positions = trace.share_positions()
     wall0 = time.perf_counter()
-    own_pool = pool is None
+    tasks = _build_tasks(trace, scheduler, serving, shards, groups,
+                         positions, collect_timeline, _crash_plan)
+    pool = pool or ShardWorkerPool(scheduler.faults)
     try:
-        tasks = _build_tasks(trace, scheduler, serving, shards, groups,
-                             store, collect_timeline, _crash_plan)
-        if own_pool:
-            pool = ShardWorkerPool(n_workers, faults=scheduler.faults)
-        try:
-            results, redispatches = pool.run_tasks(tasks)
-        finally:
-            if own_pool:
-                pool.close()
-    finally:
-        store.unlink()
-        store.close()
+        results, redispatches = pool.run_tasks(tasks)
+    except (ImportError, OSError) as exc:
+        return _fallback(f"cannot start worker processes ({exc!r})")
     wall_s = time.perf_counter() - wall0
     ledgers = [results[tid] for tid in sorted(results)]
     return _merge_results(trace, scheduler, ledgers, len(shards),

@@ -55,10 +55,6 @@ class ScenarioRegistry:
         self._scenarios[scenario.name] = scenario
         return scenario_cls
 
-    def unregister(self, name: str) -> None:
-        """Remove a scenario (tests use this to keep the registry clean)."""
-        self._scenarios.pop(name, None)
-
     # -- lookup -------------------------------------------------------------
 
     def get(self, name: str) -> Scenario:

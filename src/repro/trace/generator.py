@@ -191,8 +191,8 @@ def generate_scale_trace(
     * segments cycle through a small pool of :data:`SCALE_POOL`
       independently-seeded windows (``n_steps`` kept short for the same
       reason), so generation is O(pool) simulation + O(total) array
-      writes — the writes stream into the preallocated (possibly
-      memmap-backed) store of :func:`concat_traces`;
+      writes — the writes stream into the preallocated store of
+      :func:`concat_traces`;
     * coordinate scenarios get a **widened gutter**: segments are
       strided ``2 * (radius_p + (n_steps + 1) * max_vel)`` tiles apart
       beyond the map width, putting them outside the worst-case

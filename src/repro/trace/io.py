@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import TraceError
-from .schema import Trace, TraceMeta, _alloc_positions
+from .schema import Trace, TraceMeta
 
 #: The arrays every npz trace holds. Files from before the step-major
 #: store kept agent-major ``positions`` instead of ``positions_sa``:
@@ -102,17 +102,8 @@ def load_trace(path: str | Path) -> Trace:
                     f"generator's {GENERATOR_VERSION}")
         stored = str(data["fingerprint"]) \
             if "fingerprint" in data.files else None
-        positions = data["positions_sa"]
-        # Route big stores through the size-thresholded allocator so a
-        # million-agent load lands in the same (possibly memmap-backed)
-        # kind of store the generator builds, instead of pinning the
-        # decompressed npz array in anonymous RAM.
-        backed = _alloc_positions(positions.shape, positions.dtype)
-        if isinstance(backed, np.memmap):
-            np.copyto(backed, positions)
-            positions = backed
         trace = Trace(
-            meta, positions,
+            meta, data["positions_sa"],
             data["call_step"], data["call_agent"], data["call_func"],
             data["call_in"], data["call_out"])
     if stored is not None and stored != (actual := trace_fingerprint(trace)):

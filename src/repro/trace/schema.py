@@ -17,10 +17,6 @@ what the scheduler drivers consume.
 
 from __future__ import annotations
 
-import itertools
-import os
-import sys
-import tempfile
 from dataclasses import dataclass, replace as dc_replace
 from typing import Sequence
 
@@ -28,147 +24,6 @@ import numpy as np
 
 from ..errors import TraceError
 from ..world.behavior import FUNCS
-
-#: Position stores larger than this many MiB are backed by an unlinked
-#: temp-file ``np.memmap`` instead of anonymous RAM — the million-agent
-#: tiled traces are written once, streamed segment-wise, and mostly read
-#: in step slices, so the page cache handles them better than a resident
-#: allocation. Override with ``REPRO_TRACE_MEMMAP_MB`` (``-1`` disables).
-_MEMMAP_MB_DEFAULT = 512.0
-
-
-def _alloc_positions(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """Zeroed position store, memmap-backed above the size threshold."""
-    env = os.environ.get("REPRO_TRACE_MEMMAP_MB", "")
-    try:
-        thresh_mb = float(env) if env else _MEMMAP_MB_DEFAULT
-    except ValueError:
-        thresh_mb = _MEMMAP_MB_DEFAULT
-    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
-    if thresh_mb < 0 or nbytes <= thresh_mb * (1 << 20):
-        return np.zeros(shape, dtype=dtype)
-    fd, path = tempfile.mkstemp(prefix="repro-trace-", suffix=".pos")
-    os.close(fd)
-    arr = np.memmap(path, dtype=dtype, mode="w+", shape=shape)
-    # The mapping keeps the inode alive; unlinking makes cleanup
-    # automatic when the array is garbage-collected (POSIX).
-    os.unlink(path)
-    return arr
-
-
-#: Distinct per-process suffix stream for shared-segment names.
-_SHM_SEQ = itertools.count()
-
-
-def _untrack_shm(shm) -> None:
-    """Detach an *attached* segment from this process's resource tracker.
-
-    CPython 3.12 registers POSIX shared memory with the resource
-    tracker on attach as well as on create, so a worker that merely
-    opened the segment would tear it down (or warn about a leak) when
-    it exits. Only the creating process owns cleanup; attachments must
-    untrack. On <= 3.11 attaching does not register — and forked
-    workers share the parent's tracker process, so unregistering there
-    would erase the *owner's* registration — hence the version gate.
-    """
-    if sys.version_info < (3, 12):
-        return
-    try:
-        from multiprocessing import resource_tracker
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
-
-
-class SharedPositionStore:
-    """A step-major position array in named POSIX shared memory.
-
-    The multiprocess replay driver's transport: the parent copies the
-    trace's ``(n_steps + 1, n_agents, 2)`` store into one segment and
-    every shard worker opens it **zero-copy** by name (each then
-    gathers only its own members' columns). Workers never write the
-    segment, which is what makes crashed-worker redispatch idempotent.
-
-    Ownership: the creating process calls :meth:`unlink` (then
-    :meth:`close`) after the run; attached processes only
-    :meth:`close`. Attachments are unregistered from the resource
-    tracker so a worker's exit cannot tear the segment down under the
-    other readers.
-    """
-
-    def __init__(self, shm, shape: tuple[int, ...], dtype,
-                 owner: bool) -> None:
-        self._shm = shm
-        self._owner = owner
-        self.shape = tuple(int(s) for s in shape)
-        self.dtype = np.dtype(dtype)
-        self.array: np.ndarray | None = np.ndarray(
-            self.shape, dtype=self.dtype, buffer=shm.buf)
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    @classmethod
-    def create(cls, array: np.ndarray) -> "SharedPositionStore":
-        """New owned segment initialized with a copy of ``array``.
-
-        Raises whatever the platform raises when POSIX shared memory is
-        unavailable — callers fall back to in-process execution.
-        """
-        from multiprocessing import shared_memory
-        arr = np.ascontiguousarray(array)
-        shm = None
-        for _ in range(8):
-            name = f"repro-pos-{os.getpid()}-{next(_SHM_SEQ)}"
-            try:
-                shm = shared_memory.SharedMemory(
-                    name=name, create=True, size=max(1, arr.nbytes))
-                break
-            except FileExistsError:
-                continue
-        if shm is None:  # pragma: no cover - 8 collisions
-            shm = shared_memory.SharedMemory(
-                create=True, size=max(1, arr.nbytes))
-        store = cls(shm, arr.shape, arr.dtype, owner=True)
-        np.copyto(store.array, arr)
-        return store
-
-    @classmethod
-    def open(cls, name: str, shape: Sequence[int],
-             dtype) -> "SharedPositionStore":
-        """Attach to an existing segment by name (reader side)."""
-        from multiprocessing import shared_memory
-        try:
-            shm = shared_memory.SharedMemory(name=name, track=False)
-        except TypeError:  # pre-3.13: no track kwarg; untrack manually
-            shm = shared_memory.SharedMemory(name=name)
-            _untrack_shm(shm)
-        return cls(shm, tuple(shape), dtype, owner=False)
-
-    def close(self) -> None:
-        """Drop the array view and unmap the segment (every process)."""
-        self.array = None
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover - stray exported view
-            pass
-
-    def unlink(self) -> None:
-        """Remove the segment name (owner only; attachments no-op)."""
-        if not self._owner:
-            return
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-    def __enter__(self) -> "SharedPositionStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 @dataclass(frozen=True)
 class TraceMeta:
@@ -427,17 +282,16 @@ class Trace:
     def func_name(self, func_id: int) -> str:
         return FUNCS[func_id]
 
-    def share_positions(self) -> SharedPositionStore:
-        """Publish the step-major store as a named shared-memory segment.
+    def share_positions(self) -> np.ndarray:
+        """The step-major store, as the multiprocess replay hands it on.
 
-        Returns an *owned* :class:`SharedPositionStore` holding a copy
-        of the positions; the trace itself keeps its original array
-        (which may be a temp-file memmap), so it stays valid after the
-        segment is unlinked. Worker processes attach by name and read
-        zero-copy. The caller owns the segment's lifetime:
-        ``unlink()`` + ``close()`` when the run drains.
+        Every worker task references this one array (forked workers
+        read it in place). A hand-off, not a copy: it stays a method
+        only because ``benchmarks/e2e/layers.py`` times it for the
+        ``trace.share_positions_s`` row, which ROADMAP item 4's
+        benchmark revision can drop, and this method with it.
         """
-        return SharedPositionStore.create(self._pos_sa)
+        return self._pos_sa
 
     # -- transformations --------------------------------------------------
 
@@ -478,14 +332,13 @@ def concat_traces(traces: Sequence[Trace], x_stride: int) -> Trace:
             raise TraceError("all segments must cover the same steps")
         if t.meta.height != first.height:
             raise TraceError("all segments must share map height")
-    # Stream segment-wise into one preallocated store (memmap-backed
-    # above the threshold — see :func:`_alloc_positions`): the old
+    # Stream segment-wise into one preallocated store: the old
     # per-segment int32 copies + concatenate peaked at 2-3x the final
     # array, the difference between a million-agent build fitting in
     # memory or not. Segments repeat from a small pool at scale, so the
     # per-segment work is a cheap widen-shift-store slice write.
     total_agents = sum(t.meta.n_agents for t in traces)
-    out = _alloc_positions((first.n_steps + 1, total_agents, 2), np.int32)
+    out = np.zeros((first.n_steps + 1, total_agents, 2), np.int32)
     steps, agents, funcs, ins, outs = [], [], [], [], []
     agent_base = 0
     for k, t in enumerate(traces):

@@ -3,11 +3,13 @@
 ``numpy.random`` and ``hashlib``'s ``_hashlib`` (which maps OpenSSL's
 libcrypto) are ≈6 MiB of a small run's peak RSS. The world draws its
 seeded model-build numbers from ``_util.Pcg64`` and hashes with
-CPython's own ``_blake2`` / ``_sha2`` (``_sha256`` before 3.12), so a
-cold set-up, a replay and a live run in a fresh interpreter must leave
-all three modules unloaded — on every Python version CI runs, which
-also shows the built-in hash modules, not the ``hashlib`` fallbacks,
-are the ones taken.
+CPython's own ``_blake2`` / ``_sha2`` (``_sha256`` before 3.12), and
+the worker pool hands its forked workers the position store without
+``multiprocessing.shared_memory`` (which imports ``secrets`` and with
+it ``hashlib``), so a cold set-up, a replay, a two-worker replay and a
+live run in a fresh interpreter must leave all three modules unloaded —
+on every Python version CI runs, which also shows the built-in hash
+modules, not the ``hashlib`` fallbacks, are the ones taken.
 """
 
 import json
@@ -28,6 +30,7 @@ before = set(sys.modules)
 
 from repro import SchedulerConfig, cached_day_trace, run_replay
 from repro.live import EchoLLMClient, LiveSimulation, program_for_scenario
+from repro.trace.generator import generate_scale_trace
 
 cache = Path(os.environ["REPRO_TRACE_CACHE"])
 cached_day_trace(0, 25, 2400)  # cold: generated, then saved
@@ -35,6 +38,10 @@ assert len(list(cache.glob("*.npz"))) == 1
 trace = cached_day_trace(0, 25, 2400)  # loaded: the fingerprint check runs
 assert len(trace.call_step) > 0
 run_replay(trace)
+tiled = generate_scale_trace(total_agents=60, n_steps=10)
+extra = run_replay(tiled, SchedulerConfig(parallel_workers=2)
+                   ).driver_stats.extra
+assert extra["parallel_workers"] == 2, extra.get("parallel_fallback")
 
 program = program_for_scenario("smallville", 6)
 for step in range(2200):

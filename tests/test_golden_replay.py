@@ -257,8 +257,6 @@ def replay(trace: Trace, cell: tuple[str, str, int, int], pool=None):
 class InProcessPool:
     """The shard-worker pool's contract, run in this process."""
 
-    n_workers = 2
-
     def run_tasks(self, tasks: dict[int, dict]) -> tuple[dict, int]:
         return {wid: parallel._run_worker_task(task)
                 for wid, task in tasks.items()}, 0

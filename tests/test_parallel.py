@@ -1,13 +1,13 @@
 """Multiprocess controller: equivalence fuzz against the in-process
 single graph and against the same worker tasks run in this process,
-crashed-worker redispatch, counter-aggregation parity, shared-memory
-hygiene, and the worker-assignment balancer."""
+crashed-worker redispatch, the per-run pool's edges (clean exits, no
+worker processes, failures), counter-aggregation parity, and the
+worker-assignment balancer."""
 
 import logging
+import multiprocessing as mp
 import os
-import signal
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,26 +17,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import FaultPolicy, SchedulerConfig, ServingConfig
 from repro.core import run_replay
-from repro.core.parallel import (ShardWorkerPool, merge_extra_counters,
-                                 try_parallel_replay)
+from repro.core.parallel import merge_extra_counters, try_parallel_replay
 from repro.core.sharding import assign_shards
 from repro.errors import SchedulingError
 from repro.trace.generator import generate_scale_trace
-from repro.trace.schema import SharedPositionStore, concat_traces
+from repro.trace.schema import concat_traces
 
 from helpers import per_agent_sequences, random_trace
 from test_golden_replay import InProcessPool, counters
 
 pytestmark = pytest.mark.skipif(
     not sys.platform.startswith("linux") and sys.platform != "darwin",
-    reason="multiprocess mode needs POSIX shared memory")
-
-
-@pytest.fixture(scope="module")
-def pool():
-    """One persistent two-worker pool shared across the fuzz worlds."""
-    with ShardWorkerPool(2) as p:
-        yield p
+    reason="multiprocess mode needs a POSIX process model")
 
 
 def _calls_trace(seed, n_segments=3, n_agents=8, n_steps=12, width=20):
@@ -50,24 +42,14 @@ def _calls_trace(seed, n_segments=3, n_agents=8, n_steps=12, width=20):
     return concat_traces(segs, x_stride=width + 1 + 2 * (margin + 1))
 
 
-def _stray_segments():
-    """This process's position segments: their names carry the creating
-    pid, so a replay running beside the tests cannot show up here."""
-    shm_dir = Path("/dev/shm")
-    if not shm_dir.is_dir():
-        return []
-    return sorted(p.name for p in
-                  shm_dir.glob(f"repro-pos-{os.getpid()}-*"))
-
-
-def _modes(trace, base, pool):
+def _modes(trace, base):
     """``(single, parallel)``: the in-process replay and the worker pool
     (``parallel_workers=2``) on ``trace``; the pool's result must equal
     the same tasks run in this process, counter for counter."""
     single = run_replay(trace, base, collect_timeline=True)
     workers = replace(base, parallel_workers=2)
     parallel = try_parallel_replay(trace, workers, ServingConfig(),
-                                   collect_timeline=True, pool=pool)
+                                   collect_timeline=True)
     here = try_parallel_replay(trace, workers, ServingConfig(),
                                collect_timeline=True, pool=InProcessPool())
     assert not isinstance(parallel, str), parallel
@@ -100,20 +82,20 @@ class TestParallelEquivalenceFuzz:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**9))
-    def test_coordinate_worlds_with_calls(self, pool, seed):
+    def test_coordinate_worlds_with_calls(self, seed):
         trace = _calls_trace(seed)
         base = SchedulerConfig(shards=4, validate_causality=True)
-        _assert_modes_match(trace, *_modes(trace, base, pool))
+        _assert_modes_match(trace, *_modes(trace, base))
 
     @pytest.mark.parametrize("scenario", ["smallville", "metro-grid",
                                           "market-town", "social-graph"])
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**9))
-    def test_scale_worlds(self, pool, scenario, seed):
+    def test_scale_worlds(self, scenario, seed):
         trace = generate_scale_trace(total_agents=60, n_steps=10,
                                      scenario=scenario, base_seed=seed)
         base = SchedulerConfig(shards=4, validate_causality=True)
-        single, parallel = _modes(trace, base, pool)
+        single, parallel = _modes(trace, base)
         _assert_modes_match(trace, single, parallel)
         # Scale windows are call-free, so every worker's virtual clock
         # runs the same overhead model the shared kernel would: the
@@ -139,7 +121,7 @@ class TestCrashRedispatch:
         assert not isinstance(crashed, str), crashed
         assert clean.driver_stats.extra["worker_redispatches"] == 0
         assert crashed.driver_stats.extra["worker_redispatches"] == 1
-        # Redispatch is idempotent (workers never write the shared
+        # Redispatch is idempotent (workers never write the position
         # store): the recovered run is state-identical to the clean one.
         n = trace.meta.n_agents
         assert crashed.n_tasks_completed == clean.n_tasks_completed
@@ -150,59 +132,50 @@ class TestCrashRedispatch:
         trace = _calls_trace(12)
         sched = SchedulerConfig(
             shards=4, parallel_workers=2,
-            faults=FaultPolicy(max_redispatches=1, worker_join_grace=1.0))
+            faults=FaultPolicy(max_redispatches=1))
         with pytest.raises(SchedulingError, match="crash budget"):
             try_parallel_replay(trace, sched, ServingConfig(),
                                 _crash_plan={0: 5})
-        assert _stray_segments() == []
+        assert not mp.active_children()
 
 
-class TestPoolReuse:
-    def test_failed_run_leaves_no_stale_ledger(self, monkeypatch):
-        """A run that raised on one worker's error leaves the other
-        worker's reply queued (its ledger, or its own error once the
-        run's position segment is gone); the next run on the same pool
-        must not take it for its own (task ids restart at 0 every run).
+class TestPerRunPool:
+    """Each run forks its workers and joins them before it returns."""
 
-        Worker 1 is held (``SIGSTOP``) from the dispatch until the run
-        has raised, so its reply is still owed then. Left running, it
-        can beat a slow worker 0 on a busy machine: the run then takes
-        its ledger before the error, raises with nothing left queued,
-        and this test waits out its deadline on an empty outbox."""
+    def test_clean_exits_are_never_redispatched(self, monkeypatch):
+        """A worker that exited 0 has flushed its ledger into the
+        queue's pipe, whether or not the parent has read it yet: a
+        liveness sweep that finds it gone must not fork it again. The
+        parent's first read of each run is held until every worker has
+        exited and then reports nothing yet, so the sweep always runs
+        between the workers' last writes and the parent's reads (sweeps
+        every 0.1 ms without the hold never landed there in 20 runs)."""
+        import multiprocessing.queues
+        import queue
+        import time
+        import weakref
+        get = multiprocessing.queues.Queue.get
+        held = weakref.WeakSet()
+
+        def get_after_exits(outbox, *args, **kwargs):
+            if outbox not in held:
+                held.add(outbox)
+                deadline = time.monotonic() + 60.0
+                while mp.active_children() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                raise queue.Empty
+            return get(outbox, *args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing.queues.Queue, "get",
+                            get_after_exits)
+        trace = generate_scale_trace(total_agents=60, n_steps=10,
+                                     base_seed=16)
         sched = SchedulerConfig(shards=4, parallel_workers=2)
-        failing, other = _calls_trace(21), _calls_trace(22)
-        with ShardWorkerPool(2) as pool:
-            run_tasks = pool.run_tasks
-            worker_1 = pool._procs[1].pid
-
-            def corrupt_worker_0(tasks):
-                step, *rest = tasks[0]["calls"]
-                assert len(step) > 0
-                # Mismatched call columns: Trace(...) raises in worker 0.
-                tasks[0]["calls"] = (step[:-1], *rest)
-                os.kill(worker_1, signal.SIGSTOP)
-                return run_tasks(tasks)
-
-            monkeypatch.setattr(pool, "run_tasks", corrupt_worker_0)
-            try:
-                with pytest.raises(SchedulingError, match="worker 0 failed"):
-                    try_parallel_replay(failing, sched, ServingConfig(),
-                                        pool=pool)
-            finally:
-                os.kill(worker_1, signal.SIGCONT)
-            monkeypatch.undo()
-            deadline = time.monotonic() + 60.0
-            while pool._outbox.empty() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert not pool._outbox.empty(), "worker 1 sent no reply"
-            # Worker 1 crashes once on the new run, so worker 0's ledger
-            # is queued behind the stale reply and ahead of worker 1's.
-            reused = try_parallel_replay(other, sched, ServingConfig(),
-                                         pool=pool, _crash_plan={1: 1})
-        fresh = try_parallel_replay(other, sched, ServingConfig(),
-                                    _crash_plan={1: 1})
-        assert reused.completion_time == fresh.completion_time
-        assert counters(reused) == counters(fresh)
+        for _ in range(3):
+            result = try_parallel_replay(trace, sched, ServingConfig())
+            assert not isinstance(result, str), result
+            assert result.driver_stats.extra["worker_redispatches"] == 0
+            assert not mp.active_children()
 
 
 class TestCounterAggregation:
@@ -223,15 +196,10 @@ class TestCounterAggregation:
         sched = SchedulerConfig(shards=4, parallel_workers=2)
         plan = plan_regions(trace, rules_for(sched, trace.meta), 4)
         groups = assign_shards([len(m) for m in plan], 2)
-        store = trace.share_positions()
-        try:
-            tasks = par._build_tasks(trace, sched, ServingConfig(), plan,
-                                     groups, store, False, None)
-            ledgers = [par._run_worker_task(tasks[wid])
-                       for wid in sorted(tasks)]
-        finally:
-            store.unlink()
-            store.close()
+        tasks = par._build_tasks(trace, sched, ServingConfig(), plan,
+                                 groups, trace.share_positions(), False,
+                                 None)
+        ledgers = [par._run_worker_task(tasks[wid]) for wid in sorted(tasks)]
         result = try_parallel_replay(trace, sched, ServingConfig())
         assert not isinstance(result, str), result
         expected = merge_extra_counters(
@@ -281,13 +249,9 @@ class TestWorkerTasks:
         plan = plan_regions(trace, rules_for(sched, trace.meta), 4)[::-1]
         groups = assign_shards([len(m) for m in plan], 2)
         assert max(map(len, groups)) == 2
-        store = trace.share_positions()
-        try:
-            tasks = par._build_tasks(trace, sched, ServingConfig(), plan,
-                                     groups, store, False, None)
-        finally:
-            store.unlink()
-            store.close()
+        tasks = par._build_tasks(trace, sched, ServingConfig(), plan,
+                                 groups, trace.share_positions(), False,
+                                 None)
         for wid, group in enumerate(groups):
             task = tasks[wid]
             members = sorted(a for si in group for a in plan[si])
@@ -303,77 +267,12 @@ class TestWorkerTasks:
                     task["scheduler"].parallel_workers) == (0, 0)
 
 
-class TestSharedMemoryHygiene:
-    """Satellite: no stray segments after a drain or a worker crash."""
-
-    def test_store_round_trip(self):
-        arr = np.arange(2 * 3 * 2, dtype=np.int32).reshape(2, 3, 2)
-        store = SharedPositionStore.create(arr)
-        attached = SharedPositionStore.open(store.name, store.shape,
-                                            store.dtype)
-        np.testing.assert_array_equal(attached.array, arr)
-        # Writes land in the same pages both sides mapped.
-        store.array[0, 0, 0] = 99
-        assert attached.array[0, 0, 0] == 99
-        name = store.name
-        attached.close()
-        store.unlink()
-        store.close()
-        from multiprocessing import shared_memory
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_no_segments_leak_after_drain(self):
-        before = _stray_segments()
-        trace = generate_scale_trace(total_agents=60, n_steps=10,
-                                     base_seed=13)
-        result = try_parallel_replay(
-            trace, SchedulerConfig(shards=4, parallel_workers=2),
-            ServingConfig())
-        assert not isinstance(result, str), result
-        assert _stray_segments() == before
-
-    def test_no_segments_leak_after_crash(self):
-        before = _stray_segments()
-        trace = generate_scale_trace(total_agents=60, n_steps=10,
-                                     base_seed=14)
-        result = try_parallel_replay(
-            trace, SchedulerConfig(shards=4, parallel_workers=2),
-            ServingConfig(), _crash_plan={1: 1})
-        assert not isinstance(result, str), result
-        assert result.driver_stats.extra["worker_redispatches"] == 1
-        assert _stray_segments() == before
-
-    def test_pool_made_before_any_segment_warns_of_none(self):
-        """Workers forked before the parent first shared a store still
-        leave its cleanup to the parent's resource tracker."""
-        import subprocess
-        script = (
-            "from repro.config import SchedulerConfig, ServingConfig\n"
-            "from repro.core.parallel import ShardWorkerPool, "
-            "try_parallel_replay\n"
-            "from repro.trace.generator import generate_scale_trace\n"
-            "with ShardWorkerPool(2) as pool:\n"
-            "    result = try_parallel_replay(generate_scale_trace(\n"
-            "        total_agents=60, n_steps=10, base_seed=15),\n"
-            "        SchedulerConfig(parallel_workers=2), ServingConfig(),\n"
-            "        pool=pool)\n"
-            "    assert not isinstance(result, str), result\n")
-        src = Path(__file__).resolve().parents[1] / "src"
-        done = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, timeout=120,
-                              env={**os.environ, "PYTHONPATH": str(src)})
-        assert done.returncode == 0, done.stderr
-        assert "resource_tracker" not in done.stderr, done.stderr
-
-
 def _run_clean(script: str, raises: str | None = None) -> str:
     """Run ``script`` in a fresh interpreter; require a clean exit (or,
-    given ``raises``, one by that uncaught exception) that left no
-    segment and no resource-tracker complaint. Returns stdout."""
+    given ``raises``, one by that uncaught exception) with no
+    resource-tracker complaint. Returns stdout."""
     import subprocess
     root = Path(__file__).resolve().parents[1]
-    before = _stray_segments()
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
         timeout=300, env={**os.environ, "PYTHONPATH":
@@ -386,16 +285,15 @@ def _run_clean(script: str, raises: str | None = None) -> str:
             done.stderr
     assert "resource_tracker" not in done.stderr, done.stderr
     assert "leaked" not in done.stderr, done.stderr
-    assert _stray_segments() == before
     return done.stdout
 
 
 class TestOddPlatforms:
-    """Where fork or POSIX shared memory is missing: the spawn start
-    method reaches the fork pool's counters, and a platform without
-    shared memory falls back in-process and names why. Each runs in a
-    fresh interpreter, which must exit with no child process, segment
-    or resource-tracker warning left behind."""
+    """Where fork or worker processes are missing: the spawn start
+    method reaches the fork pool's counters, and a platform that cannot
+    start a worker falls back in-process and names why. Each runs in a
+    fresh interpreter, which must exit with no child process or
+    resource-tracker warning left behind."""
 
     def test_spawn_pool_counters_equal_the_fork_pool(self):
         out = _run_clean(
@@ -417,16 +315,15 @@ class TestOddPlatforms:
             "print(spawn.n_tasks_completed)\n")
         assert out.split() == ["600"]
 
-    def test_no_shared_memory_falls_back_and_names_why(self):
+    def test_no_worker_processes_falls_back_and_names_why(self):
         out = _run_clean(
             "import multiprocessing as mp\n"
             "from repro.config import SchedulerConfig\n"
-            "from repro.core import run_replay\n"
+            "from repro.core import parallel, run_replay\n"
             "from repro.trace.generator import generate_scale_trace\n"
-            "from repro.trace.schema import Trace\n"
-            "def no_shm(self):\n"
+            "def no_processes():\n"
             "    raise OSError(38, 'Function not implemented')\n"
-            "Trace.share_positions = no_shm\n"
+            "parallel._mp_context = no_processes\n"
             "trace = generate_scale_trace(total_agents=60, n_steps=10,\n"
             "                             base_seed=15)\n"
             "result = run_replay(trace, SchedulerConfig(parallel_workers=2))\n"
@@ -434,15 +331,15 @@ class TestOddPlatforms:
             "assert 'parallel_workers' not in result.driver_stats.extra\n"
             "assert not mp.active_children()\n"
             "print(result.driver_stats.extra['parallel_fallback'])\n")
-        assert "no POSIX shared memory" in out
+        assert "cannot start worker processes" in out
         assert "Function not implemented" in out
 
 
 class TestFailurePaths:
     """A failed replay tears down like a finished one. An exception in
     the parent after the workers ran, or SIGINT while they run, exits
-    non-zero in a fresh interpreter that must leave no child process,
-    segment or resource-tracker warning behind."""
+    non-zero in a fresh interpreter that must leave no child process
+    or resource-tracker warning behind."""
 
     PRELUDE = (
         "import multiprocessing as mp\n"
@@ -468,12 +365,16 @@ class TestFailurePaths:
         assert out.split() == ["children", "0"]
 
     def test_sigint_while_the_workers_run(self):
-        # The first task's worker interrupts the parent, then runs on.
+        # The last-forked worker interrupts the parent, then runs on.
+        # It waits first: CPython prints and drops a KeyboardInterrupt
+        # raised in an at-fork hook, i.e. while the parent still forks.
         out = _run_clean(
             self.PRELUDE
-            + "run_task = parallel._run_worker_task\n"
+            + "import time\n"
+              "run_task = parallel._run_worker_task\n"
               "def interrupting(task):\n"
-              "    if task['task_id'] == 0:\n"
+              "    if task['task_id'] == 1:\n"
+              "        time.sleep(0.2)\n"
               "        os.kill(os.getppid(), signal.SIGINT)\n"
               "    return run_task(task)\n"
               "parallel._run_worker_task = interrupting\n" + self.RUN,

@@ -23,8 +23,7 @@ from repro.trace import io as trace_io
 from repro.trace import generator as generator_mod
 from repro.trace.generator import (GENERATOR_VERSION, SCALE_POOL,
                                    generate_scale_trace)
-from repro.trace.schema import (SharedPositionStore, TraceMeta,
-                                concat_traces)
+from repro.trace.schema import TraceMeta, concat_traces
 from repro.trace.stats import SAMPLE_STRIDE
 
 from helpers import random_trace
@@ -132,20 +131,10 @@ class TestTraceSchema:
 
     @staticmethod
     def _worker_slice(trace, members):
-        """The member-column ``Trace`` a shard worker builds: positions
-        through shared memory, calls remapped to local agent ids (as
-        ``core/parallel.py`` does)."""
-        store = trace.share_positions()
-        try:
-            attached = SharedPositionStore.open(store.name, store.shape,
-                                                store.dtype)
-            try:
-                columns = attached.array[:, members, :].copy()
-            finally:
-                attached.close()
-        finally:
-            store.unlink()
-            store.close()
+        """The member-column ``Trace`` a shard worker builds: its
+        columns of the handed-on store, calls remapped to local agent
+        ids (as ``core/parallel.py`` does)."""
+        columns = trace.share_positions()[:, members, :].copy()
         mask = np.isin(trace.call_agent, members)
         return Trace(
             replace(trace.meta, n_agents=len(members)), columns,
@@ -378,58 +367,6 @@ class TestChainBoundsChecked:
             assert (day_trace.call_agent[got] == agent).all()
         assert day_trace.chain_slice(2, agent2_step).stop > \
             day_trace.chain_slice(2, agent2_step).start
-
-
-def _memmap_backed(arr):
-    """True when ``arr`` is (a view of) a disk-backed memmap."""
-    while arr is not None:
-        if isinstance(arr, np.memmap):
-            return True
-        arr = arr.base
-    return False
-
-
-class TestMemmapStore:
-    """REPRO_TRACE_MEMMAP_MB routes big position stores to disk-backed
-    memmaps; every trace operation must behave identically there."""
-
-    def test_alloc_positions_threshold(self, monkeypatch):
-        from repro.trace.schema import _alloc_positions
-        monkeypatch.setenv("REPRO_TRACE_MEMMAP_MB", "0")
-        assert isinstance(_alloc_positions((4, 3, 2), np.int32),
-                          np.memmap)
-        monkeypatch.setenv("REPRO_TRACE_MEMMAP_MB", "-1")
-        assert not isinstance(_alloc_positions((4, 3, 2), np.int32),
-                              np.memmap)
-
-    def test_npz_roundtrip_through_memmap(self, synthetic_trace,
-                                          tmp_path, monkeypatch):
-        path = tmp_path / "t.npz"
-        save_trace(synthetic_trace, path)
-        monkeypatch.setenv("REPRO_TRACE_MEMMAP_MB", "0")
-        loaded = load_trace(path)
-        assert _memmap_backed(loaded.positions_by_step)
-        assert np.array_equal(loaded.positions_by_step,
-                              synthetic_trace.positions_by_step)
-        for name in ("call_step", "call_agent", "call_func",
-                     "call_in", "call_out"):
-            assert np.array_equal(getattr(loaded, name),
-                                  getattr(synthetic_trace, name)), name
-
-    def test_window_and_concat_on_memmap_store(self, monkeypatch):
-        a = random_trace(seed=3, n_agents=3, n_steps=10)
-        b = random_trace(seed=4, n_agents=3, n_steps=10)
-        ram = concat_traces([a, b], x_stride=100)
-        monkeypatch.setenv("REPRO_TRACE_MEMMAP_MB", "0")
-        mapped = concat_traces([a, b], x_stride=100)
-        assert _memmap_backed(mapped.positions_by_step)
-        assert np.array_equal(mapped.positions_by_step,
-                              ram.positions_by_step)
-        w_ram, w_map = ram.window(2, 8), mapped.window(2, 8)
-        assert np.array_equal(w_map.positions_by_step,
-                              w_ram.positions_by_step)
-        assert w_map.n_calls == w_ram.n_calls
-        assert np.array_equal(w_map.call_step, w_ram.call_step)
 
 
 class TestGenerator:
