@@ -196,10 +196,13 @@ class ShardWorkerPool:
         procs: dict[int, object] = {}
 
         def start(wid: int) -> None:
-            procs[wid] = proc = ctx.Process(
+            proc = ctx.Process(
                 target=_worker_main, args=(tasks[wid], outbox),
                 name=f"repro-shard-worker-{wid}", daemon=True)
             proc.start()
+            # Kept only once forked: a process that never started can
+            # be neither terminated nor joined below.
+            procs[wid] = proc
 
         results: dict[int, SimulationResult] = {}
         redispatches = 0

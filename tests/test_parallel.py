@@ -177,6 +177,96 @@ class TestPerRunPool:
             assert result.driver_stats.extra["worker_redispatches"] == 0
             assert not mp.active_children()
 
+    def test_failed_run_leaves_no_stale_ledger(self, monkeypatch):
+        """A run that raised on one worker's error stops its other
+        workers before it raises, so no reply outlives it: the next run
+        reads exactly its own ledgers (task ids restart at 0 every
+        run), here with a crashed worker forked again."""
+        from repro.core import parallel as par
+        build = par._build_tasks
+
+        def corrupt_worker_0(*args):
+            tasks = build(*args)
+            step, *rest = tasks[0]["calls"]
+            assert len(step) > 0
+            # Mismatched call columns: Trace(...) raises in worker 0.
+            tasks[0]["calls"] = (step[:-1], *rest)
+            return tasks
+
+        monkeypatch.setattr(par, "_build_tasks", corrupt_worker_0)
+        sched = SchedulerConfig(shards=4, parallel_workers=2)
+        with pytest.raises(SchedulingError, match="worker 0 failed"):
+            try_parallel_replay(_calls_trace(21), sched, ServingConfig())
+        assert not mp.active_children()
+        monkeypatch.undo()
+        other = _calls_trace(22)
+        after = try_parallel_replay(other, sched, ServingConfig(),
+                                    _crash_plan={1: 1})
+        fresh = try_parallel_replay(other, sched, ServingConfig(),
+                                    _crash_plan={1: 1})
+        assert not isinstance(after, str), after
+        assert after.driver_stats.extra["worker_redispatches"] == 1
+        assert after.completion_time == fresh.completion_time
+        assert counters(after) == counters(fresh)
+
+    def test_failed_fork_stops_the_started_workers_and_falls_back(
+            self, monkeypatch):
+        """A fork that raises ``OSError`` after another worker started
+        (``EAGAIN`` at a process limit) falls back in-process, naming
+        the error, with the started worker stopped and joined."""
+        from repro.core import parallel as par
+        real = par._mp_context()
+        forked = []
+
+        class SecondForkFails:
+            Queue = staticmethod(real.Queue)
+
+            @staticmethod
+            def Process(*args, **kwargs):
+                proc = real.Process(*args, **kwargs)
+                start = proc.start
+
+                def start_or_fail():
+                    forked.append(proc)
+                    if len(forked) == 2:
+                        raise OSError(11, "Resource temporarily unavailable")
+                    start()
+
+                proc.start = start_or_fail
+                return proc
+
+        monkeypatch.setattr(par, "_mp_context", SecondForkFails)
+        trace = generate_scale_trace(total_agents=60, n_steps=10,
+                                     base_seed=17)
+        result = try_parallel_replay(
+            trace, SchedulerConfig(shards=4, parallel_workers=2),
+            ServingConfig())
+        assert isinstance(result, str), result
+        assert "cannot start worker processes" in result
+        assert "Resource temporarily unavailable" in result
+        assert len(forked) == 2
+        assert forked[0].exitcode is not None
+        assert not mp.active_children()
+
+    def test_no_multiprocessing_falls_back_and_names_why(self, monkeypatch):
+        """Where ``_multiprocessing`` is missing the run's queue cannot be
+        made; the replay falls back in-process and says so."""
+        from repro.core import parallel as par
+
+        def no_multiprocessing():
+            raise ImportError("No module named '_multiprocessing'")
+
+        monkeypatch.setattr(par, "_mp_context", no_multiprocessing)
+        trace = generate_scale_trace(total_agents=60, n_steps=10,
+                                     base_seed=18)
+        result = run_replay(trace, SchedulerConfig(parallel_workers=2))
+        extra = result.driver_stats.extra
+        assert "parallel_workers" not in extra
+        assert "cannot start worker processes" in extra["parallel_fallback"]
+        assert "_multiprocessing" in extra["parallel_fallback"]
+        assert result.n_tasks_completed == \
+            trace.meta.n_agents * trace.meta.n_steps
+
 
 class TestCounterAggregation:
     """Worker counters aggregate as plain sums — no double counting, no
@@ -265,6 +355,86 @@ class TestWorkerTasks:
                 assert got.tolist() == want[mine].tolist()
             assert (task["scheduler"].shards,
                     task["scheduler"].parallel_workers) == (0, 0)
+
+    def test_every_task_references_the_one_store(self):
+        """No task carries a copy of the positions: each references the
+        trace's own store, and running a task leaves it unchanged (a
+        crashed worker's retry from scratch rests on that)."""
+        from repro.core import parallel as par
+        from repro.core.rules import rules_for
+        from repro.core.sharding import plan_regions
+
+        trace = _calls_trace(10)
+        sched = SchedulerConfig(shards=4, parallel_workers=2)
+        plan = plan_regions(trace, rules_for(sched, trace.meta), 4)
+        groups = assign_shards([len(m) for m in plan], 2)
+        store = trace.share_positions()
+        assert store is trace.positions_by_step
+        before = store.copy()
+        tasks = par._build_tasks(trace, sched, ServingConfig(), plan,
+                                 groups, store, False, None)
+        assert len(tasks) == 2
+        for wid in sorted(tasks):
+            assert tasks[wid]["positions"] is store
+            ledger = par._run_worker_task(tasks[wid])
+            assert ledger.n_tasks_completed == \
+                len(tasks[wid]["members"]) * trace.meta.n_steps
+        assert np.array_equal(store, before)
+
+
+def _shm_entries() -> list[str]:
+    """Named shared-memory segments and multiprocessing semaphores in
+    ``/dev/shm``: ``psm_*`` (``SharedMemory``'s default names),
+    ``repro-*`` and ``sem.mp-*``."""
+    shm_dir = Path("/dev/shm")
+    if not shm_dir.is_dir():
+        return []
+    return sorted(p.name for p in shm_dir.iterdir()
+                  if p.name.startswith(("psm_", "repro-", "sem.mp-")))
+
+
+class TestSharedMemoryHygiene:
+    """The pool hands the position store on by fork, not through a
+    named segment: a run, drained or with a crashed worker, leaves
+    nothing in ``/dev/shm`` and never imports
+    ``multiprocessing.shared_memory``."""
+
+    def test_no_segments_leak_after_drain(self):
+        before = _shm_entries()
+        trace = generate_scale_trace(total_agents=60, n_steps=10,
+                                     base_seed=13)
+        result = try_parallel_replay(
+            trace, SchedulerConfig(shards=4, parallel_workers=2),
+            ServingConfig())
+        assert not isinstance(result, str), result
+        assert _shm_entries() == before
+
+    def test_no_segments_leak_after_crash(self):
+        before = _shm_entries()
+        trace = generate_scale_trace(total_agents=60, n_steps=10,
+                                     base_seed=14)
+        result = try_parallel_replay(
+            trace, SchedulerConfig(shards=4, parallel_workers=2),
+            ServingConfig(), _crash_plan={1: 1})
+        assert not isinstance(result, str), result
+        assert result.driver_stats.extra["worker_redispatches"] == 1
+        assert _shm_entries() == before
+
+    def test_replay_never_imports_shared_memory(self):
+        out = _run_clean(
+            "import sys\n"
+            "from repro.config import SchedulerConfig, ServingConfig\n"
+            "from repro.core.parallel import try_parallel_replay\n"
+            "from repro.trace.generator import generate_scale_trace\n"
+            "trace = generate_scale_trace(total_agents=60, n_steps=10,\n"
+            "                             base_seed=15)\n"
+            "result = try_parallel_replay(\n"
+            "    trace, SchedulerConfig(parallel_workers=2),\n"
+            "    ServingConfig(), _crash_plan={0: 1})\n"
+            "assert not isinstance(result, str), result\n"
+            "print(result.driver_stats.extra['worker_redispatches'],\n"
+            "      'multiprocessing.shared_memory' in sys.modules)\n")
+        assert out.split() == ["1", "False"]
 
 
 def _run_clean(script: str, raises: str | None = None) -> str:

@@ -129,6 +129,21 @@ class TestTraceSchema:
                               b.positions_by_step[:, :, 0] + 100)
         assert c.n_calls == a.n_calls + b.n_calls
 
+    def test_window_of_concat_is_concat_of_windows(self):
+        a = random_trace(seed=3, n_agents=3, n_steps=10)
+        b = random_trace(seed=4, n_agents=3, n_steps=10)
+        whole = concat_traces([a, b], x_stride=100).window(2, 8)
+        parts = concat_traces([a.window(2, 8), b.window(2, 8)],
+                              x_stride=100)
+        assert whole.meta.n_steps == parts.meta.n_steps == 6
+        assert np.array_equal(whole.positions_by_step,
+                              parts.positions_by_step)
+        assert whole.n_calls == parts.n_calls
+        for name in ("call_step", "call_agent", "call_func",
+                     "call_in", "call_out"):
+            assert np.array_equal(getattr(whole, name),
+                                  getattr(parts, name)), name
+
     @staticmethod
     def _worker_slice(trace, members):
         """The member-column ``Trace`` a shard worker builds: its
