@@ -31,6 +31,7 @@ REPLICA = "src/repro/serving/replica.py"
 METRICS = "src/repro/serving/metrics.py"
 MEMORY = "src/repro/world/memory_stream.py"
 BEHAVIOR = "src/repro/world/behavior.py"
+AGENT = "src/repro/world/agent.py"
 GRID = "src/repro/world/grid.py"
 PATHFIND = "src/repro/world/pathfind.py"
 MINED = "src/repro/core/oracle.py"
@@ -85,8 +86,10 @@ COMPARE = "row[local[nb]] if comp[nb] == ca else inf"
 #: order), every clause of the dwelling guard and a chatting agent's
 #: turn ahead of it, the chat sweep's strict break and final sort, the
 #: perception scan's inclusive radius without the agent itself, the
-#: first-declared venue table dropped by ``add_venue``, and the wall-
-#: respecting, four-way, read-only flood. The oracle's mined-group
+#: first-declared venue table dropped by ``add_venue``, the wall-
+#: respecting, four-way, read-only flood, and the roster: an ``awake``
+#: write updates it, and the fall-asleep transition leaves it. The
+#: oracle's mined-group
 #: graph: a member waits on every group-mate behind it, on its own
 #: step's group, and the last arrival releases the rest. The replay
 #: driver: a blocker's commit releases every waiter out of range at the
@@ -259,6 +262,11 @@ MUTANTS = {
          "            return\n        rng = fast_rng_for(", 0)),
         f"{WORLD}::TestBehaviorModel"
         "::test_conversation_pairs_symmetric_and_frozen"),
+    "roster-misses-outside-write": (
+        AGENT, "if roster is not None:", "if False:", 0, WORLD),
+    "roster-keeps-sleeper": (
+        BEHAVIOR, "agent.awake = False\n                agent.activity",
+        "agent._awake = False\n                agent.activity", 0, WORLD),
     "chat-sweep-breaks-at-limit": (
         BEHAVIOR, "if bx > limit:", "if bx >= limit:", 0, WORLD),
     "chat-pairs-unsorted": (

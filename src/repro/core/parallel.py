@@ -64,6 +64,8 @@ from __future__ import annotations
 
 import logging
 import os
+import resource
+import signal
 import time
 import traceback
 from dataclasses import fields, replace
@@ -142,12 +144,20 @@ def _run_worker_task(task: dict) -> SimulationResult:
 
 def _worker_main(task: dict, outbox) -> None:
     """One worker process: its task's ledger (or traceback) out, then exit."""
+    # Forked (or spawned) while the parent blocked SIGINT: take it again.
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     if task.get("crash_times", 0) > 0:
         # Test hook: simulate a hard worker crash mid-task (the parent
         # decrements the counter before it forks the task again).
         os._exit(17)
     try:
-        outbox.put((task["task_id"], "ok", _run_worker_task(task)))
+        ledger = _run_worker_task(task)
+        # This process's own high-water RSS, KiB on Linux: a forked
+        # child's mark starts at its RSS at the fork (the pages it
+        # shares with the parent), not at the parent's mark.
+        ledger.driver_stats.extra["worker_peak_rss_mb"] = \
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        outbox.put((task["task_id"], "ok", ledger))
     except BaseException:
         outbox.put((task["task_id"], "error", traceback.format_exc()))
 
@@ -199,10 +209,18 @@ class ShardWorkerPool:
             proc = ctx.Process(
                 target=_worker_main, args=(tasks[wid], outbox),
                 name=f"repro-shard-worker-{wid}", daemon=True)
-            proc.start()
-            # Kept only once forked: a process that never started can
-            # be neither terminated nor joined below.
-            procs[wid] = proc
+            # CPython runs the at-fork hooks in the parent after the
+            # fork and drops a KeyboardInterrupt raised there. Blocked,
+            # a SIGINT waits until the process is recorded, then raises
+            # here, and the ``finally`` below stops every worker.
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                proc.start()
+                # Kept only once forked: a process that never started
+                # can be neither terminated nor joined below.
+                procs[wid] = proc
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
         results: dict[int, SimulationResult] = {}
         redispatches = 0
@@ -326,6 +344,11 @@ def _merge_results(trace: Trace, scheduler: SchedulerConfig,
     stats.extra["parallel_wall_s"] = wall_s
     stats.extra["worker_controller_times"] = [
         part.controller_time for part in parts]
+    if all("worker_peak_rss_mb" in part.extra for part in parts):
+        # Per worker, like the CPU times: peaks of separate processes
+        # do not add up (the ``extra`` fold above summed them).
+        stats.extra["worker_peak_rss_mb"] = [
+            part.extra["worker_peak_rss_mb"] for part in parts]
     completion = max(led.completion_time for led in ledgers)
     metrics = EngineMetrics()
     metrics.total_prompt_tokens = sum(

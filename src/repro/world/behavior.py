@@ -20,8 +20,10 @@ executing the full lock-step world — the property the OOO scheduler relies
 on, and which the integration tests verify end-to-end.
 
 A step visits only the members that are *up* — awake, in a conversation,
-or at their wake step — because a sleeper's step reads and writes nothing.
-Phase 2 pairs only members that are awake and free after phase 1.
+or at their wake step — because a sleeper's step reads and writes nothing;
+the model keeps the first two on its roster (:class:`BehaviorModel`), so a
+lock-step call never reads an agent that is down. Phase 2 pairs only
+members that are awake and free after phase 1.
 A *dwelling* step — awake, settled, before ``dwell_until``, inside its
 routine block, no reflection due — decides nothing either: it would draw
 no number and write no field, so it returns before its stream is keyed.
@@ -29,6 +31,7 @@ no number and write no field, so it returns before its stream is keyed.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -64,7 +67,18 @@ class LLMCall:
 
 
 class BehaviorModel:
-    """Drives agents through a day and emits their LLM call chains."""
+    """Drives agents through a day and emits their LLM call chains.
+
+    The *roster* (:attr:`roster`) is the set of ids of the agents that
+    are up: awake or in a conversation. It is exact after every write.
+    Anyone may write an agent's ``awake``, the model or an outside
+    caller (a test, a deep copy's new owner): the property's setter
+    updates the roster. Only the model writes ``conversation``, and it
+    updates the roster where a conversation starts and ends. Agents
+    waking at a step are not on it yet: they come from a table of wake
+    steps built once here. A deep copy of the model copies the roster
+    once and every agent's reference to it through the memo.
+    """
 
     #: Agents within this distance may strike up a conversation.
     CHAT_RADIUS = 2.0
@@ -98,48 +112,80 @@ class BehaviorModel:
         self.social_venues = tuple(
             SOCIAL_VENUES if social_venues is None else social_venues)
         self.agents: list[AgentState] = []
+        #: Ids of the agents that are up (see the class docstring).
+        self.roster: set[int] = set()
+        #: Step-of-day -> ids of the agents waking then (read only).
+        self._wakers: dict[int, set[int]] = {}
         for persona in self.personas:
             home = world.venue(persona.home)
             rng = rng_for(seed, "spawn", persona.agent_id)
             pos = world.random_walkable_tile(rng, home)
-            self.agents.append(AgentState(persona=persona, pos=pos))
+            agent = AgentState(persona=persona, pos=pos)
+            agent._roster = self.roster
+            self.agents.append(agent)
+            self._wakers.setdefault(persona.wake_step, set()).add(
+                persona.agent_id)
+        #: The distinct wake steps, as steps of the day, in order.
+        self._wake_steps = sorted({s % STEPS_PER_DAY for s in self._wakers})
 
     # ------------------------------------------------------------------
     # public stepping API
     # ------------------------------------------------------------------
 
     def step_all(self, step: int) -> dict[int, list[LLMCall]]:
-        """Advance every agent one step (lock-step generation mode)."""
-        return self.step_agents(step, range(len(self.agents)))
+        """Advance every agent one step (lock-step generation mode).
+
+        Steps the roster and the step's wakers and reads no other
+        agent: the whole population is requested, so nobody else can
+        be stepping at the same time."""
+        calls = {aid: [] for aid in range(len(self.agents))}
+        up_ids = self.roster.union(
+            self._wakers.get(step % STEPS_PER_DAY, ()))
+        if up_ids:
+            self._step_up(step, list(map(self.agents.__getitem__,
+                                         sorted(up_ids))), calls)
+        return calls
 
     def step_agents(self, step: int,
                     agent_ids: Iterable[int]) -> dict[int, list[LLMCall]]:
         """Advance a coupling-closed subset of agents one step; returns
-        a (possibly empty) call list for every requested agent."""
+        a (possibly empty) call list for every requested agent.
+
+        Live workers step disjoint subsets on several threads at once,
+        and a stepped agent's ``awake`` write adds or drops its id on
+        the shared roster. So this tests each member with ``in`` and
+        never iterates the set, which would raise on a concurrent
+        change of its size."""
         members = sorted(agent_ids)
         calls: dict[int, list[LLMCall]] = {aid: [] for aid in members}
-        day_step = step % STEPS_PER_DAY
-        # Read off the agents each step, never a kept roster: tests and
-        # deep copies of a warm model set ``awake`` from outside.
-        up = [agent for agent in map(self.agents.__getitem__, members)
-              if agent.awake or agent.conversation is not None
-              or agent.persona.wake_step == day_step]
+        roster = self.roster
+        wakers = self._wakers.get(step % STEPS_PER_DAY, ())
+        up = [self.agents[aid] for aid in members
+              if aid in roster or aid in wakers]
+        self._step_up(step, up, calls)
+        return calls
+
+    def _step_up(self, step: int, up: list[AgentState],
+                 calls: dict[int, list[LLMCall]]) -> None:
+        """One step of the members that are up, in agent-id order."""
         # Phase 1: solo decisions + movement, in agent-id order.
         for agent in up:
             self._step_solo(step, agent.agent_id, calls[agent.agent_id])
         # Phase 2: pairwise interactions (conversation starts) — symmetric,
         # keyed by the unordered pair so order cannot matter.
         self._maybe_start_conversations(step, up, calls)
-        return calls
 
     def next_active_step(self, step: int) -> int:
         """The first step >= ``step`` at which anyone is up (see
         :meth:`step_agents`); until then stepping changes nothing."""
-        if any(a.awake or a.conversation is not None for a in self.agents):
+        if self.roster:
             return step
         day_step = step % STEPS_PER_DAY
-        return step + min((a.persona.wake_step - day_step) % STEPS_PER_DAY
-                          for a in self.agents)
+        wakes = self._wake_steps
+        i = bisect_left(wakes, day_step)
+        if i < len(wakes):
+            return step + wakes[i] - day_step
+        return step + wakes[0] + STEPS_PER_DAY - day_step
 
     # ------------------------------------------------------------------
     # solo behaviour
@@ -383,6 +429,7 @@ class BehaviorModel:
                                           step))
         freeze = turns + int(rng.integers(2, 8))
         a.conversation, b.conversation = bid, aid
+        self.roster.update((aid, bid))
         a.conv_state = ConvState(partner=bid, freeze_left=freeze)
         b.conv_state = ConvState(partner=aid, freeze_left=freeze)
         # Freeze both in place for the conversation's duration.
@@ -411,6 +458,8 @@ class BehaviorModel:
         if conv.tick():
             agent.conversation = None
             agent.conv_state = None
+            if not agent.awake:  # put to sleep from outside mid-chat
+                self.roster.discard(aid)
             agent.dwell_until = step + int(rng.integers(2, 6))
 
     # ------------------------------------------------------------------

@@ -435,6 +435,16 @@ def agent_snapshot(agent) -> tuple:
             agent.last_reflection)
 
 
+def reference_up(model, step: int, members) -> list:
+    """``BehaviorModel.step_agents``'s ``up`` list as it read before the
+    model kept a roster: a scan of the sorted ``members``' ``awake`` /
+    ``conversation`` / ``wake_step``. The roster must pick the same."""
+    day_step = step % STEPS_PER_DAY
+    return [agent for agent in map(model.agents.__getitem__, members)
+            if agent.awake or agent.conversation is not None
+            or agent.persona.wake_step == day_step]
+
+
 def reference_chat_pairs(free, radius: float = 2.0) -> list[tuple]:
     """``BehaviorModel._chat_pairs`` as it ran through PR 20: every pair
     of ``free`` against the distance predicate, in ``(i, j)`` order. The

@@ -264,11 +264,12 @@ class InProcessPool:
 
 def counters(result) -> dict:
     """Every counter of a merged result; host times and process-level
-    bookkeeping (pool wall, per-worker CPU) left out."""
+    bookkeeping (pool wall, per-worker CPU and peak RSS) left out."""
     stats = asdict(result.driver_stats)
     for host in ("time_clustering", "time_graph", "time_dispatch"):
         del stats[host]
-    for key in ("parallel_wall_s", "worker_controller_times"):
+    for key in ("parallel_wall_s", "worker_controller_times",
+                "worker_peak_rss_mb"):
         stats["extra"].pop(key, None)
     return {"stats": stats, "kv": result.kv_stats,
             "calls": result.n_calls_completed,

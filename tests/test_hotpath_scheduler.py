@@ -782,16 +782,56 @@ class TestHotpathBench:
 
     def test_scale_cell_reports_bytes_per_agent(self):
         """``bytes_per_agent`` is the cell's peak RSS over its agents,
-        and the scale table prints it."""
+        that peak is the larger of the generation and run marks, and
+        the scale table prints it and the run's mark. A serial cell
+        has no worker marks."""
         from repro.bench import hotpath as hp
 
         entry = hp.bench_scale_one("smallville", 50, n_steps=4)
         assert entry["bytes_per_agent"] == \
             entry["peak_rss_mb"] * 2 ** 20 / 50
+        assert entry["peak_rss_mb"] == max(entry["generation_peak_rss_mb"],
+                                           entry["run_peak_rss_mb"])
+        assert "worker_peak_rss_mb" not in entry
         header, _, row = hp.format_scale_report(
             {"entries": [entry]}).splitlines()
-        assert "B/agent" in header
+        assert "B/agent" in header and "run-mb" in header
         assert f"{entry['bytes_per_agent']:.0f}" in row.split()
+        assert f"{entry['run_peak_rss_mb']:.0f}" in row.split()
+
+    @pytest.mark.skipif(not os.access("/proc/self/clear_refs", os.W_OK),
+                        reason="no writable /proc/self/clear_refs")
+    def test_run_mark_leaves_generation_out(self, monkeypatch):
+        """The replay's mark is reset after the trace is built: a
+        200 MB peak during generation shows in the generation mark and
+        in ``peak_rss_mb``, not in ``run_peak_rss_mb``."""
+        import numpy as np
+
+        from repro.bench import hotpath as hp
+
+        generate = hp.generate_scale_trace
+
+        def bloated(*args, **kwargs):
+            block = np.ones(25_000_000)  # 200 MB, touched, then freed
+            del block
+            return generate(*args, **kwargs)
+        monkeypatch.setattr(hp, "generate_scale_trace", bloated)
+        entry = hp.bench_scale_one("smallville", 50, n_steps=4)
+        assert entry["generation_peak_rss_mb"] > \
+            entry["run_peak_rss_mb"] + 150
+        assert entry["peak_rss_mb"] == entry["generation_peak_rss_mb"]
+
+    def test_parallel_cell_reports_each_workers_mark(self):
+        """A parallel cell lists one mark per worker process, each its
+        own (not summed by the ``extra`` fold)."""
+        from repro.bench import hotpath as hp
+
+        entry = hp.bench_scale_one("smallville", 60, n_steps=4, shards=2,
+                                   parallel_workers=2)
+        assert entry["parallel_workers"] == 2
+        peaks = entry["worker_peak_rss_mb"]
+        assert isinstance(peaks, list) and len(peaks) == 2
+        assert all(0 < peak < 2 * entry["peak_rss_mb"] for peak in peaks)
 
 
 #: The committed hot-path report: the ledger the ceilings are set on.

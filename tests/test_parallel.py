@@ -551,6 +551,17 @@ class TestFailurePaths:
             raises="KeyboardInterrupt")
         assert out.split() == ["children", "0"]
 
+    def test_sigint_while_the_parent_forks(self):
+        # The signal lands inside the parent's at-fork hooks, where
+        # CPython would print and drop the KeyboardInterrupt; blocked
+        # around the fork, it is raised once the worker is recorded.
+        out = _run_clean(
+            self.PRELUDE
+            + "os.register_at_fork(after_in_parent=lambda: os.kill(\n"
+              "    os.getpid(), signal.SIGINT))\n" + self.RUN,
+            raises="KeyboardInterrupt")
+        assert out.split() == ["children", "0"]
+
 
 class TestFallbacks:
     def test_single_region_says_why(self):

@@ -2,8 +2,10 @@
 memory stream, behavior loop and conversations."""
 
 import copy
+import math
 import random
 from collections import deque
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import _util
 from repro._util import FastRng, UnionFind, fast_rng_for, rng_for, stable_seed
-from repro.config import STEPS_PER_DAY
+from repro.config import STEPS_PER_DAY, DependencyConfig
 from repro.errors import WorldError
 from repro.scenarios import get_scenario, scenario_names
 from repro.world import (BehaviorModel, GridWorld, Venue, behavior,
@@ -24,7 +26,7 @@ from repro.world.persona import SOCIAL_VENUES
 from helpers import (agent_snapshot, is_dwelling, reference_astar,
                      reference_chat_pairs, reference_distance_field,
                      reference_ranking, reference_stable_seed,
-                     reference_venue_at)
+                     reference_up, reference_venue_at)
 
 GRID_SCENARIOS = [name for name in scenario_names()
                   if get_scenario(name).metric != "graph"]
@@ -752,6 +754,180 @@ class TestSleepersSkipped:
             assert calls == lock.step_all(step)
             assert _snapshots(ooo) == _snapshots(lock)
         assert sum(a.awake for a in lock.agents) > 5
+
+
+def _reference_step(model, step, agent_ids):
+    """``step_agents`` with its members picked by the scan the roster
+    replaced (:func:`helpers.reference_up`)."""
+    members = sorted(agent_ids)
+    calls = {aid: [] for aid in members}
+    model._step_up(step, reference_up(model, step, members), calls)
+    return calls
+
+
+def _assert_roster_exact(model):
+    assert model.roster == {a.agent_id for a in model.agents
+                            if a.awake or a.conversation is not None}
+    assert all(a._roster is model.roster for a in model.agents)
+
+
+#: Warm-up checkpoints: the wake-up hour, lunch (conversations) and
+#: bedtime (agents heading home and falling asleep).
+_CHECKPOINTS = (2300, 4300, 7800)
+
+
+@lru_cache(maxsize=None)
+def _warmed(scenario):
+    """``{checkpoint: model}``, warmed lock-step once per scenario; a
+    test deep-copies the one it steps."""
+    model = get_scenario(scenario).model(
+        get_scenario(scenario).agents_per_segment, 6)
+    saved = {}
+    for step in range(_CHECKPOINTS[-1] + 1):
+        if step in _CHECKPOINTS:
+            saved[step] = copy.deepcopy(model)
+        model.step_all(step)
+    return saved
+
+
+def _coupled_clusters(model, scenario):
+    """The agents' coupling clusters at one step: pairs within
+    ``radius_p + max_vel`` in the scenario's metric, closed."""
+    dep = get_scenario(scenario).dependency_config or DependencyConfig()
+    reach = dep.radius_p + dep.max_vel
+    dist = model.space.dist if dep.metric == "graph" else math.dist
+    uf = UnionFind(len(model.agents))
+    for a in model.agents:
+        for b in model.agents[a.agent_id + 1:]:
+            if dist(a.pos, b.pos) <= reach:
+                uf.union(a.agent_id, b.agent_id)
+    return list(uf.groups(range(len(model.agents))))
+
+
+#: A step of the whole world, a step of it split into coupling-closed
+#: subsets, an outside write of ``awake``, or a deep copy (rarer: a
+#: bedtime world copies in ~50 ms).
+_ROSTER_OPS = st.lists(st.one_of(
+    st.just(("all",)),
+    st.tuples(st.just("split"), st.integers(0, 2 ** 16)),
+    st.tuples(st.just("awake"), st.integers(0, 10 ** 6), st.booleans()),
+    st.integers(0, 3).map(lambda k: ("copy",) if k == 0 else ("all",))),
+    min_size=4, max_size=24)
+
+
+class TestRoster:
+    """The roster picks the agents the per-step scan picked, whoever
+    wrote ``awake`` and however the world was copied or split."""
+
+    @pytest.mark.parametrize("scenario", ["smallville", "social-graph"])
+    def test_bedtime_leaves_the_roster(self, scenario):
+        """Lock-step from the bedtime checkpoint to midnight: every
+        agent that falls asleep leaves the roster, and the roster's
+        world equals the scan's."""
+        model = copy.deepcopy(_warmed(scenario)[_CHECKPOINTS[-1]])
+        twin = copy.deepcopy(model)
+        ids = range(len(model.agents))
+        fell_asleep = 0
+        for step in range(_CHECKPOINTS[-1], STEPS_PER_DAY + 10):
+            before = len(model.roster)
+            assert model.step_all(step) == _reference_step(twin, step, ids)
+            assert _snapshots(model) == _snapshots(twin)
+            _assert_roster_exact(model)
+            fell_asleep += len(model.roster) < before
+        assert fell_asleep > 3 and not model.roster
+        assert model.next_active_step(STEPS_PER_DAY + 10) == STEPS_PER_DAY \
+            + min(a.persona.wake_step for a in model.agents)
+
+    def test_a_sleeping_town_reads_nobody(self, monkeypatch):
+        """10,000 agents asleep, none waking: ``step_all`` steps no
+        agent and reads no persona, and ``next_active_step`` answers
+        from the wake table. At a wake step, only the wakers step."""
+        model = get_scenario("smallville").model(10_000, 1)
+        reads, solo = [], []
+
+        class CountingPersona:
+            def __init__(self, persona):
+                self._persona = persona
+
+            def __getattr__(self, name):
+                reads.append(name)
+                return getattr(self._persona, name)
+
+        for agent in model.agents:
+            agent.persona = CountingPersona(agent.persona)
+        real = BehaviorModel._step_solo
+        monkeypatch.setattr(
+            BehaviorModel, "_step_solo",
+            lambda self, step, aid, out: solo.append(aid)
+            or real(self, step, aid, out))
+        first_wake = min(model._wake_steps)
+        calls = model.step_all(0)
+        assert len(calls) == 10_000 and not any(calls.values())
+        assert model.next_active_step(1) == first_wake
+        assert solo == [] and reads == []
+        model.step_all(first_wake)
+        assert sorted(solo) == sorted(model._wakers[first_wake])
+        assert model.roster == model._wakers[first_wake]
+
+    def test_an_outside_sleeper_in_a_chat_leaves_at_its_end(self):
+        """``awake = False`` written mid-conversation keeps the agent up
+        until the conversation ends, then drops it."""
+        model = copy.deepcopy(_warmed("smallville")[4300])
+        for step in range(4300, 5000):  # lunch
+            model.step_all(step)
+            if any(a.busy_chatting for a in model.agents):
+                break
+        step += 1
+        agent = next(a for a in model.agents if a.busy_chatting)
+        agent.awake = False
+        assert agent.agent_id in model.roster
+        while agent.busy_chatting:
+            model.step_agents(step, [agent.agent_id, agent.conversation])
+            step += 1
+        assert agent.agent_id not in model.roster
+        _assert_roster_exact(model)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["smallville", "social-graph"]),
+           st.sampled_from(_CHECKPOINTS), _ROSTER_OPS)
+    def test_matches_the_scan_it_replaces(self, scenario, start, ops):
+        """Last in the class: a broken roster fails the tests above
+        first, before Hypothesis spends minutes shrinking."""
+        model = copy.deepcopy(_warmed(scenario)[start])
+        twin = copy.deepcopy(model)
+        _assert_roster_exact(model)
+        step = start
+        for op in ops:
+            if op[0] == "awake":  # an outside write, on both worlds
+                aid = op[1] % len(model.agents)
+                model.agents[aid].awake = twin.agents[aid].awake = op[2]
+                _assert_roster_exact(model)
+                continue
+            if op[0] == "copy":
+                old = model.roster
+                model = copy.deepcopy(model)
+                assert model.roster is not old
+                _assert_roster_exact(model)
+                continue
+            if op[0] == "all":
+                groups = [range(len(model.agents))]
+            else:  # coupling-closed subsets: unions of whole clusters
+                rnd = random.Random(op[1])
+                clusters = _coupled_clusters(model, scenario)
+                rnd.shuffle(clusters)
+                cuts = sorted(rnd.sample(range(1, len(clusters) + 1),
+                                         rnd.randint(1, len(clusters))))
+                groups = [sum(clusters[lo:hi], []) for lo, hi
+                          in zip([0] + cuts, cuts) if hi > lo]
+            for group in groups:
+                if op[0] == "all":
+                    got = model.step_all(step)
+                else:
+                    got = model.step_agents(step, group)
+                assert got == _reference_step(twin, step, group)
+                _assert_roster_exact(model)
+            assert _snapshots(model) == _snapshots(twin)
+            step += 1
 
 
 class TestChatPairSweep:
