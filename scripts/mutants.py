@@ -48,6 +48,7 @@ SCHEDULE = ("tests/test_core_drivers.py::TestOracleSchedule "
             "tests/test_equivalence.py::TestReplayMatchesLockStep"
             "::test_oracle_matches_lock_step")
 WORLD = "tests/test_world.py"
+PERCEPTION = "tests/test_perception.py"
 RANKING = f"{WORLD}::TestMemoryRankingMemo::test_matches_reference"
 RANKINGS = f"{WORLD}::TestMemoryRankingMemo"
 DRAWS = ("tests/test_util.py::TestPcg64MatchesNumpy "
@@ -85,7 +86,8 @@ COMPARE = "row[local[nb]] if comp[nb] == ca else inf"
 #: insertion after equal keys and token sums dropped with a changed
 #: order), every clause of the dwelling guard and a chatting agent's
 #: turn ahead of it, the chat sweep's strict break and final sort, the
-#: perception scan's inclusive radius without the agent itself, the
+#: perception's inclusive radius without the agent itself, its reads of
+#: the step-start state and its cell index following every move, the
 #: first-declared venue table dropped by ``add_venue``, the wall-
 #: respecting, four-way, read-only flood, and the roster: an ``awake``
 #: write updates it, and the fall-asleep transition leaves it. The
@@ -272,10 +274,16 @@ MUTANTS = {
     "chat-pairs-unsorted": (
         BEHAVIOR, "pairs.sort()", "pass", 0, WORLD),
     "neighbors-include-self": (
-        BEHAVIOR, "* dy <= reach and i != aid]", "* dy <= reach]", 0, WORLD),
+        BEHAVIOR, "for cid in sorted(self._in_reach(pos, near)) if cid != aid]",
+        "for cid in sorted(self._in_reach(pos, near))]", 0, WORLD),
     "neighbors-strict-radius": (
-        BEHAVIOR, "* dy <= reach and i != aid]", "* dy < reach and i != aid]",
-        0, WORLD),
+        BEHAVIOR, "* dy <= reach]", "* dy < reach]", 0, WORLD),
+    "perception-reads-live-state": (
+        BEHAVIOR, "activity, near = view",
+        "activity, near = {}, view[1] and [(cid, self.agents[cid].pos)"
+        " for cid, _ in view[1]]", 0, PERCEPTION),
+    "perception-index-misses-move": (
+        BEHAVIOR, "        self._reindex()\n", "", 0, PERCEPTION),
     "venue-table-last-declared-wins": (
         GRID, "table.setdefault(tile, venue)", "table[tile] = venue", 0,
         WORLD),

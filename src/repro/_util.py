@@ -5,7 +5,8 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 # CPython's own BLAKE2: ``hashlib`` would load ``_hashlib`` and with it
-# OpenSSL's libcrypto for this one hash.
+# OpenSSL's libcrypto for the two hashes it serves (``stable_seed`` and
+# ``trace.generator.trace_fingerprint``).
 try:
     from _blake2 import blake2b
 except ImportError:  # pragma: no cover - built without it

@@ -100,7 +100,10 @@ def live_matches_lock_step(scn, n_agents: int, scheduler,
     result = sim.run(target_step=end, start_step=start)
 
     def state(model):
-        return [(a.pos, a.awake, a.activity, len(a.memory))
+        # The memory's contents, not its length: a stream holds at most
+        # 64 events, so a full one has the same length whatever it saw.
+        return [(a.pos, a.awake, a.activity, tuple(a.memory),
+                 a.memory.importance_since_reflection)
                 for a in model.agents]
 
     return state(ooo) == state(ref), result

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .._util import blake2b
 from ..config import STEPS_PER_DAY, DependencyConfig
 from ..errors import TraceError
 from ..scenarios import Scenario, get_scenario
@@ -25,26 +26,18 @@ from ..world.behavior import FUNC_INDEX
 from .io import load_trace, save_trace
 from .schema import Trace, TraceMeta, concat_traces
 
-# CPython's own SHA-256: ``hashlib`` would load ``_hashlib`` and with it
-# OpenSSL's libcrypto for this one hash.
-try:
-    from _sha2 import sha256  # 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256  # 3.11 and older
-    except ImportError:  # pragma: no cover - built without it
-        from hashlib import sha256
-
 #: Bump to invalidate cached traces when generation logic changes.
-GENERATOR_VERSION = 4
+GENERATOR_VERSION = 5
 
 _log = logging.getLogger("repro.trace")
 
 
 def trace_fingerprint(trace: Trace) -> str:
-    """16 hex digits of SHA-256 over the trace's arrays: the golden
-    tests pin it, which is what lets ``GENERATOR_VERSION`` stay put."""
-    digest = sha256()
+    """16 hex digits of BLAKE2b over the trace's arrays: the golden
+    tests pin it, which is what lets ``GENERATOR_VERSION`` stay put.
+    (The built-in BLAKE2b ``stable_seed`` uses: CPython's own SHA-256 is
+    about three times slower, and ``hashlib`` would load OpenSSL.)"""
+    digest = blake2b(digest_size=8)
     for arr in (trace.positions_by_step, trace.call_step, trace.call_agent,
                 trace.call_func, trace.call_in, trace.call_out):
         digest.update(arr.tobytes())
@@ -83,13 +76,14 @@ def generate_trace(n_agents: int | None = None,
             positions[step + 1:active + 1] = positions[step]
             step = active
             continue
-        calls = model.step_all(step)
         row = positions[step + 1]
         row[:] = positions[step]
-        for aid, agent in enumerate(model.agents):
-            if agent.pos != last[aid]:
-                row[aid] = last[aid] = agent.pos
-            for call in calls[aid]:
+        # Only the agents stepped can have moved or called.
+        for aid, chain in model.step_all(step).items():
+            pos = model.agents[aid].pos
+            if pos != last[aid]:
+                row[aid] = last[aid] = pos
+            for call in chain:
                 steps.append(step)
                 agents.append(aid)
                 funcs.append(FUNC_INDEX[call.func])

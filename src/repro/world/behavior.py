@@ -9,20 +9,38 @@ counts are calibrated against the paper's trace statistics (§4.1): about
 56.7k calls per 25-agent day, mean prompt 642.6 tokens, mean output 21.9
 tokens, a 12-1pm busy hour of ≈5k calls and a 6-7am quiet hour of ≈800.
 
-Cluster-safe execution contract
--------------------------------
+Step-start contract
+-------------------
+Perception reads every other agent as it stood when the step began,
+never as another cluster has left it: §3.2's rule that an agent never
+perceives another at a different simulation time. Each call snapshots
+the activity of the agents it steps before phase 1 (their positions are
+in the cell index, or in a cluster call's snapshot); anyone else does
+not change during the call, so its live state is its step-start state.
+An observer tests that state against its own post-move position.
+
 :meth:`BehaviorModel.step_agents` may be called with any subset of agents
 that is closed under the coupling relation (same step, distance <=
-``radius_p + max_vel``). All cross-agent reads (perception, conversation
-pairing) are restricted to the perception/chat radius, which the coupling
-threshold dominates, so executing one cluster at a time is equivalent to
-executing the full lock-step world — the property the OOO scheduler relies
-on, and which the integration tests verify end-to-end.
+``radius_p + max_vel``), and perceives only its members. That is exact: a
+non-member was more than ``radius_p + max_vel`` away at the step's start,
+so it is more than ``radius_p`` (>= :attr:`BehaviorModel.PERCEPTION_RADIUS`)
+from wherever the observer ends after moving at most ``max_vel``; the
+blocking rule gives the same bound for agents at other steps. Conversation
+pairing (radius 2) reads members after phase 1, inside the same bound.
+So any order of coupling-closed clusters, on any number of threads,
+leaves the world :meth:`BehaviorModel.step_all` leaves — the property the
+OOO scheduler relies on, and which ``tests/test_perception.py`` checks by
+running clusters in reverse and in random order.
+
+:meth:`BehaviorModel.step_all` finds an observer's candidates in a cell
+index over the agents' committed positions (cells as wide as the
+perception radius; the 3x3 block around the observer holds everyone in
+range), so one observation costs O(neighbours), not O(agents).
 
 A step visits only the members that are *up* — awake, in a conversation,
 or at their wake step — because a sleeper's step reads and writes nothing;
 the model keeps the first two on its roster (:class:`BehaviorModel`), so a
-lock-step call never reads an agent that is down. Phase 2 pairs only
+lock-step call never steps an agent that is down. Phase 2 pairs only
 members that are awake and free after phase 1.
 A *dwelling* step — awake, settled, before ``dwell_until``, inside its
 routine block, no reflection due — decides nothing either: it would draw
@@ -31,9 +49,10 @@ no number and write no field, so it returns before its stream is keyed.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .._util import FastRng, fast_rng_for, rng_for
 from ..config import STEPS_PER_DAY
@@ -53,6 +72,9 @@ FUNCS = (
 )
 FUNC_INDEX = {name: i for i, name in enumerate(FUNCS)}
 
+#: Offsets of the 3x3 block of index cells around an observer's cell.
+_BLOCK = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+
 #: Hard cap on prompt length (the original agents truncate context too).
 MAX_INPUT_TOKENS = 1600
 
@@ -64,6 +86,18 @@ class LLMCall:
     func: str
     input_tokens: int
     output_tokens: int
+
+
+class _StepStart(NamedTuple):
+    """What one call's perception reads (see the module docstring)."""
+
+    #: ``aid -> activity`` of each agent the call steps, taken before
+    #: phase 1.
+    activity: dict[int, str]
+    #: ``(aid, pos)`` of a cluster call's members before phase 1: its
+    #: candidates. None for a lock-step call, whose candidates come
+    #: from the cell index at their committed (step-start) positions.
+    members: list[tuple[int, tuple[int, int]]] | None
 
 
 class BehaviorModel:
@@ -78,6 +112,15 @@ class BehaviorModel:
     waking at a step are not on it yet: they come from a table of wake
     steps built once here. A deep copy of the model copies the roster
     once and every agent's reference to it through the memo.
+
+    The *cell index* (:attr:`_cells`) holds every agent's committed
+    position, the one it had when the index last read it, under the
+    agent's cell. Before a lock-step call reads it, :meth:`_reindex`
+    brings it up to every ``pos`` written since, whoever wrote it (the
+    model, a live worker, an outside caller), so within that call the
+    index holds everyone's step-start position. Cluster calls never
+    read it. Graph worlds index by node (a cell of side 1 is the
+    position itself).
     """
 
     #: Agents within this distance may strike up a conversation.
@@ -116,6 +159,14 @@ class BehaviorModel:
         self.roster: set[int] = set()
         #: Step-of-day -> ids of the agents waking then (read only).
         self._wakers: dict[int, set[int]] = {}
+        #: Side of an index cell: at least the perception radius.
+        self._side = max(1, math.ceil(self.PERCEPTION_RADIUS))
+        #: Each agent's index entry ``[id, committed position]``, the
+        #: ``pos`` object the index last read; the same list object sits
+        #: in its cell's list in :attr:`_cells`.
+        self._entries: list[list] = []
+        #: Cell -> the entries of the agents committed in it.
+        self._cells: dict[tuple[int, int], list[list]] = {}
         for persona in self.personas:
             home = world.venue(persona.home)
             rng = rng_for(seed, "spawn", persona.agent_id)
@@ -123,6 +174,9 @@ class BehaviorModel:
             agent = AgentState(persona=persona, pos=pos)
             agent._roster = self.roster
             self.agents.append(agent)
+            entry = [persona.agent_id, pos]
+            self._entries.append(entry)
+            self._cells.setdefault(self._cell(pos), []).append(entry)
             self._wakers.setdefault(persona.wake_step, set()).add(
                 persona.agent_id)
         #: The distinct wake steps, as steps of the day, in order.
@@ -135,15 +189,23 @@ class BehaviorModel:
     def step_all(self, step: int) -> dict[int, list[LLMCall]]:
         """Advance every agent one step (lock-step generation mode).
 
-        Steps the roster and the step's wakers and reads no other
-        agent: the whole population is requested, so nobody else can
-        be stepping at the same time."""
-        calls = {aid: [] for aid in range(len(self.agents))}
+        Steps the roster and the step's wakers and returns their calls,
+        a (possibly empty) list each, in id order. Anyone else was down:
+        it made no call, did not move and is not in the result. Of the
+        others it reads only each ``pos`` object, to keep the cell index
+        current, and the agents near an observer: the whole population
+        is requested, so nobody else can be stepping at the same
+        time."""
         up_ids = self.roster.union(
             self._wakers.get(step % STEPS_PER_DAY, ()))
-        if up_ids:
-            self._step_up(step, list(map(self.agents.__getitem__,
-                                         sorted(up_ids))), calls)
+        if not up_ids:
+            return {}
+        self._reindex()
+        ids = sorted(up_ids)
+        up = list(map(self.agents.__getitem__, ids))
+        calls = {aid: [] for aid in ids}
+        activity = {aid: agent.activity for aid, agent in zip(ids, up)}
+        self._step_up(step, up, calls, _StepStart(activity, None))
         return calls
 
     def step_agents(self, step: int,
@@ -155,22 +217,28 @@ class BehaviorModel:
         and a stepped agent's ``awake`` write adds or drops its id on
         the shared roster. So this tests each member with ``in`` and
         never iterates the set, which would raise on a concurrent
-        change of its size."""
+        change of its size. It reads no agent outside ``agent_ids`` and
+        never the cell index (module docstring)."""
         members = sorted(agent_ids)
         calls: dict[int, list[LLMCall]] = {aid: [] for aid in members}
+        agents = self.agents
         roster = self.roster
         wakers = self._wakers.get(step % STEPS_PER_DAY, ())
-        up = [self.agents[aid] for aid in members
+        up = [agents[aid] for aid in members
               if aid in roster or aid in wakers]
-        self._step_up(step, up, calls)
+        if up:
+            view = _StepStart({aid: agents[aid].activity for aid in members},
+                              [(aid, agents[aid].pos) for aid in members])
+            self._step_up(step, up, calls, view)
         return calls
 
     def _step_up(self, step: int, up: list[AgentState],
-                 calls: dict[int, list[LLMCall]]) -> None:
+                 calls: dict[int, list[LLMCall]], view: _StepStart) -> None:
         """One step of the members that are up, in agent-id order."""
         # Phase 1: solo decisions + movement, in agent-id order.
         for agent in up:
-            self._step_solo(step, agent.agent_id, calls[agent.agent_id])
+            self._step_solo(step, agent.agent_id, calls[agent.agent_id],
+                            view)
         # Phase 2: pairwise interactions (conversation starts) — symmetric,
         # keyed by the unordered pair so order cannot matter.
         self._maybe_start_conversations(step, up, calls)
@@ -191,7 +259,8 @@ class BehaviorModel:
     # solo behaviour
     # ------------------------------------------------------------------
 
-    def _step_solo(self, step: int, aid: int, out: list[LLMCall]) -> None:
+    def _step_solo(self, step: int, aid: int, out: list[LLMCall],
+                   view: _StepStart) -> None:
         agent = self.agents[aid]
         if agent.busy_chatting:
             self._conversation_turn(step, aid, out)
@@ -240,10 +309,10 @@ class BehaviorModel:
             self._move_toward_target(agent, rng)
             if rng.random() < 0.12:
                 out.append(self._call(rng, "observe_react", agent, step))
-                self._observe_surroundings(step, aid)
+                self._observe_surroundings(step, aid, view)
         else:
             agent.target_venue = None
-            self._act_in_place(step, agent, rng, out)
+            self._act_in_place(step, agent, rng, out, view)
 
         if self._reflection_due(agent, step):
             out.append(self._call(rng, "reflect_insight", agent, step))
@@ -274,8 +343,8 @@ class BehaviorModel:
             keywords=frozenset({"plan", agent.persona.archetype}),
             importance=0.5, tokens=60))
 
-    def _act_in_place(self, step: int, agent: AgentState,
-                      rng: FastRng, out: list[LLMCall]) -> None:
+    def _act_in_place(self, step: int, agent: AgentState, rng: FastRng,
+                      out: list[LLMCall], view: _StepStart) -> None:
         if step < agent.dwell_until:
             return
         out.append(self._call(rng, "action_decide", agent, step))
@@ -289,7 +358,7 @@ class BehaviorModel:
         # quiet-hour morning routines are slow, social blocks are lively.
         lo, hi = self._DWELL.get(agent.activity, (4, 12))
         agent.dwell_until = step + int(rng.integers(lo, hi))
-        self._observe_surroundings(step, agent.agent_id)
+        self._observe_surroundings(step, agent.agent_id, view)
         # Small chance of wandering within the venue.
         if rng.random() < 0.3:
             venue = self.world.venue_at(*agent.pos)
@@ -342,13 +411,60 @@ class BehaviorModel:
     # perception & conversations
     # ------------------------------------------------------------------
 
-    def _neighbors_within(self, aid: int, radius: float) -> list[int]:
-        """Other agents within ``radius`` of agent ``aid`` (any subset)."""
-        ax, ay = self.agents[aid].pos
-        reach = radius * radius
-        return [i for i, other in enumerate(self.agents)
-                if (dx := other.pos[0] - ax) * dx
-                + (dy := other.pos[1] - ay) * dy <= reach and i != aid]
+    def _cell(self, pos: tuple[int, int]) -> tuple[int, int]:
+        """The index cell of ``pos``: a square of side :attr:`_side`."""
+        return (pos[0] // self._side, pos[1] // self._side)
+
+    def _near(self, pos: tuple[int, int]) -> list[list]:
+        """The index entries ``[id, committed position]`` in the 3x3
+        block of cells around ``pos``: a cell is at least
+        :attr:`PERCEPTION_RADIUS` wide, so the block holds everyone in
+        reach."""
+        cells = self._cells
+        cx, cy = self._cell(pos)
+        return [entry for dx, dy in _BLOCK
+                for entry in cells.get((cx + dx, cy + dy), ())]
+
+    def _in_reach(self, pos: tuple[int, int], near: Iterable) -> list[int]:
+        """The ids of the ``(id, position)`` pairs (or index entries) in
+        ``near`` within :attr:`PERCEPTION_RADIUS` of ``pos``."""
+        x, y = pos
+        reach = self.PERCEPTION_RADIUS ** 2
+        return [cid for cid, (ox, oy) in near
+                if (dx := ox - x) * dx + (dy := oy - y) * dy <= reach]
+
+    def _reindex(self) -> None:
+        """Bring the index up to every ``pos`` written since the last
+        call: a write replaces the tuple, so one identity test per agent
+        finds them all. An entry moves only when its cell changed."""
+        agents, cells, side = self.agents, self._cells, self._side
+        for entry in [entry for agent, entry in zip(agents, self._entries)
+                      if agent.pos is not entry[1]]:
+            aid, old = entry
+            pos = entry[1] = agents[aid].pos
+            # ``_cell``, inlined: this runs for every move.
+            was, cell = (old[0] // side, old[1] // side), \
+                (pos[0] // side, pos[1] // side)
+            if cell != was:
+                cells[was].remove(entry)
+                cells.setdefault(cell, []).append(entry)
+
+    def _perceived(self, aid: int, view: _StepStart
+                   ) -> list[tuple[int, str]]:
+        """``(id, activity)`` of every other agent whose step-start
+        position is within reach of agent ``aid``'s position, in id
+        order. A cluster call's candidates are its members; a lock-step
+        call's are the agents in the index cells around the observer.
+        An agent the call steps has its snapshot activity, anyone else
+        its live one, which is its step-start one."""
+        pos = self.agents[aid].pos
+        activity, near = view
+        if near is None:
+            near = self._near(pos)
+        agents = self.agents
+        return [(cid, activity[cid] if cid in activity
+                 else agents[cid].activity)
+                for cid in sorted(self._in_reach(pos, near)) if cid != aid]
 
     def _chat_pairs(self, free: list[AgentState]
                     ) -> list[tuple[AgentState, AgentState]]:
@@ -373,14 +489,16 @@ class BehaviorModel:
         pairs.sort()
         return [(free[i], free[j]) for i, j in pairs]
 
-    def _observe_surroundings(self, step: int, aid: int) -> None:
-        """Write memory events about perceivable agents (radius <= 4)."""
-        agent = self.agents[aid]
-        for other_id in self._neighbors_within(aid, self.PERCEPTION_RADIUS):
-            other = self.agents[other_id]
+    def _observe_surroundings(self, step: int, aid: int,
+                              view: _StepStart) -> None:
+        """Write memory events about perceivable agents (radius <= 4), as
+        they stood at the step's start."""
+        agent, agents = self.agents[aid], self.agents
+        for other_id, activity in self._perceived(aid, view):
             agent.memory.add(MemoryEvent(
                 step=step, kind="observation",
-                keywords=frozenset({other.persona.name, other.activity}),
+                keywords=frozenset({agents[other_id].persona.name,
+                                    activity}),
                 importance=0.15, tokens=36))
 
     def _maybe_start_conversations(self, step: int, up: list[AgentState],

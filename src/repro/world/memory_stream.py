@@ -95,6 +95,10 @@ class MemoryStream:
     def __len__(self) -> int:
         return len(self._events)
 
+    def __iter__(self):
+        """The held events, oldest first."""
+        return iter(self._events)
+
     def add(self, event: MemoryEvent) -> None:
         self._events.append(event)
         self._added += 1

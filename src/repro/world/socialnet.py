@@ -157,12 +157,13 @@ class GraphPlanner:
 class SocialGraphBehavior(BehaviorModel):
     """The behavior loop measured in hop distance.
 
-    Overrides only geometry: one-hop movement along BFS routes, and
-    neighbour/conversation predicates through the scenario's
-    :class:`~repro.core.space.GraphSpace`. Perception and chat both use
-    radius 1 (direct neighbours) — within ``radius_p``, so cross-agent
-    reads stay cluster-safe under ``DependencyConfig(radius_p=1,
-    max_vel=1, metric="graph")``.
+    Overrides only geometry: one-hop movement along BFS routes, the
+    perception index keyed by node, and neighbour/conversation predicates
+    through the scenario's :class:`~repro.core.space.GraphSpace`.
+    Perception and chat both use radius 1 (direct neighbours) — within
+    ``radius_p``, so cross-agent reads stay cluster-safe under
+    ``DependencyConfig(radius_p=1, max_vel=1, metric="graph")``. Like the
+    grid model, perception reads the step-start state.
     """
 
     CHAT_RADIUS = 1.0
@@ -178,12 +179,16 @@ class SocialGraphBehavior(BehaviorModel):
 
     # -- geometry overrides -------------------------------------------------
 
-    def _neighbors_within(self, aid: int, radius: float) -> list[int]:
-        pos = self.agents[aid].pos
-        dist = self.space.dist
-        return [other.agent_id for other in self.agents
-                if other.agent_id != aid
-                and dist(pos, other.pos) <= radius]
+    def _near(self, pos):
+        """Cells of side 1 are nodes: with radius 1, an observer's
+        candidates are on its node and its neighbours'."""
+        cells = self._cells
+        return [entry for node in (pos[0], *self.world.adjacency[pos[0]])
+                for entry in cells.get((node, 0), ())]
+
+    def _in_reach(self, pos, near):
+        dist, reach = self.space.dist, self.PERCEPTION_RADIUS
+        return [cid for cid, other in near if dist(pos, other) <= reach]
 
     def _chat_pairs(self, free):
         dist, reach = self.space.dist, self.CHAT_RADIUS

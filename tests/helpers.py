@@ -5,15 +5,17 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 from collections import deque
 from contextlib import contextmanager
 
 import numpy as np
 
 from repro._util import FastRng, UnionFind
-from repro.config import STEPS_PER_DAY, FaultPolicy
+from repro.config import STEPS_PER_DAY, DependencyConfig, FaultPolicy
 from repro.core.space import GraphSpace
 from repro.errors import WorldError
+from repro.scenarios import get_scenario
 from repro.serving import engine as serving_engine
 from repro.serving.memory import KVCacheManager
 from repro.serving.perfmodel import MFU_PREFILL
@@ -424,15 +426,64 @@ def reference_ranking(events, now_step: int,
     return sorted(events, key=lambda e: -score(e))
 
 
+def memory_contents(agent) -> tuple:
+    """An agent's memory as a comparable value: every held event (step,
+    kind, keywords, importance, tokens) and the importance summed since
+    the last reflection. Its length alone says nothing once the stream
+    is full (64 events)."""
+    return tuple(agent.memory), agent.memory.importance_since_reflection
+
+
 def agent_snapshot(agent) -> tuple:
     """Every field of an ``AgentState`` a step may change, comparable
-    across deep copies (the memory by its length and reflection sum)."""
+    across deep copies (the memory by its contents)."""
     conv = agent.conv_state
     return (agent.pos, agent.target_venue, agent.target_tile, agent.awake,
             agent.activity, agent.conversation,
-            conv and (conv.partner, conv.freeze_left), len(agent.memory),
-            agent.memory.importance_since_reflection, agent.dwell_until,
-            agent.last_reflection)
+            conv and (conv.partner, conv.freeze_left), memory_contents(agent),
+            agent.dwell_until, agent.last_reflection)
+
+
+def live_state(model) -> list[tuple]:
+    """What the live-vs-lock-step tests compare: each agent's position,
+    ``awake``, activity and memory contents."""
+    return [(a.pos, a.awake, a.activity, memory_contents(a))
+            for a in model.agents]
+
+
+def step_start(model) -> dict:
+    """``aid -> (pos, activity)`` of every agent: the state a step's
+    perception must read when taken before the step."""
+    return {a.agent_id: (a.pos, a.activity) for a in model.agents}
+
+
+def coupling_components(model, scenario: str) -> list[list[int]]:
+    """The agents' coupling clusters now: pairs within ``radius_p +
+    max_vel`` in the scenario's metric, closed; each sorted, in order of
+    their lowest id."""
+    dep = get_scenario(scenario).dependency_config or DependencyConfig()
+    reach = dep.radius_p + dep.max_vel
+    dist = model.space.dist if dep.metric == "graph" else math.dist
+    uf = UnionFind(len(model.agents))
+    for a in model.agents:
+        for b in model.agents[a.agent_id + 1:]:
+            if dist(a.pos, b.pos) <= reach:
+                uf.union(a.agent_id, b.agent_id)
+    return list(uf.groups(range(len(model.agents))))
+
+
+def reference_perceived(model, aid: int, start: dict) -> list[tuple]:
+    """The scan the perception index replaces: ``(id, activity)`` of
+    every other agent whose position in ``start`` (:func:`step_start`,
+    taken before the step) lies within the model's perception radius of
+    agent ``aid``'s position now, by the model's metric, in id order."""
+    pos = model.agents[aid].pos
+    space = getattr(model, "space", None)  # graph worlds: hop distance
+    dist = math.dist if space is None else space.dist
+    return [(other, activity)
+            for other, (other_pos, activity) in sorted(start.items())
+            if other != aid
+            and dist(pos, other_pos) <= model.PERCEPTION_RADIUS]
 
 
 def reference_up(model, step: int, members) -> list:

@@ -23,7 +23,7 @@ from repro.core.parallel import try_parallel_replay
 from repro.trace.generator import generate_scale_trace
 from repro.world import BehaviorModel, build_smallville, make_personas
 
-from helpers import per_agent_sequences
+from helpers import memory_contents, per_agent_sequences
 from test_golden_replay import InProcessPool, counters
 
 
@@ -35,7 +35,7 @@ def _model(n_agents, seed):
 
 def _world_fingerprint(model):
     return [(a.pos, a.awake, a.activity, a.conversation,
-             a.dwell_until, len(a.memory)) for a in model.agents]
+             a.dwell_until, memory_contents(a)) for a in model.agents]
 
 
 def _run_lockstep(n_agents, seed, start, steps):

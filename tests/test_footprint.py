@@ -3,7 +3,7 @@
 ``numpy.random`` and ``hashlib``'s ``_hashlib`` (which maps OpenSSL's
 libcrypto) are ≈6 MiB of a small run's peak RSS. The world draws its
 seeded model-build numbers from ``_util.Pcg64`` and hashes with
-CPython's own ``_blake2`` / ``_sha2`` (``_sha256`` before 3.12), and
+CPython's own ``_blake2``, and
 the worker pool hands its forked workers the position store without
 ``multiprocessing.shared_memory`` (which imports ``secrets`` and with
 it ``hashlib``), so a cold set-up, a replay, a two-worker replay and a

@@ -12,6 +12,8 @@ from repro.live import EchoLLMClient, LiveSimulation, ThrottledLLMClient
 from repro.live.environment import BehaviorProgram
 from repro.world import BehaviorModel, build_smallville, make_personas
 
+from helpers import live_state
+
 
 def _program(n_agents=5, seed=4):
     world, homes = build_smallville()
@@ -202,15 +204,12 @@ class TestLiveSimulation:
         ref = _program(n_agents=6, seed=9)
         for step in range(target):
             ref.model.step_all(step)
-        ref_state = [(a.pos, a.awake, a.activity, len(a.memory))
-                     for a in ref.model.agents]
+        ref_state = live_state(ref.model)
 
         ooo = _program(n_agents=6, seed=9)
         sim = LiveSimulation(ooo, EchoLLMClient(), num_workers=workers)
         sim.run(target_step=target)
-        ooo_state = [(a.pos, a.awake, a.activity, len(a.memory))
-                     for a in ooo.model.agents]
-        assert ooo_state == ref_state
+        assert live_state(ooo.model) == ref_state
 
     def test_equivalence_with_wallclock_latency(self):
         """Racy timing (ThrottledLLMClient) must not change the outcome."""

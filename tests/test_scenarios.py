@@ -24,6 +24,8 @@ from repro.scenarios import (REGISTRY, Scenario, ScenarioRegistry,
                              get_scenario, scenario_names)
 from repro.trace import generate_trace
 
+from helpers import live_state, memory_contents
+
 ALL_SCENARIOS = scenario_names()
 
 
@@ -124,7 +126,7 @@ def _run_lockstep(model, start, steps):
     for step in range(start + steps):
         model.step_all(step)
     return [(a.pos, a.awake, a.activity, a.conversation, a.dwell_until,
-             len(a.memory)) for a in model.agents]
+             memory_contents(a)) for a in model.agents]
 
 
 def _run_adversarial_ooo(model, start, steps, order_seed, rules=None):
@@ -174,7 +176,7 @@ def _run_adversarial_ooo(model, start, steps, order_seed, rules=None):
             if graph.step[aid] >= target:
                 done.add(aid)
     return [(a.pos, a.awake, a.activity, a.conversation, a.dwell_until,
-             len(a.memory)) for a in model.agents]
+             memory_contents(a)) for a in model.agents]
 
 
 class TestOOOEquivalenceAllScenarios:
@@ -205,8 +207,7 @@ class TestOOOEquivalenceAllScenarios:
         ref_model = scn.model(self.N_AGENTS, self.SEED)
         for step in range(target):
             ref_model.step_all(step)
-        ref = [(a.pos, a.awake, a.activity, len(a.memory))
-               for a in ref_model.agents]
+        ref = live_state(ref_model)
 
         program = program_for_scenario(name, self.N_AGENTS, self.SEED)
         for step in range(start):
@@ -215,9 +216,7 @@ class TestOOOEquivalenceAllScenarios:
                              scheduler=SchedulerConfig(scenario=name),
                              num_workers=4)
         sim.run(target_step=target, start_step=start)
-        ooo = [(a.pos, a.awake, a.activity, len(a.memory))
-               for a in program.model.agents]
-        assert ooo == ref
+        assert live_state(program.model) == ref
 
     @pytest.mark.parametrize("name", ALL_SCENARIOS)
     def test_live_lockstep_policy_matches_too(self, name):
@@ -238,8 +237,7 @@ class TestOOOEquivalenceAllScenarios:
                                       scenario=name),
             num_workers=2)
         sim.run(target_step=target, start_step=start)
-        assert ([a.pos for a in program.model.agents]
-                == [a.pos for a in ref_model.agents])
+        assert live_state(program.model) == live_state(ref_model)
 
 
 class TestMetropolisWins:

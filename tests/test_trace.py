@@ -446,26 +446,27 @@ class TestScaleTrace:
         assert np.array_equal(again[..., 1], first[..., 1])
 
 
-#: ``trace_fingerprint`` of ``generate_trace(None, n_steps, seed, name)``
-#: as PR 19 generated it (taken before PR 20 touched the world model):
-#: scenario -> {(seed, n_steps): fingerprint}. Seed 1003 x 2,420 is the
-#: sleeping night and the wake-up, seed 7 x 4,700 adds walks, lunch
-#: conversations and reflections, seed 0 x 8,640 is the full day. A
-#: change that moves one of them must bump ``GENERATOR_VERSION`` (every
-#: cached trace goes stale) and re-pin; a speed-up must not.
+#: ``trace_fingerprint`` (BLAKE2b) of ``generate_trace(None, n_steps,
+#: seed, name)`` as generator version 5 generates it (perception reads
+#: the step-start world): scenario -> {(seed, n_steps): fingerprint}.
+#: Seed 1003 x 2,420 is the sleeping night and the wake-up, seed 7 x
+#: 4,700 adds walks, lunch conversations and reflections, seed 0 x 8,640
+#: is the full day. A change that moves one of them must bump
+#: ``GENERATOR_VERSION`` (every cached trace goes stale) and re-pin; a
+#: speed-up must not.
 GOLDEN = {
-    "smallville": {(1003, 2420): "0b13b3d323b041d9",
-                   (7, 4700): "129d42bf11a161b1",
-                   (0, 8640): "0b528712776eb93f"},
-    "social-graph": {(1003, 2420): "37b33414ba09b6a8",
-                     (7, 4700): "abe914e19a61d963",
-                     (0, 8640): "1fb4d509c86ae46c"},
-    "metro-grid": {(1003, 2420): "5ac2709956461619",
-                   (7, 4700): "6dc10235e4db2a93",
-                   (0, 8640): "ac31722cc6e610a8"},
-    "market-town": {(1003, 2420): "01904c283e93c283",
-                    (7, 4700): "a1795d54ccb8d9a2",
-                    (0, 8640): "3183baed68c465e9"},
+    "smallville": {(1003, 2420): "2b014656576e3b52",
+                   (7, 4700): "5f6f9ddbe7861bd1",
+                   (0, 8640): "e30bbd5e0627f9f6"},
+    "social-graph": {(1003, 2420): "6040779368be9337",
+                     (7, 4700): "5f1d0a32c8bf4b52",
+                     (0, 8640): "266821d265ffebf3"},
+    "metro-grid": {(1003, 2420): "8f8d239a0350636b",
+                   (7, 4700): "8cd1e09f35d9f0c7",
+                   (0, 8640): "6528013495413b35"},
+    "market-town": {(1003, 2420): "27acac742357729e",
+                    (7, 4700): "990ae2426563b042",
+                    (0, 8640): "474ac883e3291255"},
 }
 
 
@@ -477,7 +478,7 @@ class TestGoldenFingerprints:
         assert trace_fingerprint(trace) == GOLDEN[name][seed, n_steps]
 
     def test_pinned_for_this_generator_version(self):
-        assert GENERATOR_VERSION == 4
+        assert GENERATOR_VERSION == 5
         assert sorted(GOLDEN) == sorted(scenario_names())
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -572,7 +573,7 @@ class TestTraceIO:
                                                 tmp_path):
         def older(arrays):
             arrays["generator_version"] = np.asarray(GENERATOR_VERSION - 1)
-        with pytest.raises(TraceError, match="generator_version 3 "):
+        with pytest.raises(TraceError, match="generator_version 4 "):
             _edited_npz(synthetic_trace, tmp_path, older)
 
     def test_tampered_arrays_are_refused(self, synthetic_trace, tmp_path):

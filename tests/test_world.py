@@ -23,10 +23,12 @@ from repro.world.memory_stream import MemoryEvent, MemoryStream
 from repro.world.pathfind import PathPlanner
 from repro.world.persona import SOCIAL_VENUES
 
-from helpers import (agent_snapshot, is_dwelling, reference_astar,
+from helpers import (agent_snapshot, coupling_components, is_dwelling,
+                     reference_astar,
                      reference_chat_pairs, reference_distance_field,
-                     reference_ranking, reference_stable_seed,
-                     reference_up, reference_venue_at)
+                     reference_perceived, reference_ranking,
+                     reference_stable_seed, reference_up,
+                     reference_venue_at, step_start)
 
 GRID_SCENARIOS = [name for name in scenario_names()
                   if get_scenario(name).metric != "graph"]
@@ -751,18 +753,29 @@ class TestSleepersSkipped:
             for cluster in clusters:
                 rnd.shuffle(cluster)
                 calls.update(ooo.step_agents(step, cluster))
-            assert calls == lock.step_all(step)
+            stepped = lock.step_all(step)  # only the agents up
+            assert calls == {aid: stepped.get(aid, []) for aid in calls}
             assert _snapshots(ooo) == _snapshots(lock)
         assert sum(a.awake for a in lock.agents) > 5
 
 
-def _reference_step(model, step, agent_ids):
+def _reference_step(model, step, agent_ids, lock_step=False):
     """``step_agents`` with its members picked by the scan the roster
-    replaced (:func:`helpers.reference_up`)."""
+    replaced (:func:`helpers.reference_up`); with ``lock_step``, keyed as
+    ``step_all`` keys its result: the agents stepped only."""
     members = sorted(agent_ids)
-    calls = {aid: [] for aid in members}
-    model._step_up(step, reference_up(model, step, members), calls)
+    up = reference_up(model, step, members)
+    calls = {a.agent_id: [] for a in up} if lock_step else \
+        {aid: [] for aid in members}
+    model._step_up(step, up, calls, _cluster_view(model, members))
     return calls
+
+
+def _cluster_view(model, members):
+    """The view ``step_agents`` takes of ``members`` before phase 1."""
+    agents = model.agents
+    return behavior._StepStart({aid: agents[aid].activity for aid in members},
+                               [(aid, agents[aid].pos) for aid in members])
 
 
 def _assert_roster_exact(model):
@@ -788,20 +801,6 @@ def _warmed(scenario):
             saved[step] = copy.deepcopy(model)
         model.step_all(step)
     return saved
-
-
-def _coupled_clusters(model, scenario):
-    """The agents' coupling clusters at one step: pairs within
-    ``radius_p + max_vel`` in the scenario's metric, closed."""
-    dep = get_scenario(scenario).dependency_config or DependencyConfig()
-    reach = dep.radius_p + dep.max_vel
-    dist = model.space.dist if dep.metric == "graph" else math.dist
-    uf = UnionFind(len(model.agents))
-    for a in model.agents:
-        for b in model.agents[a.agent_id + 1:]:
-            if dist(a.pos, b.pos) <= reach:
-                uf.union(a.agent_id, b.agent_id)
-    return list(uf.groups(range(len(model.agents))))
 
 
 #: A step of the whole world, a step of it split into coupling-closed
@@ -830,7 +829,8 @@ class TestRoster:
         fell_asleep = 0
         for step in range(_CHECKPOINTS[-1], STEPS_PER_DAY + 10):
             before = len(model.roster)
-            assert model.step_all(step) == _reference_step(twin, step, ids)
+            assert model.step_all(step) == \
+                _reference_step(twin, step, ids, lock_step=True)
             assert _snapshots(model) == _snapshots(twin)
             _assert_roster_exact(model)
             fell_asleep += len(model.roster) < before
@@ -858,11 +858,10 @@ class TestRoster:
         real = BehaviorModel._step_solo
         monkeypatch.setattr(
             BehaviorModel, "_step_solo",
-            lambda self, step, aid, out: solo.append(aid)
-            or real(self, step, aid, out))
+            lambda self, step, aid, out, view: solo.append(aid)
+            or real(self, step, aid, out, view))
         first_wake = min(model._wake_steps)
-        calls = model.step_all(0)
-        assert len(calls) == 10_000 and not any(calls.values())
+        assert model.step_all(0) == {}
         assert model.next_active_step(1) == first_wake
         assert solo == [] and reads == []
         model.step_all(first_wake)
@@ -913,7 +912,7 @@ class TestRoster:
                 groups = [range(len(model.agents))]
             else:  # coupling-closed subsets: unions of whole clusters
                 rnd = random.Random(op[1])
-                clusters = _coupled_clusters(model, scenario)
+                clusters = coupling_components(model, scenario)
                 rnd.shuffle(clusters)
                 cuts = sorted(rnd.sample(range(1, len(clusters) + 1),
                                          rnd.randint(1, len(clusters))))
@@ -924,7 +923,8 @@ class TestRoster:
                     got = model.step_all(step)
                 else:
                     got = model.step_agents(step, group)
-                assert got == _reference_step(twin, step, group)
+                assert got == _reference_step(twin, step, group,
+                                              lock_step=op[0] == "all")
                 _assert_roster_exact(model)
             assert _snapshots(model) == _snapshots(twin)
             step += 1
@@ -980,16 +980,42 @@ class TestChatPairSweep:
 
 
 class TestNeighborsWithin:
-    def test_equals_the_scan_in_id_order(self):
-        model = _warm_model(2600)
+    """At lunch, through the cell index (a lock-step view) and through a
+    cluster of everyone, perception equals the scan of the step-start
+    state; and someone is seen."""
+
+    def _check(self, scenario):
+        model = copy.deepcopy(_warmed(scenario)[4300])
+        model._reindex()
+        start = step_start(model)
+        everyone = _cluster_view(model, range(len(model.agents)))
+        indexed = behavior._StepStart({}, None)
         for a in model.agents:
-            for radius in (0.0, 2.0, 4.0, 40.0):
-                want = [b.agent_id for b in model.agents if b is not a
-                        and (a.pos[0] - b.pos[0]) ** 2
-                        + (a.pos[1] - b.pos[1]) ** 2 <= radius ** 2]
-                assert model._neighbors_within(a.agent_id, radius) == want
-        assert any(model._neighbors_within(a.agent_id, 40.0)
+            want = reference_perceived(model, a.agent_id, start)
+            assert model._perceived(a.agent_id, indexed) == want
+            assert model._perceived(a.agent_id, everyone) == want
+        assert any(model._perceived(a.agent_id, indexed)
                    for a in model.agents)
+
+    def test_equals_the_scan_in_id_order(self):
+        self._check("smallville")
+
+    def test_graph_world_equals_the_hop_scan(self):
+        self._check("social-graph")
+
+    def test_the_radius_is_inclusive(self):
+        """Exactly ``PERCEPTION_RADIUS`` away is seen, one tile past it
+        (across a cell edge) is not, through either view."""
+        model = _make_model(n_agents=4)
+        spots = [(50, 50), (54, 50), (54, 51), (52, 53)]  # d^2 16, 17, 13
+        for agent, pos in zip(model.agents, spots):
+            agent.pos = pos
+        model._reindex()
+        start = step_start(model)
+        want = [(1, start[1][1]), (3, start[3][1])]
+        for view in (_cluster_view(model, range(len(model.agents))),
+                     behavior._StepStart({}, None)):
+            assert model._perceived(0, view) == want
 
 
 class TestVenueTable:
