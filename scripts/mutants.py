@@ -279,8 +279,8 @@ MUTANTS = {
     "neighbors-strict-radius": (
         BEHAVIOR, "* dy <= reach]", "* dy < reach]", 0, WORLD),
     "perception-reads-live-state": (
-        BEHAVIOR, "activity, near = view",
-        "activity, near = {}, view[1] and [(cid, self.agents[cid].pos)"
+        BEHAVIOR, "before, near = view",
+        "before, near = {}, view[1] and [(cid, self.agents[cid].pos)"
         " for cid, _ in view[1]]", 0, PERCEPTION),
     "perception-index-misses-move": (
         BEHAVIOR, "        self._reindex()\n", "", 0, PERCEPTION),

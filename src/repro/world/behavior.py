@@ -13,11 +13,12 @@ Step-start contract
 -------------------
 Perception reads every other agent as it stood when the step began,
 never as another cluster has left it: §3.2's rule that an agent never
-perceives another at a different simulation time. Each call snapshots
-the activity of the agents it steps before phase 1 (their positions are
-in the cell index, or in a cluster call's snapshot); anyone else does
-not change during the call, so its live state is its step-start state.
-An observer tests that state against its own post-move position.
+perceives another at a different simulation time. A cluster call
+snapshots its members' positions before phase 1 (a lock-step call finds
+them in the cell index), and each stepped agent keeps its activity
+aside before its decision can change it; anyone else does not change
+during the call, so its live state is its step-start state. An observer
+tests that state against its own post-move position.
 
 :meth:`BehaviorModel.step_agents` may be called with any subset of agents
 that is closed under the coupling relation (same step, distance <=
@@ -91,9 +92,9 @@ class LLMCall:
 class _StepStart(NamedTuple):
     """What one call's perception reads (see the module docstring)."""
 
-    #: ``aid -> activity`` of each agent the call steps, taken before
-    #: phase 1.
-    activity: dict[int, str]
+    #: ``aid -> activity`` at the step's start of each agent the call
+    #: steps that reached a decision, kept before it could change.
+    before: dict[int, str]
     #: ``(aid, pos)`` of a cluster call's members before phase 1: its
     #: candidates. None for a lock-step call, whose candidates come
     #: from the cell index at their committed (step-start) positions.
@@ -204,8 +205,7 @@ class BehaviorModel:
         ids = sorted(up_ids)
         up = list(map(self.agents.__getitem__, ids))
         calls = {aid: [] for aid in ids}
-        activity = {aid: agent.activity for aid, agent in zip(ids, up)}
-        self._step_up(step, up, calls, _StepStart(activity, None))
+        self._step_up(step, up, calls, _StepStart({}, None))
         return calls
 
     def step_agents(self, step: int,
@@ -227,9 +227,8 @@ class BehaviorModel:
         up = [agents[aid] for aid in members
               if aid in roster or aid in wakers]
         if up:
-            view = _StepStart({aid: agents[aid].activity for aid in members},
-                              [(aid, agents[aid].pos) for aid in members])
-            self._step_up(step, up, calls, view)
+            self._step_up(step, up, calls, _StepStart(
+                {}, [(aid, agents[aid].pos) for aid in members]))
         return calls
 
     def _step_up(self, step: int, up: list[AgentState],
@@ -277,6 +276,9 @@ class BehaviorModel:
                 and not self._reflection_due(agent, step)):
             return
         rng = fast_rng_for(self.seed, "beh", aid, step)
+        # What follows may change the activity; observers read the one
+        # the step started with.
+        view.before[aid] = agent.activity
 
         # Sleep/wake edges.
         if not agent.awake:
@@ -455,15 +457,14 @@ class BehaviorModel:
         position is within reach of agent ``aid``'s position, in id
         order. A cluster call's candidates are its members; a lock-step
         call's are the agents in the index cells around the observer.
-        An agent the call steps has its snapshot activity, anyone else
+        An agent kept in ``view.before`` has that activity, anyone else
         its live one, which is its step-start one."""
         pos = self.agents[aid].pos
-        activity, near = view
+        before, near = view
         if near is None:
             near = self._near(pos)
         agents = self.agents
-        return [(cid, activity[cid] if cid in activity
-                 else agents[cid].activity)
+        return [(cid, before[cid] if cid in before else agents[cid].activity)
                 for cid in sorted(self._in_reach(pos, near)) if cid != aid]
 
     def _chat_pairs(self, free: list[AgentState]

@@ -14,9 +14,10 @@ coupling/blocking texture the grid worlds have, measured in hops.
 
 :class:`SocialGraphBehavior` reuses the full
 :class:`~repro.world.behavior.BehaviorModel` decision loop (schedules,
-conversations, reflection, the calibrated token model); only movement
-and the distance predicates are overridden, so OOO equivalence rests on
-exactly the same counter-based-RNG discipline the grid worlds use.
+conversations, reflection, the calibrated token model); only movement,
+the distance predicates and the perception index's neighbourhood are
+overridden, so OOO equivalence rests on exactly the same counter-based-RNG
+discipline and step-start perception the grid worlds use.
 """
 
 from __future__ import annotations

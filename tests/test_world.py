@@ -773,9 +773,8 @@ def _reference_step(model, step, agent_ids, lock_step=False):
 
 def _cluster_view(model, members):
     """The view ``step_agents`` takes of ``members`` before phase 1."""
-    agents = model.agents
-    return behavior._StepStart({aid: agents[aid].activity for aid in members},
-                               [(aid, agents[aid].pos) for aid in members])
+    return behavior._StepStart(
+        {}, [(aid, model.agents[aid].pos) for aid in members])
 
 
 def _assert_roster_exact(model):
