@@ -267,8 +267,8 @@ MUTANTS = {
     "roster-misses-outside-write": (
         AGENT, "if roster is not None:", "if False:", 0, WORLD),
     "roster-keeps-sleeper": (
-        BEHAVIOR, "agent.awake = False\n                agent.activity",
-        "agent._awake = False\n                agent.activity", 0, WORLD),
+        BEHAVIOR, "agent.awake = False\n                self._set_activity",
+        "agent._awake = False\n                self._set_activity", 0, WORLD),
     "chat-sweep-breaks-at-limit": (
         BEHAVIOR, "if bx > limit:", "if bx >= limit:", 0, WORLD),
     "chat-pairs-unsorted": (

@@ -15,10 +15,10 @@ Perception reads every other agent as it stood when the step began,
 never as another cluster has left it: §3.2's rule that an agent never
 perceives another at a different simulation time. A cluster call
 snapshots its members' positions before phase 1 (a lock-step call finds
-them in the cell index), and each stepped agent keeps its activity
-aside before its decision can change it; anyone else does not change
-during the call, so its live state is its step-start state. An observer
-tests that state against its own post-move position.
+them in the cell index), and a stepped agent's activity is kept aside
+when the step first changes it; anything else an observer reads has not
+changed during the call, so its live state is its step-start state. An
+observer tests that state against its own post-move position.
 
 :meth:`BehaviorModel.step_agents` may be called with any subset of agents
 that is closed under the coupling relation (same step, distance <=
@@ -92,8 +92,8 @@ class LLMCall:
 class _StepStart(NamedTuple):
     """What one call's perception reads (see the module docstring)."""
 
-    #: ``aid -> activity`` at the step's start of each agent the call
-    #: steps that reached a decision, kept before it could change.
+    #: ``aid -> activity`` at the step's start of each agent whose
+    #: activity the call changed (:meth:`BehaviorModel._set_activity`).
     before: dict[int, str]
     #: ``(aid, pos)`` of a cluster call's members before phase 1: its
     #: candidates. None for a lock-step call, whose candidates come
@@ -276,30 +276,27 @@ class BehaviorModel:
                 and not self._reflection_due(agent, step)):
             return
         rng = fast_rng_for(self.seed, "beh", aid, step)
-        # What follows may change the activity; observers read the one
-        # the step started with.
-        view.before[aid] = agent.activity
 
         # Sleep/wake edges.
         if not agent.awake:
             if day_step == persona.wake_step:
-                self._wake(step, agent, rng, out)
+                self._wake(step, agent, rng, out, view)
             return
         if day_step >= persona.sleep_step and not agent.busy_chatting:
             if agent.activity != "heading home":
-                agent.activity = "heading home"
+                self._set_activity(agent, "heading home", view)
                 agent.target_venue = persona.home
                 agent.target_tile = None
             if self._arrived(agent):
                 agent.awake = False
-                agent.activity = "sleeping"
+                self._set_activity(agent, "sleeping", view)
                 agent.target_venue = None
                 return
 
         # Follow the schedule: retarget when the routine block changes.
         block = persona.block_at(day_step)
         if block.activity != "sleeping" and agent.activity != block.activity:
-            agent.activity = block.activity
+            self._set_activity(agent, block.activity, view)
             if block.venue != self._current_venue_name(agent):
                 agent.target_venue = block.venue
                 agent.target_tile = None
@@ -333,10 +330,18 @@ class BehaviorModel:
         return (agent.memory.importance_since_reflection > 12.0
                 and step - agent.last_reflection > 180)
 
+    @staticmethod
+    def _set_activity(agent: AgentState, activity: str,
+                      view: _StepStart) -> None:
+        """Change the activity, keeping the one the agent started the
+        step with on ``view`` for observers later in the step."""
+        view.before.setdefault(agent.agent_id, agent.activity)
+        agent.activity = activity
+
     def _wake(self, step: int, agent: AgentState, rng: FastRng,
-              out: list[LLMCall]) -> None:
+              out: list[LLMCall], view: _StepStart) -> None:
         agent.awake = True
-        agent.activity = "morning routine"
+        self._set_activity(agent, "morning routine", view)
         out.append(self._call(rng, "daily_plan", agent, step))
         for _ in range(int(rng.integers(3, 7))):
             out.append(self._call(rng, "wake_routine", agent, step))
