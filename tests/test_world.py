@@ -2,7 +2,6 @@
 memory stream, behavior loop and conversations."""
 
 import copy
-import math
 import random
 from collections import deque
 from functools import lru_cache
@@ -13,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import _util
 from repro._util import FastRng, UnionFind, fast_rng_for, rng_for, stable_seed
-from repro.config import STEPS_PER_DAY, DependencyConfig
+from repro.config import STEPS_PER_DAY
 from repro.errors import WorldError
 from repro.scenarios import get_scenario, scenario_names
 from repro.world import (BehaviorModel, GridWorld, Venue, behavior,
