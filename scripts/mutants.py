@@ -60,9 +60,10 @@ COMPARE = "row[local[nb]] if comp[nb] == ca else inf"
 #: name -> ((site, ...), tests) with each site a (file, old text, new
 #: text, which occurrence), patched in order. The
 #: hop-row lane: the commit writes the node index wherever it writes
-#: ``pos[aid]``, and the three sites a cross-component pair can reach
-#: (the band scan, ``dist_within`` and ``within``) compare components
-#: before reading a row; ``within`` keeps its radius inclusive. The
+#: ``pos[aid]``, the three sites a cross-component pair can reach (the
+#: band scan, ``dist`` and ``within``) compare components before reading
+#: a row, ``within`` keeps its radius inclusive, and a row widens with
+#: its component. The
 #: off-grid cell lane: a mover's cell and every initial cell come from
 #: ``Space.bucket``, a mover drops its cached window keys, and a space
 #: without cells is refused. The one-call round:
@@ -120,6 +121,9 @@ MUTANTS = {
     "within-strict-radius": (
         SPACE, "return row[lb[4]] <= radius", "return row[lb[4]] < radius",
         0, GRAPH_SPACE),
+    "hop-row-one-byte": (
+        SPACE, 'code = "B" if size <= 256 else "H" if size <= 1 << 16 else "I"',
+        'code = "B"', 0, GRAPH_SPACE),
     "off-grid-mover-keeps-old-cell": (
         GRAPH, "nc = bucket(new_p, cell)", "nc = oc", 0, GRAPH_SPACE),
     "mover-keeps-window-keys": (

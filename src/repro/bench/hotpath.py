@@ -43,6 +43,7 @@ the report.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from pathlib import Path
 
@@ -204,8 +205,8 @@ def bench_scale_one(scenario: str, n_agents: int,
     ``peak_rss_mb`` is this cell's own high-water RSS, trace generation
     included: the mark is reset before the cell where the platform
     allows (:func:`_reset_peak_rss`), so it starts from what the process
-    still holds (earlier cells' caches included). It counts this
-    process only. ``bytes_per_agent`` is that mark over the cell's
+    still holds (under :func:`run_scale`, a fresh process per cell). It
+    counts this process only. ``bytes_per_agent`` is that mark over the cell's
     agents (report only, no gate). The mark is split in two:
     ``generation_peak_rss_mb`` up to the built trace, then, reset
     again, ``run_peak_rss_mb`` over the replay alone (what the process
@@ -243,6 +244,50 @@ def bench_scale_one(scenario: str, n_agents: int,
     return entry
 
 
+def _scale_cell_main(conn, args: tuple, kwargs: dict) -> None:
+    """A cell process: one :func:`bench_scale_one` entry (or the error)
+    back through ``conn``."""
+    try:
+        conn.send((True, bench_scale_one(*args, **kwargs)))
+    except BaseException as exc:
+        conn.send((False, f"{type(exc).__name__}: {exc}"))
+    finally:
+        conn.close()
+
+
+def bench_scale_isolated(*args, **kwargs) -> dict:
+    """:func:`bench_scale_one` in a fresh process of its own.
+
+    The process is forked from one that has run no cell, so no earlier
+    cell's caches (a scenario's ``GraphSpace`` and world, a trace's
+    buffers) count toward this cell's RSS marks. It is not daemonic: a
+    parallel cell forks its own shard workers. Where ``fork`` is not
+    available the cell runs in this process.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return bench_scale_one(*args, **kwargs)  # pragma: no cover
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_scale_cell_main, args=(send, args, kwargs),
+                        name="repro-scale-cell")
+    child.start()
+    send.close()
+    try:
+        ok, value = recv.recv()
+    except EOFError:
+        ok, value = False, "the cell process exited without an entry"
+    except BaseException:
+        child.terminate()
+        raise
+    finally:
+        recv.close()
+        child.join()
+    if not ok:
+        raise RuntimeError(f"scale cell {args!r} failed: {value} "
+                           f"(exit code {child.exitcode})")
+    return value
+
+
 def run_scale(scenarios: tuple[str, ...] = SCALE_SCENARIOS,
               scale_agents: int = SCALE_AGENTS,
               reference_agents: int = SCALE_REFERENCE_AGENTS,
@@ -261,13 +306,15 @@ def run_scale(scenarios: tuple[str, ...] = SCALE_SCENARIOS,
     throughput over its baseline cell — and each parallel cell
     carries ``parallel_ratio`` — parallel over serial ctrl-steps/s on
     the identical workload. Both are within-run ratios, so
-    machine-normalized by construction.
+    machine-normalized by construction. Every cell runs in its own
+    process (:func:`bench_scale_isolated`), so each RSS mark is that
+    cell's alone.
     """
     mid_agents = min(scale_agents, SCALE_AGENTS)
 
     def cell(name, role, n_agents, workers, baseline):
-        entry = bench_scale_one(name, n_agents, n_steps,
-                                parallel_workers=workers)
+        entry = bench_scale_isolated(name, n_agents, n_steps,
+                                     parallel_workers=workers)
         entry["role"] = role
         if baseline is not None and baseline["agent_steps_per_sec"] > 0:
             entry["scale_ratio"] = (entry["agent_steps_per_sec"]

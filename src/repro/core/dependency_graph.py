@@ -252,8 +252,7 @@ class SpatioTemporalGraph(AgentSteps):
 
     def __init__(self, rules: DependencyRules,
                  initial_positions: "Mapping[int, Position] | np.ndarray",
-                 start_step: int = 0,
-                 band_size: int | None = None) -> None:
+                 start_step: int = 0) -> None:
         self.rules = rules
         if isinstance(initial_positions, np.ndarray):
             # Step-major trace stores hand over one (n, 2) row slice.
@@ -323,23 +322,14 @@ class SpatioTemporalGraph(AgentSteps):
         #: Exact type check: subclasses may override dist/within (e.g.
         #: wrap-around metrics), which the inlined L2 would bypass.
         self._euclid = type(rules.space) is EuclideanSpace
-        #: Radius-bounded distance (GraphSpace.dist_within), for sources
-        #: whose component has no hop rows: the exact checks below only
-        #: need the true distance when it is at most the compared
-        #: threshold, so a bounded BFS that returns inf past the cap is
-        #: exact where it matters and O(ball) instead of O(component)
-        #: where it doesn't.
-        self._dist_within = getattr(rules.space, "dist_within", None)
         #: Per-member coupling candidates from the latest commit: exact
         #: until the next commit, so component BFS seeds from them
         #: instead of re-querying the spatial index.
         self._fresh: dict[int, Sequence[int]] = {}
         #: Component BFS scratch buffer.
         self._cbuf: list[int] = []
-        #: Coarse band width in fine cells (ctor override serves the
-        #: fuzz harness: band_size=1 stresses the window walk, a huge
-        #: value degenerates to the unbanded single-table reference).
-        self._band = int(band_size) if band_size else BAND_CELLS
+        #: Coarse band width in fine cells, read at construction.
+        self._band = BAND_CELLS
         # Dense ids let the index read positions straight from the
         # graph's own list: commits update one storage, and query_into
         # sees every move for free.
@@ -533,7 +523,6 @@ class SpatioTemporalGraph(AgentSteps):
         pos = self.pos
         near_sets = self._near
         dist = self.rules.space.dist
-        dist_within = self._dist_within
         euclid = self._euclid
         sqrt = math.sqrt
         base_r = self._base_r
@@ -542,7 +531,6 @@ class SpatioTemporalGraph(AgentSteps):
         # nobody leaves a component: no component compare here.
         node = self._node
         local = self._node_local
-        row = None
         for aid in ids:
             s = step[aid]
             pa = pos[aid]
@@ -562,10 +550,8 @@ class SpatioTemporalGraph(AgentSteps):
                     dx = pax - q[0]
                     dy = pay - q[1]
                     d = sqrt(dx * dx + dy * dy)
-                elif row is not None:
+                elif node is not None:
                     d = row[local[node[bid]]]
-                elif dist_within is not None:
-                    d = dist_within(pa, pos[bid], thr)
                 else:
                     d = dist(pa, pos[bid])
                 if d <= thr:
@@ -660,12 +646,10 @@ class SpatioTemporalGraph(AgentSteps):
         slack = [horizon] * len(ids)
         pos = self.pos
         dist = self.rules.space.dist
-        dist_within = self._dist_within
         euclid = self._euclid
         sqrt = math.sqrt
         inf = math.inf
         node = self._node
-        row = None
         if node is not None:
             # One hop row per scanned source; exact beyond near_cut,
             # which can only dismiss (d > thr + horizon cannot lower a
@@ -699,13 +683,9 @@ class SpatioTemporalGraph(AgentSteps):
                     dx = pax - q[0]
                     dy = pay - q[1]
                     d = sqrt(dx * dx + dy * dy)
-                elif row is not None:
+                elif node is not None:
                     nb = node[bid]
                     d = row[local[nb]] if comp[nb] == ca else inf
-                elif dist_within is not None:
-                    # Bounded BFS: distances beyond near_cut only ever
-                    # dismiss, so inf is as good as the true value.
-                    d = dist_within(pa, pos[bid], near_cut)
                 else:
                     d = dist(pa, pos[bid])
                 sl = d - thr
@@ -972,7 +952,6 @@ class SpatioTemporalGraph(AgentSteps):
         pos = self.pos
         blocked_by = self.blocked_by
         dist = self.rules.space.dist
-        dist_within = self._dist_within
         euclid = self._euclid
         sqrt = math.sqrt
         base_r = self._base_r
@@ -996,14 +975,11 @@ class SpatioTemporalGraph(AgentSteps):
                         dx = q[0] - pos_b[0]
                         dy = q[1] - pos_b[1]
                         d = sqrt(dx * dx + dy * dy)
-                    elif node is not None and (
-                            row := hop_row(node[a])) is not None:
+                    elif node is not None:
                         # The waiter is the source, as below, and stands
                         # where its own last check left its row; a
                         # blocked pair shares a component.
-                        d = row[local[node[b]]]
-                    elif dist_within is not None:
-                        d = dist_within(pos[a], pos_b, thr)
+                        d = hop_row(node[a])[local[node[b]]]
                     else:
                         d = dist(pos[a], pos_b)
                     if d <= thr:

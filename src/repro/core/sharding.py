@@ -14,8 +14,8 @@ margin is the conservative cross-boundary coupling taken to its sound
 extreme: any pair of agents that could *ever* interact over the whole
 trace — blocked at the worst-case step gap, or coupled — is placed in
 the same atomic region, so the cross-shard interaction set is empty
-by construction and every blocked edge, coupling component, wake
-step, and commit result involves agents of one shard only:
+by construction and every blocked edge, coupling component, waiter
+release, and commit result involves agents of one shard only:
 
 * **coordinate metrics** — every supported coordinate metric
   (L2 / L-inf / L1) lower-bounds distance by the x-axis difference,

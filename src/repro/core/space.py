@@ -9,7 +9,7 @@ Every space answers with **cells**: :meth:`Space.bucket` returns 2D
 *integer cells whose per-axis difference lower-bounds the true
 distance* (cells ``k`` and ``k + dc`` on any axis imply
 ``dist >= (dc - 1) * cell``). This is the only property the
-step-bucketed blocker index and the slack/near/wake machinery in
+step-bucketed blocker index and the slack/near machinery in
 :mod:`repro.core.dependency_graph` need. How the cells are walked is
 one flag plus one method:
 
@@ -125,65 +125,47 @@ class GraphSpace:
     (:attr:`node_comp`), the node's place in it (:attr:`node_local`,
     BFS discovery order) and, in a numpy table, its landmark levels.
     One resolver (``_level_of``) is where an unknown node is refused, so
-    every door — ``dist``, ``dist_within``, ``within``, ``bucket``, the
-    dependency graph's constructor and commit — fails the same way.
+    every door — ``dist``, ``within``, ``bucket``, the dependency
+    graph's constructor and commit — fails the same way.
 
-    Distances come from one of two stores, chosen by component size.
-    *Small* components (at most ``SAMPLED_COMPONENT_MIN`` nodes) are
-    served by **hop rows**: one BFS per source, stored as a compact
-    integer array over the component's local indices
-    (:meth:`hop_row`), exact at every cap, so a probe is two list reads
-    and one array read. Rows are built lazily and held under
-    ``ROW_BUDGET_BYTES``; past it they are dropped wholesale and
-    rebuilt on demand — nothing is ordered on the probe path. Larger
-    components keep a store of BFS **balls** truncated at the queried
-    cap (radius ``inf`` is the whole component, which is what
-    :meth:`dist` asks for), under ``BALL_BUDGET_ENTRIES`` with the
-    same wholesale drop. :attr:`bfs_runs` counts every BFS either store
-    or the landmark build ran — a warm replay runs none.
+    Distances come from one store, **hop rows**: one BFS per source,
+    stored as a compact integer array over the source's component
+    (indexed by :attr:`node_local`, see :meth:`hop_row`), so a probe is
+    two list reads and one array read. Entries widen with the
+    component (one byte up to 256 nodes, two up to 65,536, four above),
+    so no hop count is ever clamped. Rows are built lazily and held
+    under ``ROW_BUDGET_BYTES``; past it they are dropped wholesale and
+    rebuilt on demand — nothing is ordered on the probe path.
+    :attr:`bfs_runs` counts every BFS the rows or the landmark build
+    ran — a warm replay runs none. The price of one store: a single
+    component of 10⁵ nodes or more costs one full-component BFS and one
+    row per source. No scenario, bench cell or example builds one
+    (``social-graph`` is a union of 240-node rings at every size); a
+    world that does must bring its own gated cell before a bounded
+    store comes back.
 
     Bucketing comes from **landmark BFS levels**: per connected
-    component, each axis gets a deterministic *seed set* and every
-    node's pair of levels ``(min-dist to seeds0, min-dist to seeds1)``
-    serves as integer pseudo-coordinates. Small components use exact
-    two-landmark seeds — the first node in insertion order, then the
-    farthest node from it (a double BFS sweep). Larger components
-    switch to **sampled landmarks**: ``LANDMARK_SAMPLES`` seeds per
-    axis, strided deterministically through the component's BFS
-    discovery order, so the level build stays two multi-source BFS
-    passes (O(edges)) regardless of component size. Either way each
-    level function is a min of 1-Lipschitz functions
-    (``|d(L, a) - d(L, b)| <= d(a, b)`` by the triangle inequality)
-    and therefore 1-Lipschitz itself, so the cells ``level // cell``
-    satisfy exactly the lower-bound property the step-bucketed blocker
-    index requires — graph worlds ride the same zero-rescan scheduler
-    as coordinate grids, including single million-node components.
-    Components are kept apart by offsetting the first axis per
+    component, the first node in insertion order and the farthest node
+    from it (a double BFS sweep) are the two landmarks, and every
+    node's pair of levels ``(dist to landmark 0, dist to landmark 1)``
+    serves as integer pseudo-coordinates. Each level function is
+    1-Lipschitz (``|d(L, a) - d(L, b)| <= d(a, b)`` by the triangle
+    inequality), so the cells ``level // cell`` satisfy exactly the
+    lower-bound property the step-bucketed blocker index requires —
+    graph worlds ride the same zero-rescan scheduler as coordinate
+    grids. Components are kept apart by offsetting the first axis per
     component, which is sound because cross-component distance is
     infinite.
     """
 
     grid_bucketing = False
 
-    #: Components larger than this use sampled multi-source landmark
-    #: seeds and truncated balls; smaller ones keep the exact
-    #: first/farthest pair and hop rows.
-    SAMPLED_COMPONENT_MIN = 4096
-
-    #: Seeds per axis for sampled components.
-    LANDMARK_SAMPLES = 16
-
     #: Payload bytes of hop rows held at once (a 240-node component's
     #: all-pairs table is 57.6 kB); the store is emptied when the next
     #: row would exceed it.
     ROW_BUDGET_BYTES = 32 << 20
 
-    #: Distance entries held at once by the ball store of large
-    #: components, emptied the same way.
-    BALL_BUDGET_ENTRIES = 4_000_000
-
-    def __init__(self, adjacency: dict[Hashable, Iterable[Hashable]],
-                 sampled_component_min: int | None = None) -> None:
+    def __init__(self, adjacency: dict[Hashable, Iterable[Hashable]]) -> None:
         self._adj = {node: tuple(neigh) for node, neigh in adjacency.items()}
         for node, neigh in self._adj.items():
             for other in neigh:
@@ -192,42 +174,27 @@ class GraphSpace:
                         f"edge {node!r} -> {other!r} references a node "
                         f"missing from the adjacency")
         self._n = len(self._adj)
-        self._sampled_min = int(self.SAMPLED_COMPONENT_MIN
-                                if sampled_component_min is None
-                                else sampled_component_min)
-        #: Largest component served by hop rows (two-byte entries).
-        self._row_max = min(self._sampled_min, 1 << 16)
-        #: BFS runs so far: landmark sweeps, hop rows and balls.
+        #: BFS runs so far: landmark sweeps and hop rows.
         self.bfs_runs = 0
-        #: source node index -> hop row (small components).
+        #: source node index -> hop row.
         self._rows: dict[int, array] = {}
         self._row_bytes = 0
-        #: source node -> (radius, field) (large components).
-        self._balls: dict[Hashable, tuple[float, dict[Hashable, int]]] = {}
-        self._ball_entries = 0
         #: Memo of :meth:`_level_of` over the per-node tables.
         self._levels: dict[Hashable, tuple[int, int, int]] = {}
         self._build_landmarks()
 
     # -- construction -------------------------------------------------------
 
-    def _bfs_levels(self, *seeds: Hashable,
-                    cap: float = math.inf) -> dict[Hashable, int]:
-        """Min-over-seeds BFS levels up to ``cap`` hops, one pass.
-
-        The min of 1-Lipschitz functions is 1-Lipschitz, so sampled
-        multi-seed levels satisfy the same ``(dc - 1) * cell`` lower
-        bound as exact single-landmark levels.
-        """
+    def _bfs_levels(self, seed: Hashable) -> dict[Hashable, int]:
+        """Hop counts from ``seed`` to its whole component, in BFS
+        discovery order."""
         self.bfs_runs += 1
-        dist = dict.fromkeys(seeds, 0)
+        dist = {seed: 0}
         queue = deque(dist)
         adj = self._adj
         while queue:
             node = queue.popleft()
             base = dist[node] + 1
-            if base > cap:
-                break  # BFS order: nothing left in the queue is nearer
             for neigh in adj[node]:
                 if neigh not in dist:
                     dist[neigh] = base
@@ -257,14 +224,9 @@ class GraphSpace:
         """Node numbering, components and landmark levels.
 
         Deterministic: components follow the adjacency's insertion
-        order. Small components take the exact double BFS sweep (first
-        node, then the first BFS-discovered node at maximum level from
-        it); components above ``sampled_component_min`` switch to
-        strided samples of the BFS discovery order (axis 1 keeps the
-        farthest node as its lead seed so the two axes stay
-        de-correlated). Levels go straight into the numpy table — no
-        per-node tuple — which is what keeps a single million-node
-        component within memory budget.
+        order, and each takes the double BFS sweep (first node, then
+        the first BFS-discovered node at maximum level from it). Levels
+        go straight into the numpy table — no per-node tuple.
         """
         rows = self._dense_id_rows()
         #: True when node ids index the tables directly, which is what
@@ -279,11 +241,11 @@ class GraphSpace:
             self._index = {node: i for i, node in enumerate(self._nodes)}
             self._index_of = self._index.__getitem__
             rows = self._n
-        #: (level to seeds0, level to seeds1, component) per node index;
-        #: -1 = id not in the graph.
+        #: (level to landmark 0, level to landmark 1, component) per
+        #: node index; -1 = id not in the graph.
         self._larr = larr = np.full((rows, 3), -1, dtype=np.int64)
         #: Component per node index (-1 = id not in the graph), and the
-        #: node's index within a small component's hop rows.
+        #: node's index within its component's hop rows.
         self.node_comp: list[int] = [-1] * rows
         self.node_local: list[int] = [0] * rows
         node_comp, node_local = self.node_comp, self.node_local
@@ -297,21 +259,13 @@ class GraphSpace:
             levels0 = self._bfs_levels(node)
             members = list(levels0)  # BFS discovery order
             far = max(levels0, key=levels0.get)  # first max in that order
+            levels1 = self._bfs_levels(far)
             count = len(members)
             self._comp_sizes.append(count)
             ids = list(map(self._index_of, members))
-            if count <= self._sampled_min:
-                levels1 = self._bfs_levels(far)
-                for k, i in enumerate(ids):
-                    node_local[i] = k
-            else:
-                k = self.LANDMARK_SAMPLES
-                stride = max(1, count // k)
-                levels0 = self._bfs_levels(*members[::stride][:k])
-                levels1 = self._bfs_levels(
-                    far, *members[stride // 2::stride][:k - 1])
-            for i in ids:
+            for k, i in enumerate(ids):
                 node_comp[i] = comp
+                node_local[i] = k
             larr[ids, 0] = np.fromiter(map(levels0.__getitem__, members),
                                        dtype=np.int64, count=count)
             larr[ids, 1] = np.fromiter(map(levels1.__getitem__, members),
@@ -396,23 +350,21 @@ class GraphSpace:
 
     # -- metric -------------------------------------------------------------
 
-    def hop_row(self, i: int) -> "array | None":
+    def hop_row(self, i: int) -> array:
         """Hop counts from node index ``i`` to its whole component.
 
         Indexed by :attr:`node_local`, so only meaningful for a node of
-        the same :attr:`node_comp`. ``None`` when the component is above
-        the size constant (ask :meth:`dist_within`). Callers may hold a
-        row across later calls: rows are never mutated, only dropped.
+        the same :attr:`node_comp`. Callers may hold a row across later
+        calls: rows are never mutated, only dropped.
         """
         row = self._rows.get(i)
         if row is None:
             size = self._comp_sizes[self.node_comp[i]]
-            if size > self._row_max:
-                return None
             # Hops within a component are below its size: a byte holds
-            # them up to 256 nodes, two bytes up to ``_row_max`` (an
-            # entry that did not fit would raise, never clamp).
-            row = array("B" if size <= 256 else "H", [0]) * size
+            # them up to 256 nodes, two bytes up to 65,536, four above
+            # (an entry that did not fit would raise, never clamp).
+            code = "B" if size <= 256 else "H" if size <= 1 << 16 else "I"
+            row = array(code, [0]) * size
             held = size * row.itemsize
             local = self.node_local
             field = self._bfs_levels(
@@ -426,58 +378,26 @@ class GraphSpace:
             self._row_bytes += held
         return row
 
-    def _ball(self, a: Hashable, cap: float) -> dict[Hashable, int]:
-        """BFS field around ``a``, complete to at least ``cap`` hops."""
-        ent = self._balls.get(a)
-        if ent is not None:
-            if cap <= ent[0]:
-                return ent[1]
-            self._ball_entries -= len(ent[1])  # widened below
-        field = self._bfs_levels(a, cap=cap)
-        # The deepest node comes last; if its neighbours would still be
-        # within the cap the BFS ran the component dry.
-        radius = math.inf if field[next(reversed(field))] + 1 <= cap else cap
-        if self._ball_entries + len(field) > self.BALL_BUDGET_ENTRIES:
-            self._balls.clear()
-            self._ball_entries = 0
-        self._balls[a] = (radius, field)
-        self._ball_entries += len(field)
-        return field
-
-    def dist_within(self, a, b, cap: float = math.inf) -> float:
-        """``dist(a, b)`` when it is at most ``cap``, else anything
-        above ``cap``.
-
-        A hop row answers exactly at every cap, so the value beyond
-        ``cap`` may be the true distance rather than ``inf``; a
-        truncated ball answers ``inf`` there. Callers compare against
-        thresholds of at most ``cap`` and treat the two alike.
-        """
+    def dist(self, a, b) -> float:
+        """Hop distance, one hop-row read (the world model calls it per
+        perceived pair)."""
         levels = self._levels  # memo hits skip the call
         la = levels.get(a) or self._level_of(a)
         lb = levels.get(b) or self._level_of(b)
         if la[2] != lb[2]:
             return math.inf
         row = self._rows.get(la[3]) or self.hop_row(la[3])
-        if row is not None:
-            return float(row[lb[4]])
-        return float(self._ball(a, cap).get(b, math.inf))
-
-    #: The hop distance itself is the uncapped read (the world model
-    #: calls it per perceived pair: no forwarding call).
-    dist = dist_within
+        return float(row[lb[4]])
 
     def within(self, a, b, radius: float) -> bool:
-        levels = self._levels  # as in dist_within: memo hits skip calls
+        levels = self._levels  # as in dist: memo hits skip calls
         la = levels.get(a) or self._level_of(a)
         lb = levels.get(b) or self._level_of(b)
         if (la[2] != lb[2] or abs(la[0] - lb[0]) > radius
                 or abs(la[1] - lb[1]) > radius):
             return False  # other component, or the levels certify dist > r
         row = self._rows.get(la[3]) or self.hop_row(la[3])
-        if row is not None:
-            return row[lb[4]] <= radius
-        return self._ball(a, radius).get(b, math.inf) <= radius
+        return row[lb[4]] <= radius
 
     # -- bucketing ----------------------------------------------------------
 

@@ -1,9 +1,11 @@
-"""GraphSpace landmark bucketing, and the one cell contract every space
-meets: the cells' Lipschitz lower bound, disconnected components
-(infinite distance never blocks or couples), unknown-node errors, the
-commit fuzz against the dict-reference oracle on small-world, edgeless
-and one-constant-cell worlds, a space without cells refused by name,
-and the zero-rescan machinery engaging on a graph-metric replay.
+"""GraphSpace hop rows and landmark bucketing, and the one cell contract
+every space meets: exact hop counts at every row width, the row budget,
+the cells' Lipschitz lower bound, disconnected components (infinite
+distance never blocks or couples), unknown-node errors, the commit fuzz
+against the dict-reference oracle on small-world, tree, edgeless and
+one-constant-cell worlds, a space without cells refused by name, the
+zero-rescan machinery engaging on a graph-metric replay, and the
+component sizes the one graph scenario brings.
 """
 
 import math
@@ -132,6 +134,36 @@ class TestGraphSpaceBasics:
         with pytest.raises(ConfigError, match="adjacency"):
             space_for("graph")
 
+    @pytest.mark.parametrize("labels", sorted(LABELS))
+    def test_landmarks_are_the_first_node_and_the_farthest(self, labels):
+        """Per component, in insertion order: axis 0 counts hops from
+        the component's first node, axis 1 from the first node a BFS
+        from it discovers at its largest level. Two BFS per component
+        at construction, and no row yet."""
+        label = LABELS[labels]
+        adj = labelled_world(FastRng(8), [7, 1, 12], label)
+        space = GraphSpace(adj)
+        assert space.bfs_runs == 2 * 3 and not space._rows
+        for comp, first in enumerate((0, 7, 8)):
+            ref0 = bfs_reference(adj, label(first))
+            far = max(ref0, key=ref0.get)
+            ref1 = bfs_reference(adj, far)
+            for node in ref0:
+                i = space.node_index(node)
+                assert space._larr[i].tolist() == \
+                    [ref0[node], ref1[node], comp]
+
+    def test_within_refuses_far_pairs_on_levels_alone(self):
+        """A pair whose landmark levels differ by more than the radius
+        is refused without a hop row: no BFS runs."""
+        space = GraphSpace(path_graph(40))
+        built = space.bfs_runs
+        assert not space.within(0, 30, 5.0)
+        assert not space.within(39, 2, 36.0)
+        assert space.bfs_runs == built and not space._rows
+        assert space.within(0, 5, 5.0)  # levels cannot refuse: one row
+        assert space.bfs_runs == built + 1
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10**9), n=st.integers(4, 40))
     def test_landmark_cells_lower_bound_distance(self, seed, n):
@@ -156,14 +188,12 @@ class TestGraphSpaceBasics:
                 for radius in (1.0, 2.0, 5.0):
                     assert_window_covers(space, source, radius, cell, 30)
 
-    @pytest.mark.parametrize("sampled", [None, 2])
-    def test_cell_window_is_bucket_range_as_four_integers(self, sampled):
+    def test_cell_window_is_bucket_range_as_four_integers(self):
         """Same cells in the same order (first axis outer) as the
         reference generator, for every node, radius and cell size the
         cover test above uses."""
         rng = FastRng(5)
-        space = GraphSpace(small_world(rng, 30),
-                           sampled_component_min=sampled)
+        space = GraphSpace(small_world(rng, 30))
         for cell in (1.0, 2.0):
             for source in range(30):
                 for radius in (1.0, 2.0, 5.0):
@@ -177,7 +207,7 @@ class TestGraphSpaceBasics:
 class TestUnknownNode:
     """One typed failure, naming the node, at every door."""
 
-    DOORS = ("construct", "commit", "dist", "dist_within", "within")
+    DOORS = ("construct", "commit", "dist", "within")
 
     @pytest.mark.parametrize("labels", ["int", "dense"])
     @pytest.mark.parametrize("door", DOORS)
@@ -207,19 +237,18 @@ class TestUnknownNode:
 
 
 class TestHopRowExactness:
-    """Rows, balls and the numbering under them against a BFS written
-    without the space."""
+    """Rows and the numbering under them against a BFS written without
+    the space."""
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10**9),
            sizes=st.lists(st.integers(3, 14), min_size=1, max_size=4),
-           labels=st.sampled_from(sorted(LABELS)),
-           sampled=st.sampled_from([None, 6]))
-    def test_every_pair_at_every_cap(self, seed, sizes, labels, sampled):
-        """``sampled=6`` pushes the larger components onto the ball
-        store, so one world can mix both stores."""
+           labels=st.sampled_from(sorted(LABELS)))
+    def test_every_pair_at_every_cap(self, seed, sizes, labels):
+        """Several components in one world: every pair's distance, and
+        its radius test at every cap, with one row per source."""
         adj = labelled_world(FastRng(seed), sizes, LABELS[labels])
-        space = GraphSpace(adj, sampled_component_min=sampled)
+        space = GraphSpace(adj)
         assert space.dense_node_cells == (labels == "dense")
         refs = {node: bfs_reference(adj, node) for node in adj}
         diameter = max(max(ref.values()) for ref in refs.values())
@@ -228,38 +257,29 @@ class TestHopRowExactness:
                 d = ref.get(b, math.inf)
                 assert space.dist(a, b) == d
                 for cap in range(diameter + 2):
-                    got = space.dist_within(a, b, float(cap))
-                    assert got == d if d <= cap else got > cap
                     assert space.within(a, b, float(cap)) == (d <= cap)
-        if sampled is None:
-            assert not space._balls and len(space._rows) == len(adj)
+        assert len(space._rows) == len(adj)
 
-    @pytest.mark.parametrize("n", [256, 257, 300])
+    @pytest.mark.parametrize("n", [256, 257, 300, 65536, 65537])
     def test_long_path_stays_exact_end_to_end(self, n):
-        """A hop count may not fit a byte: a 300-node path has diameter
-        299, so rows widen with the component — never clamp."""
+        """A hop count may not fit a byte, nor two: a path of ``n``
+        nodes has diameter ``n - 1``, so rows widen with the component
+        (``B``, ``H``, then ``I``) and never clamp. One store serves
+        every component size."""
         space = GraphSpace(path_graph(n))
         assert space.dist(0, n - 1) == n - 1
         assert space.dist(n - 1, 0) == n - 1
         row = space.hop_row(space.node_index(0))
-        assert row.typecode == ("B" if n <= 256 else "H")
+        assert row.typecode == ("B" if n <= 256 else
+                                "H" if n <= 1 << 16 else "I")
         assert list(row) == list(range(n))
-        assert space.dist_within(0, n - 1, 5.0) == n - 1  # exact past cap
-
-    def test_rows_stop_where_two_bytes_stop(self):
-        """Above ``_row_max`` a component is served by balls whatever
-        ``sampled_component_min`` says."""
-        space = GraphSpace(path_graph(12), sampled_component_min=10**9)
-        assert space._row_max == 1 << 16
-        space._row_max = 8
-        assert space.hop_row(space.node_index(0)) is None
-        assert space.dist(0, 11) == 11.0 and not space._rows
+        assert space.within(0, n - 1, float(n - 1))
+        assert not space.within(0, n - 1, float(n - 2))
 
     def test_row_memory_is_bounded_on_a_twenty_thousand_node_world(self):
         """84 components of 240 nodes, every node probed as a source:
-        the store stays under its byte budget (dropping wholesale on
-        the way) and a component above the size constant never
-        materialises a row."""
+        the store stays under its byte budget, dropping wholesale on
+        the way."""
         rng = FastRng(2)
         ring = small_world(rng, 240, ties=6)
         adj = {(k * 240 + node, 0): [(k * 240 + o, 0) for o in neigh]
@@ -269,24 +289,16 @@ class TestHopRowExactness:
         ref = bfs_reference(ring, 7)
         for k in range(84):
             for node in range(240):
-                d = space.dist_within((k * 240 + node, 0),
-                                      (k * 240 + 7, 0), 3.0)
+                d = space.dist((k * 240 + node, 0), (k * 240 + 7, 0))
                 assert d == ref[node]  # symmetric graph
                 assert space._row_bytes <= 1 << 20
         assert space._row_bytes == 240 * len(space._rows)
         assert 0 < len(space._rows) < 84 * 240
         assert space.bfs_runs == 2 * 84 + 84 * 240
 
-        big = GraphSpace(ring, sampled_component_min=100)
-        for node in range(240):
-            big.dist_within(node, (node + 3) % 240, 2.0)
-        assert not big._rows
-        assert max(len(f) for _, f in big._balls.values()) < 240
-
 
 class TestDistanceStores:
-    """Hop rows for small components, truncated balls above the size
-    constant: both bounded, both dropped wholesale, neither ordered."""
+    """Hop rows: bounded, dropped wholesale, never ordered."""
 
     def test_row_budget_never_exceeded(self):
         rng = FastRng(7)
@@ -299,7 +311,6 @@ class TestDistanceStores:
             assert space.dist(source, target) == ref[target]
             assert 0 < space._row_bytes <= 1000
             assert space._row_bytes == 64 * len(space._rows)
-        assert not space._balls
 
     def test_wholesale_drop_preserves_correctness(self):
         space = GraphSpace(path_graph(4))
@@ -312,6 +323,16 @@ class TestDistanceStores:
         assert len(space._rows) == 1
         assert list(held) == [0, 1, 2, 3]  # a held row is never mutated
 
+    def test_row_over_the_budget_is_held_alone(self):
+        """A row larger than the whole budget (a big component) still
+        serves: the store empties and holds that one row."""
+        space = GraphSpace(path_graph(300))
+        space.ROW_BUDGET_BYTES = 100  # one 300-node row takes 600
+        for source in (0, 150, 299):
+            assert space.dist(source, 299 - source) == abs(299 - 2 * source)
+            assert list(space._rows) == [space.node_index(source)]
+            assert space._row_bytes == 600
+
     def test_repeated_probes_run_one_bfs_per_source(self):
         rng = FastRng(11)
         space = GraphSpace(small_world(rng, 32))
@@ -319,29 +340,21 @@ class TestDistanceStores:
         for _ in range(3):
             for source in (0, 9, 17):
                 for target in range(32):
-                    space.dist_within(source, target, 2.0)
+                    space.dist(source, target)
                     space.within(source, target, 3.0)
         assert space.bfs_runs == built + 3
 
-    def test_large_component_runs_truncated_balls_and_evicts(self):
-        adj = path_graph(40)
-        space = GraphSpace(adj, sampled_component_min=8)
-        space.BALL_BUDGET_ENTRIES = 30
-        for source in range(40):
-            assert space.hop_row(space.node_index(source)) is None
-            for target in (source, (source + 3) % 40, (source + 9) % 40):
-                d = abs(source - target)
-                got = space.dist_within(source, target, 4.0)
-                assert got == d if d <= 4 else got > 4.0
-            radius, field = space._balls[source]
-            assert radius == 4.0 and len(field) <= 9  # never the full path
-            assert space._ball_entries <= 30
-            assert space._ball_entries == sum(
-                len(f) for _, f in space._balls.values())
-        assert len(space._balls) < 40  # dropped along the way
-        assert not space._rows
-        assert space.dist(0, 39) == 39.0  # radius inf: what dist asks for
-        assert space._balls[0][0] == math.inf
+    def test_dense_id_levels_have_no_dict(self):
+        """Dense ``(id, 0)`` graphs store levels in the numpy table
+        only: nothing is memoised per node until a position is asked
+        for."""
+        adj = {(i, 0): tuple((j, 0) for j in (i - 1, i + 1) if 0 <= j < 50)
+               for i in range(50)}
+        space = GraphSpace(adj)
+        assert space.dense_node_cells and space._index is None
+        assert not space._levels
+        assert space.bucket((0, 0), 1.0) == (0, 49)
+        assert list(space._levels) == [(0, 0)]
 
 
 class TestGraphBlocking:
@@ -376,6 +389,34 @@ class TestGraphBlocking:
         assert lead == 4
         assert graph.blockers_of(0) == frozenset({1})
 
+    def test_exact_checks_read_hop_rows_only(self):
+        """The graph's three exact-check sites (the band scan, the
+        near-set re-check and the waiter release) read hop rows and
+        never call ``space.dist``; blocked edges still match the dict
+        reference on an unpatched space."""
+        chain = path_graph(7)
+        space = GraphSpace(chain)
+
+        def refuse(a, b):
+            raise AssertionError("space.dist called")
+        space.dist = refuse
+        graph = SpatioTemporalGraph(hop_rules(space), {0: 0, 1: 6})
+        ref = DictReferenceGraph(hop_rules(GraphSpace(chain)), {0: 0, 1: 6})
+
+        def commit(aid, node):
+            graph.mark_running([aid])
+            ref.running[aid] = True
+            result = graph.commit([aid], {aid: node})
+            ref.commit([aid], {aid: node})
+            for a in (0, 1):
+                assert graph.blocked_by[a] == ref.blockers(a)
+            return result
+
+        while not graph.is_blocked(0):
+            commit(0, 0)
+        assert commit(1, 6).unblocked == {0, 1}  # the laggard steps
+        assert graph.scans and graph.near_checks and graph.unblock_events
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10**9), n=st.integers(2, 10))
     def test_small_world_matches_reference(self, seed, n):
@@ -389,6 +430,25 @@ class TestGraphBlocking:
         _run_commit_fuzz(hop_rules(GraphSpace(adjacency)), positions,
                          lambda node: [node, *adjacency[node]], rng, n,
                          iters=30)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 10**9), n=st.integers(2, 8),
+           v=st.integers(8, 20))
+    def test_tree_graph_matches_reference(self, seed, n, v):
+        """The commit fuzz on random trees: one path between any two
+        nodes, so the landmark levels are far from the hop distance
+        and the cells prune little."""
+        rng = FastRng(seed)
+        nodes = [(i, 0) for i in range(v)]
+        adj = {node: set() for node in nodes}
+        for i in range(1, v):
+            j = rng.integers(0, i)
+            adj[nodes[i]].add(nodes[j])
+            adj[nodes[j]].add(nodes[i])
+        space = GraphSpace({k: tuple(sorted(vs)) for k, vs in adj.items()})
+        positions = {i: nodes[rng.integers(0, v)] for i in range(n)}
+        _run_commit_fuzz(hop_rules(space), positions,
+                         lambda pos: [pos, *adj[pos]], rng, n, iters=15)
 
 
 class NoCellSpace:
@@ -522,15 +582,13 @@ class TestWindowKeyCache:
 class TestWithin:
     """``within(a, b, r) == (dist(a, b) <= r)`` for every pair at every
     radius, against a BFS written without the space, on each lane the
-    method reads: hop rows, rows after a wholesale drop, balls."""
+    method reads: hop rows, and rows after a wholesale drop."""
 
-    @pytest.mark.parametrize("lane", ["rows", "dropped", "balls"])
+    @pytest.mark.parametrize("lane", ["rows", "dropped"])
     @pytest.mark.parametrize("labels", sorted(LABELS))
     def test_every_pair_at_every_radius(self, labels, lane):
         adj = labelled_world(FastRng(4), [9, 13], LABELS[labels])
-        # sampled_component_min=10 puts the 13-node component on balls.
-        space = GraphSpace(adj, sampled_component_min=(
-            10 if lane == "balls" else None))
+        space = GraphSpace(adj)
         if lane == "dropped":
             space.ROW_BUDGET_BYTES = 40  # about three rows
         refs = {node: bfs_reference(adj, node) for node in adj}
@@ -546,7 +604,6 @@ class TestWithin:
         if lane == "dropped":
             assert len(space._rows) < len(adj)  # dropped on the way
             assert space._row_bytes <= 40
-        assert bool(space._balls) == (lane == "balls")
 
 
 class TestGraphSteadyState:
@@ -641,116 +698,13 @@ class TestGraphSteadyState:
         assert space.dist((stride + 3, 0), (stride + 9, 0)) == \
             base.dist((3, 0), (9, 0))
 
-
-class TestSampledLandmarks:
-    """Approximate landmarks stay 1-Lipschitz, so every bucketing
-    contract the blocker index relies on survives the sampled path."""
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 10**9), n=st.integers(6, 60))
-    def test_sampled_cells_keep_the_lipschitz_lower_bound(self, seed, n):
-        rng = FastRng(seed)
-        adj = small_world(rng, n)
-        space = GraphSpace(adj, sampled_component_min=2)  # force sampling
-        for cell in (1.0, 2.0):
-            buckets = {node: space.bucket(node, cell) for node in range(n)}
-            for a in range(n):
-                for b in range(a + 1, n):
-                    dc = max(abs(buckets[a][0] - buckets[b][0]),
-                             abs(buckets[a][1] - buckets[b][1]))
-                    assert space.dist(a, b) >= (dc - 1) * cell
-
-    def test_sampled_cell_window_covers_radius(self):
-        rng = FastRng(3)
-        space = GraphSpace(small_world(rng, 40), sampled_component_min=2)
-        for cell in (1.0, 2.0):
-            for source in (0, 13, 27):
-                for radius in (1.0, 3.0):
-                    assert_window_covers(space, source, radius, cell, 40)
-
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 10**9), n=st.integers(2, 8),
-           v=st.integers(8, 20))
-    def test_blocking_fuzz_under_sampled_landmarks(self, seed, n, v):
-        """The full dict-reference gate with sampling forced on: blocked
-        edges must stay bit-equal even with approximate cells."""
-        rng = FastRng(seed)
-        nodes = [(i, 0) for i in range(v)]
-        adj = {node: set() for node in nodes}
-        for i in range(1, v):
-            j = rng.integers(0, i)
-            adj[nodes[i]].add(nodes[j])
-            adj[nodes[j]].add(nodes[i])
-        space = GraphSpace({k: tuple(sorted(vs)) for k, vs in adj.items()},
-                           sampled_component_min=2)
-        rules = hop_rules(space)
-        positions = {i: nodes[rng.integers(0, v)] for i in range(n)}
-
-        def moves(pos):
-            return [pos, *adj[pos]]
-
-        _run_commit_fuzz(rules, positions, moves, rng, n, iters=15)
-
-    def test_dense_id_levels_have_no_dict(self):
-        """Dense ``(id, 0)`` graphs store levels in the numpy table
-        only — the per-node dict would be ~100 bytes/node at 1M."""
-        adj = {(i, 0): ((i + 1, 0),) if i + 1 < 50 else ()
-               for i in range(50)}
-        adj = {k: tuple(v) for k, v in adj.items()}
-        full = {k: set(v) for k, v in adj.items()}
-        for k, vs in adj.items():
-            for o in vs:
-                full[o].add(k)
-        space = GraphSpace({k: tuple(sorted(v)) for k, v in full.items()},
-                           sampled_component_min=4)
-        assert space._larr is not None
-        assert not space._levels
-        assert space.bucket((0, 0), 1.0) is not None
-
-
-class TestDistWithin:
-    """Capped BFS: the scan paths only need distances up to their
-    threshold, so far pairs must not cost a full-component BFS."""
-
-    def test_within_cap_is_exact(self):
-        rng = FastRng(9)
-        space = GraphSpace(small_world(rng, 40))
-        for a in range(0, 40, 5):
-            for b in range(0, 40, 7):
-                d = space.dist(a, b)
-                if d <= 6.0:
-                    assert space.dist_within(a, b, 6.0) == d
-
-    def test_beyond_cap_reports_beyond(self):
-        # A long path: distances beyond the cap must come back > cap
-        # (inf from the truncated BFS, or exact from a warm cache).
-        chain = {i: tuple(x for x in (i - 1, i + 1) if 0 <= x < 30)
-                 for i in range(30)}
-        space = GraphSpace(chain)
-        assert space.dist_within(0, 29, 5.0) > 5.0
-        assert space.dist_within(0, 3, 5.0) == 3.0
-
-    def test_growing_cap_recomputes(self):
-        chain = {i: tuple(x for x in (i - 1, i + 1) if 0 <= x < 20)
-                 for i in range(20)}
-        space = GraphSpace(chain)
-        assert space.dist_within(0, 10, 3.0) > 3.0
-        assert space.dist_within(0, 10, 12.0) == 10.0  # larger cap: redo
-        assert space.dist_within(0, 4, 12.0) == 4.0    # memoized field
-
-    def test_disconnected_is_infinite(self):
-        space = GraphSpace({0: (1,), 1: (0,), 2: (3,), 3: (2,)})
-        assert space.dist_within(0, 2, 100.0) == math.inf
-
-    def test_agrees_with_dist_after_cache_warm(self):
-        rng = FastRng(21)
-        space = GraphSpace(small_world(rng, 30))
-        for b in range(30):
-            space.dist(0, b)  # warm the full-BFS cache for source 0
-        for b in range(30):
-            d = space.dist(0, b)
-            got = space.dist_within(0, b, 2.0)
-            # Warm cache may return the exact distance above the cap —
-            # callers only compare against thresholds <= cap, so any
-            # value > cap is equivalent to inf for them.
-            assert got == d or (got > 2.0 and d > 2.0)
+    @pytest.mark.parametrize("segments", [1, 8, 60])
+    def test_social_graph_components_stay_small(self, segments):
+        """The traffic the one store is sized for: ``social-graph`` is a
+        union of 240-node rings at every size, so every row is one byte
+        per node. A scenario that brings a larger component (a row per
+        source over it, ``GraphSpace`` docstring) must say so here."""
+        from repro.scenarios import get_scenario
+        space = get_scenario("social-graph").space(segments=segments)
+        assert len(space._comp_sizes) == segments
+        assert max(space._comp_sizes) <= 240

@@ -16,6 +16,7 @@ from repro._util import FastRng
 from repro.config import DependencyConfig
 from repro.core import DependencyRules
 from repro.core.clustering import SpatialIndex
+from repro.core import dependency_graph
 from repro.core.dependency_graph import SpatioTemporalGraph
 from repro.core.space import EuclideanSpace
 from repro.errors import CausalityViolation, SchedulingError
@@ -209,6 +210,16 @@ def _assert_window_keys_fresh(graph, rules):
     return checked
 
 
+def banded_graph(rules, positions, band_size=None):
+    """A graph built with ``band_size`` fine cells per band (``None``
+    keeps ``BAND_CELLS``): the module constant is patched only while
+    the graph reads it, at construction."""
+    with pytest.MonkeyPatch.context() as mp:
+        if band_size is not None:
+            mp.setattr(dependency_graph, "BAND_CELLS", band_size)
+        return SpatioTemporalGraph(rules, positions)
+
+
 def _run_commit_fuzz(rules, positions, move_candidates, rng, n,
                      iters=40, band_size=None, whole_first=False,
                      stay_p=None):
@@ -249,7 +260,7 @@ def _run_commit_fuzz(rules, positions, move_candidates, rng, n,
     Returns how many cached off-grid window-key lists the per-commit
     freshness check compared (``_assert_window_keys_fresh``).
     """
-    graph = SpatioTemporalGraph(rules, positions, band_size=band_size)
+    graph = banded_graph(rules, positions, band_size)
     ref = DictReferenceGraph(rules, positions)
     checked = 0
 
@@ -833,6 +844,54 @@ class TestHotpathBench:
         assert isinstance(peaks, list) and len(peaks) == 2
         assert all(0 < peak < 2 * entry["peak_rss_mb"] for peak in peaks)
 
+    def test_isolated_cell_leaves_this_process_untouched(self, monkeypatch):
+        """``run_scale`` runs each cell in a fresh process: the
+        ``social-graph`` space a cell builds stays in that process, the
+        entry comes back whole, and a failing cell raises here."""
+        from repro.bench import hotpath as hp
+        from repro.scenarios import get_scenario
+
+        scn = get_scenario("social-graph")
+        monkeypatch.setattr(scn, "_spaces", {})
+        entry = hp.bench_scale_isolated("social-graph", 50, n_steps=4)
+        assert not scn._spaces
+        assert entry["scenario"] == "social-graph"
+        assert entry["n_agents"] == 50 and entry["agent_steps"] == 200
+        hp.bench_scale_one("social-graph", 50, n_steps=4)
+        assert scn._spaces  # what the fresh process kept to itself
+
+    def test_failed_isolated_cell_raises_here(self):
+        from repro.bench import hotpath as hp
+
+        with pytest.raises(RuntimeError, match="ScenarioError.*not-a-sc"):
+            hp.bench_scale_isolated("not-a-scenario", 50, n_steps=4)
+
+    def test_run_scale_runs_every_cell_isolated(self, monkeypatch,
+                                               tmp_path):
+        """Every cell of the matrix, reference included, goes through
+        :func:`bench_scale_isolated`; this process runs none."""
+        from repro.bench import hotpath as hp
+
+        calls = []
+
+        def fake(name, n_agents, n_steps, parallel_workers=0):
+            calls.append((name, n_agents, parallel_workers))
+            return {"scenario": name, "n_agents": n_agents,
+                    "agent_steps_per_sec": 1.0}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cell ran in this process")
+        monkeypatch.setattr(hp, "bench_scale_isolated", fake)
+        monkeypatch.setattr(hp, "bench_scale_one", refuse)
+        report = hp.run_scale(scenarios=("smallville",), scale_agents=100,
+                              reference_agents=10, n_steps=2,
+                              out=tmp_path / "scale.json",
+                              parallel_workers=2)
+        assert calls == [("smallville", 10, 0), ("smallville", 100, 0),
+                         ("smallville", 100, 2)]
+        assert [e["role"] for e in report["entries"]] == \
+            ["reference", "scale", "scale-parallel"]
+
 
 #: The committed hot-path report: the ledger the ceilings are set on.
 COMMITTED_HOTPATH = Path(__file__).resolve().parents[1] / "BENCH_hotpath.json"
@@ -1064,8 +1123,7 @@ class TestAbortRunning:
         rng = FastRng(seed)
         rules = DependencyRules(DependencyConfig())
         positions = grid_positions(rng, n)
-        graph = SpatioTemporalGraph(rules, positions,
-                                    band_size=band_size)
+        graph = banded_graph(rules, positions, band_size)
         ref = DictReferenceGraph(rules, positions)
 
         for _ in range(40):

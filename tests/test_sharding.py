@@ -20,7 +20,8 @@ from helpers import random_trace, ring_space as _ring_space, slot_snapshot
 from test_golden_replay import counters
 from test_hotpath_scheduler import (DictReferenceGraph,
                                     _assert_graph_matches_reference,
-                                    _commit_both, _random_cluster)
+                                    _commit_both, _random_cluster,
+                                    banded_graph)
 
 
 def _fake_trace(positions_by_step: np.ndarray) -> SimpleNamespace:
@@ -339,7 +340,7 @@ class TestScannedSlotsLocality:
         init = np.array([positions[i] for i in range(n_far + 2)],
                         dtype=np.int64)
         banded = SpatioTemporalGraph(rules, init)
-        flat = SpatioTemporalGraph(rules, init, band_size=10**9)
+        flat = banded_graph(rules, init, 10**9)
         for g in (banded, flat):
             for _ in range(6):
                 g.mark_running([1])
