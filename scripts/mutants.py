@@ -62,8 +62,9 @@ COMPARE = "row[local[nb]] if comp[nb] == ca else inf"
 #: hop-row lane: the commit writes the node index wherever it writes
 #: ``pos[aid]``, the three sites a cross-component pair can reach (the
 #: band scan, ``dist`` and ``within``) compare components before reading
-#: a row, ``within`` keeps its radius inclusive, and a row widens with
-#: its component. The
+#: a row, ``within`` keeps its radius inclusive, a row widens with
+#: its component, and a tiled space offsets each copy's components and
+#: keys its hop rows by tile source (one row serves every copy). The
 #: off-grid cell lane: a mover's cell and every initial cell come from
 #: ``Space.bucket``, a mover drops its cached window keys, and a space
 #: without cells is refused. The one-call round:
@@ -124,6 +125,12 @@ MUTANTS = {
     "hop-row-one-byte": (
         SPACE, 'code = "B" if size <= 256 else "H" if size <= 1 << 16 else "I"',
         'code = "B"', 0, GRAPH_SPACE),
+    "tile-drops-component-offset": (
+        SPACE, "tile.comp[known].astype(np.intc) + offsets",
+        "tile.comp[known].astype(np.intc)", 0, GRAPH_SPACE),
+    "hop-row-keyed-by-global-id": (
+        ((SPACE, "row = rows.get(src)", "row = rows.get(i)", 0),
+         (SPACE, "rows[src] = row", "rows[i] = row", 0)), GRAPH_SPACE),
     "off-grid-mover-keeps-old-cell": (
         GRAPH, "nc = bucket(new_p, cell)", "nc = oc", 0, GRAPH_SPACE),
     "mover-keeps-window-keys": (

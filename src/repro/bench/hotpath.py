@@ -36,9 +36,12 @@ replayed on one dependency graph in process, then through the worker
 pool. The gate is *relative*: per-agent-step controller throughput at
 scale must stay within :data:`MIN_SCALE_RATIO` of the same scenario's
 2000-agent cell — a flat curve is precisely the banded-scan claim —
-plus a raw sanity floor, and every entry reports its own
+plus a raw sanity floor. The reference is the median of three runs
+interleaved around the 100k cells, so one slow or fast reading on a
+shared host cannot decide the ratio. Every entry reports its own
 ``peak_rss_mb`` and ``bytes_per_agent`` so memory blowups surface in
-the report.
+the report, and a graph-metric cell its space's BFS runs and table
+bytes; the BFS runs face an exact ceiling (:data:`SPACE_BFS_CEILINGS`).
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ import time
 from pathlib import Path
 
 from ..config import SchedulerConfig
+from ..core.rules import rules_for
+from ..core.space import GraphSpace
 from ..scenarios import get_scenario, scenario_names
 from ..trace import (generate_concatenated_trace, generate_trace,
                      trace_fingerprint)
@@ -77,6 +82,12 @@ SCALE_AGENTS_PER_SHARD = 250
 #: scans or controller structures that grow with the population would
 #: collapse the ratio; O(local) work keeps the curve flat.
 MIN_SCALE_RATIO = 0.7
+#: The graph-metric cells' exact count: BFS runs of the cell's
+#: ``GraphSpace`` (in the process that replays it, or plans and merges
+#: a parallel cell) at most two landmark sweeps per tile component plus
+#: one hop row per tile node, however many segments copy the tile.
+#: ``social-graph``: one 240-node ring, 2 + 240.
+SPACE_BFS_CEILINGS = {"social-graph": 2 * 1 + 240}
 #: Raw sanity floors, in agent-steps/s, on timings the reports carry.
 #: Each sits several times below the slowest committed reading (a
 #: 2-core container at ~2M calibration ops/s): scale cells 59.8k
@@ -213,6 +224,11 @@ def bench_scale_one(scenario: str, n_agents: int,
     held at the reset included). A parallel cell adds
     ``worker_peak_rss_mb``, each worker process's own mark, which
     counts the pages it shares with the parent since the fork too.
+
+    A cell whose rules measure on a :class:`GraphSpace` reports the
+    space's ``space_bfs_runs`` and ``space_table_bytes`` after the run
+    (this process's count: the workers of a parallel cell run their own
+    BFS on forked copies).
     """
     _reset_peak_rss()
     if shards is None:
@@ -222,10 +238,10 @@ def bench_scale_one(scenario: str, n_agents: int,
                                  base_seed=HOTPATH_SEED, scenario=scn)
     generation_mb = _peak_rss_mb()
     _reset_peak_rss()
-    result, entry = timed_cell(
-        trace, SchedulerConfig(policy="metropolis", scenario=scn.name,
-                               shards=shards,
-                               parallel_workers=parallel_workers))
+    config = SchedulerConfig(policy="metropolis", scenario=scn.name,
+                             shards=shards,
+                             parallel_workers=parallel_workers)
+    result, entry = timed_cell(trace, config)
     extra = result.driver_stats.extra
     run_mb = _peak_rss_mb()
     # Where the mark cannot be reset, both readings are the process's
@@ -241,6 +257,10 @@ def bench_scale_one(scenario: str, n_agents: int,
              "run_peak_rss_mb": run_mb}
     if "worker_peak_rss_mb" in extra:
         entry["worker_peak_rss_mb"] = extra["worker_peak_rss_mb"]
+    space = rules_for(config, trace.meta).space  # the run's, cached
+    if isinstance(space, GraphSpace):
+        entry["space_bfs_runs"] = space.bfs_runs
+        entry["space_table_bytes"] = space.table_bytes
     return entry
 
 
@@ -302,39 +322,53 @@ def run_scale(scenarios: tuple[str, ...] = SCALE_SCENARIOS,
     extra ``scale-large`` parallel cell runs at ``scale_agents`` and
     is gated against the 100k parallel cell.
 
-    Each gated cell carries ``scale_ratio`` — its controller
-    throughput over its baseline cell — and each parallel cell
-    carries ``parallel_ratio`` — parallel over serial ctrl-steps/s on
-    the identical workload. Both are within-run ratios, so
-    machine-normalized by construction. Every cell runs in its own
-    process (:func:`bench_scale_isolated`), so each RSS mark is that
-    cell's alone.
+    The reference cell runs three times, interleaved around the 100k
+    cells (before, between and after them); its
+    entry is the median run's, with every run's throughput in
+    ``reference_runs`` in run order. Each gated cell carries
+    ``scale_ratio`` — its controller throughput over its baseline cell
+    — and each parallel cell carries ``parallel_ratio`` — parallel over
+    serial ctrl-steps/s on the identical workload. Both are within-run
+    ratios, so machine-normalized by construction. Every cell runs in
+    its own process (:func:`bench_scale_isolated`), so each RSS mark is
+    that cell's alone.
     """
     mid_agents = min(scale_agents, SCALE_AGENTS)
 
-    def cell(name, role, n_agents, workers, baseline):
+    def cell(name, role, n_agents, workers):
         entry = bench_scale_isolated(name, n_agents, n_steps,
                                      parallel_workers=workers)
         entry["role"] = role
-        if baseline is not None and baseline["agent_steps_per_sec"] > 0:
+        return entry
+
+    def ratio(entry, baseline):
+        if baseline["agent_steps_per_sec"] > 0:
             entry["scale_ratio"] = (entry["agent_steps_per_sec"]
                                     / baseline["agent_steps_per_sec"])
-        return entry
 
     def measure() -> dict:
         entries = []
         for name in scenarios:
-            ref = cell(name, "reference", reference_agents, 0, None)
-            big = cell(name, "scale", mid_agents, 0, ref)
+            runs = [cell(name, "reference", reference_agents, 0)]
+            big = cell(name, "scale", mid_agents, 0)
+            runs.append(cell(name, "reference", reference_agents, 0))
             par = cell(name, "scale-parallel", mid_agents,
-                       parallel_workers, ref)
+                       parallel_workers)
+            runs.append(cell(name, "reference", reference_agents, 0))
+            ref = sorted(runs, key=lambda e: e["agent_steps_per_sec"])[1]
+            ref["reference_runs"] = [e["agent_steps_per_sec"]
+                                     for e in runs]
+            ratio(big, ref)
+            ratio(par, ref)
             if big["agent_steps_per_sec"] > 0:
                 par["parallel_ratio"] = (par["agent_steps_per_sec"]
                                          / big["agent_steps_per_sec"])
             entries += [ref, big, par]
             if scale_agents > mid_agents:
-                entries.append(cell(name, "scale-large", scale_agents,
-                                    parallel_workers, par))
+                large = cell(name, "scale-large", scale_agents,
+                             parallel_workers)
+                ratio(large, par)
+                entries.append(large)
         return {"entries": entries}
 
     return run_report(
@@ -355,7 +389,9 @@ def check_scale_report(report: dict) -> list[str]:
     additionally have split into shards (a planner fallback at scale
     means the widened-gutter workload broke), actually routed through
     the worker pool, and beaten the serial cell by
-    :data:`MIN_PARALLEL_RATIO` on ctrl-steps/s.
+    :data:`MIN_PARALLEL_RATIO` on ctrl-steps/s. Every cell of a
+    scenario in :data:`SPACE_BFS_CEILINGS`, reference included, must
+    report ``space_bfs_runs`` at or under its ceiling.
     """
     required = ["reference", "scale", "scale-parallel"]
     if report.get("scale_agents", SCALE_AGENTS) > SCALE_AGENTS:
@@ -363,9 +399,18 @@ def check_scale_report(report: dict) -> list[str]:
     failures = missing_cells(report, "role", required)
     for entry in report["entries"]:
         role = entry.get("role")
+        label = f"{entry['scenario']}@{entry['n_agents']}[{role}]"
+        ceiling = SPACE_BFS_CEILINGS.get(entry["scenario"])
+        if ceiling is not None:
+            runs = entry.get("space_bfs_runs")
+            if runs is None:
+                failures.append(f"{label}: space_bfs_runs missing")
+            elif runs > ceiling:
+                failures.append(
+                    f"{label}: {runs} GraphSpace BFS runs above the "
+                    f"tile's {ceiling}")
         if role not in ("scale", "scale-parallel", "scale-large"):
             continue
-        label = f"{entry['scenario']}@{entry['n_agents']}[{role}]"
         baseline = ("the 100k parallel cell" if role == "scale-large"
                     else "the reference cell")
         ratio = entry.get("scale_ratio")
@@ -425,6 +470,7 @@ SCALE_COLUMNS = (
     Column("rss-mb", ">9", "{:.0f}", "peak_rss_mb"),
     Column("run-mb", ">9", "{:.0f}", "run_peak_rss_mb"),
     Column("B/agent", ">9", "{:.0f}", "bytes_per_agent"),
+    Column("bfs", ">6", key="space_bfs_runs"),
     Column("ratio", ">8", "{:.2f}x", "scale_ratio"),
     Column("par-ratio", ">10", "{:.2f}x", "parallel_ratio"))
 RATIO_COLUMNS = (

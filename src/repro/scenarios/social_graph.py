@@ -9,9 +9,10 @@ the ring and four hub venues pull the population together for work,
 lunch, and evening gatherings — so sleeping laggards decouple from early
 risers by graph distance exactly as SmallVille's villagers do by tiles,
 giving the OOO scheduler real headroom, while hub hours produce genuine
-coupling clusters. The scenario owns its :class:`GraphSpace` (including
-the disjoint-union space for concatenated multi-segment traces), which
-the landmark-bucketed zero-rescan scheduler consumes directly.
+coupling clusters. The scenario owns its :class:`GraphSpace`: one tile
+over the network, laid out once per segment for concatenated
+multi-segment traces, which the landmark-bucketed zero-rescan scheduler
+consumes directly.
 """
 
 from __future__ import annotations
@@ -92,22 +93,23 @@ class SocialGraphScenario(Scenario):
         """Hop-distance space over ``segments`` disjoint network copies.
 
         Concatenated traces offset segment *k*'s node ids by
-        ``k * (width + 1)`` (see ``concat_traces``); the union space
-        mirrors that, so cross-segment distances are infinite — the
-        graph analogue of the paper's side-by-side map segments.
+        ``k * (width + 1)`` (see ``concat_traces``); the space lays out
+        that many copies of the one network at that stride
+        (:meth:`GraphSpace.tiled`), so cross-segment distances are
+        infinite — the graph analogue of the paper's side-by-side map
+        segments. Every segment count shares ``space(1)``'s tile: its
+        tables and hop rows are built once, whatever the count.
         """
         from ..core.space import GraphSpace  # lazy: avoid import cycle
         space = self._spaces.get(segments)
         if space is None:
             world, _ = self.world()
-            stride = world.width + 1
-            adjacency = {}
-            for k in range(segments):
-                off = k * stride
-                for node, neigh in world.adjacency.items():
-                    adjacency[(node + off, 0)] = tuple(
-                        (other + off, 0) for other in neigh)
-            space = GraphSpace(adjacency)
+            if segments == 1:
+                space = GraphSpace({
+                    (node, 0): tuple((other, 0) for other in neigh)
+                    for node, neigh in world.adjacency.items()})
+            else:
+                space = self.space().tiled(segments, world.width + 1)
             self._spaces[segments] = space
         return space
 

@@ -95,10 +95,11 @@ class _StepStart(NamedTuple):
     #: ``aid -> activity`` at the step's start of each agent whose
     #: activity the call changed (:meth:`BehaviorModel._set_activity`).
     before: dict[int, str]
-    #: ``(aid, pos)`` of a cluster call's members before phase 1: its
-    #: candidates. None for a lock-step call, whose candidates come
-    #: from the cell index at their committed (step-start) positions.
-    members: list[tuple[int, tuple[int, int]]] | None
+    #: ``(aid, pos, None)`` of a cluster call's members before phase 1
+    #: (the shape of an index entry, without its cell): its candidates.
+    #: None for a lock-step call, whose candidates come from the cell
+    #: index at their committed (step-start) positions.
+    members: list[tuple[int, tuple[int, int], None]] | None
 
 
 class BehaviorModel:
@@ -162,9 +163,10 @@ class BehaviorModel:
         self._wakers: dict[int, set[int]] = {}
         #: Side of an index cell: at least the perception radius.
         self._side = max(1, math.ceil(self.PERCEPTION_RADIUS))
-        #: Each agent's index entry ``[id, committed position]``, the
-        #: ``pos`` object the index last read; the same list object sits
-        #: in its cell's list in :attr:`_cells`.
+        #: Each agent's index entry ``[id, committed position, cell]``:
+        #: the ``pos`` object the index last read and the cell it sits
+        #: under; the same list object sits in that cell's list in
+        #: :attr:`_cells`.
         self._entries: list[list] = []
         #: Cell -> the entries of the agents committed in it.
         self._cells: dict[tuple[int, int], list[list]] = {}
@@ -175,9 +177,9 @@ class BehaviorModel:
             agent = AgentState(persona=persona, pos=pos)
             agent._roster = self.roster
             self.agents.append(agent)
-            entry = [persona.agent_id, pos]
+            entry = [persona.agent_id, pos, self._cell(pos)]
             self._entries.append(entry)
-            self._cells.setdefault(self._cell(pos), []).append(entry)
+            self._cells.setdefault(entry[2], []).append(entry)
             self._wakers.setdefault(persona.wake_step, set()).add(
                 persona.agent_id)
         #: The distinct wake steps, as steps of the day, in order.
@@ -228,7 +230,7 @@ class BehaviorModel:
               if aid in roster or aid in wakers]
         if up:
             self._step_up(step, up, calls, _StepStart(
-                {}, [(aid, agents[aid].pos) for aid in members]))
+                {}, [(aid, agents[aid].pos, None) for aid in members]))
         return calls
 
     def _step_up(self, step: int, up: list[AgentState],
@@ -423,7 +425,7 @@ class BehaviorModel:
         return (pos[0] // self._side, pos[1] // self._side)
 
     def _near(self, pos: tuple[int, int]) -> list[list]:
-        """The index entries ``[id, committed position]`` in the 3x3
+        """The index entries ``[id, committed position, cell]`` in the 3x3
         block of cells around ``pos``: a cell is at least
         :attr:`PERCEPTION_RADIUS` wide, so the block holds everyone in
         reach."""
@@ -433,28 +435,29 @@ class BehaviorModel:
                 for entry in cells.get((cx + dx, cy + dy), ())]
 
     def _in_reach(self, pos: tuple[int, int], near: Iterable) -> list[int]:
-        """The ids of the ``(id, position)`` pairs (or index entries) in
-        ``near`` within :attr:`PERCEPTION_RADIUS` of ``pos``."""
+        """The ids of the index entries (or ``(id, position, None)``
+        members) in ``near`` within :attr:`PERCEPTION_RADIUS` of
+        ``pos``."""
         x, y = pos
         reach = self.PERCEPTION_RADIUS ** 2
-        return [cid for cid, (ox, oy) in near
+        return [cid for cid, (ox, oy), _ in near
                 if (dx := ox - x) * dx + (dy := oy - y) * dy <= reach]
 
     def _reindex(self) -> None:
         """Bring the index up to every ``pos`` written since the last
         call: a write replaces the tuple, so one identity test per agent
-        finds them all. An entry moves only when its cell changed."""
+        finds them all. An entry moves only when its cell changed; it
+        carries its cell, so only the new one is derived."""
         agents, cells, side = self.agents, self._cells, self._side
         for entry in [entry for agent, entry in zip(agents, self._entries)
                       if agent.pos is not entry[1]]:
-            aid, old = entry
-            pos = entry[1] = agents[aid].pos
+            pos = entry[1] = agents[entry[0]].pos
             # ``_cell``, inlined: this runs for every move.
-            was, cell = (old[0] // side, old[1] // side), \
-                (pos[0] // side, pos[1] // side)
-            if cell != was:
-                cells[was].remove(entry)
+            cell = (pos[0] // side, pos[1] // side)
+            if cell != entry[2]:
+                cells[entry[2]].remove(entry)
                 cells.setdefault(cell, []).append(entry)
+                entry[2] = cell
 
     def _perceived(self, aid: int, view: _StepStart
                    ) -> list[tuple[int, str]]:

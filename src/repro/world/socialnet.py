@@ -189,7 +189,7 @@ class SocialGraphBehavior(BehaviorModel):
 
     def _in_reach(self, pos, near):
         dist, reach = self.space.dist, self.PERCEPTION_RADIUS
-        return [cid for cid, other in near if dist(pos, other) <= reach]
+        return [cid for cid, other, _ in near if dist(pos, other) <= reach]
 
     def _chat_pairs(self, free):
         dist, reach = self.space.dist, self.CHAT_RADIUS

@@ -123,6 +123,20 @@ def ring_space(v: int, chords: int = 0, seed: int = 0) -> GraphSpace:
     return GraphSpace({k: tuple(sorted(vs)) for k, vs in adj.items()})
 
 
+def union_space(adjacency: dict, copies: int, stride: int) -> GraphSpace:
+    """The reference for a tiled space: one ``GraphSpace`` over the union
+    adjacency of ``copies`` copies of a dense ``(id, 0)`` graph, copy
+    ``k`` offset by ``k * stride`` (how ``social-graph`` built its
+    multi-segment space before it kept one tile)."""
+    union = {}
+    for k in range(copies):
+        off = k * stride
+        for (node, _), neigh in adjacency.items():
+            union[(node + off, 0)] = tuple((other + off, 0)
+                                           for other, _ in neigh)
+    return GraphSpace(union)
+
+
 def slot_snapshot(graph) -> dict:
     """A ``SpatioTemporalGraph``'s live slot table as ``(step, cell) ->
     members`` (the layout checks compare it with a fresh partition)."""

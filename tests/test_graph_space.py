@@ -4,8 +4,9 @@ the cells' Lipschitz lower bound, disconnected components (infinite
 distance never blocks or couples), unknown-node errors, the commit fuzz
 against the dict-reference oracle on small-world, tree, edgeless and
 one-constant-cell worlds, a space without cells refused by name, the
-zero-rescan machinery engaging on a graph-metric replay, and the
-component sizes the one graph scenario brings.
+zero-rescan machinery engaging on a graph-metric replay, the
+component sizes the one graph scenario brings, and copies of one tile
+answering as the space over their union does.
 """
 
 import math
@@ -25,7 +26,7 @@ from repro.core.space import GraphSpace, space_for
 from repro.errors import ConfigError
 
 from helpers import (grid_moves, reference_bucket_range, ring_space,
-                     tree_chord_space)
+                     tree_chord_space, union_space)
 from test_hotpath_scheduler import (DictReferenceGraph,
                                     _assert_window_keys_fresh,
                                     _run_commit_fuzz)
@@ -149,8 +150,7 @@ class TestGraphSpaceBasics:
             far = max(ref0, key=ref0.get)
             ref1 = bfs_reference(adj, far)
             for node in ref0:
-                i = space.node_index(node)
-                assert space._larr[i].tolist() == \
+                assert list(space._level_of(node)[:3]) == \
                     [ref0[node], ref1[node], comp]
 
     def test_within_refuses_far_pairs_on_levels_alone(self):
@@ -291,8 +291,8 @@ class TestHopRowExactness:
             for node in range(240):
                 d = space.dist((k * 240 + node, 0), (k * 240 + 7, 0))
                 assert d == ref[node]  # symmetric graph
-                assert space._row_bytes <= 1 << 20
-        assert space._row_bytes == 240 * len(space._rows)
+                assert space._tile.row_bytes <= 1 << 20
+        assert space._tile.row_bytes == 240 * len(space._rows)
         assert 0 < len(space._rows) < 84 * 240
         assert space.bfs_runs == 2 * 84 + 84 * 240
 
@@ -309,8 +309,8 @@ class TestDistanceStores:
             ref = bfs_reference(adj, source)
             target = (source + 5) % 64
             assert space.dist(source, target) == ref[target]
-            assert 0 < space._row_bytes <= 1000
-            assert space._row_bytes == 64 * len(space._rows)
+            assert 0 < space._tile.row_bytes <= 1000
+            assert space._tile.row_bytes == 64 * len(space._rows)
 
     def test_wholesale_drop_preserves_correctness(self):
         space = GraphSpace(path_graph(4))
@@ -331,7 +331,7 @@ class TestDistanceStores:
         for source in (0, 150, 299):
             assert space.dist(source, 299 - source) == abs(299 - 2 * source)
             assert list(space._rows) == [space.node_index(source)]
-            assert space._row_bytes == 600
+            assert space._tile.row_bytes == 600
 
     def test_repeated_probes_run_one_bfs_per_source(self):
         rng = FastRng(11)
@@ -351,7 +351,7 @@ class TestDistanceStores:
         adj = {(i, 0): tuple((j, 0) for j in (i - 1, i + 1) if 0 <= j < 50)
                for i in range(50)}
         space = GraphSpace(adj)
-        assert space.dense_node_cells and space._index is None
+        assert space.dense_node_cells and space._tile.index is None
         assert not space._levels
         assert space.bucket((0, 0), 1.0) == (0, 49)
         assert list(space._levels) == [(0, 0)]
@@ -545,7 +545,7 @@ class TestWindowKeyCache:
         else:
             if world == "ring":
                 space = ring_space(24, chords=3, seed=seed)
-                adj = space._adj
+                adj = space._tile.adj
             else:
                 space, adj = tree_chord_space(rng, 24)
             rules = hop_rules(space)
@@ -603,7 +603,7 @@ class TestWithin:
         assert space._rows
         if lane == "dropped":
             assert len(space._rows) < len(adj)  # dropped on the way
-            assert space._row_bytes <= 40
+            assert space._tile.row_bytes <= 40
 
 
 class TestGraphSteadyState:
@@ -629,7 +629,7 @@ class TestGraphSteadyState:
         monkeypatch.setattr(scn, "_spaces", {})  # a space nobody probed
         space = scn.space()
         built = space.bfs_runs  # the landmark sweeps
-        assert built == 2 * len(space._comp_sizes)
+        assert built == 2 * len(space._tile.comp_sizes)
         config = SchedulerConfig(policy="metropolis",
                                  scenario="social-graph")
         run_replay(trace, config)
@@ -684,7 +684,7 @@ class TestGraphSteadyState:
             load_trace(tmp_path / "bad.npz")
 
     def test_concatenated_segments_stay_disjoint(self):
-        """Multi-segment graph traces: the union space keeps segments
+        """Multi-segment graph traces: the tiled space keeps segments
         at infinite distance, so cross-segment pairs never block."""
         from repro.scenarios import get_scenario
         scn = get_scenario("social-graph")
@@ -706,5 +706,181 @@ class TestGraphSteadyState:
         source over it, ``GraphSpace`` docstring) must say so here."""
         from repro.scenarios import get_scenario
         space = get_scenario("social-graph").space(segments=segments)
-        assert len(space._comp_sizes) == segments
-        assert max(space._comp_sizes) <= 240
+        ids = np.flatnonzero(np.asarray(space.node_comp) >= 0)
+        sizes = np.bincount(space.components_of(ids))
+        assert len(sizes) == segments
+        assert sizes.max() <= 240
+
+
+def tile_world(rng, sizes, gaps) -> dict:
+    """Dense ``(id, 0)`` components of the given sizes over the ids
+    ``0 .. sum(sizes) + gaps - 1``, ``gaps`` of them left unused."""
+    ids = list(range(sum(sizes) + gaps))
+    for _ in range(gaps):
+        ids.pop(rng.integers(0, len(ids)))
+    adj, base = {}, 0
+    for size in sizes:
+        part = ids[base:base + size]
+        for node, neigh in small_world(rng, size, k=1, ties=1).items():
+            adj[(part[node], 0)] = [(part[o], 0) for o in neigh]
+        base += size
+    return adj
+
+
+def refusal(call):
+    """The message of the ``ConfigError`` ``call`` raises (None if it
+    returns)."""
+    try:
+        call()
+    except ConfigError as err:
+        return str(err)
+    return None
+
+
+class TestTiledSpace:
+    """Copies of one tile answer exactly as the space over their union
+    adjacency (``helpers.union_space``, the construction the scenario
+    used before it kept one tile), door by door, at a tile's cost."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10**9),
+           sizes=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+           gaps=st.integers(0, 3), pad=st.integers(0, 3),
+           copies=st.integers(1, 12))
+    def test_matches_the_union_space(self, seed, sizes, gaps, pad, copies):
+        rng = FastRng(seed)
+        adj = tile_world(rng, sizes, gaps)
+        stride = max(node for node, _ in adj) + 1 + pad
+        tiled = GraphSpace(adj).tiled(copies, stride)
+        union = union_space(adj, copies, stride)
+        nodes = [(k * stride + node, 0) for k in range(copies)
+                 for node, _ in adj]
+        ids = np.array([node for node, _ in nodes])
+        for space in (tiled, union):
+            assert space.dense_node_cells
+        for a in nodes:
+            assert tiled.node_index(a) == union.node_index(a)
+            assert tiled.component_of(a) == union.component_of(a)
+            assert list(tiled.hop_row(tiled.node_index(a))) == \
+                list(union.hop_row(union.node_index(a)))
+            for cell in (1.0, 2.0, 3.0):
+                assert tiled.bucket(a, cell) == union.bucket(a, cell)
+                for radius in (1.0, 2.0, 5.0):
+                    assert tiled.cell_window(a, radius, cell) == \
+                        union.cell_window(a, radius, cell)
+        for a in (nodes[rng.integers(0, len(nodes))] for _ in range(12)):
+            for b in nodes:
+                assert tiled.dist(a, b) == union.dist(a, b)
+                for radius in (0.0, 1.0, 3.0):
+                    assert tiled.within(a, b, radius) == \
+                        union.within(a, b, radius)
+        assert tiled.components_of(ids).tolist() == \
+            union.components_of(ids).tolist()
+        for cell in (1.0, 2.0):
+            for got, want in zip(tiled.bucket_mat(ids, cell),
+                                 union.bucket_mat(ids, cell)):
+                assert got.tolist() == want.tolist()
+        # The tile's numbers: its landmark sweeps and one row per source
+        # it was probed from, whatever the copy count.
+        assert tiled.bfs_runs <= 2 * len(sizes) + len(adj)
+
+    @pytest.mark.parametrize("ghost", ["gap", "past", "second-axis",
+                                       "negative"])
+    def test_refuses_what_the_union_refuses(self, ghost):
+        """The gap id after each ring, ids past the last copy, ``(id,
+        1)`` and negative ids: the same ``ConfigError``, door by door."""
+        from repro.scenarios import get_scenario
+        scn = get_scenario("social-graph")
+        world, _ = scn.world()
+        stride = world.width + 1
+        tiled = scn.space(8)
+        union = union_space(scn.space()._tile.adj, 8, stride)
+        node = {"gap": (3 * stride + 240, 0), "past": (8 * stride, 0),
+                "second-axis": (5, 1), "negative": (-1, 0)}[ghost]
+        doors = [lambda s: s.dist(node, (0, 0)),
+                 lambda s: s.within((0, 0), node, 2.0),
+                 lambda s: s.bucket(node, 2.0),
+                 lambda s: s.cell_window(node, 1.0, 2.0),
+                 lambda s: s.node_index(node),
+                 lambda s: s.component_of(node)]
+        if node[1] == 0:
+            ids = np.array([0, node[0]])
+            doors += [lambda s: s.components_of(ids),
+                      lambda s: s.bucket_mat(ids, 2.0)]
+        for door in doors:
+            message = refusal(lambda: door(union))
+            assert message == f"unknown node {node!r}"
+            assert refusal(lambda: door(tiled)) == message
+
+    def test_copies_need_dense_ids_and_room(self):
+        with pytest.raises(ConfigError, match="dense"):
+            GraphSpace({0: [1], 1: [0]}).tiled(2, 2)
+        pair = GraphSpace({(0, 0): [(1, 0)], (1, 0): [(0, 0)]})
+        with pytest.raises(ConfigError, match="stride 1"):
+            pair.tiled(2, 1)
+        with pytest.raises(ConfigError, match="needs a copy"):
+            pair.tiled(0, 2)
+
+    def test_scenario_shares_one_tile(self):
+        """``space(1)``, ``space(2)`` and ``space(8)`` lay out one tile:
+        one ring's adjacency, no union of them."""
+        from repro.scenarios import get_scenario
+        scn = get_scenario("social-graph")
+        tile = scn.space()._tile
+        for segments in (2, 8):
+            space = scn.space(segments)
+            assert space._tile is tile and space.copies == segments
+        assert len(tile.adj) == 240 and len(tile.comp_sizes) == 1
+
+    def test_warm_eight_segment_replay_runs_a_tile_of_bfs(self,
+                                                          monkeypatch):
+        """Eight differently seeded segments share the tile's hop rows:
+        the landmark sweeps plus at most one row per ring node an agent
+        stands on in any copy (so at most 242), where per-copy rows
+        would run one per occupied node of every segment. A warm replay
+        runs none, and the oracle's after it stays in the tile."""
+        from repro.scenarios import get_scenario
+        from repro.trace.schema import concat_traces
+        scn = get_scenario("social-graph")
+        world, _ = scn.world()
+        stride = world.width + 1
+        trace = concat_traces(
+            [scenario_window_trace(scn, seed=seed) for seed in range(8)],
+            x_stride=stride)
+        ids = trace.positions_by_step[:, :, 0]
+        assert len(np.unique(ids % stride)) < len(np.unique(ids))
+        monkeypatch.setattr(scn, "_spaces", {})  # a tile nobody probed
+        config = SchedulerConfig(policy="metropolis",
+                                 scenario="social-graph")
+        run_replay(trace, config)
+        space = scn.space(8)
+        cold = space.bfs_runs
+        assert 2 < cold <= 2 + len(np.unique(ids % stride)) <= 2 + 240
+        run_replay(trace, config)
+        assert space.bfs_runs == cold
+        # The oracle's mining probes from other sources, in the tile too.
+        run_replay(trace, SchedulerConfig(policy="oracle",
+                                          scenario="social-graph"))
+        assert space.bfs_runs <= 2 + len(np.unique(ids % stride))
+
+    def test_four_thousand_segments_cost_a_tile(self, monkeypatch):
+        """The social-graph@100k scale cells' space: the union of 4,000
+        rings took 627 MiB of RSS. Laid out from one tile it holds two
+        small columns per node id."""
+        import tracemalloc
+
+        from repro.scenarios import get_scenario
+        scn = get_scenario("social-graph")
+        monkeypatch.setattr(scn, "_spaces", {})
+        scn.world()
+        tracemalloc.start()
+        try:
+            space = scn.space(4000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+        assert space.bfs_runs == 2
+        assert space.table_bytes < 8 << 20
+        assert space.dist((3999 * 241 + 3, 0), (3999 * 241 + 9, 0)) == \
+            scn.space().dist((3, 0), (9, 0))

@@ -869,15 +869,18 @@ class TestHotpathBench:
     def test_run_scale_runs_every_cell_isolated(self, monkeypatch,
                                                tmp_path):
         """Every cell of the matrix, reference included, goes through
-        :func:`bench_scale_isolated`; this process runs none."""
+        :func:`bench_scale_isolated`; this process runs none. The
+        reference runs three times, before, between and after the 100k
+        cells, and the ratios divide by the median run."""
         from repro.bench import hotpath as hp
 
         calls = []
+        speeds = iter([3.0, 1.0, 5.0, 8.0, 4.0])
 
         def fake(name, n_agents, n_steps, parallel_workers=0):
             calls.append((name, n_agents, parallel_workers))
             return {"scenario": name, "n_agents": n_agents,
-                    "agent_steps_per_sec": 1.0}
+                    "agent_steps_per_sec": next(speeds)}
 
         def refuse(*args, **kwargs):
             raise AssertionError("a cell ran in this process")
@@ -888,9 +891,47 @@ class TestHotpathBench:
                               out=tmp_path / "scale.json",
                               parallel_workers=2)
         assert calls == [("smallville", 10, 0), ("smallville", 100, 0),
-                         ("smallville", 100, 2)]
+                         ("smallville", 10, 0), ("smallville", 100, 2),
+                         ("smallville", 10, 0)]
+        ref, big, par = report["entries"]
         assert [e["role"] for e in report["entries"]] == \
             ["reference", "scale", "scale-parallel"]
+        assert ref["agent_steps_per_sec"] == 4.0  # the median of 3, 5, 4
+        assert ref["reference_runs"] == [3.0, 5.0, 4.0]
+        assert big["scale_ratio"] == 0.25 and par["scale_ratio"] == 2.0
+        assert par["parallel_ratio"] == 8.0
+
+    def test_graph_cells_report_the_space_and_face_its_ceiling(self):
+        """A ``social-graph`` cell reports its space's BFS runs and
+        table bytes; every such cell, reference included, is held to
+        the tile's ceiling, which is two sweeps per tile component plus
+        one row per tile node. A coordinate cell reports neither."""
+        from repro.bench import hotpath as hp
+        from repro.scenarios import get_scenario
+
+        tile = get_scenario("social-graph").space()._tile
+        assert hp.SPACE_BFS_CEILINGS["social-graph"] == \
+            2 * len(tile.comp_sizes) + tile.n
+        graph = hp.bench_scale_one("social-graph", 50, n_steps=4)
+        assert 2 <= graph["space_bfs_runs"] <= 242
+        assert graph["space_table_bytes"] > 0
+        assert "space_bfs_runs" not in hp.bench_scale_one(
+            "smallville", 50, n_steps=4)
+        cell = {"scenario": "social-graph", "n_agents": 100_000,
+                "shards": 400, "parallel_workers": 4, "scale_ratio": 1.0,
+                "parallel_ratio": 2.0, "agent_steps_per_sec": 1e5,
+                "space_bfs_runs": 242}
+        report = {"scenarios": ["social-graph"], "entries": [
+            {**cell, "role": "reference", "n_agents": 2000},
+            {**cell, "role": "scale"},
+            {**cell, "role": "scale-parallel"}]}
+        assert hp.check_scale_report(report) == []
+        report["entries"][0]["space_bfs_runs"] = 243
+        del report["entries"][2]["space_bfs_runs"]
+        assert hp.check_scale_report(report) == [
+            "social-graph@2000[reference]: 243 GraphSpace BFS runs above "
+            "the tile's 242",
+            "social-graph@100000[scale-parallel]: space_bfs_runs missing"]
 
 
 #: The committed hot-path report: the ledger the ceilings are set on.

@@ -32,9 +32,9 @@ def _two_rings(v, chords=0, seed=0):
     """``(rules, adjacency)`` of two disjoint copies of a ``v``-node ring
     with chords: nodes ``(i, 0)`` and ``(i + 1000, 0)``."""
     base = _ring_space(v, chords=chords, seed=seed)
-    adj = dict(base._adj)
+    adj = dict(base._tile.adj)
     adj.update({(a + 1000, 0): tuple((b + 1000, 0) for b, _ in vs)
-                for (a, _), vs in base._adj.items()})
+                for (a, _), vs in base._tile.adj.items()})
     return DependencyRules(
         DependencyConfig(radius_p=1.0, max_vel=1.0, metric="graph"),
         space=GraphSpace(adj)), adj

@@ -773,7 +773,7 @@ def _reference_step(model, step, agent_ids, lock_step=False):
 def _cluster_view(model, members):
     """The view ``step_agents`` takes of ``members`` before phase 1."""
     return behavior._StepStart(
-        {}, [(aid, model.agents[aid].pos) for aid in members])
+        {}, [(aid, model.agents[aid].pos, None) for aid in members])
 
 
 def _assert_roster_exact(model):
