@@ -55,6 +55,7 @@ DRAWS = ("tests/test_util.py::TestPcg64MatchesNumpy "
          "tests/test_trace.py::TestGoldenFingerprints")
 WRITE = "node[aid] = self._node_index(new_p)"
 COMPARE = "row[local[nb]] if comp[nb] == ca else inf"
+SCAN_PASS = "            # Scalar pass over the window's slots"
 
 #: name -> (file, old text, new text, which occurrence, tests), or
 #: name -> ((site, ...), tests) with each site a (file, old text, new
@@ -67,7 +68,9 @@ COMPARE = "row[local[nb]] if comp[nb] == ca else inf"
 #: keys its hop rows by tile source (one row serves every copy). The
 #: off-grid cell lane: a mover's cell and every initial cell come from
 #: ``Space.bucket``, a mover drops its cached window keys, and a space
-#: without cells is refused. The one-call round:
+#: without cells is refused. The banded scan: ``_scan_rows`` walks only
+#: the bands within a row's reach, which the scale cells' count gate
+#: reads as slots per scan. The one-call round:
 #: ``ControllerCore.step``'s singleton lane and sorted seeds, the fused
 #: commit's peer count, the call-free cluster's due time and call test,
 #: and pins for callers only. The worker path: a task's members sorted
@@ -131,6 +134,11 @@ MUTANTS = {
     "hop-row-keyed-by-global-id": (
         ((SPACE, "row = rows.get(src)", "row = rows.get(i)", 0),
          (SPACE, "rows[src] = row", "rows[i] = row", 0)), GRAPH_SPACE),
+    "scan-walks-every-band": (
+        GRAPH, SCAN_PASS,
+        "            window = list(bands.values())\n" + SCAN_PASS, 0,
+        "tests/test_hotpath_scheduler.py::TestHotpathBench"
+        "::test_busy_scale_cell_passes_the_count_gate"),
     "off-grid-mover-keeps-old-cell": (
         GRAPH, "nc = bucket(new_p, cell)", "nc = oc", 0, GRAPH_SPACE),
     "mover-keeps-window-keys": (

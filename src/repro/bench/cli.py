@@ -146,15 +146,17 @@ def main(argv: list[str] | None = None) -> int:
     hot.add_argument("--scale", action="store_true",
                      help="run the scale matrix instead: a 2000-agent "
                           "reference cell plus serial and multiprocess "
-                          "large tiled cells per scenario (default "
-                          f"{list(SCALE_SCENARIOS)}); --check gates each "
-                          "cell's throughput ratio and the parallel/"
-                          "serial ctrl-steps/s ratio")
+                          "large cells per scenario (default "
+                          f"{list(SCALE_SCENARIOS)}), tiled from the "
+                          "active window; --check holds every cell to "
+                          "its COUNT_CEILINGS row, wants calls, moves "
+                          "and scanned slots in each, and gates the "
+                          "parallel/serial ctrl-steps/s ratio")
     hot.add_argument("--scale-agents", type=int, default=SCALE_AGENTS,
                      help="population of the large scale cell "
                           f"(default {SCALE_AGENTS}; 1000000 adds the "
-                          "nightly scale-large cell gated against the "
-                          "100k parallel cell)")
+                          "nightly scale-large parallel cell, held to "
+                          "the same count gate)")
     srv = sub.add_parser(
         "serving", help="end-to-end serving matrix: tokens/s + KV "
                         "counters per scenario on its declared "

@@ -182,14 +182,20 @@ def _peak_rss_mb() -> float:
 def timed_cell(trace, scheduler, serving=None):
     """Run ``run_replay`` once; return the result and the entry fields
     every controller cell reports (the family adds its own).
-    ``agent_steps_per_sec`` is per controller second."""
+    ``agent_steps_per_sec`` is per controller second; the exact
+    counters the hot-path gates hold to ``COUNT_CEILINGS`` are derived
+    here, once for the hotpath and scale families."""
     wall0 = time.perf_counter()
     result = run_replay(trace, scheduler, serving)
     wall = time.perf_counter() - wall0
     stats = result.driver_stats
+    extra = stats.extra
     agent_steps = trace.meta.n_agents * trace.meta.n_steps
     controller = stats.controller_time
-    slots = stats.extra.get("graph_scanned_slots", 0)
+    clusters = max(stats.clusters_dispatched, 1)
+    scans = extra.get("graph_scans", 0)
+    slots = extra.get("graph_scanned_slots", 0)
+    kernel_events = extra.get("kernel_events", 0)
     return result, {
         "scenario": scheduler.scenario,
         "n_agents": trace.meta.n_agents,
@@ -200,8 +206,12 @@ def timed_cell(trace, scheduler, serving=None):
         "controller_time_s": controller,
         "clusters_dispatched": stats.clusters_dispatched,
         "scanned_slots": slots,
-        "scanned_slots_per_scan":
-            slots / max(stats.extra.get("graph_scans", 0), 1),
+        "scans_per_agent_step": scans / agent_steps,
+        "scanned_slots_per_scan": slots / max(scans, 1),
+        "kernel_events": kernel_events,
+        "kernel_events_per_cluster": kernel_events / clusters,
+        "events_total_per_cluster":
+            extra.get("kernel_events_total", 0) / clusters,
         "agent_steps_per_sec": agent_steps / controller if controller
         else float("inf"),
         "wall_agent_steps_per_sec": agent_steps / wall if wall

@@ -182,11 +182,17 @@ def generate_scale_trace(
     where simulating thousands of independent day segments would cost
     more than the benchmark itself:
 
-    * segments cycle through a small pool of :data:`SCALE_POOL`
-      independently-seeded windows (``n_steps`` kept short for the same
-      reason), so generation is O(pool) simulation + O(total) array
-      writes — the writes stream into the preallocated store of
-      :func:`concat_traces`;
+    * every segment replays the last ``n_steps`` steps of the
+      scenario's ``active_window`` (``cached_day_trace(seed, n,
+      end).window(end - n_steps, end)``, the golden trace's
+      convention), so agents are awake, walking and calling: the scale
+      cells count the traffic the hot-path matrix counts;
+    * segments cycle through a small pool of at most :data:`SCALE_POOL`
+      independently-seeded windows (each pool day is simulated up to
+      the window's end once, then cached), so generation is O(pool)
+      simulation + O(total) array writes — the writes stream into the
+      preallocated store of :func:`concat_traces`; a remainder segment
+      gets a seed of its own;
     * coordinate scenarios get a **widened gutter**: segments are
       strided ``2 * (radius_p + (n_steps + 1) * max_vel)`` tiles apart
       beyond the map width, putting them outside the worst-case
@@ -200,15 +206,20 @@ def generate_scale_trace(
     """
     scn = get_scenario(scenario)
     per_segment = scn.agents_per_segment
+    end = scn.active_window[1]
+
+    def window(seed: int, n_agents: int) -> Trace:
+        day = cached_day_trace(seed, n_agents, end, scn)
+        return day.window(end - n_steps, end)
+
     if total_agents <= per_segment:
-        return cached_day_trace(base_seed, total_agents, n_steps, scn)
-    pool = [cached_day_trace(base_seed + k, per_segment, n_steps, scn)
-            for k in range(SCALE_POOL)]
+        return window(base_seed, total_agents)
     n_segments, remainder = divmod(total_agents, per_segment)
+    pool = [window(base_seed + k, per_segment)
+            for k in range(min(SCALE_POOL, n_segments))]
     segments = [pool[k % len(pool)] for k in range(n_segments)]
     if remainder:
-        segments.append(
-            cached_day_trace(base_seed + len(pool), remainder, n_steps, scn))
+        segments.append(window(base_seed + len(pool), remainder))
     world, _ = scn.world()
     dep = scn.dependency_config or DependencyConfig()
     if dep.metric == "graph":

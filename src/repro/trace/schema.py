@@ -149,21 +149,24 @@ class Trace:
         For graph traces this measures hop distance through the
         scenario's space (resolved via ``rules_for``); coordinate
         traces already validated at construction. Costs one distance
-        lookup per agent-step, so it runs at the untrusted boundaries
-        (trace load/import), not on every window slice.
+        lookup per agent-step that changes node (:attr:`moved`; one
+        that stays put is 0 hops), so it runs at the untrusted
+        boundaries (trace load/import), not on every window slice.
         """
         if self.meta.metric != "graph":
             return
         from ..core.rules import rules_for  # lazy: avoid import cycle
         space = rules_for(None, self.meta).space
         max_vel = self.meta.max_vel
-        for aid in range(self.meta.n_agents):
-            for step in range(self.meta.n_steps):
-                d = space.dist(self.pos(aid, step), self.pos(aid, step + 1))
-                if d > max_vel:
-                    raise TraceError(
-                        f"agent {aid} moved {d} hops at step {step} "
-                        f"(max_vel={max_vel})")
+        n = self.meta.n_agents
+        movers = np.flatnonzero(np.frombuffer(self.moved, dtype=np.uint8))
+        for i in movers.tolist():
+            step, aid = divmod(i, n)
+            d = space.dist(self.pos(aid, step), self.pos(aid, step + 1))
+            if d > max_vel:
+                raise TraceError(
+                    f"agent {aid} moved {d} hops at step {step} "
+                    f"(max_vel={max_vel})")
 
     # -- accessors ----------------------------------------------------------
 

@@ -186,6 +186,14 @@ def fast_fault_policy(**overrides) -> FaultPolicy:
     return FaultPolicy(**defaults)
 
 
+def call_free(trace: Trace) -> Trace:
+    """``trace``'s positions with none of its calls: a replay of it
+    has no serving time, so every worker's virtual clock runs the
+    overhead model the shared kernel would."""
+    empty = np.zeros(0, dtype=np.int32)
+    return Trace(trace.meta, trace.positions_by_step, *[empty] * 5)
+
+
 def random_trace(seed: int, n_agents: int = 6, n_steps: int = 40,
                  width: int = 40, height: int = 30,
                  p_call: float = 0.35, max_chain: int = 3,

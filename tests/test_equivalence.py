@@ -23,7 +23,7 @@ from repro.core.parallel import try_parallel_replay
 from repro.trace.generator import generate_scale_trace
 from repro.world import BehaviorModel, build_smallville, make_personas
 
-from helpers import memory_contents, per_agent_sequences
+from helpers import call_free, memory_contents, per_agent_sequences
 from test_golden_replay import InProcessPool, counters
 
 
@@ -199,17 +199,20 @@ class TestReplayMatchesLockStep:
 
     def test_worker_processes_equal_in_process(self):
         """Real worker processes equal their tasks run here, counter for
-        counter; on a call-free trace both equal the in-process run."""
-        trace = generate_scale_trace(total_agents=50, n_steps=15,
-                                     scenario="smallville", base_seed=3)
+        counter, with calls and without; on the call-free copy both
+        equal the in-process run."""
+        busy = generate_scale_trace(total_agents=50, n_steps=15,
+                                    scenario="smallville", base_seed=3)
+        assert busy.n_calls > 0
         base = SchedulerConfig(policy="metropolis", validate_causality=True)
-        single = run_replay(trace, base)
         workers = replace(base, parallel_workers=2)
-        there = run_replay(trace, workers)
-        here = try_parallel_replay(trace, workers, ServingConfig(),
-                                   pool=InProcessPool())
-        assert there.driver_stats.extra["parallel_workers"] == 2
-        assert counters(there) == counters(here)
-        assert there.completion_time == here.completion_time \
-            == single.completion_time
+        for trace in (busy, call_free(busy)):
+            there = run_replay(trace, workers)
+            here = try_parallel_replay(trace, workers, ServingConfig(),
+                                       pool=InProcessPool())
+            assert there.driver_stats.extra["parallel_workers"] == 2
+            assert counters(there) == counters(here)
+            assert there.completion_time == here.completion_time
+        single = run_replay(trace, base)
+        assert there.completion_time == single.completion_time
         assert there.n_tasks_completed == single.n_tasks_completed

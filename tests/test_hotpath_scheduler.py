@@ -520,6 +520,23 @@ class TestSpatialIndexBuffers:
             assert got == want
 
 
+def scale_report(scenario="smallville", **fields):
+    """A scale report that passes its gate: the three cells of one
+    scenario, each with traffic, every counter of the scenario's
+    ``COUNT_CEILINGS`` row at 0 and ``fields`` on top."""
+    from repro.bench import hotpath as hp
+
+    cell = {"scenario": scenario, "n_agents": 100_000, "shards": 1,
+            "agent_steps_per_sec": 1e5, "n_calls": 1,
+            "moved_agent_steps": 1, "scanned_slots": 1,
+            **dict.fromkeys(hp.COUNT_CEILINGS[scenario], 0.0), **fields}
+    return {"scenarios": [scenario], "entries": [
+        {**cell, "role": "reference", "n_agents": 2000},
+        {**cell, "role": "scale"},
+        {**cell, "role": "scale-parallel", "shards": 400,
+         "parallel_workers": 4, "parallel_ratio": 2.0}]}
+
+
 class TestHotpathBench:
     @pytest.fixture(autouse=True)
     def short_generation_day(self, monkeypatch):
@@ -636,13 +653,7 @@ class TestHotpathBench:
         cell the planner did not split means the workload broke."""
         from repro.bench import hotpath as hp
 
-        cell = {"scenario": "smallville", "n_agents": 100_000, "shards": 1,
-                "scale_ratio": 1.0, "agent_steps_per_sec": 1e5}
-        report = {"scenarios": ["smallville"], "entries": [
-            {**cell, "role": "reference", "n_agents": 2000},
-            {**cell, "role": "scale"},
-            {**cell, "role": "scale-parallel", "shards": 400,
-             "parallel_workers": 4, "parallel_ratio": 2.0}]}
+        report = scale_report()
         assert hp.check_scale_report(report) == []
         report["entries"][2]["shards"] = 1
         assert hp.check_scale_report(report) == [
@@ -869,13 +880,14 @@ class TestHotpathBench:
     def test_run_scale_runs_every_cell_isolated(self, monkeypatch,
                                                tmp_path):
         """Every cell of the matrix, reference included, goes through
-        :func:`bench_scale_isolated`; this process runs none. The
-        reference runs three times, before, between and after the 100k
-        cells, and the ratios divide by the median run."""
+        :func:`bench_scale_isolated` once; this process runs none. Each
+        cell but the reference reports its throughput over the
+        reference's, and the parallel cell over the serial one's; the
+        large cell runs only above the 100k tier."""
         from repro.bench import hotpath as hp
 
         calls = []
-        speeds = iter([3.0, 1.0, 5.0, 8.0, 4.0])
+        speeds = iter([4.0, 1.0, 8.0, 4.0, 1.0, 8.0, 6.0])
 
         def fake(name, n_agents, n_steps, parallel_workers=0):
             calls.append((name, n_agents, parallel_workers))
@@ -891,15 +903,28 @@ class TestHotpathBench:
                               out=tmp_path / "scale.json",
                               parallel_workers=2)
         assert calls == [("smallville", 10, 0), ("smallville", 100, 0),
-                         ("smallville", 10, 0), ("smallville", 100, 2),
-                         ("smallville", 10, 0)]
+                         ("smallville", 100, 2)]
         ref, big, par = report["entries"]
         assert [e["role"] for e in report["entries"]] == \
             ["reference", "scale", "scale-parallel"]
-        assert ref["agent_steps_per_sec"] == 4.0  # the median of 3, 5, 4
-        assert ref["reference_runs"] == [3.0, 5.0, 4.0]
+        assert "scale_ratio" not in ref
         assert big["scale_ratio"] == 0.25 and par["scale_ratio"] == 2.0
         assert par["parallel_ratio"] == 8.0
+        assert "parallel_ratio" not in big
+
+        calls.clear()
+        report = hp.run_scale(scenarios=("smallville",),
+                              scale_agents=hp.SCALE_AGENTS + 1,
+                              reference_agents=10, n_steps=2, out=None,
+                              parallel_workers=2)
+        assert calls == [("smallville", 10, 0),
+                         ("smallville", hp.SCALE_AGENTS, 0),
+                         ("smallville", hp.SCALE_AGENTS, 2),
+                         ("smallville", hp.SCALE_AGENTS + 1, 2)]
+        large = report["entries"][-1]
+        assert large["role"] == "scale-large"
+        assert large["scale_ratio"] == 1.5  # over the reference's 4.0
+        assert "parallel_ratio" not in large
 
     def test_graph_cells_report_the_space_and_face_its_ceiling(self):
         """A ``social-graph`` cell reports its space's BFS runs and
@@ -917,14 +942,7 @@ class TestHotpathBench:
         assert graph["space_table_bytes"] > 0
         assert "space_bfs_runs" not in hp.bench_scale_one(
             "smallville", 50, n_steps=4)
-        cell = {"scenario": "social-graph", "n_agents": 100_000,
-                "shards": 400, "parallel_workers": 4, "scale_ratio": 1.0,
-                "parallel_ratio": 2.0, "agent_steps_per_sec": 1e5,
-                "space_bfs_runs": 242}
-        report = {"scenarios": ["social-graph"], "entries": [
-            {**cell, "role": "reference", "n_agents": 2000},
-            {**cell, "role": "scale"},
-            {**cell, "role": "scale-parallel"}]}
+        report = scale_report("social-graph", space_bfs_runs=242)
         assert hp.check_scale_report(report) == []
         report["entries"][0]["space_bfs_runs"] = 243
         del report["entries"][2]["space_bfs_runs"]
@@ -932,6 +950,66 @@ class TestHotpathBench:
             "social-graph@2000[reference]: 243 GraphSpace BFS runs above "
             "the tile's 242",
             "social-graph@100000[scale-parallel]: space_bfs_runs missing"]
+
+    @pytest.mark.parametrize("counter", [
+        "scans_per_agent_step", "events_total_per_cluster",
+        "scanned_slots_per_scan", "kernel_events_per_cluster"])
+    def test_scale_cells_face_the_count_ceilings(self, counter):
+        """Every scale cell, reference included, is held to its
+        scenario's ``COUNT_CEILINGS`` row: a counter above its ceiling
+        fails, and so does a cell missing one."""
+        from repro.bench import hotpath as hp
+
+        ceiling = hp.COUNT_CEILINGS["smallville"][counter]
+        report = scale_report()
+        report["entries"][1][counter] = ceiling
+        assert hp.check_scale_report(report) == []
+        report["entries"][1][counter] = ceiling * 1.01
+        del report["entries"][0][counter]
+        assert hp.check_scale_report(report) == [
+            f"smallville@2000[reference]: {counter} missing from the "
+            "report entry",
+            f"smallville@100000[scale]: {counter} "
+            f"{ceiling * 1.01:.4g} above its {ceiling:.4g} ceiling"]
+
+    @pytest.mark.parametrize("counter", [
+        "n_calls", "moved_agent_steps", "scanned_slots"])
+    def test_scale_cells_without_traffic_fail(self, counter):
+        """A cell that replays a window where nobody calls, moves or is
+        scanned times nothing the claim is about (the sleeping steps
+        0-29 read 0 in all three); a missing count fails too."""
+        from repro.bench import hotpath as hp
+
+        report = scale_report()
+        report["entries"][2][counter] = 0
+        del report["entries"][0][counter]
+        assert hp.check_scale_report(report) == [
+            f"smallville@2000[reference]: {counter} is None: no traffic "
+            "to time",
+            f"smallville@100000[scale-parallel]: {counter} is 0: no "
+            "traffic to time"]
+
+    def test_scale_ratio_is_reported_not_gated(self):
+        """A cell at a hundredth of the reference's throughput passes:
+        the ratio of two timings taken minutes apart is not the gate."""
+        from repro.bench import hotpath as hp
+
+        report = scale_report(scale_ratio=0.01)
+        assert hp.check_scale_report(report) == []
+
+    @pytest.mark.parametrize("scenario", ["smallville", "social-graph"])
+    def test_busy_scale_cell_passes_the_count_gate(self, scenario):
+        """The smallest scale cell that spans several segments (four
+        pool windows of the active window, 30 steps) holds every
+        counter under its ceiling with traffic in it; a scan that walked
+        every live band reads about one segment's slots per segment
+        per scan, past the slots-per-scan row."""
+        from repro.bench import hotpath as hp
+
+        entry = hp.bench_scale_one(scenario, 100)
+        assert entry["n_calls"] > 0 and entry["moved_agent_steps"] > 0
+        assert entry["scanned_slots"] > 0
+        assert hp.count_failures(entry, scenario) == []
 
 
 #: The committed hot-path report: the ledger the ceilings are set on.
@@ -957,6 +1035,10 @@ class TestCountCeilings:
         committed = json.loads(COMMITTED_SCALE.read_text())
         assert check_scale_report(committed) == []
         assert all(e["bytes_per_agent"] > 0 for e in committed["entries"])
+        # The steps 0-29 cells it replaced, kept for comparison: nobody
+        # was scanned there.
+        before = committed["sleeping_window_before"]["entries"]
+        assert before and all(e["scanned_slots"] == 0 for e in before)
 
     def test_every_scenario_has_a_row(self):
         from repro.bench.hotpath import COUNT_CEILINGS

@@ -8,12 +8,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.bench.hotpath import SCALE_SCENARIOS, SCALE_STEPS
 from repro.config import SchedulerConfig, ServingConfig
 from repro.core.metropolis import MetropolisDriver
 from repro.core.tasks import ChainExecutor
 from repro.devent import Kernel
 from repro.errors import TraceError
-from repro.scenarios import scenario_names
+from repro.scenarios import get_scenario, scenario_names
 from repro.serving import ServingEngine
 from repro.trace import (Trace, cached_day_trace, compute_stats,
                          export_jsonl, generate_concatenated_trace,
@@ -423,27 +424,47 @@ class TestGenerator:
 
 class TestScaleTrace:
     def test_segments_cycle_through_the_pool(self, monkeypatch):
-        """Full segments reuse :data:`SCALE_POOL` seeded windows in turn;
-        a remainder gets a window of its own."""
+        """Full segments reuse :data:`SCALE_POOL` seeded windows in turn,
+        each the last steps of a day that ends where the scenario's
+        active window does; a remainder gets a window of its own, and a
+        population of fewer segments generates only the windows it
+        tiles."""
         seeds = []
         real = generator_mod.cached_day_trace
 
-        def recording(seed, n_agents, *args, **kwargs):
-            seeds.append((seed, n_agents))
-            return real(seed, n_agents, *args, **kwargs)
+        def recording(seed, n_agents, n_steps, scenario):
+            seeds.append((seed, n_agents, n_steps))
+            return real(seed, n_agents, n_steps, scenario)
 
         monkeypatch.setattr(generator_mod, "cached_day_trace", recording)
         per = 25  # smallville's agents per segment
+        end = get_scenario("smallville").active_window[1]
         t = generate_scale_trace(per * (SCALE_POOL + 1) + 3, n_steps=5)
-        assert seeds == [(k, per) for k in range(SCALE_POOL)] + \
-            [(SCALE_POOL, 3)]
+        assert seeds == [(k, per, end) for k in range(SCALE_POOL)] + \
+            [(SCALE_POOL, 3, end)]
+        assert t.meta.base_step == end - 5 and t.meta.n_steps == 5
         assert t.meta.n_agents == per * (SCALE_POOL + 1) + 3
+        seeds.clear()
+        generate_scale_trace(2 * per + 10, n_steps=5, base_seed=4)
+        assert seeds == [(4, per, end), (5, per, end), (6, 10, end)]
         pos = t.positions_by_step
         first, again = pos[:, :per], pos[:, SCALE_POOL * per:
                                          (SCALE_POOL + 1) * per]
         shift = again[..., 0] - first[..., 0]
         assert shift.min() == shift.max() > 0
         assert np.array_equal(again[..., 1], first[..., 1])
+
+    @pytest.mark.parametrize("scenario", SCALE_SCENARIOS)
+    def test_scale_windows_carry_traffic(self, scenario):
+        """The scale cells replay a town where something happens: their
+        30-step window has calls and moves in it (steps 0-29 of the
+        day, which they once tiled, have neither)."""
+        t = generate_scale_trace(100, n_steps=SCALE_STEPS,
+                                 scenario=scenario)
+        assert t.meta.base_step == \
+            get_scenario(scenario).active_window[1] - SCALE_STEPS
+        assert t.n_calls > 0
+        assert any(t.moved)
 
 
 #: ``trace_fingerprint`` (BLAKE2b) of ``generate_trace(None, n_steps,
